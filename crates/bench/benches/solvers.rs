@@ -19,6 +19,7 @@ use ovnes::solver::{baseline, benders, kac, oneshot};
 use ovnes_lp::revised::gen::{random_bound_edit, random_lp, GenRng, LpGenConfig};
 use ovnes_lp::revised::SparseLu;
 use ovnes_lp::{Basis, LpStats};
+use ovnes_milp::MilpOptions;
 use ovnes_topology::operators::{GeneratorConfig, NetworkModel, Operator};
 use std::time::Instant;
 
@@ -191,10 +192,10 @@ fn bench_solvers(c: &mut Criterion) {
         b.iter(|| benders::solve(&inst, &benders::BendersOptions::default()).unwrap())
     });
     c.bench_function("oneshot_milp_6_tenants", |b| {
-        b.iter(|| oneshot::solve(&inst).unwrap())
+        b.iter(|| oneshot::solve(&inst, &MilpOptions::default()).unwrap())
     });
     c.bench_function("baseline_6_tenants", |b| {
-        b.iter(|| baseline::solve(&inst_nov).unwrap())
+        b.iter(|| baseline::solve(&inst_nov, &MilpOptions::default()).unwrap())
     });
 }
 
@@ -460,17 +461,21 @@ fn emit_snapshot() {
         // Min-of-5 per mode: the parity gate sits at 1.05x, and on a
         // single-core box scheduler noise alone swings a median past it —
         // the minimum is the standard noise-robust wall-clock statistic.
+        let workers = |threads: usize| MilpOptions {
+            threads,
+            ..MilpOptions::default()
+        };
         let time_min = |threads: usize| {
             (0..5)
                 .map(|_| {
                     let t0 = Instant::now();
-                    oneshot::solve_threaded(&inst, threads).expect("oneshot");
+                    oneshot::solve(&inst, &workers(threads)).expect("oneshot");
                     t0.elapsed().as_secs_f64()
                 })
                 .fold(f64::INFINITY, f64::min)
         };
-        let serial = oneshot::solve_threaded(&inst, 1).expect("oneshot serial");
-        let parallel = oneshot::solve_threaded(&inst, WORKERS).expect("oneshot parallel");
+        let serial = oneshot::solve(&inst, &workers(1)).expect("oneshot serial");
+        let parallel = oneshot::solve(&inst, &workers(WORKERS)).expect("oneshot parallel");
         let deterministic = serial.objective.to_bits() == parallel.objective.to_bits()
             && serial.assigned_cu == parallel.assigned_cu
             && serial.stats.lp == parallel.stats.lp;

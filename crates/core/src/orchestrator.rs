@@ -42,11 +42,10 @@ pub struct OrchestratorConfig {
     pub threads: usize,
     /// Branch-and-bound nodes per deterministic round for the epoch solves
     /// (see [`ovnes_milp::MilpOptions::round_width`]; 0 ⇒ the engine
-    /// default — `OVNES_MILP_ROUND_WIDTH` when set, otherwise adaptive in
-    /// the round-start queue depth). Unlike `threads`, different width
-    /// policies walk different (each internally deterministic) search
-    /// sequences, so callers that fingerprint solver telemetry pin this
-    /// explicitly.
+    /// default, adaptive in the round-start queue depth). Unlike `threads`,
+    /// different width policies walk different (each internally
+    /// deterministic) search sequences, so callers that fingerprint solver
+    /// telemetry pin this explicitly.
     pub round_width: usize,
     /// Overbooking on/off (off ⇒ the no-overbooking baseline semantics).
     pub overbooking: bool,

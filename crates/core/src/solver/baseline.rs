@@ -12,45 +12,14 @@ use crate::problem::{AcrrInstance, Allocation, SolveStats};
 use ovnes_lp::{Cmp, Problem, VarId};
 use ovnes_milp::{Milp, MilpOptions, MilpOutcome};
 
-/// Solves the no-overbooking admission problem optimally (worker count from
-/// [`ovnes_milp::default_threads`]).
-///
-/// Returns [`AcrrError::Internal`] if the instance was built with
-/// `overbooking = true` — the baseline must price full-SLA reservations.
-pub fn solve(instance: &AcrrInstance) -> Result<Allocation, AcrrError> {
-    solve_threaded(instance, ovnes_milp::default_threads())
-}
-
-/// [`solve`] with an explicit branch-and-bound worker count (results are
-/// deterministic in it).
-pub fn solve_threaded(instance: &AcrrInstance, threads: usize) -> Result<Allocation, AcrrError> {
-    solve_tuned(instance, threads, ovnes_milp::default_round_width())
-}
-
-/// [`solve_threaded`] with the nodes-per-round window also explicit
-/// (`None` ⇒ queue-depth adaptive, see
-/// [`ovnes_milp::MilpOptions::round_width`]); results are deterministic in
-/// `threads` for any fixed `round_width` policy.
-pub fn solve_tuned(
-    instance: &AcrrInstance,
-    threads: usize,
-    round_width: Option<usize>,
-) -> Result<Allocation, AcrrError> {
-    let options = MilpOptions {
-        threads: threads.max(1),
-        round_width: round_width.map(|w| w.max(1)),
-        ..Default::default()
-    };
-    solve_with(instance, &options)
-}
-
-/// [`solve_tuned`] with full [`MilpOptions`] — the budget-aware entry point
-/// (node/pivot/wall limits and LP fault injection arrive through here). A
-/// limited tree returns its best incumbent with `stats.truncated` set.
+/// Solves the no-overbooking admission problem optimally. Node, pivot and
+/// wall limits and LP fault injection arrive through `options`; a limited
+/// tree returns its best incumbent with `stats.truncated` set (results are
+/// deterministic in `options.threads`).
 ///
 /// An instance built with `overbooking = true` is rejected with
 /// [`AcrrError::Internal`]: the baseline must price full-SLA reservations.
-pub fn solve_with(instance: &AcrrInstance, options: &MilpOptions) -> Result<Allocation, AcrrError> {
+pub fn solve(instance: &AcrrInstance, options: &MilpOptions) -> Result<Allocation, AcrrError> {
     if instance.overbooking {
         return Err(AcrrError::Internal(
             "baseline requires an instance built with overbooking = false",

@@ -30,10 +30,7 @@
 //! reset), never to an error the orchestrator wouldn't survive.
 
 use super::slave::{LpCarry, RecycledCut, RowKey, SlaveContext, SlaveResult};
-use super::{
-    baseline, benders, benders_options_for, kac, milp_options_for, oneshot, solve_controlled,
-    AcrrError, ControlledOutcome, Degradation, SolveControls, SolverKind,
-};
+use super::{dispatch, milp_options_for, solve_controlled, ControlledOutcome, SolveControls};
 use crate::problem::AcrrInstance;
 use std::collections::HashMap;
 
@@ -57,8 +54,8 @@ pub struct IncrementalReport {
 /// one [`AcrrInstance`] per epoch. See the module docs for what is carried.
 #[derive(Debug, Default)]
 pub struct EpochSolver {
-    carry: LpCarry,
-    cuts: Vec<RecycledCut>,
+    pub(super) carry: LpCarry,
+    pub(super) cuts: Vec<RecycledCut>,
     /// Previous epoch's admission, keyed by *global* tenant id so it
     /// survives the per-epoch renumbering of instance-local indices.
     prev_admission: Option<Vec<(u32, usize)>>,
@@ -117,7 +114,9 @@ impl EpochSolver {
         if report.carried_basis {
             ovnes_obs::metrics::global_counter_add("epoch.carry_attempts", 1);
         }
-        match self.try_incremental(instance, controls) {
+        // The primary solver with its incremental hooks attached; an error
+        // degrades to a cold solve below.
+        match dispatch(instance, controls, Some(self)).map(ControlledOutcome::primary) {
             Ok(outcome) => {
                 report.recycled_cuts = outcome
                     .allocation
@@ -148,52 +147,9 @@ impl EpochSolver {
         }
     }
 
-    /// The primary solver with its incremental hooks attached; errors
-    /// propagate so [`Self::solve_epoch`] can degrade to a cold solve.
-    fn try_incremental(
-        &mut self,
-        instance: &AcrrInstance,
-        controls: &SolveControls,
-    ) -> Result<ControlledOutcome, AcrrError> {
-        let allocation = match controls.kind {
-            SolverKind::Kac => {
-                kac::solve_carried(instance, &controls.kac_options(), Some(&mut self.carry))?
-            }
-            SolverKind::Benders => {
-                let prev = self.mapped_prev(instance);
-                benders::solve_carried(
-                    instance,
-                    &benders_options_for(controls),
-                    Some(&mut self.carry),
-                    Some(&mut self.cuts),
-                    prev.as_deref(),
-                )?
-            }
-            SolverKind::OneShot => {
-                let bound = self.oneshot_bound(instance, controls);
-                oneshot::solve_with_incumbent(instance, &milp_options_for(controls), bound)?
-            }
-            // The no-overbooking baseline is a comparison policy, not an
-            // operational path — it intentionally solves from scratch.
-            SolverKind::NoOverbooking => {
-                baseline::solve_with(instance, &milp_options_for(controls))?
-            }
-        };
-        let degradation = if allocation.stats.truncated {
-            Degradation::Incumbent
-        } else {
-            Degradation::None
-        };
-        Ok(ControlledOutcome {
-            allocation: Some(allocation),
-            degradation,
-            error: None,
-        })
-    }
-
     /// Re-indexes the remembered admission onto this epoch's tenant list;
     /// departed tenants drop out, arrivals map to `None`.
-    fn mapped_prev(&self, instance: &AcrrInstance) -> Option<Vec<Option<usize>>> {
+    pub(super) fn mapped_prev(&self, instance: &AcrrInstance) -> Option<Vec<Option<usize>>> {
         let prev = self.prev_admission.as_ref()?;
         let by_id: HashMap<u32, usize> = prev.iter().copied().collect();
         Some(
@@ -210,7 +166,11 @@ impl EpochSolver {
     /// relaxed (`+ abs_gap + ε`) so the true optimum is never pruned.
     /// `None` whenever the admission no longer qualifies (forced tenant
     /// uncovered, CU no longer allowed, slave evaluation failed).
-    fn oneshot_bound(&self, instance: &AcrrInstance, controls: &SolveControls) -> Option<f64> {
+    pub(super) fn oneshot_bound(
+        &self,
+        instance: &AcrrInstance,
+        controls: &SolveControls,
+    ) -> Option<f64> {
         let prev = self.mapped_prev(instance)?;
         let usable = prev.iter().enumerate().all(|(t, c)| match c {
             Some(c) => *c < instance.n_cu && instance.cu_allowed[t][*c],

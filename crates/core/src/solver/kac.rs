@@ -92,7 +92,7 @@ pub fn solve(instance: &AcrrInstance, options: &KacOptions) -> Result<Allocation
 pub fn solve_carried(
     instance: &AcrrInstance,
     options: &KacOptions,
-    mut carry: Option<&mut LpCarry>,
+    carry: Option<&mut LpCarry>,
 ) -> Result<Allocation, AcrrError> {
     let _span = ovnes_obs::span!("kac");
     if !instance.forced_feasible() {
@@ -297,13 +297,7 @@ pub fn solve_carried(
                             reservations[leg.tenant][leg.bs] = z[li];
                         }
                     }
-                    stats.lp.absorb(&slave.stats);
-                    stats.lp.absorb(&wasted);
-                    stats.carry_cold_restarts = restarts;
-                    stats.churn_carry_attempts = churn_attempts;
-                    if let Some(c) = carry.as_deref_mut() {
-                        slave.save_carry(c);
-                    }
+                    settle(&mut stats, &slave, &wasted, restarts, churn_attempts, carry);
                     return Ok(Allocation {
                         objective: fixed + value,
                         assigned_cu: assigned,
@@ -349,30 +343,46 @@ pub fn solve_carried(
                                 // best available carry for the next epoch (the
                                 // relaxed fallback context has a different
                                 // column layout).
-                                stats.lp.absorb(&slave.stats);
-                                stats.lp.absorb(&wasted);
-                                stats.carry_cold_restarts = restarts;
-                                stats.churn_carry_attempts = churn_attempts;
-                                if let Some(c) = carry.as_deref_mut() {
-                                    slave.save_carry(c);
-                                }
+                                settle(
+                                    &mut stats,
+                                    &slave,
+                                    &wasted,
+                                    restarts,
+                                    churn_attempts,
+                                    carry,
+                                );
                                 return finish_with_deficit(instance, &assigned, stats);
                             }
                         }
                         if extra_rounds > n_t {
-                            stats.lp.absorb(&slave.stats);
-                            stats.lp.absorb(&wasted);
-                            stats.carry_cold_restarts = restarts;
-                            stats.churn_carry_attempts = churn_attempts;
-                            if let Some(c) = carry.as_deref_mut() {
-                                slave.save_carry(c);
-                            }
+                            settle(&mut stats, &slave, &wasted, restarts, churn_attempts, carry);
                             return finish_with_deficit(instance, &assigned, stats);
                         }
                     }
                 }
             }
         }
+    }
+}
+
+/// Closes the returning attempt's stats — the one place every return site
+/// of [`solve_carried`] settles its counters: the surviving slave's pivots
+/// plus the work discarded attempts wasted, the carry counters, and the
+/// final basis deposited for the next epoch.
+fn settle(
+    stats: &mut SolveStats,
+    slave: &SlaveContext<'_>,
+    wasted: &ovnes_lp::LpStats,
+    restarts: usize,
+    churn_attempts: usize,
+    carry: Option<&mut LpCarry>,
+) {
+    stats.lp.absorb(&slave.stats);
+    stats.lp.absorb(wasted);
+    stats.carry_cold_restarts = restarts;
+    stats.churn_carry_attempts = churn_attempts;
+    if let Some(c) = carry {
+        slave.save_carry(c);
     }
 }
 

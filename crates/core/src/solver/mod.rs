@@ -73,51 +73,6 @@ impl From<ovnes_lp::SolveError> for AcrrError {
     }
 }
 
-/// Dispatches an instance to the chosen solver (branch-and-bound worker
-/// count from [`ovnes_milp::default_threads`]).
-pub fn solve(instance: &AcrrInstance, kind: SolverKind) -> Result<Allocation, AcrrError> {
-    solve_threaded(instance, kind, ovnes_milp::default_threads())
-}
-
-/// Dispatches with an explicit branch-and-bound worker count — the knob the
-/// orchestrator threads down from
-/// [`OrchestratorConfig::threads`](crate::orchestrator::OrchestratorConfig).
-/// Every MILP-backed solver (Benders master, one-shot, baseline) fans its
-/// node relaxations across that many workers; KAC is LP-only and ignores
-/// it. Results are deterministic in `threads` for all solvers.
-pub fn solve_threaded(
-    instance: &AcrrInstance,
-    kind: SolverKind,
-    threads: usize,
-) -> Result<Allocation, AcrrError> {
-    // round_width 0: the engine default — `OVNES_MILP_ROUND_WIDTH` when
-    // set, otherwise the queue-depth-adaptive policy.
-    solve_tuned(instance, kind, threads, 0)
-}
-
-/// Dispatches with both branch-and-bound knobs explicit: `threads` (purely
-/// a wall-clock lever, results identical at any value) and `round_width`
-/// (the nodes-per-deterministic-round window; 0 ⇒ the engine default,
-/// which is queue-depth adaptive — results are bit-identical at any worker
-/// count *for a fixed width policy*, but different policies walk different
-/// search sequences). Callers that fingerprint solver telemetry (the
-/// scenario sweeps) pin `round_width` so their reports never depend on the
-/// ambient `OVNES_MILP_ROUND_WIDTH` or the adaptive policy.
-pub fn solve_tuned(
-    instance: &AcrrInstance,
-    kind: SolverKind,
-    threads: usize,
-    round_width: usize,
-) -> Result<Allocation, AcrrError> {
-    let controls = SolveControls {
-        kind,
-        threads,
-        round_width,
-        ..SolveControls::default()
-    };
-    solve_budgeted(instance, &controls)
-}
-
 /// A compute budget for one admission solve. All limits are optional; the
 /// default is unlimited (beyond the engines' own safety caps).
 ///
@@ -175,9 +130,11 @@ pub struct SolveControls {
     pub kind: SolverKind,
     /// Branch-and-bound worker threads (0 ⇒ engine default).
     pub threads: usize,
-    /// Nodes-per-deterministic-round window (0 ⇒ engine default: the
-    /// `OVNES_MILP_ROUND_WIDTH` environment variable when set, otherwise
-    /// adaptive in the round-start queue depth).
+    /// Nodes-per-deterministic-round window (0 ⇒ engine default: adaptive
+    /// in the round-start queue depth). Results are bit-identical at any
+    /// worker count *for a fixed width policy*, but different policies walk
+    /// different search sequences, so callers that fingerprint solver
+    /// telemetry (the scenario sweeps) pin it.
     pub round_width: usize,
     /// Compute budget; default unlimited.
     pub budget: SolveBudget,
@@ -265,41 +222,82 @@ pub struct ControlledOutcome {
     pub error: Option<AcrrError>,
 }
 
-/// [`solve_tuned`] with a [`SolveBudget`] and optional LP fault plan, no
-/// fallback: budget truncation returns `Ok` with `stats.truncated` set;
-/// errors propagate.
-pub fn solve_budgeted(
-    instance: &AcrrInstance,
-    controls: &SolveControls,
-) -> Result<Allocation, AcrrError> {
-    match controls.kind {
-        SolverKind::Benders => benders::solve(instance, &benders_options_for(controls)),
-        SolverKind::Kac => kac::solve(instance, &controls.kac_options()),
-        SolverKind::OneShot => oneshot::solve_with(instance, &milp_options_for(controls)),
-        SolverKind::NoOverbooking => baseline::solve_with(instance, &milp_options_for(controls)),
+impl ControlledOutcome {
+    /// The primary solver succeeded: its allocation stands, degraded to
+    /// [`Degradation::Incumbent`] when a budget limit truncated the search.
+    fn primary(allocation: Allocation) -> Self {
+        let degradation = if allocation.stats.truncated {
+            Degradation::Incumbent
+        } else {
+            Degradation::None
+        };
+        ControlledOutcome {
+            allocation: Some(allocation),
+            degradation,
+            error: None,
+        }
     }
 }
 
-/// MILP options implied by a control set: explicit parallelism knobs, the
-/// budget folded in, and the fault plan on the node-relaxation simplex.
-/// Shared by [`solve_budgeted`] and the incremental
-/// [`epoch::EpochSolver`] so both paths solve with identical options.
-pub(crate) fn milp_options_for(controls: &SolveControls) -> ovnes_milp::MilpOptions {
-    let threads = if controls.threads == 0 {
-        ovnes_milp::default_threads()
-    } else {
-        controls.threads
-    };
-    let round_width = if controls.round_width == 0 {
-        ovnes_milp::default_round_width()
-    } else {
-        Some(controls.round_width)
-    };
-    let mut milp_options = ovnes_milp::MilpOptions {
-        threads: threads.max(1),
-        round_width: round_width.map(|w| w.max(1)),
-        ..Default::default()
-    };
+/// Solves an instance with the algorithm, parallelism knobs, compute budget
+/// and LP fault plan of `controls` — the one way into the four solver
+/// modules. No fallback: budget truncation returns `Ok` with
+/// `stats.truncated` set, errors propagate ([`solve_controlled`] is the
+/// degradation ladder over this). Every MILP-backed solver (Benders master,
+/// one-shot, baseline) fans its node relaxations across `controls.threads`
+/// workers; KAC is LP-only and ignores it. Results are deterministic in
+/// `threads` for all solvers.
+pub fn solve(instance: &AcrrInstance, controls: &SolveControls) -> Result<Allocation, AcrrError> {
+    dispatch(instance, controls, None)
+}
+
+/// The one dispatch on [`SolverKind`]: from scratch when `carried` is
+/// `None`, otherwise with the cross-epoch hooks of the persistent
+/// [`epoch::EpochSolver`] attached (carried slave basis, recycled cuts,
+/// incumbent seeding — they change the solve path, never the decision).
+fn dispatch(
+    instance: &AcrrInstance,
+    controls: &SolveControls,
+    carried: Option<&mut epoch::EpochSolver>,
+) -> Result<Allocation, AcrrError> {
+    match controls.kind {
+        SolverKind::Kac => kac::solve_carried(
+            instance,
+            &controls.kac_options(),
+            carried.map(|es| &mut es.carry),
+        ),
+        SolverKind::Benders => {
+            let prev = carried.as_deref().and_then(|es| es.mapped_prev(instance));
+            let (carry, cuts) = carried.map(|es| (&mut es.carry, &mut es.cuts)).unzip();
+            benders::solve_carried(
+                instance,
+                &benders_options_for(controls),
+                carry,
+                cuts,
+                prev.as_deref(),
+            )
+        }
+        SolverKind::OneShot => {
+            let bound = carried.and_then(|es| es.oneshot_bound(instance, controls));
+            oneshot::solve_with_incumbent(instance, &milp_options_for(controls), bound)
+        }
+        // The no-overbooking baseline is a comparison policy, not an
+        // operational path — it always solves from scratch.
+        SolverKind::NoOverbooking => baseline::solve(instance, &milp_options_for(controls)),
+    }
+}
+
+/// MILP options implied by a control set: explicit parallelism knobs over
+/// the engine defaults, the budget folded in, and the fault plan on the
+/// node-relaxation simplex.
+fn milp_options_for(controls: &SolveControls) -> ovnes_milp::MilpOptions {
+    let mut milp_options = ovnes_milp::MilpOptions::default();
+    if controls.threads > 0 {
+        milp_options.threads = controls.threads;
+    }
+    if controls.round_width > 0 {
+        milp_options.round_width = Some(controls.round_width);
+    }
     controls.budget.apply_milp(&mut milp_options);
     if controls.lp_fault.is_some() {
         milp_options.simplex.fault = controls.lp_fault;
@@ -311,7 +309,7 @@ pub(crate) fn milp_options_for(controls: &SolveControls) -> ovnes_milp::MilpOpti
 }
 
 /// Benders options implied by a control set (see [`milp_options_for`]).
-pub(crate) fn benders_options_for(controls: &SolveControls) -> benders::BendersOptions {
+fn benders_options_for(controls: &SolveControls) -> benders::BendersOptions {
     let mut options = benders::BendersOptions {
         milp: milp_options_for(controls),
         ..benders::BendersOptions::default()
@@ -335,19 +333,8 @@ pub(crate) fn benders_options_for(controls: &SolveControls) -> benders::BendersO
 ///    [`AcrrError::ForcedInfeasible`] cannot be solved by trying harder) —
 ///    [`Degradation::Deferred`] with no allocation.
 pub fn solve_controlled(instance: &AcrrInstance, controls: &SolveControls) -> ControlledOutcome {
-    match solve_budgeted(instance, controls) {
-        Ok(allocation) => {
-            let degradation = if allocation.stats.truncated {
-                Degradation::Incumbent
-            } else {
-                Degradation::None
-            };
-            ControlledOutcome {
-                allocation: Some(allocation),
-                degradation,
-                error: None,
-            }
-        }
+    match solve(instance, controls) {
+        Ok(allocation) => ControlledOutcome::primary(allocation),
         Err(AcrrError::ForcedInfeasible) => ControlledOutcome {
             allocation: None,
             degradation: Degradation::Deferred,

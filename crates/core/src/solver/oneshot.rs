@@ -10,45 +10,16 @@ use crate::problem::{AcrrInstance, Allocation, SolveStats};
 use ovnes_lp::{Cmp, Problem, VarId};
 use ovnes_milp::{Milp, MilpOptions, MilpOutcome};
 
-/// Solves the AC-RR instance as a single MILP (worker count from
-/// [`ovnes_milp::default_threads`]).
-pub fn solve(instance: &AcrrInstance) -> Result<Allocation, AcrrError> {
-    solve_threaded(instance, ovnes_milp::default_threads())
-}
-
-/// [`solve`] with an explicit branch-and-bound worker count — the one-shot
-/// tree is the deepest in the codebase, so it benefits the most from the
-/// parallel node fan-out. Results are deterministic in `threads`.
-pub fn solve_threaded(instance: &AcrrInstance, threads: usize) -> Result<Allocation, AcrrError> {
-    solve_tuned(instance, threads, ovnes_milp::default_round_width())
-}
-
-/// [`solve_threaded`] with the nodes-per-round window also explicit
-/// (`None` ⇒ queue-depth adaptive, see
-/// [`ovnes_milp::MilpOptions::round_width`]); results are deterministic in
-/// `threads` for any fixed `round_width` policy.
-pub fn solve_tuned(
-    instance: &AcrrInstance,
-    threads: usize,
-    round_width: Option<usize>,
-) -> Result<Allocation, AcrrError> {
-    let options = MilpOptions {
-        threads: threads.max(1),
-        round_width: round_width.map(|w| w.max(1)),
-        ..Default::default()
-    };
-    solve_with(instance, &options)
-}
-
-/// [`solve_tuned`] with full [`MilpOptions`] — the budget-aware entry point
-/// ([`solve_budgeted`](super::solve_budgeted) folds node/pivot/wall limits
-/// and LP fault injection in here). A node- or wall-limited tree returns
-/// its best incumbent with `stats.truncated` set.
-pub fn solve_with(instance: &AcrrInstance, options: &MilpOptions) -> Result<Allocation, AcrrError> {
+/// Solves the AC-RR instance as a single MILP. Node, pivot and wall limits
+/// and LP fault injection arrive through `options`; a node- or wall-limited
+/// tree returns its best incumbent with `stats.truncated` set. The one-shot
+/// tree is the deepest in the codebase, so it benefits the most from
+/// `options.threads` (results are deterministic in it).
+pub fn solve(instance: &AcrrInstance, options: &MilpOptions) -> Result<Allocation, AcrrError> {
     solve_with_incumbent(instance, options, None)
 }
 
-/// [`solve_with`] with an optional warm branch-and-bound cutoff: the
+/// [`solve`] with an optional warm branch-and-bound cutoff: the
 /// objective of a known-feasible admission (e.g. last epoch's, re-evaluated
 /// against this epoch's instance). The caller must pass a *slightly relaxed*
 /// bound — `objective + abs_gap + ε` — because the search prunes nodes at

@@ -43,7 +43,7 @@
 //! (`stats.factorization_reuses` counts the hits).
 
 use crate::problem::AcrrInstance;
-use ovnes_lp::{Basis, Cmp, ConsId, LpStats, Outcome, Problem, SimplexOptions, VarId};
+use ovnes_lp::{Basis, Cmp, ConsId, LpStats, Outcome, Problem, SimplexOptions, VarId, Workspace};
 use std::collections::HashMap;
 
 /// Stable cross-epoch identity of a slave LP column. Instance-local leg
@@ -230,6 +230,9 @@ pub struct SlaveContext<'a> {
     /// chaos fault injection thread through here; defaults are identical to
     /// the plain `solve_warm` path).
     simplex: SimplexOptions,
+    /// Engine scratch reused by every `solve_for` of this context's warm
+    /// chain (reset on entry by the engine; never influences a result).
+    workspace: Workspace,
     /// Raw dual certificate of the most recent `solve_for`, keyed for the
     /// cross-epoch cut pool.
     last_cut_duals: Option<RecycledCut>,
@@ -390,6 +393,7 @@ impl<'a> SlaveContext<'a> {
             basis: None,
             warm: true,
             simplex: SimplexOptions::default(),
+            workspace: Workspace::new(),
             last_cut_duals: None,
             last_unique: false,
             last_decision_unique: false,
@@ -670,9 +674,9 @@ impl<'a> SlaveContext<'a> {
             }
         }
 
-        let ws = self
-            .problem
-            .solve_warm_with(self.basis.as_ref(), &self.simplex)?;
+        let ws =
+            self.problem
+                .solve_warm_in(self.basis.as_ref(), &self.simplex, &mut self.workspace)?;
         self.stats.absorb(&ws.stats);
         if self.warm {
             self.basis = Some(ws.basis);

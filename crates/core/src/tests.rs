@@ -3,11 +3,12 @@
 
 use crate::experiment::{homogeneous, run_on, Scenario, SigmaLevel};
 use crate::orchestrator::{Orchestrator, OrchestratorConfig};
-use crate::problem::{AcrrInstance, PathPolicy, TenantInput};
+use crate::problem::{AcrrInstance, Allocation, PathPolicy, TenantInput};
 use crate::slice::{ServiceModel, SliceClass, SliceRequest, SliceTemplate};
 use crate::solver::slave::{solve_slave, SlaveResult};
-use crate::solver::{baseline, benders, kac, oneshot, SolverKind};
+use crate::solver::{baseline, benders, kac, oneshot, solve, SolveControls, SolverKind};
 use crate::testbed::{run_testbed, testbed_model, testbed_requests, TESTBED_EPOCHS};
+use ovnes_milp::MilpOptions;
 use ovnes_topology::graph::{Graph, LinkTech};
 use ovnes_topology::ksp::k_shortest;
 use ovnes_topology::operators::{BaseStation, ComputeUnit, CuKind, NetworkModel, Operator};
@@ -272,7 +273,7 @@ fn oneshot_matches_brute_force() {
     for seed in 0..6 {
         let inst = small_instance(seed);
         let brute = brute_force(&inst);
-        let alloc = oneshot::solve(&inst).unwrap();
+        let alloc = oneshot::solve(&inst, &MilpOptions::default()).unwrap();
         assert!(
             (alloc.objective - brute).abs() < 1e-5,
             "seed {seed}: oneshot {} vs brute {brute}",
@@ -318,7 +319,7 @@ fn overbooking_revenue_at_least_baseline() {
     let ov = AcrrInstance::build(&model, mk_tenants(), PathPolicy::MinDelay, true, None);
     let nov = AcrrInstance::build(&model, mk_tenants(), PathPolicy::MinDelay, false, None);
     let ours = benders::solve(&ov, &benders::BendersOptions::default()).unwrap();
-    let base = baseline::solve(&nov).unwrap();
+    let base = baseline::solve(&nov, &MilpOptions::default()).unwrap();
     assert!(
         ours.expected_net_revenue() >= base.expected_net_revenue() - 1e-6,
         "overbooking ({}) must not trail the baseline ({})",
@@ -333,7 +334,7 @@ fn baseline_reserves_full_sla() {
     let model = toy_model(2, 160.0, 640.0, 10_000.0);
     let tenants = vec![tenant(0, 25.0, 2.2, 2.2, 5.0, 0.2, 2, 0.2)];
     let inst = AcrrInstance::build(&model, tenants, PathPolicy::MinDelay, false, None);
-    let alloc = baseline::solve(&inst).unwrap();
+    let alloc = baseline::solve(&inst, &MilpOptions::default()).unwrap();
     assert_eq!(alloc.accepted(), 1);
     for b in 0..2 {
         assert!((alloc.reservations[0][b] - 25.0).abs() < 1e-9);
@@ -369,20 +370,54 @@ fn must_accept_is_honoured() {
     bad.must_accept = true;
     bad.pinned_cu = Some(0);
     let good = tenant(1, 25.0, 2.2, 2.2, 5.0, 0.2, 2, 0.2);
-    let inst = AcrrInstance::build(
-        &model,
-        vec![bad, good],
-        PathPolicy::MinDelay,
-        true,
-        Some(1e4),
-    );
-    for solver in [SolverKind::Benders, SolverKind::Kac, SolverKind::OneShot] {
-        let alloc = crate::solver::solve(&inst, solver).unwrap();
+    let build = |overbooking: bool| {
+        AcrrInstance::build(
+            &model,
+            vec![bad.clone(), good.clone()],
+            PathPolicy::MinDelay,
+            overbooking,
+            Some(1e4),
+        )
+    };
+    let (ov, nov) = (build(true), build(false));
+    for kind in [
+        SolverKind::Benders,
+        SolverKind::Kac,
+        SolverKind::OneShot,
+        SolverKind::NoOverbooking,
+    ] {
+        let inst = if kind == SolverKind::NoOverbooking {
+            &nov
+        } else {
+            &ov
+        };
+        let controls = SolveControls {
+            kind,
+            ..SolveControls::default()
+        };
+        let alloc = solve(inst, &controls).unwrap();
         assert_eq!(
             alloc.assigned_cu[0],
             Some(0),
-            "{solver:?} must keep the active slice"
+            "{kind:?} must keep the active slice"
         );
+        // Default controls add nothing: the dispatch is bitwise the direct
+        // module call with default options.
+        let direct = match kind {
+            SolverKind::Benders => benders::solve(inst, &benders::BendersOptions::default()),
+            SolverKind::Kac => kac::solve(inst, &kac::KacOptions::default()),
+            SolverKind::OneShot => oneshot::solve(inst, &MilpOptions::default()),
+            SolverKind::NoOverbooking => baseline::solve(inst, &MilpOptions::default()),
+        }
+        .unwrap();
+        assert_eq!(alloc.objective.to_bits(), direct.objective.to_bits());
+        assert_eq!(alloc.assigned_cu, direct.assigned_cu, "{kind:?}");
+        let bits = |a: &Allocation| -> Vec<u64> {
+            let z = a.reservations.iter().flatten();
+            z.map(|z| z.to_bits()).collect()
+        };
+        assert_eq!(bits(&alloc), bits(&direct), "{kind:?}");
+        assert_eq!(alloc.stats.lp, direct.stats.lp, "{kind:?}");
     }
 }
 
@@ -602,7 +637,7 @@ proptest! {
     fn prop_benders_equals_oneshot(seed in 0u64..200) {
         let inst = small_instance(seed);
         let b = benders::solve(&inst, &benders::BendersOptions::default()).unwrap();
-        let o = oneshot::solve(&inst).unwrap();
+        let o = oneshot::solve(&inst, &MilpOptions::default()).unwrap();
         prop_assert!((b.objective - o.objective).abs() < 1e-5,
             "benders {} vs oneshot {}", b.objective, o.objective);
     }
@@ -612,7 +647,7 @@ proptest! {
     #[test]
     fn prop_kac_sound(seed in 0u64..200) {
         let inst = small_instance(seed);
-        let o = oneshot::solve(&inst).unwrap();
+        let o = oneshot::solve(&inst, &MilpOptions::default()).unwrap();
         let k = kac::solve(&inst, &kac::KacOptions::default()).unwrap();
         prop_assert!(k.objective >= o.objective - 1e-6);
         // Radio feasibility.
@@ -649,7 +684,7 @@ fn warm_benders_pipeline_equals_oracle_and_records_warm_hits() {
     for seed in 0..12 {
         let inst = small_instance(seed);
         let b = benders::solve(&inst, &benders::BendersOptions::default()).unwrap();
-        let o = oneshot::solve(&inst).unwrap();
+        let o = oneshot::solve(&inst, &MilpOptions::default()).unwrap();
         assert!(
             (b.objective - o.objective).abs() < 1e-5,
             "seed {seed}: warm benders {} vs oneshot {}",

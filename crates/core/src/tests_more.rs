@@ -6,7 +6,7 @@ use crate::orchestrator::{Orchestrator, OrchestratorConfig};
 use crate::problem::{AcrrInstance, PathPolicy, TenantInput, MBPS_PER_MHZ};
 use crate::slice::{ServiceModel, SliceClass, SliceRequest, SliceTemplate};
 use crate::solver::slave::{solve_slave, SlaveResult};
-use crate::solver::{benders, kac, SolverKind};
+use crate::solver::{benders, kac, SolveControls, SolverKind};
 use crate::testbed::epoch_to_time;
 use ovnes_topology::graph::{Graph, LinkTech};
 use ovnes_topology::ksp::k_shortest;
@@ -253,7 +253,11 @@ fn solver_stats_populate() {
         None,
     );
     for kind in [SolverKind::Benders, SolverKind::Kac, SolverKind::OneShot] {
-        let alloc = crate::solver::solve(&inst, kind).unwrap();
+        let controls = SolveControls {
+            kind,
+            ..SolveControls::default()
+        };
+        let alloc = crate::solver::solve(&inst, &controls).unwrap();
         assert!(alloc.stats.iterations >= 1, "{kind:?}");
         assert!(alloc.expected_net_revenue() > 0.0, "{kind:?}");
     }

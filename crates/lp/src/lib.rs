@@ -13,15 +13,16 @@
 //! the sanctioned offline crate set, so this crate substitutes for it (see
 //! DESIGN.md §2).
 //!
-//! ## The two engines
+//! ## The engine and its test oracle
 //!
-//! **Dense tableau** ([`simplex`], the original engine): a two-phase primal
-//! simplex over the full tableau. Bounds are canonicalised away — lower
-//! bounds shifted, upper-only bounds mirrored, free variables split, finite
-//! upper bounds expanded into internal `≤` rows — so every solve is cold and
-//! the working matrix grows with the number of finite bounds. It favours
-//! simplicity and has served as the reference implementation; it remains the
-//! cross-check oracle in the test suite.
+//! The shipping library has **one** engine, the bounded-variable revised
+//! simplex below; [`Problem::solve`], [`Problem::solve_warm`] and
+//! [`Problem::solve_warm_in`] are the only ways in. The original dense
+//! two-phase tableau simplex (`dense::solve`) — bounds canonicalised away,
+//! every solve cold, no code shared with the revised engine — survives as
+//! the specification side of the cross-check suites and is compiled only
+//! under `cfg(test)` or the `testgen` feature, next to the other slow twins
+//! (the dense `Lu`, `SparseLu::factor_rescan`).
 //!
 //! **Bounded-variable revised simplex** ([`revised`], the production
 //! engine): box bounds are handled natively (no mirror/split/ub-row
@@ -95,7 +96,9 @@
 //! ## Factorization internals
 //!
 //! Three mechanisms keep the per-pivot linear algebra sublinear in the
-//! basis dimension `m`; each has a slow twin retained as its oracle.
+//! basis dimension `m`; each has a slow twin retained as its oracle (the
+//! factor and LU twins are test-only, see above; the dense FTRAN/BTRAN
+//! sweep is also the production fallback above the density cutoff).
 //!
 //! **Bucketed Markowitz pivot selection.** The factorization maintains,
 //! per elimination stage, a column → active-rows adjacency (the transpose
@@ -223,6 +226,8 @@
 //! assert_eq!(re.stats.warm_starts, 1);
 //! ```
 
+#[cfg(any(test, feature = "testgen"))]
+pub mod dense;
 mod model;
 pub mod revised;
 mod simplex;

@@ -1,7 +1,8 @@
 //! Problem builder: variables with bounds, sparse linear constraints, and a
 //! linear minimisation objective.
 
-use crate::simplex::{self, Outcome, SimplexOptions, Solution, SolveError};
+use crate::revised::{Basis, WarmSolve, Workspace};
+use crate::simplex::{Outcome, SimplexOptions, Solution, SolveError};
 use crate::sparse::SparseMatrix;
 
 /// Handle to a decision variable, returned by [`Problem::add_var`].
@@ -214,48 +215,31 @@ impl Problem {
         SparseMatrix::from_columns(self.cons.len(), &cols)
     }
 
-    /// Solves the program with default simplex options.
+    /// Solves the program cold with default simplex options.
     pub fn solve(&self) -> Result<Outcome, SolveError> {
-        self.solve_with(&SimplexOptions::default())
+        self.solve_warm(None).map(|w| w.outcome)
     }
 
-    /// Solves the program with explicit simplex options.
-    pub fn solve_with(&self, options: &SimplexOptions) -> Result<Outcome, SolveError> {
-        simplex::solve(self, options)
+    /// Solves the program, resuming from `warm` when supplied; returns the
+    /// outcome plus a basis reusable for the next perturbed solve (see the
+    /// crate docs for the warm-start contract). Default simplex options and
+    /// a throwaway [`Workspace`] — hot loops hold one and call
+    /// [`Problem::solve_warm_in`].
+    pub fn solve_warm(&self, warm: Option<&Basis>) -> Result<WarmSolve, SolveError> {
+        self.solve_warm_in(warm, &SimplexOptions::default(), &mut Workspace::new())
     }
 
-    /// Solves with the revised (bounded-variable) engine, cold.
-    pub fn solve_revised(&self) -> Result<Outcome, SolveError> {
-        crate::revised::solve(self, &SimplexOptions::default())
-    }
-
-    /// Solves with the revised engine, resuming from `warm` when supplied;
-    /// returns the outcome plus a basis reusable for the next perturbed
-    /// solve (see the crate docs for the warm-start contract).
-    pub fn solve_warm(&self, warm: Option<&crate::Basis>) -> Result<crate::WarmSolve, SolveError> {
-        crate::revised::solve_warm(self, warm, &SimplexOptions::default())
-    }
-
-    /// [`Problem::solve_warm`] with explicit simplex options.
-    pub fn solve_warm_with(
-        &self,
-        warm: Option<&crate::Basis>,
-        options: &SimplexOptions,
-    ) -> Result<crate::WarmSolve, SolveError> {
-        crate::revised::solve_warm(self, warm, options)
-    }
-
-    /// [`Problem::solve_warm_with`] solving through a caller-owned
-    /// [`Workspace`](crate::Workspace) — the per-worker entry point of the
-    /// threading contract (see the `revised` module docs). The workspace
+    /// [`Problem::solve_warm`] with explicit simplex options, solving
+    /// through a caller-owned [`Workspace`] — the per-worker entry point of
+    /// the threading contract (see the `revised` module docs). The workspace
     /// never affects results; holding one per worker amortises scratch
     /// allocations across a warm chain.
     pub fn solve_warm_in(
         &self,
-        warm: Option<&crate::Basis>,
+        warm: Option<&Basis>,
         options: &SimplexOptions,
-        ws: &mut crate::Workspace,
-    ) -> Result<crate::WarmSolve, SolveError> {
+        ws: &mut Workspace,
+    ) -> Result<WarmSolve, SolveError> {
         crate::revised::solve_warm_in(self, warm, options, ws)
     }
 }

@@ -97,13 +97,14 @@ const PARTIAL_PRICING_MIN_COLS: usize = 256;
 /// Per-worker scratch for the revised engine: every buffer a solve needs
 /// beyond the immutable problem data and the (restartable) basis itself.
 ///
-/// Lend one to [`super::solve_warm_in`] per solve; reuse it across solves to
-/// amortise allocations. Contents are overwritten at engine construction, so
-/// a workspace carries **no state between solves** — two solves of the same
-/// problem through different (or differently-used) workspaces produce
-/// bit-identical results. This is what makes the parallel branch-and-bound
-/// deterministic: workers share `Problem` / `SparseMatrix` /
-/// `Arc<Factorization>` read-only and keep all mutation in here.
+/// Lend one to [`Problem::solve_warm_in`](crate::Problem::solve_warm_in) per
+/// solve; reuse it across solves to amortise allocations. Contents are
+/// overwritten at engine construction, so a workspace carries **no state
+/// between solves** — two solves of the same problem through different (or
+/// differently-used) workspaces produce bit-identical results. This is what
+/// makes the parallel branch-and-bound deterministic: workers share
+/// `Problem` / `SparseMatrix` / `Arc<Factorization>` read-only and keep all
+/// mutation in here.
 #[derive(Debug, Default)]
 pub struct Workspace {
     /// Triangular-solve scratch for the factorization: worklist heaps,

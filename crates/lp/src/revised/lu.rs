@@ -37,8 +37,9 @@
 //! lowest-index column of minimum count — the *same* pivot the old
 //! full-rescan selection chose, in O(log m) amortized instead of Θ(m) per
 //! stage. The rescan implementation is retained as
-//! [`SparseLu::factor_rescan`] as the bench baseline and test oracle; both
-//! report their selection effort through [`SparseLu::pivot_scan_work`].
+//! `SparseLu::factor_rescan` (bench baseline and test oracle, in the
+//! test-only `oracle` submodule); both report their selection effort through
+//! [`SparseLu::pivot_scan_work`].
 //!
 //! Singularity is declared *relative to the matrix scale*: a pivot candidate
 //! must exceed [`SINGULAR_TOL`]`·max|B|`, so a badly scaled but perfectly
@@ -74,10 +75,16 @@
 //! into a sibling's solves (copy-on-compress). All solve intermediates live
 //! in the caller's [`SolveScratch`].
 //!
-//! The classic dense LU ([`Lu`]) is retained as the slow-path oracle for
-//! tests and cross-checks.
+//! The classic dense LU (`Lu`) is retained as the slow-path oracle for
+//! tests and cross-checks, next to the rescan factor in the `oracle`
+//! submodule — none of it is compiled into the shipping library.
 
 use std::sync::Arc;
+
+#[cfg(any(test, feature = "testgen"))]
+mod oracle;
+#[cfg(any(test, feature = "testgen"))]
+pub use oracle::Lu;
 
 /// Relative pivot threshold below which a basis matrix is declared singular:
 /// a pivot must exceed `SINGULAR_TOL × max|B|`. (An *absolute* threshold
@@ -104,124 +111,6 @@ const HYPERSPARSE_RATIO: usize = 16;
 
 /// Minimum dimension for the hyper-sparse path (see [`HYPERSPARSE_RATIO`]).
 const HYPERSPARSE_DIM_MIN: usize = 64;
-
-/// Dense LU factorization `P·B = L·U` with partial pivoting.
-///
-/// Storage is the classic packed form: `f` holds `U` on and above the
-/// diagonal and the unit-lower-triangular `L` (without its diagonal) below.
-/// Retained as the reference oracle; production solves use [`SparseLu`].
-#[cfg_attr(not(test), allow(dead_code))]
-#[derive(Debug, Clone)]
-pub struct Lu {
-    m: usize,
-    f: Vec<f64>,
-    /// Row swapped with `k` at elimination step `k`.
-    piv: Vec<usize>,
-}
-
-#[cfg_attr(not(test), allow(dead_code))]
-impl Lu {
-    /// Factorizes a dense `m × m` matrix given in row-major order.
-    ///
-    /// Returns `None` when the matrix is numerically singular *relative to
-    /// its own scale*; callers are expected to repair or rebuild the basis.
-    pub fn factor(mut a: Vec<f64>, m: usize) -> Option<Lu> {
-        debug_assert_eq!(a.len(), m * m);
-        let max_abs = a.iter().fold(0.0f64, |acc, &v| acc.max(v.abs()));
-        if m > 0 && max_abs == 0.0 {
-            return None;
-        }
-        let tol = SINGULAR_TOL * max_abs;
-        let mut piv = vec![0usize; m];
-        for k in 0..m {
-            // Partial pivoting: largest magnitude in column k at/below row k.
-            let mut best = k;
-            let mut best_val = a[k * m + k].abs();
-            for i in (k + 1)..m {
-                let v = a[i * m + k].abs();
-                if v > best_val {
-                    best_val = v;
-                    best = i;
-                }
-            }
-            if best_val <= tol {
-                return None;
-            }
-            piv[k] = best;
-            if best != k {
-                for j in 0..m {
-                    a.swap(k * m + j, best * m + j);
-                }
-            }
-            let inv = 1.0 / a[k * m + k];
-            for i in (k + 1)..m {
-                let l = a[i * m + k] * inv;
-                a[i * m + k] = l;
-                if l != 0.0 {
-                    for j in (k + 1)..m {
-                        a[i * m + j] -= l * a[k * m + j];
-                    }
-                }
-            }
-        }
-        Some(Lu { m, f: a, piv })
-    }
-
-    /// Solves `B·x = v` in place (`v` becomes `x`).
-    pub fn solve(&self, v: &mut [f64]) {
-        let m = self.m;
-        debug_assert_eq!(v.len(), m);
-        // Apply P.
-        for k in 0..m {
-            if self.piv[k] != k {
-                v.swap(k, self.piv[k]);
-            }
-        }
-        // Forward: L·z = P·v (unit diagonal).
-        for i in 1..m {
-            let mut s = v[i];
-            for j in 0..i {
-                s -= self.f[i * m + j] * v[j];
-            }
-            v[i] = s;
-        }
-        // Backward: U·x = z.
-        for i in (0..m).rev() {
-            let mut s = v[i];
-            for j in (i + 1)..m {
-                s -= self.f[i * m + j] * v[j];
-            }
-            v[i] = s / self.f[i * m + i];
-        }
-    }
-
-    /// Solves `Bᵀ·y = w` in place (`w` becomes `y`).
-    pub fn solve_t(&self, w: &mut [f64]) {
-        let m = self.m;
-        debug_assert_eq!(w.len(), m);
-        // Bᵀ = Uᵀ·Lᵀ·P⁻ᵀ: solve Uᵀ·t = w (forward), Lᵀ·s = t (backward),
-        // then y = Pᵀ·s (undo swaps in reverse).
-        for i in 0..m {
-            let mut s = w[i];
-            for j in 0..i {
-                s -= self.f[j * m + i] * w[j];
-            }
-            w[i] = s / self.f[i * m + i];
-        }
-        for i in (0..m).rev() {
-            let mut s = w[i];
-            for j in (i + 1)..m {
-                s -= self.f[j * m + i] * w[j];
-            }
-            w[i] = s;
-        }
-        for k in (0..m).rev() {
-            if self.piv[k] != k {
-                w.swap(k, self.piv[k]);
-            }
-        }
-    }
-}
 
 /// Binary min-heap push on a raw `Vec<u32>` (bucket heaps).
 fn heap_push_u32(h: &mut Vec<u32>, v: u32) {
@@ -395,8 +284,8 @@ pub struct SparseLu {
     /// below it are not folded into the update).
     drop_tol: f64,
     /// Pivot-selection effort: candidate entries examined while choosing
-    /// pivots (bucket pops + adjacency gathers here; full rescans in
-    /// [`SparseLu::factor_rescan`]).
+    /// pivots (bucket pops + adjacency gathers here; full rescans in the
+    /// `factor_rescan` oracle).
     pivot_scan_work: u64,
 }
 
@@ -406,7 +295,7 @@ impl SparseLu {
     /// selecting pivots through the bucketed-Markowitz structures.
     ///
     /// Returns `None` when the matrix is singular relative to its scale.
-    /// Chooses the *identical* pivot sequence to [`SparseLu::factor_rescan`]
+    /// Chooses the *identical* pivot sequence to the `factor_rescan` oracle
     /// (lowest-index column of minimum count; shortest eligible row), so the
     /// two produce bitwise-equal factors — only the selection cost differs.
     pub fn factor<F>(m: usize, mut col: F) -> Option<SparseLu>
@@ -643,211 +532,6 @@ impl SparseLu {
         Some(lu)
     }
 
-    /// The pre-bucketing factorization: identical elimination and pivot
-    /// rule, but pivot selection rescans every active column (Θ(m) per
-    /// stage) and gathers the pivot column by probing every active row.
-    ///
-    /// Retained as the `lu_factor` bench baseline and as the equivalence
-    /// oracle for the bucketed path's property tests; its selection effort
-    /// is likewise reported through [`SparseLu::pivot_scan_work`].
-    #[cfg_attr(not(any(test, feature = "testgen")), allow(dead_code))]
-    pub fn factor_rescan<F>(m: usize, mut col: F) -> Option<SparseLu>
-    where
-        F: FnMut(usize, &mut Vec<(u32, f64)>),
-    {
-        let mut rows: Vec<Vec<(u32, f64)>> = vec![Vec::new(); m];
-        let mut col_count = vec![0usize; m];
-        let mut buf: Vec<(u32, f64)> = Vec::new();
-        let mut max_abs = 0.0f64;
-        let mut nnz_input = 0usize;
-        for pos in 0..m {
-            buf.clear();
-            col(pos, &mut buf);
-            for &(i, v) in &buf {
-                debug_assert!((i as usize) < m);
-                if v != 0.0 {
-                    rows[i as usize].push((pos as u32, v));
-                    col_count[pos] += 1;
-                    max_abs = max_abs.max(v.abs());
-                    nnz_input += 1;
-                }
-            }
-        }
-        if m > 0 && max_abs == 0.0 {
-            return None;
-        }
-        let sing_tol = SINGULAR_TOL * max_abs;
-        let drop_tol = DROP_TOL * max_abs;
-
-        let mut lu = SparseLu {
-            m,
-            perm_row: Vec::with_capacity(m),
-            perm_col: Vec::with_capacity(m),
-            pivots: Vec::with_capacity(m),
-            lcols: Vec::with_capacity(m),
-            urows: Vec::with_capacity(m),
-            nnz_input,
-            stage_of_row: Vec::new(),
-            lrow_stages: Vec::new(),
-            sing_tol,
-            drop_tol,
-            pivot_scan_work: 0,
-        };
-        let mut row_active = vec![true; m];
-        let mut col_active = vec![true; m];
-        let mut pivcol: Vec<(usize, f64)> = Vec::new();
-        let mut merged: Vec<(u32, f64)> = Vec::new();
-        let mut tried = vec![false; m];
-        let mut work = 0u64;
-
-        for _stage in 0..m {
-            // ---- pivot column: fewest active nonzeros, numerically alive.
-            let (c, colmax) = loop {
-                let mut best: Option<(usize, usize)> = None; // (count, col)
-                for j in 0..m {
-                    if !col_active[j] || tried[j] {
-                        continue;
-                    }
-                    work += 1;
-                    if best.is_none_or(|(cnt, _)| col_count[j] < cnt) {
-                        best = Some((col_count[j], j));
-                    }
-                }
-                let Some((count, j)) = best else {
-                    return None; // every remaining column is numerically dead
-                };
-                if count == 0 {
-                    return None; // structurally singular
-                }
-                // Gather column j's active entries.
-                pivcol.clear();
-                let mut colmax = 0.0f64;
-                for (i, row) in rows.iter().enumerate() {
-                    if !row_active[i] {
-                        continue;
-                    }
-                    work += 1;
-                    if let Ok(k) = row.binary_search_by_key(&(j as u32), |&(c, _)| c) {
-                        let v = row[k].1;
-                        pivcol.push((i, v));
-                        colmax = colmax.max(v.abs());
-                    }
-                }
-                if colmax > sing_tol {
-                    break (j, colmax);
-                }
-                tried[j] = true; // numerically dead at this stage; try another
-            };
-            for t in tried.iter_mut() {
-                *t = false;
-            }
-
-            // ---- pivot row: shortest eligible row (Markowitz), tie on |a|.
-            let threshold = MARKOWITZ_TAU * colmax;
-            let mut best: Option<(usize, f64)> = None; // (row, value)
-            let mut best_len = usize::MAX;
-            for &(i, v) in &pivcol {
-                if v.abs() < threshold || v.abs() <= sing_tol {
-                    continue;
-                }
-                let len = rows[i].len();
-                let better = match best {
-                    None => true,
-                    Some((_, bv)) => len < best_len || (len == best_len && v.abs() > bv.abs()),
-                };
-                if better {
-                    best = Some((i, v));
-                    best_len = len;
-                }
-            }
-            let (r, p) = best.expect("colmax passed the threshold, so a row exists");
-
-            // ---- retire the pivot row and column.
-            row_active[r] = false;
-            col_active[c] = false;
-            let mut prow = std::mem::take(&mut rows[r]);
-            for &(j, _) in &prow {
-                col_count[j as usize] -= 1;
-            }
-            let pk = prow
-                .iter()
-                .position(|&(j, _)| j as usize == c)
-                .expect("pivot entry is in the pivot row");
-            prow.remove(pk);
-
-            // ---- eliminate: row_i ← row_i − (a_ic / p)·prow.
-            let mut lcol: Vec<(u32, f64)> = Vec::new();
-            for &(i, a_ic) in &pivcol {
-                if i == r {
-                    continue;
-                }
-                let l = a_ic / p;
-                lcol.push((i as u32, l));
-                let row = std::mem::take(&mut rows[i]);
-                merged.clear();
-                merged.reserve(row.len() + prow.len());
-                let mut a = row.iter().peekable();
-                let mut b = prow.iter().peekable();
-                loop {
-                    match (a.peek(), b.peek()) {
-                        (Some(&&(ja, va)), Some(&&(jb, vb))) => {
-                            if ja < jb {
-                                if ja as usize != c {
-                                    merged.push((ja, va));
-                                }
-                                a.next();
-                            } else if jb < ja {
-                                let nv = -l * vb;
-                                if nv.abs() > drop_tol {
-                                    merged.push((jb, nv));
-                                    col_count[jb as usize] += 1;
-                                }
-                                b.next();
-                            } else {
-                                if ja as usize != c {
-                                    let nv = va - l * vb;
-                                    if nv.abs() > drop_tol {
-                                        merged.push((ja, nv));
-                                    } else {
-                                        col_count[ja as usize] -= 1;
-                                    }
-                                }
-                                a.next();
-                                b.next();
-                            }
-                        }
-                        (Some(&&(ja, va)), None) => {
-                            if ja as usize != c {
-                                merged.push((ja, va));
-                            }
-                            a.next();
-                        }
-                        (None, Some(&&(jb, vb))) => {
-                            let nv = -l * vb;
-                            if nv.abs() > drop_tol {
-                                merged.push((jb, nv));
-                                col_count[jb as usize] += 1;
-                            }
-                            b.next();
-                        }
-                        (None, None) => break,
-                    }
-                }
-                rows[i] = std::mem::take(&mut merged);
-                merged = row;
-            }
-
-            lu.perm_row.push(r as u32);
-            lu.perm_col.push(c as u32);
-            lu.pivots.push(p);
-            lu.lcols.push(lcol);
-            lu.urows.push(prow);
-        }
-        lu.pivot_scan_work = work;
-        lu.build_adjacency();
-        Some(lu)
-    }
-
     /// Builds the row-indexed adjacency that backs the hyper-sparse `L`
     /// passes: `stage_of_row` (inverse pivot-row permutation) and
     /// `lrow_stages` (which stages' `L` columns reference each row).
@@ -893,91 +577,6 @@ impl SparseLu {
     /// number of candidate entries examined while choosing pivot columns.
     pub fn pivot_scan_work(&self) -> u64 {
         self.pivot_scan_work
-    }
-
-    /// Solves `B·x = v` in place (`v` becomes `x`), skipping elimination
-    /// stages whose pivot-row value is exactly zero — the dense replay used
-    /// directly by tests and as the `U`-side oracle.
-    ///
-    /// The factors are immutable: all intermediate state goes into
-    /// `scratch` (resized as needed, every read position written first), so
-    /// concurrent solves of one factorization only need distinct scratches.
-    #[cfg_attr(not(any(test, feature = "testgen")), allow(dead_code))]
-    pub fn solve(&self, v: &mut [f64], scratch: &mut Vec<f64>) {
-        let m = self.m;
-        debug_assert_eq!(v.len(), m);
-        if scratch.len() < m {
-            scratch.resize(m, 0.0);
-        }
-        // Forward replay of the elimination on the RHS (row-indexed).
-        for k in 0..m {
-            let vk = v[self.perm_row[k] as usize];
-            if vk != 0.0 {
-                for &(i, l) in &self.lcols[k] {
-                    v[i as usize] -= l * vk;
-                }
-            }
-        }
-        // Back substitution into a column-indexed result. Every position of
-        // the scratch is written exactly once (the pivot columns form a
-        // permutation) and entries are only read after their own stage, so
-        // no zeroing is needed. Zero numerators short-circuit the division
-        // so the result is bitwise comparable with the worklist path.
-        let x = &mut scratch[..m];
-        for k in (0..m).rev() {
-            let mut s = v[self.perm_row[k] as usize];
-            for &(j, u) in &self.urows[k] {
-                let xj = x[j as usize];
-                if xj != 0.0 {
-                    s -= u * xj;
-                }
-            }
-            x[self.perm_col[k] as usize] = if s == 0.0 { 0.0 } else { s / self.pivots[k] };
-        }
-        v.copy_from_slice(x);
-    }
-
-    /// Solves `Bᵀ·y = w` in place (`w` becomes `y`); `w` is indexed by basis
-    /// position on entry and by row on exit.
-    ///
-    /// Same contract as [`SparseLu::solve`]: immutable factors, all state in
-    /// the caller's scratch.
-    #[cfg_attr(not(any(test, feature = "testgen")), allow(dead_code))]
-    pub fn solve_t(&self, w: &mut [f64], scratch: &mut Vec<f64>) {
-        let m = self.m;
-        debug_assert_eq!(w.len(), m);
-        if scratch.len() < m {
-            scratch.resize(m, 0.0);
-        }
-        // Forward pass over stages: Uᵀ·t = w, scattering each resolved t
-        // into the still-pending positions. The scratch needs no zeroing:
-        // every pivot row is written before any backward-pass read.
-        let t = &mut scratch[..m];
-        for k in 0..m {
-            let wk = w[self.perm_col[k] as usize];
-            if wk == 0.0 {
-                t[self.perm_row[k] as usize] = 0.0;
-            } else {
-                let tk = wk / self.pivots[k];
-                t[self.perm_row[k] as usize] = tk;
-                for &(j, u) in &self.urows[k] {
-                    w[j as usize] -= u * tk;
-                }
-            }
-        }
-        // Backward pass: apply the transposed eliminations in reverse,
-        // skipping exact-zero contributions (worklist-path parity).
-        for k in (0..m).rev() {
-            let mut s = t[self.perm_row[k] as usize];
-            for &(i, l) in &self.lcols[k] {
-                let ti = t[i as usize];
-                if ti != 0.0 {
-                    s -= l * ti;
-                }
-            }
-            t[self.perm_row[k] as usize] = s;
-        }
-        w.copy_from_slice(t);
     }
 
     /// Forward `L` replay on a row-indexed RHS (the first half of FTRAN),
@@ -1165,7 +764,7 @@ pub struct SolveScratch {
 
 impl SolveScratch {
     /// Fresh scratch (buffers grow on demand).
-    #[cfg_attr(not(any(test, feature = "testgen")), allow(dead_code))]
+    #[cfg(any(test, feature = "testgen"))]
     pub fn new() -> SolveScratch {
         SolveScratch::default()
     }
@@ -1540,13 +1139,6 @@ impl Factorization {
     /// Forrest–Tomlin updates folded in since the last refactorization.
     pub fn update_count(&self) -> usize {
         self.ft.updates
-    }
-
-    /// The immutable factors (for fill-in / scan-work statistics; used by
-    /// the bench `lu_factor` probe through the `testgen` feature).
-    #[allow(dead_code)]
-    pub fn sparse_lu(&self) -> &SparseLu {
-        &self.lu
     }
 
     /// FTRAN: solves `B·x = v` in place. Set `scratch.rhs_nz` to the

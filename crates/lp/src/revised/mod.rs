@@ -1,10 +1,11 @@
 //! Bounded-variable **revised simplex** with explicit, reusable bases and
 //! persistent factorizations.
 //!
-//! This is the warm-start engine behind the Benders / branch-and-bound hot
-//! path. Where the dense tableau solver (`crate::simplex`) canonicalises
-//! bounds away (mirroring, splitting, internal `≤ ub` rows) and recomputes
-//! everything from scratch per solve, this engine:
+//! This is the crate's one production engine — the warm-start solver behind
+//! the Benders / branch-and-bound hot path. Where the dense tableau oracle
+//! (`crate::dense`, test builds only) canonicalises bounds away (mirroring,
+//! splitting, internal `≤ ub` rows) and recomputes everything from scratch
+//! per solve, this engine:
 //!
 //! * keeps every variable's box bounds **native** — no extra rows or column
 //!   blowup, so a problem with `n` variables and `m` constraints is solved
@@ -19,9 +20,9 @@
 //! * exposes the basis as a value ([`Basis`]) so the *next* solve of a
 //!   perturbed problem can resume from it: after a variable-bound change
 //!   (branch-and-bound) or an RHS change / appended constraint (Benders),
-//!   the stored basis stays **dual feasible** and the [`solve_warm`] entry
-//!   point restores primal feasibility with a handful of **dual simplex**
-//!   pivots instead of two cold phases;
+//!   the stored basis stays **dual feasible** and [`Problem::solve_warm`]
+//!   restores primal feasibility with a handful of **dual simplex** pivots
+//!   instead of two cold phases;
 //! * **persists the factorization inside the [`Basis`]**: a re-solve after
 //!   edits that leave the basis *matrix* untouched (RHS changes, bound
 //!   changes, objective changes) starts from the stored factors and performs
@@ -33,7 +34,7 @@
 //!
 //! ## When is a warm start valid?
 //!
-//! A [`Basis`] obtained from `solve_warm(p, …)` may be passed back for a
+//! A [`Basis`] obtained from `p.solve_warm(…)` may be passed back for a
 //! problem `p'` derived from `p` by any combination of:
 //!
 //! * changing variable bounds (`Problem::set_bounds`),
@@ -56,7 +57,7 @@
 //! with `set_bounds` instead.
 //!
 //! The solver's outcomes, dual values, and Farkas certificates follow the
-//! same conventions as the dense engine (see the crate-level docs).
+//! conventions of the crate-level docs (which the dense oracle shares).
 //!
 //! ## Threading contract
 //!
@@ -74,15 +75,16 @@
 //!   (FTRAN/BTRAN images and triangular-solve scratch, pricing vectors,
 //!   primal and dual devex weights, the pricing candidate list, dual
 //!   ratio-test breakpoints, the aggregated bound-flip column) lives in an
-//!   explicit [`Workspace`]. Lend one per solve via [`solve_warm_in`]
-//!   (reusing it across a worker's solves amortises allocations); a
-//!   workspace is reset on entry and carries **no state between solves**,
-//!   so its reuse pattern can never change a result.
+//!   explicit [`Workspace`]. Lend one per solve via
+//!   [`Problem::solve_warm_in`] (reusing it across a worker's solves
+//!   amortises allocations); a workspace is reset on entry and carries
+//!   **no state between solves**, so its reuse pattern can never change a
+//!   result.
 //!
-//! [`solve_warm`] remains the single-threaded convenience that allocates a
-//! throwaway workspace internally. The parallel branch-and-bound in
-//! `ovnes-milp` is the canonical consumer of the split: one shared problem
-//! + basis pool, one `Workspace` per worker thread.
+//! [`Problem::solve_warm`] remains the single-threaded convenience that
+//! allocates a throwaway workspace internally. The parallel
+//! branch-and-bound in `ovnes-milp` is the canonical consumer of the split:
+//! one shared problem + basis pool, one `Workspace` per worker thread.
 
 mod canon;
 mod engine;
@@ -91,10 +93,10 @@ pub mod gen;
 pub(crate) mod lu;
 
 /// The sparse LU kernel, exposed for benches and cross-check suites (the
-/// bucketed factor, its rescan baseline, the Forrest–Tomlin update wrapper,
-/// and the caller-owned solve scratch).
+/// bucketed factor, its rescan baseline and dense-LU oracle, the
+/// Forrest–Tomlin update wrapper, and the caller-owned solve scratch).
 #[cfg(any(test, feature = "testgen"))]
-pub use lu::{Factorization, SolveScratch, SparseLu};
+pub use lu::{Factorization, Lu, SolveScratch, SparseLu};
 
 use crate::model::Problem;
 use crate::simplex::{Outcome, SimplexOptions, Solution, SolveError};
@@ -137,9 +139,9 @@ pub enum VarStatus {
 
 /// A reusable simplex basis: the complete restart state of a solve.
 ///
-/// Opaque by design — obtain one from [`solve_warm`] and hand it back to a
-/// later `solve_warm` call on the same (or a compatibly-perturbed, see the
-/// module docs) problem.
+/// Opaque by design — obtain one from [`Problem::solve_warm`] and hand it
+/// back to a later `solve_warm` call on the same (or a compatibly-perturbed,
+/// see the module docs) problem.
 #[derive(Debug, Clone)]
 pub struct Basis {
     /// Number of structural columns the basis was built for.
@@ -510,35 +512,19 @@ fn basis_summary(b: &Basis) -> u64 {
     h
 }
 
-/// Solves `p` cold with the revised engine.
-pub fn solve(p: &Problem, options: &SimplexOptions) -> Result<Outcome, SolveError> {
-    solve_warm(p, None, options).map(|w| w.outcome)
-}
-
-/// Solves `p`, resuming from `warm` when supplied and shape-compatible.
+/// Solves `p`, resuming from `warm` when supplied and shape-compatible —
+/// the one way into the engine, behind [`Problem::solve_warm_in`] (and the
+/// [`Problem::solve`] / [`Problem::solve_warm`] conveniences over it).
 ///
 /// See the module docs for which problem edits keep a basis reusable. An
 /// incompatible basis is not an error — the solve silently falls back to a
 /// cold start (visible in [`LpStats::cold_starts`]).
 ///
-/// Allocates a throwaway [`Workspace`]; hot loops (branch-and-bound
-/// workers, Benders iterations) should hold one and call [`solve_warm_in`].
-pub fn solve_warm(
-    p: &Problem,
-    warm: Option<&Basis>,
-    options: &SimplexOptions,
-) -> Result<WarmSolve, SolveError> {
-    solve_warm_in(p, warm, options, &mut Workspace::new())
-}
-
-/// [`solve_warm`] with an explicit per-worker [`Workspace`] for every
-/// scratch buffer of the solve.
-///
 /// The workspace is reset on entry and never influences the result; reusing
-/// one across a worker's solves only saves allocations. This is the
-/// thread-safe entry point: `p`, `warm`, and `options` are read-only, so
-/// concurrent solves need nothing beyond one workspace per thread.
-pub fn solve_warm_in(
+/// one across a worker's solves only saves allocations. `p`, `warm`, and
+/// `options` are read-only, so concurrent solves need nothing beyond one
+/// workspace per thread.
+pub(crate) fn solve_warm_in(
     p: &Problem,
     warm: Option<&Basis>,
     options: &SimplexOptions,

@@ -1,15 +1,20 @@
 //! Unit tests and dense-tableau cross-checks for the revised engine.
 
-use crate::revised::{self, Basis, LpStats};
+use crate::revised::{Basis, LpStats, Workspace};
 use crate::simplex::SimplexOptions;
-use crate::{Cmp, Farkas, Outcome, Problem, VarId};
+use crate::{Cmp, Farkas, Outcome, Problem, SolveError, VarId};
 
 fn assert_close(a: f64, b: f64, tol: f64) {
     assert!((a - b).abs() <= tol, "expected {b}, got {a} (tol {tol})");
 }
 
 fn solve_r(p: &Problem) -> Outcome {
-    revised::solve(p, &SimplexOptions::default()).unwrap()
+    p.solve().unwrap()
+}
+
+/// The dense-tableau oracle, default options.
+fn solve_dense(p: &Problem) -> Result<Outcome, SolveError> {
+    crate::dense::solve(p, &SimplexOptions::default())
 }
 
 // ------------------------------------------------------------ basic solves
@@ -141,7 +146,11 @@ fn degenerate_beale_does_not_cycle() {
         bland_after: 16,
         ..SimplexOptions::default()
     };
-    let s = revised::solve(&p, &opts).unwrap().unwrap_optimal();
+    let s = p
+        .solve_warm_in(None, &opts, &mut Workspace::new())
+        .unwrap()
+        .outcome
+        .unwrap_optimal();
     assert_close(s.objective, -0.05, 1e-7);
 }
 
@@ -564,11 +573,9 @@ fn cross_check_revised_vs_dense_on_200_random_lps() {
     let mut unbounded = 0;
     for case in 0..200 {
         let p = random_lp(&mut rng, &cfg);
-        let dense = p
-            .solve()
-            .unwrap_or_else(|e| panic!("case {case}: dense failed: {e}"));
+        let dense = solve_dense(&p).unwrap_or_else(|e| panic!("case {case}: dense failed: {e}"));
         let revised = p
-            .solve_revised()
+            .solve()
             .unwrap_or_else(|e| panic!("case {case}: revised failed: {e}"));
         match (&dense, &revised) {
             (Outcome::Optimal(a), Outcome::Optimal(b)) => {
@@ -633,7 +640,7 @@ fn cross_check_warm_chains_against_dense() {
             let w = p
                 .solve_warm(basis.as_ref())
                 .unwrap_or_else(|e| panic!("case {case} step {step}: {e}"));
-            let dense = p.solve().unwrap();
+            let dense = solve_dense(&p).unwrap();
             match (&dense, &w.outcome) {
                 (Outcome::Optimal(a), Outcome::Optimal(b)) => {
                     assert!(
@@ -712,7 +719,7 @@ mod warm_chain_props {
             let mut prev_optimal = false;
             for link in 0..6 {
                 let warm = p.solve_warm(basis.as_ref()).unwrap();
-                let dense = p.solve().unwrap();
+                let dense = solve_dense(&p).unwrap();
                 match (&dense, &warm.outcome) {
                     (Outcome::Optimal(a), Outcome::Optimal(b)) => {
                         prop_assert!(
@@ -805,7 +812,7 @@ fn candidate_list_pricing_on_wide_lp_matches_dense() {
         p.add_cons(&row, Cmp::Le, rng.uniform(40.0, 80.0));
     }
     let w = p.solve_warm(None).unwrap();
-    let dense = p.solve().unwrap().unwrap_optimal();
+    let dense = solve_dense(&p).unwrap().unwrap_optimal();
     let s = w.outcome.unwrap_optimal();
     assert!(
         (s.objective - dense.objective).abs() <= 1e-6 * (1.0 + dense.objective.abs()),
@@ -838,7 +845,7 @@ fn randomized_wide_lps_exercise_candidate_list_pricing() {
                 .solve_warm(basis.as_ref())
                 .unwrap_or_else(|e| panic!("case {case} link {link}: {e}"));
             stats.absorb(&w.stats);
-            let dense = p.solve().unwrap();
+            let dense = solve_dense(&p).unwrap();
             match (&dense, &w.outcome) {
                 (Outcome::Optimal(a), Outcome::Optimal(b)) => assert!(
                     (a.objective - b.objective).abs() <= 1e-6 * (1.0 + a.objective.abs()),
@@ -883,13 +890,13 @@ fn all_degenerate_dual_steps_fall_back_to_bland() {
     for case in 0..40 {
         let mut p = random_lp(&mut rng, &cfg);
         let first = p
-            .solve_warm_with(None, &opts)
+            .solve_warm_in(None, &opts, &mut Workspace::new())
             .unwrap_or_else(|e| panic!("case {case}: cold solve failed: {e}"));
         random_bound_edit(&mut rng, &mut p);
         let warm = p
-            .solve_warm_with(Some(&first.basis), &opts)
+            .solve_warm_in(Some(&first.basis), &opts, &mut Workspace::new())
             .unwrap_or_else(|e| panic!("case {case}: warm solve failed: {e}"));
-        let dense = p.solve().unwrap();
+        let dense = solve_dense(&p).unwrap();
         match (&dense, &warm.outcome) {
             (Outcome::Optimal(a), Outcome::Optimal(b)) => assert!(
                 (a.objective - b.objective).abs() <= 1e-6 * (1.0 + a.objective.abs()),
@@ -1676,10 +1683,10 @@ fn refactor_interval_preserves_results_warm_and_cold() {
             let mut links = Vec::with_capacity(chain.len());
             for (step, p) in chain.iter().enumerate() {
                 let warm = p
-                    .solve_warm_with(basis.as_ref(), &opts)
+                    .solve_warm_in(basis.as_ref(), &opts, &mut Workspace::new())
                     .unwrap_or_else(|e| panic!("case {case} step {step} interval {interval}: {e}"));
                 let cold = p
-                    .solve_warm_with(None, &opts)
+                    .solve_warm_in(None, &opts, &mut Workspace::new())
                     .unwrap_or_else(|e| panic!("case {case} step {step} interval {interval}: {e}"));
                 assert_eq!(
                     kind(&warm.outcome),

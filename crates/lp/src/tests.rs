@@ -258,7 +258,7 @@ fn degenerate_does_not_cycle() {
         bland_after: 16,
         ..SimplexOptions::default()
     };
-    let s = p.solve_with(&opts).unwrap().unwrap_optimal();
+    let s = crate::dense::solve(&p, &opts).unwrap().unwrap_optimal();
     assert_close(s.objective, -0.05, 1e-7);
 }
 
@@ -588,7 +588,7 @@ fn perturbed_certificate_accepts_degenerate_tight_row() {
 
     // The revised engine's own terminal state agrees: unique decision,
     // degenerate basis.
-    let sol = p.solve_revised().unwrap().unwrap_optimal();
+    let sol = p.solve().unwrap().unwrap_optimal();
     for j in 0..3 {
         assert_close(sol.x[j], 1.0, 1e-9);
     }

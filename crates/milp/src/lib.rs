@@ -117,37 +117,23 @@ pub fn adaptive_round_width(open: usize) -> usize {
 }
 
 /// Default branch-and-bound worker count: the `OVNES_MILP_THREADS`
-/// environment variable when set to a positive integer, otherwise 1.
+/// environment variable when set to a positive integer, otherwise 1. Read
+/// once per process.
 ///
 /// This is how the CI matrix runs the *entire* test suite through the
 /// parallel path (`OVNES_MILP_THREADS=4 cargo test`) without every call
 /// site growing a knob — determinism guarantees the answers are identical,
 /// so any divergence is a real bug.
 pub fn default_threads() -> usize {
-    std::env::var("OVNES_MILP_THREADS")
-        .ok()
-        .and_then(|s| s.trim().parse::<usize>().ok())
-        .filter(|&t| t >= 1)
-        .unwrap_or(1)
-}
-
-/// Default nodes per deterministic round: `Some(w)` (a pinned width) when
-/// the `OVNES_MILP_ROUND_WIDTH` environment variable is set to a positive
-/// integer, otherwise `None` — the [`adaptive_round_width`] policy keyed on
-/// the round-start queue depth.
-///
-/// The round width is a hardware-tuning lever: wider rounds keep more
-/// cores fed on big machines at the cost of occasionally solving
-/// end-of-search nodes a mid-round incumbent would have pruned. Unlike
-/// [`default_threads`], changing the width policy changes *which* canonical
-/// search sequence is walked — results are bit-identical at any worker
-/// count **for a fixed policy**, not across policies. Callers that
-/// fingerprint telemetry pin an explicit width.
-pub fn default_round_width() -> Option<usize> {
-    std::env::var("OVNES_MILP_ROUND_WIDTH")
-        .ok()
-        .and_then(|s| s.trim().parse::<usize>().ok())
-        .filter(|&w| w >= 1)
+    use std::sync::OnceLock;
+    static ENV: OnceLock<usize> = OnceLock::new();
+    *ENV.get_or_init(|| {
+        std::env::var("OVNES_MILP_THREADS")
+            .ok()
+            .and_then(|s| s.trim().parse::<usize>().ok())
+            .filter(|&t| t >= 1)
+            .unwrap_or(1)
+    })
 }
 
 /// Options controlling the branch-and-bound search.
@@ -177,15 +163,16 @@ pub struct MilpOptions {
     /// Defaults to [`default_threads`].
     pub threads: usize,
     /// Nodes per deterministic round: the active window workers draw from.
-    /// `Some(w)` pins a fixed width (clamped to ≥ 1); `None` sizes each
-    /// round by [`adaptive_round_width`] of the round-start queue depth.
-    /// Either way the width is never derived from the worker count, so the
-    /// round decomposition — and therefore every result — is identical at
-    /// any parallelism. Pin it on many-core hardware to tune feeding, or
-    /// when fingerprinting telemetry (different width policies walk
-    /// different, each internally deterministic, search sequences).
-    /// Defaults to [`default_round_width`] (the `OVNES_MILP_ROUND_WIDTH`
-    /// environment variable when set, otherwise adaptive).
+    /// `Some(w)` pins a fixed width (clamped to ≥ 1); `None` (the default)
+    /// sizes each round by [`adaptive_round_width`] of the round-start
+    /// queue depth. Either way the width is never derived from the worker
+    /// count, so the round decomposition — and therefore every result — is
+    /// identical at any parallelism. Pin it on many-core hardware to tune
+    /// feeding (wider rounds keep more cores fed at the cost of
+    /// occasionally solving end-of-search nodes a mid-round incumbent would
+    /// have pruned), or when fingerprinting telemetry: different width
+    /// policies walk different, each internally deterministic, search
+    /// sequences.
     pub round_width: Option<usize>,
     /// Optional wall-clock budget per `solve` call. When it expires the
     /// search stops at the next canonical application point and returns the
@@ -205,7 +192,7 @@ impl Default for MilpOptions {
             simplex: SimplexOptions::default(),
             warm_start: true,
             threads: default_threads(),
-            round_width: default_round_width(),
+            round_width: None,
             wall_limit: None,
         }
     }
@@ -412,20 +399,6 @@ impl Milp {
     /// Replaces the search options.
     pub fn set_options(&mut self, options: MilpOptions) {
         self.options = options;
-    }
-
-    /// Sets only the worker-thread count (a convenience for callers
-    /// threading the orchestration-level knob through).
-    pub fn set_threads(&mut self, threads: usize) {
-        self.options.threads = threads.max(1);
-    }
-
-    /// Pins the nodes-per-round window to a fixed width (see
-    /// [`MilpOptions::round_width`]). Callers that fingerprint solver
-    /// telemetry pin this so results never depend on the ambient
-    /// `OVNES_MILP_ROUND_WIDTH` or the adaptive policy.
-    pub fn set_round_width(&mut self, round_width: usize) {
-        self.options.round_width = Some(round_width.max(1));
     }
 
     /// Provides a known feasible objective value to prune against from the

@@ -36,6 +36,7 @@
 //! so folded paths stay low-cardinality.
 
 use std::sync::atomic::{AtomicU8, Ordering};
+use std::sync::OnceLock;
 
 pub mod metrics;
 pub mod report;
@@ -62,12 +63,16 @@ pub struct ObsConfig {
 impl ObsConfig {
     /// Read the configuration from the environment. `OVNES_OBS` unset,
     /// empty, `0`, `off`, or `false` ⇒ disabled; anything else ⇒ enabled.
+    /// The variable is read once per process.
     pub fn from_env() -> Self {
-        let enabled = std::env::var("OVNES_OBS").is_ok_and(|v| {
-            !(v.is_empty()
-                || v == "0"
-                || v.eq_ignore_ascii_case("off")
-                || v.eq_ignore_ascii_case("false"))
+        static ENV: OnceLock<bool> = OnceLock::new();
+        let enabled = *ENV.get_or_init(|| {
+            std::env::var("OVNES_OBS").is_ok_and(|v| {
+                !(v.is_empty()
+                    || v == "0"
+                    || v.eq_ignore_ascii_case("off")
+                    || v.eq_ignore_ascii_case("false"))
+            })
         });
         ObsConfig { enabled }
     }

@@ -64,9 +64,9 @@ pub struct ScenarioSpec {
     /// Branch-and-bound nodes per deterministic round for the epoch
     /// solves. Unlike `threads`, different widths walk different search
     /// sequences (node/pivot counts differ), so the builder **pins** this
-    /// to 8 rather than inheriting `OVNES_MILP_ROUND_WIDTH` — a scenario
-    /// report, and therefore every sweep fingerprint, stays a pure
-    /// function of its spec regardless of the environment.
+    /// to 8 rather than inheriting the engine's queue-depth-adaptive
+    /// default — a scenario report, and therefore every sweep fingerprint,
+    /// stays a pure function of its spec.
     pub round_width: usize,
     /// Master seed: drives both the workload expansion and the simulator.
     pub seed: u64,

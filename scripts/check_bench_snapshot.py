@@ -289,8 +289,378 @@ FT_HYPERSPARSE_SCALES = {"10x_paper", "100x_paper"}
 LU_FACTOR_MIN_SPEEDUP_100X = 3.0
 
 
+FAMILY_SCALES = {
+    # benders_bnb intentionally skips the largest scales in the snapshot's
+    # criterion pass; the torture chain has its own single scale.
+    "slave_chain": EXPECTED_SCALES,
+    "benders_bnb": EXPECTED_SCALES - {"10x_paper", "100x_paper"},
+    "slave_resolve": EXPECTED_SCALES,
+    "lu_factor": EXPECTED_SCALES,
+    "milp_parallel": {"paper"},
+    "lp_torture": {"torture"},
+    "scenario_day": {"paper"},
+    "scenario_sweep": {"paper"},
+    "scenario_outage": {"paper"},
+    "scenario_incremental": {"paper"},
+}
+
+
+def is_fingerprint(fp) -> bool:
+    return isinstance(fp, str) and fp.startswith("0x") and len(fp) == 18
+
+
+def check_warm_pivots(bench, entry, tag):
+    """Every family: warm pivots never exceed cold, nor the committed prior."""
+    warm_pivots = entry.get("warm_pivots", entry.get("resolve_pivots"))
+    if warm_pivots is not None and "cold_pivots" in entry:
+        # Per-solve slack: a degenerate-lucky cold start may need zero
+        # pivots where the warm re-solve pays one closing pivot.
+        slack = entry.get("solves", 1)
+        if warm_pivots > entry["cold_pivots"] + slack:
+            yield (
+                f"{tag}: warm pivots {warm_pivots} exceed "
+                f"cold pivots {entry['cold_pivots']} (+{slack} slack)"
+            )
+
+    prior = PRIOR_WARM_PIVOTS.get((bench, entry.get("scale")))
+    if prior is not None and warm_pivots is not None and warm_pivots > prior:
+        yield (
+            f"{tag}: warm pivots {warm_pivots} regressed past the "
+            f"PR-2 snapshot value {prior} — the long-step/candidate-list "
+            "path got slower"
+        )
+
+
+def check_slave_resolve(entry, tag):
+    if entry.get("resolve_refactorizations", 1) != 0:
+        yield (
+            f"{tag}: pure-RHS/bound re-solve performed "
+            f"{entry.get('resolve_refactorizations')} refactorizations "
+            "(persisted factorization not reused)"
+        )
+    if entry.get("resolve_factorization_reuses", 0) < 1:
+        yield f"{tag}: re-solve did not reuse a factorization"
+    if entry.get("resolve_bound_flips", 0) <= 0:
+        yield (
+            f"{tag}: re-solve performed no bound flips — the "
+            "long-step dual ratio test is not engaging on the "
+            "bound-native slave"
+        )
+
+
+def check_slave_chain(entry, tag):
+    if entry.get("warm_refactorizations", 1 << 30) >= entry.get(
+        "cold_refactorizations", 0
+    ):
+        yield (
+            f"{tag}: warm chain refactorized as often as cold "
+            f"({entry.get('warm_refactorizations')} vs "
+            f"{entry.get('cold_refactorizations')}) — the raised "
+            "refactor interval / FT updates are not holding"
+        )
+    if entry.get("scale") in FT_HYPERSPARSE_SCALES:
+        if entry.get("warm_eta_compressions", 0) <= 0:
+            yield (
+                f"{tag}: no Forrest-Tomlin eta compressions on a "
+                "big-scale warm chain — pivots are not being folded "
+                "into the factors"
+            )
+        if entry.get("warm_hypersparse_ftrans", 0) <= 0:
+            yield (
+                f"{tag}: no hyper-sparse FTRANs on a big-scale warm "
+                "chain — the worklist solves are not engaging"
+            )
+
+
+def check_lu_factor(entry, tag):
+    if entry.get("dim", 0) <= 0 or entry.get("nnz", 0) <= 0:
+        yield f"{tag}: degenerate probe matrix"
+    if entry.get("scan_reduction", 0.0) < 1.0:
+        yield (
+            f"{tag}: bucketed selection examined more candidates "
+            f"than the rescan (x{entry.get('scan_reduction')})"
+        )
+    if (
+        entry.get("scale") == "100x_paper"
+        and entry.get("time_speedup", 0.0) < LU_FACTOR_MIN_SPEEDUP_100X
+    ):
+        yield (
+            f"{tag}: factor-time speedup x{entry.get('time_speedup')} "
+            f"below the x{LU_FACTOR_MIN_SPEEDUP_100X} floor at the "
+            "100x-paper dimension"
+        )
+
+
+def check_milp_parallel(entry, tag):
+    if entry.get("deterministic") is not True:
+        yield (
+            f"{tag}: parallel B&B diverged from serial "
+            "(objective/admission set mismatch)"
+        )
+    if entry.get("serial_objective") != entry.get("parallel_objective"):
+        yield (
+            f"{tag}: serial objective {entry.get('serial_objective')} != "
+            f"parallel {entry.get('parallel_objective')}"
+        )
+    if entry.get("workers", 0) < 2:
+        yield f"{tag}: probe ran with fewer than 2 workers"
+    serial_s = entry.get("serial_seconds", 0.0)
+    parallel_s = entry.get("parallel_seconds", float("inf"))
+    if parallel_s > serial_s * PARALLEL_SLACK:
+        yield (
+            f"{tag}: parallel wall-clock {parallel_s:.6f}s regressed past "
+            f"serial {serial_s:.6f}s (x{PARALLEL_SLACK} tolerance)"
+        )
+    if entry.get("nodes", 0) < 16:
+        yield (
+            f"{tag}: probe tree has only {entry.get('nodes')} nodes — "
+            "too shallow to exercise the round scheduler"
+        )
+
+
+def check_lp_torture(entry, tag):
+    if entry.get("bound_flips", 0) <= 0:
+        yield f"{tag}: torture chain produced no bound flips"
+    if entry.get("warm_starts", 0) <= entry.get("cold_starts", 0):
+        yield f"{tag}: torture chains were not warm-started"
+    if entry.get("pivots", 0) <= 0:
+        yield f"{tag}: torture chain performed no pivots"
+
+
+def check_scenario_volume(entry, tag):
+    """Shared by scenario_day and scenario_sweep: the workload ran at all."""
+    if entry.get("arrivals", 0) <= 0:
+        yield f"{tag}: workload generated no requests"
+    if entry.get("accepted", 0) <= 0:
+        yield f"{tag}: scenario admitted no tenants"
+    ratio = entry.get("acceptance_ratio", -1.0)
+    if not 0.0 <= ratio <= 1.0:
+        yield f"{tag}: acceptance ratio {ratio} outside [0, 1]"
+    viol = entry.get("violation_rate", -1.0)
+    if not 0.0 <= viol <= 1.0:
+        yield f"{tag}: violation rate {viol} outside [0, 1]"
+    if entry.get("lp_solves", 0) <= 0:
+        yield f"{tag}: no epoch solves recorded"
+
+
+def check_scenario_day(entry, tag):
+    yield from check_scenario_volume(entry, tag)
+    if entry.get("epochs", 0) < 24:
+        yield (
+            f"{tag}: probe horizon {entry.get('epochs')} is shorter "
+            "than one simulated day"
+        )
+
+
+def check_scenario_sweep(entry, tag):
+    yield from check_scenario_volume(entry, tag)
+    if entry.get("deterministic") is not True:
+        yield (
+            f"{tag}: sweep report diverged across worker counts "
+            "(bit-identical aggregation broken)"
+        )
+    if entry.get("scenarios", 0) < 6:
+        yield (
+            f"{tag}: sweep covers only {entry.get('scenarios')} "
+            "scenarios — the named library requires at least 6"
+        )
+    if entry.get("workers", 0) < 2:
+        yield f"{tag}: sweep probe ran with fewer than 2 workers"
+    fp = entry.get("fingerprint", "")
+    if not is_fingerprint(fp):
+        yield f"{tag}: fingerprint '{fp}' is not a 64-bit hex string"
+    serial_s = entry.get("serial_seconds", 0.0)
+    parallel_s = entry.get("parallel_seconds", float("inf"))
+    if parallel_s > serial_s * SWEEP_SLACK:
+        yield (
+            f"{tag}: parallel sweep {parallel_s:.6f}s regressed past "
+            f"serial {serial_s:.6f}s (x{SWEEP_SLACK} tolerance)"
+        )
+
+
+def check_scenario_outage(entry, tag):
+    if entry.get("epochs", 0) < 48:
+        yield (
+            f"{tag}: outage-storm horizon {entry.get('epochs')} is "
+            "shorter than two simulated days"
+        )
+    if entry.get("infra_events", 0) <= 0:
+        yield f"{tag}: the storm applied no infrastructure events"
+    if entry.get("degraded_epochs", 0) < 1:
+        yield (
+            f"{tag}: the starved solve budget never bound — "
+            "no epoch was degraded"
+        )
+    if entry.get("evictions", 0) < 1:
+        yield (
+            f"{tag}: the edge-CU blackout evicted no slices — "
+            "the revalidation path went unexercised"
+        )
+    if entry.get("eviction_penalty", 0.0) <= 0.0:
+        yield (
+            f"{tag}: evictions booked no SLA-break penalty "
+            "(accounting unbalanced)"
+        )
+    if entry.get("deterministic") is not True:
+        yield f"{tag}: the storm did not replay bit-identically"
+    fp = entry.get("fingerprint", "")
+    if not is_fingerprint(fp):
+        yield f"{tag}: fingerprint '{fp}' is not a 64-bit hex string"
+
+
+def check_incremental_steady(entry, tag):
+    # The steady probe runs with observability recording hot: the
+    # decision_match / worker_invariant gates of the family are also the
+    # tracing-never-perturbs-results oracle, so the probe must actually
+    # have traced.
+    if entry.get("obs_enabled") is not True:
+        yield (
+            f"{tag}: steady probe ran without observability "
+            "enabled — the obs-on bit-identity oracle is dead"
+        )
+    if entry.get("span_coverage", 0.0) < 0.8:
+        yield (
+            f"{tag}: span coverage {entry.get('span_coverage')} "
+            "below 0.8 — the trace no longer accounts for the "
+            "warm run's wall-clock"
+        )
+    share_sum = 0.0
+    for field in PHASE_SHARE_FIELDS:
+        share = entry.get(field, -1.0)
+        if not 0.0 <= share <= 1.0:
+            yield f"{tag}: {field} {share} outside [0, 1]"
+        else:
+            share_sum += share
+    if share_sum > 1.05:
+        yield (
+            f"{tag}: phase shares sum to {share_sum:.3f} — "
+            "phases overlap or the root span shrank"
+        )
+    if entry.get("phase_solve_share", 0.0) <= 0.0:
+        yield (
+            f"{tag}: solve phase share is zero — the epoch "
+            "solve span went missing"
+        )
+    if entry.get("carry_cold_restarts", 1) != 0:
+        yield (
+            f"{tag}: {entry.get('carry_cold_restarts')} carried "
+            "solves failed the uniqueness certificates — the "
+            "steady workload has degenerate vetting optima"
+        )
+    if entry.get("steady_epochs", 0) < 32:
+        yield (
+            f"{tag}: steady window {entry.get('steady_epochs')} "
+            "epochs is too short to dominate the horizon"
+        )
+    ratio = entry.get("pivot_ratio", 0.0)
+    if ratio < 3.0:
+        yield (
+            f"{tag}: steady-window pivot reduction x{ratio:.2f} is "
+            "below the 3x O(churn) floor"
+        )
+    if entry.get("steady_warm_refactorizations", 1) != 0:
+        yield (
+            f"{tag}: {entry.get('steady_warm_refactorizations')} "
+            "refactorizations on no-churn epochs — the identity "
+            "basis remap lost the persisted factorization"
+        )
+
+
+def check_incremental_degenerate(entry, tag):
+    if entry.get("decision_slo_seconds") is None:
+        yield (
+            f"{tag}: the degenerate probe must declare a "
+            "decision-latency SLO"
+        )
+    if entry.get("carry_certified_perturbed", 0) < 1:
+        yield (
+            f"{tag}: no steady epoch certified through the "
+            "perturbation certificate — the degenerate-optimum "
+            "carry is back to always-cold"
+        )
+    if entry.get("churn_carry_attempts", 0) < 1:
+        yield f"{tag}: no churn epoch attempted the first-shed carry"
+    if entry.get("carry_cold_restarts", 1) >= entry.get("carry_certified", 0):
+        yield (
+            f"{tag}: cold restarts "
+            f"{entry.get('carry_cold_restarts')} not reduced below "
+            f"certifications {entry.get('carry_certified')}"
+        )
+
+
+INCREMENTAL_PROBE_CHECKS = {
+    "incremental-steady-n1": check_incremental_steady,
+    "incremental-degenerate-n1": check_incremental_degenerate,
+}
+
+
+def check_scenario_incremental(entry, tag):
+    name = entry.get("name", "")
+    for field in SCENARIO_INCREMENTAL_EXTRA.get(name, []):
+        if field not in entry:
+            yield f"{tag}: missing field '{field}' for '{name}'"
+    if entry.get("decision_match") is not True:
+        yield (
+            f"{tag}: incremental decisions diverged from the "
+            "from-scratch driver (bit-identity contract broken)"
+        )
+    if entry.get("worker_invariant") is not True:
+        yield f"{tag}: incremental run diverged across worker counts"
+    if entry.get("incremental_cold_epochs", 1) != 0:
+        yield (
+            f"{tag}: a fault-free steady run fell back to "
+            f"{entry.get('incremental_cold_epochs')} cold epochs"
+        )
+    slo = entry.get("decision_slo_seconds")
+    if slo is not None:
+        if entry.get("slo_violations", 1) != 0:
+            yield (
+                f"{tag}: {entry.get('slo_violations')} epochs broke "
+                f"the {slo}s decision-latency SLO"
+            )
+        if entry.get("warm_max_decision_seconds", float("inf")) > slo:
+            yield (
+                f"{tag}: max decision latency "
+                f"{entry.get('warm_max_decision_seconds')}s exceeds "
+                f"the {slo}s SLO"
+            )
+    probe_check = INCREMENTAL_PROBE_CHECKS.get(name)
+    if probe_check is not None:
+        yield from probe_check(entry, tag)
+
+
+# Bench family -> its probe-specific gates (run after the required-field
+# and warm-pivot checks every family shares).
+FAMILY_CHECKS = {
+    "slave_chain": check_slave_chain,
+    "slave_resolve": check_slave_resolve,
+    "lu_factor": check_lu_factor,
+    "milp_parallel": check_milp_parallel,
+    "lp_torture": check_lp_torture,
+    "scenario_day": check_scenario_day,
+    "scenario_sweep": check_scenario_sweep,
+    "scenario_outage": check_scenario_outage,
+    "scenario_incremental": check_scenario_incremental,
+}
+
+
+def check_entry(entry, seen_scales):
+    bench = entry.get("bench")
+    tag = f"{bench}/{entry.get('scale', '?')}"
+    if bench not in REQUIRED_FIELDS:
+        yield f"{tag}: unknown bench family"
+        return
+    seen_scales[bench].add(entry.get("scale"))
+    for field in REQUIRED_FIELDS[bench]:
+        if field not in entry:
+            yield f"{tag}: missing field '{field}'"
+    yield from check_warm_pivots(bench, entry, tag)
+    family_check = FAMILY_CHECKS.get(bench)
+    if family_check is not None:
+        yield from family_check(entry, tag)
+
+
 def main() -> int:
-    errors = []
     try:
         entries = json.loads(SNAPSHOT.read_text())
     except (OSError, json.JSONDecodeError) as exc:
@@ -300,334 +670,14 @@ def main() -> int:
         print("snapshot must be a non-empty JSON array", file=sys.stderr)
         return 1
 
+    errors = []
     seen_scales = {name: set() for name in REQUIRED_FIELDS}
     for entry in entries:
-        bench = entry.get("bench")
-        tag = f"{bench}/{entry.get('scale', '?')}"
-        if bench not in REQUIRED_FIELDS:
-            errors.append(f"{tag}: unknown bench family")
-            continue
-        seen_scales[bench].add(entry.get("scale"))
-        for field in REQUIRED_FIELDS[bench]:
-            if field not in entry:
-                errors.append(f"{tag}: missing field '{field}'")
+        errors.extend(check_entry(entry, seen_scales))
 
-        warm_pivots = entry.get("warm_pivots", entry.get("resolve_pivots"))
-        if warm_pivots is not None and "cold_pivots" in entry:
-            # Per-solve slack: a degenerate-lucky cold start may need zero
-            # pivots where the warm re-solve pays one closing pivot.
-            slack = entry.get("solves", 1)
-            if warm_pivots > entry["cold_pivots"] + slack:
-                errors.append(
-                    f"{tag}: warm pivots {warm_pivots} exceed "
-                    f"cold pivots {entry['cold_pivots']} (+{slack} slack)"
-                )
-
-        prior = PRIOR_WARM_PIVOTS.get((bench, entry.get("scale")))
-        if prior is not None and warm_pivots is not None and warm_pivots > prior:
-            errors.append(
-                f"{tag}: warm pivots {warm_pivots} regressed past the "
-                f"PR-2 snapshot value {prior} — the long-step/candidate-list "
-                "path got slower"
-            )
-
-        if bench == "slave_resolve":
-            if entry.get("resolve_refactorizations", 1) != 0:
-                errors.append(
-                    f"{tag}: pure-RHS/bound re-solve performed "
-                    f"{entry.get('resolve_refactorizations')} refactorizations "
-                    "(persisted factorization not reused)"
-                )
-            if entry.get("resolve_factorization_reuses", 0) < 1:
-                errors.append(f"{tag}: re-solve did not reuse a factorization")
-            if entry.get("resolve_bound_flips", 0) <= 0:
-                errors.append(
-                    f"{tag}: re-solve performed no bound flips — the "
-                    "long-step dual ratio test is not engaging on the "
-                    "bound-native slave"
-                )
-
-        if bench == "slave_chain":
-            if entry.get("warm_refactorizations", 1 << 30) >= entry.get(
-                "cold_refactorizations", 0
-            ):
-                errors.append(
-                    f"{tag}: warm chain refactorized as often as cold "
-                    f"({entry.get('warm_refactorizations')} vs "
-                    f"{entry.get('cold_refactorizations')}) — the raised "
-                    "refactor interval / FT updates are not holding"
-                )
-            if entry.get("scale") in FT_HYPERSPARSE_SCALES:
-                if entry.get("warm_eta_compressions", 0) <= 0:
-                    errors.append(
-                        f"{tag}: no Forrest-Tomlin eta compressions on a "
-                        "big-scale warm chain — pivots are not being folded "
-                        "into the factors"
-                    )
-                if entry.get("warm_hypersparse_ftrans", 0) <= 0:
-                    errors.append(
-                        f"{tag}: no hyper-sparse FTRANs on a big-scale warm "
-                        "chain — the worklist solves are not engaging"
-                    )
-
-        if bench == "lu_factor":
-            if entry.get("dim", 0) <= 0 or entry.get("nnz", 0) <= 0:
-                errors.append(f"{tag}: degenerate probe matrix")
-            if entry.get("scan_reduction", 0.0) < 1.0:
-                errors.append(
-                    f"{tag}: bucketed selection examined more candidates "
-                    f"than the rescan (x{entry.get('scan_reduction')})"
-                )
-            if (
-                entry.get("scale") == "100x_paper"
-                and entry.get("time_speedup", 0.0) < LU_FACTOR_MIN_SPEEDUP_100X
-            ):
-                errors.append(
-                    f"{tag}: factor-time speedup x{entry.get('time_speedup')} "
-                    f"below the x{LU_FACTOR_MIN_SPEEDUP_100X} floor at the "
-                    "100x-paper dimension"
-                )
-
-        if bench == "milp_parallel":
-            if entry.get("deterministic") is not True:
-                errors.append(
-                    f"{tag}: parallel B&B diverged from serial "
-                    "(objective/admission set mismatch)"
-                )
-            if entry.get("serial_objective") != entry.get("parallel_objective"):
-                errors.append(
-                    f"{tag}: serial objective {entry.get('serial_objective')} != "
-                    f"parallel {entry.get('parallel_objective')}"
-                )
-            if entry.get("workers", 0) < 2:
-                errors.append(f"{tag}: probe ran with fewer than 2 workers")
-            serial_s = entry.get("serial_seconds", 0.0)
-            parallel_s = entry.get("parallel_seconds", float("inf"))
-            if parallel_s > serial_s * PARALLEL_SLACK:
-                errors.append(
-                    f"{tag}: parallel wall-clock {parallel_s:.6f}s regressed past "
-                    f"serial {serial_s:.6f}s (x{PARALLEL_SLACK} tolerance)"
-                )
-            if entry.get("nodes", 0) < 16:
-                errors.append(
-                    f"{tag}: probe tree has only {entry.get('nodes')} nodes — "
-                    "too shallow to exercise the round scheduler"
-                )
-
-        if bench == "lp_torture":
-            if entry.get("bound_flips", 0) <= 0:
-                errors.append(f"{tag}: torture chain produced no bound flips")
-            if entry.get("warm_starts", 0) <= entry.get("cold_starts", 0):
-                errors.append(f"{tag}: torture chains were not warm-started")
-            if entry.get("pivots", 0) <= 0:
-                errors.append(f"{tag}: torture chain performed no pivots")
-
-        if bench in ("scenario_day", "scenario_sweep"):
-            if entry.get("arrivals", 0) <= 0:
-                errors.append(f"{tag}: workload generated no requests")
-            if entry.get("accepted", 0) <= 0:
-                errors.append(f"{tag}: scenario admitted no tenants")
-            ratio = entry.get("acceptance_ratio", -1.0)
-            if not 0.0 <= ratio <= 1.0:
-                errors.append(f"{tag}: acceptance ratio {ratio} outside [0, 1]")
-            viol = entry.get("violation_rate", -1.0)
-            if not 0.0 <= viol <= 1.0:
-                errors.append(f"{tag}: violation rate {viol} outside [0, 1]")
-            if entry.get("lp_solves", 0) <= 0:
-                errors.append(f"{tag}: no epoch solves recorded")
-
-        if bench == "scenario_day":
-            if entry.get("epochs", 0) < 24:
-                errors.append(
-                    f"{tag}: probe horizon {entry.get('epochs')} is shorter "
-                    "than one simulated day"
-                )
-
-        if bench == "scenario_outage":
-            if entry.get("epochs", 0) < 48:
-                errors.append(
-                    f"{tag}: outage-storm horizon {entry.get('epochs')} is "
-                    "shorter than two simulated days"
-                )
-            if entry.get("infra_events", 0) <= 0:
-                errors.append(f"{tag}: the storm applied no infrastructure events")
-            if entry.get("degraded_epochs", 0) < 1:
-                errors.append(
-                    f"{tag}: the starved solve budget never bound — "
-                    "no epoch was degraded"
-                )
-            if entry.get("evictions", 0) < 1:
-                errors.append(
-                    f"{tag}: the edge-CU blackout evicted no slices — "
-                    "the revalidation path went unexercised"
-                )
-            if entry.get("eviction_penalty", 0.0) <= 0.0:
-                errors.append(
-                    f"{tag}: evictions booked no SLA-break penalty "
-                    "(accounting unbalanced)"
-                )
-            if entry.get("deterministic") is not True:
-                errors.append(f"{tag}: the storm did not replay bit-identically")
-            fp = entry.get("fingerprint", "")
-            if not (isinstance(fp, str) and fp.startswith("0x") and len(fp) == 18):
-                errors.append(f"{tag}: fingerprint '{fp}' is not a 64-bit hex string")
-
-        if bench == "scenario_incremental":
-            name = entry.get("name", "")
-            for field in SCENARIO_INCREMENTAL_EXTRA.get(name, []):
-                if field not in entry:
-                    errors.append(f"{tag}: missing field '{field}' for '{name}'")
-            if entry.get("decision_match") is not True:
-                errors.append(
-                    f"{tag}: incremental decisions diverged from the "
-                    "from-scratch driver (bit-identity contract broken)"
-                )
-            if entry.get("worker_invariant") is not True:
-                errors.append(
-                    f"{tag}: incremental run diverged across worker counts"
-                )
-            if entry.get("incremental_cold_epochs", 1) != 0:
-                errors.append(
-                    f"{tag}: a fault-free steady run fell back to "
-                    f"{entry.get('incremental_cold_epochs')} cold epochs"
-                )
-            slo = entry.get("decision_slo_seconds")
-            if slo is not None:
-                if entry.get("slo_violations", 1) != 0:
-                    errors.append(
-                        f"{tag}: {entry.get('slo_violations')} epochs broke "
-                        f"the {slo}s decision-latency SLO"
-                    )
-                if entry.get("warm_max_decision_seconds", float("inf")) > slo:
-                    errors.append(
-                        f"{tag}: max decision latency "
-                        f"{entry.get('warm_max_decision_seconds')}s exceeds "
-                        f"the {slo}s SLO"
-                    )
-            if name == "incremental-steady-n1":
-                # The steady probe runs with observability recording hot:
-                # its decision_match / worker_invariant gates above are
-                # also the tracing-never-perturbs-results oracle, so the
-                # probe must actually have traced.
-                if entry.get("obs_enabled") is not True:
-                    errors.append(
-                        f"{tag}: steady probe ran without observability "
-                        "enabled — the obs-on bit-identity oracle is dead"
-                    )
-                if entry.get("span_coverage", 0.0) < 0.8:
-                    errors.append(
-                        f"{tag}: span coverage {entry.get('span_coverage')} "
-                        "below 0.8 — the trace no longer accounts for the "
-                        "warm run's wall-clock"
-                    )
-                share_sum = 0.0
-                for field in PHASE_SHARE_FIELDS:
-                    share = entry.get(field, -1.0)
-                    if not 0.0 <= share <= 1.0:
-                        errors.append(f"{tag}: {field} {share} outside [0, 1]")
-                    else:
-                        share_sum += share
-                if share_sum > 1.05:
-                    errors.append(
-                        f"{tag}: phase shares sum to {share_sum:.3f} — "
-                        "phases overlap or the root span shrank"
-                    )
-                if entry.get("phase_solve_share", 0.0) <= 0.0:
-                    errors.append(
-                        f"{tag}: solve phase share is zero — the epoch "
-                        "solve span went missing"
-                    )
-                if entry.get("carry_cold_restarts", 1) != 0:
-                    errors.append(
-                        f"{tag}: {entry.get('carry_cold_restarts')} carried "
-                        "solves failed the uniqueness certificates — the "
-                        "steady workload has degenerate vetting optima"
-                    )
-                if entry.get("steady_epochs", 0) < 32:
-                    errors.append(
-                        f"{tag}: steady window {entry.get('steady_epochs')} "
-                        "epochs is too short to dominate the horizon"
-                    )
-                ratio = entry.get("pivot_ratio", 0.0)
-                if ratio < 3.0:
-                    errors.append(
-                        f"{tag}: steady-window pivot reduction x{ratio:.2f} is "
-                        "below the 3x O(churn) floor"
-                    )
-                if entry.get("steady_warm_refactorizations", 1) != 0:
-                    errors.append(
-                        f"{tag}: {entry.get('steady_warm_refactorizations')} "
-                        "refactorizations on no-churn epochs — the identity "
-                        "basis remap lost the persisted factorization"
-                    )
-            if name == "incremental-degenerate-n1":
-                if entry.get("decision_slo_seconds") is None:
-                    errors.append(
-                        f"{tag}: the degenerate probe must declare a "
-                        "decision-latency SLO"
-                    )
-                if entry.get("carry_certified_perturbed", 0) < 1:
-                    errors.append(
-                        f"{tag}: no steady epoch certified through the "
-                        "perturbation certificate — the degenerate-optimum "
-                        "carry is back to always-cold"
-                    )
-                if entry.get("churn_carry_attempts", 0) < 1:
-                    errors.append(
-                        f"{tag}: no churn epoch attempted the first-shed carry"
-                    )
-                if entry.get("carry_cold_restarts", 1) >= entry.get(
-                    "carry_certified", 0
-                ):
-                    errors.append(
-                        f"{tag}: cold restarts "
-                        f"{entry.get('carry_cold_restarts')} not reduced below "
-                        f"certifications {entry.get('carry_certified')}"
-                    )
-
-        if bench == "scenario_sweep":
-            if entry.get("deterministic") is not True:
-                errors.append(
-                    f"{tag}: sweep report diverged across worker counts "
-                    "(bit-identical aggregation broken)"
-                )
-            if entry.get("scenarios", 0) < 6:
-                errors.append(
-                    f"{tag}: sweep covers only {entry.get('scenarios')} "
-                    "scenarios — the named library requires at least 6"
-                )
-            if entry.get("workers", 0) < 2:
-                errors.append(f"{tag}: sweep probe ran with fewer than 2 workers")
-            fp = entry.get("fingerprint", "")
-            if not (isinstance(fp, str) and fp.startswith("0x") and len(fp) == 18):
-                errors.append(f"{tag}: fingerprint '{fp}' is not a 64-bit hex string")
-            serial_s = entry.get("serial_seconds", 0.0)
-            parallel_s = entry.get("parallel_seconds", float("inf"))
-            if parallel_s > serial_s * SWEEP_SLACK:
-                errors.append(
-                    f"{tag}: parallel sweep {parallel_s:.6f}s regressed past "
-                    f"serial {serial_s:.6f}s (x{SWEEP_SLACK} tolerance)"
-                )
-
-    # Every family must cover every scale (benders_bnb intentionally skips
-    # the largest scale in the snapshot's criterion pass; the torture chain
-    # has its own single scale).
+    # Every family must cover every scale it is expected at.
     for bench, scales in seen_scales.items():
-        if bench == "lp_torture":
-            want = {"torture"}
-        elif bench in (
-            "milp_parallel",
-            "scenario_day",
-            "scenario_sweep",
-            "scenario_outage",
-            "scenario_incremental",
-        ):
-            want = {"paper"}
-        elif bench == "benders_bnb":
-            want = EXPECTED_SCALES - {"10x_paper", "100x_paper"}
-        else:
-            want = EXPECTED_SCALES
-        missing = want - scales
+        missing = FAMILY_SCALES[bench] - scales
         if missing:
             errors.append(f"{bench}: missing scales {sorted(missing)}")
 

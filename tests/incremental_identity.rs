@@ -337,11 +337,13 @@ fn benders_carried_chain_matches_scratch_objectives() {
     assert!(!cuts.is_empty(), "the chain never pooled a cut");
 }
 
-/// The incumbent-seeded one-shot MILP through the public EpochSolver API:
-/// a two-epoch no-churn chain with the exact `OneShot` solver must agree
-/// bit-for-bit with plain `solve_controlled` on both epochs (the MILP
-/// optimum is unique-vertex here, and the seeded cutoff must never prune
-/// it away).
+/// The persistent solver and the from-scratch ladder share one dispatch: a
+/// **fresh** `EpochSolver` (nothing carried) must reproduce plain
+/// `solve_controlled` bit for bit — decision, degradation and LP telemetry —
+/// for every `SolverKind`. For the exact `OneShot` solver the chain goes one
+/// no-churn epoch further: the incumbent-seeded MILP must still agree
+/// bit-for-bit (the optimum is unique-vertex here, and the seeded cutoff
+/// must never prune it away).
 #[test]
 fn epoch_solver_oneshot_matches_scratch() {
     use ovnes::solver::epoch::EpochSolver;
@@ -352,34 +354,61 @@ fn epoch_solver_oneshot_matches_scratch() {
         (0, SliceClass::Embb, 0.3, 0.2),
         (1, SliceClass::Urllc, 0.4, 0.3),
     ];
-    let controls = SolveControls {
-        kind: SolverKind::OneShot,
-        ..SolveControls::default()
-    };
-    let mut es = EpochSolver::new();
-    for epoch in 0..2 {
-        let inst = AcrrInstance::build(
-            &model,
-            tenants_on(&model, &specs),
-            PathPolicy::Spread,
-            true,
-            None,
-        );
-        let scratch = solve_controlled(&inst, &controls);
-        let (warm, report) = es.solve_epoch(&inst, &controls, &[]);
-        assert!(!report.cold_fallback, "epoch {epoch} fell back cold");
-        let (s, w) = (
-            scratch.allocation.expect("scratch allocation"),
-            warm.allocation.expect("warm allocation"),
-        );
-        assert_eq!(
-            s.assigned_cu, w.assigned_cu,
-            "epoch {epoch}: admissions differ"
-        );
-        assert_eq!(
-            s.objective.to_bits(),
-            w.objective.to_bits(),
-            "epoch {epoch}: objective bits differ"
-        );
+    let bits = |r: &[Vec<f64>]| -> Vec<u64> { r.iter().flatten().map(|z| z.to_bits()).collect() };
+    for kind in [
+        SolverKind::Benders,
+        SolverKind::Kac,
+        SolverKind::OneShot,
+        SolverKind::NoOverbooking,
+    ] {
+        let controls = SolveControls {
+            kind,
+            ..SolveControls::default()
+        };
+        let epochs = if kind == SolverKind::OneShot { 2 } else { 1 };
+        let mut es = EpochSolver::new();
+        for epoch in 0..epochs {
+            let inst = AcrrInstance::build(
+                &model,
+                tenants_on(&model, &specs),
+                PathPolicy::Spread,
+                kind != SolverKind::NoOverbooking,
+                None,
+            );
+            let scratch = solve_controlled(&inst, &controls);
+            let (warm, report) = es.solve_epoch(&inst, &controls, &[]);
+            assert!(
+                !report.cold_fallback,
+                "{kind:?} epoch {epoch} fell back cold"
+            );
+            assert_eq!(
+                scratch.degradation, warm.degradation,
+                "{kind:?} epoch {epoch}"
+            );
+            let (s, w) = (
+                scratch.allocation.expect("scratch allocation"),
+                warm.allocation.expect("warm allocation"),
+            );
+            assert_eq!(
+                s.assigned_cu, w.assigned_cu,
+                "{kind:?} epoch {epoch}: admissions differ"
+            );
+            assert_eq!(
+                s.objective.to_bits(),
+                w.objective.to_bits(),
+                "{kind:?} epoch {epoch}: objective bits differ"
+            );
+            assert_eq!(
+                bits(&s.reservations),
+                bits(&w.reservations),
+                "{kind:?} epoch {epoch}: reservation bits differ"
+            );
+            if epoch == 0 {
+                assert_eq!(
+                    s.stats.lp, w.stats.lp,
+                    "{kind:?}: fresh-solver LP telemetry"
+                );
+            }
+        }
     }
 }

@@ -6,9 +6,9 @@
 
 use ovnes::problem::{AcrrInstance, PathPolicy, TenantInput};
 use ovnes::slice::{SliceClass, SliceTemplate};
-use ovnes::solver::{baseline, benders, kac, oneshot, solve_threaded, SolverKind};
+use ovnes::solver::{baseline, benders, kac, oneshot, solve, SolveControls, SolverKind};
 use ovnes_lp::revised::gen::{random_bound_edit, random_lp, GenRng, LpGenConfig};
-use ovnes_lp::{Basis, LpStats, Outcome};
+use ovnes_lp::{Basis, LpStats, Outcome, SimplexOptions};
 use ovnes_milp::{Milp, MilpOptions, MilpOutcome};
 use ovnes_topology::operators::{GeneratorConfig, NetworkModel, Operator};
 
@@ -61,7 +61,7 @@ fn benders_equals_oneshot_on_generated_topologies() {
         );
         let inst = AcrrInstance::build(&model, tenants, PathPolicy::Spread, true, None);
         let b = benders::solve(&inst, &benders::BendersOptions::default()).unwrap();
-        let o = oneshot::solve(&inst).unwrap();
+        let o = oneshot::solve(&inst, &MilpOptions::default()).unwrap();
         assert!(
             (b.objective - o.objective).abs() < 1e-5,
             "{op:?}: benders {} vs oneshot {}",
@@ -107,7 +107,7 @@ fn solvers_agree_under_extreme_penalties() {
     tenants[0].forecast_mbps.iter_mut().for_each(|f| *f = 49.9);
     let inst = AcrrInstance::build(&model, tenants, PathPolicy::Spread, true, None);
     let b = benders::solve(&inst, &benders::BendersOptions::default()).unwrap();
-    let o = oneshot::solve(&inst).unwrap();
+    let o = oneshot::solve(&inst, &MilpOptions::default()).unwrap();
     assert!((b.objective - o.objective).abs() < 1e-5);
 }
 
@@ -131,7 +131,8 @@ fn randomized_lp_torture_warm_chains_match_dense_oracle() {
                 .solve_warm(basis.as_ref())
                 .unwrap_or_else(|e| panic!("{tag}: warm solve failed: {e}"));
             stats.absorb(&warm.stats);
-            let dense = p.solve().unwrap_or_else(|e| panic!("{tag}: dense: {e}"));
+            let dense = ovnes_lp::dense::solve(&p, &SimplexOptions::default())
+                .unwrap_or_else(|e| panic!("{tag}: dense: {e}"));
             match (&dense, &warm.outcome) {
                 (Outcome::Optimal(a), Outcome::Optimal(b)) => assert!(
                     (a.objective - b.objective).abs() <= 1e-6 * (1.0 + a.objective.abs()),
@@ -300,9 +301,14 @@ fn parallel_acrr_solvers_match_serial_admissions() {
         let tenants = tenants_on(&model, &specs);
         let inst = AcrrInstance::build(&model, tenants, PathPolicy::Spread, true, None);
         for kind in [SolverKind::OneShot, SolverKind::Benders] {
-            let serial = solve_threaded(&inst, kind, 1).unwrap();
+            let workers = |threads: usize| SolveControls {
+                kind,
+                threads,
+                ..SolveControls::default()
+            };
+            let serial = solve(&inst, &workers(1)).unwrap();
             for threads in [2usize, 4] {
-                let par = solve_threaded(&inst, kind, threads).unwrap();
+                let par = solve(&inst, &workers(threads)).unwrap();
                 assert_eq!(
                     serial.objective.to_bits(),
                     par.objective.to_bits(),
@@ -329,7 +335,7 @@ fn baseline_is_admission_only() {
         &[(SliceClass::Embb, 0.5, 0.2), (SliceClass::Embb, 0.5, 0.2)],
     );
     let inst = AcrrInstance::build(&model, tenants, PathPolicy::Spread, false, None);
-    let alloc = baseline::solve(&inst).unwrap();
+    let alloc = baseline::solve(&inst, &MilpOptions::default()).unwrap();
     for (t, cu) in alloc.assigned_cu.iter().enumerate() {
         if cu.is_some() {
             for b in 0..inst.n_bs {
@@ -358,7 +364,7 @@ fn overbooking_admits_superset_revenue() {
         )
     };
     let ours = benders::solve(&mk(true), &benders::BendersOptions::default()).unwrap();
-    let base = baseline::solve(&mk(false)).unwrap();
+    let base = baseline::solve(&mk(false), &MilpOptions::default()).unwrap();
     assert!(ours.accepted() >= base.accepted());
     assert!(ours.expected_net_revenue() >= base.expected_net_revenue() - 1e-6);
 }
