@@ -26,7 +26,7 @@ use ovnes_topology::graph::LinkId;
 use ovnes_topology::operators::NetworkModel;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::time::Instant;
 
 /// Orchestrator configuration.
@@ -398,6 +398,11 @@ impl Orchestrator {
     }
 
     /// Queues a slice request (takes effect from its `arrival_epoch`).
+    ///
+    /// A tenant's monitoring history lives while it is queued or active:
+    /// the end of the epoch in which it expires, is evicted or abandons
+    /// drops its series, so a later request under the same tenant id starts
+    /// from the operator prior again.
     pub fn submit(&mut self, request: SliceRequest) {
         self.queue.push(request);
     }
@@ -428,6 +433,12 @@ impl Orchestrator {
     /// Requests queued or re-applying (not yet admitted or abandoned).
     pub fn queue_len(&self) -> usize {
         self.queue.len()
+    }
+
+    /// Monitored `(tenant, BS)` series currently held.
+    #[cfg(test)]
+    pub(crate) fn monitored_series(&self) -> usize {
+        self.monitor.len()
     }
 
     /// Runs `epochs` decision epochs, handing each [`EpochOutcome`] to
@@ -1002,6 +1013,15 @@ impl Orchestrator {
             }
         }
         self.active.retain(|a| a.remaining > 0);
+        // Departed tenants never come back (ids are per request), so their
+        // monitoring series would only accumulate over a churn horizon.
+        let live: HashSet<u32> = self
+            .active
+            .iter()
+            .map(|a| a.request.tenant)
+            .chain(self.queue.iter().map(|r| r.tenant))
+            .collect();
+        self.monitor.retain_tenants(|t| live.contains(&t));
 
         self.epoch += 1;
         let (deficit, solver_stats) = match allocation {

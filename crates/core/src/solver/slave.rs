@@ -289,19 +289,39 @@ impl<'a> SlaveContext<'a> {
             )
         });
 
+        // Bucket the legs once per row family, in ascending leg order: the
+        // rows below are then assembled in O(nonzeros), and every row's
+        // coefficients (and every `leg_cols` list, filled in row order) come
+        // out in the order a per-row scan over all legs would give — the
+        // certificates and cuts sum in that order.
+        let mut cu_legs: Vec<Vec<usize>> = vec![Vec::new(); instance.n_cu];
+        let mut link_legs: Vec<Vec<usize>> = vec![Vec::new(); instance.link_caps.len()];
+        let mut bs_legs: Vec<Vec<usize>> = vec![Vec::new(); instance.n_bs];
+        for (li, leg) in instance.legs.iter().enumerate() {
+            cu_legs[leg.cu].push(li);
+            bs_legs[leg.bs].push(li);
+            for &e in &leg.links {
+                // A path lists a link once; guard the row against a repeat.
+                if link_legs[e].last() != Some(&li) {
+                    link_legs[e].push(li);
+                }
+            }
+        }
+
         let mut rows: Vec<RowSpec> = Vec::new();
         let mut row_keys: Vec<RowKey> = Vec::new();
+        let mut coeffs: Vec<(VarId, f64)> = Vec::new();
 
         // (2/14) CU capacity.
-        for c in 0..instance.n_cu {
-            let mut coeffs: Vec<(VarId, f64)> = Vec::new();
-            for (li, leg) in instance.legs.iter().enumerate() {
-                if leg.cu == c {
-                    let b = instance.tenants[leg.tenant].service.cores_per_mbps;
-                    if b != 0.0 {
-                        coeffs.push((z_vars[li], b));
-                        leg_cols[li].push((rows.len(), b));
-                    }
+        for (c, members) in cu_legs.iter().enumerate() {
+            coeffs.clear();
+            for &li in members {
+                let b = instance.tenants[instance.legs[li].tenant]
+                    .service
+                    .cores_per_mbps;
+                if b != 0.0 {
+                    coeffs.push((z_vars[li], b));
+                    leg_cols[li].push((rows.len(), b));
                 }
             }
             if let Some((_, _, dc)) = deficit_vars {
@@ -323,28 +343,21 @@ impl<'a> SlaveContext<'a> {
             });
         }
 
-        // (3/15) Link capacity.
-        for (e, &cap) in instance.link_caps.iter().enumerate() {
-            let mut coeffs: Vec<(VarId, f64)> = Vec::new();
-            let mut members: Vec<usize> = Vec::new();
-            for (li, leg) in instance.legs.iter().enumerate() {
-                if leg.links.contains(&e) {
-                    coeffs.push((z_vars[li], instance.eta_transport));
-                    members.push(li);
-                }
-            }
-            if coeffs.is_empty() {
-                // Link referenced by no leg (possible after CU pruning): skip
-                // to keep the LP lean, but keep row indices aligned by not
-                // pushing.
+        // (3/15) Link capacity. A link referenced by no leg (possible after
+        // CU pruning) gets no row, which keeps the LP lean.
+        for (e, members) in link_legs.iter().enumerate() {
+            if members.is_empty() {
                 continue;
+            }
+            coeffs.clear();
+            for &li in members {
+                coeffs.push((z_vars[li], instance.eta_transport));
+                leg_cols[li].push((rows.len(), instance.eta_transport));
             }
             if let Some((_, db, _)) = deficit_vars {
                 coeffs.push((db, -1.0));
             }
-            for li in members {
-                leg_cols[li].push((rows.len(), instance.eta_transport));
-            }
+            let cap = instance.link_caps[e];
             let id = p.add_cons(&coeffs, Cmp::Le, cap);
             row_keys.push(RowKey::Link(instance.link_graph_ids[e]));
             rows.push(RowSpec {
@@ -355,14 +368,12 @@ impl<'a> SlaveContext<'a> {
         }
 
         // (4/16) Radio capacity per BS (z in Mb/s ÷ efficiency = MHz).
-        for b in 0..instance.n_bs {
+        for (b, members) in bs_legs.iter().enumerate() {
             let eff = instance.mbps_per_mhz[b];
-            let mut coeffs: Vec<(VarId, f64)> = Vec::new();
-            for (li, leg) in instance.legs.iter().enumerate() {
-                if leg.bs == b {
-                    coeffs.push((z_vars[li], 1.0 / eff));
-                    leg_cols[li].push((rows.len(), 1.0 / eff));
-                }
+            coeffs.clear();
+            for &li in members {
+                coeffs.push((z_vars[li], 1.0 / eff));
+                leg_cols[li].push((rows.len(), 1.0 / eff));
             }
             if let Some((dr, _, _)) = deficit_vars {
                 coeffs.push((dr, -1.0));
@@ -743,3 +754,6 @@ pub fn solve_slave(
 ) -> Result<SlaveResult, ovnes_lp::SolveError> {
     SlaveContext::new(instance).solve_for(assigned)
 }
+
+#[cfg(test)]
+mod tests;

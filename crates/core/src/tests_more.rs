@@ -533,3 +533,50 @@ fn reward_accounting_sums_active_slices() {
     assert_eq!(out.penalty, 0.0, "deterministic load under full-SLA prior");
     assert!((out.net_revenue - 9.0).abs() < 1e-9);
 }
+
+#[test]
+fn monitor_history_lives_only_while_a_tenant_is_active_or_queued() {
+    // One BS, compute for two slices at a time: a steady stream of short
+    // slices with finite patience expires, re-applies and abandons.
+    let n_bs = 1;
+    let mut orch = Orchestrator::new(
+        one_bs_model(3.0),
+        OrchestratorConfig {
+            solver: SolverKind::Kac,
+            reapply_epochs: 3,
+            seed: 31,
+            ..Default::default()
+        },
+    );
+    for t in 0..40u32 {
+        let mut r = SliceRequest::from_template(t, SliceTemplate::embb(), 0.2, 1.0, 1.0);
+        r.template.service = ServiceModel {
+            base_cores: 1.5,
+            cores_per_mbps: 0.0,
+        };
+        r.duration_epochs = 2 + t % 3;
+        r.arrival_epoch = t / 2;
+        orch.submit(r);
+    }
+    let (mut admitted, mut abandoned, mut peak) = (0, 0, 0);
+    for _ in 0..30 {
+        let out = orch.step().unwrap();
+        admitted += out.newly_admitted.len();
+        abandoned += out.abandoned.len();
+        peak = peak.max(orch.monitored_series());
+        assert!(
+            orch.monitored_series() <= (orch.active_tenants().len() + orch.queue_len()) * n_bs,
+            "epoch {}: {} series for {} active + {} queued tenants",
+            out.epoch,
+            orch.monitored_series(),
+            orch.active_tenants().len(),
+            orch.queue_len()
+        );
+    }
+    assert!(
+        admitted > 0 && abandoned > 0 && peak > 0,
+        "the run must churn: {admitted} admitted, {abandoned} abandoned, peak {peak}"
+    );
+    assert!(orch.active_tenants().is_empty() && orch.queue_len() == 0);
+    assert_eq!(orch.monitored_series(), 0, "everyone left");
+}

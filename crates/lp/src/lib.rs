@@ -28,7 +28,8 @@
 //! engine): box bounds are handled natively (no mirror/split/ub-row
 //! blowup), and the linear algebra is **sparse end to end**. The structural
 //! constraint matrix is stored in compressed-sparse-column form
-//! ([`SparseMatrix`], built by [`Problem::structural_matrix`]); the basis is
+//! ([`SparseMatrix`], built by [`Problem::structural_matrix`] once per
+//! structural edit and cached in the [`Problem`]); the basis is
 //! kept factorized by a **sparse LU with bucketed Markowitz pivoting** —
 //! fewest-nonzeros pivot selection under a threshold-partial-pivoting
 //! stability test, with drop-tolerance handling so roundoff noise never

@@ -1,9 +1,10 @@
 //! Problem builder: variables with bounds, sparse linear constraints, and a
 //! linear minimisation objective.
 
-use crate::revised::{Basis, WarmSolve, Workspace};
+use crate::revised::{Basis, Structure, WarmSolve, Workspace};
 use crate::simplex::{Outcome, SimplexOptions, Solution, SolveError};
 use crate::sparse::SparseMatrix;
+use std::sync::{Arc, OnceLock};
 
 /// Handle to a decision variable, returned by [`Problem::add_var`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -57,9 +58,15 @@ pub(crate) struct ConsDef {
 /// A linear program `min c'x + k` over variables with box bounds and sparse
 /// linear constraints.
 ///
-/// The builder performs no work until [`Problem::solve`] is called; it can be
-/// cloned cheaply relative to solve time, which the MILP branch-and-bound
-/// exploits for node subproblems.
+/// Building and editing are plain pushes and stores. The first solve after
+/// a **structural** edit ([`Problem::add_var`], [`Problem::add_cons`],
+/// [`Problem::add_column`]) assembles the canonical matrix structure (CSC
+/// matrix, CSR pattern, fingerprint) once and keeps it behind an `Arc`;
+/// [`Problem::set_bounds`], [`Problem::set_rhs`], [`Problem::set_objective`]
+/// and `clone()` keep it, so a re-solve after such edits sets up in
+/// `O(vars + cons)` instead of `O(nonzeros)`. A clone copies the row lists
+/// (`O(nonzeros)`) and shares the structure — the MILP branch-and-bound
+/// clones once per worker and only edits bounds per node.
 #[derive(Debug, Clone, Default)]
 pub struct Problem {
     pub(crate) vars: Vec<VarDef>,
@@ -67,6 +74,9 @@ pub struct Problem {
     /// Constant added to the objective (bookkeeping for shifted bounds and
     /// model-level constants such as Benders' fixed master terms).
     pub(crate) obj_constant: f64,
+    /// The canonical structure of `cons`, built on first use and dropped by
+    /// every edit that changes the matrix — see [`Problem::structure`].
+    structure: OnceLock<Arc<Structure>>,
 }
 
 impl Problem {
@@ -87,6 +97,7 @@ impl Problem {
             "variable lower bound {lb} exceeds upper bound {ub}"
         );
         assert!(obj.is_finite(), "objective coefficient must be finite");
+        self.structure.take();
         self.vars.push(VarDef { lb, ub, obj });
         VarId(self.vars.len() - 1)
     }
@@ -105,6 +116,7 @@ impl Problem {
             assert!(v.0 < self.vars.len(), "unknown variable in constraint");
             row.push((v.0, c));
         }
+        self.structure.take();
         self.cons.push(ConsDef {
             coeffs: row,
             cmp,
@@ -201,7 +213,9 @@ impl Problem {
     /// Builds the structural constraint matrix (`num_cons × num_vars`) in
     /// compressed-sparse-column form: duplicate row entries are summed and
     /// zero coefficients dropped. This is the matrix representation the
-    /// revised engine (and its sparse LU) works on.
+    /// revised engine (and its sparse LU) works on. Every call assembles it
+    /// from the rows (`O(nonzeros)`, one list per column); solves go through
+    /// the copy cached since the last structural edit instead.
     pub fn structural_matrix(&self) -> SparseMatrix {
         let mut cols: Vec<Vec<(u32, f64)>> = vec![Vec::new(); self.vars.len()];
         for (i, c) in self.cons.iter().enumerate() {
@@ -213,6 +227,14 @@ impl Problem {
             }
         }
         SparseMatrix::from_columns(self.cons.len(), &cols)
+    }
+
+    /// The canonical structure of the constraint matrix, assembled from
+    /// [`Problem::structural_matrix`] on first use after a structural edit
+    /// and shared from then on (also with clones taken in between).
+    pub(crate) fn structure(&self) -> &Arc<Structure> {
+        self.structure
+            .get_or_init(|| Arc::new(Structure::build(self)))
     }
 
     /// Solves the program cold with default simplex options.

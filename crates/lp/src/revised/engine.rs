@@ -220,7 +220,7 @@ pub(super) enum DualEnd {
 }
 
 pub(super) struct Engine<'a> {
-    pub c: &'a Canon,
+    pub c: &'a Canon<'a>,
     opts: &'a SimplexOptions,
     /// Status per column (`n + m` entries).
     pub status: Vec<VarStatus>,
@@ -253,7 +253,7 @@ impl<'a> Engine<'a> {
     /// identity always factorizes — with the statistics reset to a single
     /// cold start, exactly as if no basis had been supplied.
     pub fn new(
-        canon: &'a Canon,
+        canon: &'a Canon<'a>,
         opts: &'a SimplexOptions,
         status: Vec<VarStatus>,
         basic: Vec<usize>,
@@ -346,7 +346,7 @@ impl<'a> Engine<'a> {
             let v = self.nb_val(j);
             if v != 0.0 {
                 if j < self.c.n {
-                    for (i, a) in self.c.a.col_iter(j) {
+                    for (i, a) in self.c.s.a.col_iter(j) {
                         rhs[i as usize] -= a * v;
                     }
                 } else {
@@ -994,10 +994,10 @@ impl<'a> Engine<'a> {
                 if ri == 0.0 {
                     continue;
                 }
-                let s = self.c.row_ptr[i] as usize;
-                let e = self.c.row_ptr[i + 1] as usize;
+                let s = self.c.s.row_ptr[i] as usize;
+                let e = self.c.s.row_ptr[i + 1] as usize;
                 for k in s..e {
-                    let j = self.c.row_cols[k];
+                    let j = self.c.s.row_cols[k];
                     let stamp = &mut self.ws.col_stamp[j as usize];
                     if *stamp != gen {
                         *stamp = gen;
@@ -1153,7 +1153,7 @@ impl<'a> Engine<'a> {
                         _ => unreachable!("only boxed bound columns flip"),
                     };
                     if c.j < self.c.n {
-                        for (i, a) in self.c.a.col_iter(c.j) {
+                        for (i, a) in self.c.s.a.col_iter(c.j) {
                             w[i as usize] += a * dv;
                         }
                     } else {
@@ -1280,15 +1280,15 @@ impl<'a> Engine<'a> {
         }
     }
 
-    /// Consumes the engine, returning the final factorization (for the
-    /// persisted warm-start state) and the accumulated statistics, with the
-    /// end-of-solve update count and the scratch's hyper-sparse counters
-    /// folded in.
-    pub fn into_parts(mut self) -> (Factorization, LpStats) {
+    /// Consumes the engine, returning the final statuses, basic set and
+    /// factorization (the persisted warm-start state) and the accumulated
+    /// statistics, with the end-of-solve update count and the scratch's
+    /// hyper-sparse counters folded in.
+    pub fn into_parts(mut self) -> (Vec<VarStatus>, Vec<usize>, Factorization, LpStats) {
         self.stats.eta_len_end += self.fact.update_count();
         let (hf, hb) = self.ws.lu.take_hypersparse_counts();
         self.stats.hypersparse_ftrans += hf as usize;
         self.stats.hypersparse_btrans += hb as usize;
-        (self.fact, self.stats)
+        (self.status, self.basic, self.fact, self.stats)
     }
 }

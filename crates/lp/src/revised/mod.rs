@@ -26,11 +26,17 @@
 //! * **persists the factorization inside the [`Basis`]**: a re-solve after
 //!   edits that leave the basis *matrix* untouched (RHS changes, bound
 //!   changes, objective changes) starts from the stored factors and performs
-//!   **zero refactorizations** — the last O(·) startup cost a warm solve
-//!   used to pay. Only row appends (the basis matrix grows) or a changed
-//!   basic set force a fresh factorization, and
+//!   **zero refactorizations**. Only row appends (the basis matrix grows) or
+//!   a changed basic set force a fresh factorization, and
 //!   [`LpStats::factorization_reuses`] / [`LpStats::refactorizations`] make
-//!   the difference observable.
+//!   the difference observable;
+//! * **keeps the canonical matrix structure inside the [`Problem`]**: the
+//!   CSC matrix, its CSR pattern and its fingerprint are assembled once per
+//!   structural edit and shared (`Arc`) with every clone, so the same
+//!   RHS / bound / objective re-solve also skips the `O(nonzeros)` set-up
+//!   and pays only the `O(n + m)` bound, cost and RHS copies — which, once
+//!   the factors were persisted, was most of what a warm re-solve of a few
+//!   pivots still cost.
 //!
 //! ## When is a warm start valid?
 //!
@@ -50,6 +56,14 @@
 //!   the persisted factorization is rebuilt once, but the basic set itself
 //!   survives and the dual warm restart proceeds as usual.
 //!
+//! The cached structure follows the same line: `set_bounds`, `set_rhs`,
+//! `set_objective`, `add_objective_constant` and `clone()` keep it;
+//! `add_var`, `add_cons` and `add_column` drop it, and the next solve
+//! rebuilds it from the rows. It is derived data only — a solve on the
+//! cached structure and a solve on a problem rebuilt from scratch agree bit
+//! for bit (outcome, basis, counters, `matrix_fp`), which
+//! `cached_structure_refines_the_rebuild` checks over random edit sequences.
+//!
 //! *Removing* variables or constraints invalidates a basis; `solve_warm`
 //! detects the shape mismatch and silently performs a cold solve (counted
 //! in [`LpStats::cold_starts`]). The cross-epoch consumers therefore never
@@ -63,14 +77,15 @@
 //!
 //! The hot-path state splits into two halves:
 //!
-//! * **Immutable, shared** — [`Problem`], its canonical form, the CSC
-//!   [`SparseMatrix`](crate::SparseMatrix), a [`Basis`], and the
-//!   `Arc<Factorization>` persisted inside it are all `Send + Sync` plain
-//!   data. Any number of threads may solve the *same* problem (or
-//!   per-thread clones perturbed with bound/RHS edits) concurrently, each
-//!   resuming from clones of the same parent `Basis`; the LU factors behind
-//!   the `Arc` are shared, never copied, and never written after
-//!   construction.
+//! * **Immutable, shared** — [`Problem`] (with the `Arc`-shared structure
+//!   it caches: the CSC [`SparseMatrix`](crate::SparseMatrix), CSR pattern
+//!   and fingerprint, initialised at most once behind a `OnceLock`), a
+//!   [`Basis`], and the `Arc<Factorization>` persisted inside it are all
+//!   `Send + Sync` plain data. Any number of threads may solve the *same*
+//!   problem (or per-thread clones perturbed with bound/RHS edits)
+//!   concurrently, each resuming from clones of the same parent `Basis`;
+//!   the LU factors behind the `Arc` are shared, never copied, and never
+//!   written after construction.
 //! * **Per-worker scratch** — every temporary the engine needs
 //!   (FTRAN/BTRAN images and triangular-solve scratch, pricing vectors,
 //!   primal and dual devex weights, the pricing candidate list, dual
@@ -101,6 +116,7 @@ pub use lu::{Factorization, Lu, SolveScratch, SparseLu};
 use crate::model::Problem;
 use crate::simplex::{Outcome, SimplexOptions, Solution, SolveError};
 use canon::Canon;
+pub(crate) use canon::Structure;
 pub use engine::Workspace;
 use engine::{DualEnd, Engine, PrimalEnd};
 #[cfg(not(any(test, feature = "testgen")))]
@@ -411,7 +427,7 @@ pub struct WarmSolve {
 
 /// Cold initial state: every logical basic (B = I), every structural column
 /// at a finite bound (preferring the lower), free columns at 0.
-fn cold_state(c: &Canon) -> (Vec<VarStatus>, Vec<usize>) {
+fn cold_state(c: &Canon<'_>) -> (Vec<VarStatus>, Vec<usize>) {
     let mut status = Vec::with_capacity(c.n + c.m);
     for j in 0..c.n {
         status.push(if c.lb[j].is_finite() {
@@ -434,7 +450,7 @@ fn cold_state(c: &Canon) -> (Vec<VarStatus>, Vec<usize>) {
 /// bound (exactly where a cold start would place them). Returns `None` when
 /// the shapes are incompatible (a *shrunk* problem) and a cold start is
 /// required.
-fn adapt_basis(c: &Canon, b: &Basis) -> Option<(Vec<VarStatus>, Vec<usize>)> {
+fn adapt_basis(c: &Canon<'_>, b: &Basis) -> Option<(Vec<VarStatus>, Vec<usize>)> {
     if b.n_vars > c.n || b.basic.len() > c.m {
         return None;
     }
@@ -531,7 +547,7 @@ pub(crate) fn solve_warm_in(
     ws: &mut Workspace,
 ) -> Result<WarmSolve, SolveError> {
     let canon = Canon::build(p);
-    let matrix_fp = canon.a.fingerprint();
+    let matrix_fp = canon.s.fingerprint;
 
     // Seeded fault injection (chaos harness): each decision is a pure
     // function of (seed, matrix fingerprint, basis summary, salt) — no
@@ -589,8 +605,7 @@ pub(crate) fn solve_warm_in(
     let mut eng = Engine::new(&canon, options, status, basic, stats, reuse.as_deref(), ws);
 
     let outcome = run(&mut eng, warm_used)?;
-    let (status, basic) = (eng.status.clone(), eng.basic.clone());
-    let (fact, stats) = eng.into_parts();
+    let (status, basic, fact, stats) = eng.into_parts();
     let basis = Basis {
         n_vars: canon.n,
         status,

@@ -1732,3 +1732,175 @@ fn refactor_interval_preserves_results_warm_and_cold() {
         }
     }
 }
+
+// ------------------- cached structure: a refinement of the per-solve rebuild
+
+#[test]
+fn structure_is_shared_until_a_structural_edit() {
+    use std::sync::Arc;
+    let mut p = Problem::new();
+    let x = p.add_var(0.0, 4.0, -3.0);
+    let y = p.add_var(0.0, f64::INFINITY, -2.0);
+    let r = p.add_cons(&[(x, 1.0), (y, 2.0)], Cmp::Le, 10.0);
+    // Every generation stays alive to the end, so no address is recycled.
+    let s0 = Arc::clone(p.structure());
+
+    p.set_rhs(r, 7.0);
+    p.set_bounds(x, 1.0, 3.0);
+    p.set_objective(y, -1.0);
+    p.add_objective_constant(2.0);
+    p.solve().unwrap();
+    assert!(Arc::ptr_eq(&s0, p.structure()), "value edits keep it");
+    let kept = p.clone();
+    assert!(Arc::ptr_eq(&s0, kept.structure()), "a clone shares it");
+
+    p.add_cons(&[(x, 1.0)], Cmp::Ge, 0.5);
+    let s1 = Arc::clone(p.structure());
+    assert!(!Arc::ptr_eq(&s0, &s1), "add_cons replaces it");
+    let z = p.add_var(0.0, 1.0, 0.0);
+    let s2 = Arc::clone(p.structure());
+    assert!(!Arc::ptr_eq(&s1, &s2), "add_var replaces it");
+    p.add_column(0.0, 1.0, -1.0, &[(r, 1.0)]);
+    let s3 = Arc::clone(p.structure());
+    assert!(!Arc::ptr_eq(&s2, &s3), "add_column replaces it");
+    p.set_bounds(z, 0.0, 0.5);
+    assert!(Arc::ptr_eq(&s3, p.structure()));
+
+    // The clone taken before the structural edits never saw them.
+    assert!(Arc::ptr_eq(&s0, kept.structure()));
+    assert_eq!(kept.num_cons(), 1);
+    assert_eq!(s0.fingerprint, kept.structural_matrix().fingerprint());
+    assert_eq!(s3.fingerprint, p.structural_matrix().fingerprint());
+}
+
+mod structure_refinement_props {
+    use super::*;
+    use crate::model::ConsId;
+    use crate::revised::WarmSolve;
+    use proptest::prelude::*;
+
+    /// The specification side: the same program re-entered through the
+    /// builder, so its first solve assembles the structure from scratch.
+    fn rebuilt(p: &Problem) -> Problem {
+        let mut q = Problem::new();
+        for v in &p.vars {
+            q.add_var(v.lb, v.ub, v.obj);
+        }
+        for c in &p.cons {
+            let row: Vec<(VarId, f64)> = c.coeffs.iter().map(|&(j, a)| (VarId(j), a)).collect();
+            q.add_cons(&row, c.cmp, c.rhs);
+        }
+        q.add_objective_constant(p.obj_constant);
+        q
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// Everything a solve returns, floats as bit patterns.
+    fn observed(r: &Result<WarmSolve, SolveError>) -> String {
+        match r {
+            Err(e) => format!("{e:?}"),
+            Ok(w) => {
+                let outcome = match &w.outcome {
+                    Outcome::Optimal(s) => format!(
+                        "optimal {} {:?} {:?}",
+                        s.objective.to_bits(),
+                        bits(&s.x),
+                        bits(&s.duals)
+                    ),
+                    Outcome::Infeasible(f) => format!(
+                        "infeasible {:?} {:?}",
+                        bits(&f.row_multipliers),
+                        bits(&f.ub_multipliers)
+                    ),
+                    Outcome::Unbounded => "unbounded".to_string(),
+                };
+                format!(
+                    "{outcome} | {:?} {:?} {} | {:?}",
+                    w.basis.status, w.basis.basic, w.basis.matrix_fp, w.stats
+                )
+            }
+        }
+    }
+
+    fn random_box(rng: &mut GenRng) -> (f64, f64) {
+        let lb = rng.uniform(-3.0, 1.0);
+        (lb, lb + rng.uniform(0.0, 5.0))
+    }
+
+    /// A random sparse row (`wrap = VarId`) or column (`wrap = ConsId`) over
+    /// `len` indices.
+    fn random_coeffs<T>(rng: &mut GenRng, len: usize, wrap: fn(usize) -> T) -> Vec<(T, f64)> {
+        let mut out = Vec::new();
+        for k in 0..len {
+            if rng.chance(0.6) {
+                out.push((wrap(k), rng.uniform(-4.0, 4.0)));
+            }
+        }
+        out
+    }
+
+    /// One random edit through the public builder API.
+    fn random_edit(rng: &mut GenRng, p: &mut Problem) {
+        let (n, m) = (p.num_vars(), p.num_cons());
+        match rng.index(7) {
+            0 => random_bound_edit(rng, p),
+            1 => p.set_rhs(ConsId(rng.index(m)), rng.uniform(-6.0, 10.0)),
+            2 => p.set_objective(VarId(rng.index(n)), rng.uniform(-3.0, 3.0)),
+            3 => {
+                let row = random_coeffs(rng, n, VarId);
+                let cmp = [Cmp::Le, Cmp::Ge, Cmp::Eq][rng.index(3)];
+                p.add_cons(&row, cmp, rng.uniform(-6.0, 10.0));
+            }
+            4 => {
+                let col = random_coeffs(rng, m, ConsId);
+                let (lb, ub) = random_box(rng);
+                p.add_column(lb, ub, rng.uniform(-3.0, 3.0), &col);
+            }
+            5 => {
+                let (lb, ub) = random_box(rng);
+                p.add_var(lb, ub, rng.uniform(-3.0, 3.0));
+            }
+            _ => *p = p.clone(),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The problem that keeps its structure across an edit sequence
+        /// refines the one that rebuilds it for every solve: same outcome,
+        /// basis, counters and matrix fingerprint, bit for bit, warm and
+        /// cold, whatever mix of value edits, structural edits and clones
+        /// lies between two solves.
+        #[test]
+        fn cached_structure_refines_the_rebuild(seed in 0u64..1u64 << 48) {
+            let mut rng = GenRng::new(seed);
+            let mut p = random_lp(&mut rng, &LpGenConfig::default());
+            let options = SimplexOptions::default();
+            let mut basis: Option<Basis> = None;
+            for step in 0..24 {
+                if step > 0 {
+                    random_edit(&mut rng, &mut p);
+                    if rng.chance(0.25) {
+                        continue; // let edits pile up between solves
+                    }
+                }
+                let warm = basis.as_ref().filter(|_| rng.chance(0.75));
+                let kept = p.solve_warm_in(warm, &options, &mut Workspace::new());
+                let spec = rebuilt(&p).solve_warm_in(warm, &options, &mut Workspace::new());
+                prop_assert_eq!(observed(&kept), observed(&spec), "step {}", step);
+                if let Ok(w) = kept {
+                    prop_assert_eq!(
+                        w.basis.matrix_fp,
+                        p.structural_matrix().fingerprint(),
+                        "step {}: stale fingerprint", step
+                    );
+                    basis = Some(w.basis);
+                }
+            }
+        }
+    }
+}

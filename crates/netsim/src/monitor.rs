@@ -51,6 +51,12 @@ impl MonitorStore {
         self.series.remove(&key);
     }
 
+    /// Drops every series whose tenant (the key's first half) `keep`
+    /// rejects — the orchestrator's end-of-epoch sweep of departed tenants.
+    pub fn retain_tenants(&mut self, mut keep: impl FnMut(u32) -> bool) {
+        self.series.retain(|&(tenant, _), _| keep(tenant));
+    }
+
     /// Number of tracked keys.
     pub fn len(&self) -> usize {
         self.series.len()

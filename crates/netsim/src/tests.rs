@@ -172,6 +172,18 @@ fn monitor_forget() {
     assert!(m.is_empty());
 }
 
+#[test]
+fn monitor_retain_tenants_drops_every_series_of_the_rest() {
+    let mut m = MonitorStore::new();
+    for key in [(1, 0), (1, 1), (2, 0), (3, 0), (3, 2)] {
+        m.record_peak(key, 1.0);
+    }
+    m.retain_tenants(|t| t != 3);
+    assert_eq!(m.len(), 3);
+    assert_eq!(m.series((3, 2)), &[] as &[f64]);
+    assert_eq!(m.series((1, 1)), &[1.0]);
+}
+
 // ------------------------------------------------------------------- engine
 
 #[test]
