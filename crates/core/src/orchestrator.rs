@@ -797,6 +797,8 @@ impl Orchestrator {
         let admit_span = ovnes_obs::span!("admit");
         let admit_timer = PhaseTimer::start(obs_on);
         let n_active_before = self.active.len();
+        // `instance.tenants` index of each active slice, in `active` order.
+        let mut instance_tenant: Vec<usize> = (0..n_active_before).collect();
         let mut admitted = Vec::new();
         let mut newly_admitted = Vec::new();
         let mut rejected = Vec::new();
@@ -843,6 +845,7 @@ impl Orchestrator {
                                 remaining: req.duration_epochs,
                                 reservations: effective_z(ti),
                             });
+                            instance_tenant.push(ti);
                             admitted.push(req.tenant);
                             newly_admitted.push(req.tenant);
                         }
@@ -924,11 +927,19 @@ impl Orchestrator {
         let mut violated = 0usize;
         let mut total_samples = 0usize;
         let mut worst_drop = 0.0f64;
-        for a in &self.active {
+        // Step 5 pushed one flow per BS for each active slice, in `active`
+        // order, ahead of any monitored rejects, and `run_epoch` reports in
+        // flow order: slice `ai` owns the `ai`-th block of `n_bs` reports.
+        debug_assert!(self.active.iter().enumerate().all(|(ai, a)| report.flows
+            [ai * n_bs..(ai + 1) * n_bs]
+            .iter()
+            .map(|f| f.key)
+            .eq((0..n_bs as u32).map(|b| (a.request.tenant, b)))));
+        for (ai, a) in self.active.iter().enumerate() {
             reward += a.request.template.reward;
             // Worst per-sample SLA deficit across this slice's BS legs.
             let mut worst_fraction_of_sla = 0.0f64;
-            for f in report.flows.iter().filter(|f| f.key.0 == a.request.tenant) {
+            for f in &report.flows[ai * n_bs..(ai + 1) * n_bs] {
                 violated += f.violated_samples;
                 total_samples += f.samples;
                 worst_drop = worst_drop.max(f.worst_deficit_fraction);
@@ -952,32 +963,22 @@ impl Orchestrator {
         let mut cu_load = vec![0.0; instance.n_cu];
         let mut link_reserved: HashMap<usize, f64> = HashMap::new();
         let mut link_load: HashMap<usize, f64> = HashMap::new();
-        let mean_offered: HashMap<(u32, u32), f64> = report
-            .flows
-            .iter()
-            .map(|f| (f.key, f.mean_offered))
-            .collect();
-        for a in &self.active {
+        for (ai, a) in self.active.iter().enumerate() {
             let t = &a.request.template;
+            // The legs of the slice's (tenant, CU) pair, indexed by BS;
+            // empty when the pinned CU lost a path this epoch.
+            let legs = instance.legs_of(instance_tenant[ai], a.cu);
             let mut sum_res = 0.0;
             let mut sum_load = 0.0;
             for b in 0..n_bs {
                 let z = a.reservations[b];
-                let load = mean_offered
-                    .get(&(a.request.tenant, b as u32))
-                    .copied()
-                    .unwrap_or(0.0)
-                    .min(t.sla_mbps);
+                let load = report.flows[ai * n_bs + b].mean_offered.min(t.sla_mbps);
                 bs_reserved[b] += z / crate::problem::MBPS_PER_MHZ;
                 bs_load[b] += load / crate::problem::MBPS_PER_MHZ;
                 sum_res += z;
                 sum_load += load;
                 // Attribute transport to the selected leg's links.
-                if let Some(leg) = instance.legs.iter().find(|l| {
-                    instance.tenants[l.tenant].tenant == a.request.tenant
-                        && l.bs == b
-                        && l.cu == a.cu
-                }) {
+                if let Some(leg) = legs.get(b) {
                     for &e in &leg.links {
                         let gid = instance.link_graph_ids[e];
                         *link_reserved.entry(gid).or_insert(0.0) += z;

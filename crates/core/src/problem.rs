@@ -110,8 +110,11 @@ pub struct AcrrInstance {
     /// Tenants under consideration this epoch.
     pub tenants: Vec<TenantInput>,
     /// All legs; for every allowed (tenant, cu) pair there is exactly one leg
-    /// per BS.
+    /// per BS, contiguous and in BS order.
     pub legs: Vec<Leg>,
+    /// `leg_start[t][c]`: index in `legs` of the first of the pair's `n_bs`
+    /// legs; `None` exactly where `cu_allowed[t][c]` is false.
+    pub(crate) leg_start: Vec<Vec<Option<usize>>>,
     /// `cu_allowed[t][c]`: every BS reaches CU `c` within tenant `t`'s delay
     /// budget (and respects pinning).
     pub cu_allowed: Vec<Vec<bool>>,
@@ -153,6 +156,7 @@ impl AcrrInstance {
         let mut link_graph_ids: Vec<usize> = Vec::new();
         let mut legs = Vec::new();
         let mut cu_allowed = vec![vec![false; n_cu]; tenants.len()];
+        let mut leg_start = vec![vec![None; n_cu]; tenants.len()];
 
         for (ti, t) in tenants.iter().enumerate() {
             for c in 0..n_cu {
@@ -194,6 +198,8 @@ impl AcrrInstance {
                     continue;
                 }
                 cu_allowed[ti][c] = true;
+                let start = legs.len();
+                leg_start[ti][c] = Some(start);
                 for (b, path) in picks {
                     let links: Vec<usize> = path
                         .links
@@ -214,6 +220,10 @@ impl AcrrInstance {
                         delay_us: path.delay_us,
                     });
                 }
+                debug_assert!(
+                    legs[start..].iter().map(|l| l.bs).eq(0..n_bs),
+                    "a pair's legs: one per BS, in BS order"
+                );
             }
         }
 
@@ -228,6 +238,7 @@ impl AcrrInstance {
             mbps_per_mhz: vec![MBPS_PER_MHZ; n_bs],
             tenants,
             legs,
+            leg_start,
             cu_allowed,
             overbooking,
             deficit_cost,
@@ -268,9 +279,8 @@ impl AcrrInstance {
         }
         let t = &self.tenants[tenant];
         let risk: f64 = self
-            .legs
+            .legs_of(tenant, cu)
             .iter()
-            .filter(|l| l.tenant == tenant && l.cu == cu)
             .map(|l| self.leg_q(l) * t.sla_mbps)
             .sum();
         Some(risk - t.reward)
@@ -289,12 +299,19 @@ impl AcrrInstance {
         out
     }
 
-    /// Legs of a (tenant, cu) pair.
-    pub fn legs_of(&self, tenant: usize, cu: usize) -> impl Iterator<Item = (usize, &Leg)> {
-        self.legs
-            .iter()
-            .enumerate()
-            .filter(move |(_, l)| l.tenant == tenant && l.cu == cu)
+    /// Positions in [`AcrrInstance::legs`] of a (tenant, cu) pair's legs: one
+    /// per BS, in BS order; empty when the pair is not allowed.
+    pub(crate) fn leg_range(&self, tenant: usize, cu: usize) -> std::ops::Range<usize> {
+        match self.leg_start[tenant][cu] {
+            Some(start) => start..start + self.n_bs,
+            None => 0..0,
+        }
+    }
+
+    /// Legs of a (tenant, cu) pair, indexed by BS; empty when the pair is not
+    /// allowed.
+    pub fn legs_of(&self, tenant: usize, cu: usize) -> &[Leg] {
+        &self.legs[self.leg_range(tenant, cu)]
     }
 
     /// True if some assignment can satisfy `must_accept` tenants at all

@@ -72,7 +72,7 @@ pub fn solve(instance: &AcrrInstance, options: &MilpOptions) -> Result<Allocatio
                 continue;
             }
             let ten = &instance.tenants[*t];
-            let legs = instance.legs_of(*t, c).count() as f64;
+            let legs = instance.legs_of(*t, c).len() as f64;
             let load = ten.service.base_cores + ten.service.cores_per_mbps * ten.sla_mbps * legs;
             if load != 0.0 {
                 row.push((*v, load));
@@ -90,7 +90,8 @@ pub fn solve(instance: &AcrrInstance, options: &MilpOptions) -> Result<Allocatio
         for ((t, c), v) in &u_vars {
             let crossings = instance
                 .legs_of(*t, *c)
-                .filter(|(_, l)| l.links.contains(&e))
+                .iter()
+                .filter(|l| l.links.contains(&e))
                 .count() as f64;
             if crossings > 0.0 {
                 row.push((
@@ -112,7 +113,7 @@ pub fn solve(instance: &AcrrInstance, options: &MilpOptions) -> Result<Allocatio
     for b in 0..instance.n_bs {
         let mut row: Vec<(VarId, f64)> = Vec::new();
         for ((t, c), v) in &u_vars {
-            if instance.legs_of(*t, *c).any(|(_, l)| l.bs == b) {
+            if instance.legs_of(*t, *c).iter().any(|l| l.bs == b) {
                 row.push((*v, instance.tenants[*t].sla_mbps / instance.mbps_per_mhz[b]));
             }
         }

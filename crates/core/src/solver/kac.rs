@@ -421,12 +421,11 @@ fn worst_net_negative(
         if instance.tenants[t].must_accept {
             continue;
         }
-        let risk: f64 = instance
-            .legs
+        let block = instance.leg_range(t, *c);
+        let risk: f64 = instance.legs[block.clone()]
             .iter()
-            .enumerate()
-            .filter(|(_, l)| l.tenant == t && l.cu == *c)
-            .map(|(li, l)| instance.leg_q(l) * (instance.tenants[t].sla_mbps - z[li]))
+            .zip(&z[block])
+            .map(|(l, z)| instance.leg_q(l) * (instance.tenants[t].sla_mbps - z))
             .sum();
         let net = risk - instance.tenants[t].reward;
         if net > 1e-9 && worst.is_none_or(|(_, w)| net > w) {

@@ -152,6 +152,48 @@ fn pinned_cu_restricts_pairs() {
 }
 
 #[test]
+fn legs_of_is_the_pairs_contiguous_block() {
+    // `legs_of` slices by the offset `build` records; the whole-vector
+    // filter it replaced is the specification.
+    let model = NetworkModel::generate(
+        Operator::Romanian,
+        &ovnes_topology::operators::GeneratorConfig {
+            scale: 0.03,
+            seed: 2,
+            k_paths: 4,
+        },
+    );
+    let n_bs = model.base_stations.len();
+    let n_cu = model.compute_units.len();
+    let tenants: Vec<TenantInput> = (0..4)
+        .map(|id| {
+            let mut t = simple_tenant(id, 10.0, 0.2);
+            t.forecast_mbps = vec![10.0; n_bs];
+            match id {
+                1 => t.pinned_cu = Some(n_cu - 1),
+                2 => t.delay_budget_us = 1.0, // unreachable: no pair, no legs
+                _ => {}
+            }
+            t
+        })
+        .collect();
+    let inst = AcrrInstance::build(&model, tenants, PathPolicy::Spread, true, None);
+    assert!(inst.legs.len() > n_bs, "more than one pair");
+    for t in 0..inst.tenants.len() {
+        for c in 0..n_cu {
+            let scanned: Vec<usize> = (0..inst.legs.len())
+                .filter(|&li| inst.legs[li].tenant == t && inst.legs[li].cu == c)
+                .collect();
+            assert_eq!(inst.leg_range(t, c).collect::<Vec<_>>(), scanned);
+            assert_eq!(inst.legs_of(t, c).len(), scanned.len());
+            assert_eq!(!scanned.is_empty(), inst.cu_allowed[t][c]);
+            assert!(inst.legs_of(t, c).iter().map(|l| l.bs).eq(0..scanned.len()));
+        }
+    }
+    assert!(inst.legs_of(2, 0).is_empty());
+}
+
+#[test]
 fn path_policies_pick_feasible_paths() {
     let model = NetworkModel::generate(
         Operator::Romanian,

@@ -93,31 +93,65 @@ impl HoltWinters {
     /// Fits with a coarse grid search over (α, β, γ) minimising one-step
     /// RMSE, then keeps the best parameters. This mirrors how operators tune
     /// the paper's forecasting block offline.
+    ///
+    /// The 125 candidates share everything that does not depend on the
+    /// factors: `init` (season means, level and trend seeds, the seasonal-index
+    /// table) runs once, and each candidate is one `smooth` pass over a
+    /// single seasonal buffer re-primed from the shared indices. A
+    /// candidate owns only its running level, trend and error sum. A last
+    /// pass under the winning factors leaves the fitted state, so the outcome
+    /// is bit-for-bit that of 125 independent [`fit`](Forecaster::fit) calls
+    /// followed by a refit (ties keep the earlier candidate; a NaN RMSE never
+    /// displaces a finite one).
+    ///
+    /// On a history shorter than two seasons the Holt fallback ignores the
+    /// factors, so one fit stands for all candidates: the factors become the
+    /// first grid point when an RMSE exists and stay untouched otherwise.
     pub fn fit_grid(&mut self, series: &[f64]) {
         const GRID: [f64; 5] = [0.1, 0.3, 0.5, 0.7, 0.9];
-        let mut best: Option<(f64, f64, f64, f64)> = None;
+        let m = self.season;
+        if series.len() < 2 * m {
+            self.fit(series);
+            if self.rmse.is_some() {
+                (self.alpha, self.beta, self.gamma) = (GRID[0], GRID[0], GRID[0]);
+            }
+            return;
+        }
+        let (level0, trend0, seasonal0) = init(self.mode, m, series);
+        let mut seasonal = vec![0.0; m];
+        let mut best: Option<(f64, (f64, f64, f64))> = None;
         for &a in &GRID {
             for &b in &GRID {
                 for &g in &GRID {
-                    let mut cand = self.clone();
-                    cand.alpha = a;
-                    cand.beta = b;
-                    cand.gamma = g;
-                    cand.fit(series);
-                    if let Some(r) = cand.rmse {
-                        if best.is_none_or(|(br, ..)| r < br) {
-                            best = Some((r, a, b, g));
-                        }
+                    seasonal.copy_from_slice(&seasonal0);
+                    let (_, _, r) =
+                        smooth(self.mode, series, level0, trend0, &mut seasonal, (a, b, g));
+                    if best.is_none_or(|(br, _)| r < br) {
+                        best = Some((r, (a, b, g)));
                     }
                 }
             }
         }
-        if let Some((_, a, b, g)) = best {
-            self.alpha = a;
-            self.beta = b;
-            self.gamma = g;
+        if let Some((_, factors)) = best {
+            (self.alpha, self.beta, self.gamma) = factors;
         }
-        self.fit(series);
+        self.smooth_from(series, (level0, trend0, seasonal0));
+    }
+
+    /// One [`smooth`] pass under the model's own factors from an [`init`]
+    /// seed; stores the fitted state and RMSE.
+    fn smooth_from(&mut self, series: &[f64], seed: (f64, f64, Vec<f64>)) {
+        let (level0, trend0, mut seasonal) = seed;
+        let factors = (self.alpha, self.beta, self.gamma);
+        let (level, trend, rmse) =
+            smooth(self.mode, series, level0, trend0, &mut seasonal, factors);
+        self.state = Some(State {
+            level,
+            trend,
+            seasonal,
+            next_pos: series.len() % self.season,
+        });
+        self.rmse = Some(rmse);
     }
 
     /// Fitted seasonal indices (testing/diagnostics).
@@ -127,6 +161,9 @@ impl HoltWinters {
 }
 
 impl Forecaster for HoltWinters {
+    /// `init` then one `smooth` pass under the current factors — the same two
+    /// steps [`HoltWinters::fit_grid`] runs per candidate. Histories shorter
+    /// than two seasons degrade to a Holt fit with flat seasonal indices.
     fn fit(&mut self, series: &[f64]) {
         self.state = None;
         self.rmse = None;
@@ -152,83 +189,7 @@ impl Forecaster for HoltWinters {
             return;
         }
 
-        // --- Initialisation over the first two seasons ---
-        let s1_mean: f64 = series[..m].iter().sum::<f64>() / m as f64;
-        let s2_mean: f64 = series[m..2 * m].iter().sum::<f64>() / m as f64;
-        let mut level = s1_mean;
-        let mut trend = (s2_mean - s1_mean) / m as f64;
-
-        let full_seasons = series.len() / m;
-        let mut seasonal = vec![0.0; m];
-        for pos in 0..m {
-            let mut acc = 0.0;
-            for s in 0..full_seasons {
-                let y = series[s * m + pos];
-                let season_mean: f64 = series[s * m..(s + 1) * m].iter().sum::<f64>() / m as f64;
-                acc += match self.mode {
-                    Seasonality::Additive => y - season_mean,
-                    Seasonality::Multiplicative => {
-                        if season_mean.abs() < f64::EPSILON {
-                            1.0
-                        } else {
-                            y / season_mean
-                        }
-                    }
-                };
-            }
-            seasonal[pos] = acc / full_seasons as f64;
-        }
-        if self.mode == Seasonality::Multiplicative {
-            for s in seasonal.iter_mut() {
-                if *s <= 0.0 {
-                    *s = f64::EPSILON.max(1e-6);
-                }
-            }
-        }
-
-        // --- Smoothing pass ---
-        let (alpha, beta, gamma) = (self.alpha, self.beta, self.gamma);
-        let mut sq_err = 0.0;
-        let mut n_err = 0usize;
-        for (t, &y) in series.iter().enumerate().skip(m) {
-            let pos = t % m;
-            let s_prev = seasonal[pos];
-            let pred = match self.mode {
-                Seasonality::Additive => level + trend + s_prev,
-                Seasonality::Multiplicative => (level + trend) * s_prev,
-            };
-            let err = y - pred;
-            sq_err += err * err;
-            n_err += 1;
-
-            let new_level = match self.mode {
-                Seasonality::Additive => alpha * (y - s_prev) + (1.0 - alpha) * (level + trend),
-                Seasonality::Multiplicative => {
-                    alpha * (y / s_prev) + (1.0 - alpha) * (level + trend)
-                }
-            };
-            trend = beta * (new_level - level) + (1.0 - beta) * trend;
-            let denom = if new_level.abs() < 1e-12 {
-                1e-12
-            } else {
-                new_level
-            };
-            seasonal[pos] = match self.mode {
-                Seasonality::Additive => gamma * (y - new_level) + (1.0 - gamma) * s_prev,
-                Seasonality::Multiplicative => gamma * (y / denom) + (1.0 - gamma) * s_prev,
-            };
-            level = new_level;
-        }
-
-        self.state = Some(State {
-            level,
-            trend,
-            seasonal,
-            next_pos: series.len() % m,
-        });
-        if n_err > 0 {
-            self.rmse = Some((sq_err / n_err as f64).sqrt());
-        }
+        self.smooth_from(series, init(self.mode, m, series));
     }
 
     fn forecast(&self, horizon: usize) -> Option<Vec<f64>> {
@@ -251,4 +212,86 @@ impl Forecaster for HoltWinters {
     fn fit_rmse(&self) -> Option<f64> {
         self.rmse
     }
+}
+
+/// Classic initialisation over a history of at least two seasons of length
+/// `m`: `(level0, trend0, seasonal0)`. Nothing here depends on (α, β, γ), so
+/// [`HoltWinters::fit_grid`] computes it once for all candidates.
+fn init(mode: Seasonality, m: usize, series: &[f64]) -> (f64, f64, Vec<f64>) {
+    let s1_mean: f64 = series[..m].iter().sum::<f64>() / m as f64;
+    let s2_mean: f64 = series[m..2 * m].iter().sum::<f64>() / m as f64;
+    let level = s1_mean;
+    let trend = (s2_mean - s1_mean) / m as f64;
+
+    // Per-position average over the complete seasons of the observation's
+    // offset from (additive) or ratio to (multiplicative) its season's mean,
+    // accumulated season by season so each mean is computed once.
+    let full_seasons = series.len() / m;
+    let mut seasonal = vec![0.0; m];
+    for season in series.chunks_exact(m) {
+        let season_mean: f64 = season.iter().sum::<f64>() / m as f64;
+        for (acc, &y) in seasonal.iter_mut().zip(season) {
+            *acc += match mode {
+                Seasonality::Additive => y - season_mean,
+                Seasonality::Multiplicative => {
+                    if season_mean.abs() < f64::EPSILON {
+                        1.0
+                    } else {
+                        y / season_mean
+                    }
+                }
+            };
+        }
+    }
+    for s in seasonal.iter_mut() {
+        *s /= full_seasons as f64;
+        if mode == Seasonality::Multiplicative && *s <= 0.0 {
+            *s = f64::EPSILON.max(1e-6);
+        }
+    }
+    (level, trend, seasonal)
+}
+
+/// The smoothing recursion over `series[m..]` (`m = seasonal.len()`) from the
+/// [`init`] seed, updating `seasonal` in place: `(level, trend, rmse)` with
+/// `rmse` the root-mean-square one-step-ahead error. The single arithmetic
+/// path behind both `fit` and every `fit_grid` candidate.
+fn smooth(
+    mode: Seasonality,
+    series: &[f64],
+    mut level: f64,
+    mut trend: f64,
+    seasonal: &mut [f64],
+    (alpha, beta, gamma): (f64, f64, f64),
+) -> (f64, f64, f64) {
+    let m = seasonal.len();
+    let mut sq_err = 0.0;
+    for (t, &y) in series.iter().enumerate().skip(m) {
+        let pos = t % m;
+        let s_prev = seasonal[pos];
+        let pred = match mode {
+            Seasonality::Additive => level + trend + s_prev,
+            Seasonality::Multiplicative => (level + trend) * s_prev,
+        };
+        let err = y - pred;
+        sq_err += err * err;
+
+        let new_level = match mode {
+            Seasonality::Additive => alpha * (y - s_prev) + (1.0 - alpha) * (level + trend),
+            Seasonality::Multiplicative => alpha * (y / s_prev) + (1.0 - alpha) * (level + trend),
+        };
+        trend = beta * (new_level - level) + (1.0 - beta) * trend;
+        let denom = if new_level.abs() < 1e-12 {
+            1e-12
+        } else {
+            new_level
+        };
+        seasonal[pos] = match mode {
+            Seasonality::Additive => gamma * (y - new_level) + (1.0 - gamma) * s_prev,
+            Seasonality::Multiplicative => gamma * (y / denom) + (1.0 - gamma) * s_prev,
+        };
+        level = new_level;
+    }
+    let n_err = series.len() - m;
+    (level, trend, (sq_err / n_err as f64).sqrt())
 }

@@ -3,7 +3,8 @@
 use crate::holt::Holt;
 use crate::holt_winters::{HoltWinters, Seasonality};
 use crate::ses::Ses;
-use crate::{predict_next, Forecaster};
+use crate::uncertainty::sigma_from_rmse;
+use crate::{predict_next, Forecaster, Prediction};
 use proptest::prelude::*;
 
 const TAU: f64 = std::f64::consts::TAU;
@@ -367,4 +368,437 @@ fn forecaster_trait_objects_work() {
         assert_eq!(f.len(), 4);
         assert!(f.iter().all(|v| v.is_finite()));
     }
+}
+
+// ---------------------------------------------------------------------------
+// Refinement: the shared-initialisation grid against the rebuild it replaced
+// ---------------------------------------------------------------------------
+
+/// The Holt-Winters fit and grid search as shipped before `init`/`smooth`
+/// were split out: every candidate clones the model and runs a whole fit,
+/// and a fit recomputes each season mean once per position. Kept here, and
+/// only here, as the oracle the shipped form must refine bit for bit.
+#[derive(Clone)]
+struct OracleHw {
+    season: usize,
+    mode: Seasonality,
+    alpha: f64,
+    beta: f64,
+    gamma: f64,
+    /// `(level, trend, seasonal, next_pos)`.
+    state: Option<(f64, f64, Vec<f64>, usize)>,
+    rmse: Option<f64>,
+}
+
+impl OracleHw {
+    fn new(season: usize, mode: Seasonality) -> Self {
+        Self {
+            season,
+            mode,
+            alpha: 0.4,
+            beta: 0.1,
+            gamma: 0.3,
+            state: None,
+            rmse: None,
+        }
+    }
+
+    fn fit_grid(&mut self, series: &[f64]) {
+        const GRID: [f64; 5] = [0.1, 0.3, 0.5, 0.7, 0.9];
+        let mut best: Option<(f64, f64, f64, f64)> = None;
+        for &a in &GRID {
+            for &b in &GRID {
+                for &g in &GRID {
+                    let mut cand = self.clone();
+                    cand.alpha = a;
+                    cand.beta = b;
+                    cand.gamma = g;
+                    cand.fit(series);
+                    if let Some(r) = cand.rmse {
+                        if best.is_none_or(|(br, ..)| r < br) {
+                            best = Some((r, a, b, g));
+                        }
+                    }
+                }
+            }
+        }
+        if let Some((_, a, b, g)) = best {
+            self.alpha = a;
+            self.beta = b;
+            self.gamma = g;
+        }
+        self.fit(series);
+    }
+
+    fn fit(&mut self, series: &[f64]) {
+        self.state = None;
+        self.rmse = None;
+        let m = self.season;
+        if series.len() < 2 * m {
+            let mut h = Holt::default();
+            h.fit(series);
+            if let Some((level, trend)) = h.state() {
+                let neutral = match self.mode {
+                    Seasonality::Additive => 0.0,
+                    Seasonality::Multiplicative => 1.0,
+                };
+                self.state = Some((level, trend, vec![neutral; m], series.len() % m));
+                self.rmse = h.fit_rmse();
+            }
+            return;
+        }
+
+        let s1_mean: f64 = series[..m].iter().sum::<f64>() / m as f64;
+        let s2_mean: f64 = series[m..2 * m].iter().sum::<f64>() / m as f64;
+        let mut level = s1_mean;
+        let mut trend = (s2_mean - s1_mean) / m as f64;
+
+        let full_seasons = series.len() / m;
+        let mut seasonal = vec![0.0; m];
+        for pos in 0..m {
+            let mut acc = 0.0;
+            for s in 0..full_seasons {
+                let y = series[s * m + pos];
+                let season_mean: f64 = series[s * m..(s + 1) * m].iter().sum::<f64>() / m as f64;
+                acc += match self.mode {
+                    Seasonality::Additive => y - season_mean,
+                    Seasonality::Multiplicative => {
+                        if season_mean.abs() < f64::EPSILON {
+                            1.0
+                        } else {
+                            y / season_mean
+                        }
+                    }
+                };
+            }
+            seasonal[pos] = acc / full_seasons as f64;
+        }
+        if self.mode == Seasonality::Multiplicative {
+            for s in seasonal.iter_mut() {
+                if *s <= 0.0 {
+                    *s = f64::EPSILON.max(1e-6);
+                }
+            }
+        }
+
+        let (alpha, beta, gamma) = (self.alpha, self.beta, self.gamma);
+        let mut sq_err = 0.0;
+        let mut n_err = 0usize;
+        for (t, &y) in series.iter().enumerate().skip(m) {
+            let pos = t % m;
+            let s_prev = seasonal[pos];
+            let pred = match self.mode {
+                Seasonality::Additive => level + trend + s_prev,
+                Seasonality::Multiplicative => (level + trend) * s_prev,
+            };
+            let err = y - pred;
+            sq_err += err * err;
+            n_err += 1;
+
+            let new_level = match self.mode {
+                Seasonality::Additive => alpha * (y - s_prev) + (1.0 - alpha) * (level + trend),
+                Seasonality::Multiplicative => {
+                    alpha * (y / s_prev) + (1.0 - alpha) * (level + trend)
+                }
+            };
+            trend = beta * (new_level - level) + (1.0 - beta) * trend;
+            let denom = if new_level.abs() < 1e-12 {
+                1e-12
+            } else {
+                new_level
+            };
+            seasonal[pos] = match self.mode {
+                Seasonality::Additive => gamma * (y - new_level) + (1.0 - gamma) * s_prev,
+                Seasonality::Multiplicative => gamma * (y / denom) + (1.0 - gamma) * s_prev,
+            };
+            level = new_level;
+        }
+
+        self.state = Some((level, trend, seasonal, series.len() % m));
+        if n_err > 0 {
+            self.rmse = Some((sq_err / n_err as f64).sqrt());
+        }
+    }
+
+    fn forecast(&self, horizon: usize) -> Option<Vec<f64>> {
+        let (level, trend, seasonal, next_pos) = self.state.as_ref()?;
+        Some(
+            (0..horizon)
+                .map(|h| {
+                    let base = level + (h + 1) as f64 * trend;
+                    let s = seasonal[(next_pos + h) % self.season];
+                    match self.mode {
+                        Seasonality::Additive => base + s,
+                        Seasonality::Multiplicative => base * s,
+                    }
+                })
+                .collect(),
+        )
+    }
+}
+
+/// `predict_next` as shipped, over the oracle grid.
+fn oracle_predict_next(series: &[f64], season: usize, min_sigma: f64) -> Prediction {
+    if series.len() < 2 || season < 2 || series.len() < 2 * season {
+        // Below the Holt-Winters threshold no grid runs: nothing to refine.
+        return predict_next(series, season, min_sigma);
+    }
+    let positive = series.iter().all(|&v| v > 0.0);
+    let mut hw = OracleHw::new(
+        season,
+        if positive {
+            Seasonality::Multiplicative
+        } else {
+            Seasonality::Additive
+        },
+    );
+    hw.fit_grid(series);
+    let (value, rmse) = match hw.forecast(1) {
+        Some(f) => (f[0], hw.rmse),
+        None => (series[series.len() - 1], None),
+    };
+    Prediction {
+        value: value.max(0.0),
+        sigma: sigma_from_rmse(rmse, series, min_sigma),
+    }
+}
+
+/// Bit patterns, with every NaN folded to one: which of two NaN operands an
+/// addition propagates is the code generator's choice, not the source's.
+fn bits(values: &[f64]) -> Vec<u64> {
+    values
+        .iter()
+        .map(|v| if v.is_nan() { u64::MAX } else { v.to_bits() })
+        .collect()
+}
+
+/// Asserts the shipped model and the oracle agree bit for bit on everything
+/// a caller can observe.
+fn assert_same_model(hw: &HoltWinters, oracle: &OracleHw, what: &str) {
+    assert_eq!(
+        bits(&[hw.alpha, hw.beta, hw.gamma]),
+        bits(&[oracle.alpha, oracle.beta, oracle.gamma]),
+        "{what}: factors"
+    );
+    assert_eq!(
+        hw.fit_rmse().map(|r| bits(&[r])),
+        oracle.rmse.map(|r| bits(&[r])),
+        "{what}: rmse"
+    );
+    assert_eq!(
+        hw.forecast(3).map(|f| bits(&f)),
+        oracle.forecast(3).map(|f| bits(&f)),
+        "{what}: forecast"
+    );
+    assert_eq!(
+        hw.seasonal_indices().map(bits),
+        oracle.state.as_ref().map(|(_, _, s, _)| bits(s)),
+        "{what}: seasonal indices"
+    );
+}
+
+/// Fits and grid-fits both forms on `series` under `mode` and compares them.
+fn assert_refines(series: &[f64], season: usize, mode: Seasonality) {
+    let what = format!("m={season} len={} {mode:?}", series.len());
+    let mut hw = HoltWinters::new(season, mode);
+    let mut oracle = OracleHw::new(season, mode);
+    hw.fit(series);
+    oracle.fit(series);
+    assert_same_model(&hw, &oracle, &format!("fit {what}"));
+    hw.fit_grid(series);
+    oracle.fit_grid(series);
+    assert_same_model(&hw, &oracle, &format!("fit_grid {what}"));
+}
+
+/// Turns raw draws in `(-1, 1)` into one of the series families the
+/// refinement must hold on.
+fn shaped(raw: &[f64], season: usize, shape: usize) -> Vec<f64> {
+    raw.iter()
+        .enumerate()
+        .map(|(t, &r)| match shape {
+            // Strictly positive: the multiplicative path `predict_next` takes.
+            0 => 60.0 + 50.0 * r,
+            // Zero-heavy.
+            1 => {
+                if r.abs() < 0.4 {
+                    0.0
+                } else {
+                    40.0 * r.abs()
+                }
+            }
+            // Mixed signs.
+            2 => 50.0 * r,
+            // Constant runs (a few plateaus).
+            3 => (3.0 * r).round(),
+            // An all-zero second season: a zero season mean.
+            4 => {
+                if t / season == 1 {
+                    0.0
+                } else {
+                    10.0 + 5.0 * r
+                }
+            }
+            // Constant throughout.
+            _ => 7.5,
+        })
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// `fit` and `fit_grid` from the shared initialisation equal the
+    /// clone-and-refit grid bit for bit, in both modes, whatever the series.
+    #[test]
+    fn prop_shared_init_refines_rebuild(
+        season_pick in 0usize..3,
+        seasons in 2usize..41,
+        ragged in 0usize..24,
+        shape in 0usize..6,
+        raw in proptest::collection::vec(-1.0f64..1.0, 41 * 24),
+    ) {
+        let season = [2, 6, 24][season_pick];
+        let len = (seasons * season + ragged % season).min(40 * season);
+        let series = shaped(&raw[..len], season, shape);
+        for mode in [Seasonality::Additive, Seasonality::Multiplicative] {
+            assert_refines(&series, season, mode);
+        }
+        let p = predict_next(&series, season, 0.05);
+        let o = oracle_predict_next(&series, season, 0.05);
+        prop_assert_eq!(bits(&[p.value, p.sigma]), bits(&[o.value, o.sigma]));
+    }
+}
+
+#[test]
+fn refinement_covers_the_length_boundaries() {
+    // Exactly two seasons, one short of three, and the 40-season ceiling.
+    for season in [2usize, 6, 24] {
+        for len in [2 * season, 3 * season - 1, 40 * season] {
+            let series = diurnal(len, season, 80.0, 30.0);
+            for mode in [Seasonality::Additive, Seasonality::Multiplicative] {
+                assert_refines(&series, season, mode);
+            }
+        }
+    }
+}
+
+#[test]
+fn hw_grid_on_short_history_fits_once_and_keeps_the_tie_break() {
+    // Below two seasons the Holt fallback ignores the factors, so all 125
+    // candidates tie and the first one wins.
+    let mut hw = HoltWinters::new(24, Seasonality::Multiplicative);
+    let mut oracle = OracleHw::new(24, Seasonality::Multiplicative);
+    let series = [5.0, 6.0, 7.0, 9.0];
+    hw.fit_grid(&series);
+    oracle.fit_grid(&series);
+    assert_eq!((hw.alpha, hw.beta, hw.gamma), (0.1, 0.1, 0.1));
+    assert_same_model(&hw, &oracle, "short history");
+    assert!(hw.fit_rmse().is_some());
+
+    // No RMSE (a single point, an empty series): the factors stay untouched.
+    for series in [&[3.0][..], &[]] {
+        let mut hw = HoltWinters::new(24, Seasonality::Additive).with_params(0.6, 0.2, 0.8);
+        let mut oracle = OracleHw::new(24, Seasonality::Additive);
+        (oracle.alpha, oracle.beta, oracle.gamma) = (0.6, 0.2, 0.8);
+        hw.fit_grid(series);
+        oracle.fit_grid(series);
+        assert_eq!((hw.alpha, hw.beta, hw.gamma), (0.6, 0.2, 0.8));
+        assert!(hw.fit_rmse().is_none());
+        assert_same_model(&hw, &oracle, "no rmse");
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Hostile input (ROADMAP aim 3)
+// ---------------------------------------------------------------------------
+
+#[test]
+fn hostile_series_never_panic_and_answer_as_before() {
+    let len = 48usize;
+    let base = diurnal(len, 6, 40.0, 15.0);
+    let poisoned = |at: usize, v: f64| {
+        let mut s = base.clone();
+        s[at] = v;
+        s
+    };
+    let mut spike = vec![0.0; len];
+    spike[len / 2] = 1e9;
+    let hostile: Vec<(&str, Vec<f64>)> = vec![
+        ("nan-first", poisoned(0, f64::NAN)),
+        ("nan-mid", poisoned(len / 2, f64::NAN)),
+        ("nan-last", poisoned(len - 1, f64::NAN)),
+        ("inf", poisoned(7, f64::INFINITY)),
+        ("neg-inf", poisoned(20, f64::NEG_INFINITY)),
+        ("all-nan", vec![f64::NAN; len]),
+        ("all-zero", vec![0.0; len]),
+        ("single-spike", spike),
+        ("huge", vec![f64::MAX; len]),
+    ];
+    for (name, series) in &hostile {
+        for season in [0, 1, 2, 6, len / 2, len] {
+            let p = predict_next(series, season, 0.05);
+            let o = oracle_predict_next(series, season, 0.05);
+            assert_eq!(
+                bits(&[p.value, p.sigma]),
+                bits(&[o.value, o.sigma]),
+                "{name} season {season}"
+            );
+            assert!(p.sigma > 0.0 && p.sigma <= 1.0, "{name}: σ̂ = {}", p.sigma);
+            if series.iter().any(|v| !v.is_finite()) {
+                assert_eq!(p.sigma, 1.0, "{name} season {season}");
+            }
+            if season < 2 {
+                continue; // `HoltWinters::new` rejects these by contract.
+            }
+            for mode in [Seasonality::Additive, Seasonality::Multiplicative] {
+                assert_refines(series, season, mode);
+            }
+        }
+    }
+    let p = predict_next(&vec![0.0; len], 6, 0.05);
+    assert_eq!((p.value, p.sigma), (0.0, 0.05));
+}
+
+#[test]
+fn grid_never_lets_a_nan_rmse_displace_a_finite_one() {
+    // Period 2, even positions silent for 210 seasons and then one 1e100
+    // burst: the silent position's multiplicative index decays like
+    // (1 - gamma)^210, so the burst divided by it stays finite for gamma <=
+    // 0.3, overflows the squared error to +inf at 0.5 and 0.7, and overflows
+    // the level itself at 0.9, where inf - inf leaves a NaN RMSE. Every
+    // (alpha, beta) block therefore ends on a NaN candidate that follows
+    // finite ones; `r < best` must skip it.
+    let series: Vec<f64> = (0..424)
+        .map(|t| match t {
+            420 => 1e100,
+            t if t % 2 == 1 => 10.0,
+            _ => 0.0,
+        })
+        .collect();
+    let mode = Seasonality::Multiplicative;
+    let grid = [0.1, 0.3, 0.5, 0.7, 0.9];
+    let (mut finite, mut nan) = (Vec::new(), 0);
+    for a in grid {
+        for b in grid {
+            for g in grid {
+                let mut cand = HoltWinters::new(2, mode).with_params(a, b, g);
+                cand.fit(&series);
+                match cand.fit_rmse() {
+                    Some(r) if r.is_nan() => nan += 1,
+                    Some(r) if r.is_finite() => finite.push(r),
+                    _ => {}
+                }
+            }
+        }
+    }
+    assert_eq!(nan, 25, "every gamma = 0.9 candidate must blow up");
+    assert!(!finite.is_empty());
+
+    let mut hw = HoltWinters::new(2, mode);
+    let mut oracle = OracleHw::new(2, mode);
+    hw.fit_grid(&series);
+    oracle.fit_grid(&series);
+    assert_same_model(&hw, &oracle, "nan candidates");
+    let best = finite.iter().copied().fold(f64::INFINITY, f64::min);
+    assert_eq!(hw.fit_rmse(), Some(best));
 }
