@@ -13,6 +13,10 @@
 //! All binaries print aligned text tables/series to stdout; pass `--full`
 //! where supported to run the paper-size grid instead of the quick default
 //! (EXPERIMENTS.md records which grid produced the committed numbers).
+//!
+//! Nothing here is timed. Performance is measured end to end by the
+//! `benchmark/` package; the kernels' work is pinned as exact counts by
+//! `tests/kernel_counts.rs`.
 
 /// Returns true when `--full` was passed on the command line.
 pub fn full_mode() -> bool {

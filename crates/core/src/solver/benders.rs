@@ -36,8 +36,8 @@ pub struct BendersOptions {
     /// Reuse bases across iterations: the slave re-prices warm from the
     /// previous admission's basis and the master resumes its stored root
     /// basis after cuts append. Results are identical either way (the
-    /// benchmark suite measures the pivot savings); disable only for
-    /// comparison runs.
+    /// pivot savings are pinned in `tests/kernel_counts.rs`); disable only
+    /// for comparison runs.
     pub warm_start: bool,
 }
 

@@ -414,7 +414,7 @@ impl<'a> SlaveContext<'a> {
         }
     }
 
-    /// Disables basis reuse (comparison/benchmark runs solve cold instead).
+    /// Disables basis reuse (comparison runs solve cold instead).
     pub fn set_warm(&mut self, warm: bool) {
         self.warm = warm;
         if !warm {
@@ -737,7 +737,10 @@ impl<'a> SlaveContext<'a> {
                 });
                 Ok(SlaveResult::Infeasible { cut })
             }
-            Outcome::Unbounded => unreachable!("slave objective is bounded (q ≥ 0, z ≤ Λ)"),
+            // The leg columns are boxed (z ≤ Λ); only a negative
+            // `deficit_cost` makes the objective unbounded. A malformed
+            // instance is the caller's to absorb, not a panic.
+            Outcome::Unbounded => Err(ovnes_lp::SolveError::Numerical),
         }
     }
 }

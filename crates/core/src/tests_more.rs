@@ -340,6 +340,39 @@ fn slave_handles_empty_admission() {
     }
 }
 
+/// A negative deficit cost leaves the deficit columns unbounded below. The
+/// slave reports it as an engine error and every solver kind comes off the
+/// ladder with a decision or a deferral — a rung, never a panic.
+#[test]
+fn negative_deficit_cost_lands_on_a_ladder_rung() {
+    use crate::solver::{solve_controlled, Degradation};
+    let model = one_bs_model(100.0);
+    let tenants = vec![simple_tenant(0, 10.0, 0.2), simple_tenant(1, 10.0, 0.2)];
+    let inst = AcrrInstance::build(&model, tenants, PathPolicy::MinDelay, true, Some(-1.0));
+    assert!(matches!(
+        solve_slave(&inst, &[Some(0), Some(0)]),
+        Err(ovnes_lp::SolveError::Numerical)
+    ));
+    for kind in [SolverKind::Benders, SolverKind::Kac, SolverKind::OneShot] {
+        let controls = SolveControls {
+            kind,
+            ..SolveControls::default()
+        };
+        let out = solve_controlled(&inst, &controls);
+        assert_eq!(
+            out.allocation.is_none(),
+            out.degradation == Degradation::Deferred,
+            "{kind:?}"
+        );
+        if kind != SolverKind::Kac {
+            // KAC vets against the unrelaxed instance and never prices a
+            // deficit here; the exact solvers do, fail, and fall back to it.
+            assert_eq!(out.degradation, Degradation::Greedy, "{kind:?}");
+            assert!(out.error.is_some(), "{kind:?}");
+        }
+    }
+}
+
 // ------------------------------------------------------------- experiment
 
 #[test]

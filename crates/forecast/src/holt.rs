@@ -7,7 +7,8 @@
 //! ```
 //!
 //! The paper notes double smoothing cannot capture seasonality — this
-//! implementation backs the ablation benches and the short-history fallback.
+//! implementation backs the forecasting ablation and the short-history
+//! fallback.
 
 use crate::Forecaster;
 

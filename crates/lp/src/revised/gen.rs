@@ -1,9 +1,8 @@
 //! Seeded random bounded-LP generation, shared across the test layers.
 //!
 //! One generator serves the in-crate unit/property tests
-//! (`revised/tests.rs`), the cross-crate integration tests
-//! (`tests/solver_cross_check.rs`), and the bench torture probes
-//! (`crates/bench/benches/solvers.rs`) — replacing the ad-hoc per-file
+//! (`revised/tests.rs`) and the cross-crate integration tests
+//! (`tests/solver_cross_check.rs`) — replacing the ad-hoc per-file
 //! generators they used to carry. It is compiled only for tests or behind
 //! the `testgen` feature, so production builds never see it.
 //!
@@ -108,7 +107,7 @@ impl Default for LpGenConfig {
 
 impl LpGenConfig {
     /// The torture preset shared by the integration harness
-    /// (`tests/solver_cross_check.rs`) and the bench probes: larger
+    /// (`tests/solver_cross_check.rs`) and the in-crate suites: larger
     /// instances, a boxed-heavy column mix, tight bounds, and heavy
     /// degeneracy — the distribution the long-step/partial-pricing paths
     /// are graded on. One definition so the suites cannot drift apart.

@@ -37,7 +37,7 @@
 //! lowest-index column of minimum count — the *same* pivot the old
 //! full-rescan selection chose, in O(log m) amortized instead of Θ(m) per
 //! stage. The rescan implementation is retained as
-//! `SparseLu::factor_rescan` (bench baseline and test oracle, in the
+//! `SparseLu::factor_rescan` (scan-work baseline and test oracle, in the
 //! test-only `oracle` submodule); both report their selection effort through
 //! [`SparseLu::pivot_scan_work`].
 //!

@@ -3,9 +3,9 @@
 //! triangular replays [`SparseLu::solve`] / [`SparseLu::solve_t`].
 //!
 //! Compiled only under `cfg(test)` or the `testgen` feature — the property
-//! suites assert the production paths match these bitwise, and the
-//! `lu_factor` bench probe times the rescan as its baseline. Nothing in the
-//! shipping library calls into this module.
+//! suites assert the production paths match these bitwise and count the
+//! rescan's scan work as the baseline the bucketed search is pinned
+//! against. Nothing in the shipping library calls into this module.
 
 use super::{SparseLu, DROP_TOL, MARKOWITZ_TAU, SINGULAR_TOL};
 
@@ -130,8 +130,8 @@ impl SparseLu {
     /// rule, but pivot selection rescans every active column (Θ(m) per
     /// stage) and gathers the pivot column by probing every active row.
     ///
-    /// Retained as the `lu_factor` bench baseline and as the equivalence
-    /// oracle for the bucketed path's property tests; its selection effort
+    /// Retained as the scan-work baseline and as the equivalence oracle
+    /// for the bucketed path's property tests; its selection effort
     /// is likewise reported through [`SparseLu::pivot_scan_work`].
     pub fn factor_rescan<F>(m: usize, mut col: F) -> Option<SparseLu>
     where

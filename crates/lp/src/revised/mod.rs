@@ -107,7 +107,7 @@ mod engine;
 pub mod gen;
 pub(crate) mod lu;
 
-/// The sparse LU kernel, exposed for benches and cross-check suites (the
+/// The sparse LU kernel, exposed for the cross-check suites (the
 /// bucketed factor, its rescan baseline and dense-LU oracle, the
 /// Forrest–Tomlin update wrapper, and the caller-owned solve scratch).
 #[cfg(any(test, feature = "testgen"))]

@@ -440,8 +440,8 @@ fn long_warm_chain_stays_exact() {
 // ---------------------------------------- dense-tableau cross-check (prop)
 //
 // The random LPs come from the shared fixture generator
-// (`crate::revised::gen`), which the integration cross-checks and the bench
-// torture probes reuse — one generator, three test layers.
+// (`crate::revised::gen`), which the integration cross-checks reuse — one
+// generator for every test layer.
 
 use crate::revised::gen::{random_bound_edit, random_lp, GenRng, LpGenConfig};
 
@@ -744,8 +744,8 @@ mod warm_chain_props {
                     );
                     // +1 slack: a degenerate-lucky cold start can prove its
                     // outcome with zero pivots where the warm re-solve pays
-                    // a single closing pivot (same rationale as the bench
-                    // snapshot gate).
+                    // a single closing pivot (same slack as
+                    // `tests/kernel_counts.rs`).
                     let cold = p.solve_warm(None).unwrap();
                     prop_assert!(
                         warm.stats.total_pivots() <= cold.stats.total_pivots() + 1,
@@ -1482,6 +1482,49 @@ mod factorization_props {
                     "btran bit mismatch at {}: {} vs {}", j, wf[j], ws[j]
                 );
             }
+            }
+        }
+    }
+
+    /// The asymptotic claim behind the bucketed search, as counts: on
+    /// basis-shaped matrices (banded near-triangular plus 2 % coupling
+    /// entries) at the slave LP's row counts for the small / paper / 10× /
+    /// 100× cities, the bucketed factor inspects about 3.2 candidates per
+    /// column at every size while the rescan inspects Θ(m²). The rescan at
+    /// 8,115 is left out: 66 M inspections, seconds in a debug build.
+    #[test]
+    fn bucketed_scan_work_is_linear_where_the_rescan_is_quadratic() {
+        for (m, bucketed, rescan) in [
+            (38, 117, Some(1_482)),
+            (110, 359, Some(12_210)),
+            (885, 2_866, Some(784_110)),
+            (8_115, 26_208, None),
+        ] {
+            let mut rng = GenRng::new(0x1A0_FAC7 ^ m as u64);
+            let mut cols: Vec<Vec<(u32, f64)>> = Vec::with_capacity(m);
+            for j in 0..m {
+                let mut col = vec![(j as u32, 4.0 + rng.next_f64())];
+                for d in 1..=2usize {
+                    if j >= d && rng.chance(0.6) {
+                        col.push(((j - d) as u32, rng.uniform(-1.0, 1.0)));
+                    }
+                }
+                if rng.chance(0.02) {
+                    let i = rng.index(m);
+                    if i != j {
+                        col.push((i as u32, rng.uniform(-1.0, 1.0)));
+                    }
+                }
+                col.sort_by_key(|&(i, _)| i);
+                col.dedup_by_key(|&mut (i, _)| i);
+                cols.push(col);
+            }
+            let fast = SparseLu::factor_cols(m, &cols).expect("nonsingular");
+            assert_eq!(fast.pivot_scan_work(), bucketed, "bucketed, dim {m}");
+            if let Some(rescan) = rescan {
+                let slow = SparseLu::factor_rescan(m, |pos, buf| buf.extend_from_slice(&cols[pos]))
+                    .expect("nonsingular");
+                assert_eq!(slow.pivot_scan_work(), rescan, "rescan, dim {m}");
             }
         }
     }

@@ -68,13 +68,14 @@ pub fn default_refactor_interval() -> usize {
 
 /// Seeded fault injection on the warm-start path of the revised engine.
 ///
-/// Faults never change a solve's *result* — they discard warm state
-/// (basis, persisted factorization) or corrupt the basic set into a
-/// singular matrix, forcing the engine through its cold-restart /
-/// refactorization recovery paths. Every roll is a pure function of
-/// `(seed, constraint-matrix fingerprint, basis summary)`, never of
-/// thread identity or wall clock, so injected faults are **bit-identical
-/// at any worker count** and across runs.
+/// Faults never change a solve's outcome class or optimum *value* — they
+/// discard warm state (basis, persisted factorization) or corrupt the
+/// basic set into a singular matrix, forcing the engine through its
+/// cold-restart / refactorization recovery paths. (Which optimal vertex or
+/// Farkas ray a degenerate problem ends on may follow the path taken.)
+/// Every roll is a pure function of `(seed, constraint-matrix fingerprint,
+/// basis summary)`, never of thread identity or wall clock, so injected
+/// faults are **bit-identical at any worker count** and across runs.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultConfig {
     /// Seed mixed into every roll.

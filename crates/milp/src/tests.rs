@@ -389,6 +389,11 @@ fn adaptive_round_width_is_worker_count_invariant() {
         m.solve().unwrap().unwrap_optimal()
     };
     let one = solve(1);
+    assert!(
+        one.nodes >= 16,
+        "a {}-node tree is too shallow to exercise the round scheduler",
+        one.nodes
+    );
     for threads in [2usize, 4] {
         let multi = solve(threads);
         assert_eq!(

@@ -52,7 +52,7 @@ const STATE_ON: u8 = 2;
 static STATE: AtomicU8 = AtomicU8::new(STATE_UNINIT);
 
 /// Process-global observability configuration. The env var `OVNES_OBS`
-/// is the canonical switch; benches and tests may install a config
+/// is the canonical switch; harnesses and tests may install a config
 /// programmatically (see [`ObsConfig::install`] / [`set_enabled`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ObsConfig {
@@ -102,7 +102,7 @@ fn init_from_env() -> bool {
 }
 
 /// Programmatically force observability on or off (overrides the env).
-/// Used by benches that want a traced probe in an otherwise-untraced
+/// Used by harnesses that want a traced run in an otherwise-untraced
 /// process, and by the guard tests that must prove the off state.
 pub fn set_enabled(on: bool) {
     STATE.store(if on { STATE_ON } else { STATE_OFF }, Ordering::Relaxed);

@@ -79,11 +79,6 @@ pub struct ScenarioSpec {
     /// and `lp_fault_seed` (if set) arms LP warm-path fault injection on
     /// the MILP-backed epoch solves.
     pub faults: Option<FaultPlan>,
-    /// Decision-latency SLO in seconds: epochs whose solve takes longer
-    /// are counted as SLO violations in the report. Like the latency
-    /// itself, this is wall-clock telemetry — excluded from both
-    /// fingerprints. `None` disables the count.
-    pub decision_slo_seconds: Option<f64>,
     /// Run the horizon through the persistent cross-epoch
     /// [`EpochSolver`](ovnes::solver::epoch::EpochSolver): bases,
     /// factorizations, Benders cuts and incumbents carry from epoch to
@@ -120,7 +115,6 @@ impl ScenarioSpec {
                 seed: 7,
                 budget: SolveBudget::default(),
                 faults: None,
-                decision_slo_seconds: None,
                 incremental: false,
             },
         }
@@ -249,13 +243,6 @@ impl ScenarioBuilder {
         self
     }
 
-    /// Per-epoch decision-latency SLO in seconds (see
-    /// [`ScenarioSpec::decision_slo_seconds`]).
-    pub fn decision_slo_seconds(mut self, slo: f64) -> Self {
-        self.spec.decision_slo_seconds = Some(slo);
-        self
-    }
-
     /// Finalises the spec.
     pub fn build(self) -> ScenarioSpec {
         self.spec
@@ -370,7 +357,6 @@ pub fn run_scenario_on(
     let mut solver_errors = 0usize;
     let mut max_decision_seconds = 0.0f64;
     let mut decision_seconds_sum = 0.0f64;
-    let mut slo_violations = 0usize;
     // Latency percentiles come from an obs histogram fed with the same
     // `decision_seconds` the mean/max already use — recorded always (the
     // clock read exists regardless), so percentiles are present even with
@@ -432,12 +418,6 @@ pub fn run_scenario_on(
         decision_seconds_sum += out.decision_seconds;
         decision_latency.record_secs(out.decision_seconds);
         phase_seconds.accumulate(&out.phase_seconds);
-        if spec
-            .decision_slo_seconds
-            .is_some_and(|slo| out.decision_seconds > slo)
-        {
-            slo_violations += 1;
-        }
     };
     for epoch in 0..spec.horizon_epochs as u32 {
         while arrival_stream
@@ -526,8 +506,6 @@ pub fn run_scenario_on(
         ],
         phase_generate_seconds,
         phase_seconds,
-        decision_slo_seconds: spec.decision_slo_seconds,
-        slo_violations,
         wall_seconds: t0.elapsed().as_secs_f64(),
     })
 }

@@ -22,7 +22,7 @@ pub struct CdfSummary {
     pub p90: f64,
     /// 99th percentile. Derived from the same sorted sample vector as
     /// the hashed quantiles but **excluded** from [`CdfSummary`]'s hash:
-    /// every pre-existing fingerprint gate (bench snapshot, CI sweep
+    /// every pre-existing fingerprint gate (`tests/obs_guard.rs`, CI sweep
     /// assertions) pins hashes computed without it, and the sample
     /// vector's identity is already pinned by count/mean/p50/p90/max.
     pub p99: f64,
@@ -183,12 +183,6 @@ pub struct ScenarioReport {
     /// breakdown the flamegraph folds to). Only `solve` is populated
     /// when `ovnes-obs` is off. **Excluded** from the fingerprint.
     pub phase_seconds: ovnes::orchestrator::EpochPhaseSeconds,
-    /// The spec's decision-latency SLO, echoed for reporting (`None` = no
-    /// SLO). Wall-clock telemetry — **excluded** from the fingerprint.
-    pub decision_slo_seconds: Option<f64>,
-    /// Epochs whose decision latency exceeded the SLO — machine-dependent,
-    /// **excluded** from the fingerprint.
-    pub slo_violations: usize,
     /// Wall-clock of the run in seconds — machine-dependent, **excluded**
     /// from the fingerprint.
     pub wall_seconds: f64,
@@ -197,7 +191,6 @@ pub struct ScenarioReport {
 impl ScenarioReport {
     /// Folds every deterministic field (not the wall-clock telemetry:
     /// `wall_seconds`, `max_decision_seconds`, `mean_decision_seconds`,
-    /// `decision_slo_seconds`, `slo_violations`,
     /// `decision_latency_percentiles`, `phase_generate_seconds`,
     /// `phase_seconds`) into `h`: the decision trail plus the solver-path
     /// telemetry. The wall-clock-never-in-fingerprints invariant lives
@@ -274,7 +267,7 @@ impl ScenarioReport {
 
 /// FNV-1a 64-bit: a tiny, explicit, build-stable hasher. The std
 /// `DefaultHasher` is randomly keyed per process, which would defeat the
-/// cross-run fingerprint comparisons the bench snapshot records.
+/// cross-run fingerprint comparisons `tests/obs_guard.rs` pins.
 #[derive(Debug, Clone)]
 pub struct Fnv64(u64);
 

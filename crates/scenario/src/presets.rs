@@ -1,5 +1,5 @@
 //! Named scenario presets — the library of workloads every experiment,
-//! bench probe, and CI smoke leg draws from.
+//! test, and CI smoke leg draws from.
 //!
 //! Presets default to **harness scale** (a few percent of the paper's
 //! topology size) so sweeps run in seconds; the DESIGN note maps each one
@@ -317,8 +317,8 @@ pub fn chaos_lpfault() -> ScenarioSpec {
 /// previous by a handful of tenants, exactly the regime the persistent
 /// [`EpochSolver`](ovnes::solver::epoch::EpochSolver) turns into a few
 /// warm dual pivots. The scratch twin (`.incremental(false)`, same name)
-/// must produce a bit-identical decision fingerprint — the tests and the
-/// `scenario_incremental` bench probe both assert it.
+/// must produce a bit-identical decision fingerprint
+/// (`tests/incremental_identity.rs`).
 pub fn incremental_n1() -> ScenarioSpec {
     ScenarioSpec::builder("incremental-n1")
         .operator(Operator::Romanian, 0.025)
@@ -370,8 +370,8 @@ pub fn chaos_incremental() -> ScenarioSpec {
 /// On those epochs the carried basis re-keys as the identity, the
 /// persisted factorization is reused (zero refactorizations), and the
 /// only simplex work is the handful of dual pivots that forecast drift
-/// (an RHS-only perturbation) demands. The `scenario_incremental` bench
-/// probe measures the steady window by running a settle-length prefix and
+/// (an RHS-only perturbation) demands. `tests/incremental_identity.rs`
+/// measures the steady window by running a settle-length prefix and
 /// subtracting.
 pub fn incremental_steady() -> ScenarioSpec {
     ScenarioSpec::builder("incremental-steady-n1")
@@ -463,7 +463,6 @@ pub fn incremental_degenerate() -> ScenarioSpec {
         .reapply_epochs(6)
         .seed(303)
         .incremental(true)
-        .decision_slo_seconds(0.25)
         .build();
     // Engineer the degeneracy: shrink the edge CU to (1 + 1e−9)× the
     // incumbents' exact full-SLA compute load. The margin keeps the

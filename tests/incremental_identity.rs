@@ -90,11 +90,16 @@ fn chaos_incremental_decisions_match_scratch_twin() {
 /// bases, recycled cuts, and the seeded incumbent are all active.
 #[test]
 fn incremental_runs_bit_identical_across_bnb_threads() {
-    for base in [presets::incremental_n1(), {
+    let chaos = {
         let mut s = presets::chaos_outage();
         s.incremental = true;
         s
-    }] {
+    };
+    for base in [
+        presets::incremental_n1(),
+        presets::incremental_steady(),
+        chaos,
+    ] {
         let mut spec = base;
         spec.threads = 1;
         let serial = run_scenario(&spec).unwrap_or_else(|e| panic!("{}: {e}", spec.name));
@@ -135,6 +140,10 @@ fn chaos_incremental_scratch_twin_is_run_to_run_deterministic() {
 fn incremental_steady_no_churn_epochs_are_nearly_free() {
     const SETTLE: usize = 16;
     let full = presets::incremental_steady();
+    assert!(
+        full.horizon_epochs - SETTLE >= 32,
+        "the steady window is too short to dominate the horizon"
+    );
     let mut settle = full.clone();
     settle.horizon_epochs = SETTLE;
     let warm_full = run_scenario(&full).expect("steady incremental run");
@@ -215,6 +224,10 @@ fn incremental_degenerate_certifies_perturbed_and_matches_scratch() {
     let warm = warm1.expect("serial run recorded");
     assert!(warm.accepted > 0, "the homogeneous burst admitted nothing");
     assert!(warm.infra_events > 0, "the scripted CU shrink never fired");
+    assert_eq!(
+        warm.incremental_cold_epochs, 0,
+        "a clean run fell back to cold epochs"
+    );
     assert!(
         warm.carry_certified_perturbed > 0,
         "no steady epoch certified through the perturbation certificate \

@@ -5,10 +5,10 @@
 //! existed, at every worker count.
 //!
 //! If a change legitimately moves these constants (a solver change, not
-//! an observability change), update them together with the snapshot in
-//! `BENCH_solvers.json` — never from inside an observability PR.
+//! an observability change), update them in the PR that means to — never
+//! from inside an observability PR.
 
-use std::sync::{Mutex, MutexGuard};
+use std::sync::{Mutex, MutexGuard, OnceLock};
 
 use ovnes_scenario::driver::run_scenario;
 use ovnes_scenario::presets;
@@ -31,21 +31,28 @@ fn obs_lock() -> MutexGuard<'static, ()> {
     LOCK.lock().unwrap_or_else(|e| e.into_inner())
 }
 
+/// Under ambient LP fault injection the constants do not apply: a dropped
+/// basis lands a degenerate slave optimum on another vertex or Farkas ray,
+/// and decisions built from those move with it. What still holds is that
+/// every run agrees with every other — tracing off or on, any worker count
+/// — so the first faulted run of a preset stands in for its constants.
+static FAULTED: [OnceLock<(u64, u64)>; PINNED.len()] = [const { OnceLock::new() }; PINNED.len()];
+
 fn assert_pinned(context: &str) {
-    for &(name, fingerprint, decision_fingerprint) in PINNED {
+    for (i, &(name, fingerprint, decision_fingerprint)) in PINNED.iter().enumerate() {
         for threads in [1usize, 2, 4] {
             let mut spec = presets::preset(name).expect("pinned preset exists");
             spec.threads = threads;
             let report = run_scenario(&spec).expect("pinned preset runs");
+            let got = (report.fingerprint(), report.decision_fingerprint());
+            let pinned = if ovnes_lp::fault_injection_active() {
+                *FAULTED[i].get_or_init(|| got)
+            } else {
+                (fingerprint, decision_fingerprint)
+            };
             assert_eq!(
-                report.fingerprint(),
-                fingerprint,
-                "{name} fingerprint moved ({context}, threads={threads})"
-            );
-            assert_eq!(
-                report.decision_fingerprint(),
-                decision_fingerprint,
-                "{name} decision fingerprint moved ({context}, threads={threads})"
+                got, pinned,
+                "{name} (fingerprint, decision fingerprint) moved ({context}, threads={threads})"
             );
         }
     }
@@ -90,10 +97,15 @@ fn obs_on_leaves_fingerprints_bitwise_identical() {
     // And the runs actually traced: the guard is only meaningful if the
     // instrumented paths executed with recording live.
     let trace = ovnes_obs::trace::drain();
-    assert!(
-        trace.total_ns("scenario") > 0,
-        "obs-on run recorded no scenario spans"
-    );
+    let root = trace.total_ns("scenario");
+    assert!(root > 0, "obs-on run recorded no scenario spans");
+    let phase = |name: &str| trace.total_ns(&format!("scenario;epoch;{name}"));
+    assert!(phase("solve") > 0, "the epoch solve span went missing");
+    let phases: u64 = ["revalidate", "forecast", "solve", "admit", "simulate"]
+        .into_iter()
+        .map(phase)
+        .sum();
+    assert!(phases <= root, "phases overlap or the root span shrank");
     let _ = ovnes_obs::metrics::drain_global();
     ovnes_obs::set_enabled(false);
 }
@@ -109,6 +121,10 @@ fn decision_latency_percentiles_present_in_report() {
     let mut spec = presets::preset("fig5-n1").expect("preset");
     spec.threads = 1;
     let report = run_scenario(&spec).expect("run");
+    assert!(
+        report.epochs >= 24 && report.arrivals > 0 && report.accepted > 0 && report.lp_solves > 0,
+        "fig5-n1 must span a simulated day with arrivals, admissions and epoch solves"
+    );
     let [p50, p90, p99, p999] = report.decision_latency_percentiles;
     assert!(p50 > 0.0, "p50 decision latency missing from report");
     assert!(

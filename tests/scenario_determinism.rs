@@ -77,6 +77,12 @@ fn default_sweep_bit_identical_at_1_2_4_workers() {
     assert_eq!(r1.fingerprint(), r2.fingerprint(), "1 vs 2 workers");
     assert_eq!(r1.fingerprint(), r4.fingerprint(), "1 vs 4 workers");
     assert_eq!(r1.render(), r4.render(), "rendered reports differ");
+    assert!(
+        r1.total_arrivals > 0 && r1.total_accepted > 0 && r1.total_lp_solves > 0,
+        "the sweep generated, admitted or solved nothing"
+    );
+    assert!((0.0..=1.0).contains(&r1.acceptance_ratio));
+    assert!((0.0..=1.0).contains(&r1.violation_rate));
 
     // The ablation pair carries the paper's signal: overbooking strictly
     // increases net revenue on the identical workload.
