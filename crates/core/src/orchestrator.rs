@@ -18,7 +18,6 @@
 use crate::problem::{AcrrInstance, PathPolicy, TenantInput, MBPS_PER_MHZ};
 use crate::slice::SliceRequest;
 use crate::solver::epoch::{EpochSolver, IncrementalReport};
-use crate::solver::slave::RowKey;
 use crate::solver::{self, AcrrError, Degradation, SolveBudget, SolveControls, SolverKind};
 use ovnes_forecast::predict_next;
 use ovnes_netsim::{run_epoch, Flow, MonitorStore, TrafficGenerator};
@@ -107,13 +106,16 @@ pub struct OrchestratorConfig {
     /// Seeded LP fault injection threaded into the MILP-backed epoch solves
     /// (chaos testing; see [`ovnes_lp::FaultConfig`]). Default `None`.
     pub lp_fault: Option<ovnes_lp::FaultConfig>,
-    /// Cross-epoch incremental re-optimization: keep a persistent
-    /// [`EpochSolver`] that carries the slave basis (and factorization),
-    /// recycles Benders cuts, and seeds each epoch's branch-and-bound with
-    /// the previous admission — making the per-epoch solve cost `O(churn)`
-    /// instead of `O(city)`. Admission decisions are unchanged; only solve
-    /// telemetry (pivots, refactorizations, latency) differs. Default
-    /// `false` (every epoch solves from scratch).
+    /// Cross-epoch carry: keep a persistent [`EpochSolver`] that resumes
+    /// KAC's vetting slave from the previous epoch's basis (and
+    /// factorization) on epochs with nothing to admit, so a no-churn epoch
+    /// costs a handful of pivots instead of a cold solve. Every carried
+    /// solve must certify a unique optimal decision or the epoch restarts
+    /// cold, so admission decisions are those of the from-scratch run
+    /// (`tests/incremental_identity.rs` holds them to it bitwise); only
+    /// KAC's solve telemetry (pivots, refactorizations, latency) differs.
+    /// Under any other [`SolverKind`] nothing is carried and the flag
+    /// changes nothing at all. Default `false`.
     pub incremental: bool,
 }
 
@@ -364,9 +366,6 @@ pub struct Orchestrator {
     /// Persistent cross-epoch solver state
     /// ([`OrchestratorConfig::incremental`]); `None` ⇒ scratch solves.
     epoch_solver: Option<EpochSolver>,
-    /// Rows touched by infrastructure events since the last solve — fed to
-    /// [`EpochSolver::solve_epoch`] as its cut-invalidation set.
-    touched_rows: Vec<RowKey>,
 }
 
 impl Orchestrator {
@@ -393,7 +392,6 @@ impl Orchestrator {
             base_link_mbps,
             bs_factor,
             epoch_solver,
-            touched_rows: Vec::new(),
         }
     }
 
@@ -525,37 +523,29 @@ impl Orchestrator {
             }
         });
         for event in &due {
-            // Each applied event also marks the capacity row it rewrote, so
-            // the incremental epoch solver can drop recycled cuts whose dual
-            // certificates lean on that row (their usefulness died with the
-            // old capacity; validity is restored by re-pricing regardless).
             match event.kind {
                 InfraEventKind::BsOutage { bs } => {
                     if bs < self.base_bs_mhz.len() {
                         self.bs_factor[bs] = 0.0;
                         self.model.base_stations[bs].capacity_mhz = 0.0;
-                        self.touched_rows.push(RowKey::Bs(bs));
                     }
                 }
                 InfraEventKind::BsRecovery { bs } => {
                     if bs < self.base_bs_mhz.len() {
                         self.bs_factor[bs] = 1.0;
                         self.model.base_stations[bs].capacity_mhz = self.base_bs_mhz[bs];
-                        self.touched_rows.push(RowKey::Bs(bs));
                     }
                 }
                 InfraEventKind::LinkDegradation { link, factor } => {
                     if link < self.base_link_mbps.len() {
                         let cap = self.base_link_mbps[link] * factor.clamp(0.0, 1.0);
                         self.model.graph.set_link_capacity(LinkId(link), cap);
-                        self.touched_rows.push(RowKey::Link(link));
                     }
                 }
                 InfraEventKind::CuCapacityLoss { cu, factor } => {
                     if cu < self.base_cu_cores.len() {
                         self.model.compute_units[cu].cores =
                             self.base_cu_cores[cu] * factor.clamp(0.0, 1.0);
-                        self.touched_rows.push(RowKey::Cu(cu));
                     }
                 }
             }
@@ -775,8 +765,7 @@ impl Orchestrator {
         let solve_started = Instant::now();
         let (controlled, incremental) = match self.epoch_solver.as_mut() {
             Some(es) => {
-                let touched = std::mem::take(&mut self.touched_rows);
-                let (outcome, report) = es.solve_epoch(&instance, &controls, &touched);
+                let (outcome, report) = es.solve_epoch(&instance, &controls);
                 (outcome, Some(report))
             }
             None => (solver::solve_controlled(&instance, &controls), None),

@@ -372,8 +372,10 @@ pub struct SolveStats {
     /// pivots, dual (warm-restart) pivots, warm-start hits,
     /// refactorizations.
     pub lp: ovnes_lp::LpStats,
-    /// Cuts recycled from previous epochs and re-priced into this solve's
-    /// master (cross-epoch incremental Benders only; 0 elsewhere).
+    /// Always 0: Benders cut recycling was deleted with the carry verdict
+    /// (see `crates/scenario/DESIGN.md`). The field stays only because the
+    /// frozen `benchmark/src/harness.rs` names it; it goes in the next
+    /// `benchmark` PR.
     pub recycled_cuts: usize,
     /// Carried-basis warm solves discarded because the uniqueness
     /// certificate failed, forcing an in-solve cold restart (cross-epoch
@@ -389,10 +391,10 @@ pub struct SolveStats {
     /// complementarity test rejects (see
     /// [`ovnes_lp::certify_unique_optimum_perturbed`]).
     pub carry_certified_perturbed: usize,
-    /// Churn epochs' first-shed carry attempts: the carried basis was
-    /// seeded into a shed/re-pack iteration because the carried objective
-    /// predicted the packed set feasible (cross-epoch incremental KAC
-    /// only).
+    /// Always 0: the churn-epoch carry was deleted with the carry verdict
+    /// (the carry is attempted on all-forced epochs only). Kept for the
+    /// frozen `benchmark/src/harness.rs`, like
+    /// [`SolveStats::recycled_cuts`].
     pub churn_carry_attempts: usize,
 }
 

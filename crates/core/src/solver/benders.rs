@@ -7,16 +7,11 @@
 //! the best evaluated admission (Theorem 2: finitely many dual extreme
 //! points/rays ⇒ finite convergence).
 
-use super::slave::{LpCarry, RecycledCut, SlaveContext, SlaveResult};
+use super::slave::{SlaveContext, SlaveResult};
 use super::AcrrError;
 use crate::problem::{AcrrInstance, Allocation, SolveStats};
 use ovnes_lp::{Cmp, Problem, SimplexOptions, VarId};
 use ovnes_milp::{Milp, MilpOptions, MilpOutcome};
-
-/// Recycled cuts kept per tenant/CU footprint; older cuts age out first.
-/// Sixty-four covers several epochs of a converged Benders run (a handful of
-/// cuts each) without letting the master grow unboundedly.
-pub const CUT_POOL_CAP: usize = 64;
 
 /// Incumbent bookkeeping: (objective, admission vector, reservations per
 /// leg, deficit triple).
@@ -54,36 +49,6 @@ impl Default for BendersOptions {
 
 /// Solves the AC-RR instance optimally via Benders decomposition.
 pub fn solve(instance: &AcrrInstance, options: &BendersOptions) -> Result<Allocation, AcrrError> {
-    solve_carried(instance, options, None, None, None)
-}
-
-/// [`solve`] with the cross-epoch incremental hooks (see
-/// `solver::epoch::EpochSolver`):
-///
-/// * `carry` — the slave seeds its first solve from the previous epoch's
-///   re-keyed basis and deposits its final basis back on exit;
-/// * `cuts` — a pool of raw dual multipliers from previous epochs. Each is
-///   re-priced against *this* epoch's data ([`SlaveContext::price_recycled`],
-///   which derives a valid-by-construction Lagrangian cut) and injected into
-///   the fresh master before the first iteration; every slave solve then
-///   appends its own duals to the pool (FIFO, capped at [`CUT_POOL_CAP`]);
-/// * `incumbent` — a previous admission (already re-indexed to this
-///   instance). If it covers the forced set it is evaluated by the slave and
-///   used to seed the branch-and-bound cutoff and the incumbent record, so
-///   the master proves optimality instead of rediscovering the solution.
-///
-/// Every hook only changes the solve *path* (pivots, explored nodes); the
-/// returned admission remains an optimum of the same instance. With
-/// degenerate alternative optima the master may surface a different
-/// optimal vertex than a scratch run — callers that need bit-identical
-/// decision trails use the KAC ladder, which has no such freedom.
-pub fn solve_carried(
-    instance: &AcrrInstance,
-    options: &BendersOptions,
-    mut carry: Option<&mut LpCarry>,
-    mut cuts: Option<&mut Vec<RecycledCut>>,
-    incumbent: Option<&[Option<usize>]>,
-) -> Result<Allocation, AcrrError> {
     if !instance.forced_feasible() {
         return Err(AcrrError::ForcedInfeasible);
     }
@@ -155,87 +120,10 @@ pub fn solve_carried(
     if !options.warm_start {
         slave.set_warm(false);
     }
-    if let Some(c) = carry.as_deref() {
-        slave.seed_from_carry(c);
-    }
     let mut best: Option<Incumbent> = None;
     let mut lower = f64::NEG_INFINITY;
     let mut stats = SolveStats::default();
     let mut converged = false;
-
-    // Re-price and inject recycled cuts from previous epochs. Each is a
-    // valid inequality for *this* epoch's instance by construction (the
-    // Lagrangian re-pricing in `price_recycled`), so the master starts with
-    // most of last epoch's polyhedral knowledge already in place.
-    let mut recycled_applied = 0usize;
-    if let Some(pool) = cuts.as_deref() {
-        for rc in pool.iter() {
-            let cut = slave.price_recycled(rc);
-            let mut row: Vec<(VarId, f64)> = Vec::new();
-            if rc.optimality {
-                row.push((theta, -1.0));
-            }
-            for ((t, c), v) in &u_vars {
-                if let Some(&w) = cut.coeffs.get(&(*t, *c)) {
-                    row.push((*v, w));
-                }
-            }
-            // A feasibility cut whose coefficients all re-priced to zero is
-            // either trivially true or numerically degenerate — skip it
-            // rather than risk an unconditional `0 ≤ −constant` row.
-            if row.is_empty() {
-                continue;
-            }
-            milp.problem_mut().add_cons(&row, Cmp::Le, -cut.constant);
-            recycled_applied += 1;
-        }
-    }
-    stats.recycled_cuts = recycled_applied;
-
-    // Seed the incumbent from the previous epoch's admission: evaluate it
-    // with the slave and hand the master its objective as a branch-and-bound
-    // cutoff. The margin keeps the true optimum strictly inside the cutoff
-    // (acceptance requires `obj < cutoff − abs_gap`), so seeding can only
-    // prune, never lose, the optimum.
-    if let Some(prev) = incumbent {
-        let usable = prev.len() == n_t
-            && prev.iter().enumerate().all(|(t, c)| match c {
-                Some(c) => *c < instance.n_cu && instance.cu_allowed[t][*c],
-                None => !instance.tenants[t].must_accept,
-            });
-        if usable {
-            stats.lp_solves += 1;
-            if let Ok(SlaveResult::Feasible {
-                value,
-                z,
-                deficit,
-                cut,
-            }) = slave.solve_for(prev)
-            {
-                push_cut(cuts.as_deref_mut(), slave.last_cut_duals());
-                let mut fixed = 0.0;
-                for ((t, c), _) in &u_vars {
-                    if prev[*t] == Some(*c) {
-                        fixed += instance
-                            .gamma(*t, *c)
-                            .ok_or(AcrrError::Internal("incumbent pair has no gamma"))?;
-                    }
-                }
-                let total = fixed + value;
-                best = Some((total, prev.to_vec(), z, deficit));
-                let mut row: Vec<(VarId, f64)> = vec![(theta, -1.0)];
-                for ((t, c), v) in &u_vars {
-                    if let Some(&w) = cut.coeffs.get(&(*t, *c)) {
-                        row.push((*v, w));
-                    }
-                }
-                milp.problem_mut().add_cons(&row, Cmp::Le, -cut.constant);
-                milp.set_incumbent_bound(total + options.milp.abs_gap + options.epsilon);
-            }
-            // An infeasible or errored evaluation simply forfeits the seed —
-            // the loop below proceeds exactly as a scratch solve would.
-        }
-    }
 
     for iter in 0..options.max_iterations {
         let _span = ovnes_obs::span!("benders_round", round = iter as i64);
@@ -250,9 +138,6 @@ pub fn solve_carried(
                 stats.lp.absorb(milp.last_lp_stats());
                 stats.lp.absorb(&slave.stats);
                 stats.truncated = true;
-                if let Some(c) = carry.as_deref_mut() {
-                    slave.save_carry(c);
-                }
                 return break_out(instance, best, lower, stats);
             }
             Err(e) => return Err(e.into()),
@@ -266,9 +151,6 @@ pub fn solve_carried(
                 // Feasibility cuts exclude every admission (possible only
                 // without the deficit relaxation and with forced slices).
                 stats.lp.absorb(&slave.stats);
-                if let Some(c) = carry.as_deref_mut() {
-                    slave.save_carry(c);
-                }
                 return match best {
                     Some(_) => break_out(instance, best, lower, stats),
                     None => Err(AcrrError::Infeasible),
@@ -297,16 +179,12 @@ pub fn solve_carried(
         let slave_result = match slave.solve_for(&assigned) {
             Ok(r) => r,
             Err(_) if best.is_some() => {
-                // The slave errored mid-solve: its basis is suspect, so the
-                // carry is left untouched (a stale carry re-keys fine; a
-                // corrupt one would force a cold start next epoch anyway).
                 stats.lp.absorb(&slave.stats);
                 stats.truncated = true;
                 return break_out(instance, best, lower, stats);
             }
             Err(e) => return Err(e.into()),
         };
-        push_cut(cuts.as_deref_mut(), slave.last_cut_duals());
         match slave_result {
             SlaveResult::Feasible {
                 value,
@@ -360,22 +238,7 @@ pub fn solve_carried(
         stats.truncated = true;
     }
     stats.lp.absorb(&slave.stats);
-    if let Some(c) = carry {
-        slave.save_carry(c);
-    }
     break_out(instance, best, lower, stats)
-}
-
-/// Appends a slave solve's raw duals to the recycled-cut pool, aging out the
-/// oldest entry once the pool is full.
-fn push_cut(pool: Option<&mut Vec<RecycledCut>>, cut: Option<&RecycledCut>) {
-    let (Some(pool), Some(cut)) = (pool, cut) else {
-        return;
-    };
-    if pool.len() >= CUT_POOL_CAP {
-        pool.remove(0);
-    }
-    pool.push(cut.clone());
 }
 
 fn break_out(

@@ -73,22 +73,21 @@ pub fn solve(instance: &AcrrInstance, options: &KacOptions) -> Result<Allocation
 /// seeded vet, whose Farkas ray is never certified — discards the carried
 /// attempt and restarts the whole epoch cold, reproducing the from-scratch
 /// path verbatim (`stats.carry_cold_restarts` counts the discards). Either
-/// way the decisions are bit-identical to [`solve`] — the carry can only
-/// change how many pivots they cost.
+/// way the decision is [`solve`]'s — same admission, same optimal vertex —
+/// and the carry only changes how many pivots it costs. The reservations
+/// are the same *bits* wherever they rest on window edges, which is every
+/// case the presets, the benchmark and the 512-chain refinement check
+/// produce; an interior basic reservation can differ in its last bit
+/// (`crates/scenario/DESIGN.md`, "Known limit").
 ///
-/// **Where the carry is attempted.** On an all-forced epoch (no churn to
-/// admit), the opening forced-only vet is seeded directly — the O(churn)
-/// fast path. On a churn epoch the opening all-in vet is left cold (it is
-/// usually infeasible, and identical to scratch anyway); once the first
-/// cut arrives, the first shed/re-pack iteration is seeded instead,
-/// provided (a) the carried objective predicts the packed set within last
-/// epoch's proven risk budget, (b) the packed set equals the carried
-/// optimum's support ([`LpCarry::supports`] — a non-identity seed pays a
-/// remap refactorization, worthwhile only when the seeded LP is the
-/// carried optimum's own program), and (c) the packed floors fit every
-/// capacity row ([`SlaveContext::floors_fit`], an exact feasibility
-/// predicate — a seeded vet can then never land on an uncertifiable
-/// Farkas ray). `stats.churn_carry_attempts` counts these attempts.
+/// **Where the carry is attempted.** Only on an all-forced epoch (no churn
+/// to admit): its opening forced-only vet is seeded directly, usually
+/// identity-remapped onto the previous basis — the O(churn) fast path. A
+/// churn epoch solves from scratch (its opening all-in vet is usually
+/// infeasible, and a Farkas ray is never certified) and only deposits its
+/// final basis for the next epoch; seeding a later shed iteration was
+/// measured and deleted (`crates/scenario/DESIGN.md`, "Cross-epoch warm
+/// start").
 pub fn solve_carried(
     instance: &AcrrInstance,
     options: &KacOptions,
@@ -121,24 +120,9 @@ pub fn solve_carried(
     // solve cost, so it is folded into the returned stats.
     let mut wasted = ovnes_lp::LpStats::default();
     let mut restarts = 0usize;
-    let mut churn_attempts = 0usize;
-    // Where to attempt the carried basis. An all-forced epoch (no churn to
-    // admit) seeds the opening forced-only vet directly — the O(churn)
-    // fast path, identity-remapped onto the previous basis. A churn epoch
-    // leaves the opening all-in vet cold: it is usually infeasible, an
-    // infeasible carried solve can never certify (Farkas rays are
-    // start-dependent), and an unseeded solve is trivially identical to
-    // scratch. Instead the first shed/re-pack iteration after a cut is
-    // seeded, gated on the carried objective predicting the packed set
-    // within budget (`carry_predicts_feasible`), the packed set matching
-    // the carried support (`LpCarry::supports`), and the packed floors
-    // fitting the capacities (`SlaveContext::floors_fit`).
-    let all_forced = instance.tenants.iter().all(|t| t.must_accept);
-    let mut use_carry = carry.is_some() && all_forced;
-    let carried_objective = carry.as_deref().and_then(|c| c.objective);
-    let mut try_churn_carry = !all_forced
-        && carried_objective.is_some()
-        && carry.as_deref().is_some_and(|c| c.is_seeded());
+    // The carried basis is attempted on an all-forced epoch only (see the
+    // function docs); a discarded attempt clears the flag.
+    let mut use_carry = carry.is_some() && instance.tenants.iter().all(|t| t.must_accept);
     'attempt: loop {
         // One persistent strict-slave LP per attempt: every vetting solve
         // below re-prices the RHS and warm-starts from the previous
@@ -153,8 +137,6 @@ pub fn solve_carried(
         // certificate: the chain's basis may differ from scratch, so every
         // later solve must keep certifying until one certifies strictly.
         let mut verify_chain = false;
-        // The one churn-epoch carry attempt was already spent.
-        let mut churn_seeded = false;
         if use_carry {
             if let Some(c) = carry.as_deref() {
                 seeded = slave.seed_from_carry(c);
@@ -176,36 +158,6 @@ pub fn solve_carried(
         loop {
             stats.iterations += 1;
             let assigned = greedy_pack(instance, &gammas, &w_bar, cap_bar, have_cuts, &banned);
-
-            // Churn-epoch carry: the opening all-in vet went infeasible and
-            // was re-packed under its cut — seed this first shed iteration
-            // from the carried basis, once per epoch, when three gates all
-            // hold: the carried objective predicts the packed set within
-            // last epoch's proven risk budget, the packed set has returned
-            // to exactly the carried optimum's support (`supports` — any
-            // other set makes the basis re-price legs it never packed, so
-            // the remap refactorization a non-identity seed pays would buy
-            // almost nothing), and the packed floors actually fit the
-            // capacities (`floors_fit` decides the vet's feasibility
-            // exactly, so the seeded solve can never land on an
-            // uncertifiable Farkas ray).
-            if try_churn_carry && have_cuts && !churn_seeded {
-                churn_seeded = true;
-                if carry_predicts_feasible(&strict, &assigned, carried_objective.unwrap_or(0.0))
-                    && carry
-                        .as_deref()
-                        .is_some_and(|c| c.supports(&strict, &assigned))
-                    && slave.floors_fit(&assigned)
-                {
-                    if let Some(c) = carry.as_deref() {
-                        if slave.seed_from_carry(c) {
-                            seeded = true;
-                            churn_attempts += 1;
-                        }
-                    }
-                }
-            }
-
             stats.lp_solves += 1;
             let result = slave.solve_for(&assigned)?;
             if seeded || verify_chain {
@@ -223,7 +175,6 @@ pub fn solve_carried(
                     wasted.absorb(&slave.stats);
                     restarts += 1;
                     use_carry = false;
-                    try_churn_carry = false;
                     continue 'attempt;
                 }
                 if seeded {
@@ -271,7 +222,6 @@ pub fn solve_carried(
                                     wasted.absorb(&slave.stats);
                                     restarts += 1;
                                     use_carry = false;
-                                    try_churn_carry = false;
                                     continue 'attempt;
                                 }
                                 verify_chain = verify_chain && !slave.last_solve_certified_unique();
@@ -297,7 +247,7 @@ pub fn solve_carried(
                             reservations[leg.tenant][leg.bs] = z[li];
                         }
                     }
-                    settle(&mut stats, &slave, &wasted, restarts, churn_attempts, carry);
+                    settle(&mut stats, &slave, &wasted, restarts, carry);
                     return Ok(Allocation {
                         objective: fixed + value,
                         assigned_cu: assigned,
@@ -343,19 +293,12 @@ pub fn solve_carried(
                                 // best available carry for the next epoch (the
                                 // relaxed fallback context has a different
                                 // column layout).
-                                settle(
-                                    &mut stats,
-                                    &slave,
-                                    &wasted,
-                                    restarts,
-                                    churn_attempts,
-                                    carry,
-                                );
+                                settle(&mut stats, &slave, &wasted, restarts, carry);
                                 return finish_with_deficit(instance, &assigned, stats);
                             }
                         }
                         if extra_rounds > n_t {
-                            settle(&mut stats, &slave, &wasted, restarts, churn_attempts, carry);
+                            settle(&mut stats, &slave, &wasted, restarts, carry);
                             return finish_with_deficit(instance, &assigned, stats);
                         }
                     }
@@ -374,38 +317,14 @@ fn settle(
     slave: &SlaveContext<'_>,
     wasted: &ovnes_lp::LpStats,
     restarts: usize,
-    churn_attempts: usize,
     carry: Option<&mut LpCarry>,
 ) {
     stats.lp.absorb(&slave.stats);
     stats.lp.absorb(wasted);
     stats.carry_cold_restarts = restarts;
-    stats.churn_carry_attempts = churn_attempts;
     if let Some(c) = carry {
         slave.save_carry(c);
     }
-}
-
-/// Feasibility predictor for the churn-epoch carry: the packed set's
-/// minimal risk-weighted reservation mass (`Σ q·λ̂` over its legs) must fit
-/// inside the mass the previous epoch's optimum provably packed (the
-/// carried objective's magnitude). Purely advisory — a wrong prediction
-/// costs a discarded attempt (absorbed by the cold restart), never
-/// correctness — but it keeps the carry off packed sets that are obviously
-/// heavier than anything the carried basis ever supported.
-fn carry_predicts_feasible(
-    instance: &AcrrInstance,
-    assigned: &[Option<usize>],
-    carried_objective: f64,
-) -> bool {
-    let budget = carried_objective.abs();
-    let mut mass = 0.0;
-    for leg in &instance.legs {
-        if assigned[leg.tenant] == Some(leg.cu) {
-            mass += instance.leg_q(leg) * instance.leg_forecast(leg);
-        }
-    }
-    mass <= budget + 1e-9
 }
 
 /// Finds the admitted, non-forced tenant whose expected risk at its current

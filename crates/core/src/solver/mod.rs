@@ -251,38 +251,19 @@ pub fn solve(instance: &AcrrInstance, controls: &SolveControls) -> Result<Alloca
     dispatch(instance, controls, None)
 }
 
-/// The one dispatch on [`SolverKind`]: from scratch when `carried` is
-/// `None`, otherwise with the cross-epoch hooks of the persistent
-/// [`epoch::EpochSolver`] attached (carried slave basis, recycled cuts,
-/// incumbent seeding — they change the solve path, never the decision).
+/// The one dispatch on [`SolverKind`]. `carry` is the cross-epoch slave
+/// basis of the persistent [`epoch::EpochSolver`] and is KAC's alone
+/// (certified per solve — it changes the solve path, never the decision);
+/// every other kind always solves from scratch.
 fn dispatch(
     instance: &AcrrInstance,
     controls: &SolveControls,
-    carried: Option<&mut epoch::EpochSolver>,
+    carry: Option<&mut slave::LpCarry>,
 ) -> Result<Allocation, AcrrError> {
     match controls.kind {
-        SolverKind::Kac => kac::solve_carried(
-            instance,
-            &controls.kac_options(),
-            carried.map(|es| &mut es.carry),
-        ),
-        SolverKind::Benders => {
-            let prev = carried.as_deref().and_then(|es| es.mapped_prev(instance));
-            let (carry, cuts) = carried.map(|es| (&mut es.carry, &mut es.cuts)).unzip();
-            benders::solve_carried(
-                instance,
-                &benders_options_for(controls),
-                carry,
-                cuts,
-                prev.as_deref(),
-            )
-        }
-        SolverKind::OneShot => {
-            let bound = carried.and_then(|es| es.oneshot_bound(instance, controls));
-            oneshot::solve_with_incumbent(instance, &milp_options_for(controls), bound)
-        }
-        // The no-overbooking baseline is a comparison policy, not an
-        // operational path — it always solves from scratch.
+        SolverKind::Kac => kac::solve_carried(instance, &controls.kac_options(), carry),
+        SolverKind::Benders => benders::solve(instance, &benders_options_for(controls)),
+        SolverKind::OneShot => oneshot::solve(instance, &milp_options_for(controls)),
         SolverKind::NoOverbooking => baseline::solve(instance, &milp_options_for(controls)),
     }
 }

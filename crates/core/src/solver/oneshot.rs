@@ -16,21 +16,6 @@ use ovnes_milp::{Milp, MilpOptions, MilpOutcome};
 /// tree is the deepest in the codebase, so it benefits the most from
 /// `options.threads` (results are deterministic in it).
 pub fn solve(instance: &AcrrInstance, options: &MilpOptions) -> Result<Allocation, AcrrError> {
-    solve_with_incumbent(instance, options, None)
-}
-
-/// [`solve`] with an optional warm branch-and-bound cutoff: the
-/// objective of a known-feasible admission (e.g. last epoch's, re-evaluated
-/// against this epoch's instance). The caller must pass a *slightly relaxed*
-/// bound — `objective + abs_gap + ε` — because the search prunes nodes at
-/// `bound ≥ cutoff − abs_gap` and would otherwise prune the optimum itself.
-/// Seeding only changes which nodes are explored, never the returned
-/// objective.
-pub fn solve_with_incumbent(
-    instance: &AcrrInstance,
-    options: &MilpOptions,
-    incumbent_bound: Option<f64>,
-) -> Result<Allocation, AcrrError> {
     if !instance.forced_feasible() {
         return Err(AcrrError::ForcedInfeasible);
     }
@@ -167,9 +152,6 @@ pub fn solve_with_incumbent(
         milp.mark_integer(*v);
     }
     milp.set_options(options.clone());
-    if let Some(bound) = incumbent_bound {
-        milp.set_incumbent_bound(bound);
-    }
     let sol = match milp.solve()? {
         MilpOutcome::Optimal(s) => s,
         MilpOutcome::Infeasible => return Err(AcrrError::Infeasible),

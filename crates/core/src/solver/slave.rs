@@ -81,72 +81,6 @@ pub struct LpCarry {
     pub(crate) basis: Option<Basis>,
     pub(crate) cols: Vec<ColKey>,
     pub(crate) rows: Vec<RowKey>,
-    /// Final feasible slave objective of the depositing epoch — the
-    /// feasibility predictor for attempting the carry on a churn epoch's
-    /// shed iteration (the carried optimum bounds the risk budget that was
-    /// provably packable last epoch).
-    pub(crate) objective: Option<f64>,
-    /// Keyed packed support of the depositing epoch's final feasible vet:
-    /// the legs its admission actually reserved on. The churn-epoch carry
-    /// gate only seeds a shed iteration whose packed set *equals* this
-    /// support — the seeded LP is then the carried optimum's own program
-    /// (modulo forecast drift) and re-solves in a handful of pivots, which
-    /// is the only case worth the remap refactorization a non-identity
-    /// seed always pays.
-    pub(crate) packed: Vec<ColKey>,
-}
-
-impl LpCarry {
-    /// True once a previous epoch has deposited a basis to resume from.
-    pub fn is_seeded(&self) -> bool {
-        self.basis.is_some()
-    }
-
-    /// True when the packed leg set of `assigned` equals the carried
-    /// support — the shed iteration has returned to exactly the admission
-    /// the carried basis is optimal for, so a seeded vet resumes at (or
-    /// next to) the carried optimum. Any other packed set means the basis
-    /// must re-price legs it never packed (or miss legs it did): the remap
-    /// refactorization a non-identity seed pays would buy almost nothing,
-    /// so the churn-epoch carry gate skips the attempt.
-    pub fn supports(&self, instance: &AcrrInstance, assigned: &[Option<usize>]) -> bool {
-        let support: std::collections::HashSet<ColKey> = self.packed.iter().copied().collect();
-        let mut n = 0usize;
-        for leg in &instance.legs {
-            if assigned[leg.tenant] == Some(leg.cu) {
-                n += 1;
-                if !support.contains(&ColKey::Leg(
-                    instance.tenants[leg.tenant].tenant,
-                    leg.bs,
-                    leg.cu,
-                )) {
-                    return false;
-                }
-            }
-        }
-        n == support.len()
-    }
-}
-
-/// A cut's raw dual certificate, keyed for cross-epoch recycling. Unlike a
-/// baked [`CutExpr`] — whose coefficients embed one epoch's forecasts, leg
-/// costs, and tenant indices — the raw multipliers can be re-priced against
-/// *any* later epoch's data and still yield a valid cut (see
-/// [`SlaveContext::price_recycled`]).
-#[derive(Debug, Clone)]
-pub struct RecycledCut {
-    /// True for an optimality cut's dual solution, false for a Farkas ray.
-    pub optimality: bool,
-    /// Nonzero row multipliers, keyed by stable row identity.
-    pub y: Vec<(RowKey, f64)>,
-}
-
-impl RecycledCut {
-    /// True when the certificate puts nonzero weight on `key`'s row —
-    /// the cut-invalidation predicate for infrastructure events.
-    pub fn touches(&self, key: &RowKey) -> bool {
-        self.y.iter().any(|(k, _)| k == key)
-    }
 }
 
 /// An affine function of the admission binaries: `g(u) = constant +
@@ -222,8 +156,6 @@ pub struct SlaveContext<'a> {
     leg_cols: Vec<Vec<(usize, f64)>>,
     /// Stable identity per row of `rows`, in row order.
     row_keys: Vec<RowKey>,
-    /// Inverse of `row_keys` for recycled-cut re-pricing and seeding.
-    row_lookup: HashMap<RowKey, usize>,
     basis: Option<Basis>,
     warm: bool,
     /// Simplex options applied to every `solve_for` (budget pivot caps and
@@ -233,23 +165,19 @@ pub struct SlaveContext<'a> {
     /// Engine scratch reused by every `solve_for` of this context's warm
     /// chain (reset on entry by the engine; never influences a result).
     workspace: Workspace,
-    /// Raw dual certificate of the most recent `solve_for`, keyed for the
-    /// cross-epoch cut pool.
-    last_cut_duals: Option<RecycledCut>,
+    /// [`SlaveContext::seed_from_carry`] installed a carried basis: only
+    /// then does `solve_for` evaluate the two uniqueness certificates
+    /// (KAC, their one reader, consults them only on a seeded chain).
+    seeded: bool,
     /// Whether the most recent `solve_for` certified a unique optimum and
     /// unique optimal basis (see [`ovnes_lp::certify_unique_optimum`]).
+    /// Stays `false` on an unseeded context, like `last_decision_unique`.
     last_unique: bool,
     /// Whether the most recent `solve_for` certified at least a unique
     /// optimal *decision* (strict certificate, or the perturbation
     /// certificate on a degenerate optimum — see
     /// [`ovnes_lp::certify_unique_optimum_perturbed`]).
     last_decision_unique: bool,
-    /// Most recent feasible `solve_for` objective; deposited into
-    /// [`LpCarry::objective`] as the next epoch's feasibility predictor.
-    last_objective: Option<f64>,
-    /// Keyed packed support of the most recent feasible `solve_for`;
-    /// deposited into [`LpCarry::packed`] as the churn-carry support gate.
-    last_packed: Vec<ColKey>,
     /// Pivot statistics accumulated over every `solve_for` call.
     pub stats: LpStats,
 }
@@ -389,8 +317,6 @@ impl<'a> SlaveContext<'a> {
 
         // (17)/(18) live as native bounds on `z_vars` — see the module docs.
 
-        let row_lookup: HashMap<RowKey, usize> =
-            row_keys.iter().enumerate().map(|(i, &k)| (k, i)).collect();
         SlaveContext {
             instance,
             problem: p,
@@ -400,16 +326,13 @@ impl<'a> SlaveContext<'a> {
             leg_window,
             leg_cols,
             row_keys,
-            row_lookup,
             basis: None,
             warm: true,
             simplex: SimplexOptions::default(),
             workspace: Workspace::new(),
-            last_cut_duals: None,
+            seeded: false,
             last_unique: false,
             last_decision_unique: false,
-            last_objective: None,
-            last_packed: Vec::new(),
             stats: LpStats::default(),
         }
     }
@@ -445,38 +368,6 @@ impl<'a> SlaveContext<'a> {
         keys
     }
 
-    /// Exact feasibility of the reservation LP under `assigned`, decided
-    /// without solving: every row coefficient on a reservation column is
-    /// nonnegative and each packed leg's window floor is its forecast, so
-    /// the LP is feasible iff the all-floors point satisfies every
-    /// capacity row. (A deficit-relaxed context is always feasible.) The
-    /// churn-epoch carry gate uses this to keep seeded attempts off packed
-    /// sets whose vet will go infeasible — a Farkas ray is never
-    /// certified, so such an attempt could only end in a cold restart.
-    pub fn floors_fit(&self, assigned: &[Option<usize>]) -> bool {
-        if self.deficit_vars.is_some() {
-            return true;
-        }
-        let mut usage = vec![0.0; self.rows.len()];
-        for (li, leg) in self.instance.legs.iter().enumerate() {
-            if assigned[leg.tenant] == Some(leg.cu) {
-                let floor = self.leg_window[li].0;
-                for &(ri, coeff) in &self.leg_cols[li] {
-                    usage[ri] += coeff * floor;
-                }
-            }
-        }
-        self.rows.iter().zip(&usage).all(|(spec, &used)| {
-            let mut rhs = spec.r0;
-            for &((t, c), w) in &spec.u_coeffs {
-                if assigned[t] == Some(c) {
-                    rhs += w;
-                }
-            }
-            used <= rhs + 1e-9 * rhs.abs().max(1.0)
-        })
-    }
-
     /// Seeds this (freshly built) context from a previous epoch's carry:
     /// the old basis is re-keyed onto this LP's column/row layout with
     /// [`Basis::remap`]. Columns and rows that only one epoch has start
@@ -500,12 +391,19 @@ impl<'a> SlaveContext<'a> {
             .iter()
             .map(|k| col_index.get(k).copied())
             .collect();
+        let row_index: HashMap<RowKey, usize> = self
+            .row_keys
+            .iter()
+            .enumerate()
+            .map(|(i, &k)| (k, i))
+            .collect();
         let row_map: Vec<Option<usize>> = carry
             .rows
             .iter()
-            .map(|k| self.row_lookup.get(k).copied())
+            .map(|k| row_index.get(k).copied())
             .collect();
         self.basis = Some(basis.remap(&col_map, new_cols.len(), &row_map, self.rows.len()));
+        self.seeded = true;
         true
     }
 
@@ -515,21 +413,15 @@ impl<'a> SlaveContext<'a> {
         carry.basis = self.basis.clone();
         carry.cols = self.col_keys();
         carry.rows = self.row_keys.clone();
-        carry.objective = self.last_objective;
-        carry.packed = self.last_packed.clone();
-    }
-
-    /// Raw dual certificate of the most recent [`SlaveContext::solve_for`],
-    /// for the cross-epoch cut pool.
-    pub fn last_cut_duals(&self) -> Option<&RecycledCut> {
-        self.last_cut_duals.as_ref()
     }
 
     /// Whether the most recent [`SlaveContext::solve_for`] certified that
     /// its optimum — *and* its optimal basis — are unique, i.e. that any
     /// simplex start (a carried cross-epoch basis included) must terminate
-    /// in the identical state. `false` after an infeasible solve: Farkas
-    /// rays are never certified.
+    /// in the identical state. `false` after an infeasible solve (Farkas
+    /// rays are never certified) and on an unseeded context, which
+    /// evaluates no certificate: without a carried basis there is no start
+    /// to be independent of.
     pub fn last_solve_certified_unique(&self) -> bool {
         self.last_unique
     }
@@ -541,40 +433,10 @@ impl<'a> SlaveContext<'a> {
     /// ([`ovnes_lp::certify_unique_optimum_perturbed`]). This is the
     /// decision-identity gate of the cross-epoch warm start: a carried
     /// solve chain whose members cannot certify decision uniqueness is
-    /// discarded and re-run cold. `false` after an infeasible solve.
+    /// discarded and re-run cold. `false` after an infeasible solve and on
+    /// an unseeded context.
     pub fn last_solve_certified_decision(&self) -> bool {
         self.last_decision_unique
-    }
-
-    /// Re-prices a recycled dual certificate against **this** epoch's data,
-    /// producing a cut valid for this epoch's master.
-    ///
-    /// Soundness: with the engine's dual sign convention, any sign-feasible
-    /// multiplier vector `y` yields the Lagrangian lower bound
-    /// `Σ_i y_i·rhs_i(u) + Σ_j inf_{box_j(u)} d_j·z_j ≤ slave_opt(u)`
-    /// (weak duality) — tightness needed the generating epoch, validity does
-    /// not. Rows the certificate priced that no longer exist simply drop
-    /// (`y_i := 0` preserves sign feasibility); rows and legs new to this
-    /// epoch are priced with this epoch's `q`, windows, and rhs. The deficit
-    /// columns need no window term: their reduced cost `m + Σ_{i∈rows(δ)} y_i`
-    /// was nonnegative at generation and only grows as (nonpositive) dropped
-    /// multipliers leave the sum, so their box-infimum stays 0. Farkas rays
-    /// recycle the same way with the `sup` over the box — the resulting
-    /// `cut(u) ≤ 0` remains a necessary feasibility condition.
-    pub fn price_recycled(&self, cut: &RecycledCut) -> CutExpr {
-        let mut mult = vec![0.0; self.problem.num_cons()];
-        for &(key, y) in &cut.y {
-            if let Some(&ri) = self.row_lookup.get(&key) {
-                mult[self.rows[ri].id.index()] = y;
-            }
-        }
-        let mut out = self.row_cut(&mult);
-        if cut.optimality {
-            self.optimality_window(&mut out, &mult);
-        } else {
-            self.feasibility_window(&mut out, &mult);
-        }
-        out
     }
 
     /// Row part of a cut: `Σ_i y_i·rhs_i(u)`, identical for optimality and
@@ -639,18 +501,6 @@ impl<'a> SlaveContext<'a> {
         }
     }
 
-    /// Extracts the nonzero row multipliers keyed by stable row identity.
-    fn keyed_duals(&self, multipliers: &[f64]) -> Vec<(RowKey, f64)> {
-        self.rows
-            .iter()
-            .enumerate()
-            .filter_map(|(ri, spec)| {
-                let y = multipliers[spec.id.index()];
-                (y != 0.0).then(|| (self.row_keys[ri], y))
-            })
-            .collect()
-    }
-
     /// Prices the admission vector `assigned` (CU per tenant, `None` =
     /// rejected), warm-starting from the previous call's basis.
     pub fn solve_for(
@@ -695,19 +545,11 @@ impl<'a> SlaveContext<'a> {
 
         match ws.outcome {
             Outcome::Optimal(sol) => {
-                self.last_unique = ovnes_lp::certify_unique_optimum(&self.problem, &sol);
-                self.last_decision_unique = self.last_unique
-                    || ovnes_lp::certify_unique_optimum_perturbed(&self.problem, &sol);
-                self.last_objective = Some(sol.objective);
-                self.last_packed = self
-                    .instance
-                    .legs
-                    .iter()
-                    .filter(|leg| assigned[leg.tenant] == Some(leg.cu))
-                    .map(|leg| {
-                        ColKey::Leg(self.instance.tenants[leg.tenant].tenant, leg.bs, leg.cu)
-                    })
-                    .collect();
+                if self.seeded {
+                    self.last_unique = ovnes_lp::certify_unique_optimum(&self.problem, &sol);
+                    self.last_decision_unique = self.last_unique
+                        || ovnes_lp::certify_unique_optimum_perturbed(&self.problem, &sol);
+                }
                 let z: Vec<f64> = self.z_vars.iter().map(|&v| sol.value(v).max(0.0)).collect();
                 let deficit = self
                     .deficit_vars
@@ -715,10 +557,6 @@ impl<'a> SlaveContext<'a> {
                     .unwrap_or((0.0, 0.0, 0.0));
                 let mut cut = self.row_cut(&sol.duals);
                 self.optimality_window(&mut cut, &sol.duals);
-                self.last_cut_duals = Some(RecycledCut {
-                    optimality: true,
-                    y: self.keyed_duals(&sol.duals),
-                });
                 Ok(SlaveResult::Feasible {
                     value: sol.objective,
                     z,
@@ -731,10 +569,6 @@ impl<'a> SlaveContext<'a> {
                 self.last_decision_unique = false;
                 let mut cut = self.row_cut(&farkas.row_multipliers);
                 self.feasibility_window(&mut cut, &farkas.row_multipliers);
-                self.last_cut_duals = Some(RecycledCut {
-                    optimality: false,
-                    y: self.keyed_duals(&farkas.row_multipliers),
-                });
                 Ok(SlaveResult::Infeasible { cut })
             }
             // The leg columns are boxed (z ≤ Λ); only a negative

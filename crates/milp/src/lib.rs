@@ -19,8 +19,6 @@
 //! * parent→child warm-start basis threading per node (each child resumes
 //!   its parent's basis *and* Arc-shared factorization, whichever worker
 //!   picks it up),
-//! * warm-start incumbents (used to seed Benders masters with the KAC
-//!   heuristic solution),
 //! * node limits with a best-effort solution flagged as truncated.
 //!
 //! ## Parallel architecture and determinism
@@ -316,7 +314,7 @@ struct SearchState {
     applied: usize,
     truncated: bool,
     /// Objective value new solutions must beat by `abs_gap` (incumbent
-    /// objective, or the caller's warm bound, or `+∞`). Mirrored into
+    /// objective, `+∞` until one is found). Mirrored into
     /// [`Shared::incumbent_bits`] on every change.
     cutoff: f64,
     /// Best integral solution: (objective, rounded x, node id).
@@ -360,9 +358,6 @@ pub struct Milp {
     problem: Problem,
     integers: Vec<VarId>,
     options: MilpOptions,
-    /// Optional warm-start upper bound on the optimal objective (e.g. the
-    /// objective of a feasible heuristic solution).
-    incumbent_bound: Option<f64>,
     /// Root-relaxation basis kept across `solve` calls. Benders re-solves
     /// the master after appending cut rows, for which a stored basis stays
     /// valid (rows append, columns never change) — reusing it turns the new
@@ -382,7 +377,6 @@ impl Milp {
             problem,
             integers: Vec::new(),
             options: MilpOptions::default(),
-            incumbent_bound: None,
             root_basis: None,
             last_lp_stats: LpStats::default(),
         }
@@ -399,20 +393,6 @@ impl Milp {
     /// Replaces the search options.
     pub fn set_options(&mut self, options: MilpOptions) {
         self.options = options;
-    }
-
-    /// Provides a known feasible objective value to prune against from the
-    /// start (warm start). The bound must come from a genuinely feasible
-    /// integral point or the optimum may be pruned away.
-    pub fn set_incumbent_bound(&mut self, objective: f64) {
-        self.incumbent_bound = Some(objective);
-    }
-
-    /// Removes a previously seeded incumbent bound so the next `solve`
-    /// starts from an open (`+∞`) cutoff again — e.g. after the problem was
-    /// edited in a way that invalidates the bound's provenance.
-    pub fn clear_incumbent_bound(&mut self) {
-        self.incumbent_bound = None;
     }
 
     /// Mutable access to the wrapped problem (e.g. to add Benders cuts
@@ -448,7 +428,6 @@ impl Milp {
             .map(|&v| (v.index(), self.problem.bounds(v)))
             .collect();
 
-        let cutoff = self.incumbent_bound.unwrap_or(f64::INFINITY);
         let mut state = SearchState {
             queue: BTreeMap::new(),
             round: VecDeque::new(),
@@ -459,7 +438,7 @@ impl Milp {
             next_id: ROOT_ID + 1,
             applied: 0,
             truncated: false,
-            cutoff,
+            cutoff: f64::INFINITY,
             best: None,
             root_basis: None,
             unbounded: false,
@@ -480,7 +459,7 @@ impl Milp {
         let shared = Shared {
             state: Mutex::new(state),
             cv: Condvar::new(),
-            incumbent_bits: AtomicU64::new(cutoff.to_bits()),
+            incumbent_bits: AtomicU64::new(f64::INFINITY.to_bits()),
         };
         let ctx = Ctx {
             shared: &shared,

@@ -165,17 +165,6 @@ fn equality_assignment_problem() {
 }
 
 #[test]
-fn warm_start_bound_prunes_but_keeps_better_solutions() {
-    let values = [10.0, 13.0, 7.0];
-    let weights = [3.0, 4.0, 2.0];
-    let mut m = knapsack_milp(&values, &weights, 6.0);
-    // True optimum −20; a loose warm bound of −5 must not hide it.
-    m.set_incumbent_bound(-5.0);
-    let s = m.solve().unwrap().unwrap_optimal();
-    assert!((s.objective + 20.0).abs() < 1e-6);
-}
-
-#[test]
 fn node_limit_truncates() {
     // A 14-item knapsack with correlated weights forces some branching.
     let values: Vec<f64> = (0..14).map(|i| 10.0 + (i as f64) * 0.618).collect();

@@ -80,11 +80,14 @@ pub struct ScenarioSpec {
     /// the MILP-backed epoch solves.
     pub faults: Option<FaultPlan>,
     /// Run the horizon through the persistent cross-epoch
-    /// [`EpochSolver`](ovnes::solver::epoch::EpochSolver): bases,
-    /// factorizations, Benders cuts and incumbents carry from epoch to
-    /// epoch. Admission decisions (and the report's
+    /// [`EpochSolver`](ovnes::solver::epoch::EpochSolver): under KAC, an
+    /// epoch with nothing to admit resumes the vetting slave from the
+    /// previous epoch's basis and factorization, and keeps the result only
+    /// when it certifies a unique optimal decision. Admission decisions
+    /// (and the report's
     /// [`decision_fingerprint`](ScenarioReport::decision_fingerprint)) are
-    /// unchanged; LP-path telemetry shrinks to `O(churn)`.
+    /// unchanged; KAC's LP-path telemetry shrinks on no-churn epochs. With
+    /// any other solver the flag changes nothing.
     pub incremental: bool,
 }
 
@@ -236,7 +239,7 @@ impl ScenarioBuilder {
         self
     }
 
-    /// Cross-epoch incremental re-optimization on/off (see
+    /// Cross-epoch KAC basis carry on/off (see
     /// [`ScenarioSpec::incremental`]).
     pub fn incremental(mut self, on: bool) -> Self {
         self.spec.incremental = on;
@@ -343,11 +346,9 @@ pub fn run_scenario_on(
     let mut lp_pivots = 0usize;
     let mut lp_refactorizations = 0usize;
     let mut incremental_cold_epochs = 0usize;
-    let mut recycled_cuts = 0usize;
     let mut carry_cold_restarts = 0usize;
     let mut carry_certified = 0usize;
     let mut carry_certified_perturbed = 0usize;
-    let mut churn_carry_attempts = 0usize;
     let mut degraded_epochs = 0usize;
     let mut deferred_epochs = 0usize;
     let mut evictions = 0usize;
@@ -395,11 +396,9 @@ pub fn run_scenario_on(
         lp_solves += out.solver_stats.lp_solves;
         lp_pivots += out.solver_stats.lp.total_pivots();
         lp_refactorizations += out.solver_stats.lp.refactorizations;
-        recycled_cuts += out.solver_stats.recycled_cuts;
         carry_cold_restarts += out.solver_stats.carry_cold_restarts;
         carry_certified += out.solver_stats.carry_certified;
         carry_certified_perturbed += out.solver_stats.carry_certified_perturbed;
-        churn_carry_attempts += out.solver_stats.churn_carry_attempts;
         if let Some(inc) = &out.incremental {
             incremental_cold_epochs += usize::from(inc.cold_fallback);
         }
@@ -483,11 +482,9 @@ pub fn run_scenario_on(
         lp_refactorizations,
         incremental: spec.incremental,
         incremental_cold_epochs,
-        recycled_cuts,
         carry_cold_restarts,
         carry_certified,
         carry_certified_perturbed,
-        churn_carry_attempts,
         degraded_epochs,
         deferred_epochs,
         evictions,

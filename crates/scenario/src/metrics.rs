@@ -124,9 +124,6 @@ pub struct ScenarioReport {
     /// Incremental epochs that degraded to a from-scratch cold solve
     /// (carried state invalid or a fault hit the incremental path).
     pub incremental_cold_epochs: usize,
-    /// Recycled Benders cuts re-priced into epoch masters, summed over the
-    /// horizon.
-    pub recycled_cuts: usize,
     /// Carried warm solves discarded mid-epoch because the LP uniqueness
     /// certificate failed, forcing an in-solve cold restart (KAC only).
     /// Unlike `incremental_cold_epochs` these are part of normal clean
@@ -139,10 +136,6 @@ pub struct ScenarioReport {
     /// perturbation certificate — degenerate epochs the strict
     /// complementarity test would have restarted cold.
     pub carry_certified_perturbed: usize,
-    /// Churn epochs whose first shed/re-pack iteration attempted the
-    /// carried basis (the carried objective predicted the packed set
-    /// feasible).
-    pub churn_carry_attempts: usize,
     /// Epochs whose decision was degraded below a clean full solve
     /// (incumbent, greedy fallback or deferral).
     pub degraded_epochs: usize,
@@ -202,17 +195,15 @@ impl ScenarioReport {
         h.write_u64(self.lp_refactorizations as u64);
         h.write_u64(u64::from(self.incremental));
         h.write_u64(self.incremental_cold_epochs as u64);
-        h.write_u64(self.recycled_cuts as u64);
         h.write_u64(self.carry_cold_restarts as u64);
         h.write_u64(self.carry_certified as u64);
         h.write_u64(self.carry_certified_perturbed as u64);
-        h.write_u64(self.churn_carry_attempts as u64);
     }
 
     /// Folds only the fields determined by the *admission decisions* —
     /// everything in [`ScenarioReport::hash_into`] except the solver-path
-    /// telemetry (LP solves/pivots/refactorizations, recycled cuts, the
-    /// incremental markers). An incremental run and a from-scratch run of
+    /// telemetry (LP solves/pivots/refactorizations, the incremental
+    /// markers). An incremental run and a from-scratch run of
     /// the same spec make identical decisions by contract, so their
     /// decision fingerprints must match bit-for-bit even though their
     /// solve paths (and full fingerprints) legitimately differ.

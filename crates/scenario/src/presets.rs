@@ -312,11 +312,11 @@ pub fn chaos_lpfault() -> ScenarioSpec {
         .build()
 }
 
-/// The cross-epoch incremental workhorse on N1: a slow-churn KAC run —
-/// modest arrivals, long-lived slices — where most epochs differ from the
-/// previous by a handful of tenants, exactly the regime the persistent
-/// [`EpochSolver`](ovnes::solver::epoch::EpochSolver) turns into a few
-/// warm dual pivots. The scratch twin (`.incremental(false)`, same name)
+/// The cross-epoch carry workhorse on N1: a slow-churn KAC run — modest
+/// arrivals, long-lived slices — where a good share of the epochs have
+/// nothing to admit, the regime in which the persistent
+/// [`EpochSolver`](ovnes::solver::epoch::EpochSolver) resumes the previous
+/// basis for a few warm dual pivots. The scratch twin (`.incremental(false)`, same name)
 /// must produce a bit-identical decision fingerprint
 /// (`tests/incremental_identity.rs`).
 pub fn incremental_n1() -> ScenarioSpec {
@@ -335,9 +335,9 @@ pub fn incremental_n1() -> ScenarioSpec {
         .build()
 }
 
-/// [`incremental_n1`] under chaos: background BS/link/CU faults invalidate
-/// recycled cuts and force revalidation epochs, and seeded LP fault
-/// injection poisons carried bases — every such epoch must degrade cleanly
+/// [`incremental_n1`] under chaos: background BS/link/CU faults move
+/// capacities under carried bases and force revalidation epochs, and
+/// seeded LP fault injection poisons carried bases — every such epoch must degrade cleanly
 /// to a cold solve (never an error) while the decision trail stays
 /// bit-identical to the from-scratch twin. Deliberately **unbudgeted**:
 /// pivot-metered budgets would truncate warm and scratch runs at different
@@ -421,10 +421,11 @@ pub fn incremental_steady() -> ScenarioSpec {
 /// certificate the carry cold-restarted every epoch — while the
 /// perturbation certificate pins every leg to its bound and lets the
 /// carried basis stand. A mid-horizon flash of short-lived identical
-/// requests overflows the shrunken CU's reservation floors, so the first
-/// all-in vet goes infeasible and the churn-epoch first-shed carry path
-/// gets exercised (the binding-row ties those epochs create are genuine
-/// alternative optima, which both certificates must keep refusing).
+/// requests overflows the shrunken CU's reservation floors: those churn
+/// epochs solve from scratch, the binding-row ties they leave behind are
+/// genuine alternative optima, which both certificates must keep
+/// refusing, and once the wave has departed the carry resumes standing
+/// on the steady set.
 pub fn incremental_degenerate() -> ScenarioSpec {
     let base = ScenarioSpec::builder("incremental-degenerate-n1")
         .operator(Operator::Romanian, 0.025)
