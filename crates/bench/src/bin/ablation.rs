@@ -1,4 +1,4 @@
-//! Ablations of the design choices DESIGN.md calls out:
+//! Ablations of four design choices:
 //!
 //! 1. **Forecasting method** — Holt-Winters vs the operator prior only
 //!    (no learning): how much of the gain comes from demand learning?

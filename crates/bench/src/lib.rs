@@ -1,6 +1,6 @@
 //! # ovnes-bench — figure & table regeneration harness
 //!
-//! One binary per paper artefact (see DESIGN.md §3 and EXPERIMENTS.md):
+//! One binary per paper artefact:
 //!
 //! * `table1` — the slice templates,
 //! * `fig4` — topology statistics and path capacity/delay CDFs,
@@ -11,8 +11,7 @@
 //! * `ablation` — design-choice ablations (forecasting, headroom, solver).
 //!
 //! All binaries print aligned text tables/series to stdout; pass `--full`
-//! where supported to run the paper-size grid instead of the quick default
-//! (EXPERIMENTS.md records which grid produced the committed numbers).
+//! where supported to run the paper-size grid instead of the quick default.
 //!
 //! Nothing here is timed. Performance is measured end to end by the
 //! `benchmark/` package; the kernels' work is pinned as exact counts by

@@ -25,7 +25,7 @@
 //! (operator networks), `ovnes-netsim` (traffic + middlebox). On top sits
 //! `ovnes-scenario`: city-scale generated workloads (arrival processes,
 //! churn, flash crowds) driven through
-//! [`orchestrator::Orchestrator::run_horizon`] and swept in parallel with
+//! [`orchestrator::Orchestrator::step`] and swept in parallel with
 //! bit-identical aggregated reports.
 //!
 //! ## Failure semantics (fault-tolerant admission)

@@ -6,7 +6,7 @@
 //! 1. collects newly arrived slice requests (the slice manager's queue),
 //! 2. forecasts every tenant's peak demand per BS from the monitoring
 //!    history (Holt-Winters, §2.2.2) — tenants without history get the
-//!    configurable operator prior,
+//!    operator prior,
 //! 3. builds and solves the AC-RR instance (active slices are forced to
 //!    remain admitted on their pinned CU, constraint (13), with the §3.4
 //!    deficit relaxation enabled),
@@ -53,19 +53,9 @@ pub struct OrchestratorConfig {
     /// Seasonal period for Holt-Winters, in epochs (e.g. 24 for hourly
     /// epochs with diurnal traffic).
     pub season_epochs: usize,
-    /// Floor for forecast uncertainty σ̂ (must be > 0).
-    pub min_sigma: f64,
-    /// Operator prior for tenants with fewer than `prior_history` epochs of
-    /// monitoring: forecast `λ̂ = prior_mean_factor·Λ` with `σ̂ = prior_sigma`.
-    pub prior_mean_factor: f64,
-    /// Prior σ̂ for unobserved tenants.
-    pub prior_sigma: f64,
-    /// History length (epochs) below which the prior is used.
+    /// History length (epochs) below which the operator prior (`λ̂ = Λ`,
+    /// `σ̂ = 0.5`) is used instead of a forecast.
     pub prior_history: usize,
-    /// Whether the monitor also observes the demand of rejected tenants
-    /// (the paper's simulations learn every request's load pattern; set to
-    /// `false` for strict only-admitted-slices-are-observable semantics).
-    pub monitor_rejected: bool,
     /// Safety margin on the reservation floor: `λ̂ = forecast·(1 +
     /// headroom·σ̂)`. The paper reserves for *forecasted peak* loads
     /// specifically to keep the violation footprint negligible (§3.1); the
@@ -80,13 +70,6 @@ pub struct OrchestratorConfig {
     /// `false`, the solver's risk-optimal reservations (which grow to Λ
     /// whenever capacity is free) are enforced as-is.
     pub adaptive_reservations: bool,
-    /// Path pre-selection policy.
-    pub path_policy: PathPolicy,
-    /// Big-M cost of capacity deficit (paper §3.4).
-    pub deficit_cost: f64,
-    /// The `L` factor in `ξ = σ̂·L` (1.0 = per-epoch risk accounting, see
-    /// DESIGN.md).
-    pub duration_weight: f64,
     /// Total admission attempts a rejected request gets before abandoning,
     /// counting the attempt at its arrival epoch: with patience `P`, a
     /// request arriving at epoch `a` applies at epochs `a .. a+P` and is
@@ -128,16 +111,9 @@ impl Default for OrchestratorConfig {
             overbooking: true,
             samples_per_epoch: 12,
             season_epochs: 6,
-            min_sigma: 0.01,
-            prior_mean_factor: 1.0,
-            prior_sigma: 0.5,
             prior_history: 3,
-            monitor_rejected: true,
             forecast_headroom: 2.5,
             adaptive_reservations: false,
-            path_policy: PathPolicy::Spread,
-            deficit_cost: 1e4,
-            duration_weight: 1.0,
             reapply_epochs: u32::MAX,
             seed: 7,
             budget: SolveBudget::default(),
@@ -146,6 +122,18 @@ impl Default for OrchestratorConfig {
         }
     }
 }
+
+/// Floor for forecast uncertainty σ̂ (`predict_next` requires it > 0).
+const MIN_SIGMA: f64 = 0.01;
+/// Prior σ̂ of a tenant with fewer than `prior_history` monitored epochs.
+const PRIOR_SIGMA: f64 = 0.5;
+/// Big-M cost of capacity deficit (paper §3.4).
+const DEFICIT_COST: f64 = 1e4;
+/// The `L` factor in `ξ = σ̂·L`: 1.0 = per-epoch risk accounting, the risk
+/// of a slice is re-priced every epoch it stays admitted.
+const DURATION_WEIGHT: f64 = 1.0;
+/// Path pre-selection: spread tenants across the feasible k-shortest paths.
+const PATH_POLICY: PathPolicy = PathPolicy::Spread;
 
 /// What happens to the infrastructure (an event's effect is applied to the
 /// live network model at the start of its epoch, *before* that epoch's
@@ -439,30 +427,6 @@ impl Orchestrator {
         self.monitor.len()
     }
 
-    /// Runs `epochs` decision epochs, handing each [`EpochOutcome`] to
-    /// `observer` as it is produced. This is the streaming entry point for
-    /// multi-day scenario horizons: the caller aggregates metrics epoch by
-    /// epoch instead of materialising the whole trajectory.
-    ///
-    /// **Resilience contract:** solver failures never abort the horizon.
-    /// [`Orchestrator::step`] routes every per-epoch solve through the
-    /// degradation ladder ([`solver::solve_controlled`]), so a failed or
-    /// budget-starved solve degrades *that epoch* — recorded in
-    /// [`EpochOutcome::degradation`] / [`EpochOutcome::solver_error`] — and
-    /// the loop continues. An `Err` here signals a non-recoverable
-    /// configuration error, not a transient solver condition.
-    pub fn run_horizon(
-        &mut self,
-        epochs: usize,
-        mut observer: impl FnMut(&EpochOutcome),
-    ) -> Result<(), AcrrError> {
-        for _ in 0..epochs {
-            let outcome = self.step()?;
-            observer(&outcome);
-        }
-        Ok(())
-    }
-
     /// The underlying network model.
     pub fn model(&self) -> &NetworkModel {
         &self.model
@@ -473,8 +437,8 @@ impl Orchestrator {
     fn forecast_for(&self, request: &SliceRequest) -> (Vec<f64>, f64) {
         let n_bs = self.model.base_stations.len();
         let lam = request.template.sla_mbps;
-        let mut lam_hat = vec![self.config.prior_mean_factor * lam; n_bs];
-        let mut sigma = self.config.prior_sigma;
+        let mut lam_hat = vec![lam; n_bs];
+        let mut sigma = PRIOR_SIGMA;
         let mut observed = false;
         // Risk-averse margin: the costlier a violation (penalty factor
         // m = K/R), the more peak headroom the reservation floor carries.
@@ -483,7 +447,7 @@ impl Orchestrator {
         for b in 0..n_bs {
             let series = self.monitor.series((request.tenant, b as u32));
             if series.len() >= self.config.prior_history {
-                let pred = predict_next(series, self.config.season_epochs, self.config.min_sigma);
+                let pred = predict_next(series, self.config.season_epochs, MIN_SIGMA);
                 // Never reserve below the recent observed peaks: a transient
                 // downward forecast dip must not trigger an avoidable
                 // violation (the paper's "max over monitoring samples"
@@ -507,7 +471,7 @@ impl Orchestrator {
         for (b, f) in self.bs_factor.iter().enumerate() {
             lam_hat[b] *= f;
         }
-        (lam_hat, sigma.clamp(self.config.min_sigma, 1.0))
+        (lam_hat, sigma.clamp(MIN_SIGMA, 1.0))
     }
 
     /// Applies every scheduled event due at `epoch` to the live model;
@@ -662,10 +626,18 @@ impl Orchestrator {
 
     /// Advances one decision epoch; returns what happened.
     ///
-    /// Under the fault-tolerance contract the admission solve cannot abort
-    /// the epoch: failures degrade down the ladder (incumbent → greedy →
-    /// defer) and the epoch completes with the degradation recorded.
+    /// **Resilience contract:** solver failures never abort a horizon. The
+    /// admission solve runs through the degradation ladder
+    /// ([`solver::solve_controlled`]), so a failed or budget-starved solve
+    /// degrades *that epoch* (incumbent → greedy → defer) — recorded in
+    /// [`EpochOutcome::degradation`] / [`EpochOutcome::solver_error`] — and
+    /// the epoch completes. An `Err` here signals a non-recoverable
+    /// configuration error ([`AcrrError::Config`]), returned before
+    /// anything is mutated, never a transient solver condition.
     pub fn step(&mut self) -> Result<EpochOutcome, AcrrError> {
+        if self.config.samples_per_epoch == 0 {
+            return Err(AcrrError::Config("samples_per_epoch must be positive"));
+        }
         let epoch = self.epoch;
         let n_bs = self.model.base_stations.len();
         let _epoch_span = ovnes_obs::span!("epoch", epoch = epoch as i64);
@@ -714,7 +686,7 @@ impl Orchestrator {
                 service: a.request.template.service,
                 forecast_mbps: forecast,
                 sigma,
-                duration_weight: self.config.duration_weight,
+                duration_weight: DURATION_WEIGHT,
                 must_accept: true,
                 pinned_cu: Some(a.cu),
             });
@@ -731,7 +703,7 @@ impl Orchestrator {
                 service: r.template.service,
                 forecast_mbps: forecast,
                 sigma,
-                duration_weight: self.config.duration_weight,
+                duration_weight: DURATION_WEIGHT,
                 must_accept: false,
                 pinned_cu: None,
             });
@@ -744,9 +716,9 @@ impl Orchestrator {
         let instance = AcrrInstance::build(
             &self.model,
             tenants,
-            self.config.path_policy,
+            PATH_POLICY,
             self.config.overbooking,
-            Some(self.config.deficit_cost),
+            Some(DEFICIT_COST),
         );
         let kind = if self.config.overbooking {
             self.config.solver
@@ -858,11 +830,11 @@ impl Orchestrator {
         admit_timer.stop(&mut phase_seconds.admit);
         drop(admit_span);
 
-        // 5. Simulate the epoch through the middlebox. When
-        // `monitor_rejected` is on (the paper's simulation semantics), the
-        // demand of rejected tenants is also sampled so their load patterns
-        // can be learnt — with reservation = SLA so they never register as
-        // violations and never enter utilisation/revenue accounting.
+        // 5. Simulate the epoch through the middlebox. The demand of
+        // rejected tenants is sampled too (the paper's simulations learn
+        // every request's load pattern) — with reservation = SLA so they
+        // never register as violations and never enter utilisation/revenue
+        // accounting.
         let simulate_span = ovnes_obs::span!("simulate");
         let simulate_timer = PhaseTimer::start(obs_on);
         let mut flows = Vec::new();
@@ -883,16 +855,14 @@ impl Orchestrator {
                 });
             }
         }
-        if self.config.monitor_rejected {
-            for req in req_of.iter().filter(|r| rejected.contains(&r.tenant)) {
-                for b in 0..n_bs {
-                    flows.push(Flow {
-                        key: (req.tenant, b as u32),
-                        sla_mbps: req.template.sla_mbps,
-                        reservation_mbps: req.template.sla_mbps,
-                        generator: mk_gen(req),
-                    });
-                }
+        for req in req_of.iter().filter(|r| rejected.contains(&r.tenant)) {
+            for b in 0..n_bs {
+                flows.push(Flow {
+                    key: (req.tenant, b as u32),
+                    sla_mbps: req.template.sla_mbps,
+                    reservation_mbps: req.template.sla_mbps,
+                    generator: mk_gen(req),
+                });
             }
         }
         let report = run_epoch(

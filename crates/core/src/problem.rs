@@ -11,11 +11,12 @@
 //! paths of a pair share the same `Λ` and the per-(τ,b) choice is single-path
 //! (constraint (5)), we pre-select one path per (τ, b, c) triple among the
 //! delay-feasible ones (`D_p ≤ ∆_τ`, constraint (7), exact under
-//! single-path). The [`PathPolicy`] controls the choice; the default
+//! single-path). The [`PathPolicy`] controls the choice; the orchestrator's
 //! `Spread` rotates tenants across the k-shortest feasible paths, which is
 //! what a load-balancing operator does and keeps link constraints meaningful.
 //! The decision variable that remains binary is the paper's CU pinning
-//! `u_{τ,c}` (reformulated constraint (6), see DESIGN.md).
+//! `u_{τ,c}` (constraint (6) reformulated: a CU is allowed for a tenant
+//! only if every BS reaches it within the delay budget).
 //!
 //! ## Objective
 //!
@@ -37,8 +38,6 @@ pub const MBPS_PER_MHZ: f64 = 150.0 / 20.0;
 pub enum PathPolicy {
     /// Always the minimum-delay feasible path.
     MinDelay,
-    /// The feasible path with the largest bottleneck capacity.
-    MaxBottleneck,
     /// Rotate tenants across feasible paths (deterministic round-robin on
     /// tenant and BS index) — spreads transport load.
     Spread,
@@ -180,11 +179,6 @@ impl AcrrInstance {
                     }
                     let chosen = match policy {
                         PathPolicy::MinDelay => feasible[0],
-                        PathPolicy::MaxBottleneck => feasible
-                            .iter()
-                            .max_by(|a, b| a.bottleneck_mbps.total_cmp(&b.bottleneck_mbps))
-                            .copied()
-                            .unwrap_or(feasible[0]),
                         // Keyed by the *global* tenant id, not the
                         // instance-local index: a tenant must keep the same
                         // spread path as its neighbours churn, or every

@@ -135,7 +135,7 @@ pub struct SliceRequest {
     /// samples).
     pub diurnal: Option<(f64, usize)>,
     /// Penalty `K` paid per unit of violated-SLA fraction (the paper's
-    /// `K = m·R`, see DESIGN.md on the penalty constant).
+    /// `K = m·R`: the penalty factor `m` times the slice's reward).
     pub penalty: f64,
 }
 

@@ -157,14 +157,9 @@ pub fn solve(instance: &AcrrInstance, options: &MilpOptions) -> Result<Allocatio
         stats: SolveStats {
             iterations: 1,
             lp_solves: sol.nodes,
-            gap: 0.0,
             truncated: sol.truncated,
             lp: sol.lp_stats,
-            recycled_cuts: 0,
-            carry_cold_restarts: 0,
-            carry_certified: 0,
-            carry_certified_perturbed: 0,
-            churn_carry_attempts: 0,
+            ..SolveStats::default()
         },
     })
 }

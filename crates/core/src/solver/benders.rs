@@ -17,13 +17,15 @@ use ovnes_milp::{Milp, MilpOptions, MilpOutcome};
 /// leg, deficit triple).
 type Incumbent = (f64, Vec<Option<usize>>, Vec<f64>, (f64, f64, f64));
 
+/// Algorithm 1's convergence threshold on `UB − LB` (absolute, on the Ψ
+/// scale).
+const EPSILON: f64 = 1e-6;
+
 /// Benders loop controls.
 #[derive(Debug, Clone)]
 pub struct BendersOptions {
     /// Maximum outer iterations before returning the incumbent.
     pub max_iterations: usize,
-    /// Convergence threshold on `UB − LB` (absolute, on the Ψ scale).
-    pub epsilon: f64,
     /// Node budget, worker-thread count, and simplex options per master
     /// MILP solve (`milp.threads` is the parallel branch-and-bound knob —
     /// admission decisions are deterministic in it).
@@ -40,7 +42,6 @@ impl Default for BendersOptions {
     fn default() -> Self {
         Self {
             max_iterations: 60,
-            epsilon: 1e-6,
             milp: MilpOptions::default(),
             warm_start: true,
         }
@@ -106,17 +107,14 @@ pub fn solve(instance: &AcrrInstance, options: &BendersOptions) -> Result<Alloca
     // `Milp` is equally persistent — cuts append rows, so its stored root
     // basis stays valid and every re-solve starts with dual-simplex pivots.
     let mut slave = SlaveContext::new(instance);
-    {
-        // The slave inherits the caller's fault plan (so chaos presets hit
-        // the pricing LPs too) but *not* the master's pivot budget: solve
-        // budgets meter the master's node relaxations, the slave must always
-        // be allowed to finish pricing (see `SolveControls` docs).
-        let mut slave_simplex = SimplexOptions::default();
-        if options.milp.simplex.fault.is_some() {
-            slave_simplex.fault = options.milp.simplex.fault;
-        }
-        slave.set_simplex_options(slave_simplex);
-    }
+    // The slave solves under the caller's simplex options (fault plan,
+    // refactorization interval) but *not* the master's pivot budget: solve
+    // budgets meter the master's node relaxations, the slave must always be
+    // allowed to finish pricing (see `SolveControls` docs).
+    slave.set_simplex_options(SimplexOptions {
+        max_iterations: SimplexOptions::default().max_iterations,
+        ..options.milp.simplex.clone()
+    });
     if !options.warm_start {
         slave.set_warm(false);
     }
@@ -190,7 +188,7 @@ pub fn solve(instance: &AcrrInstance, options: &BendersOptions) -> Result<Alloca
                 value,
                 z,
                 deficit,
-                cut,
+                duals,
             } => {
                 let mut fixed = 0.0;
                 for ((t, c), _) in &u_vars {
@@ -205,6 +203,7 @@ pub fn solve(instance: &AcrrInstance, options: &BendersOptions) -> Result<Alloca
                     best = Some((total, assigned.clone(), z, deficit));
                 }
                 // Optimality cut: θ ≥ cut(u)  ⇔  Σ coeff·u − θ ≤ −constant.
+                let cut = slave.optimality_cut(&duals);
                 let mut row: Vec<(VarId, f64)> = vec![(theta, -1.0)];
                 for ((t, c), v) in &u_vars {
                     if let Some(&w) = cut.coeffs.get(&(*t, *c)) {
@@ -225,7 +224,7 @@ pub fn solve(instance: &AcrrInstance, options: &BendersOptions) -> Result<Alloca
 
         if let Some((ub, ..)) = &best {
             stats.gap = ub - lower;
-            if stats.gap <= options.epsilon {
+            if stats.gap <= EPSILON {
                 converged = true;
                 break;
             }

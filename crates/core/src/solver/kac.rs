@@ -7,10 +7,10 @@
 //! (`w̄`, `W̄`) as in Eq. (29)-(30). Items are sorted by benefit per unit
 //! aggregated weight and packed first-fit-decreasing (FFD).
 //!
-//! Interpretation note (see DESIGN.md): the paper sorts by `ϕ = γ/w̄`
-//! decreasing; with profitable items having `γ < 0` the standard FFD reading
-//! is to sort by `−γ/max(w̄, ε)` descending and skip unprofitable items,
-//! which is what we do.
+//! Interpretation note: the paper sorts by `ϕ = γ/w̄` decreasing; with
+//! profitable items having `γ < 0` the standard FFD reading is to sort by
+//! `−γ/max(w̄, ε)` descending and skip unprofitable items, which is what we
+//! do.
 
 use super::slave::{LpCarry, SlaveContext, SlaveResult};
 use super::AcrrError;
@@ -18,33 +18,15 @@ use crate::problem::{AcrrInstance, Allocation, SolveStats};
 use ovnes_lp::SimplexOptions;
 use std::collections::HashMap;
 
-/// KAC controls.
-#[derive(Debug, Clone)]
-pub struct KacOptions {
-    /// Maximum lazy-constraint iterations before falling back to dropping
-    /// the least profitable admitted tenant.
-    pub max_iterations: usize,
-    /// Simplex options for every vetting-slave LP solve. This is how a
-    /// caller's `SolveControls.lp_fault` (and pivot caps, when it chooses to
-    /// set them) reach KAC — previously the greedy path silently solved
-    /// with hard-coded defaults. KAC runs no branch-and-bound, so the
-    /// `threads`/`round_width` knobs of the exact solvers have no KAC
-    /// equivalent.
-    pub simplex: SimplexOptions,
-}
+/// Lazy-constraint iterations (Algorithm 3's cap) before falling back to
+/// dropping the least profitable admitted tenant.
+const MAX_ITERATIONS: usize = 40;
 
-impl Default for KacOptions {
-    fn default() -> Self {
-        Self {
-            max_iterations: 40,
-            simplex: SimplexOptions::default(),
-        }
-    }
-}
-
-/// Solves the AC-RR instance with the KAC heuristic.
-pub fn solve(instance: &AcrrInstance, options: &KacOptions) -> Result<Allocation, AcrrError> {
-    solve_carried(instance, options, None)
+/// Solves the AC-RR instance with the KAC heuristic; every vetting-slave LP
+/// solves under `simplex` (how a caller's fault plan and refactorization
+/// interval reach the greedy path).
+pub fn solve(instance: &AcrrInstance, simplex: &SimplexOptions) -> Result<Allocation, AcrrError> {
+    solve_carried(instance, simplex, None)
 }
 
 /// [`solve`] with an optional cross-epoch LP carry: the vetting slave seeds
@@ -90,7 +72,7 @@ pub fn solve(instance: &AcrrInstance, options: &KacOptions) -> Result<Allocation
 /// start").
 pub fn solve_carried(
     instance: &AcrrInstance,
-    options: &KacOptions,
+    simplex: &SimplexOptions,
     carry: Option<&mut LpCarry>,
 ) -> Result<Allocation, AcrrError> {
     let _span = ovnes_obs::span!("kac");
@@ -129,7 +111,7 @@ pub fn solve_carried(
         // admission's basis. All algorithm state is rebuilt per attempt so
         // a cold restart replays the from-scratch path exactly.
         let mut slave = SlaveContext::new(&strict);
-        slave.set_simplex_options(options.simplex.clone());
+        slave.set_simplex_options(simplex.clone());
         // The next solve runs from a carried (seeded) basis and must
         // certify decision uniqueness to stand.
         let mut seeded = false;
@@ -191,10 +173,7 @@ pub fn solve_carried(
             }
             match result {
                 SlaveResult::Feasible {
-                    value,
-                    z,
-                    deficit,
-                    cut: _,
+                    value, z, deficit, ..
                 } => {
                     // Improvement pass: with the slave's priced reservations,
                     // a squeezed tenant may cost more in expected penalty than
@@ -257,7 +236,7 @@ pub fn solve_carried(
                     });
                 }
                 SlaveResult::Infeasible { cut } => {
-                    if stats.iterations <= options.max_iterations {
+                    if stats.iterations <= MAX_ITERATIONS {
                         // Feasibility requires cut(u) ≤ 0 ⇔ Σ coeff·u ≤
                         // −constant. Fold into the aggregated knapsack,
                         // normalised by the capacity magnitude (Eq. 30's ε

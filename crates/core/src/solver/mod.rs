@@ -50,6 +50,9 @@ pub enum AcrrError {
     /// unreachable, surfaced as a recoverable error instead of a panic so
     /// the orchestrator's degradation ladder can absorb it).
     Internal(&'static str),
+    /// The orchestrator was configured with a value it cannot run an epoch
+    /// under; nothing was solved or mutated.
+    Config(&'static str),
 }
 
 impl std::fmt::Display for AcrrError {
@@ -61,6 +64,7 @@ impl std::fmt::Display for AcrrError {
             AcrrError::Infeasible => write!(f, "no feasible slice assignment exists"),
             AcrrError::Engine(e) => write!(f, "solver engine error: {e}"),
             AcrrError::Internal(what) => write!(f, "solver invariant violated: {what}"),
+            AcrrError::Config(what) => write!(f, "invalid orchestrator configuration: {what}"),
         }
     }
 }
@@ -141,10 +145,9 @@ pub struct SolveControls {
     /// Seeded LP fault injection, threaded into **every** rung of the
     /// ladder: the MILP-backed solves (Benders master, one-shot, baseline)
     /// via their simplex options, and the KAC/Benders slave LPs via
-    /// [`kac::KacOptions::simplex`] / the Benders slave's options — so a
-    /// chaos preset's fault plan reaches the greedy fallback with the same
-    /// seed as the primary, and the fallback's telemetry stays
-    /// fingerprint-stable. When unset, the slave LPs still pick up the
+    /// theirs — so a chaos preset's fault plan reaches the greedy fallback
+    /// with the same seed as the primary, and the fallback's telemetry
+    /// stays fingerprint-stable. When unset, the slave LPs still pick up the
     /// ambient `OVNES_LP_FAULT_SEED` environment variable. Injection is a
     /// pure function of (seed, matrix fingerprint, basis summary), so it is
     /// thread-count invariant.
@@ -158,13 +161,13 @@ pub struct SolveControls {
 }
 
 impl SolveControls {
-    /// KAC options matching this control set: the vetting slave inherits
-    /// the fault plan (chaos presets must hit the fallback rung too) but
-    /// **not** the budget's pivot cap — `SolveBudget::max_pivots` meters
-    /// the master node LPs, and the ladder's greedy rung is deliberately
-    /// unbudgeted (its job is to produce *some* decision when the budgeted
-    /// primary could not).
-    fn kac_options(&self) -> kac::KacOptions {
+    /// KAC's simplex options under this control set: the vetting slave
+    /// inherits the fault plan (chaos presets must hit the fallback rung
+    /// too) and the refactorization interval but **not** the budget's pivot
+    /// cap — `SolveBudget::max_pivots` meters the master node LPs, and the
+    /// ladder's greedy rung is deliberately unbudgeted (its job is to
+    /// produce *some* decision when the budgeted primary could not).
+    fn kac_options(&self) -> ovnes_lp::SimplexOptions {
         let mut simplex = ovnes_lp::SimplexOptions::default();
         if self.lp_fault.is_some() {
             simplex.fault = self.lp_fault;
@@ -172,10 +175,7 @@ impl SolveControls {
         if self.refactor_interval > 0 {
             simplex.refactor_interval = self.refactor_interval;
         }
-        kac::KacOptions {
-            simplex,
-            ..kac::KacOptions::default()
-        }
+        simplex
     }
 }
 

@@ -26,7 +26,7 @@
 //! `d ≤ 0`), the Lagrangian `inf` over the box. Farkas certificates do the
 //! same with the residuals `h_j = Σ_i y_i·a_ij`, using the `sup` over the
 //! box. The paper's `y`/linearisation variables are unnecessary because the
-//! slave sees `x` as a constant — see DESIGN.md.
+//! slave sees `x` as a constant.
 //!
 //! ## Incremental re-pricing
 //!
@@ -118,8 +118,9 @@ pub enum SlaveResult {
         z: Vec<f64>,
         /// Deficit used: (radio MHz, transport Mb/s, compute cores).
         deficit: (f64, f64, f64),
-        /// Optimality cut `θ ≥ cut(u)`.
-        cut: CutExpr,
+        /// Row duals of the optimum; [`SlaveContext::optimality_cut`]
+        /// prices them into the cut `θ ≥ cut(u)`.
+        duals: Vec<f64>,
     },
     /// No reservation satisfies the capacities (only without the deficit
     /// relaxation).
@@ -465,12 +466,14 @@ impl<'a> SlaveContext<'a> {
             .sum()
     }
 
-    /// Window part of an optimality cut: the Lagrangian `inf` over the box.
+    /// The optimality cut `θ ≥ cut(u)` of a feasible solve's `duals`: the
+    /// row part plus the window part, the Lagrangian `inf` over the box.
     /// A leg with reduced cost `d = c_j − y'A_j` contributes `d·λ̂·u` when
     /// `d ≥ 0` (rests at the lower edge) and `d·Λ·u` when `d < 0` (upper
     /// edge); strong duality makes the cut tight at the generating
     /// admission.
-    fn optimality_window(&self, cut: &mut CutExpr, multipliers: &[f64]) {
+    pub fn optimality_cut(&self, multipliers: &[f64]) -> CutExpr {
+        let mut cut = self.row_cut(multipliers);
         for (li, leg) in self.instance.legs.iter().enumerate() {
             let d = -self.instance.leg_q(leg) - self.residual(multipliers, li);
             if d.abs() <= BOUND_DUAL_TOL {
@@ -482,6 +485,7 @@ impl<'a> SlaveContext<'a> {
                 *cut.coeffs.entry((leg.tenant, leg.cu)).or_insert(0.0) += w;
             }
         }
+        cut
     }
 
     /// Window part of a feasibility cut: subtract the `sup` over the box of
@@ -555,13 +559,11 @@ impl<'a> SlaveContext<'a> {
                     .deficit_vars
                     .map(|(r, b, c)| (sol.value(r), sol.value(b), sol.value(c)))
                     .unwrap_or((0.0, 0.0, 0.0));
-                let mut cut = self.row_cut(&sol.duals);
-                self.optimality_window(&mut cut, &sol.duals);
                 Ok(SlaveResult::Feasible {
                     value: sol.objective,
                     z,
                     deficit,
-                    cut,
+                    duals: sol.duals,
                 })
             }
             Outcome::Infeasible(farkas) => {

@@ -7,7 +7,7 @@
 //! * an edge CU with 16 CPU cores,
 //! * a core CU with 64 CPU cores behind an emulated high-latency link.
 //!
-//! One deviation, documented in DESIGN.md: the paper's testbed emulates
+//! One deviation: the paper's testbed emulates
 //! 30 ms to the core CU while its own slice templates allow at most 30 ms
 //! end-to-end — a boundary that path delays push over. We use the 20 ms
 //! value from the paper's simulations so mMTC/eMBB remain core-eligible,

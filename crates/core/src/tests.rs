@@ -5,9 +5,12 @@ use crate::experiment::{homogeneous, run_on, Scenario, SigmaLevel};
 use crate::orchestrator::{Orchestrator, OrchestratorConfig};
 use crate::problem::{AcrrInstance, Allocation, PathPolicy, TenantInput};
 use crate::slice::{ServiceModel, SliceClass, SliceRequest, SliceTemplate};
-use crate::solver::slave::{solve_slave, SlaveResult};
-use crate::solver::{baseline, benders, kac, oneshot, solve, SolveControls, SolverKind};
+use crate::solver::slave::{solve_slave, SlaveContext, SlaveResult};
+use crate::solver::{
+    baseline, benders, kac, oneshot, solve, SolveBudget, SolveControls, SolverKind,
+};
 use crate::testbed::{run_testbed, testbed_model, testbed_requests, TESTBED_EPOCHS};
+use ovnes_lp::SimplexOptions;
 use ovnes_milp::MilpOptions;
 use ovnes_topology::graph::{Graph, LinkTech};
 use ovnes_topology::ksp::k_shortest;
@@ -137,9 +140,10 @@ fn slave_strong_duality_at_evaluation_point() {
     ];
     let inst = AcrrInstance::build(&model, tenants, PathPolicy::MinDelay, true, None);
     let assigned = vec![Some(0), Some(0)];
-    match solve_slave(&inst, &assigned).unwrap() {
-        SlaveResult::Feasible { value, cut, .. } => {
-            let g = cut.eval(&assigned);
+    let mut slave = SlaveContext::new(&inst);
+    match slave.solve_for(&assigned).unwrap() {
+        SlaveResult::Feasible { value, duals, .. } => {
+            let g = slave.optimality_cut(&duals).eval(&assigned);
             assert!(
                 (g - value).abs() < 1e-6,
                 "duality gap: cut {g} vs value {value}"
@@ -165,9 +169,11 @@ fn slave_optimality_cut_lower_bounds_other_points() {
         vec![Some(1), Some(0)],
     ];
     for base in &points {
-        let SlaveResult::Feasible { cut, .. } = solve_slave(&inst, base).unwrap() else {
+        let mut slave = SlaveContext::new(&inst);
+        let SlaveResult::Feasible { duals, .. } = slave.solve_for(base).unwrap() else {
             continue;
         };
+        let cut = slave.optimality_cut(&duals);
         for other in &points {
             if let SlaveResult::Feasible { value, .. } = solve_slave(&inst, other).unwrap() {
                 let bound = cut.eval(other);
@@ -287,7 +293,7 @@ fn kac_is_feasible_and_bounded_by_optimum() {
     for seed in 0..6 {
         let inst = small_instance(seed);
         let opt = benders::solve(&inst, &benders::BendersOptions::default()).unwrap();
-        let heur = kac::solve(&inst, &kac::KacOptions::default()).unwrap();
+        let heur = kac::solve(&inst, &SimplexOptions::default()).unwrap();
         // KAC minimises the same objective; it can only be ≥ the optimum.
         assert!(
             heur.objective >= opt.objective - 1e-6,
@@ -405,7 +411,7 @@ fn must_accept_is_honoured() {
         // module call with default options.
         let direct = match kind {
             SolverKind::Benders => benders::solve(inst, &benders::BendersOptions::default()),
-            SolverKind::Kac => kac::solve(inst, &kac::KacOptions::default()),
+            SolverKind::Kac => kac::solve(inst, &SimplexOptions::default()),
             SolverKind::OneShot => oneshot::solve(inst, &MilpOptions::default()),
             SolverKind::NoOverbooking => baseline::solve(inst, &MilpOptions::default()),
         }
@@ -648,7 +654,7 @@ proptest! {
     fn prop_kac_sound(seed in 0u64..200) {
         let inst = small_instance(seed);
         let o = oneshot::solve(&inst, &MilpOptions::default()).unwrap();
-        let k = kac::solve(&inst, &kac::KacOptions::default()).unwrap();
+        let k = kac::solve(&inst, &SimplexOptions::default()).unwrap();
         prop_assert!(k.objective >= o.objective - 1e-6);
         // Radio feasibility.
         for b in 0..inst.n_bs {
@@ -714,7 +720,7 @@ fn warm_benders_pipeline_equals_oracle_and_records_warm_hits() {
 fn kac_slave_context_warm_starts() {
     for seed in 0..12 {
         let inst = small_instance(seed);
-        let k = kac::solve(&inst, &kac::KacOptions::default()).unwrap();
+        let k = kac::solve(&inst, &SimplexOptions::default()).unwrap();
         if k.stats.lp_solves > 1 {
             assert!(
                 k.stats.lp.warm_starts > 0,
@@ -723,4 +729,90 @@ fn kac_slave_context_warm_starts() {
             );
         }
     }
+}
+
+// ------------------------------------------------------------ knob census
+
+/// Every option the solver and orchestrator stacks expose, destructured
+/// without `..`: a field added later fails to compile here first. The rule
+/// it then has to meet: an option stays only with a second value in use
+/// outside tests and examples (the library, `crates/bench`, the scenario
+/// presets, the `benchmark/` workloads) — one value in use is a constant
+/// next to its reader.
+#[test]
+fn knob_census() {
+    let SimplexOptions {
+        max_iterations,
+        bland_after,
+        fault,
+        refactor_interval,
+    } = SimplexOptions::default();
+    assert_eq!((max_iterations, bland_after), (200_000, 10_000));
+    assert_eq!(fault, ovnes_lp::FaultConfig::from_env());
+    assert_eq!(refactor_interval, ovnes_lp::default_refactor_interval());
+    let ovnes_lp::FaultConfig { seed } = ovnes_lp::FaultConfig::chaos(9);
+    assert_eq!(seed, 9);
+
+    let MilpOptions {
+        max_nodes,
+        simplex: _,
+        warm_start,
+        threads,
+        round_width,
+        wall_limit,
+    } = MilpOptions::default();
+    assert_eq!((max_nodes, warm_start), (200_000, true));
+    assert_eq!(threads, ovnes_milp::default_threads());
+    assert_eq!((round_width, wall_limit), (None, None));
+
+    let benders::BendersOptions {
+        max_iterations,
+        milp: _,
+        warm_start,
+    } = benders::BendersOptions::default();
+    assert_eq!((max_iterations, warm_start), (60, true));
+
+    let SolveBudget {
+        max_pivots,
+        max_nodes,
+        max_rounds,
+        wall_limit,
+    } = SolveBudget::default();
+    assert_eq!((max_pivots, max_nodes, max_rounds), (None, None, None));
+    assert_eq!(wall_limit, None);
+
+    let SolveControls {
+        kind,
+        threads,
+        round_width,
+        budget: _,
+        lp_fault,
+        refactor_interval,
+    } = SolveControls::default();
+    assert_eq!(kind, SolverKind::Benders);
+    assert_eq!((threads, round_width, refactor_interval), (0, 0, 0));
+    assert_eq!(lp_fault, None);
+
+    let OrchestratorConfig {
+        solver,
+        threads,
+        round_width,
+        overbooking,
+        samples_per_epoch,
+        season_epochs,
+        prior_history,
+        forecast_headroom,
+        adaptive_reservations,
+        reapply_epochs,
+        seed,
+        budget: _,
+        lp_fault,
+        incremental,
+    } = OrchestratorConfig::default();
+    assert_eq!(solver, SolverKind::Benders);
+    assert_eq!(threads, ovnes_milp::default_threads());
+    assert_eq!((round_width, samples_per_epoch, season_epochs), (0, 12, 6));
+    assert_eq!((prior_history, forecast_headroom), (3, 2.5));
+    assert!(overbooking && !adaptive_reservations && !incremental);
+    assert_eq!((reapply_epochs, seed, lp_fault), (u32::MAX, 7, None));
 }

@@ -6,8 +6,9 @@ use crate::orchestrator::{Orchestrator, OrchestratorConfig};
 use crate::problem::{AcrrInstance, PathPolicy, TenantInput, MBPS_PER_MHZ};
 use crate::slice::{ServiceModel, SliceClass, SliceRequest, SliceTemplate};
 use crate::solver::slave::{solve_slave, SlaveResult};
-use crate::solver::{benders, kac, SolveControls, SolverKind};
+use crate::solver::{benders, kac, AcrrError, SolveControls, SolverKind};
 use crate::testbed::epoch_to_time;
+use ovnes_lp::SimplexOptions;
 use ovnes_topology::graph::{Graph, LinkTech};
 use ovnes_topology::ksp::k_shortest;
 use ovnes_topology::operators::{BaseStation, ComputeUnit, CuKind, NetworkModel, Operator};
@@ -204,11 +205,7 @@ fn path_policies_pick_feasible_paths() {
         },
     );
     let n_bs = model.base_stations.len();
-    for policy in [
-        PathPolicy::MinDelay,
-        PathPolicy::MaxBottleneck,
-        PathPolicy::Spread,
-    ] {
+    for policy in [PathPolicy::MinDelay, PathPolicy::Spread] {
         let mut t = simple_tenant(0, 10.0, 0.2);
         t.forecast_mbps = vec![10.0; n_bs];
         let inst = AcrrInstance::build(&model, vec![t], policy, true, None);
@@ -254,7 +251,7 @@ fn kac_shed_loop_drops_net_negative_tenants() {
         })
         .collect();
     let inst = AcrrInstance::build(&model, tenants, PathPolicy::MinDelay, true, None);
-    let alloc = kac::solve(&inst, &kac::KacOptions::default()).unwrap();
+    let alloc = kac::solve(&inst, &SimplexOptions::default()).unwrap();
     // 150 Mb/s radio: 6·24 = 144 fits at the floor, but at the floor every
     // tenant's modelled risk (ξK = 8) dwarfs its reward → shed until the
     // survivors can sit near Λ (risk ≈ 0): 150/50 = 3 tenants.
@@ -278,7 +275,7 @@ fn kac_respects_aggregated_capacity() {
         })
         .collect();
     let inst = AcrrInstance::build(&model, tenants, PathPolicy::MinDelay, true, None);
-    let alloc = kac::solve(&inst, &kac::KacOptions::default()).unwrap();
+    let alloc = kac::solve(&inst, &SimplexOptions::default()).unwrap();
     assert!(alloc.accepted() <= 2);
     let used: f64 = alloc.reservations.iter().map(|r| r[0]).sum();
     assert!(used / MBPS_PER_MHZ <= 20.0 + 1e-6);
@@ -524,35 +521,38 @@ fn diurnal_requests_flow_through() {
     );
 }
 
+/// The two model parameters the config keeps, at their hostile values: a
+/// typed error or a finite horizon, never a panic.
 #[test]
-fn strict_monitoring_mode_still_works() {
-    let model = one_bs_model(100.0);
-    let mut orch = Orchestrator::new(
-        model,
-        OrchestratorConfig {
-            solver: SolverKind::Benders,
-            monitor_rejected: false, // strict: only admitted slices observed
-            seed: 22,
-            ..Default::default()
-        },
-    );
-    for t in 0..2 {
+fn hostile_model_parameters_never_panic() {
+    let run = |config: OrchestratorConfig| {
+        let mut orch = Orchestrator::new(one_bs_model(100.0), config);
         orch.submit(SliceRequest::from_template(
-            t,
+            0,
             SliceTemplate::embb(),
             0.2,
             2.0,
             1.0,
         ));
+        let revenue: Result<Vec<f64>, _> = (0..8)
+            .map(|_| orch.step().map(|out| out.net_revenue))
+            .collect();
+        (revenue, orch.epoch())
+    };
+    let (unsampled, epoch) = run(OrchestratorConfig {
+        samples_per_epoch: 0,
+        ..Default::default()
+    });
+    assert!(matches!(unsampled, Err(AcrrError::Config(_))));
+    assert_eq!(epoch, 0, "the refused step must not advance the epoch");
+    for season_epochs in [0, 1] {
+        let (revenue, _) = run(OrchestratorConfig {
+            season_epochs,
+            ..Default::default()
+        });
+        let revenue = revenue.expect("a degenerate season is not an error");
+        assert!(revenue.iter().all(|r| r.is_finite()), "{revenue:?}");
     }
-    let mut admitted = 0;
-    for _ in 0..6 {
-        admitted = orch.step().unwrap().admitted.len();
-    }
-    assert!(
-        admitted >= 2,
-        "capacity is ample; both must be admitted eventually"
-    );
 }
 
 #[test]

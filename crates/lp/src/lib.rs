@@ -10,8 +10,7 @@
 //!   Benders feasibility cuts and the KAC capacity aggregation).
 //!
 //! The paper solved these programs with IBM CPLEX; no LP solver exists in
-//! the sanctioned offline crate set, so this crate substitutes for it (see
-//! DESIGN.md §2).
+//! the sanctioned offline crate set, so this crate substitutes for it.
 //!
 //! ## The engine and its test oracle
 //!
@@ -55,11 +54,8 @@
 //! simplex also picks its **leaving row by dual devex weights**
 //! (`violation²/w_i`, Forrest–Goldfarb row weights updated from each pivot
 //! column) rather than the raw worst violation, the dual-side mirror of the
-//! primal pricing. Ratio-test
-//! tie-breaking and flip thresholds are tunable via
-//! [`SimplexOptions::ratio_tie_tol`] / [`SimplexOptions::flip_tol`], and
-//! [`LpStats::bound_flips`], [`LpStats::pricing_scans`], and
-//! [`LpStats::candidate_refreshes`] observe the new machinery.
+//! primal pricing. [`LpStats::bound_flips`], [`LpStats::pricing_scans`],
+//! and [`LpStats::candidate_refreshes`] observe the new machinery.
 //!
 //! ## The `Basis` contract
 //!

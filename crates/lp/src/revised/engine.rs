@@ -86,6 +86,15 @@ const PIVOT_TOL: f64 = 1e-9;
 const FEAS_TOL: f64 = 1e-7;
 /// Reduced-cost (dual feasibility) tolerance.
 const DUAL_TOL: f64 = 1e-7;
+/// Tie window of the primal and dual ratio tests: candidates whose ratio
+/// lies within this of the best are tied, and the tie is broken by pivot
+/// magnitude (or least index under Bland's rule).
+const RATIO_TIE_TOL: f64 = 1e-10;
+/// Long-step dual ratio test threshold: a breakpoint column is flipped
+/// through — instead of entering — only when its flip capacity
+/// `|α_j|·(ub_j − lb_j)` exceeds this, so bound ranges that are numerically
+/// zero never churn.
+const FLIP_TOL: f64 = 1e-9;
 /// Devex weights above this trigger a reference-framework reset.
 const DEVEX_RESET: f64 = 1e8;
 
@@ -815,9 +824,8 @@ impl<'a> Engine<'a> {
                 if t_i < 0.0 {
                     t_i = 0.0; // degenerate: beyond the bound by roundoff
                 }
-                let tie = self.opts.ratio_tie_tol;
-                let better = t_i < t_best - tie
-                    || (t_i < t_best + tie
+                let better = t_i < t_best - RATIO_TIE_TOL
+                    || (t_i < t_best + RATIO_TIE_TOL
                         && leave.as_ref().is_some_and(|&(l, _)| {
                             if use_bland {
                                 self.basic[i] < self.basic[l]
@@ -1064,7 +1072,6 @@ impl<'a> Engine<'a> {
             }
             self.ws.rowbuf = rho;
 
-            let tie = self.opts.ratio_tie_tol;
             // `flip_upto`: candidates `cand[..flip_upto]` are flipped through
             // (long step). Selection only — no state mutates until the
             // entering pivot below is validated, so the refactorize-and-retry
@@ -1075,7 +1082,9 @@ impl<'a> Engine<'a> {
                 let mut best = 0usize;
                 for (i, c) in cand.iter().enumerate().skip(1) {
                     let b = &cand[best];
-                    if c.ratio < b.ratio - tie || (c.ratio < b.ratio + tie && c.j < b.j) {
+                    if c.ratio < b.ratio - RATIO_TIE_TOL
+                        || (c.ratio < b.ratio + RATIO_TIE_TOL && c.j < b.j)
+                    {
                         best = i;
                     }
                 }
@@ -1090,7 +1099,6 @@ impl<'a> Engine<'a> {
                         .unwrap()
                         .then(b.arow.abs().partial_cmp(&a.arow.abs()).unwrap())
                 });
-                let flip_tol = self.opts.flip_tol;
                 let mut remaining = viol;
                 let mut chosen = cand.len() - 1;
                 for (i, c) in cand.iter().enumerate() {
@@ -1098,7 +1106,7 @@ impl<'a> Engine<'a> {
                     let capacity = range * c.arow.abs();
                     let flippable = i + 1 < cand.len()
                         && capacity.is_finite()
-                        && capacity > flip_tol
+                        && capacity > FLIP_TOL
                         && remaining - capacity > FEAS_TOL;
                     if flippable {
                         remaining -= capacity;
@@ -1109,7 +1117,7 @@ impl<'a> Engine<'a> {
                 }
                 // Within the tie window past the chosen breakpoint, prefer
                 // the largest pivot (same stabilisation as the primal test).
-                let limit = cand[chosen].ratio + tie;
+                let limit = cand[chosen].ratio + RATIO_TIE_TOL;
                 let mut best = chosen;
                 for (i, c) in cand.iter().enumerate().skip(chosen + 1) {
                     if c.ratio > limit {

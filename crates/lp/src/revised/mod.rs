@@ -516,6 +516,16 @@ fn adapt_basis(c: &Canon<'_>, b: &Basis) -> Option<(Vec<VarStatus>, Vec<usize>)>
     Some((status, basic))
 }
 
+/// Under [`SimplexOptions::fault`]: probability a supplied warm basis is
+/// silently dropped (the solve runs cold).
+const FAULT_DROP_BASIS: f64 = 0.20;
+/// Probability a kept warm basis loses its persisted factorization (it must
+/// refactorize from scratch).
+const FAULT_DROP_FACTORIZATION: f64 = 0.30;
+/// Probability a kept warm basis gets a duplicated column — a singular
+/// matrix, driving the engine through its cold-restart fallback.
+const FAULT_CORRUPT_BASIS: f64 = 0.15;
+
 /// FNV-1a fold of a basis's basic set — the per-basis component of the
 /// fault-injection roll, so distinct warm bases of the same problem draw
 /// distinct (but fully deterministic) faults.
@@ -561,11 +571,11 @@ pub(crate) fn solve_warm_in(
     let mut corrupt = false;
     if let (Some(f), Some(b)) = (options.fault, warm) {
         let summary = basis_summary(b);
-        if f.roll(matrix_fp, summary, 0) < f.drop_basis {
+        if f.roll(matrix_fp, summary, 0) < FAULT_DROP_BASIS {
             warm = None;
         } else {
-            drop_fact = f.roll(matrix_fp, summary, 1) < f.drop_factorization;
-            corrupt = f.roll(matrix_fp, summary, 2) < f.corrupt_basis;
+            drop_fact = f.roll(matrix_fp, summary, 1) < FAULT_DROP_FACTORIZATION;
+            corrupt = f.roll(matrix_fp, summary, 2) < FAULT_CORRUPT_BASIS;
         }
     }
 

@@ -13,17 +13,6 @@ pub struct SimplexOptions {
     /// phase 1, phase 2, and each dual-simplex pass each get a fresh
     /// `bland_after` budget of Dantzig pivots.
     pub bland_after: usize,
-    /// Tie window for the primal and dual ratio tests (revised engine):
-    /// candidates whose ratio lies within this of the best are considered
-    /// tied, and the tie is broken by pivot magnitude (or least index under
-    /// Bland's rule). One tolerance, applied consistently in both tests.
-    pub ratio_tie_tol: f64,
-    /// Long-step dual ratio test threshold (revised engine): a breakpoint
-    /// column is flipped through — instead of entering — only when its flip
-    /// capacity `|α_j|·(ub_j − lb_j)` exceeds this *and* leaves at least this
-    /// much primal violation for the eventual entering pivot. Guards against
-    /// churning on bound ranges that are numerically zero.
-    pub flip_tol: f64,
     /// Seeded warm-path fault injection (revised engine; chaos testing).
     /// Defaults to [`FaultConfig::from_env`] — `None` unless the
     /// `OVNES_LP_FAULT_SEED` environment variable is set.
@@ -43,8 +32,6 @@ impl Default for SimplexOptions {
         Self {
             max_iterations: 200_000,
             bland_after: 10_000,
-            ratio_tie_tol: 1e-10,
-            flip_tol: 1e-9,
             fault: FaultConfig::from_env(),
             refactor_interval: default_refactor_interval(),
         }
@@ -80,28 +67,13 @@ pub fn default_refactor_interval() -> usize {
 pub struct FaultConfig {
     /// Seed mixed into every roll.
     pub seed: u64,
-    /// Probability a supplied warm basis is silently dropped (the solve
-    /// runs cold, exercising the `cold_starts` path).
-    pub drop_basis: f64,
-    /// Probability the persisted factorization is discarded (the warm
-    /// basis is kept but must refactorize from scratch).
-    pub drop_factorization: f64,
-    /// Probability the adapted basic set is corrupted with a duplicated
-    /// column — a singular basis matrix, driving the engine through its
-    /// singular-basis cold-restart fallback.
-    pub corrupt_basis: f64,
 }
 
 impl FaultConfig {
-    /// The default chaos profile for a seed: all three fault classes armed
-    /// at moderate rates.
+    /// The chaos profile for a seed: all three fault classes armed at the
+    /// fixed moderate rates of `revised::solve_warm_in`.
     pub fn chaos(seed: u64) -> Self {
-        Self {
-            seed,
-            drop_basis: 0.20,
-            drop_factorization: 0.30,
-            corrupt_basis: 0.15,
-        }
+        Self { seed }
     }
 
     /// The ambient fault config: [`FaultConfig::chaos`] seeded from the

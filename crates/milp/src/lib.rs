@@ -103,6 +103,10 @@ const FALLBACK_ROUND_WIDTH: usize = 8;
 /// mostly solve nodes a mid-round incumbent would have pruned.
 const MAX_ADAPTIVE_ROUND_WIDTH: usize = 64;
 
+/// Absolute optimality gap at which a node is pruned against the incumbent.
+/// Also the guarantee on the returned solution.
+const ABS_GAP: f64 = 1e-7;
+
 /// The adaptive nodes-per-round window for an open queue of `open` nodes:
 /// half the queue, clamped to `[8, 64]`. A **pure function of the
 /// round-start queue length** — never of worker count, thread timing, or
@@ -141,9 +145,6 @@ pub struct MilpOptions {
     /// deterministic application order, so truncation is reproducible at
     /// any worker count).
     pub max_nodes: usize,
-    /// Absolute optimality gap at which a node is pruned against the
-    /// incumbent. Also the guarantee on the returned solution.
-    pub abs_gap: f64,
     /// Simplex options used for node relaxations.
     pub simplex: SimplexOptions,
     /// Thread each parent node's basis into its children so the one-bound
@@ -186,7 +187,6 @@ impl Default for MilpOptions {
     fn default() -> Self {
         Self {
             max_nodes: 200_000,
-            abs_gap: 1e-7,
             simplex: SimplexOptions::default(),
             warm_start: true,
             threads: default_threads(),
@@ -224,7 +224,7 @@ impl MilpSolution {
 /// Solve outcomes.
 #[derive(Debug, Clone)]
 pub enum MilpOutcome {
-    /// Proven-optimal (or within `abs_gap`) integral solution.
+    /// Proven-optimal (within the 1e-7 absolute gap) integral solution.
     Optimal(MilpSolution),
     /// No integral solution exists (within the explored tree).
     Infeasible,
@@ -313,7 +313,7 @@ struct SearchState {
     /// Nodes applied so far, in canonical order.
     applied: usize,
     truncated: bool,
-    /// Objective value new solutions must beat by `abs_gap` (incumbent
+    /// Objective value new solutions must beat by `ABS_GAP` (incumbent
     /// objective, `+∞` until one is found). Mirrored into
     /// [`Shared::incumbent_bits`] on every change.
     cutoff: f64,
@@ -529,7 +529,7 @@ impl Milp {
                 ctx.shared.cv.notify_all();
                 return;
             }
-            if let Some(work) = Self::claim(ctx, &mut guard) {
+            if let Some(work) = Self::claim(&mut guard) {
                 guard.inflight += 1;
                 drop(guard);
                 // Lock-free incumbent re-check before the expensive solve:
@@ -539,7 +539,7 @@ impl Milp {
                 // round front without ever needing its result, and claim
                 // will not hand it out again.
                 let cutoff = f64::from_bits(ctx.shared.incumbent_bits.load(Ordering::Relaxed));
-                let result = (work.bound < cutoff - ctx.options.abs_gap)
+                let result = (work.bound < cutoff - ABS_GAP)
                     .then(|| Self::solve_node(ctx, &mut local, &mut ws, &work));
                 guard = ctx.shared.state.lock().expect("search mutex");
                 guard.inflight -= 1;
@@ -590,7 +590,7 @@ impl Milp {
                     let Some((&key, front)) = st.queue.first_key_value() else {
                         break;
                     };
-                    if front.bound >= st.cutoff - ctx.options.abs_gap {
+                    if front.bound >= st.cutoff - ABS_GAP {
                         st.queue.remove(&key);
                         continue;
                     }
@@ -612,7 +612,7 @@ impl Milp {
             // exhausted (every remaining node dominated) is never spuriously
             // reported as truncated.
             let node_bound = st.round_nodes[&id].bound;
-            if node_bound >= st.cutoff - ctx.options.abs_gap {
+            if node_bound >= st.cutoff - ABS_GAP {
                 st.round.pop_front();
                 st.round_nodes.remove(&id);
                 st.results.remove(&id);
@@ -671,7 +671,7 @@ impl Milp {
                 return;
             }
         };
-        if sol.objective >= st.cutoff - ctx.options.abs_gap {
+        if sol.objective >= st.cutoff - ABS_GAP {
             return; // bound: cannot beat the incumbent
         }
 
@@ -746,16 +746,15 @@ impl Milp {
     /// solving a node an incumbent already dominates is pure waste, and
     /// skipping it here cannot change the outcome because the
     /// authoritative prune happens again at application.
-    fn claim(ctx: &Ctx<'_>, st: &mut SearchState) -> Option<WorkItem> {
+    fn claim(st: &mut SearchState) -> Option<WorkItem> {
         let cutoff = st.cutoff;
-        let gap = ctx.options.abs_gap;
         for i in 0..st.round.len() {
             let id = st.round[i];
             if st.claimed.contains(&id) || st.results.contains_key(&id) {
                 continue;
             }
             let node = st.round_nodes.get_mut(&id).expect("round member");
-            if node.bound >= cutoff - gap {
+            if node.bound >= cutoff - ABS_GAP {
                 continue; // will be discarded once it reaches the front
             }
             st.claimed.insert(id);

@@ -1,7 +1,6 @@
 //! The simulation driver: expands a [`ScenarioSpec`] into a workload,
-//! wraps a [`ovnes::orchestrator::Orchestrator`] over the multi-day
-//! horizon via `run_horizon`, and aggregates the metrics pipeline into a
-//! [`ScenarioReport`].
+//! steps a [`ovnes::orchestrator::Orchestrator`] over the multi-day
+//! horizon, and aggregates the metrics pipeline into a [`ScenarioReport`].
 
 use crate::faults::FaultPlan;
 use crate::metrics::{CdfSummary, ScenarioReport};
@@ -369,8 +368,8 @@ pub fn run_scenario_on(
     // own arrivals, so the orchestrator's pending queue holds re-applicants
     // (bounded by the patience knob) rather than the entire multi-day
     // future — at city scale, submitting everything up front would make
-    // every epoch re-scan ~all generated requests. The closure mirrors the
-    // `run_horizon` observer contract.
+    // every epoch re-scan ~all generated requests. Metrics aggregate epoch
+    // by epoch instead of materialising the whole trajectory.
     let mut arrival_stream = requests.into_iter().peekable();
     let mut observe = |out: &EpochOutcome| {
         accepted += out.newly_admitted.len();
@@ -425,7 +424,7 @@ pub fn run_scenario_on(
         {
             orch.submit(arrival_stream.next().expect("peeked arrival"));
         }
-        orch.run_horizon(1, &mut observe)?;
+        observe(&orch.step()?);
     }
 
     let epochs = spec.horizon_epochs.max(1) as f64;

@@ -15,9 +15,9 @@
 //!   flash-crowd bursts. A `(spec, seed, horizon)` triple always expands to
 //!   the identical [`ovnes::slice::SliceRequest`] stream.
 //! * [`driver`] — [`driver::ScenarioSpec`] (built through a small builder
-//!   API) plus [`driver::run_scenario`], which wraps the
-//!   [`ovnes::orchestrator::Orchestrator`] over the multi-day horizon via
-//!   its streaming `run_horizon` hook and aggregates the metrics pipeline:
+//!   API) plus [`driver::run_scenario`], which steps the
+//!   [`ovnes::orchestrator::Orchestrator`] over the multi-day horizon and
+//!   aggregates the metrics pipeline epoch by epoch:
 //!   acceptance ratio, revenue trajectory, SLA-violation rate, per-BS /
 //!   per-CU / per-link utilisation CDF summaries — the Fig. 5/6 observables.
 //! * [`faults`] — the seeded fault-injection harness: a [`faults::FaultPlan`]

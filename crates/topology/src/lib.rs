@@ -5,8 +5,8 @@
 //! shown in Fig. 4. Those datasets are proprietary, so this crate generates
 //! **seeded synthetic topologies matched to every statistic the paper
 //! discloses** (node counts, path-redundancy means, link-technology mixes,
-//! capacity ranges, BS–CU distances and the delay model) — see DESIGN.md for
-//! the substitution argument.
+//! capacity ranges, BS–CU distances and the delay model): AC-RR sees a
+//! topology only through those statistics, which the `fig4` binary prints.
 //!
 //! Components:
 //!

@@ -83,7 +83,7 @@ pub struct ComputeUnit {
 #[derive(Debug, Clone)]
 pub struct GeneratorConfig {
     /// Fraction of the full-size BS count to generate (1.0 = paper scale;
-    /// the default harness scale is documented in EXPERIMENTS.md).
+    /// the default is 0.15, and each harness binary takes `--scale`).
     pub scale: f64,
     /// RNG seed (topologies are fully deterministic given the seed).
     pub seed: u64,

@@ -109,6 +109,44 @@ fn obs_on_leaves_fingerprints_bitwise_identical() {
         .map(phase)
         .sum();
     assert!(phases <= root, "phases overlap or the root span shrank");
+
+    // The shape a `--trace-out` consumer parses, checked on this real
+    // trace: names and attribute keys are static snake_case atoms (dynamic
+    // data belongs in the attribute value), depth is the path's segment
+    // count minus one, a root span exists, the journal's meta line counts
+    // exactly its span lines, and the folded stacks are sorted, unique and
+    // cover every journaled path.
+    let mut folded = Vec::new();
+    trace.write_folded(&mut folded).expect("write folded");
+    let folded = String::from_utf8(folded).expect("folded is UTF-8");
+    let stacks: Vec<&str> = folded
+        .lines()
+        .map(|l| l.rsplit_once(' ').expect("`path self_ns`").0)
+        .collect();
+    assert!(stacks.windows(2).all(|w| w[0] < w[1]), "{stacks:?}");
+    let atom = |s: &str| {
+        s.starts_with(|c: char| c.is_ascii_lowercase())
+            && s.bytes()
+                .all(|c| c.is_ascii_lowercase() || c.is_ascii_digit() || c == b'_')
+    };
+    for e in &trace.events {
+        let segments: Vec<&str> = e.path.split(';').collect();
+        assert!(segments.iter().all(|s| atom(s)), "span path {}", e.path);
+        assert_eq!(usize::from(e.depth), segments.len() - 1, "{}", e.path);
+        assert!(e.attr.is_none_or(|(key, _)| atom(key)), "{:?}", e.attr);
+        assert!(stacks.binary_search(&e.path.as_str()).is_ok(), "{}", e.path);
+    }
+    assert!(trace.events.iter().any(|e| e.depth == 0), "no root span");
+    let mut journal = Vec::new();
+    trace.write_journal(&mut journal).expect("write journal");
+    let journal = String::from_utf8(journal).expect("journal is UTF-8");
+    let (meta, spans) = journal.split_once('\n').expect("meta line");
+    assert!(spans.lines().all(|l| l.starts_with("{\"type\":\"span\",")));
+    let counted = format!("\"spans\":{},", spans.lines().count());
+    assert!(
+        meta.starts_with("{\"type\":\"meta\",\"version\":1,") && meta.contains(&counted),
+        "{meta} does not count its span lines: {counted}"
+    );
     let _ = ovnes_obs::metrics::drain_global();
     ovnes_obs::set_enabled(false);
 }

@@ -87,7 +87,7 @@ fn kac_close_to_optimal_when_uncongested() {
     );
     let inst = AcrrInstance::build(&model, tenants, PathPolicy::Spread, true, None);
     let b = benders::solve(&inst, &benders::BendersOptions::default()).unwrap();
-    let k = kac::solve(&inst, &kac::KacOptions::default()).unwrap();
+    let k = kac::solve(&inst, &SimplexOptions::default()).unwrap();
     assert!(
         (k.objective - b.objective).abs() < 1e-5,
         "uncongested KAC {} should equal Benders {}",
@@ -109,6 +109,49 @@ fn solvers_agree_under_extreme_penalties() {
     let b = benders::solve(&inst, &benders::BendersOptions::default()).unwrap();
     let o = oneshot::solve(&inst, &MilpOptions::default()).unwrap();
     assert!((b.objective - o.objective).abs() < 1e-5);
+}
+
+#[test]
+fn benders_slave_runs_at_the_requested_refactor_interval() {
+    // At interval 1 every Forrest–Tomlin update is followed by a
+    // refactorization — in the master's node LPs *and* in the slave, which
+    // solves under the caller's simplex options (all but the pivot cap).
+    let model = NetworkModel::generate(
+        Operator::Romanian,
+        &GeneratorConfig {
+            scale: 0.05,
+            seed: 42,
+            k_paths: 3,
+        },
+    );
+    let classes = [SliceClass::Embb, SliceClass::Urllc, SliceClass::Mmtc];
+    let tenants = tenants_on(
+        &model,
+        &(0..12)
+            .map(|i| (classes[i % 3], 0.2 + 0.05 * (i % 4) as f64, 0.2))
+            .collect::<Vec<_>>(),
+    );
+    let inst = AcrrInstance::build(&model, tenants, PathPolicy::Spread, true, None);
+    let at = |refactor_interval: usize| {
+        let mut options = benders::BendersOptions::default();
+        options.milp.simplex = SimplexOptions {
+            fault: None,
+            refactor_interval,
+            ..SimplexOptions::default()
+        };
+        benders::solve(&inst, &options).unwrap()
+    };
+    let (every, rarely) = (at(1), at(128));
+    let lp = &every.stats.lp;
+    assert!(lp.eta_compressions > 0, "the instance must pivot");
+    assert!(
+        lp.refactorizations >= lp.eta_compressions,
+        "{} refactorizations for {} updates",
+        lp.refactorizations,
+        lp.eta_compressions
+    );
+    assert!(rarely.stats.lp.refactorizations < lp.refactorizations);
+    assert!((every.objective - rarely.objective).abs() < 1e-9);
 }
 
 #[test]
