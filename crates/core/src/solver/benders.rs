@@ -206,7 +206,7 @@ pub fn solve(instance: &AcrrInstance, options: &BendersOptions) -> Result<Alloca
                 let cut = slave.optimality_cut(&duals);
                 let mut row: Vec<(VarId, f64)> = vec![(theta, -1.0)];
                 for ((t, c), v) in &u_vars {
-                    if let Some(&w) = cut.coeffs.get(&(*t, *c)) {
+                    if let Some(w) = cut.get((*t, *c)) {
                         row.push((*v, w));
                     }
                 }
@@ -216,7 +216,7 @@ pub fn solve(instance: &AcrrInstance, options: &BendersOptions) -> Result<Alloca
                 // Feasibility cut: Σ coeff·u ≤ −constant.
                 let row: Vec<(VarId, f64)> = u_vars
                     .iter()
-                    .filter_map(|((t, c), v)| cut.coeffs.get(&(*t, *c)).map(|&w| (*v, w)))
+                    .filter_map(|(pair, v)| cut.get(*pair).map(|w| (*v, w)))
                     .collect();
                 milp.problem_mut().add_cons(&row, Cmp::Le, -cut.constant);
             }

@@ -84,10 +84,6 @@ pub fn solve_carried(
     // not to let the greedy overbook into paid-for federated capacity. If
     // even the forced set needs the relaxation, we fall back to it at the
     // end.
-    let strict = AcrrInstance {
-        deficit_cost: None,
-        ..instance.clone()
-    };
     let pairs = instance.pairs();
     let n_t = instance.tenants.len();
     let mut gammas: HashMap<(usize, usize), f64> = HashMap::with_capacity(pairs.len());
@@ -110,7 +106,7 @@ pub fn solve_carried(
         // below re-prices the RHS and warm-starts from the previous
         // admission's basis. All algorithm state is rebuilt per attempt so
         // a cold restart replays the from-scratch path exactly.
-        let mut slave = SlaveContext::new(&strict);
+        let mut slave = SlaveContext::new_strict(instance);
         slave.set_simplex_options(simplex.clone());
         // The next solve runs from a carried (seeded) basis and must
         // certify decision uniqueness to stand.
@@ -243,7 +239,7 @@ pub fn solve_carried(
                         // scaling).
                         let cap_k = -cut.constant;
                         let norm = cap_k.abs().max(1.0);
-                        for (&pair, &w) in &cut.coeffs {
+                        for &(pair, w) in &cut.coeffs {
                             *w_bar.entry(pair).or_insert(0.0) += w / norm;
                         }
                         cap_bar += cap_k / norm;

@@ -32,19 +32,28 @@
 //!
 //! Only right-hand sides and window bounds depend on `ū`. [`SlaveContext`]
 //! therefore builds the LP **once** per instance, and each
-//! [`SlaveContext::solve_for`] call rewrites the affected RHS entries and
-//! leg bounds and re-solves **warm** from the previous admission's basis:
-//! consecutive Benders iterations differ by a few flipped `u` entries, so
-//! the dual simplex typically needs a handful of pivots (plus a few bound
-//! flips) where a cold solve needs two full phases. Because RHS and bound
-//! edits leave the basis matrix untouched, the stored basis also carries a
-//! still-valid **factorization** — a re-priced solve starts with zero
-//! refactorizations and replays the persisted sparse LU + eta file directly
-//! (`stats.factorization_reuses` counts the hits).
+//! [`SlaveContext::solve_for`] call edits only what moved since the admission
+//! the LP is priced for — the window bounds of the tenants whose assignment
+//! changed (the legs of the CU they left and of the CU they joined) and the
+//! few CU right-hand sides — and re-solves **warm**: consecutive admissions
+//! differ by a few flipped `u` entries, so the dual simplex typically needs a
+//! handful of pivots (plus a few bound flips) where a cold solve needs two
+//! full phases. The context owns an [`ovnes_lp::WarmChain`], so the final
+//! basis, its **factorization** and the engine's buffers stay where the last
+//! solve left them: RHS and bound edits leave the basis matrix untouched, a
+//! re-priced solve starts with zero refactorizations
+//! (`stats.factorization_reuses` counts the hits) and clones nothing.
+//!
+//! A Farkas ray is priced into its feasibility cut only where it is
+//! nonzero: the legs visited are those with a coefficient in a row whose
+//! multiplier is nonzero (every other leg's residual is an exact zero), and
+//! the per-(tenant, CU) sums run in a dense accumulator in the order the
+//! full scan would add them. The bound part of the certificate
+//! ([`ovnes_lp::Farkas::ub_multipliers`]) is not needed here and not
+//! computed.
 
 use crate::problem::AcrrInstance;
-use ovnes_lp::{Basis, Cmp, ConsId, LpStats, Outcome, Problem, SimplexOptions, VarId, Workspace};
-use std::collections::HashMap;
+use ovnes_lp::{Basis, Cmp, ConsId, LpStats, Outcome, Problem, SimplexOptions, VarId, WarmChain};
 
 /// Stable cross-epoch identity of a slave LP column. Instance-local leg
 /// indices reshuffle as tenants arrive and depart; the (global tenant id,
@@ -85,24 +94,82 @@ pub struct LpCarry {
 
 /// An affine function of the admission binaries: `g(u) = constant +
 /// Σ coeffs[(t,c)]·u_{t,c}`.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct CutExpr {
     /// Constant term.
     pub constant: f64,
-    /// Per-(tenant, CU) coefficients.
-    pub coeffs: HashMap<(usize, usize), f64>,
+    /// Per-(tenant, CU) coefficients, one entry per pair, ascending by pair.
+    pub coeffs: Vec<((usize, usize), f64)>,
 }
 
 impl CutExpr {
-    /// Evaluates the expression at an admission vector.
+    /// The coefficient of `u_{t,c}`, when the cut has one.
+    pub fn get(&self, pair: (usize, usize)) -> Option<f64> {
+        self.coeffs
+            .binary_search_by_key(&pair, |&(p, _)| p)
+            .ok()
+            .map(|k| self.coeffs[k].1)
+    }
+
+    /// Evaluates the expression at an admission vector: the constant plus
+    /// the admitted pairs' coefficients, added in pair order.
     pub fn eval(&self, assigned: &[Option<usize>]) -> f64 {
         let mut v = self.constant;
-        for (&(t, c), &w) in &self.coeffs {
+        for &((t, c), w) in &self.coeffs {
             if assigned[t] == Some(c) {
                 v += w;
             }
         }
         v
+    }
+}
+
+/// The dense per-(tenant, CU) accumulator a cut's coefficients are summed
+/// in: slot `t·n_cu + c`, the touched slots remembered so that handing the
+/// cut over clears exactly those. A pair has an entry in the cut once
+/// anything was added for it, even if its sum is zero.
+struct CutAcc {
+    n_cu: usize,
+    sums: Vec<f64>,
+    seen: Vec<bool>,
+    touched: Vec<usize>,
+}
+
+impl CutAcc {
+    fn new(n_tenants: usize, n_cu: usize) -> CutAcc {
+        CutAcc {
+            n_cu,
+            sums: vec![0.0; n_tenants * n_cu],
+            seen: vec![false; n_tenants * n_cu],
+            touched: Vec::new(),
+        }
+    }
+
+    fn add(&mut self, (t, c): (usize, usize), w: f64) {
+        let k = t * self.n_cu + c;
+        if !self.seen[k] {
+            self.seen[k] = true;
+            self.touched.push(k);
+        }
+        self.sums[k] += w;
+    }
+
+    /// The accumulated cut, pairs ascending; the accumulator is zero again.
+    fn take(&mut self, constant: f64) -> CutExpr {
+        self.touched.sort_unstable();
+        let coeffs = self
+            .touched
+            .iter()
+            .map(|&k| {
+                self.seen[k] = false;
+                (
+                    (k / self.n_cu, k % self.n_cu),
+                    std::mem::take(&mut self.sums[k]),
+                )
+            })
+            .collect();
+        self.touched.clear();
+        CutExpr { constant, coeffs }
     }
 }
 
@@ -141,7 +208,7 @@ struct RowSpec {
 ///
 /// Build once, then call [`SlaveContext::solve_for`] with each admission
 /// vector. The LP structure never changes — only RHS values and leg bounds
-/// move — so the previous solve's [`Basis`] restarts every subsequent solve.
+/// move — so the previous solve's basis restarts every subsequent solve.
 pub struct SlaveContext<'a> {
     instance: &'a AcrrInstance,
     problem: Problem,
@@ -151,21 +218,24 @@ pub struct SlaveContext<'a> {
     /// Per-leg reservation window `[λ̂, Λ]`, applied as variable bounds
     /// scaled by the admission binary.
     leg_window: Vec<(f64, f64)>,
-    /// Per-leg sparse constraint column: (constraint index, coefficient).
-    /// Used to price reduced costs / Farkas residuals into cut
-    /// coefficients without reaching into the LP's internals.
-    leg_cols: Vec<Vec<(usize, f64)>>,
     /// Stable identity per row of `rows`, in row order.
     row_keys: Vec<RowKey>,
-    basis: Option<Basis>,
+    /// The admission the LP's right-hand sides and windows are priced for
+    /// (`None` until the first `solve_for`, which prices everything).
+    priced: Option<Vec<Option<usize>>>,
+    /// The warm chain: final basis, factorization and engine buffers of
+    /// the previous `solve_for`, continued in place by the next.
+    chain: WarmChain,
     warm: bool,
     /// Simplex options applied to every `solve_for` (budget pivot caps and
     /// chaos fault injection thread through here; defaults are identical to
     /// the plain `solve_warm` path).
     simplex: SimplexOptions,
-    /// Engine scratch reused by every `solve_for` of this context's warm
-    /// chain (reset on entry by the engine; never influences a result).
-    workspace: Workspace,
+    /// Accumulator behind every cut this context prices.
+    cut_acc: CutAcc,
+    /// Per leg: whether the Farkas ray being priced touches it. Set and
+    /// cleared within one feasibility cut.
+    ray_legs: Vec<bool>,
     /// [`SlaveContext::seed_from_carry`] installed a carried basis: only
     /// then does `solve_for` evaluate the two uniqueness certificates
     /// (KAC, their one reader, consults them only on a seeded chain).
@@ -187,6 +257,17 @@ impl<'a> SlaveContext<'a> {
     /// Builds the reservation LP skeleton (RHS set for the all-rejected
     /// admission; [`SlaveContext::solve_for`] rewrites it per call).
     pub fn new(instance: &'a AcrrInstance) -> SlaveContext<'a> {
+        Self::build(instance, instance.deficit_cost)
+    }
+
+    /// [`SlaveContext::new`] without the §3.4 deficit relaxation, whatever
+    /// the instance's `deficit_cost` says: capacities are hard, and an
+    /// admission that does not fit comes back as a feasibility cut.
+    pub fn new_strict(instance: &'a AcrrInstance) -> SlaveContext<'a> {
+        Self::build(instance, None)
+    }
+
+    fn build(instance: &'a AcrrInstance, deficit_cost: Option<f64>) -> SlaveContext<'a> {
         let mut p = Problem::new();
 
         // Reservation variable per leg, carrying its window natively as
@@ -207,10 +288,9 @@ impl<'a> SlaveContext<'a> {
                 )
             })
             .collect();
-        let mut leg_cols: Vec<Vec<(usize, f64)>> = vec![Vec::new(); instance.legs.len()];
 
         // Domain-wide deficit variables (paper §3.4: one per domain).
-        let deficit_vars = instance.deficit_cost.map(|m| {
+        let deficit_vars = deficit_cost.map(|m| {
             (
                 p.add_var(0.0, f64::INFINITY, m), // radio δ_r
                 p.add_var(0.0, f64::INFINITY, m), // transport δ_b
@@ -220,9 +300,8 @@ impl<'a> SlaveContext<'a> {
 
         // Bucket the legs once per row family, in ascending leg order: the
         // rows below are then assembled in O(nonzeros), and every row's
-        // coefficients (and every `leg_cols` list, filled in row order) come
-        // out in the order a per-row scan over all legs would give — the
-        // certificates and cuts sum in that order.
+        // coefficients come out in the order a per-row scan over all legs
+        // would give — the certificates and cuts sum in that order.
         let mut cu_legs: Vec<Vec<usize>> = vec![Vec::new(); instance.n_cu];
         let mut link_legs: Vec<Vec<usize>> = vec![Vec::new(); instance.link_caps.len()];
         let mut bs_legs: Vec<Vec<usize>> = vec![Vec::new(); instance.n_bs];
@@ -250,7 +329,6 @@ impl<'a> SlaveContext<'a> {
                     .cores_per_mbps;
                 if b != 0.0 {
                     coeffs.push((z_vars[li], b));
-                    leg_cols[li].push((rows.len(), b));
                 }
             }
             if let Some((_, _, dc)) = deficit_vars {
@@ -281,7 +359,6 @@ impl<'a> SlaveContext<'a> {
             coeffs.clear();
             for &li in members {
                 coeffs.push((z_vars[li], instance.eta_transport));
-                leg_cols[li].push((rows.len(), instance.eta_transport));
             }
             if let Some((_, db, _)) = deficit_vars {
                 coeffs.push((db, -1.0));
@@ -302,7 +379,6 @@ impl<'a> SlaveContext<'a> {
             coeffs.clear();
             for &li in members {
                 coeffs.push((z_vars[li], 1.0 / eff));
-                leg_cols[li].push((rows.len(), 1.0 / eff));
             }
             if let Some((dr, _, _)) = deficit_vars {
                 coeffs.push((dr, -1.0));
@@ -325,12 +401,13 @@ impl<'a> SlaveContext<'a> {
             deficit_vars,
             rows,
             leg_window,
-            leg_cols,
             row_keys,
-            basis: None,
+            priced: None,
+            chain: WarmChain::new(),
             warm: true,
             simplex: SimplexOptions::default(),
-            workspace: Workspace::new(),
+            cut_acc: CutAcc::new(instance.tenants.len(), instance.n_cu),
+            ray_legs: vec![false; instance.legs.len()],
             seeded: false,
             last_unique: false,
             last_decision_unique: false,
@@ -338,12 +415,10 @@ impl<'a> SlaveContext<'a> {
         }
     }
 
-    /// Disables basis reuse (comparison runs solve cold instead).
+    /// Disables basis reuse (comparison runs solve cold instead): while
+    /// off, `solve_for` clears the chain before every solve.
     pub fn set_warm(&mut self, warm: bool) {
         self.warm = warm;
-        if !warm {
-            self.basis = None;
-        }
     }
 
     /// Overrides the simplex options applied to every subsequent
@@ -378,6 +453,7 @@ impl<'a> SlaveContext<'a> {
     /// or a cold-start context) so callers know if the next solve is
     /// genuinely warm-started.
     pub fn seed_from_carry(&mut self, carry: &LpCarry) -> bool {
+        use std::collections::HashMap;
         let Some(basis) = &carry.basis else {
             return false;
         };
@@ -403,15 +479,17 @@ impl<'a> SlaveContext<'a> {
             .iter()
             .map(|k| row_index.get(k).copied())
             .collect();
-        self.basis = Some(basis.remap(&col_map, new_cols.len(), &row_map, self.rows.len()));
+        self.chain
+            .load(&basis.remap(&col_map, new_cols.len(), &row_map, self.rows.len()));
         self.seeded = true;
         true
     }
 
     /// Deposits this context's final basis and keyed layout into `carry`
-    /// for the next epoch's context to resume from.
+    /// for the next epoch's context to resume from (the one place the
+    /// chain's state is copied out as a [`Basis`]: once per epoch).
     pub fn save_carry(&self, carry: &mut LpCarry) {
-        carry.basis = self.basis.clone();
+        carry.basis = self.warm.then(|| self.chain.basis()).flatten();
         carry.cols = self.col_keys();
         carry.rows = self.row_keys.clone();
     }
@@ -440,30 +518,28 @@ impl<'a> SlaveContext<'a> {
         self.last_decision_unique
     }
 
-    /// Row part of a cut: `Σ_i y_i·rhs_i(u)`, identical for optimality and
-    /// feasibility cuts.
-    fn row_cut(&self, multipliers: &[f64]) -> CutExpr {
-        let mut cut = CutExpr::default();
+    /// Row part of a cut, `Σ_i y_i·rhs_i(u)`, identical for optimality and
+    /// feasibility cuts: the `u` terms go into the accumulator, the constant
+    /// is returned.
+    fn price_rows(&mut self, multipliers: &[f64]) -> f64 {
+        let mut constant = 0.0;
         for spec in &self.rows {
             let y = multipliers[spec.id.index()];
             if y == 0.0 {
                 continue;
             }
-            cut.constant += y * spec.r0;
+            constant += y * spec.r0;
             for &(pair, w) in &spec.u_coeffs {
-                *cut.coeffs.entry(pair).or_insert(0.0) += y * w;
+                self.cut_acc.add(pair, y * w);
             }
         }
-        cut
+        constant
     }
 
     /// Residual `h_j = Σ_i y_i·a_ij` of a leg column against a row
     /// multiplier vector.
     fn residual(&self, multipliers: &[f64], li: usize) -> f64 {
-        self.leg_cols[li]
-            .iter()
-            .map(|&(ri, a)| multipliers[self.rows[ri].id.index()] * a)
-            .sum()
+        self.problem.col_dot(multipliers, self.z_vars[li])
     }
 
     /// The optimality cut `θ ≥ cut(u)` of a feasible solve's `duals`: the
@@ -472,27 +548,49 @@ impl<'a> SlaveContext<'a> {
     /// `d ≥ 0` (rests at the lower edge) and `d·Λ·u` when `d < 0` (upper
     /// edge); strong duality makes the cut tight at the generating
     /// admission.
-    pub fn optimality_cut(&self, multipliers: &[f64]) -> CutExpr {
-        let mut cut = self.row_cut(multipliers);
-        for (li, leg) in self.instance.legs.iter().enumerate() {
-            let d = -self.instance.leg_q(leg) - self.residual(multipliers, li);
+    pub fn optimality_cut(&mut self, multipliers: &[f64]) -> CutExpr {
+        let constant = self.price_rows(multipliers);
+        let instance = self.instance;
+        for (li, leg) in instance.legs.iter().enumerate() {
+            let d = -instance.leg_q(leg) - self.residual(multipliers, li);
             if d.abs() <= BOUND_DUAL_TOL {
                 continue;
             }
             let (lam_hat, lam) = self.leg_window[li];
             let w = if d > 0.0 { d * lam_hat } else { d * lam };
             if w != 0.0 {
-                *cut.coeffs.entry((leg.tenant, leg.cu)).or_insert(0.0) += w;
+                self.cut_acc.add((leg.tenant, leg.cu), w);
             }
         }
-        cut
+        self.cut_acc.take(constant)
     }
 
-    /// Window part of a feasibility cut: subtract the `sup` over the box of
-    /// the certificate residuals, so `g(u) ≤ 0` stays necessary for
-    /// feasibility while the generating admission is still cut off.
-    fn feasibility_window(&self, cut: &mut CutExpr, multipliers: &[f64]) {
-        for (li, leg) in self.instance.legs.iter().enumerate() {
+    /// The feasibility cut `cut(u) ≤ 0` of a Farkas ray: the row part, minus
+    /// the window part — the `sup` over the box of the certificate
+    /// residuals, so `g(u) ≤ 0` stays necessary for feasibility while the
+    /// generating admission is still cut off.
+    ///
+    /// Only a leg with a coefficient in some row whose multiplier is nonzero
+    /// can have a nonzero residual, so only those are priced, in ascending
+    /// leg order: per pair the same additions in the same order as pricing
+    /// every leg.
+    fn feasibility_cut(&mut self, multipliers: &[f64]) -> CutExpr {
+        let constant = self.price_rows(multipliers);
+        let n_legs = self.z_vars.len();
+        for spec in &self.rows {
+            if multipliers[spec.id.index()] != 0.0 {
+                for v in self.problem.row_vars(spec.id) {
+                    if v.index() < n_legs {
+                        self.ray_legs[v.index()] = true;
+                    }
+                }
+            }
+        }
+        let instance = self.instance;
+        for li in 0..n_legs {
+            if !std::mem::take(&mut self.ray_legs[li]) {
+                continue;
+            }
             let h = self.residual(multipliers, li);
             if h.abs() <= BOUND_DUAL_TOL {
                 continue;
@@ -500,21 +598,56 @@ impl<'a> SlaveContext<'a> {
             let (lam_hat, lam) = self.leg_window[li];
             let w = if h > 0.0 { h * lam } else { h * lam_hat };
             if w != 0.0 {
-                *cut.coeffs.entry((leg.tenant, leg.cu)).or_insert(0.0) -= w;
+                let leg = &instance.legs[li];
+                self.cut_acc.add((leg.tenant, leg.cu), -w);
             }
         }
+        self.cut_acc.take(constant)
     }
 
-    /// Prices the admission vector `assigned` (CU per tenant, `None` =
-    /// rejected), warm-starting from the previous call's basis.
-    pub fn solve_for(
-        &mut self,
-        assigned: &[Option<usize>],
-    ) -> Result<SlaveResult, ovnes_lp::SolveError> {
-        let _span = ovnes_obs::span!("slave_lp");
-        assert_eq!(assigned.len(), self.instance.tenants.len());
-
-        // Re-price the rows: every RHS is affine in u.
+    /// Brings the LP's right-hand sides and leg windows from the admission
+    /// they are priced for to `assigned`, editing only what moved.
+    fn reprice(&mut self, assigned: &[Option<usize>]) {
+        let instance = self.instance;
+        // Each leg's box is its window scaled by the admission binary. Pure
+        // bound edits — the basis matrix (and the held factorization)
+        // survive untouched.
+        let (problem, z_vars, leg_window) = (&mut self.problem, &self.z_vars, &self.leg_window);
+        let mut set_window = |li: usize, open: bool| {
+            let (lam_hat, lam) = if open { leg_window[li] } else { (0.0, 0.0) };
+            problem.set_bounds(z_vars[li], lam_hat, lam);
+        };
+        let mut moved = false;
+        match &mut self.priced {
+            None => {
+                for (li, leg) in instance.legs.iter().enumerate() {
+                    set_window(li, assigned[leg.tenant] == Some(leg.cu));
+                }
+                self.priced = Some(assigned.to_vec());
+                moved = true;
+            }
+            Some(priced) => {
+                for (t, (was, now)) in priced.iter_mut().zip(assigned).enumerate() {
+                    if was == now {
+                        continue;
+                    }
+                    if let Some(c) = *was {
+                        instance
+                            .leg_range(t, c)
+                            .for_each(|li| set_window(li, false));
+                    }
+                    if let Some(c) = *now {
+                        instance.leg_range(t, c).for_each(|li| set_window(li, true));
+                    }
+                    *was = *now;
+                    moved = true;
+                }
+            }
+        }
+        if !moved {
+            return;
+        }
+        // Every RHS is affine in u; only the CU rows depend on it at all.
         for spec in &self.rows {
             if spec.u_coeffs.is_empty() {
                 continue;
@@ -527,27 +660,25 @@ impl<'a> SlaveContext<'a> {
             }
             self.problem.set_rhs(spec.id, rhs);
         }
-        // Re-price the windows: each leg's box is its window scaled by the
-        // admission binary. Pure bound edits — the basis matrix (and the
-        // persisted factorization) survive untouched.
-        for (li, leg) in self.instance.legs.iter().enumerate() {
-            let (lam_hat, lam) = self.leg_window[li];
-            if assigned[leg.tenant] == Some(leg.cu) {
-                self.problem.set_bounds(self.z_vars[li], lam_hat, lam);
-            } else {
-                self.problem.set_bounds(self.z_vars[li], 0.0, 0.0);
-            }
-        }
+    }
 
-        let ws =
-            self.problem
-                .solve_warm_in(self.basis.as_ref(), &self.simplex, &mut self.workspace)?;
-        self.stats.absorb(&ws.stats);
-        if self.warm {
-            self.basis = Some(ws.basis);
-        }
+    /// Prices the admission vector `assigned` (CU per tenant, `None` =
+    /// rejected), warm-starting from the previous call's basis.
+    pub fn solve_for(
+        &mut self,
+        assigned: &[Option<usize>],
+    ) -> Result<SlaveResult, ovnes_lp::SolveError> {
+        let _span = ovnes_obs::span!("slave_lp");
+        assert_eq!(assigned.len(), self.instance.tenants.len());
 
-        match ws.outcome {
+        self.reprice(assigned);
+        if !self.warm {
+            self.chain.clear();
+        }
+        let (outcome, stats) = self.problem.resolve(&mut self.chain, &self.simplex)?;
+        self.stats.absorb(&stats);
+
+        match outcome {
             Outcome::Optimal(sol) => {
                 if self.seeded {
                     self.last_unique = ovnes_lp::certify_unique_optimum(&self.problem, &sol);
@@ -569,8 +700,7 @@ impl<'a> SlaveContext<'a> {
             Outcome::Infeasible(farkas) => {
                 self.last_unique = false;
                 self.last_decision_unique = false;
-                let mut cut = self.row_cut(&farkas.row_multipliers);
-                self.feasibility_window(&mut cut, &farkas.row_multipliers);
+                let cut = self.feasibility_cut(&farkas.row_multipliers);
                 Ok(SlaveResult::Infeasible { cut })
             }
             // The leg columns are boxed (z ≤ Λ); only a negative

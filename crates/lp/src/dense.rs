@@ -58,8 +58,6 @@ struct Canonical {
     row_cmp: Vec<Cmp>,
     /// Number of user rows (the prefix); the rest are internal ub rows.
     n_user_rows: usize,
-    /// For internal ub rows: which user variable's bound it encodes.
-    ub_row_var: Vec<usize>,
     /// Structural objective over columns.
     cost: Vec<f64>,
     /// Objective constant accumulated by shifts/mirrors + user constant.
@@ -72,16 +70,16 @@ fn canonicalise(p: &Problem) -> Canonical {
     let mut obj_constant = p.obj_constant;
 
     // Structural columns & bound bookkeeping.
-    // ub_rows: (column, residual_ub, user_var_index)
-    let mut ub_rows: Vec<(usize, f64, usize)> = Vec::new();
-    for (j, v) in p.vars.iter().enumerate() {
+    // ub_rows: (column, residual_ub)
+    let mut ub_rows: Vec<(usize, f64)> = Vec::new();
+    for v in &p.vars {
         if v.lb.is_finite() {
             let col = cost.len();
             cost.push(v.obj);
             obj_constant += v.obj * v.lb;
             var_map.push(VarMap::Shifted { col, lb: v.lb });
             if v.ub.is_finite() {
-                ub_rows.push((col, v.ub - v.lb, j));
+                ub_rows.push((col, v.ub - v.lb));
             }
         } else if v.ub.is_finite() {
             // x = ub − x'; objective c·x = c·ub − c·x'.
@@ -104,7 +102,6 @@ fn canonicalise(p: &Problem) -> Canonical {
     let mut rows = Vec::with_capacity(total_rows);
     let mut rhs = Vec::with_capacity(total_rows);
     let mut row_cmp = Vec::with_capacity(total_rows);
-    let mut ub_row_var = Vec::with_capacity(ub_rows.len());
 
     for c in &p.cons {
         let mut dense = vec![0.0; n_struct];
@@ -129,13 +126,12 @@ fn canonicalise(p: &Problem) -> Canonical {
         rhs.push(b);
         row_cmp.push(c.cmp);
     }
-    for &(col, residual, user_var) in &ub_rows {
+    for &(col, residual) in &ub_rows {
         let mut dense = vec![0.0; n_struct];
         dense[col] = 1.0;
         rows.push(dense);
         rhs.push(residual);
         row_cmp.push(Cmp::Le);
-        ub_row_var.push(user_var);
     }
 
     let row_sign = vec![1.0; total_rows];
@@ -147,7 +143,6 @@ fn canonicalise(p: &Problem) -> Canonical {
         row_sign,
         row_cmp,
         n_user_rows,
-        ub_row_var,
         cost,
         obj_constant,
     }
@@ -290,24 +285,15 @@ pub fn solve(p: &Problem, options: &SimplexOptions) -> Result<Outcome, SolveErro
                 let c1 = if is_artificial(idc) { 1.0 } else { 0.0 };
                 y_eq[i] = c1 - obj1[idc];
             }
-            // Map to user orientation (undo row negation) and split user rows
-            // from internal upper-bound rows. Negate overall so that the
+            // Map to user orientation (undo row negation) and keep the user
+            // rows (the internal upper-bound rows' multipliers are the bound
+            // part, which `Farkas::ub_multipliers` prices from these). The
             // certificate satisfies y'b > 0 (phase-1 duals satisfy y'b =
             // phase1_obj > 0 already in normalised space).
-            let mut row_multipliers = vec![0.0; canon.n_user_rows];
-            let mut ub_multipliers = vec![0.0; p.vars.len()];
-            for i in 0..m {
-                let v = y_eq[i] * canon.row_sign[i];
-                if i < canon.n_user_rows {
-                    row_multipliers[i] = v;
-                } else {
-                    ub_multipliers[canon.ub_row_var[i - canon.n_user_rows]] = v;
-                }
-            }
-            return Ok(Outcome::Infeasible(Farkas {
-                row_multipliers,
-                ub_multipliers,
-            }));
+            let row_multipliers = (0..canon.n_user_rows)
+                .map(|i| y_eq[i] * canon.row_sign[i])
+                .collect();
+            return Ok(Outcome::Infeasible(Farkas { row_multipliers }));
         }
         // Feasible: drive any artificial still in the basis (at zero level)
         // out if possible; leave it if the row turned out redundant.

@@ -15,8 +15,8 @@
 //! ## The engine and its test oracle
 //!
 //! The shipping library has **one** engine, the bounded-variable revised
-//! simplex below; [`Problem::solve`], [`Problem::solve_warm`] and
-//! [`Problem::solve_warm_in`] are the only ways in. The original dense
+//! simplex below; [`Problem::solve`], [`Problem::solve_warm`],
+//! [`Problem::solve_warm_in`] and [`Problem::resolve`] are the only ways in. The original dense
 //! two-phase tableau simplex (`dense::solve`) — bounds canonicalised away,
 //! every solve cold, no code shared with the revised engine — survives as
 //! the specification side of the cross-check suites and is compiled only
@@ -162,14 +162,27 @@
 //! * **Per-worker** [`Workspace`]: every scratch buffer a solve needs —
 //!   triangular-solve scratch, FTRAN/BTRAN images, pricing vectors, primal
 //!   devex weights, dual devex row weights, the pricing candidate list,
-//!   dual ratio-test breakpoints, and the aggregated bound-flip column.
+//!   the dual candidate bitset with its pivot-row accumulator, dual
+//!   ratio-test breakpoints, and the aggregated bound-flip column.
 //!   A workspace is reset on entry and carries **no state between solves**:
 //!   its reuse pattern can never change a result, only allocation traffic.
+//! * **Per-caller** [`WarmChain`]: the restart state of one caller
+//!   re-solving one problem again and again — the final basis, its *owned*
+//!   factorization, the canonical bound / cost / RHS buffers — together
+//!   with a workspace. It *is* state: [`Problem::resolve`] continues from
+//!   what the chain's previous solve left, in place. It is also exactly the
+//!   state a [`Basis`] carries, moved instead of cloned, so a chain of
+//!   `resolve`s equals the chain of `solve_warm_in(Some(&previous_basis))`
+//!   calls bit for bit (`chain_refines_the_basis_handoff`).
 //!
-//! [`Problem::solve_warm_in`] is the per-worker entry point;
+//! [`Problem::solve_warm_in`] is the per-worker entry point — the parallel
+//! branch-and-bound holds a `Workspace` per worker and exchanges `Basis`
+//! values, because a node resumes from its parent's basis whichever worker
+//! solved the parent; [`Problem::resolve`] is the entry point of a
+//! sequential re-pricing loop (the KAC / Benders slave);
 //! [`Problem::solve_warm`] remains the single-threaded convenience that
-//! allocates a throwaway workspace. See the [`revised`] module docs for the
-//! full contract.
+//! allocates a throwaway workspace. All three run one inner solve function.
+//! See the [`revised`] module docs for the full contract.
 //!
 //! ## Conventions
 //!
@@ -235,7 +248,7 @@ pub mod sparse;
 pub use model::{
     certify_unique_optimum, certify_unique_optimum_perturbed, Cmp, ConsId, Problem, VarId,
 };
-pub use revised::{Basis, LpStats, WarmSolve, Workspace};
+pub use revised::{Basis, LpStats, WarmChain, WarmSolve, Workspace};
 pub use simplex::{
     default_refactor_interval, fault_injection_active, Farkas, FaultConfig, Outcome,
     SimplexOptions, Solution, SolveError,

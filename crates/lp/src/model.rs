@@ -1,7 +1,7 @@
 //! Problem builder: variables with bounds, sparse linear constraints, and a
 //! linear minimisation objective.
 
-use crate::revised::{Basis, Structure, WarmSolve, Workspace};
+use crate::revised::{Basis, LpStats, Structure, WarmChain, WarmSolve, Workspace};
 use crate::simplex::{Outcome, SimplexOptions, Solution, SolveError};
 use crate::sparse::SparseMatrix;
 use std::sync::{Arc, OnceLock};
@@ -214,19 +214,49 @@ impl Problem {
     /// compressed-sparse-column form: duplicate row entries are summed and
     /// zero coefficients dropped. This is the matrix representation the
     /// revised engine (and its sparse LU) works on. Every call assembles it
-    /// from the rows (`O(nonzeros)`, one list per column); solves go through
-    /// the copy cached since the last structural edit instead.
+    /// from the rows (`O(nonzeros)`, a counting sort by column into one flat
+    /// array); solves go through the copy cached since the last structural
+    /// edit instead.
     pub fn structural_matrix(&self) -> SparseMatrix {
-        let mut cols: Vec<Vec<(u32, f64)>> = vec![Vec::new(); self.vars.len()];
+        let n = self.vars.len();
+        let mut col_start = vec![0usize; n + 1];
+        for c in &self.cons {
+            for &(j, _) in &c.coeffs {
+                col_start[j + 1] += 1;
+            }
+        }
+        for j in 0..n {
+            col_start[j + 1] += col_start[j];
+        }
+        let mut fill = col_start[..n].to_vec();
+        let mut entries = vec![(0u32, 0.0f64); col_start[n]];
         for (i, c) in self.cons.iter().enumerate() {
-            // Rows are visited in order, so per-column pushes stay sorted;
+            // Rows are visited in order, so each column's slice fills sorted;
             // duplicate entries within a row land adjacent and the CSC
             // constructor sums them (dropping exact-zero results).
             for &(j, a) in &c.coeffs {
-                cols[j].push((i as u32, a));
+                entries[fill[j]] = (i as u32, a);
+                fill[j] += 1;
             }
         }
-        SparseMatrix::from_columns(self.cons.len(), &cols)
+        SparseMatrix::from_flat_columns(self.cons.len(), &col_start, &entries)
+    }
+
+    /// Dot product of a row-space vector (one entry per constraint) with a
+    /// variable's column of the constraint matrix, read from the cached
+    /// structure: `Σ_i y_i·a_{i,var}` over the column's nonzeros in
+    /// ascending row order. How callers price reduced costs and Farkas
+    /// residuals without keeping their own copy of the columns.
+    pub fn col_dot(&self, y: &[f64], var: VarId) -> f64 {
+        self.structure().a.col_dot(y, var.0)
+    }
+
+    /// The variables with a nonzero coefficient in a constraint, ascending
+    /// (the cached row pattern of the constraint matrix).
+    pub fn row_vars(&self, cons: ConsId) -> impl Iterator<Item = VarId> + '_ {
+        let s = self.structure();
+        let (lo, hi) = (s.row_ptr[cons.0] as usize, s.row_ptr[cons.0 + 1] as usize);
+        s.row_cols[lo..hi].iter().map(|&j| VarId(j as usize))
     }
 
     /// The canonical structure of the constraint matrix, assembled from
@@ -255,7 +285,7 @@ impl Problem {
     /// through a caller-owned [`Workspace`] — the per-worker entry point of
     /// the threading contract (see the `revised` module docs). The workspace
     /// never affects results; holding one per worker amortises scratch
-    /// allocations across a warm chain.
+    /// allocations across a worker's solves.
     pub fn solve_warm_in(
         &self,
         warm: Option<&Basis>,
@@ -263,6 +293,21 @@ impl Problem {
         ws: &mut Workspace,
     ) -> Result<WarmSolve, SolveError> {
         crate::revised::solve_warm_in(self, warm, options, ws)
+    }
+
+    /// Solves the program continuing from `chain`: the basis, factorization
+    /// and buffers the chain's previous solve left behind are picked up in
+    /// place, and this solve's are left for the next. The same solve as
+    /// [`Problem::solve_warm_in`] with the previous call's [`Basis`], bit
+    /// for bit — what differs is that nothing is cloned, exported or
+    /// re-allocated in between. A fresh or [cleared](WarmChain::clear) chain
+    /// solves cold; an `Err` leaves the chain cold.
+    pub fn resolve(
+        &self,
+        chain: &mut WarmChain,
+        options: &SimplexOptions,
+    ) -> Result<(Outcome, LpStats), SolveError> {
+        chain.resolve(self, options)
     }
 }
 

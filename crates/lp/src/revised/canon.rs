@@ -20,8 +20,9 @@
 //! ([`Problem::structural_matrix`]); logical columns are implicit unit
 //! vectors and never materialized. Everything that depends on the matrix
 //! alone is a [`Structure`], built once per structural edit and cached in the
-//! [`Problem`]; a [`Canon`] borrows it and adds the per-solve bound, cost and
-//! RHS copies.
+//! [`Problem`]; a [`Canon`] borrows it beside the bound, cost and RHS values,
+//! which are copied per solve into buffers ([`CanonValues`]) the caller keeps
+//! between solves.
 
 use crate::model::{Cmp, Problem};
 use crate::sparse::SparseMatrix;
@@ -42,6 +43,9 @@ pub struct Structure {
     pub row_ptr: Vec<u32>,
     /// Column ids backing `row_ptr` (see there).
     pub row_cols: Vec<u32>,
+    /// The coefficient of each `row_cols` entry, so a pivot row
+    /// `ρᵀA` can be accumulated row by row over the nonzeros of `ρ`.
+    pub row_vals: Vec<f64>,
     /// [`SparseMatrix::fingerprint`] of `a`.
     pub fingerprint: u64,
 }
@@ -52,9 +56,9 @@ impl Structure {
         let n = p.vars.len();
         let m = p.cons.len();
         let a = p.structural_matrix();
-        // Transpose the CSC pattern into a CSR pattern (values dropped).
-        // Visiting columns in ascending order keeps each row's column list
-        // ascending, which the dual candidate scan relies on.
+        // Transpose the CSC matrix into CSR. Visiting columns in ascending
+        // order keeps each row's column list ascending, which the dual
+        // candidate scan relies on.
         let mut row_ptr = vec![0u32; m + 1];
         for j in 0..n {
             for (i, _) in a.col_iter(j) {
@@ -66,10 +70,12 @@ impl Structure {
         }
         let mut fill: Vec<u32> = row_ptr[..m].to_vec();
         let mut row_cols = vec![0u32; row_ptr[m] as usize];
+        let mut row_vals = vec![0.0f64; row_ptr[m] as usize];
         for j in 0..n {
-            for (i, _) in a.col_iter(j) {
+            for (i, v) in a.col_iter(j) {
                 let slot = &mut fill[i as usize];
                 row_cols[*slot as usize] = j as u32;
+                row_vals[*slot as usize] = v;
                 *slot += 1;
             }
         }
@@ -78,7 +84,51 @@ impl Structure {
             a,
             row_ptr,
             row_cols,
+            row_vals,
             fingerprint,
+        }
+    }
+}
+
+/// The value side of the canonical form: one entry per column (logicals
+/// included) or row, refilled from the problem at every solve. Kept by the
+/// caller between solves so the refill allocates nothing.
+#[derive(Debug, Default)]
+pub struct CanonValues {
+    /// Lower bound per column (`n + m` entries, logicals included).
+    pub lb: Vec<f64>,
+    /// Upper bound per column.
+    pub ub: Vec<f64>,
+    /// Objective per column (0 for logicals).
+    pub cost: Vec<f64>,
+    /// Right-hand side per row.
+    pub b: Vec<f64>,
+}
+
+impl CanonValues {
+    /// Overwrites the four vectors with `p`'s current bounds, costs and
+    /// right-hand sides: the `O(n + m)` copy a solve pays.
+    pub fn fill(&mut self, p: &Problem) {
+        let CanonValues { lb, ub, cost, b } = self;
+        lb.clear();
+        ub.clear();
+        cost.clear();
+        b.clear();
+        for v in &p.vars {
+            lb.push(v.lb);
+            ub.push(v.ub);
+            cost.push(v.obj);
+        }
+        for c in &p.cons {
+            b.push(c.rhs);
+            let (l, u) = match c.cmp {
+                Cmp::Le => (0.0, f64::INFINITY),
+                Cmp::Ge => (f64::NEG_INFINITY, 0.0),
+                Cmp::Eq => (0.0, 0.0),
+            };
+            lb.push(l);
+            ub.push(u);
+            cost.push(0.0);
         }
     }
 }
@@ -93,58 +143,55 @@ pub struct Canon<'a> {
     /// The matrix side, borrowed from the problem's cache.
     pub s: &'a Structure,
     /// Lower bound per column (`n + m` entries, logicals included).
-    pub lb: Vec<f64>,
+    pub lb: &'a [f64],
     /// Upper bound per column.
-    pub ub: Vec<f64>,
+    pub ub: &'a [f64],
     /// Objective per column (0 for logicals).
-    pub cost: Vec<f64>,
+    pub cost: &'a [f64],
     /// Right-hand side per row.
-    pub b: Vec<f64>,
+    pub b: &'a [f64],
     /// User objective constant.
     pub obj_constant: f64,
 }
 
 impl<'a> Canon<'a> {
-    /// Builds the canonical form over the problem's cached structure: the
-    /// `O(n + m)` bound, cost and RHS copies, plus the structure itself when
-    /// a structural edit has dropped it since the last solve.
-    pub fn build(p: &'a Problem) -> Canon<'a> {
-        let n = p.vars.len();
-        let m = p.cons.len();
-        let total = n + m;
-
-        let mut lb = Vec::with_capacity(total);
-        let mut ub = Vec::with_capacity(total);
-        let mut cost = Vec::with_capacity(total);
-
-        for v in &p.vars {
-            lb.push(v.lb);
-            ub.push(v.ub);
-            cost.push(v.obj);
-        }
-
-        let mut b = Vec::with_capacity(m);
-        for c in &p.cons {
-            b.push(c.rhs);
-            let (l, u) = match c.cmp {
-                Cmp::Le => (0.0, f64::INFINITY),
-                Cmp::Ge => (f64::NEG_INFINITY, 0.0),
-                Cmp::Eq => (0.0, 0.0),
-            };
-            lb.push(l);
-            ub.push(u);
-            cost.push(0.0);
-        }
-
+    /// The canonical form of `p` over its cached structure (built here when
+    /// a structural edit has dropped it since the last solve) and `values`,
+    /// which the caller has [filled](CanonValues::fill) from `p`.
+    pub fn new(p: &'a Problem, values: &'a CanonValues) -> Canon<'a> {
         Canon {
-            n,
-            m,
+            n: p.vars.len(),
+            m: p.cons.len(),
             s: p.structure(),
-            lb,
-            ub,
-            cost,
-            b,
+            lb: &values.lb,
+            ub: &values.ub,
+            cost: &values.cost,
+            b: &values.b,
             obj_constant: p.obj_constant,
+        }
+    }
+
+    /// Marks in `bits` (one bit per column, logicals included) every column
+    /// that can have a nonzero entry in the pivot row `ρᵀ[A I]` — a
+    /// structural column with a coefficient in some row where `ρ ≠ 0`, and
+    /// that row's own logical — and adds each structural one's entry
+    /// `Σ_i ρ_i·a_ij` into `acc[j]` (zero on entry). Rows are visited in
+    /// ascending order, so a column's nonzero terms arrive in the order
+    /// [`Canon::col_dot`] adds them and the terms left out are exact zeros:
+    /// where the sum is nonzero it has `col_dot(ρ, j)`'s bits.
+    pub fn mark_pivot_row(&self, rho: &[f64], bits: &mut [u64], acc: &mut [f64]) {
+        for (i, &ri) in rho.iter().enumerate() {
+            if ri == 0.0 {
+                continue;
+            }
+            let (lo, hi) = (self.s.row_ptr[i] as usize, self.s.row_ptr[i + 1] as usize);
+            for (&j, &a) in self.s.row_cols[lo..hi].iter().zip(&self.s.row_vals[lo..hi]) {
+                bits[j as usize >> 6] |= 1u64 << (j & 63);
+                acc[j as usize] += ri * a;
+            }
+            // A logical column is the unit vector of its own row.
+            let l = self.n + i;
+            bits[l >> 6] |= 1u64 << (l & 63);
         }
     }
 
@@ -178,4 +225,19 @@ impl<'a> Canon<'a> {
             out.push(((j - self.n) as u32, 1.0));
         }
     }
+}
+
+/// Calls `visit` with the index of every set bit of `bits`, ascending,
+/// leaving `bits` all zero; returns how many there were.
+pub fn drain_ascending(bits: &mut [u64], mut visit: impl FnMut(usize)) -> usize {
+    let mut count = 0;
+    for (w, word) in bits.iter_mut().enumerate() {
+        let mut rest = std::mem::take(word);
+        count += rest.count_ones() as usize;
+        while rest != 0 {
+            visit((w << 6) + rest.trailing_zeros() as usize);
+            rest &= rest - 1;
+        }
+    }
+    count
 }

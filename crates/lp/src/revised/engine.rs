@@ -54,30 +54,36 @@
 //! path lives on. Bland mode ignores the weights (the anti-cycling argument
 //! needs the plain least-index rule).
 //!
-//! An engine can be seeded with a [`Factorization`] persisted from a
-//! previous solve of the same basis (see [`super::Basis`]): a pure RHS or
-//! bound edit leaves the basis matrix untouched, so the solve starts with
-//! **zero refactorizations** — FTRAN/BTRAN replay the stored factors
-//! directly.
+//! An engine can be seeded with the [`Factorization`] a previous solve of
+//! the same basis ended with (see [`super::Basis`] and
+//! [`super::WarmChain`]): a pure RHS or bound edit leaves the basis matrix
+//! untouched, so the solve starts with **zero refactorizations** —
+//! FTRAN/BTRAN replay the stored factors directly.
 //!
 //! ## Threading contract
 //!
 //! The engine owns **no hidden scratch**: every temporary buffer — the
 //! triangular-solve scratch, FTRAN/BTRAN images, pricing vectors, devex
-//! weights (primal and dual), the candidate list, the dual ratio-test
-//! breakpoints, the aggregated flip column — lives in an explicit
-//! [`Workspace`] the caller lends for the duration of one solve. The shared
-//! inputs ([`Canon`], [`SimplexOptions`], a reused [`Factorization`]) are
-//! read-only, so any number of engines can run concurrently over the same
-//! problem data as long as each brings its own `Workspace`. A workspace is
-//! pure scratch: it is reset at engine construction, carries no information
-//! between solves, and therefore never affects results — only allocation
-//! traffic.
+//! weights (primal and dual), the candidate list, the dual candidate bitset
+//! and pivot-row accumulator, the dual ratio-test breakpoints, the
+//! aggregated flip column — lives in an explicit [`Workspace`] the caller
+//! lends for the duration of one solve. The shared inputs ([`Canon`],
+//! [`SimplexOptions`]) are read-only, so any number of engines can run
+//! concurrently over the same problem data as long as each brings its own
+//! `Workspace`. A workspace is pure scratch: it is reset at engine
+//! construction, carries no information between solves, and therefore never
+//! affects results — only allocation traffic.
+//!
+//! The *restart state* — statuses, basic set, the `x_B` buffer and the
+//! factorization — is not scratch and not borrowed: the engine takes it by
+//! value and gives it back through [`Engine::into_parts`]. Whoever owns it
+//! between solves (a `Basis` the caller clones from, or a `WarmChain` that
+//! moves it) is the parent module's business; the engine sees no difference.
 
-use super::canon::Canon;
+use super::canon::{drain_ascending, Canon};
 use super::lu::{Factorization, SolveScratch, SparseLu};
 use super::{LpStats, VarStatus};
-use crate::simplex::{Farkas, SolveError};
+use crate::simplex::SolveError;
 use crate::SimplexOptions;
 
 /// Minimum pivot magnitude accepted in a basis change.
@@ -104,7 +110,8 @@ const DEVEX_RESET: f64 = 1e8;
 const PARTIAL_PRICING_MIN_COLS: usize = 256;
 
 /// Per-worker scratch for the revised engine: every buffer a solve needs
-/// beyond the immutable problem data and the (restartable) basis itself.
+/// beyond the immutable problem data and the restart state (basis,
+/// factorization) itself.
 ///
 /// Lend one to [`Problem::solve_warm_in`](crate::Problem::solve_warm_in) per
 /// solve; reuse it across solves to amortise allocations. Contents are
@@ -112,8 +119,12 @@ const PARTIAL_PRICING_MIN_COLS: usize = 256;
 /// between solves** — two solves of the same problem through different (or
 /// differently-used) workspaces produce bit-identical results. This is what
 /// makes the parallel branch-and-bound deterministic: workers share
-/// `Problem` / `SparseMatrix` / `Arc<Factorization>` read-only and keep all
-/// mutation in here.
+/// `Problem` / `SparseMatrix` / `Arc<Factorization>` read-only, pass restart
+/// state between them as `Basis` values, and keep all mutation in here.
+///
+/// What *does* persist from one solve to the next on a sequential warm
+/// chain is kept apart, in a [`WarmChain`](crate::WarmChain), which owns a
+/// `Workspace` beside it; nothing in this struct has to survive a solve.
 #[derive(Debug, Default)]
 pub struct Workspace {
     /// Triangular-solve scratch for the factorization: worklist heaps,
@@ -136,15 +147,17 @@ pub struct Workspace {
     plist: Vec<usize>,
     /// Scratch buffer of eligible dual-ratio-test breakpoints.
     dual_cand: Vec<DualCand>,
-    /// Dual-side candidate list: columns with a structurally-nonzero
-    /// pivot-row entry, rebuilt per dual iteration from the canonical
-    /// form's row pattern.
-    dual_cols: Vec<u32>,
-    /// Per-column stamps de-duplicating `dual_cols` across the pivot row's
-    /// nonzero rows.
-    col_stamp: Vec<u64>,
-    /// Generation counter backing `col_stamp`.
-    stamp_gen: u64,
+    /// Dual-side candidate set, one bit per column: the columns with a
+    /// structurally-nonzero pivot-row entry, set per dual iteration from the
+    /// canonical form's row pattern and cleared word by word as the
+    /// ascending walk consumes them.
+    cand_bits: Vec<u64>,
+    /// Pivot-row entries `α_rj` of the structural candidate columns,
+    /// accumulated row by row beside `cand_bits`; an entry is zeroed again
+    /// when its column is consumed.
+    row_acc: Vec<f64>,
+    /// Columns `repair_dual_feasibility` decided to flip.
+    flip_cols: Vec<usize>,
     /// Scratch column accumulating the aggregated bound-flip delta.
     flipbuf: Vec<f64>,
 }
@@ -174,10 +187,11 @@ impl Workspace {
         self.dual_devex.resize(m, 1.0);
         self.plist.clear();
         self.dual_cand.clear();
-        self.dual_cols.clear();
-        self.col_stamp.clear();
-        self.col_stamp.resize(n_total, 0);
-        self.stamp_gen = 0;
+        self.cand_bits.clear();
+        self.cand_bits.resize(n_total.div_ceil(64), 0);
+        self.row_acc.clear();
+        self.row_acc.resize(n_total - m, 0.0);
+        self.flip_cols.clear();
         self.flipbuf.clear();
         self.flipbuf.resize(m, 0.0);
     }
@@ -248,70 +262,95 @@ pub(super) struct Engine<'a> {
     plist_cursor: usize,
 }
 
+/// The restart state of a solve: what an engine is built from and what
+/// [`Engine::into_parts`] gives back — one solve's end is the next one's
+/// start, moved rather than copied.
+#[derive(Debug, Default)]
+pub(super) struct Restart {
+    /// Status per column (`n + m` entries).
+    pub status: Vec<VarStatus>,
+    /// Basic column per row position.
+    pub basic: Vec<usize>,
+    /// Buffer of the basic values. Contents do not carry over: the first
+    /// [`Engine::compute_xb`] of a solve refills it.
+    pub xb: Vec<f64>,
+    /// Factorization of the basis matrix of `basic`, when one is held that
+    /// still matches it (the holder's contract: same basic set, same
+    /// constraint columns as when it was built).
+    pub fact: Option<Factorization>,
+}
+
+/// Factorizes the basis matrix of `basic` from scratch, booking the work in
+/// `stats`. `None` when the matrix is singular.
+fn factor_basis(canon: &Canon<'_>, basic: &[usize], stats: &mut LpStats) -> Option<Factorization> {
+    let _span = ovnes_obs::span!("lp_factor");
+    let lu = SparseLu::factor(canon.m, |pos, out| canon.push_col(basic[pos], out))?;
+    stats.fill_in += lu.fill_in();
+    stats.pivot_scan_work += lu.pivot_scan_work();
+    stats.refactorizations += 1;
+    Some(Factorization::new(lu))
+}
+
 impl<'a> Engine<'a> {
-    /// Builds an engine over `status`/`basic` (already sized for `canon`),
-    /// with all scratch in the caller's `ws` (reset here).
+    /// Builds an engine over `restart` (statuses and basic set already
+    /// sized for `canon`), with all scratch in the caller's `ws` (reset
+    /// here). The restart state is taken by value and handed back by
+    /// [`Engine::into_parts`], so a warm chain moves it in and out without
+    /// copying.
     ///
-    /// When `reuse` carries a factorization of the *same* basis matrix
-    /// (dimension match is the caller's contract: the basic set and the
-    /// constraint columns are unchanged since it was built), the engine
-    /// starts from it and skips the initial refactorization entirely.
+    /// When `restart.fact` carries a factorization, the engine starts from
+    /// it and skips the initial refactorization entirely.
     ///
     /// A supplied basis whose matrix turns out singular (heavy problem
     /// edits) is discarded in favour of a cold all-logical restart — the
     /// identity always factorizes — with the statistics reset to a single
     /// cold start, exactly as if no basis had been supplied.
+    ///
+    /// `x_B` is **not** computed here: the phase driver computes it once it
+    /// has settled the nonbasic point (see `run` in the parent module).
     pub fn new(
         canon: &'a Canon<'a>,
         opts: &'a SimplexOptions,
-        status: Vec<VarStatus>,
-        basic: Vec<usize>,
-        stats: LpStats,
-        reuse: Option<&Factorization>,
+        restart: Restart,
+        mut stats: LpStats,
         ws: &'a mut Workspace,
     ) -> Engine<'a> {
+        let Restart {
+            mut status,
+            mut basic,
+            xb,
+            fact,
+        } = restart;
         let m = canon.m;
         debug_assert_eq!(status.len(), canon.n + m);
         debug_assert_eq!(basic.len(), m);
         ws.prepare(m, canon.n + m);
-        let mut eng = Engine {
+        let fact = match fact.filter(|f| f.dim() == m) {
+            Some(f) => {
+                stats.factorization_reuses += 1;
+                f
+            }
+            None => factor_basis(canon, &basic, &mut stats).unwrap_or_else(|| {
+                // Stored basis went singular: cold restart.
+                super::cold_state(canon, &mut status, &mut basic);
+                stats = LpStats::default();
+                stats.cold_starts += 1;
+                factor_basis(canon, &basic, &mut stats)
+                    .expect("the all-logical basis is the identity and always factorizes")
+            }),
+        };
+        Engine {
             c: canon,
             opts,
             status,
             basic,
-            fact: Factorization::empty(),
-            xb: vec![0.0; m],
+            fact,
+            xb,
             iterations_left: opts.max_iterations,
             stats,
             ws,
             plist_cursor: 0,
-        };
-        match reuse {
-            Some(f) if f.dim() == m => {
-                // Cheap: the LU factors are Arc-shared; only the updatable
-                // `U` working copy is deep-copied, so compressions folded in
-                // here stay private to this engine (copy-on-compress — a
-                // sibling worker holding the same basis never sees them).
-                eng.fact = f.clone();
-                eng.stats.factorization_reuses += 1;
-            }
-            _ => {
-                if !eng.refactorize() {
-                    // Stored basis went singular: cold restart.
-                    let (status, basic) = super::cold_state(canon);
-                    eng.status = status;
-                    eng.basic = basic;
-                    eng.stats = LpStats::default();
-                    eng.stats.cold_starts += 1;
-                    assert!(
-                        eng.refactorize(),
-                        "the all-logical basis is the identity and always factorizes"
-                    );
-                }
-            }
         }
-        eng.compute_xb();
-        eng
     }
 
     /// The value a nonbasic column currently sits at.
@@ -328,26 +367,22 @@ impl<'a> Engine<'a> {
     /// Rebuilds the (sparse) LU factorization from the current basic set.
     /// Returns false when the basis matrix is singular.
     fn refactorize(&mut self) -> bool {
-        let _span = ovnes_obs::span!("lp_factor");
-        let m = self.c.m;
-        let (canon, basic) = (self.c, &self.basic);
-        let lu = SparseLu::factor(m, |pos, out| canon.push_col(basic[pos], out));
-        match lu {
-            Some(lu) => {
-                self.stats.fill_in += lu.fill_in();
-                self.stats.pivot_scan_work += lu.pivot_scan_work();
-                self.fact = Factorization::new(lu);
-                self.stats.refactorizations += 1;
+        match factor_basis(self.c, &self.basic, &mut self.stats) {
+            Some(fact) => {
+                self.fact = fact;
                 true
             }
             None => false,
         }
     }
 
-    /// Recomputes `x_B = B⁻¹(b − N·x_N)` from scratch.
+    /// Recomputes `x_B = B⁻¹(b − N·x_N)` from scratch, into the buffer
+    /// `x_B` already occupies.
     pub fn compute_xb(&mut self) {
         let m = self.c.m;
-        let mut rhs = self.c.b.clone();
+        let mut rhs = std::mem::take(&mut self.xb);
+        rhs.clear();
+        rhs.extend_from_slice(self.c.b);
         for j in 0..self.c.n + m {
             if self.status[j] == VarStatus::Basic {
                 continue;
@@ -384,14 +419,20 @@ impl<'a> Engine<'a> {
 
     /// BTRAN of the phase-2 basic costs: the dual vector `y`.
     pub fn duals(&mut self) -> Vec<f64> {
-        let m = self.c.m;
-        let mut cb = vec![0.0; m];
+        let mut y = Vec::new();
+        self.price_basic_costs(&mut y);
+        y
+    }
+
+    /// Overwrites `y` with `B⁻ᵀc_B`, the duals of the current basis.
+    fn price_basic_costs(&mut self, y: &mut Vec<f64>) {
+        y.clear();
+        y.resize(self.c.m, 0.0);
         for (pos, &j) in self.basic.iter().enumerate() {
-            cb[pos] = self.c.cost[j];
+            y[pos] = self.c.cost[j];
         }
-        hint_nonzeros(&mut self.ws.lu, &cb);
-        self.fact.btran(&mut cb, &mut self.ws.lu);
-        cb
+        hint_nonzeros(&mut self.ws.lu, y);
+        self.fact.btran(y, &mut self.ws.lu);
     }
 
     /// Charges one pivot against the global iteration budget.
@@ -639,42 +680,48 @@ impl<'a> Engine<'a> {
     ///
     /// Two passes on purpose: the decision to repair must be made before any
     /// status mutates, otherwise an unrepairable column found mid-scan would
-    /// leave earlier flips applied with `x_B` still reflecting the old
-    /// nonbasic point.
+    /// leave earlier flips applied. Either way `x_B` is computed here, once,
+    /// for the nonbasic point the scan settled on — this is the warm path's
+    /// one from-scratch `x_B` (the cold path's is the phase driver's).
     pub fn repair_dual_feasibility(&mut self) -> bool {
-        let y = self.duals();
-        let mut flips: Vec<(usize, VarStatus)> = Vec::new();
+        let mut y = std::mem::take(&mut self.ws.ybuf);
+        self.price_basic_costs(&mut y);
+        let mut flips = std::mem::take(&mut self.ws.flip_cols);
+        flips.clear();
+        let mut repairable = true;
         for j in 0..self.c.n + self.c.m {
             let st = self.status[j];
             if st == VarStatus::Basic || self.c.lb[j] == self.c.ub[j] {
                 continue; // fixed columns are dual feasible at either bound
             }
             let d = self.c.cost[j] - self.c.col_dot(&y, j);
-            match st {
-                VarStatus::AtLower if d < -DUAL_TOL => {
-                    if !self.c.ub[j].is_finite() {
-                        return false;
-                    }
-                    flips.push((j, VarStatus::AtUpper));
-                }
-                VarStatus::AtUpper if d > DUAL_TOL => {
-                    if !self.c.lb[j].is_finite() {
-                        return false;
-                    }
-                    flips.push((j, VarStatus::AtLower));
-                }
-                VarStatus::Free if d.abs() > DUAL_TOL => return false,
-                _ => {}
+            // A dual-infeasible column is repaired by moving it to its
+            // opposite bound, which must be finite (a free column has none).
+            let can_flip = match st {
+                VarStatus::AtLower if d < -DUAL_TOL => self.c.ub[j].is_finite(),
+                VarStatus::AtUpper if d > DUAL_TOL => self.c.lb[j].is_finite(),
+                VarStatus::Free if d.abs() > DUAL_TOL => false,
+                _ => continue,
+            };
+            if !can_flip {
+                repairable = false;
+                break;
             }
+            flips.push(j);
         }
-        if !flips.is_empty() {
+        if repairable {
             self.stats.bound_flips += flips.len();
-            for &(j, st) in &flips {
-                self.status[j] = st;
+            for &j in &flips {
+                self.status[j] = match self.status[j] {
+                    VarStatus::AtLower => VarStatus::AtUpper,
+                    _ => VarStatus::AtLower,
+                };
             }
-            self.compute_xb();
         }
-        true
+        self.ws.ybuf = y;
+        self.ws.flip_cols = flips;
+        self.compute_xb();
+        repairable
     }
 
     // --------------------------------------------------------------- primal
@@ -971,13 +1018,7 @@ impl<'a> Engine<'a> {
             self.ws.lu.rhs_nz.push(r as u32);
             self.fact.btran(&mut rho, &mut self.ws.lu);
             let mut y = std::mem::take(&mut self.ws.ybuf);
-            y.clear();
-            y.resize(m, 0.0);
-            for (pos, &j) in self.basic.iter().enumerate() {
-                y[pos] = self.c.cost[j];
-            }
-            hint_nonzeros(&mut self.ws.lu, &y);
-            self.fact.btran(&mut y, &mut self.ws.lu);
+            self.price_basic_costs(&mut y);
 
             // Collect every eligible dual-ratio-test breakpoint. The leaving
             // variable exits at its violated bound; entering candidates must
@@ -985,48 +1026,33 @@ impl<'a> Engine<'a> {
             // cost feasible.
             let mut cand = std::mem::take(&mut self.ws.dual_cand);
             cand.clear();
-            // Dual-side candidate list (the mirror of primal partial
+            // Dual-side candidate set (the mirror of primal partial
             // pricing): only a column with a structural nonzero in some row
             // where ρ ≠ 0 — or that row's own logical — can have α_rj ≠ 0;
             // every other column would fail the pivot-tolerance test below
-            // without ever being a breakpoint. Collect exactly those columns
-            // from the structure-only row pattern, ascending, and compute
-            // α_rj with the very same `col_dot` as a full scan would — the
-            // candidate set, its order, and every downstream pivot are
-            // bit-identical to scanning all `n_total` columns.
-            let mut cols = std::mem::take(&mut self.ws.dual_cols);
-            cols.clear();
-            self.ws.stamp_gen += 1;
-            let gen = self.ws.stamp_gen;
-            for (i, &ri) in rho.iter().enumerate() {
-                if ri == 0.0 {
-                    continue;
-                }
-                let s = self.c.s.row_ptr[i] as usize;
-                let e = self.c.s.row_ptr[i + 1] as usize;
-                for k in s..e {
-                    let j = self.c.s.row_cols[k];
-                    let stamp = &mut self.ws.col_stamp[j as usize];
-                    if *stamp != gen {
-                        *stamp = gen;
-                        cols.push(j);
-                    }
-                }
-                // A logical column is the unit vector of its own row: a
-                // candidate exactly when that row's ρ entry is nonzero.
-                cols.push((self.c.n + i) as u32);
-            }
-            cols.sort_unstable();
-            self.stats.pricing_scans += cols.len();
-            for &ju in cols.iter() {
-                let j = ju as usize;
+            // without ever being a breakpoint. `mark_pivot_row` marks exactly
+            // those columns in the bitset and accumulates each structural
+            // one's α_rj beside it, with `col_dot`'s bits wherever it is
+            // nonzero (a zero fails the pivot-tolerance test whatever its
+            // sign). Walking the bits in ascending order then gives the same
+            // candidates in the same order as scanning all `n_total`
+            // columns, and every downstream pivot is bit-identical.
+            let mut bits = std::mem::take(&mut self.ws.cand_bits);
+            let mut acc = std::mem::take(&mut self.ws.row_acc);
+            self.c.mark_pivot_row(&rho, &mut bits, &mut acc);
+            let n = self.c.n;
+            let scanned = drain_ascending(&mut bits, |j| {
+                let arow = if j < n {
+                    std::mem::take(&mut acc[j])
+                } else {
+                    rho[j - n]
+                };
                 let st = self.status[j];
                 if st == VarStatus::Basic || self.c.lb[j] == self.c.ub[j] {
-                    continue;
+                    return;
                 }
-                let arow = self.c.col_dot(&rho, j);
                 if arow.abs() <= PIVOT_TOL {
-                    continue;
+                    return;
                 }
                 // x_Br rate per unit of entering movement Δ is −arow·sign(Δ).
                 // `below` needs x_Br to increase.
@@ -1049,7 +1075,7 @@ impl<'a> Engine<'a> {
                     VarStatus::Basic => unreachable!(),
                 };
                 if !eligible {
-                    continue;
+                    return;
                 }
                 let d = self.c.cost[j] - self.c.col_dot(&y, j);
                 cand.push(DualCand {
@@ -1057,8 +1083,10 @@ impl<'a> Engine<'a> {
                     arow,
                     ratio: (d / arow).abs(),
                 });
-            }
-            self.ws.dual_cols = cols;
+            });
+            self.stats.pricing_scans += scanned;
+            self.ws.cand_bits = bits;
+            self.ws.row_acc = acc;
             self.ws.ybuf = y;
 
             if cand.is_empty() {
@@ -1093,11 +1121,14 @@ impl<'a> Engine<'a> {
                 // Long step: walk the breakpoints in dual-step order,
                 // flipping boxed columns through as long as the slope (the
                 // remaining primal violation) stays positive.
+                // Ratios and pivot magnitudes are non-negative and never
+                // NaN, where `total_cmp` is the numeric order. Ties stay
+                // unordered: which of two exchangeable columns the unstable
+                // sort puts first is part of the pivoting rule.
                 cand.sort_unstable_by(|a, b| {
                     a.ratio
-                        .partial_cmp(&b.ratio)
-                        .unwrap()
-                        .then(b.arow.abs().partial_cmp(&a.arow.abs()).unwrap())
+                        .total_cmp(&b.ratio)
+                        .then(b.arow.abs().total_cmp(&a.arow.abs()))
                 });
                 let mut remaining = viol;
                 let mut chosen = cand.len() - 1;
@@ -1269,34 +1300,20 @@ impl<'a> Engine<'a> {
         obj
     }
 
-    /// Maps an equality-space certificate vector to the user Farkas form:
-    /// row multipliers as-is, plus an upper-bound multiplier `−gⱼ` wherever
-    /// pricing leaves a positive residual that the variable's finite upper
-    /// bound must absorb (see the crate docs for the sign contract).
-    pub fn farkas_from_y(&self, y: Vec<f64>) -> Farkas {
-        let mut ub_multipliers = vec![0.0; self.c.n];
-        for j in 0..self.c.n {
-            let g = self.c.col_dot(&y, j);
-            let fixed = self.c.lb[j] == self.c.ub[j];
-            if (g > 0.0 && self.c.ub[j].is_finite()) || fixed {
-                ub_multipliers[j] = -g;
-            }
-        }
-        Farkas {
-            row_multipliers: y,
-            ub_multipliers,
-        }
-    }
-
-    /// Consumes the engine, returning the final statuses, basic set and
-    /// factorization (the persisted warm-start state) and the accumulated
-    /// statistics, with the end-of-solve update count and the scratch's
-    /// hyper-sparse counters folded in.
-    pub fn into_parts(mut self) -> (Vec<VarStatus>, Vec<usize>, Factorization, LpStats) {
+    /// Consumes the engine, returning the restart state as the solve left it
+    /// and the accumulated statistics, with the end-of-solve update count and
+    /// the scratch's hyper-sparse counters folded in.
+    pub fn into_parts(mut self) -> (Restart, LpStats) {
         self.stats.eta_len_end += self.fact.update_count();
         let (hf, hb) = self.ws.lu.take_hypersparse_counts();
         self.stats.hypersparse_ftrans += hf as usize;
         self.stats.hypersparse_btrans += hb as usize;
-        (self.status, self.basic, self.fact, self.stats)
+        let restart = Restart {
+            status: self.status,
+            basic: self.basic,
+            xb: self.xb,
+            fact: Some(self.fact),
+        };
+        (restart, self.stats)
     }
 }

@@ -549,8 +549,8 @@ impl SparseLu {
         }
     }
 
-    /// Factorizes from explicit per-position sparse columns (test helper and
-    /// small-matrix convenience).
+    /// Factorizes from explicit per-position sparse columns (test helper).
+    #[cfg(any(test, feature = "testgen"))]
     pub fn factor_cols(m: usize, cols: &[Vec<(u32, f64)>]) -> Option<SparseLu> {
         debug_assert_eq!(cols.len(), m);
         SparseLu::factor(m, |pos, buf| buf.extend_from_slice(&cols[pos]))
@@ -1124,11 +1124,6 @@ impl Factorization {
             lu: Arc::new(lu),
             ft,
         }
-    }
-
-    /// A factorization of the 0 × 0 matrix (placeholder / empty problems).
-    pub fn empty() -> Self {
-        Factorization::new(SparseLu::factor_cols(0, &[]).expect("0×0 factorizes trivially"))
     }
 
     /// Basis dimension this factorization covers.

@@ -23,7 +23,8 @@
 //!   the stored basis stays **dual feasible** and [`Problem::solve_warm`]
 //!   restores primal feasibility with a handful of **dual simplex** pivots
 //!   instead of two cold phases;
-//! * **persists the factorization inside the [`Basis`]**: a re-solve after
+//! * **persists the factorization inside the [`Basis`]** (and keeps it,
+//!   owned, inside a [`WarmChain`]): a re-solve after
 //!   edits that leave the basis *matrix* untouched (RHS changes, bound
 //!   changes, objective changes) starts from the stored factors and performs
 //!   **zero refactorizations**. Only row appends (the basis matrix grows) or
@@ -88,18 +89,31 @@
 //!   written after construction.
 //! * **Per-worker scratch** — every temporary the engine needs
 //!   (FTRAN/BTRAN images and triangular-solve scratch, pricing vectors,
-//!   primal and dual devex weights, the pricing candidate list, dual
-//!   ratio-test breakpoints, the aggregated bound-flip column) lives in an
-//!   explicit [`Workspace`]. Lend one per solve via
-//!   [`Problem::solve_warm_in`] (reusing it across a worker's solves
-//!   amortises allocations); a workspace is reset on entry and carries
-//!   **no state between solves**, so its reuse pattern can never change a
-//!   result.
+//!   primal and dual devex weights, the pricing candidate list, the dual
+//!   candidate bitset and pivot-row accumulator, dual ratio-test
+//!   breakpoints, the aggregated bound-flip column) lives in an explicit
+//!   [`Workspace`]. Lend one per solve via [`Problem::solve_warm_in`]
+//!   (reusing it across a worker's solves amortises allocations); a
+//!   workspace is reset on entry and carries **no state between solves**,
+//!   so its reuse pattern can never change a result.
+//!
+//! A third kind of value sits between the two: the **restart state** of a
+//! warm chain — statuses, basic set, the owned factorization with its
+//! updatable `U`, the canonical value buffers. As a [`Basis`] it is an
+//! immutable, shareable value that each solve clones from and exports to;
+//! as a [`WarmChain`] it is one caller's mutable state, moved into the
+//! engine and back by [`Problem::resolve`] with nothing copied. Both enter
+//! the engine through the same function (`solve_state`) over the same
+//! struct, so which one holds the state never changes a result; a
+//! `WarmChain` owns its own `Workspace` and is `Send`, never shared.
 //!
 //! [`Problem::solve_warm`] remains the single-threaded convenience that
 //! allocates a throwaway workspace internally. The parallel
 //! branch-and-bound in `ovnes-milp` is the canonical consumer of the split:
-//! one shared problem + basis pool, one `Workspace` per worker thread.
+//! one shared problem + basis pool, one `Workspace` per worker thread — and
+//! no `WarmChain`, since a node resumes from its parent's basis on whichever
+//! worker claims it. The KAC / Benders slave, one sequential re-pricing
+//! loop, is the canonical consumer of the chain.
 
 mod canon;
 mod engine;
@@ -114,11 +128,11 @@ pub(crate) mod lu;
 pub use lu::{Factorization, Lu, SolveScratch, SparseLu};
 
 use crate::model::Problem;
-use crate::simplex::{Outcome, SimplexOptions, Solution, SolveError};
-use canon::Canon;
+use crate::simplex::{Farkas, Outcome, SimplexOptions, Solution, SolveError};
 pub(crate) use canon::Structure;
+use canon::{Canon, CanonValues};
 pub use engine::Workspace;
-use engine::{DualEnd, Engine, PrimalEnd};
+use engine::{DualEnd, Engine, PrimalEnd, Restart};
 #[cfg(not(any(test, feature = "testgen")))]
 use lu::Factorization;
 use std::sync::Arc;
@@ -138,6 +152,7 @@ const _: () = {
     // Workspaces are per-worker (`Send`, handed to a thread, never shared).
     const fn assert_send<T: Send>() {}
     assert_send::<Workspace>();
+    assert_send::<WarmChain>();
 };
 
 /// Where a column currently sits relative to the basis.
@@ -425,95 +440,216 @@ pub struct WarmSolve {
     pub stats: LpStats,
 }
 
-/// Cold initial state: every logical basic (B = I), every structural column
-/// at a finite bound (preferring the lower), free columns at 0.
-fn cold_state(c: &Canon<'_>) -> (Vec<VarStatus>, Vec<usize>) {
-    let mut status = Vec::with_capacity(c.n + c.m);
-    for j in 0..c.n {
-        status.push(if c.lb[j].is_finite() {
-            VarStatus::AtLower
-        } else if c.ub[j].is_finite() {
-            VarStatus::AtUpper
-        } else {
-            VarStatus::Free
-        });
+/// Where a nonbasic column with these bounds starts: on a finite bound
+/// (preferring the lower), free columns at 0.
+fn nonbasic_start(lb: f64, ub: f64) -> VarStatus {
+    if lb.is_finite() {
+        VarStatus::AtLower
+    } else if ub.is_finite() {
+        VarStatus::AtUpper
+    } else {
+        VarStatus::Free
     }
-    for _ in 0..c.m {
-        status.push(VarStatus::Basic);
-    }
-    let basic: Vec<usize> = (0..c.m).map(|i| c.n + i).collect();
-    (status, basic)
 }
 
-/// Adapts a stored basis to the (possibly grown) canonical form: new rows'
-/// logicals join the basis, new structural columns enter nonbasic on a
-/// bound (exactly where a cold start would place them). Returns `None` when
-/// the shapes are incompatible (a *shrunk* problem) and a cold start is
-/// required.
-fn adapt_basis(c: &Canon<'_>, b: &Basis) -> Option<(Vec<VarStatus>, Vec<usize>)> {
-    if b.n_vars > c.n || b.basic.len() > c.m {
-        return None;
+/// Cold initial state, written over `status` / `basic`: every logical basic
+/// (B = I), every structural column at its [`nonbasic_start`].
+fn cold_state(c: &Canon<'_>, status: &mut Vec<VarStatus>, basic: &mut Vec<usize>) {
+    status.clear();
+    status.extend((0..c.n).map(|j| nonbasic_start(c.lb[j], c.ub[j])));
+    status.resize(c.n + c.m, VarStatus::Basic);
+    basic.clear();
+    basic.extend((0..c.m).map(|i| c.n + i));
+}
+
+/// What one solve of a warm chain hands the next: the canonical value
+/// buffers, and the restart state proper — statuses, basic set, `x_B`
+/// buffer and the *owned* factorization, all moved into the engine for a
+/// solve and back out of it, never cloned in between.
+///
+/// [`solve_warm_in`] loads a [`Basis`] into a transient one of these, a
+/// [`WarmChain`] keeps one alive; both then run [`solve_state`].
+#[derive(Debug, Default)]
+struct ChainState {
+    values: CanonValues,
+    /// Whether `restart` holds a basis to resume from: the final one of the
+    /// previous solve, or a loaded [`Basis`]. Cleared on entry to a solve
+    /// and set again only when it completes, so a solve that returns an
+    /// error leaves a cold chain, not a half-updated one.
+    warm: bool,
+    /// Number of structural columns the held basis was built for.
+    n_vars: usize,
+    /// The held basis; its factorization, when present, is of the basic
+    /// set against the matrix `matrix_fp` names.
+    restart: Restart,
+    matrix_fp: u64,
+}
+
+impl ChainState {
+    /// Installs `b` as the basis to resume from, with `fact` as its
+    /// factorization (the caller decides whether cloning `b`'s is worth it).
+    fn load(&mut self, b: &Basis, fact: Option<Factorization>) {
+        self.warm = true;
+        self.n_vars = b.n_vars;
+        self.restart.status.clone_from(&b.status);
+        self.restart.basic.clone_from(&b.basic);
+        self.restart.fact = fact;
+        self.matrix_fp = b.matrix_fp;
     }
-    let n_old = b.n_vars;
-    let m_old = b.basic.len();
-    let grow = c.n - n_old;
-    let mut status = Vec::with_capacity(c.n + c.m);
-    status.extend_from_slice(&b.status[..n_old]);
-    // New structural columns (appended since the basis was stored) enter
-    // nonbasic, preferring a finite lower bound.
-    for j in n_old..c.n {
-        status.push(if c.lb[j].is_finite() {
-            VarStatus::AtLower
-        } else if c.ub[j].is_finite() {
-            VarStatus::AtUpper
-        } else {
-            VarStatus::Free
-        });
-    }
-    // Old logicals keep their status; new rows' logicals enter the basis.
-    status.extend_from_slice(&b.status[n_old..]);
-    // Structural indices are stable under column growth; logical indices
-    // shift by the number of appended structural columns.
-    let mut basic: Vec<usize> = b
-        .basic
-        .iter()
-        .map(|&j| if j >= n_old { j + grow } else { j })
-        .collect();
-    for i in m_old..c.m {
-        status.push(VarStatus::Basic);
-        basic.push(c.n + i);
-    }
-    // Repair statuses referencing bounds that are no longer finite.
-    for (j, st) in status.iter_mut().enumerate() {
-        match st {
-            VarStatus::AtLower if !c.lb[j].is_finite() => {
-                *st = if c.ub[j].is_finite() {
-                    VarStatus::AtUpper
-                } else {
-                    VarStatus::Free
-                };
-            }
-            VarStatus::AtUpper if !c.ub[j].is_finite() => {
-                *st = if c.lb[j].is_finite() {
-                    VarStatus::AtLower
-                } else {
-                    VarStatus::Free
-                };
-            }
-            // A free column pinned at 0 whose bounds have since become
-            // finite must move onto a bound, or the implied nonbasic value
-            // would sit outside its box.
-            VarStatus::Free if c.lb[j].is_finite() || c.ub[j].is_finite() => {
-                *st = if c.lb[j].is_finite() {
-                    VarStatus::AtLower
-                } else {
-                    VarStatus::AtUpper
-                };
-            }
-            _ => {}
+
+    /// A [`Basis`] of the held shape and fingerprint over the given parts
+    /// (the held ones, moved or cloned by the caller).
+    fn export(
+        &self,
+        status: Vec<VarStatus>,
+        basic: Vec<usize>,
+        fact: Option<Factorization>,
+    ) -> Basis {
+        Basis {
+            n_vars: self.n_vars,
+            status,
+            basic,
+            fact: fact.map(Arc::new),
+            matrix_fp: self.matrix_fp,
         }
     }
-    Some((status, basic))
+
+    /// Adapts the held basis, in place, to a problem of `n` structural
+    /// columns and `m` rows whose bounds are already in `self.values`: new
+    /// rows' logicals join the basis, new structural columns enter nonbasic
+    /// on a bound (exactly where a cold start would place them), and a
+    /// status naming a bound that is no longer finite moves to one that is.
+    /// Returns `false` when the shapes are incompatible (a *shrunk* problem)
+    /// and a cold start is required.
+    fn adapt(&mut self, n: usize, m: usize) -> bool {
+        let Restart { status, basic, .. } = &mut self.restart;
+        let (n_old, m_old) = (self.n_vars, basic.len());
+        if n_old > n || m_old > m {
+            return false;
+        }
+        let (lb, ub) = (&self.values.lb, &self.values.ub);
+        // New structural columns (appended since the basis was stored) go
+        // between the old structural statuses and the old logicals';
+        // structural indices are stable under column growth, logical
+        // indices shift by the number of appended columns.
+        let grow = n - n_old;
+        if grow > 0 {
+            status.splice(
+                n_old..n_old,
+                (n_old..n).map(|j| nonbasic_start(lb[j], ub[j])),
+            );
+            for j in basic.iter_mut() {
+                if *j >= n_old {
+                    *j += grow;
+                }
+            }
+        }
+        // Old logicals keep their status; new rows' logicals enter the basis.
+        status.resize(n + m, VarStatus::Basic);
+        basic.extend((m_old..m).map(|i| n + i));
+        // Repair statuses referencing bounds that are no longer finite.
+        for (j, st) in status.iter_mut().enumerate() {
+            match st {
+                VarStatus::AtLower if !lb[j].is_finite() => {
+                    *st = if ub[j].is_finite() {
+                        VarStatus::AtUpper
+                    } else {
+                        VarStatus::Free
+                    };
+                }
+                VarStatus::AtUpper if !ub[j].is_finite() => {
+                    *st = if lb[j].is_finite() {
+                        VarStatus::AtLower
+                    } else {
+                        VarStatus::Free
+                    };
+                }
+                // A free column pinned at 0 whose bounds have since become
+                // finite must move onto a bound, or the implied nonbasic value
+                // would sit outside its box.
+                VarStatus::Free if lb[j].is_finite() || ub[j].is_finite() => {
+                    *st = if lb[j].is_finite() {
+                        VarStatus::AtLower
+                    } else {
+                        VarStatus::AtUpper
+                    };
+                }
+                _ => {}
+            }
+        }
+        true
+    }
+}
+
+/// The persistent state of a **warm chain**: one caller re-solving one
+/// [`Problem`] over and over between small edits (the KAC / Benders slave
+/// re-pricing one admission after another).
+///
+/// [`Problem::resolve`] continues from what the chain's previous solve left
+/// — final basis, its factorization, the canonical value buffers — and
+/// leaves its own for the next, so a re-solve pays for its pivots and an
+/// `O(n + m)` value copy, not for cloning a [`Basis`], deep-copying the
+/// updatable `U`, or re-allocating the engine's vectors. It is the same
+/// solve as handing the previous [`WarmSolve::basis`] to
+/// [`Problem::solve_warm_in`], bit for bit, fault injection and problem
+/// growth (`add_cons` / `add_column`) included; the warm-start contract of
+/// the module docs applies unchanged.
+///
+/// A chain owns its [`Workspace`], so it is per-worker state like one: `Send`,
+/// never shared. Unlike a workspace it *is* state — which is why the
+/// branch-and-bound, whose nodes resume from bases that cross workers, keeps
+/// exchanging [`Basis`] values and holds only a `Workspace` per worker.
+#[derive(Debug, Default)]
+pub struct WarmChain {
+    state: ChainState,
+    ws: Workspace,
+}
+
+impl WarmChain {
+    /// An empty chain: its first solve is cold.
+    pub fn new() -> WarmChain {
+        WarmChain::default()
+    }
+
+    /// Forgets the basis: the next solve is cold (buffers are kept).
+    pub fn clear(&mut self) {
+        self.state.warm = false;
+        self.state.restart.fact = None;
+    }
+
+    /// Whether the next solve resumes from a basis.
+    pub fn is_warm(&self) -> bool {
+        self.state.warm
+    }
+
+    /// Makes `basis` what the next solve resumes from. The factors behind
+    /// its `Arc` stay shared; their update state is copied, so `basis`
+    /// itself never sees what this chain folds in.
+    pub fn load(&mut self, basis: &Basis) {
+        self.state.load(basis, basis.fact.as_deref().cloned());
+    }
+
+    /// The basis the next solve would resume from, as a value: `None` on a
+    /// cold chain. Clones the statuses, the basic set and the factorization.
+    pub fn basis(&self) -> Option<Basis> {
+        let st = &self.state;
+        let Restart {
+            status,
+            basic,
+            fact,
+            ..
+        } = &st.restart;
+        st.warm
+            .then(|| st.export(status.clone(), basic.clone(), fact.clone()))
+    }
+
+    pub(crate) fn resolve(
+        &mut self,
+        p: &Problem,
+        options: &SimplexOptions,
+    ) -> Result<(Outcome, LpStats), SolveError> {
+        solve_state(p, &mut self.state, options, &mut self.ws)
+    }
 }
 
 /// Under [`SimplexOptions::fault`]: probability a supplied warm basis is
@@ -526,12 +662,12 @@ const FAULT_DROP_FACTORIZATION: f64 = 0.30;
 /// matrix, driving the engine through its cold-restart fallback.
 const FAULT_CORRUPT_BASIS: f64 = 0.15;
 
-/// FNV-1a fold of a basis's basic set — the per-basis component of the
+/// FNV-1a fold of a basic set — the per-basis component of the
 /// fault-injection roll, so distinct warm bases of the same problem draw
 /// distinct (but fully deterministic) faults.
-fn basis_summary(b: &Basis) -> u64 {
+fn basis_summary(basic: &[usize]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &j in &b.basic {
+    for &j in basic {
         h ^= j as u64;
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
     }
@@ -539,8 +675,11 @@ fn basis_summary(b: &Basis) -> u64 {
 }
 
 /// Solves `p`, resuming from `warm` when supplied and shape-compatible —
-/// the one way into the engine, behind [`Problem::solve_warm_in`] (and the
-/// [`Problem::solve`] / [`Problem::solve_warm`] conveniences over it).
+/// the [`Basis`]-valued way into the engine, behind
+/// [`Problem::solve_warm_in`] (and the [`Problem::solve`] /
+/// [`Problem::solve_warm`] conveniences over it): the basis is loaded into
+/// a transient [`ChainState`], [`solve_state`] runs, and the final state
+/// leaves as a new [`Basis`].
 ///
 /// See the module docs for which problem edits keep a basis reusable. An
 /// incompatible basis is not an error — the solve silently falls back to a
@@ -556,44 +695,79 @@ pub(crate) fn solve_warm_in(
     options: &SimplexOptions,
     ws: &mut Workspace,
 ) -> Result<WarmSolve, SolveError> {
-    let canon = Canon::build(p);
-    let matrix_fp = canon.s.fingerprint;
+    let mut st = ChainState::default();
+    if let Some(b) = warm {
+        // The factors behind the `Arc` stay shared; only the updatable `U`
+        // working copy is deep-copied, so compressions folded in by this
+        // solve stay private to it (copy-on-compress — a sibling worker
+        // holding the same basis never sees them). Skipped when the solve
+        // could not use the copy anyway.
+        let usable = b.matrix_fp == p.structure().fingerprint;
+        let fact = b
+            .fact
+            .as_deref()
+            .filter(|f| usable && f.dim() == p.num_cons());
+        st.load(b, fact.cloned());
+    }
+    let (outcome, stats) = solve_state(p, &mut st, options, ws)?;
+    let Restart {
+        status,
+        basic,
+        fact,
+        ..
+    } = std::mem::take(&mut st.restart);
+    Ok(WarmSolve {
+        outcome,
+        basis: st.export(status, basic, fact),
+        stats,
+    })
+}
+
+/// The one solve function: runs the engine on `p` from whatever basis `st`
+/// holds (cold when it holds none, or an incompatible one) and leaves the
+/// final basis, factorization and buffers in `st`.
+fn solve_state(
+    p: &Problem,
+    st: &mut ChainState,
+    options: &SimplexOptions,
+    ws: &mut Workspace,
+) -> Result<(Outcome, LpStats), SolveError> {
+    let matrix_fp = p.structure().fingerprint;
+    let (n, m) = (p.num_vars(), p.num_cons());
+    // Until this solve completes, the chain holds no basis.
+    let mut warm = std::mem::replace(&mut st.warm, false);
 
     // Seeded fault injection (chaos harness): each decision is a pure
     // function of (seed, matrix fingerprint, basis summary, salt) — no
     // shared RNG, no thread identity — so faults land identically at any
-    // worker count. Faults only discard or corrupt *warm* state; every
-    // recovery path re-derives the same optimum, so results are unchanged
-    // while the cold-start / refactorization / singular-fallback paths get
-    // exercised.
-    let mut warm = warm;
+    // worker count, and on a chain as on the `Basis` it refines. Faults only
+    // discard or corrupt *warm* state; every recovery path re-derives the
+    // same optimum, so results are unchanged while the cold-start /
+    // refactorization / singular-fallback paths get exercised.
     let mut drop_fact = false;
     let mut corrupt = false;
-    if let (Some(f), Some(b)) = (options.fault, warm) {
-        let summary = basis_summary(b);
+    if let (Some(f), true) = (options.fault, warm) {
+        let summary = basis_summary(&st.restart.basic);
         if f.roll(matrix_fp, summary, 0) < FAULT_DROP_BASIS {
-            warm = None;
+            warm = false;
         } else {
             drop_fact = f.roll(matrix_fp, summary, 1) < FAULT_DROP_FACTORIZATION;
             corrupt = f.roll(matrix_fp, summary, 2) < FAULT_CORRUPT_BASIS;
         }
     }
 
-    let adapted = warm.and_then(|b| adapt_basis(&canon, b));
-    let warm_used = adapted.is_some();
+    st.values.fill(p);
+    let warm_used = warm && st.adapt(n, m);
 
-    // The persisted factorization survives exactly when the basis *matrix*
-    // is unchanged: same row count (no appended constraints, so `adapt_basis`
-    // did not extend the basic set), the same basic columns, and the same
+    // The held factorization survives exactly when the basis *matrix* is
+    // unchanged: same row count (no appended constraints, so `adapt` did
+    // not extend the basic set), the same basic columns, and the same
     // structural coefficients (fingerprint match — guards against a basis
     // from a different problem that happens to share the shape). RHS /
     // bound / objective edits all qualify.
-    let reuse: Option<Arc<Factorization>> = match warm {
-        Some(b) if warm_used && !drop_fact && !corrupt && b.matrix_fp == matrix_fp => {
-            b.fact.clone().filter(|f| f.dim() == canon.m)
-        }
-        _ => None,
-    };
+    let mut restart = std::mem::take(&mut st.restart);
+    let reusable = warm_used && !drop_fact && !corrupt && st.matrix_fp == matrix_fp;
+    restart.fact = restart.fact.filter(|f| reusable && f.dim() == m);
 
     let mut stats = LpStats::default();
     if warm_used {
@@ -602,7 +776,11 @@ pub(crate) fn solve_warm_in(
         stats.cold_starts += 1;
     }
 
-    let (status, mut basic) = adapted.unwrap_or_else(|| cold_state(&canon));
+    let canon = Canon::new(p, &st.values);
+    if !warm_used {
+        cold_state(&canon, &mut restart.status, &mut restart.basic);
+    }
+    let basic = &mut restart.basic;
     if corrupt && basic.len() >= 2 && basic[0] != basic[basic.len() - 1] {
         // Duplicate a basic column: the basis matrix becomes singular, and
         // `Engine::new`'s refactorization detects it and falls back to the
@@ -612,37 +790,39 @@ pub(crate) fn solve_warm_in(
     }
     // A singular stored basis falls back to a cold restart inside
     // `Engine::new` (statistics reset to a single cold start).
-    let mut eng = Engine::new(&canon, options, status, basic, stats, reuse.as_deref(), ws);
+    let mut eng = Engine::new(&canon, options, restart, stats, ws);
 
     let outcome = run(&mut eng, warm_used)?;
-    let (status, basic, fact, stats) = eng.into_parts();
-    let basis = Basis {
-        n_vars: canon.n,
-        status,
-        basic,
-        fact: Some(Arc::new(fact)),
-        matrix_fp,
-    };
-    Ok(WarmSolve {
-        outcome,
-        basis,
-        stats,
-    })
+    let (restart, stats) = eng.into_parts();
+    st.restart = restart;
+    st.n_vars = n;
+    st.matrix_fp = matrix_fp;
+    st.warm = true;
+    Ok((outcome, stats))
 }
 
 /// Phase driver: dual simplex first on a warm dual-feasible basis, primal
-/// phase 1 + 2 otherwise.
+/// phase 1 + 2 otherwise. `x_B` is first computed here — by the dual
+/// feasibility repair once it has decided its bound flips on a warm start,
+/// directly on a cold one.
 fn run(eng: &mut Engine<'_>, warm: bool) -> Result<Outcome, SolveError> {
-    if warm && eng.repair_dual_feasibility() {
+    let farkas = |y| Ok(Outcome::Infeasible(Farkas { row_multipliers: y }));
+    let dual_feasible = if warm {
+        eng.repair_dual_feasibility()
+    } else {
+        eng.compute_xb();
+        false
+    };
+    if dual_feasible {
         match eng.dual()? {
-            DualEnd::Infeasible { y } => return Ok(Outcome::Infeasible(eng.farkas_from_y(y))),
+            DualEnd::Infeasible { y } => return farkas(y),
             DualEnd::PrimalFeasible => {}
         }
         // The dual pass ends primal + dual feasible; the primal mop-up below
         // usually exits without a single pivot but guards tolerance drift.
     } else if eng.infeasibility() > 1e-7 {
         match eng.primal(true)? {
-            PrimalEnd::Infeasible { y } => return Ok(Outcome::Infeasible(eng.farkas_from_y(y))),
+            PrimalEnd::Infeasible { y } => return farkas(y),
             PrimalEnd::Unbounded => unreachable!("phase 1 objective is bounded below by 0"),
             PrimalEnd::Optimal => {}
         }

@@ -1,7 +1,7 @@
 //! Unit tests and dense-tableau cross-checks for the revised engine.
 
-use crate::revised::{Basis, LpStats, Workspace};
-use crate::simplex::SimplexOptions;
+use crate::revised::{Basis, LpStats, WarmChain, Workspace};
+use crate::simplex::{FaultConfig, SimplexOptions};
 use crate::{Cmp, Farkas, Outcome, Problem, SolveError, VarId};
 
 fn assert_close(a: f64, b: f64, tol: f64) {
@@ -197,7 +197,8 @@ fn infeasible_via_native_upper_bounds() {
     match solve_r(&p) {
         Outcome::Infeasible(f) => {
             let yr = f.row_multipliers[0];
-            let (wx, wy) = (f.ub_multipliers[0], f.ub_multipliers[1]);
+            let w = f.ub_multipliers(&p);
+            let (wx, wy) = (w[0], w[1]);
             assert!(yr >= -1e-9);
             assert!(wx <= 1e-9 && wy <= 1e-9);
             assert!(
@@ -529,6 +530,7 @@ fn check_farkas(p: &Problem, f: &Farkas, tag: &str) {
         }
         value += y * c.rhs;
     }
+    let ub_multipliers = f.ub_multipliers(p);
     let mut sup = 0.0;
     for (j, v) in p.vars.iter().enumerate() {
         let mut h = 0.0;
@@ -552,9 +554,9 @@ fn check_farkas(p: &Problem, f: &Farkas, tag: &str) {
         // The reported ub multiplier must cover positive residuals.
         if h > 1e-6 && v.ub.is_finite() && v.lb != v.ub {
             assert!(
-                f.ub_multipliers[j] <= -h + 1e-5,
+                ub_multipliers[j] <= -h + 1e-5,
                 "{tag}: ub multiplier {} does not cover residual {h} on var {j}",
-                f.ub_multipliers[j]
+                ub_multipliers[j]
             );
         }
     }
@@ -1841,30 +1843,36 @@ mod structure_refinement_props {
         v.iter().map(|x| x.to_bits()).collect()
     }
 
+    /// A solve's outcome, floats as bit patterns.
+    fn observed_outcome(p: &Problem, outcome: &Outcome) -> String {
+        match outcome {
+            Outcome::Optimal(s) => format!(
+                "optimal {} {:?} {:?}",
+                s.objective.to_bits(),
+                bits(&s.x),
+                bits(&s.duals)
+            ),
+            Outcome::Infeasible(f) => format!(
+                "infeasible {:?} {:?}",
+                bits(&f.row_multipliers),
+                bits(&f.ub_multipliers(p))
+            ),
+            Outcome::Unbounded => "unbounded".to_string(),
+        }
+    }
+
     /// Everything a solve returns, floats as bit patterns.
-    fn observed(r: &Result<WarmSolve, SolveError>) -> String {
+    fn observed(p: &Problem, r: &Result<WarmSolve, SolveError>) -> String {
         match r {
             Err(e) => format!("{e:?}"),
-            Ok(w) => {
-                let outcome = match &w.outcome {
-                    Outcome::Optimal(s) => format!(
-                        "optimal {} {:?} {:?}",
-                        s.objective.to_bits(),
-                        bits(&s.x),
-                        bits(&s.duals)
-                    ),
-                    Outcome::Infeasible(f) => format!(
-                        "infeasible {:?} {:?}",
-                        bits(&f.row_multipliers),
-                        bits(&f.ub_multipliers)
-                    ),
-                    Outcome::Unbounded => "unbounded".to_string(),
-                };
-                format!(
-                    "{outcome} | {:?} {:?} {} | {:?}",
-                    w.basis.status, w.basis.basic, w.basis.matrix_fp, w.stats
-                )
-            }
+            Ok(w) => format!(
+                "{} | {:?} {:?} {} | {:?}",
+                observed_outcome(p, &w.outcome),
+                w.basis.status,
+                w.basis.basic,
+                w.basis.matrix_fp,
+                w.stats
+            ),
         }
     }
 
@@ -1883,6 +1891,21 @@ mod structure_refinement_props {
             }
         }
         out
+    }
+
+    /// Gives a random variable a random bound shape — free, one-sided, boxed
+    /// or fixed — so bounds change finiteness in both directions.
+    fn random_reshape(rng: &mut GenRng, p: &mut Problem) {
+        let v = VarId(rng.index(p.num_vars()));
+        let (lb, ub) = random_box(rng);
+        let (lb, ub) = match rng.index(5) {
+            0 => (f64::NEG_INFINITY, f64::INFINITY),
+            1 => (lb, f64::INFINITY),
+            2 => (f64::NEG_INFINITY, ub),
+            3 => (lb, lb),
+            _ => (lb, ub),
+        };
+        p.set_bounds(v, lb, ub);
     }
 
     /// One random edit through the public builder API.
@@ -1934,7 +1957,7 @@ mod structure_refinement_props {
                 let warm = basis.as_ref().filter(|_| rng.chance(0.75));
                 let kept = p.solve_warm_in(warm, &options, &mut Workspace::new());
                 let spec = rebuilt(&p).solve_warm_in(warm, &options, &mut Workspace::new());
-                prop_assert_eq!(observed(&kept), observed(&spec), "step {}", step);
+                prop_assert_eq!(observed(&p, &kept), observed(&p, &spec), "step {}", step);
                 if let Ok(w) = kept {
                     prop_assert_eq!(
                         w.basis.matrix_fp,
@@ -1944,6 +1967,216 @@ mod structure_refinement_props {
                     basis = Some(w.basis);
                 }
             }
+        }
+
+        /// A [`WarmChain`] refines the `Basis` hand-off it replaces: a chain
+        /// of `resolve`s and a chain of `solve_warm_in(Some(&previous
+        /// basis))` calls agree bit for bit — outcome, final statuses and
+        /// basic set, the persisted factorization, `matrix_fp`, every
+        /// counter — across value edits (bounds changing finiteness
+        /// included), problem growth, injected faults, any refactorization
+        /// interval, and a pivot cap that makes a solve fail (after which
+        /// both sides start cold).
+        #[test]
+        fn chain_refines_the_basis_handoff(seed in 0u64..1u64 << 48) {
+            let mut rng = GenRng::new(seed);
+            let mut p = random_lp(&mut rng, &LpGenConfig::default());
+            let options = SimplexOptions {
+                fault: [None, Some(FaultConfig::chaos(seed))][rng.index(2)],
+                refactor_interval: [1, 8, 128][rng.index(3)],
+                ..SimplexOptions::default()
+            };
+            let mut chain = WarmChain::new();
+            let mut basis: Option<Basis> = None;
+            for step in 0..24 {
+                if step > 0 {
+                    if rng.chance(0.3) {
+                        random_reshape(&mut rng, &mut p);
+                    } else {
+                        random_edit(&mut rng, &mut p);
+                    }
+                    if rng.chance(0.25) {
+                        continue; // let edits pile up between solves
+                    }
+                }
+                let capped = SimplexOptions {
+                    max_iterations: rng.index(3),
+                    ..options.clone()
+                };
+                let options = if rng.chance(0.1) { &capped } else { &options };
+                let spec = p.solve_warm_in(basis.as_ref(), options, &mut Workspace::new());
+                let kept = p.resolve(&mut chain, options);
+                match (spec, kept) {
+                    (Ok(spec), Ok((outcome, stats))) => {
+                        prop_assert_eq!(
+                            observed_outcome(&p, &outcome),
+                            observed_outcome(&p, &spec.outcome),
+                            "step {}", step
+                        );
+                        prop_assert_eq!(stats, spec.stats, "step {}", step);
+                        let held = chain.basis().expect("a finished solve leaves a basis");
+                        prop_assert_eq!(&held.status, &spec.basis.status, "step {}", step);
+                        prop_assert_eq!(&held.basic, &spec.basis.basic, "step {}", step);
+                        prop_assert_eq!(held.n_vars, spec.basis.n_vars, "step {}", step);
+                        prop_assert_eq!(held.matrix_fp, spec.basis.matrix_fp, "step {}", step);
+                        prop_assert_eq!(
+                            format!("{:?}", held.fact),
+                            format!("{:?}", spec.basis.fact),
+                            "step {}: factorization", step
+                        );
+                        basis = Some(spec.basis);
+                    }
+                    (Err(spec), Err(kept)) => {
+                        prop_assert_eq!(spec, kept, "step {}", step);
+                        prop_assert!(!chain.is_warm(), "step {}: a failed solve leaves a cold chain", step);
+                        basis = None;
+                    }
+                    (spec, kept) => prop_assert!(
+                        false,
+                        "step {}: basis hand-off {:?}, chain {:?}",
+                        step, spec.map(|w| w.stats), kept.map(|k| k.1)
+                    ),
+                }
+            }
+        }
+    }
+}
+
+/// The three kernels whose shape changed under the warm chain, each against
+/// the form it replaced.
+mod chain_kernel_props {
+    use super::*;
+    use crate::revised::canon::{drain_ascending, Canon, CanonValues};
+    use crate::sparse::SparseMatrix;
+    use proptest::prelude::*;
+
+    /// A random LP whose rows repeat variables, with coefficients from a
+    /// small set so that duplicates cancel and explicit zeros occur.
+    fn lp_with_duplicates(rng: &mut GenRng) -> Problem {
+        let mut p = random_lp(rng, &LpGenConfig::default());
+        let n = p.num_vars();
+        for _ in 0..1 + rng.index(4) {
+            let row: Vec<(VarId, f64)> = (0..rng.index(3 * n + 1))
+                .map(|_| (VarId(rng.index(n)), rng.index(5) as f64 - 2.0))
+                .collect();
+            p.add_cons(&row, Cmp::Le, rng.uniform(-6.0, 10.0));
+        }
+        p
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// The counting-sort assembly of the CSC matrix equals the one list
+        /// per column it replaced: pattern, values and fingerprint.
+        #[test]
+        fn counting_sort_csc_equals_from_columns(seed in 0u64..1u64 << 48) {
+            let p = lp_with_duplicates(&mut GenRng::new(seed));
+            let mut cols: Vec<Vec<(u32, f64)>> = vec![Vec::new(); p.num_vars()];
+            for (i, c) in p.cons.iter().enumerate() {
+                for &(j, a) in &c.coeffs {
+                    cols[j].push((i as u32, a));
+                }
+            }
+            let listed = SparseMatrix::from_columns(p.num_cons(), &cols);
+            let sorted = p.structural_matrix();
+            prop_assert_eq!(sorted.fingerprint(), listed.fingerprint());
+            prop_assert_eq!(sorted, listed);
+        }
+
+        /// Marking a pivot row's candidates in the bitset and walking it
+        /// yields the stamped-and-sorted column list, and the entries
+        /// accumulated row by row are `col_dot`'s: the same bits where
+        /// nonzero, zero where zero.
+        #[test]
+        fn pivot_row_marking_equals_the_sorted_scan(seed in 0u64..1u64 << 48) {
+            let mut rng = GenRng::new(seed);
+            let p = lp_with_duplicates(&mut rng);
+            let mut values = CanonValues::default();
+            values.fill(&p);
+            let c = Canon::new(&p, &values);
+            let rho: Vec<f64> = (0..c.m)
+                .map(|_| if rng.chance(0.4) { rng.uniform(-3.0, 3.0) } else { 0.0 })
+                .collect();
+
+            // The list it replaced: stamp, collect, sort.
+            let mut stamped = vec![false; c.n];
+            let mut cols: Vec<usize> = Vec::new();
+            for (i, &ri) in rho.iter().enumerate() {
+                if ri == 0.0 {
+                    continue;
+                }
+                for k in c.s.row_ptr[i] as usize..c.s.row_ptr[i + 1] as usize {
+                    let j = c.s.row_cols[k] as usize;
+                    if !std::mem::replace(&mut stamped[j], true) {
+                        cols.push(j);
+                    }
+                }
+                cols.push(c.n + i);
+            }
+            cols.sort_unstable();
+
+            let mut bits = vec![0u64; (c.n + c.m).div_ceil(64)];
+            let mut acc = vec![0.0; c.n];
+            c.mark_pivot_row(&rho, &mut bits, &mut acc);
+            let mut walked = Vec::new();
+            let count = drain_ascending(&mut bits, |j| walked.push(j));
+            prop_assert_eq!(count, cols.len());
+            prop_assert_eq!(&walked, &cols);
+            prop_assert!(bits.iter().all(|&w| w == 0), "the walk clears the set");
+            for j in 0..c.n {
+                let dot = c.col_dot(&rho, j);
+                if dot != 0.0 {
+                    prop_assert_eq!(acc[j].to_bits(), dot.to_bits(), "column {}", j);
+                } else {
+                    prop_assert_eq!(acc[j], 0.0, "column {}", j);
+                }
+                prop_assert!(acc[j] == 0.0 || stamped[j], "column {}: unmarked entry", j);
+            }
+        }
+    }
+}
+
+mod chain_edges {
+    use super::*;
+
+    /// No rows at all, and no column free to move: the chain solves, and
+    /// re-solves warm, where there is nothing to pivot on.
+    #[test]
+    fn empty_and_all_fixed_problems_resolve() {
+        // The counters below are the unfaulted warm path's.
+        let options = SimplexOptions {
+            fault: None,
+            ..SimplexOptions::default()
+        };
+
+        let mut rowless = Problem::new();
+        let x = rowless.add_var(0.0, 5.0, 2.0);
+        let y = rowless.add_var(-1.0, 7.0, -3.0);
+        let mut chain = WarmChain::new();
+        for ub in [7.0, 4.0] {
+            rowless.set_bounds(y, -1.0, ub);
+            let (outcome, _) = rowless.resolve(&mut chain, &options).unwrap();
+            let s = outcome.unwrap_optimal();
+            assert_eq!((s.value(x), s.value(y)), (0.0, ub));
+        }
+        assert!(chain.is_warm());
+
+        let mut fixed = Problem::new();
+        let a = fixed.add_var(2.0, 2.0, 1.0);
+        let b = fixed.add_var(-1.0, -1.0, 1.0);
+        let row = fixed.add_cons(&[(a, 1.0), (b, 1.0)], Cmp::Le, 3.0);
+        let mut chain = WarmChain::new();
+        let (outcome, stats) = fixed.resolve(&mut chain, &options).unwrap();
+        assert_eq!(outcome.unwrap_optimal().objective, 1.0);
+        assert_eq!(stats.cold_starts, 1);
+        // Warm, and now infeasible with no column able to enter.
+        fixed.set_rhs(row, 0.0);
+        let (outcome, stats) = fixed.resolve(&mut chain, &options).unwrap();
+        assert_eq!((stats.warm_starts, stats.factorization_reuses), (1, 1));
+        match outcome {
+            Outcome::Infeasible(f) => check_farkas(&fixed, &f, "all-fixed"),
+            other => panic!("expected infeasible, got {other:?}"),
         }
     }
 }

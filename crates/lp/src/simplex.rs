@@ -159,9 +159,10 @@ impl Solution {
 
 /// A Farkas certificate of primal infeasibility.
 ///
-/// Letting `y = row_multipliers` (one entry per user constraint) and `w =
-/// ub_multipliers` (one entry per variable, nonzero only for variables with a
-/// finite upper bound), the certificate satisfies, within numeric tolerance:
+/// Letting `y = row_multipliers` (one entry per user constraint) and `w` the
+/// bound multipliers [`Farkas::ub_multipliers`] derives from it (one entry
+/// per variable, nonzero only for variables with a finite upper bound), the
+/// certificate satisfies, within numeric tolerance:
 ///
 /// * sign conventions: `y_i ≤ 0` for `≤` rows, `y_i ≥ 0` for `≥` rows,
 ///   `w_j ≤ 0`;
@@ -169,13 +170,34 @@ impl Solution {
 /// * `Σ_i y_i b_i + Σ_j w_j ub_j > 0`.
 ///
 /// Together these are contradictory for any feasible point, proving the
-/// system infeasible. Benders feasibility cuts are built directly from `y`.
+/// system infeasible. Benders feasibility cuts are built directly from `y`,
+/// which is all a solve computes: the bound part is a function of `y` and
+/// the problem, priced on demand.
 #[derive(Debug, Clone)]
 pub struct Farkas {
     /// Multiplier per user constraint.
     pub row_multipliers: Vec<f64>,
-    /// Multiplier per variable upper bound (0.0 where the bound is infinite).
-    pub ub_multipliers: Vec<f64>,
+}
+
+impl Farkas {
+    /// Multiplier per variable upper bound for this certificate on `p` (the
+    /// problem whose solve returned it): `−g_j` wherever pricing the row
+    /// multipliers leaves a positive residual `g_j = Σ_i y_i a_{ij}` that the
+    /// variable's finite upper bound must absorb, and on every fixed
+    /// variable; 0.0 elsewhere. One column dot product per variable.
+    pub fn ub_multipliers(&self, p: &crate::Problem) -> Vec<f64> {
+        p.var_ids()
+            .map(|v| {
+                let g = p.col_dot(&self.row_multipliers, v);
+                let (lb, ub) = p.bounds(v);
+                if (g > 0.0 && ub.is_finite()) || lb == ub {
+                    -g
+                } else {
+                    0.0
+                }
+            })
+            .collect()
+    }
 }
 
 /// Well-defined solve outcomes.

@@ -33,9 +33,40 @@ impl SparseMatrix {
     /// column are summed and exact-zero results are dropped (user models may
     /// legitimately contain zero coefficients or cancelling duplicates).
     pub fn from_columns(nrows: usize, columns: &[Vec<(u32, f64)>]) -> SparseMatrix {
-        let ncols = columns.len();
-        let mut col_ptr = Vec::with_capacity(ncols + 1);
         let nnz_bound: usize = columns.iter().map(Vec::len).sum();
+        Self::assemble(
+            nrows,
+            columns.len(),
+            nnz_bound,
+            columns.iter().map(Vec::as_slice),
+        )
+    }
+
+    /// [`SparseMatrix::from_columns`] over one flat entry array: column `j`
+    /// is `entries[col_start[j]..col_start[j + 1]]`. Same contract, same
+    /// result — the form a counting sort of row lists produces without one
+    /// heap vector per column.
+    pub fn from_flat_columns(
+        nrows: usize,
+        col_start: &[usize],
+        entries: &[(u32, f64)],
+    ) -> SparseMatrix {
+        Self::assemble(
+            nrows,
+            col_start.len() - 1,
+            entries.len(),
+            col_start.windows(2).map(|w| &entries[w[0]..w[1]]),
+        )
+    }
+
+    /// The one assembly loop behind both constructors.
+    fn assemble<'a>(
+        nrows: usize,
+        ncols: usize,
+        nnz_bound: usize,
+        columns: impl Iterator<Item = &'a [(u32, f64)]>,
+    ) -> SparseMatrix {
+        let mut col_ptr = Vec::with_capacity(ncols + 1);
         let mut row_idx = Vec::with_capacity(nnz_bound);
         let mut values = Vec::with_capacity(nnz_bound);
         col_ptr.push(0);

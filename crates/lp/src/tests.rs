@@ -136,8 +136,8 @@ fn infeasible_via_upper_bounds() {
             // y·5 + w_x·2 + w_y·2 > 0 while each column prices out.
             let yr = f.row_multipliers[0];
             assert!(yr >= -1e-9);
-            let wx = f.ub_multipliers[0];
-            let wy = f.ub_multipliers[1];
+            let w = f.ub_multipliers(&p);
+            let (wx, wy) = (w[0], w[1]);
             assert!(wx <= 1e-9 && wy <= 1e-9);
             assert!(yr * 5.0 + 2.0 * wx + 2.0 * wy > 1e-7);
             assert!(yr + wx <= 1e-7);
@@ -451,7 +451,7 @@ proptest! {
                 prop_assert!(y >= -1e-9);
                 // Certificate value: y·b + Σ w_j·ub_j > 0.
                 let val = y * (nv as f64 * ub + excess)
-                    + f.ub_multipliers.iter().sum::<f64>() * ub;
+                    + f.ub_multipliers(&p).iter().sum::<f64>() * ub;
                 prop_assert!(val > 1e-9, "certificate does not separate: {val}");
             }
             other => panic!("expected infeasible, got {other:?}"),

@@ -29,7 +29,11 @@
 //!   once and only ever toggles variable bounds), parent [`Basis`] values
 //!   with their Arc-shared factorizations, and the options;
 //! * **per worker** — one [`ovnes_lp::Workspace`] holding every scratch
-//!   buffer of the simplex, plus the worker's problem clone;
+//!   buffer of the simplex, plus the worker's problem clone. A worker holds
+//!   scratch only, never an [`ovnes_lp::WarmChain`]: a node resumes from its
+//!   *parent's* basis, whichever worker solved the parent, so restart state
+//!   has to travel as a [`Basis`] value — and a node's result stays a
+//!   function of (problem, parent basis, options) alone;
 //! * **shared, mutable** — a mutex-protected node queue / result cache, and
 //!   the incumbent objective mirrored as an **atomic `f64` bit pattern**
 //!   that workers re-check lock-free between claiming a node and starting
