@@ -961,10 +961,9 @@ impl Orchestrator {
         for (c, reserved) in cu_reserved.iter().enumerate() {
             over_cu += (reserved - self.model.compute_units[c].cores).max(0.0);
         }
-        let mut over_link = 0.0;
-        for (&gid, &reserved) in &link_reserved {
-            over_link += (reserved - self.model.graph.link(LinkId(gid)).capacity_mbps).max(0.0);
-        }
+        let over_link = link_overcommit(&link_reserved, |gid| {
+            self.model.graph.link(LinkId(gid)).capacity_mbps
+        });
 
         // 9. Ageing: expire slices whose duration elapsed.
         for a in self.active.iter_mut() {
@@ -1019,4 +1018,20 @@ impl Orchestrator {
             overcommit: (over_radio, over_link, over_cu),
         })
     }
+}
+
+/// Reservation in excess of capacity, summed over the links of `reserved` in
+/// ascending link id: a `HashMap` iterates in an order that differs from run
+/// to run, and the last bits of a float sum differ with it.
+pub(crate) fn link_overcommit(
+    reserved: &HashMap<usize, f64>,
+    capacity_mbps: impl Fn(usize) -> f64,
+) -> f64 {
+    let mut gids: Vec<usize> = reserved.keys().copied().collect();
+    gids.sort_unstable();
+    let mut over = 0.0;
+    for gid in gids {
+        over += (reserved[&gid] - capacity_mbps(gid)).max(0.0);
+    }
+    over
 }

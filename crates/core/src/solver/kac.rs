@@ -94,10 +94,10 @@ pub fn solve_carried(
         gammas.insert((t, c), g);
     }
 
-    // Pivot work thrown away by discarded carried attempts: still real
-    // solve cost, so it is folded into the returned stats.
-    let mut wasted = ovnes_lp::LpStats::default();
-    let mut restarts = 0usize;
+    // Vets and pivot work thrown away by discarded carried attempts (and
+    // how many there were): still real solve cost, so it is folded into
+    // the returned stats.
+    let mut wasted = SolveStats::default();
     // The carried basis is attempted on an all-forced epoch only (see the
     // function docs); a discarded attempt clears the flag.
     let mut use_carry = carry.is_some() && instance.tenants.iter().all(|t| t.must_accept);
@@ -150,8 +150,7 @@ pub fn solve_carried(
                 let certified = matches!(result, SlaveResult::Feasible { .. })
                     && slave.last_solve_certified_decision();
                 if !certified {
-                    wasted.absorb(&slave.stats);
-                    restarts += 1;
+                    discard(&mut wasted, &stats, &slave);
                     use_carry = false;
                     continue 'attempt;
                 }
@@ -194,8 +193,7 @@ pub fn solve_carried(
                                 // A perturbed-only chain keeps verifying
                                 // through the improvement pass too.
                                 if verify_chain && !slave.last_solve_certified_decision() {
-                                    wasted.absorb(&slave.stats);
-                                    restarts += 1;
+                                    discard(&mut wasted, &stats, &slave);
                                     use_carry = false;
                                     continue 'attempt;
                                 }
@@ -222,7 +220,7 @@ pub fn solve_carried(
                             reservations[leg.tenant][leg.bs] = z[li];
                         }
                     }
-                    settle(&mut stats, &slave, &wasted, restarts, carry);
+                    settle(&mut stats, &slave, &wasted, carry);
                     return Ok(Allocation {
                         objective: fixed + value,
                         assigned_cu: assigned,
@@ -268,12 +266,12 @@ pub fn solve_carried(
                                 // best available carry for the next epoch (the
                                 // relaxed fallback context has a different
                                 // column layout).
-                                settle(&mut stats, &slave, &wasted, restarts, carry);
+                                settle(&mut stats, &slave, &wasted, carry);
                                 return finish_with_deficit(instance, &assigned, stats);
                             }
                         }
                         if extra_rounds > n_t {
-                            settle(&mut stats, &slave, &wasted, restarts, carry);
+                            settle(&mut stats, &slave, &wasted, carry);
                             return finish_with_deficit(instance, &assigned, stats);
                         }
                     }
@@ -283,20 +281,30 @@ pub fn solve_carried(
     }
 }
 
+/// Books a discarded carried attempt in `wasted`: its vets, its pivots and
+/// the restart itself.
+fn discard(wasted: &mut SolveStats, attempt: &SolveStats, slave: &SlaveContext<'_>) {
+    wasted.lp_solves += attempt.lp_solves;
+    wasted.lp.absorb(&slave.stats);
+    wasted.carry_cold_restarts += 1;
+}
+
 /// Closes the returning attempt's stats — the one place every return site
-/// of [`solve_carried`] settles its counters: the surviving slave's pivots
-/// plus the work discarded attempts wasted, the carry counters, and the
-/// final basis deposited for the next epoch.
+/// of [`solve_carried`] settles its counters: the surviving slave's vets
+/// and pivots plus what discarded attempts wasted, the carry counters, and
+/// the final basis deposited for the next epoch.
 fn settle(
     stats: &mut SolveStats,
     slave: &SlaveContext<'_>,
-    wasted: &ovnes_lp::LpStats,
-    restarts: usize,
+    wasted: &SolveStats,
     carry: Option<&mut LpCarry>,
 ) {
     stats.lp.absorb(&slave.stats);
-    stats.lp.absorb(wasted);
-    stats.carry_cold_restarts = restarts;
+    stats.lp.absorb(&wasted.lp);
+    stats.lp_solves += wasted.lp_solves;
+    stats.carry_cold_restarts = wasted.carry_cold_restarts;
+    // Every vet is one LP solve, a discarded attempt's included.
+    debug_assert_eq!(stats.lp_solves, stats.lp.warm_starts + stats.lp.cold_starts);
     if let Some(c) = carry {
         slave.save_carry(c);
     }

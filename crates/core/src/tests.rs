@@ -519,6 +519,36 @@ fn no_overbooking_never_violates() {
     }
 }
 
+/// Step 8b's link term is summed in ascending link id, whatever order the
+/// map iterates in — and the terms here are sized so that the order shows in
+/// the sum's last bits.
+#[test]
+fn link_overcommit_sums_in_ascending_link_id() {
+    use crate::orchestrator::link_overcommit;
+    use std::collections::HashMap;
+    // 0.1·k³ over a capacity of zero, on scattered ids.
+    let excess = |gid: usize| 0.1 * (gid as f64).powi(3);
+    let gids: Vec<usize> = (0..40).map(|k| (k * 37) % 101).collect();
+    let mut sorted = gids.clone();
+    sorted.sort_unstable();
+    let ascending = sorted.iter().fold(0.0, |s, &g| s + excess(g));
+    let descending = sorted.iter().rev().fold(0.0, |s, &g| s + excess(g));
+    assert_ne!(ascending.to_bits(), descending.to_bits(), "order-sensitive");
+    // Every `HashMap::new()` draws its own hash keys, hence its own order.
+    for _ in 0..8 {
+        let mut reserved = HashMap::new();
+        for &g in &gids {
+            reserved.insert(g, excess(g));
+            reserved.insert(g + 1000, 5.0); // under capacity: adds +0.0
+        }
+        let cap = |g: usize| if g < 1000 { 0.0 } else { 9.0 };
+        assert_eq!(
+            link_overcommit(&reserved, cap).to_bits(),
+            ascending.to_bits()
+        );
+    }
+}
+
 #[test]
 fn slice_expiry_frees_capacity() {
     let model = toy_model(2, 16.0, 64.0, 1000.0);

@@ -65,33 +65,35 @@ struct Canonical {
 }
 
 fn canonicalise(p: &Problem) -> Canonical {
-    let mut var_map = Vec::with_capacity(p.vars.len());
+    let n = p.num_vars();
+    let mut var_map = Vec::with_capacity(n);
     let mut cost: Vec<f64> = Vec::new();
     let mut obj_constant = p.obj_constant;
 
     // Structural columns & bound bookkeeping.
     // ub_rows: (column, residual_ub)
     let mut ub_rows: Vec<(usize, f64)> = Vec::new();
-    for v in &p.vars {
-        if v.lb.is_finite() {
+    for j in 0..n {
+        let (lb, ub, obj) = (p.lb[j], p.ub[j], p.cost[j]);
+        if lb.is_finite() {
             let col = cost.len();
-            cost.push(v.obj);
-            obj_constant += v.obj * v.lb;
-            var_map.push(VarMap::Shifted { col, lb: v.lb });
-            if v.ub.is_finite() {
-                ub_rows.push((col, v.ub - v.lb));
+            cost.push(obj);
+            obj_constant += obj * lb;
+            var_map.push(VarMap::Shifted { col, lb });
+            if ub.is_finite() {
+                ub_rows.push((col, ub - lb));
             }
-        } else if v.ub.is_finite() {
+        } else if ub.is_finite() {
             // x = ub − x'; objective c·x = c·ub − c·x'.
             let col = cost.len();
-            cost.push(-v.obj);
-            obj_constant += v.obj * v.ub;
-            var_map.push(VarMap::Mirrored { col, ub: v.ub });
+            cost.push(-obj);
+            obj_constant += obj * ub;
+            var_map.push(VarMap::Mirrored { col, ub });
         } else {
             let pos = cost.len();
-            cost.push(v.obj);
+            cost.push(obj);
             let neg = cost.len();
-            cost.push(-v.obj);
+            cost.push(-obj);
             var_map.push(VarMap::Split { pos, neg });
         }
     }
@@ -103,9 +105,9 @@ fn canonicalise(p: &Problem) -> Canonical {
     let mut rhs = Vec::with_capacity(total_rows);
     let mut row_cmp = Vec::with_capacity(total_rows);
 
-    for c in &p.cons {
+    for (c, &user_rhs) in p.cons.iter().zip(&p.rhs) {
         let mut dense = vec![0.0; n_struct];
-        let mut b = c.rhs;
+        let mut b = user_rhs;
         for &(j, a) in &c.coeffs {
             match var_map[j] {
                 VarMap::Shifted { col, lb } => {
@@ -348,7 +350,7 @@ pub fn solve(p: &Problem, options: &SimplexOptions) -> Result<Outcome, SolveErro
     for i in 0..m {
         col_val[basis[i]] = t[i * stride + n_cols];
     }
-    let mut x = vec![0.0; p.vars.len()];
+    let mut x = vec![0.0; p.num_vars()];
     for (j, vm) in canon.var_map.iter().enumerate() {
         x[j] = match *vm {
             VarMap::Shifted { col, lb } => lb + col_val[col],

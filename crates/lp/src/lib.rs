@@ -25,10 +25,14 @@
 //!
 //! **Bounded-variable revised simplex** ([`revised`], the production
 //! engine): box bounds are handled natively (no mirror/split/ub-row
-//! blowup), and the linear algebra is **sparse end to end**. The structural
-//! constraint matrix is stored in compressed-sparse-column form
-//! ([`SparseMatrix`], built by [`Problem::structural_matrix`] once per
-//! structural edit and cached in the [`Problem`]); the basis is
+//! blowup), and the linear algebra is **sparse end to end**. A [`Problem`]
+//! *is* the engine's canonical form — it keeps its bounds, costs and
+//! right-hand sides in the arrays the engine indexes (one entry per column,
+//! a logical column per row after the variables), so a solve borrows them
+//! and copies nothing. The structural constraint matrix is stored in
+//! compressed-sparse-column form ([`SparseMatrix`], built by
+//! [`Problem::structural_matrix`] once per structural edit and cached in
+//! the [`Problem`]); the basis is
 //! kept factorized by a **sparse LU with bucketed Markowitz pivoting** —
 //! fewest-nonzeros pivot selection under a threshold-partial-pivoting
 //! stability test, with drop-tolerance handling so roundoff noise never
@@ -167,9 +171,9 @@
 //!   A workspace is reset on entry and carries **no state between solves**:
 //!   its reuse pattern can never change a result, only allocation traffic.
 //! * **Per-caller** [`WarmChain`]: the restart state of one caller
-//!   re-solving one problem again and again — the final basis, its *owned*
-//!   factorization, the canonical bound / cost / RHS buffers — together
-//!   with a workspace. It *is* state: [`Problem::resolve`] continues from
+//!   re-solving one problem again and again — the final basis and its
+//!   *owned* factorization — together with a workspace; the values a
+//!   re-solve reads are the problem's own. It *is* state: [`Problem::resolve`] continues from
 //!   what the chain's previous solve left, in place. It is also exactly the
 //!   state a [`Basis`] carries, moved instead of cloned, so a chain of
 //!   `resolve`s equals the chain of `solve_warm_in(Some(&previous_basis))`

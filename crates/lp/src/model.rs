@@ -39,11 +39,15 @@ pub enum Cmp {
     Ge,
 }
 
-#[derive(Debug, Clone)]
-pub(crate) struct VarDef {
-    pub lb: f64,
-    pub ub: f64,
-    pub obj: f64,
+impl Cmp {
+    /// Bounds of the row's logical column `s` in `a·x + s = b`.
+    fn logical_bounds(self) -> (f64, f64) {
+        match self {
+            Cmp::Le => (0.0, f64::INFINITY),
+            Cmp::Ge => (f64::NEG_INFINITY, 0.0),
+            Cmp::Eq => (0.0, 0.0),
+        }
+    }
 }
 
 #[derive(Debug, Clone)]
@@ -52,24 +56,39 @@ pub(crate) struct ConsDef {
     /// summed during canonicalisation.
     pub coeffs: Vec<(usize, f64)>,
     pub cmp: Cmp,
-    pub rhs: f64,
 }
 
 /// A linear program `min c'x + k` over variables with box bounds and sparse
 /// linear constraints.
 ///
-/// Building and editing are plain pushes and stores. The first solve after
-/// a **structural** edit ([`Problem::add_var`], [`Problem::add_cons`],
-/// [`Problem::add_column`]) assembles the canonical matrix structure (CSC
-/// matrix, CSR pattern, fingerprint) once and keeps it behind an `Arc`;
-/// [`Problem::set_bounds`], [`Problem::set_rhs`], [`Problem::set_objective`]
-/// and `clone()` keep it, so a re-solve after such edits sets up in
-/// `O(vars + cons)` instead of `O(nonzeros)`. A clone copies the row lists
+/// The values are held in the one form the revised engine reads (see the
+/// `revised` module docs): `lb`, `ub` and `cost` run over all `n + m`
+/// columns — the `n` variables in creation order, then one *logical* column
+/// per constraint carrying the bounds of its sense and cost 0 — and `rhs`
+/// over the `m` rows. Editing is a store into those arrays
+/// ([`Problem::set_bounds`], [`Problem::set_rhs`], [`Problem::set_objective`])
+/// or a push ([`Problem::add_cons`]); only [`Problem::add_var`] after a
+/// constraint shifts anything, the logicals moving up by one. A solve
+/// borrows the arrays as they stand.
+///
+/// The first solve after a **structural** edit ([`Problem::add_var`],
+/// [`Problem::add_cons`], [`Problem::add_column`]) assembles the matrix
+/// structure (CSC matrix, CSR pattern, fingerprint) once and keeps it behind
+/// an `Arc`; value edits and `clone()` keep it, so a re-solve after such
+/// edits sets up in `O(1)`. A clone copies the arrays and the row lists
 /// (`O(nonzeros)`) and shares the structure — the MILP branch-and-bound
 /// clones once per worker and only edits bounds per node.
 #[derive(Debug, Clone, Default)]
 pub struct Problem {
-    pub(crate) vars: Vec<VarDef>,
+    /// Lower bound per column: variables, then logicals.
+    pub(crate) lb: Vec<f64>,
+    /// Upper bound per column.
+    pub(crate) ub: Vec<f64>,
+    /// Objective coefficient per column (0 for logicals).
+    pub(crate) cost: Vec<f64>,
+    /// Right-hand side per constraint.
+    pub(crate) rhs: Vec<f64>,
+    /// The rows: coefficients and sense per constraint.
     pub(crate) cons: Vec<ConsDef>,
     /// Constant added to the objective (bookkeeping for shifted bounds and
     /// model-level constants such as Benders' fixed master terms).
@@ -98,8 +117,11 @@ impl Problem {
         );
         assert!(obj.is_finite(), "objective coefficient must be finite");
         self.structure.take();
-        self.vars.push(VarDef { lb, ub, obj });
-        VarId(self.vars.len() - 1)
+        let n = self.num_vars();
+        self.lb.insert(n, lb);
+        self.ub.insert(n, ub);
+        self.cost.insert(n, obj);
+        VarId(n)
     }
 
     /// Adds the constraint `Σ coeff_i · var_i  cmp  rhs`.
@@ -113,23 +135,22 @@ impl Problem {
         let mut row = Vec::with_capacity(coeffs.len());
         for &(v, c) in coeffs {
             assert!(c.is_finite(), "constraint coefficient must be finite");
-            assert!(v.0 < self.vars.len(), "unknown variable in constraint");
+            assert!(v.0 < self.num_vars(), "unknown variable in constraint");
             row.push((v.0, c));
         }
         self.structure.take();
-        self.cons.push(ConsDef {
-            coeffs: row,
-            cmp,
-            rhs,
-        });
+        let (lb, ub) = cmp.logical_bounds();
+        self.lb.push(lb);
+        self.ub.push(ub);
+        self.cost.push(0.0);
+        self.rhs.push(rhs);
+        self.cons.push(ConsDef { coeffs: row, cmp });
         ConsId(self.cons.len() - 1)
     }
 
     /// Adds a variable together with its coefficients in *existing*
-    /// constraints — the column-growth dual of [`Problem::add_cons`]. The
-    /// cross-epoch solver uses this to append an arriving tenant's
-    /// reservation columns to a persistent program without rebuilding any
-    /// rows, keeping every previously stored [`Basis`](crate::Basis)
+    /// constraints — the column-growth dual of [`Problem::add_cons`]. No row
+    /// is rebuilt and every previously stored [`Basis`](crate::Basis) stays
     /// adaptable (the new column enters nonbasic on a bound).
     ///
     /// Duplicate constraint entries are allowed and are summed.
@@ -156,7 +177,7 @@ impl Problem {
 
     /// Returns the current number of variables.
     pub fn num_vars(&self) -> usize {
-        self.vars.len()
+        self.lb.len() - self.cons.len()
     }
 
     /// Returns the current number of constraints.
@@ -164,10 +185,17 @@ impl Problem {
         self.cons.len()
     }
 
+    /// The column of `var`, checked: past the variables the arrays go on
+    /// into the logicals, which no handle may reach.
+    fn col(&self, var: VarId) -> usize {
+        assert!(var.0 < self.num_vars(), "unknown variable");
+        var.0
+    }
+
     /// Iterates the handles of all variables in creation order (handles are
     /// stable — variables are never removed).
     pub fn var_ids(&self) -> impl Iterator<Item = VarId> {
-        (0..self.vars.len()).map(VarId)
+        (0..self.num_vars()).map(VarId)
     }
 
     /// Overrides the bounds of an existing variable (used by branch-and-bound
@@ -181,21 +209,22 @@ impl Problem {
             lb <= ub,
             "variable lower bound {lb} exceeds upper bound {ub}"
         );
-        let v = &mut self.vars[var.0];
-        v.lb = lb;
-        v.ub = ub;
+        let j = self.col(var);
+        self.lb[j] = lb;
+        self.ub[j] = ub;
     }
 
     /// Returns the bounds of a variable.
     pub fn bounds(&self, var: VarId) -> (f64, f64) {
-        let v = &self.vars[var.0];
-        (v.lb, v.ub)
+        let j = self.col(var);
+        (self.lb[j], self.ub[j])
     }
 
     /// Overrides the objective coefficient of an existing variable.
     pub fn set_objective(&mut self, var: VarId, obj: f64) {
         assert!(obj.is_finite());
-        self.vars[var.0].obj = obj;
+        let j = self.col(var);
+        self.cost[j] = obj;
     }
 
     /// Overrides the right-hand side of an existing constraint (used by the
@@ -207,7 +236,7 @@ impl Problem {
     /// Panics if `rhs` is non-finite.
     pub fn set_rhs(&mut self, cons: ConsId, rhs: f64) {
         assert!(rhs.is_finite(), "constraint rhs must be finite");
-        self.cons[cons.0].rhs = rhs;
+        self.rhs[cons.0] = rhs;
     }
 
     /// Builds the structural constraint matrix (`num_cons × num_vars`) in
@@ -218,7 +247,7 @@ impl Problem {
     /// array); solves go through the copy cached since the last structural
     /// edit instead.
     pub fn structural_matrix(&self) -> SparseMatrix {
-        let n = self.vars.len();
+        let n = self.num_vars();
         let mut col_start = vec![0usize; n + 1];
         for c in &self.cons {
             for &(j, _) in &c.coeffs {
@@ -334,7 +363,8 @@ impl Problem {
 pub fn certify_unique_optimum(p: &Problem, s: &Solution) -> bool {
     const TOL: f64 = 1e-7;
     // Reduced costs in one sweep over the nonzeros.
-    let mut d: Vec<f64> = p.vars.iter().map(|v| v.obj).collect();
+    let n = p.num_vars();
+    let mut d: Vec<f64> = p.cost[..n].to_vec();
     for (i, cons) in p.cons.iter().enumerate() {
         let y = s.duals[i];
         if y != 0.0 {
@@ -343,14 +373,15 @@ pub fn certify_unique_optimum(p: &Problem, s: &Solution) -> bool {
             }
         }
     }
-    for (j, v) in p.vars.iter().enumerate() {
-        if v.lb == v.ub {
+    for j in 0..n {
+        let (lb, ub) = (p.lb[j], p.ub[j]);
+        if lb == ub {
             continue;
         }
         let x = s.x[j];
-        let at_lower = v.lb.is_finite() && (x - v.lb).abs() <= TOL * (1.0 + v.lb.abs());
-        let at_upper = v.ub.is_finite() && (v.ub - x).abs() <= TOL * (1.0 + v.ub.abs());
-        if (at_lower || at_upper) && d[j].abs() <= TOL * (1.0 + v.obj.abs()) {
+        let at_lower = lb.is_finite() && (x - lb).abs() <= TOL * (1.0 + lb.abs());
+        let at_upper = ub.is_finite() && (ub - x).abs() <= TOL * (1.0 + ub.abs());
+        if (at_lower || at_upper) && d[j].abs() <= TOL * (1.0 + p.cost[j].abs()) {
             return false;
         }
     }
@@ -359,7 +390,7 @@ pub fn certify_unique_optimum(p: &Problem, s: &Solution) -> bool {
             continue;
         }
         let activity: f64 = cons.coeffs.iter().map(|&(j, a)| a * s.x[j]).sum();
-        let tight = (activity - cons.rhs).abs() <= TOL * (1.0 + cons.rhs.abs());
+        let tight = (activity - p.rhs[i]).abs() <= TOL * (1.0 + p.rhs[i].abs());
         if tight && s.duals[i].abs() <= TOL {
             return false;
         }
@@ -400,8 +431,8 @@ pub fn certify_unique_optimum(p: &Problem, s: &Solution) -> bool {
 /// [`certify_unique_optimum`].
 pub fn certify_unique_optimum_perturbed(p: &Problem, s: &Solution) -> bool {
     const TOL: f64 = 1e-7;
-    let n = p.vars.len();
-    let mut d: Vec<f64> = p.vars.iter().map(|v| v.obj).collect();
+    let n = p.num_vars();
+    let mut d: Vec<f64> = p.cost[..n].to_vec();
     for (i, cons) in p.cons.iter().enumerate() {
         let y = s.duals[i];
         if y != 0.0 {
@@ -412,15 +443,16 @@ pub fn certify_unique_optimum_perturbed(p: &Problem, s: &Solution) -> bool {
     }
     let mut pinned = vec![false; n];
     let mut unpinned = 0usize;
-    for (j, v) in p.vars.iter().enumerate() {
-        if v.lb == v.ub {
+    for j in 0..n {
+        let (lb, ub) = (p.lb[j], p.ub[j]);
+        if lb == ub {
             pinned[j] = true;
             continue;
         }
-        if d[j].abs() > TOL * (1.0 + v.obj.abs()) {
+        if d[j].abs() > TOL * (1.0 + p.cost[j].abs()) {
             let x = s.x[j];
-            let at_lower = v.lb.is_finite() && (x - v.lb).abs() <= TOL * (1.0 + v.lb.abs());
-            let at_upper = v.ub.is_finite() && (v.ub - x).abs() <= TOL * (1.0 + v.ub.abs());
+            let at_lower = lb.is_finite() && (x - lb).abs() <= TOL * (1.0 + lb.abs());
+            let at_upper = ub.is_finite() && (ub - x).abs() <= TOL * (1.0 + ub.abs());
             if at_lower || at_upper {
                 pinned[j] = true;
                 continue;

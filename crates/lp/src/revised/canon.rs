@@ -16,15 +16,18 @@
 //! and one logical column without renumbering anything, which is what makes
 //! a stored [`Basis`](super::Basis) reusable after Benders cuts are added.
 //!
+//! [`Problem`] stores its values in exactly this layout — `lb`, `ub` and
+//! `cost` over all `n + m` columns, `rhs` over the rows, each edit written
+//! where the engine will read it — so the canonical form is not built: a
+//! [`Canon`] is a borrow of those four arrays beside the [`Structure`].
+//!
 //! The structural block is held as a CSC [`SparseMatrix`]
 //! ([`Problem::structural_matrix`]); logical columns are implicit unit
 //! vectors and never materialized. Everything that depends on the matrix
 //! alone is a [`Structure`], built once per structural edit and cached in the
-//! [`Problem`]; a [`Canon`] borrows it beside the bound, cost and RHS values,
-//! which are copied per solve into buffers ([`CanonValues`]) the caller keeps
-//! between solves.
+//! [`Problem`].
 
-use crate::model::{Cmp, Problem};
+use crate::model::Problem;
 use crate::sparse::SparseMatrix;
 
 /// The part of the canonical form that depends on the constraint matrix
@@ -53,8 +56,7 @@ pub struct Structure {
 impl Structure {
     /// Assembles the structure from scratch; cost is linear in the nonzeros.
     pub fn build(p: &Problem) -> Structure {
-        let n = p.vars.len();
-        let m = p.cons.len();
+        let (n, m) = (p.num_vars(), p.num_cons());
         let a = p.structural_matrix();
         // Transpose the CSC matrix into CSR. Visiting columns in ascending
         // order keeps each row's column list ascending, which the dual
@@ -90,50 +92,7 @@ impl Structure {
     }
 }
 
-/// The value side of the canonical form: one entry per column (logicals
-/// included) or row, refilled from the problem at every solve. Kept by the
-/// caller between solves so the refill allocates nothing.
-#[derive(Debug, Default)]
-pub struct CanonValues {
-    /// Lower bound per column (`n + m` entries, logicals included).
-    pub lb: Vec<f64>,
-    /// Upper bound per column.
-    pub ub: Vec<f64>,
-    /// Objective per column (0 for logicals).
-    pub cost: Vec<f64>,
-    /// Right-hand side per row.
-    pub b: Vec<f64>,
-}
-
-impl CanonValues {
-    /// Overwrites the four vectors with `p`'s current bounds, costs and
-    /// right-hand sides: the `O(n + m)` copy a solve pays.
-    pub fn fill(&mut self, p: &Problem) {
-        let CanonValues { lb, ub, cost, b } = self;
-        lb.clear();
-        ub.clear();
-        cost.clear();
-        b.clear();
-        for v in &p.vars {
-            lb.push(v.lb);
-            ub.push(v.ub);
-            cost.push(v.obj);
-        }
-        for c in &p.cons {
-            b.push(c.rhs);
-            let (l, u) = match c.cmp {
-                Cmp::Le => (0.0, f64::INFINITY),
-                Cmp::Ge => (f64::NEG_INFINITY, 0.0),
-                Cmp::Eq => (0.0, 0.0),
-            };
-            lb.push(l);
-            ub.push(u);
-            cost.push(0.0);
-        }
-    }
-}
-
-/// The canonicalised problem seen by the revised engine.
+/// The problem as the revised engine sees it: a view, nothing copied.
 #[derive(Debug)]
 pub struct Canon<'a> {
     /// Number of structural columns (== user variables).
@@ -155,18 +114,17 @@ pub struct Canon<'a> {
 }
 
 impl<'a> Canon<'a> {
-    /// The canonical form of `p` over its cached structure (built here when
-    /// a structural edit has dropped it since the last solve) and `values`,
-    /// which the caller has [filled](CanonValues::fill) from `p`.
-    pub fn new(p: &'a Problem, values: &'a CanonValues) -> Canon<'a> {
+    /// Borrows `p`'s value arrays and its cached structure (built here when
+    /// a structural edit has dropped it since the last solve).
+    pub fn new(p: &'a Problem) -> Canon<'a> {
         Canon {
-            n: p.vars.len(),
-            m: p.cons.len(),
+            n: p.num_vars(),
+            m: p.num_cons(),
             s: p.structure(),
-            lb: &values.lb,
-            ub: &values.ub,
-            cost: &values.cost,
-            b: &values.b,
+            lb: &p.lb,
+            ub: &p.ub,
+            cost: &p.cost,
+            b: &p.rhs,
             obj_constant: p.obj_constant,
         }
     }

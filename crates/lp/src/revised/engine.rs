@@ -67,18 +67,20 @@
 //! weights (primal and dual), the candidate list, the dual candidate bitset
 //! and pivot-row accumulator, the dual ratio-test breakpoints, the
 //! aggregated flip column — lives in an explicit [`Workspace`] the caller
-//! lends for the duration of one solve. The shared inputs ([`Canon`],
-//! [`SimplexOptions`]) are read-only, so any number of engines can run
-//! concurrently over the same problem data as long as each brings its own
-//! `Workspace`. A workspace is pure scratch: it is reset at engine
-//! construction, carries no information between solves, and therefore never
-//! affects results — only allocation traffic.
+//! lends for the duration of one solve. The shared inputs ([`Canon`], a
+//! borrow of the problem's own arrays, and [`SimplexOptions`]) are
+//! read-only, so any number of engines can run concurrently over the same
+//! problem data as long as each brings its own `Workspace`. A workspace is
+//! pure scratch: it is reset at engine construction, carries no information
+//! between solves, and therefore never affects results — only allocation
+//! traffic.
 //!
 //! The *restart state* — statuses, basic set, the `x_B` buffer and the
-//! factorization — is not scratch and not borrowed: the engine takes it by
-//! value and gives it back through [`Engine::into_parts`]. Whoever owns it
-//! between solves (a `Basis` the caller clones from, or a `WarmChain` that
-//! moves it) is the parent module's business; the engine sees no difference.
+//! factorization — is not scratch and not borrowed: the engine moves it out
+//! of a [`Restart`] and puts it back through [`Engine::finish`]. Whoever
+//! owns it between solves (a `Basis` the caller clones from, or a
+//! `WarmChain` that lends it) is the parent module's business; the engine
+//! sees no difference.
 
 use super::canon::{drain_ascending, Canon};
 use super::lu::{Factorization, SolveScratch, SparseLu};
@@ -262,9 +264,11 @@ pub(super) struct Engine<'a> {
     plist_cursor: usize,
 }
 
-/// The restart state of a solve: what an engine is built from and what
-/// [`Engine::into_parts`] gives back — one solve's end is the next one's
-/// start, moved rather than copied.
+/// The restart state of a solve — what one solve of a warm chain hands the
+/// next. The engine takes the vectors and the factorization out of it
+/// ([`Engine::new`]) and puts them back ([`Engine::finish`]): one solve's end
+/// is the next one's start, moved rather than copied. The three words beside
+/// them are the holder's (see the parent module): the engine never reads them.
 #[derive(Debug, Default)]
 pub(super) struct Restart {
     /// Status per column (`n + m` entries).
@@ -275,9 +279,18 @@ pub(super) struct Restart {
     /// [`Engine::compute_xb`] of a solve refills it.
     pub xb: Vec<f64>,
     /// Factorization of the basis matrix of `basic`, when one is held that
-    /// still matches it (the holder's contract: same basic set, same
-    /// constraint columns as when it was built).
+    /// still matches it: same basic set, same constraint columns (those of
+    /// the matrix `matrix_fp` names) as when it was built.
     pub fact: Option<Factorization>,
+    /// Whether a basis is held to resume from: the final one of the
+    /// previous solve, or a loaded [`Basis`](super::Basis). Cleared on entry
+    /// to a solve and set again only when it completes, so a solve that
+    /// returns an error leaves a cold chain, not a half-updated one.
+    pub warm: bool,
+    /// Number of structural columns the held basis was built for.
+    pub n_vars: usize,
+    /// [`Structure::fingerprint`](super::Structure) of the held basis's matrix.
+    pub matrix_fp: u64,
 }
 
 /// Factorizes the basis matrix of `basic` from scratch, booking the work in
@@ -294,9 +307,8 @@ fn factor_basis(canon: &Canon<'_>, basic: &[usize], stats: &mut LpStats) -> Opti
 impl<'a> Engine<'a> {
     /// Builds an engine over `restart` (statuses and basic set already
     /// sized for `canon`), with all scratch in the caller's `ws` (reset
-    /// here). The restart state is taken by value and handed back by
-    /// [`Engine::into_parts`], so a warm chain moves it in and out without
-    /// copying.
+    /// here). The restart state is moved out of `restart` and handed back by
+    /// [`Engine::finish`], so a warm chain lends it without copying.
     ///
     /// When `restart.fact` carries a factorization, the engine starts from
     /// it and skips the initial refactorization entirely.
@@ -311,16 +323,14 @@ impl<'a> Engine<'a> {
     pub fn new(
         canon: &'a Canon<'a>,
         opts: &'a SimplexOptions,
-        restart: Restart,
+        restart: &mut Restart,
         mut stats: LpStats,
         ws: &'a mut Workspace,
     ) -> Engine<'a> {
-        let Restart {
-            mut status,
-            mut basic,
-            xb,
-            fact,
-        } = restart;
+        let mut status = std::mem::take(&mut restart.status);
+        let mut basic = std::mem::take(&mut restart.basic);
+        let xb = std::mem::take(&mut restart.xb);
+        let fact = restart.fact.take();
         let m = canon.m;
         debug_assert_eq!(status.len(), canon.n + m);
         debug_assert_eq!(basic.len(), m);
@@ -664,7 +674,7 @@ impl<'a> Engine<'a> {
             }
         }
         self.plist_cursor = (start + scanned) % n_total.max(1);
-        found.sort_unstable_by(|a, b| b.2.partial_cmp(&a.2).unwrap());
+        found.sort_unstable_by(|a, b| b.2.total_cmp(&a.2));
         found.truncate(list_cap);
         self.ws.plist.clear();
         self.ws.plist.extend(found.iter().map(|&(j, _, _)| j));
@@ -1300,20 +1310,19 @@ impl<'a> Engine<'a> {
         obj
     }
 
-    /// Consumes the engine, returning the restart state as the solve left it
-    /// and the accumulated statistics, with the end-of-solve update count and
-    /// the scratch's hyper-sparse counters folded in.
-    pub fn into_parts(mut self) -> (Restart, LpStats) {
+    /// Consumes the engine, putting the restart state back into `restart` as
+    /// the solve left it; returns the accumulated statistics, with the
+    /// end-of-solve update count and the scratch's hyper-sparse counters
+    /// folded in.
+    pub fn finish(mut self, restart: &mut Restart) -> LpStats {
         self.stats.eta_len_end += self.fact.update_count();
         let (hf, hb) = self.ws.lu.take_hypersparse_counts();
         self.stats.hypersparse_ftrans += hf as usize;
         self.stats.hypersparse_btrans += hb as usize;
-        let restart = Restart {
-            status: self.status,
-            basic: self.basic,
-            xb: self.xb,
-            fact: Some(self.fact),
-        };
-        (restart, self.stats)
+        restart.status = self.status;
+        restart.basic = self.basic;
+        restart.xb = self.xb;
+        restart.fact = Some(self.fact);
+        self.stats
     }
 }

@@ -31,13 +31,12 @@
 //!   a changed basic set force a fresh factorization, and
 //!   [`LpStats::factorization_reuses`] / [`LpStats::refactorizations`] make
 //!   the difference observable;
-//! * **keeps the canonical matrix structure inside the [`Problem`]**: the
-//!   CSC matrix, its CSR pattern and its fingerprint are assembled once per
-//!   structural edit and shared (`Arc`) with every clone, so the same
-//!   RHS / bound / objective re-solve also skips the `O(nonzeros)` set-up
-//!   and pays only the `O(n + m)` bound, cost and RHS copies — which, once
-//!   the factors were persisted, was most of what a warm re-solve of a few
-//!   pivots still cost.
+//! * **reads the canonical form out of the [`Problem`] itself**: the CSC
+//!   matrix, its CSR pattern and its fingerprint are assembled once per
+//!   structural edit and shared (`Arc`) with every clone, and the bounds,
+//!   costs and right-hand sides are stored by the model in the arrays the
+//!   engine indexes (`canon.rs`), so the same RHS / bound / objective
+//!   re-solve borrows both and sets up in `O(1)`.
 //!
 //! ## When is a warm start valid?
 //!
@@ -99,13 +98,13 @@
 //!
 //! A third kind of value sits between the two: the **restart state** of a
 //! warm chain — statuses, basic set, the owned factorization with its
-//! updatable `U`, the canonical value buffers. As a [`Basis`] it is an
-//! immutable, shareable value that each solve clones from and exports to;
-//! as a [`WarmChain`] it is one caller's mutable state, moved into the
-//! engine and back by [`Problem::resolve`] with nothing copied. Both enter
-//! the engine through the same function (`solve_state`) over the same
-//! struct, so which one holds the state never changes a result; a
-//! `WarmChain` owns its own `Workspace` and is `Send`, never shared.
+//! updatable `U`. As a [`Basis`] it is an immutable, shareable value that
+//! each solve clones from and exports to; as a [`WarmChain`] it is one
+//! caller's mutable state, moved into the engine and back by
+//! [`Problem::resolve`] with nothing copied. Both enter the engine through
+//! the same function (`solve_state`) over the same struct (`Restart`), so
+//! which one holds the state never changes a result; a `WarmChain` owns
+//! its own `Workspace` and is `Send`, never shared.
 //!
 //! [`Problem::solve_warm`] remains the single-threaded convenience that
 //! allocates a throwaway workspace internally. The parallel
@@ -129,8 +128,8 @@ pub use lu::{Factorization, Lu, SolveScratch, SparseLu};
 
 use crate::model::Problem;
 use crate::simplex::{Farkas, Outcome, SimplexOptions, Solution, SolveError};
+use canon::Canon;
 pub(crate) use canon::Structure;
-use canon::{Canon, CanonValues};
 pub use engine::Workspace;
 use engine::{DualEnd, Engine, PrimalEnd, Restart};
 #[cfg(not(any(test, feature = "testgen")))]
@@ -462,38 +461,18 @@ fn cold_state(c: &Canon<'_>, status: &mut Vec<VarStatus>, basic: &mut Vec<usize>
     basic.extend((0..c.m).map(|i| c.n + i));
 }
 
-/// What one solve of a warm chain hands the next: the canonical value
-/// buffers, and the restart state proper — statuses, basic set, `x_B`
-/// buffer and the *owned* factorization, all moved into the engine for a
-/// solve and back out of it, never cloned in between.
-///
-/// [`solve_warm_in`] loads a [`Basis`] into a transient one of these, a
-/// [`WarmChain`] keeps one alive; both then run [`solve_state`].
-#[derive(Debug, Default)]
-struct ChainState {
-    values: CanonValues,
-    /// Whether `restart` holds a basis to resume from: the final one of the
-    /// previous solve, or a loaded [`Basis`]. Cleared on entry to a solve
-    /// and set again only when it completes, so a solve that returns an
-    /// error leaves a cold chain, not a half-updated one.
-    warm: bool,
-    /// Number of structural columns the held basis was built for.
-    n_vars: usize,
-    /// The held basis; its factorization, when present, is of the basic
-    /// set against the matrix `matrix_fp` names.
-    restart: Restart,
-    matrix_fp: u64,
-}
-
-impl ChainState {
+/// How restart state is held between solves: [`solve_warm_in`] loads a
+/// [`Basis`] into a transient [`Restart`], a [`WarmChain`] keeps one alive;
+/// both then run [`solve_state`].
+impl Restart {
     /// Installs `b` as the basis to resume from, with `fact` as its
     /// factorization (the caller decides whether cloning `b`'s is worth it).
     fn load(&mut self, b: &Basis, fact: Option<Factorization>) {
         self.warm = true;
         self.n_vars = b.n_vars;
-        self.restart.status.clone_from(&b.status);
-        self.restart.basic.clone_from(&b.basic);
-        self.restart.fact = fact;
+        self.status.clone_from(&b.status);
+        self.basic.clone_from(&b.basic);
+        self.fact = fact;
         self.matrix_fp = b.matrix_fp;
     }
 
@@ -514,20 +493,24 @@ impl ChainState {
         }
     }
 
-    /// Adapts the held basis, in place, to a problem of `n` structural
-    /// columns and `m` rows whose bounds are already in `self.values`: new
+    /// Adapts the held basis, in place, to `c`'s shape and bounds: new
     /// rows' logicals join the basis, new structural columns enter nonbasic
     /// on a bound (exactly where a cold start would place them), and a
     /// status naming a bound that is no longer finite moves to one that is.
     /// Returns `false` when the shapes are incompatible (a *shrunk* problem)
     /// and a cold start is required.
-    fn adapt(&mut self, n: usize, m: usize) -> bool {
-        let Restart { status, basic, .. } = &mut self.restart;
-        let (n_old, m_old) = (self.n_vars, basic.len());
+    fn adapt(&mut self, c: &Canon<'_>) -> bool {
+        let Restart {
+            status,
+            basic,
+            n_vars,
+            ..
+        } = self;
+        let (n, m, lb, ub) = (c.n, c.m, c.lb, c.ub);
+        let (n_old, m_old) = (*n_vars, basic.len());
         if n_old > n || m_old > m {
             return false;
         }
-        let (lb, ub) = (&self.values.lb, &self.values.ub);
         // New structural columns (appended since the basis was stored) go
         // between the old structural statuses and the old logicals';
         // structural indices are stable under column growth, logical
@@ -586,10 +569,10 @@ impl ChainState {
 /// re-pricing one admission after another).
 ///
 /// [`Problem::resolve`] continues from what the chain's previous solve left
-/// — final basis, its factorization, the canonical value buffers — and
-/// leaves its own for the next, so a re-solve pays for its pivots and an
-/// `O(n + m)` value copy, not for cloning a [`Basis`], deep-copying the
-/// updatable `U`, or re-allocating the engine's vectors. It is the same
+/// — final basis and its factorization — and leaves its own for the next,
+/// so a re-solve pays for its pivots, not for cloning a [`Basis`],
+/// deep-copying the updatable `U`, or re-allocating the engine's vectors;
+/// the values it reads are the problem's own arrays. It is the same
 /// solve as handing the previous [`WarmSolve::basis`] to
 /// [`Problem::solve_warm_in`], bit for bit, fault injection and problem
 /// growth (`add_cons` / `add_column`) included; the warm-start contract of
@@ -601,7 +584,7 @@ impl ChainState {
 /// exchanging [`Basis`] values and holds only a `Workspace` per worker.
 #[derive(Debug, Default)]
 pub struct WarmChain {
-    state: ChainState,
+    state: Restart,
     ws: Workspace,
 }
 
@@ -614,7 +597,7 @@ impl WarmChain {
     /// Forgets the basis: the next solve is cold (buffers are kept).
     pub fn clear(&mut self) {
         self.state.warm = false;
-        self.state.restart.fact = None;
+        self.state.fact = None;
     }
 
     /// Whether the next solve resumes from a basis.
@@ -633,14 +616,8 @@ impl WarmChain {
     /// cold chain. Clones the statuses, the basic set and the factorization.
     pub fn basis(&self) -> Option<Basis> {
         let st = &self.state;
-        let Restart {
-            status,
-            basic,
-            fact,
-            ..
-        } = &st.restart;
         st.warm
-            .then(|| st.export(status.clone(), basic.clone(), fact.clone()))
+            .then(|| st.export(st.status.clone(), st.basic.clone(), st.fact.clone()))
     }
 
     pub(crate) fn resolve(
@@ -678,7 +655,7 @@ fn basis_summary(basic: &[usize]) -> u64 {
 /// the [`Basis`]-valued way into the engine, behind
 /// [`Problem::solve_warm_in`] (and the [`Problem::solve`] /
 /// [`Problem::solve_warm`] conveniences over it): the basis is loaded into
-/// a transient [`ChainState`], [`solve_state`] runs, and the final state
+/// a transient [`Restart`], [`solve_state`] runs, and the final state
 /// leaves as a new [`Basis`].
 ///
 /// See the module docs for which problem edits keep a basis reusable. An
@@ -695,7 +672,7 @@ pub(crate) fn solve_warm_in(
     options: &SimplexOptions,
     ws: &mut Workspace,
 ) -> Result<WarmSolve, SolveError> {
-    let mut st = ChainState::default();
+    let mut st = Restart::default();
     if let Some(b) = warm {
         // The factors behind the `Arc` stay shared; only the updatable `U`
         // working copy is deep-copied, so compressions folded in by this
@@ -710,12 +687,11 @@ pub(crate) fn solve_warm_in(
         st.load(b, fact.cloned());
     }
     let (outcome, stats) = solve_state(p, &mut st, options, ws)?;
-    let Restart {
-        status,
-        basic,
-        fact,
-        ..
-    } = std::mem::take(&mut st.restart);
+    let (status, basic, fact) = (
+        std::mem::take(&mut st.status),
+        std::mem::take(&mut st.basic),
+        st.fact.take(),
+    );
     Ok(WarmSolve {
         outcome,
         basis: st.export(status, basic, fact),
@@ -725,15 +701,16 @@ pub(crate) fn solve_warm_in(
 
 /// The one solve function: runs the engine on `p` from whatever basis `st`
 /// holds (cold when it holds none, or an incompatible one) and leaves the
-/// final basis, factorization and buffers in `st`.
+/// final basis, factorization and buffers in `st`. Nothing of `p` is copied
+/// on the way in: the engine indexes `p`'s own arrays.
 fn solve_state(
     p: &Problem,
-    st: &mut ChainState,
+    st: &mut Restart,
     options: &SimplexOptions,
     ws: &mut Workspace,
 ) -> Result<(Outcome, LpStats), SolveError> {
-    let matrix_fp = p.structure().fingerprint;
-    let (n, m) = (p.num_vars(), p.num_cons());
+    let canon = Canon::new(p);
+    let matrix_fp = canon.s.fingerprint;
     // Until this solve completes, the chain holds no basis.
     let mut warm = std::mem::replace(&mut st.warm, false);
 
@@ -747,7 +724,7 @@ fn solve_state(
     let mut drop_fact = false;
     let mut corrupt = false;
     if let (Some(f), true) = (options.fault, warm) {
-        let summary = basis_summary(&st.restart.basic);
+        let summary = basis_summary(&st.basic);
         if f.roll(matrix_fp, summary, 0) < FAULT_DROP_BASIS {
             warm = false;
         } else {
@@ -756,8 +733,7 @@ fn solve_state(
         }
     }
 
-    st.values.fill(p);
-    let warm_used = warm && st.adapt(n, m);
+    let warm_used = warm && st.adapt(&canon);
 
     // The held factorization survives exactly when the basis *matrix* is
     // unchanged: same row count (no appended constraints, so `adapt` did
@@ -765,9 +741,8 @@ fn solve_state(
     // structural coefficients (fingerprint match — guards against a basis
     // from a different problem that happens to share the shape). RHS /
     // bound / objective edits all qualify.
-    let mut restart = std::mem::take(&mut st.restart);
     let reusable = warm_used && !drop_fact && !corrupt && st.matrix_fp == matrix_fp;
-    restart.fact = restart.fact.filter(|f| reusable && f.dim() == m);
+    st.fact = st.fact.take().filter(|f| reusable && f.dim() == canon.m);
 
     let mut stats = LpStats::default();
     if warm_used {
@@ -776,11 +751,10 @@ fn solve_state(
         stats.cold_starts += 1;
     }
 
-    let canon = Canon::new(p, &st.values);
     if !warm_used {
-        cold_state(&canon, &mut restart.status, &mut restart.basic);
+        cold_state(&canon, &mut st.status, &mut st.basic);
     }
-    let basic = &mut restart.basic;
+    let basic = &mut st.basic;
     if corrupt && basic.len() >= 2 && basic[0] != basic[basic.len() - 1] {
         // Duplicate a basic column: the basis matrix becomes singular, and
         // `Engine::new`'s refactorization detects it and falls back to the
@@ -790,12 +764,11 @@ fn solve_state(
     }
     // A singular stored basis falls back to a cold restart inside
     // `Engine::new` (statistics reset to a single cold start).
-    let mut eng = Engine::new(&canon, options, restart, stats, ws);
+    let mut eng = Engine::new(&canon, options, st, stats, ws);
 
     let outcome = run(&mut eng, warm_used)?;
-    let (restart, stats) = eng.into_parts();
-    st.restart = restart;
-    st.n_vars = n;
+    let stats = eng.finish(st);
+    st.n_vars = canon.n;
     st.matrix_fp = matrix_fp;
     st.warm = true;
     Ok((outcome, stats))

@@ -450,43 +450,44 @@ use crate::revised::gen::{random_bound_edit, random_lp, GenRng, LpGenConfig};
 fn check_solution(p: &Problem, obj: f64, x: &[f64], duals: &[f64], tag: &str) {
     let tol = 1e-5;
     // Primal feasibility.
-    for (j, v) in p.vars.iter().enumerate() {
+    for j in 0..p.num_vars() {
         assert!(
-            x[j] >= v.lb - tol && x[j] <= v.ub + tol,
+            x[j] >= p.lb[j] - tol && x[j] <= p.ub[j] + tol,
             "{tag}: x[{j}] = {} outside [{}, {}]",
             x[j],
-            v.lb,
-            v.ub
+            p.lb[j],
+            p.ub[j]
         );
     }
     let mut dual_obj_rows = 0.0;
     for (i, c) in p.cons.iter().enumerate() {
         let lhs: f64 = c.coeffs.iter().map(|&(j, a)| a * x[j]).sum();
-        let y = duals[i];
+        let (y, rhs) = (duals[i], p.rhs[i]);
         match c.cmp {
             Cmp::Le => {
-                assert!(lhs <= c.rhs + tol, "{tag}: row {i} violated");
+                assert!(lhs <= rhs + tol, "{tag}: row {i} violated");
                 assert!(y <= tol, "{tag}: ≤ row {i} has positive dual {y}");
             }
             Cmp::Ge => {
-                assert!(lhs >= c.rhs - tol, "{tag}: row {i} violated");
+                assert!(lhs >= rhs - tol, "{tag}: row {i} violated");
                 assert!(y >= -tol, "{tag}: ≥ row {i} has negative dual {y}");
             }
-            Cmp::Eq => assert!((lhs - c.rhs).abs() <= tol, "{tag}: eq row {i} violated"),
+            Cmp::Eq => assert!((lhs - rhs).abs() <= tol, "{tag}: eq row {i} violated"),
         }
         // Complementary slackness on rows.
         assert!(
-            ((lhs - c.rhs) * y).abs() <= 1e-4 * (1.0 + y.abs()),
+            ((lhs - rhs) * y).abs() <= 1e-4 * (1.0 + y.abs()),
             "{tag}: row {i} slack·dual = {}",
-            (lhs - c.rhs) * y
+            (lhs - rhs) * y
         );
-        dual_obj_rows += y * c.rhs;
+        dual_obj_rows += y * rhs;
     }
     // Strong duality with bound contributions: c'x = y'b + Σ d_j·x_j where
     // d is the reduced-cost vector (nonzero only at active bounds).
     let mut bound_part = 0.0;
-    for (j, v) in p.vars.iter().enumerate() {
-        let mut d = v.obj;
+    for j in 0..p.num_vars() {
+        let (lb, ub) = (p.lb[j], p.ub[j]);
+        let mut d = p.cost[j];
         for (i, c) in p.cons.iter().enumerate() {
             for &(jj, a) in &c.coeffs {
                 if jj == j {
@@ -494,7 +495,7 @@ fn check_solution(p: &Problem, obj: f64, x: &[f64], duals: &[f64], tag: &str) {
                 }
             }
         }
-        let interior = x[j] > v.lb + 1e-6 && x[j] < v.ub - 1e-6;
+        let interior = x[j] > lb + 1e-6 && x[j] < ub - 1e-6;
         if interior {
             assert!(
                 d.abs() <= 1e-4,
@@ -528,11 +529,12 @@ fn check_farkas(p: &Problem, f: &Farkas, tag: &str) {
             Cmp::Ge => assert!(y >= -tol, "{tag}: ≥ row {i} multiplier {y} < 0"),
             Cmp::Eq => {}
         }
-        value += y * c.rhs;
+        value += y * p.rhs[i];
     }
     let ub_multipliers = f.ub_multipliers(p);
     let mut sup = 0.0;
-    for (j, v) in p.vars.iter().enumerate() {
+    for j in 0..p.num_vars() {
+        let (lb, ub) = (p.lb[j], p.ub[j]);
         let mut h = 0.0;
         for (i, c) in p.cons.iter().enumerate() {
             for &(jj, a) in &c.coeffs {
@@ -545,14 +547,14 @@ fn check_farkas(p: &Problem, f: &Farkas, tag: &str) {
         if h.abs() <= 1e-7 {
             continue;
         }
-        let contrib = if h >= 0.0 { h * v.ub } else { h * v.lb };
+        let contrib = if h >= 0.0 { h * ub } else { h * lb };
         assert!(
             contrib.is_finite(),
             "{tag}: certificate leans on an infinite bound of var {j} (h = {h})"
         );
         sup += contrib;
         // The reported ub multiplier must cover positive residuals.
-        if h > 1e-6 && v.ub.is_finite() && v.lb != v.ub {
+        if h > 1e-6 && ub.is_finite() && lb != ub {
             assert!(
                 ub_multipliers[j] <= -h + 1e-5,
                 "{tag}: ub multiplier {} does not cover residual {h} on var {j}",
@@ -1828,12 +1830,12 @@ mod structure_refinement_props {
     /// builder, so its first solve assembles the structure from scratch.
     fn rebuilt(p: &Problem) -> Problem {
         let mut q = Problem::new();
-        for v in &p.vars {
-            q.add_var(v.lb, v.ub, v.obj);
+        for j in 0..p.num_vars() {
+            q.add_var(p.lb[j], p.ub[j], p.cost[j]);
         }
-        for c in &p.cons {
+        for (c, &rhs) in p.cons.iter().zip(&p.rhs) {
             let row: Vec<(VarId, f64)> = c.coeffs.iter().map(|&(j, a)| (VarId(j), a)).collect();
-            q.add_cons(&row, c.cmp, c.rhs);
+            q.add_cons(&row, c.cmp, rhs);
         }
         q.add_objective_constant(p.obj_constant);
         q
@@ -1893,18 +1895,23 @@ mod structure_refinement_props {
         out
     }
 
-    /// Gives a random variable a random bound shape — free, one-sided, boxed
-    /// or fixed — so bounds change finiteness in both directions.
-    fn random_reshape(rng: &mut GenRng, p: &mut Problem) {
-        let v = VarId(rng.index(p.num_vars()));
+    /// A random bound shape: free, one-sided, boxed or fixed.
+    fn random_shape(rng: &mut GenRng) -> (f64, f64) {
         let (lb, ub) = random_box(rng);
-        let (lb, ub) = match rng.index(5) {
+        match rng.index(5) {
             0 => (f64::NEG_INFINITY, f64::INFINITY),
             1 => (lb, f64::INFINITY),
             2 => (f64::NEG_INFINITY, ub),
             3 => (lb, lb),
             _ => (lb, ub),
-        };
+        }
+    }
+
+    /// Gives a random variable a random bound shape, so bounds change
+    /// finiteness in both directions.
+    fn random_reshape(rng: &mut GenRng, p: &mut Problem) {
+        let v = VarId(rng.index(p.num_vars()));
+        let (lb, ub) = random_shape(rng);
         p.set_bounds(v, lb, ub);
     }
 
@@ -1933,8 +1940,126 @@ mod structure_refinement_props {
         }
     }
 
+    /// The record form [`Problem`] held its values in before it kept the
+    /// engine's arrays: bounds and cost per variable, sense and right-hand
+    /// side per row, as the builder calls stated them.
+    #[derive(Clone, Default)]
+    struct Records {
+        vars: Vec<[f64; 3]>,
+        cons: Vec<(Cmp, f64)>,
+    }
+
+    impl Records {
+        /// The per-solve refill the engine's arrays used to come from (the
+        /// deleted `CanonValues::fill`), kept as the specification of the
+        /// arrays `Problem` now maintains: `[lb, ub, cost, rhs]`.
+        fn fill(&self) -> [Vec<f64>; 4] {
+            let (mut lb, mut ub, mut cost, mut b) = (vec![], vec![], vec![], vec![]);
+            for &[l, u, c] in &self.vars {
+                lb.push(l);
+                ub.push(u);
+                cost.push(c);
+            }
+            for &(cmp, rhs) in &self.cons {
+                b.push(rhs);
+                let (l, u) = match cmp {
+                    Cmp::Le => (0.0, f64::INFINITY),
+                    Cmp::Ge => (f64::NEG_INFINITY, 0.0),
+                    Cmp::Eq => (0.0, 0.0),
+                };
+                lb.push(l);
+                ub.push(u);
+                cost.push(0.0);
+            }
+            [lb, ub, cost, b]
+        }
+    }
+
+    /// One random edit applied to the problem through the builder API and to
+    /// the records by hand.
+    fn mirrored_edit(rng: &mut GenRng, p: &mut Problem, rec: &mut Records) {
+        let (n, m) = (p.num_vars(), p.num_cons());
+        let (lb, ub) = random_shape(rng);
+        let obj = rng.uniform(-3.0, 3.0);
+        let rhs = rng.uniform(-6.0, 10.0);
+        match rng.index(7) {
+            0 if n > 0 => {
+                let j = rng.index(n);
+                p.set_bounds(VarId(j), lb, ub);
+                rec.vars[j][..2].copy_from_slice(&[lb, ub]);
+            }
+            1 if m > 0 => {
+                let i = rng.index(m);
+                p.set_rhs(ConsId(i), rhs);
+                rec.cons[i].1 = rhs;
+            }
+            2 if n > 0 => {
+                let j = rng.index(n);
+                p.set_objective(VarId(j), obj);
+                rec.vars[j][2] = obj;
+            }
+            3 => {
+                let cmp = [Cmp::Le, Cmp::Ge, Cmp::Eq][rng.index(3)];
+                p.add_cons(&random_coeffs(rng, n, VarId), cmp, rhs);
+                rec.cons.push((cmp, rhs));
+            }
+            4 => {
+                p.add_column(lb, ub, obj, &random_coeffs(rng, m, ConsId));
+                rec.vars.push([lb, ub, obj]);
+            }
+            5 => (*p, *rec) = (p.clone(), rec.clone()),
+            _ => {
+                p.add_var(lb, ub, obj);
+                rec.vars.push([lb, ub, obj]);
+            }
+        }
+    }
+
+    /// Variables and constraints entered in any order give the arrays — and
+    /// so the solve — of the same program entered variables first.
+    #[test]
+    fn interleaved_build_solves_as_variables_first() {
+        let mut p = Problem::new();
+        let x = p.add_var(0.0, 4.0, -1.0);
+        p.add_cons(&[(x, 1.0)], Cmp::Le, 3.0);
+        let y = p.add_var(f64::NEG_INFINITY, 5.0, -2.0);
+        p.add_cons(&[(x, 1.0), (y, 1.0)], Cmp::Ge, 1.0);
+        let r = p.add_cons(&[(x, 2.0), (y, 1.0)], Cmp::Le, 8.0);
+        let z = p.add_column(1.0, f64::INFINITY, 0.5, &[(r, -1.0)]);
+        p.add_cons(&[(y, 1.0), (z, -1.0)], Cmp::Eq, 0.5);
+        let w = p.add_var(0.0, 2.0, -0.25);
+        p.add_cons(&[(w, 1.0), (z, 1.0)], Cmp::Le, 6.0);
+        p.add_objective_constant(1.5);
+
+        let first = rebuilt(&p);
+        assert_eq!(bits(&p.lb), bits(&first.lb));
+        assert_eq!(bits(&p.ub), bits(&first.ub));
+        assert_eq!(bits(&p.cost), bits(&first.cost));
+        assert_eq!(bits(&p.rhs), bits(&first.rhs));
+        let solved = p.solve_warm(None);
+        assert!(matches!(&solved, Ok(w) if matches!(w.outcome, Outcome::Optimal(_))));
+        assert_eq!(observed(&p, &solved), observed(&p, &first.solve_warm(None)));
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The arrays `Problem` maintains edit by edit refine the refill
+        /// from records they replaced: after every step of a random edit
+        /// sequence — variables added after constraints, rows of all three
+        /// senses, appended columns, bounds changing finiteness both ways,
+        /// right-hand sides, costs, clones — they equal it bit for bit.
+        #[test]
+        fn model_arrays_refine_the_refill(seed in 0u64..1u64 << 48) {
+            let mut rng = GenRng::new(seed);
+            let (mut p, mut rec) = (Problem::new(), Records::default());
+            for step in 0..48 {
+                mirrored_edit(&mut rng, &mut p, &mut rec);
+                prop_assert_eq!((p.num_vars(), p.num_cons()), (rec.vars.len(), rec.cons.len()));
+                let held = [&p.lb, &p.ub, &p.cost, &p.rhs].map(|v| bits(v));
+                prop_assert_eq!(held, rec.fill().map(|v| bits(&v)), "step {}", step);
+            }
+        }
 
         /// The problem that keeps its structure across an edit sequence
         /// refines the one that rebuilds it for every solve: same outcome,
@@ -2046,7 +2171,7 @@ mod structure_refinement_props {
 /// the form it replaced.
 mod chain_kernel_props {
     use super::*;
-    use crate::revised::canon::{drain_ascending, Canon, CanonValues};
+    use crate::revised::canon::{drain_ascending, Canon};
     use crate::sparse::SparseMatrix;
     use proptest::prelude::*;
 
@@ -2092,9 +2217,7 @@ mod chain_kernel_props {
         fn pivot_row_marking_equals_the_sorted_scan(seed in 0u64..1u64 << 48) {
             let mut rng = GenRng::new(seed);
             let p = lp_with_duplicates(&mut rng);
-            let mut values = CanonValues::default();
-            values.fill(&p);
-            let c = Canon::new(&p, &values);
+            let c = Canon::new(&p);
             let rho: Vec<f64> = (0..c.m)
                 .map(|_| if rng.chance(0.4) { rng.uniform(-3.0, 3.0) } else { 0.0 })
                 .collect();

@@ -418,10 +418,10 @@ proptest! {
         // Primal feasibility.
         for (i, c) in p.cons.iter().enumerate() {
             let lhs: f64 = c.coeffs.iter().map(|&(j, a)| a * s.x[j]).sum();
-            prop_assert!(lhs <= c.rhs + 1e-6, "row {i}: {lhs} > {}", c.rhs);
+            prop_assert!(lhs <= p.rhs[i] + 1e-6, "row {i}: {lhs} > {}", p.rhs[i]);
         }
-        for (j, v) in p.vars.iter().enumerate() {
-            prop_assert!(s.x[j] >= v.lb - 1e-7 && s.x[j] <= v.ub + 1e-7);
+        for (j, &x) in s.x.iter().enumerate() {
+            prop_assert!(x >= p.lb[j] - 1e-7 && x <= p.ub[j] + 1e-7);
         }
         // Sign convention: all rows are ≤ ⇒ all duals ≤ 0.
         for (i, d) in s.duals.iter().enumerate() {
@@ -500,9 +500,9 @@ fn moderately_large_dense_lp() {
     let s = p.solve().unwrap().unwrap_optimal();
     assert!(s.objective < 0.0, "some packing must be possible");
     // Feasibility of the returned point.
-    for c in &p.cons {
+    for (c, &rhs) in p.cons.iter().zip(&p.rhs) {
         let lhs: f64 = c.coeffs.iter().map(|&(j, a)| a * s.x[j]).sum();
-        assert!(lhs <= c.rhs + 1e-6);
+        assert!(lhs <= rhs + 1e-6);
     }
 }
 

@@ -285,7 +285,7 @@ pub struct Trace {
 
 /// Push the calling thread's completed spans into the global sink now.
 ///
-/// The thread-local flush in [`TracerCell`]'s `Drop` is a safety net,
+/// The thread-local flush in `TracerCell`'s `Drop` is a safety net,
 /// not a synchronisation point: scoped-thread joins can return before
 /// the joined thread's TLS destructors have run, so a `drain` racing
 /// that destructor would miss the dump. Worker threads whose spans must

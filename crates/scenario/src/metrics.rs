@@ -118,7 +118,8 @@ pub struct ScenarioReport {
     /// carried basis (and factorization) re-keys as the identity pays
     /// **zero** of these.
     pub lp_refactorizations: usize,
-    /// The spec ran with the persistent cross-epoch [`EpochSolver`]
+    /// The spec ran with the persistent cross-epoch
+    /// [`EpochSolver`](ovnes::solver::epoch::EpochSolver)
     /// (`ScenarioSpec::incremental`).
     pub incremental: bool,
     /// Incremental epochs that degraded to a from-scratch cold solve

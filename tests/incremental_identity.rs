@@ -450,6 +450,12 @@ fn kac_carry_refines_scratch_on_every_small_churn_pattern() {
                 certified += a.stats.carry_certified;
                 perturbed += a.stats.carry_certified_perturbed;
                 restarts += a.stats.carry_cold_restarts;
+                // Every vet is counted, a discarded attempt's included.
+                assert_eq!(
+                    a.stats.lp_solves,
+                    a.stats.lp.warm_starts + a.stats.lp.cold_starts,
+                    "chain {pattern:#011b} epoch {epoch}"
+                );
                 admitted.extend(
                     a.assigned_cu
                         .iter()
