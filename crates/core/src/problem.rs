@@ -148,9 +148,9 @@ impl AcrrInstance {
             }
         }
 
-        // Collect only links actually used by any selected path; remap ids.
-        let mut link_index: std::collections::HashMap<usize, usize> =
-            std::collections::HashMap::new();
+        // Collect only links actually used by any selected path; remap ids
+        // (graph link id → index into `link_caps`, first use first).
+        let mut link_index: Vec<Option<usize>> = vec![None; model.graph.num_links()];
         let mut link_caps: Vec<f64> = Vec::new();
         let mut link_graph_ids: Vec<usize> = Vec::new();
         let mut legs = Vec::new();
@@ -169,22 +169,22 @@ impl AcrrInstance {
                 let mut picks: Vec<(usize, &ovnes_topology::Path)> = Vec::with_capacity(n_bs);
                 let mut ok = true;
                 for (b, per_cu) in model.paths.iter().enumerate() {
-                    let feasible: Vec<&ovnes_topology::Path> = per_cu[c]
-                        .iter()
-                        .filter(|p| p.delay_us <= t.delay_budget_us)
-                        .collect();
-                    if feasible.is_empty() {
-                        ok = false;
-                        break;
-                    }
+                    let mut feasible = per_cu[c].iter().filter(|p| p.delay_us <= t.delay_budget_us);
                     let chosen = match policy {
-                        PathPolicy::MinDelay => feasible[0],
+                        PathPolicy::MinDelay => feasible.next(),
                         // Keyed by the *global* tenant id, not the
                         // instance-local index: a tenant must keep the same
                         // spread path as its neighbours churn, or every
                         // arrival/departure would silently re-route (and
                         // re-coefficient) the whole city's LP.
-                        PathPolicy::Spread => feasible[(t.tenant as usize + b) % feasible.len()],
+                        PathPolicy::Spread => match feasible.clone().count() {
+                            0 => None,
+                            n => feasible.nth((t.tenant as usize + b) % n),
+                        },
+                    };
+                    let Some(chosen) = chosen else {
+                        ok = false;
+                        break;
                     };
                     picks.push((b, chosen));
                 }
@@ -199,7 +199,7 @@ impl AcrrInstance {
                         .links
                         .iter()
                         .map(|lid| {
-                            *link_index.entry(lid.0).or_insert_with(|| {
+                            *link_index[lid.0].get_or_insert_with(|| {
                                 link_caps.push(model.graph.link(*lid).capacity_mbps);
                                 link_graph_ids.push(lid.0);
                                 link_caps.len() - 1

@@ -143,12 +143,17 @@
 //!
 //! **Copy-on-compress sharing.** Because compression *mutates* the stored
 //! representation, the persisted factorization splits into an immutable
-//! `Arc`-shared sparse-LU core and a per-owner update state: cloning a
-//! basis for a branch-and-bound child shares the factors but deep-copies
-//! the update state, so a worker folding updates can never leak them into
-//! a sibling's (or the parent's) view. The cross-check suite drives four
-//! workers through divergent update chains off one shared parent to pin
-//! this down.
+//! `Arc`-shared sparse-LU core and a per-owner update state: a
+//! branch-and-bound node resuming from its parent's basis shares the
+//! factors but copies the update state, so a worker folding updates can
+//! never leak them into a sibling's (or the parent's) view. Both halves
+//! are flat arrays (no vector per row, stage or slot), so that copy is nine
+//! `memcpy`s at any dimension and reserves room for the node's own
+//! updates, and a refactorization reuses its working set from the
+//! workspace: it allocates only the arrays it returns. The cross-check
+//! suite drives four workers through divergent update chains off one
+//! shared parent to pin this down; `tests/alloc_counts.rs` counts the
+//! allocations.
 //!
 //! ## Threading contract
 //!

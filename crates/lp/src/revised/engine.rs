@@ -129,11 +129,11 @@ const PARTIAL_PRICING_MIN_COLS: usize = 256;
 /// `Workspace` beside it; nothing in this struct has to survive a solve.
 #[derive(Debug, Default)]
 pub struct Workspace {
-    /// Triangular-solve scratch for the factorization: worklist heaps,
-    /// stamp arrays, and the Forrest–Tomlin spike (was a bare dense buffer
-    /// when the solves had no hyper-sparse path). Before a solve, the
-    /// engine loads `lu.rhs_nz` with the RHS nonzero pattern so the solve
-    /// can pick the worklist path; the pattern is consumed per call.
+    /// Scratch of the factorization: worklist heaps, stamp arrays, the
+    /// Forrest–Tomlin spike, and the working set every refactorization
+    /// resets and reuses. Before a solve, the engine loads `lu.rhs_nz` with
+    /// the RHS nonzero pattern so the solve can pick the worklist path; the
+    /// pattern is consumed per call.
     lu: SolveScratch,
     /// Scratch column buffer (entering column / FTRAN image).
     alpha: Vec<f64>,
@@ -294,10 +294,16 @@ pub(super) struct Restart {
 }
 
 /// Factorizes the basis matrix of `basic` from scratch, booking the work in
-/// `stats`. `None` when the matrix is singular.
-fn factor_basis(canon: &Canon<'_>, basic: &[usize], stats: &mut LpStats) -> Option<Factorization> {
+/// `stats`; the factorization's working set is `scratch`'s, reused. `None`
+/// when the matrix is singular.
+fn factor_basis(
+    canon: &Canon<'_>,
+    basic: &[usize],
+    stats: &mut LpStats,
+    scratch: &mut SolveScratch,
+) -> Option<Factorization> {
     let _span = ovnes_obs::span!("lp_factor");
-    let lu = SparseLu::factor(canon.m, |pos, out| canon.push_col(basic[pos], out))?;
+    let lu = SparseLu::factor(canon.m, scratch, |pos, out| canon.push_col(basic[pos], out))?;
     stats.fill_in += lu.fill_in();
     stats.pivot_scan_work += lu.pivot_scan_work();
     stats.refactorizations += 1;
@@ -340,12 +346,12 @@ impl<'a> Engine<'a> {
                 stats.factorization_reuses += 1;
                 f
             }
-            None => factor_basis(canon, &basic, &mut stats).unwrap_or_else(|| {
+            None => factor_basis(canon, &basic, &mut stats, &mut ws.lu).unwrap_or_else(|| {
                 // Stored basis went singular: cold restart.
                 super::cold_state(canon, &mut status, &mut basic);
                 stats = LpStats::default();
                 stats.cold_starts += 1;
-                factor_basis(canon, &basic, &mut stats)
+                factor_basis(canon, &basic, &mut stats, &mut ws.lu)
                     .expect("the all-logical basis is the identity and always factorizes")
             }),
         };
@@ -377,7 +383,7 @@ impl<'a> Engine<'a> {
     /// Rebuilds the (sparse) LU factorization from the current basic set.
     /// Returns false when the basis matrix is singular.
     fn refactorize(&mut self) -> bool {
-        match factor_basis(self.c, &self.basic, &mut self.stats) {
+        match factor_basis(self.c, &self.basic, &mut self.stats, &mut self.ws.lu) {
             Some(fact) => {
                 self.fact = fact;
                 true

@@ -7,7 +7,7 @@
 //! rescan's scan work as the baseline the bucketed search is pinned
 //! against. Nothing in the shipping library calls into this module.
 
-use super::{SparseLu, DROP_TOL, MARKOWITZ_TAU, SINGULAR_TOL};
+use super::{SparseLu, MARKOWITZ_TAU, SINGULAR_TOL};
 
 /// Dense LU factorization `P·B = L·U` with partial pivoting.
 ///
@@ -158,23 +158,9 @@ impl SparseLu {
         if m > 0 && max_abs == 0.0 {
             return None;
         }
-        let sing_tol = SINGULAR_TOL * max_abs;
-        let drop_tol = DROP_TOL * max_abs;
-
-        let mut lu = SparseLu {
-            m,
-            perm_row: Vec::with_capacity(m),
-            perm_col: Vec::with_capacity(m),
-            pivots: Vec::with_capacity(m),
-            lcols: Vec::with_capacity(m),
-            urows: Vec::with_capacity(m),
-            nnz_input,
-            stage_of_row: Vec::new(),
-            lrow_stages: Vec::new(),
-            sing_tol,
-            drop_tol,
-            pivot_scan_work: 0,
-        };
+        let (mut l_stage, mut u_stage) = (Vec::new(), Vec::new());
+        let mut lu = SparseLu::begin(m, nnz_input, max_abs, &mut l_stage, &mut u_stage);
+        let (sing_tol, drop_tol) = (lu.sing_tol, lu.drop_tol);
         let mut row_active = vec![true; m];
         let mut col_active = vec![true; m];
         let mut pivcol: Vec<(usize, f64)> = Vec::new();
@@ -319,15 +305,10 @@ impl SparseLu {
                 merged = row;
             }
 
-            lu.perm_row.push(r as u32);
-            lu.perm_col.push(c as u32);
-            lu.pivots.push(p);
-            lu.lcols.push(lcol);
-            lu.urows.push(prow);
+            lu.push_stage(r, c, p, &lcol, &prow);
         }
         lu.pivot_scan_work = work;
-        lu.build_adjacency();
-        Some(lu)
+        lu.seal(&mut l_stage, &mut u_stage)
     }
 
     /// Solves `B·x = v` in place (`v` becomes `x`), skipping elimination
@@ -347,7 +328,7 @@ impl SparseLu {
         for k in 0..m {
             let vk = v[self.perm_row[k] as usize];
             if vk != 0.0 {
-                for &(i, l) in &self.lcols[k] {
+                for &(i, l) in self.lcol(k) {
                     v[i as usize] -= l * vk;
                 }
             }
@@ -360,7 +341,7 @@ impl SparseLu {
         let x = &mut scratch[..m];
         for k in (0..m).rev() {
             let mut s = v[self.perm_row[k] as usize];
-            for &(j, u) in &self.urows[k] {
+            for &(j, u) in self.urow(k) {
                 let xj = x[j as usize];
                 if xj != 0.0 {
                     s -= u * xj;
@@ -393,7 +374,7 @@ impl SparseLu {
             } else {
                 let tk = wk / self.pivots[k];
                 t[self.perm_row[k] as usize] = tk;
-                for &(j, u) in &self.urows[k] {
+                for &(j, u) in self.urow(k) {
                     w[j as usize] -= u * tk;
                 }
             }
@@ -402,7 +383,7 @@ impl SparseLu {
         // skipping exact-zero contributions (worklist-path parity).
         for k in (0..m).rev() {
             let mut s = t[self.perm_row[k] as usize];
-            for &(i, l) in &self.lcols[k] {
+            for &(i, l) in self.lcol(k) {
                 let ti = t[i as usize];
                 if ti != 0.0 {
                     s -= l * ti;

@@ -11,9 +11,10 @@
 //!   blowup, so a problem with `n` variables and `m` constraints is solved
 //!   on an `m × m` basis no matter how many bounds are finite;
 //! * maintains a **sparse factorized basis** (CSC constraint matrix, sparse
-//!   LU with Markowitz pivoting, sparse product-form eta updates, periodic
-//!   refactorization — see `lu.rs`) and prices via BTRAN/FTRAN instead of
-//!   updating a full tableau, with **devex pricing** in the primal phases
+//!   LU with Markowitz pivoting, Forrest–Tomlin updates, periodic
+//!   refactorization, all in flat arrays — see `lu.rs`) and prices via
+//!   BTRAN/FTRAN instead of updating a full tableau, with **devex
+//!   pricing** in the primal phases
 //!   (over a rotating **candidate list** once the column count is large —
 //!   see the engine docs) and a **long-step bound-flipping ratio test** in
 //!   the dual simplex;
@@ -181,9 +182,11 @@ pub struct Basis {
     /// Basic column per row position.
     basic: Vec<usize>,
     /// The factorization of the basis matrix at the end of the solve that
-    /// produced this value, shared cheaply across clones (branch-and-bound
-    /// hands every child frame a copy). A later `solve_warm` whose basis
-    /// matrix is unchanged resumes from it without refactorizing.
+    /// produced this value, shared across clones (branch-and-bound hands
+    /// every child frame a copy). A later `solve_warm` whose basis matrix
+    /// is unchanged resumes from it without refactorizing, on a copy of its
+    /// update state — nine flat arrays, whatever the dimension — so that
+    /// what it folds in stays its own.
     fact: Option<Arc<Factorization>>,
     /// Fingerprint of the structural constraint matrix the factorization
     /// was built against. Reuse requires an exact match, so a basis handed
@@ -674,9 +677,10 @@ pub(crate) fn solve_warm_in(
 ) -> Result<WarmSolve, SolveError> {
     let mut st = Restart::default();
     if let Some(b) = warm {
-        // The factors behind the `Arc` stay shared; only the updatable `U`
-        // working copy is deep-copied, so compressions folded in by this
-        // solve stay private to it (copy-on-compress — a sibling worker
+        // The factors behind the `Arc` stay shared; only the update state
+        // (the updatable `U`, its adjacency, the row etas) is copied — nine
+        // flat arrays, with room for the updates this solve folds in — so
+        // those stay private to it (copy-on-compress — a sibling worker
         // holding the same basis never sees them). Skipped when the solve
         // could not use the copy anyway.
         let usable = b.matrix_fp == p.structure().fingerprint;

@@ -18,7 +18,9 @@
 //! * most-fractional branching, exploring the nearer integer side first,
 //! * parent→child warm-start basis threading per node (each child resumes
 //!   its parent's basis *and* Arc-shared factorization, whichever worker
-//!   picks it up),
+//!   picks it up; the node's solve copies only the factorization's update
+//!   state, a fixed set of flat arrays with room for the node's own
+//!   updates — see `ovnes_lp`'s *Copy-on-compress sharing*),
 //! * node limits with a best-effort solution flagged as truncated.
 //!
 //! ## Parallel architecture and determinism
@@ -27,9 +29,12 @@
 //!
 //! * **shared, immutable** — the wrapped [`Problem`] (each worker clones it
 //!   once and only ever toggles variable bounds), parent [`Basis`] values
-//!   with their Arc-shared factorizations, and the options;
+//!   with their Arc-shared factorizations (a node's solve copies the
+//!   update state it folds its pivots into, never the factors), and the
+//!   options;
 //! * **per worker** — one [`ovnes_lp::Workspace`] holding every scratch
-//!   buffer of the simplex, plus the worker's problem clone. A worker holds
+//!   buffer of the simplex (a refactorization's working set included),
+//!   plus the worker's problem clone. A worker holds
 //!   scratch only, never an [`ovnes_lp::WarmChain`]: a node resumes from its
 //!   *parent's* basis, whichever worker solved the parent, so restart state
 //!   has to travel as a [`Basis`] value — and a node's result stays a

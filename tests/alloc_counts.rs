@@ -1,12 +1,17 @@
-//! Heap allocations of one warm slave re-solve, counted.
+//! Heap allocations of the LP's hot paths, counted: a warm slave re-solve,
+//! one refactorization, one branch-and-bound node.
 //!
 //! The slave's warm chain keeps its basis, factorization and buffers alive
 //! between solves, and `solve_for` re-prices only the tenants that moved:
 //! what a re-solve still allocates is what it returns (reservations, duals
 //! or a cut) plus the factor updates of its pivots — a number that does not
-//! grow with the size of the LP. A count is deterministic where a timing is
-//! not, so this is the form in which `cargo test` holds the property; the
-//! timings are `benchmark/`'s.
+//! grow with the size of the LP. The factors are flat arrays and a
+//! refactorization's working set is reused, so a refactorization allocates
+//! the arrays it returns and nothing else, the same number at every
+//! dimension; and a node that resumes from its parent's basis copies that
+//! factorization in a fixed handful of blocks. A count is deterministic
+//! where a timing is not, so this is the form in which `cargo test` holds
+//! these properties; the timings are `benchmark/`'s.
 //!
 //! This file is its own test binary with one `#[test]`, so the counting
 //! allocator sees a single thread.
@@ -15,7 +20,8 @@ use ovnes::problem::{AcrrInstance, PathPolicy, TenantInput};
 use ovnes::slice::{SliceClass, SliceTemplate};
 use ovnes::solver::kac;
 use ovnes::solver::slave::SlaveContext;
-use ovnes_lp::SimplexOptions;
+use ovnes_lp::revised::{Factorization, SolveScratch, SparseLu};
+use ovnes_lp::{Cmp, Outcome, Problem, SimplexOptions, VarId, Workspace};
 use ovnes_topology::operators::{GeneratorConfig, NetworkModel, Operator};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -42,6 +48,13 @@ unsafe impl GlobalAlloc for Counting {
 
 #[global_allocator]
 static GLOBAL: Counting = Counting;
+
+/// Allocations made while `f` runs, and its result.
+fn counted<T>(f: impl FnOnce() -> T) -> (usize, T) {
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let out = f();
+    (ALLOCATIONS.load(Ordering::Relaxed) - before, out)
+}
 
 /// The instance family of `tests/kernel_counts.rs` (same generator seed,
 /// same tenant mix), so "10x" and "100x" name the same LPs there and here.
@@ -76,13 +89,27 @@ fn instance_at(scale: f64, n_tenants: usize) -> AcrrInstance {
 }
 
 /// A warm re-solve that moves one tenant may allocate this often at most,
-/// at any scale: the handful of vectors it returns plus a few per pivot.
-/// Before the chain, the copy of the updatable `U` alone was about two
-/// allocations per LP row (several hundred here).
-const MAX_ALLOCATIONS: usize = 32;
+/// at any scale: the handful of vectors it returns plus a few per pivot
+/// (4-16 measured; 7-21 while a factor update still allocated per row, and
+/// before the chain the copy of the updatable `U` alone was about two
+/// allocations per LP row, several hundred here).
+const MAX_RESOLVE_ALLOCATIONS: usize = 16;
 
-#[test]
-fn a_warm_resolve_allocates_a_small_constant() {
+/// One refactorization with a warmed-up scratch, at every dimension: the
+/// factor's ten arrays, the `Arc` that shares them, the update state's
+/// nine. (About five per row before flat storage: 4,626 at the 10x
+/// dimension, 42,172 at the 100x.)
+const REFACTORIZATION_ALLOCATIONS: usize = 20;
+
+/// One B&B node — a warm solve from its parent's basis after one bound
+/// edit — may allocate this often at most: the copy of the parent's
+/// factorization (nine arrays, with room for the node's updates) and
+/// restart state (two), `x_B`, the returned solution (two) and the `Arc` of
+/// the basis it hands its children. (138 before flat storage, the copy
+/// alone about 2m + 11 blocks and every update reallocating.)
+const MAX_NODE_ALLOCATIONS: usize = 15;
+
+fn warm_slave_resolves() {
     let pinned = SimplexOptions {
         fault: None,
         refactor_interval: 128,
@@ -102,17 +129,150 @@ fn a_warm_resolve_allocates_a_small_constant() {
         moved[admitted[0]] = None;
         for assigned in [&moved, &base] {
             let pivots = ctx.stats.total_pivots();
-            let before = ALLOCATIONS.load(Ordering::Relaxed);
-            let result = ctx.solve_for(assigned);
-            let spent = ALLOCATIONS.load(Ordering::Relaxed) - before;
+            let (spent, result) = counted(|| ctx.solve_for(assigned));
             result.expect("warm re-solve");
             assert_eq!(ctx.stats.cold_starts, 1, "{label}: the chain stayed warm");
             let pivots = ctx.stats.total_pivots() - pivots;
             assert!(
-                spent <= MAX_ALLOCATIONS,
+                spent <= MAX_RESOLVE_ALLOCATIONS,
                 "{label}: {spent} allocations for {pivots} pivots over {} legs",
                 inst.legs.len()
             );
         }
     }
+}
+
+/// A basis-shaped `m × m` matrix: a dominant diagonal, a band on either
+/// side of it and 2 % coupling entries, so that both `L` and `U` have
+/// entries and elimination fills in.
+fn basis_like(m: usize) -> Vec<Vec<(u32, f64)>> {
+    let mut state = 0x1A0_FAC7 ^ m as u64;
+    let mut next = move || {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        (state >> 11) as f64 / (1u64 << 53) as f64
+    };
+    (0..m)
+        .map(|j| {
+            let mut col = vec![(j as u32, 4.0 + next())];
+            for d in 1..=2usize {
+                if j >= d && next() < 0.6 {
+                    col.push(((j - d) as u32, 2.0 * next() - 1.0));
+                }
+                if j + d < m && next() < 0.3 {
+                    col.push(((j + d) as u32, 2.0 * next() - 1.0));
+                }
+            }
+            if next() < 0.02 {
+                let i = (next() * m as f64) as usize % m;
+                if i != j {
+                    col.push((i as u32, 2.0 * next() - 1.0));
+                }
+            }
+            col.sort_by_key(|&(i, _)| i);
+            col.dedup_by_key(|&mut (i, _)| i);
+            col
+        })
+        .collect()
+}
+
+fn refactorizations() {
+    // The slave LP's row counts at the 10x and the 100x city
+    // (`tests/kernel_counts.rs`).
+    for m in [885, 8_115] {
+        let cols = basis_like(m);
+        let mut scratch = SolveScratch::new();
+        let factor = |scratch: &mut SolveScratch| {
+            let lu = SparseLu::factor(m, scratch, |pos, buf| buf.extend_from_slice(&cols[pos]));
+            Factorization::new(lu.expect("nonsingular"))
+        };
+        // The first factorization sizes the scratch; the engine's next ones
+        // find it sized.
+        drop(factor(&mut scratch));
+        let (spent, fact) = counted(|| factor(&mut scratch));
+        drop(fact);
+        assert_eq!(
+            spent, REFACTORIZATION_ALLOCATIONS,
+            "one refactorization at m = {m}"
+        );
+    }
+}
+
+/// The LP relaxation of a multi-knapsack — 25 binaries relaxed to [0, 1]
+/// against 20 capacity rows — the shape and size of the Benders master's
+/// node LPs (n ≈ 25, m ≈ 20).
+fn knapsack_relaxation() -> (Problem, Vec<VarId>) {
+    let mut state = 0x9E37_79B9_u64;
+    let mut next = move || {
+        state = state
+            .wrapping_mul(6_364_136_223_846_793_005)
+            .wrapping_add(1);
+        (state >> 11) as f64 / (1u64 << 53) as f64
+    };
+    let mut p = Problem::new();
+    let x: Vec<VarId> = (0..25)
+        .map(|_| p.add_var(0.0, 1.0, -1.0 - 9.0 * next()))
+        .collect();
+    for _ in 0..20 {
+        let mut row: Vec<(VarId, f64)> = Vec::new();
+        for &v in &x {
+            if next() < 0.4 {
+                row.push((v, 1.0 + 4.0 * next()));
+            }
+        }
+        p.add_cons(&row, Cmp::Le, 6.0 + 6.0 * next());
+    }
+    (p, x)
+}
+
+fn bb_node_solve() {
+    let opts = SimplexOptions {
+        fault: None,
+        ..SimplexOptions::default()
+    };
+    let (mut p, x) = knapsack_relaxation();
+    let root = p.solve_warm(None).expect("root");
+    let Outcome::Optimal(sol) = &root.outcome else {
+        panic!("the root relaxation is feasible and bounded")
+    };
+    // Branch down on the most fractional variable, as the B&B does.
+    let v = *x
+        .iter()
+        .max_by(|a, b| {
+            let f = |v: &VarId| (sol.x[v.index()] - 0.5).abs();
+            f(b).partial_cmp(&f(a)).expect("finite")
+        })
+        .expect("25 variables");
+    assert!(
+        sol.x[v.index()] > 1e-6 && sol.x[v.index()] < 1.0 - 1e-6,
+        "a fractional root"
+    );
+    p.set_bounds(v, 0.0, 0.0);
+    // The worker's workspace has solved nodes before this one.
+    let mut ws = Workspace::new();
+    p.solve_warm_in(Some(&root.basis), &opts, &mut ws)
+        .expect("node");
+    let (spent, node) = counted(|| p.solve_warm_in(Some(&root.basis), &opts, &mut ws));
+    let node = node.expect("node");
+    assert_eq!(
+        node.stats.factorization_reuses, 1,
+        "the node resumed the parent's factors"
+    );
+    assert!(
+        node.stats.dual_pivots > 0,
+        "the bound edit took dual pivots"
+    );
+    assert!(
+        spent <= MAX_NODE_ALLOCATIONS,
+        "{spent} allocations for one node of {} pivots",
+        node.stats.total_pivots()
+    );
+}
+
+#[test]
+fn a_warm_resolve_allocates_a_small_constant() {
+    warm_slave_resolves();
+    refactorizations();
+    bb_node_solve();
 }
