@@ -545,7 +545,8 @@ fn hostile_model_parameters_never_panic() {
     });
     assert!(matches!(unsampled, Err(AcrrError::Config(_))));
     assert_eq!(epoch, 0, "the refused step must not advance the epoch");
-    for season_epochs in [0, 1] {
+    // 0 and 1 are no season; the huge ones overflow `2 * season`.
+    for season_epochs in [0, 1, usize::MAX / 2 + 1, usize::MAX] {
         let (revenue, _) = run(OrchestratorConfig {
             season_epochs,
             ..Default::default()

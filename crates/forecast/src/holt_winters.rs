@@ -104,54 +104,84 @@ impl HoltWinters {
     /// followed by a refit (ties keep the earlier candidate; a NaN RMSE never
     /// displaces a finite one).
     ///
+    /// **Pruning.** A candidate stops smoothing as soon as its running
+    /// squared-error sum exceeds the final sum of the best candidate so far
+    /// (no cap until a first candidate is kept). This is exact — it skips
+    /// only candidates that could never be selected:
+    ///
+    /// * each term `err * err` is ≥ 0 or NaN;
+    /// * round-to-nearest addition is monotone, so once a partial sum is
+    ///   above the best's final sum the candidate's final sum is too, and
+    ///   its RMSE `sqrt(sq / n)` is ≥ the best's: it could never pass the
+    ///   strict `r < best` test;
+    /// * a NaN partial sum never compares greater, so a NaN candidate runs
+    ///   to the end exactly as without pruning (and is then not kept);
+    /// * a `+∞` sum is abandoned once a finite best exists, which it could
+    ///   never have displaced.
+    ///
+    /// The grid order, the shared `init`, the final refit and every
+    /// floating-point operation of the candidates that do run are those of
+    /// the unpruned grid, so factors, forecast, RMSE and seasonal indices
+    /// are unchanged bit for bit. What pruning changes is only how much of
+    /// the history a losing candidate reads; the winner and the refit still
+    /// read all of it, so a fit stays linear in the history.
+    ///
     /// On a history shorter than two seasons the Holt fallback ignores the
     /// factors, so one fit stands for all candidates: the factors become the
     /// first grid point when an RMSE exists and stay untouched otherwise.
     pub fn fit_grid(&mut self, series: &[f64]) {
         const GRID: [f64; 5] = [0.1, 0.3, 0.5, 0.7, 0.9];
         let m = self.season;
-        if series.len() < 2 * m {
+        if series.len() / 2 < m {
             self.fit(series);
             if self.rmse.is_some() {
                 (self.alpha, self.beta, self.gamma) = (GRID[0], GRID[0], GRID[0]);
             }
             return;
         }
-        let (level0, trend0, seasonal0) = init(self.mode, m, series);
+        let (mode, n) = (self.mode, series.len() - m);
+        let (start, seasonal0) = init(mode, m, series);
         let mut seasonal = vec![0.0; m];
-        let mut best: Option<(f64, (f64, f64, f64))> = None;
+        // (rmse, squared-error sum, factors) of the best candidate so far;
+        // its sum is the cap every later candidate is smoothed under.
+        let mut best: Option<(f64, f64, (f64, f64, f64))> = None;
         for &a in &GRID {
             for &b in &GRID {
                 for &g in &GRID {
                     seasonal.copy_from_slice(&seasonal0);
-                    let (_, _, r) =
-                        smooth(self.mode, series, level0, trend0, &mut seasonal, (a, b, g));
-                    if best.is_none_or(|(br, _)| r < br) {
-                        best = Some((r, (a, b, g)));
+                    let cap = best.map_or(f64::INFINITY, |(_, sq, _)| sq);
+                    let run = smooth(mode, series, start, &mut seasonal, (a, b, g), cap);
+                    let Some((_, _, sq)) = run else {
+                        continue; // abandoned: it could not have won
+                    };
+                    let r = rmse(sq, n);
+                    if best.is_none_or(|(br, ..)| r < br) {
+                        best = Some((r, sq, (a, b, g)));
                     }
                 }
             }
         }
-        if let Some((_, factors)) = best {
+        if let Some((.., factors)) = best {
             (self.alpha, self.beta, self.gamma) = factors;
         }
-        self.smooth_from(series, (level0, trend0, seasonal0));
+        self.smooth_from(series, start, seasonal0);
     }
 
-    /// One [`smooth`] pass under the model's own factors from an [`init`]
-    /// seed; stores the fitted state and RMSE.
-    fn smooth_from(&mut self, series: &[f64], seed: (f64, f64, Vec<f64>)) {
-        let (level0, trend0, mut seasonal) = seed;
-        let factors = (self.alpha, self.beta, self.gamma);
-        let (level, trend, rmse) =
-            smooth(self.mode, series, level0, trend0, &mut seasonal, factors);
+    /// One uncapped [`smooth`] pass under the model's own factors from an
+    /// [`init`] seed; stores the fitted state and RMSE.
+    fn smooth_from(&mut self, series: &[f64], start: (f64, f64), mut seasonal: Vec<f64>) {
+        let (mode, factors) = (self.mode, (self.alpha, self.beta, self.gamma));
+        let run = smooth(mode, series, start, &mut seasonal, factors, f64::INFINITY);
+        let Some((level, trend, sq)) = run else {
+            unreachable!("no sum exceeds an infinite cap");
+        };
         self.state = Some(State {
             level,
             trend,
             seasonal,
             next_pos: series.len() % self.season,
         });
-        self.rmse = Some(rmse);
+        self.rmse = Some(rmse(sq, series.len() - self.season));
     }
 
     /// Fitted seasonal indices (testing/diagnostics).
@@ -163,25 +193,30 @@ impl HoltWinters {
 impl Forecaster for HoltWinters {
     /// `init` then one `smooth` pass under the current factors — the same two
     /// steps [`HoltWinters::fit_grid`] runs per candidate. Histories shorter
-    /// than two seasons degrade to a Holt fit with flat seasonal indices.
+    /// than two seasons degrade to a Holt fit with flat seasonal indices; a
+    /// season too long for its flat index table to be allocated at all
+    /// (near `usize::MAX`) leaves no state.
     fn fit(&mut self, series: &[f64]) {
         self.state = None;
         self.rmse = None;
         let m = self.season;
-        if series.len() < 2 * m {
+        if series.len() / 2 < m {
             // Not enough history for seasonal initialisation; degrade to a
             // Holt fit with flat seasonal indices.
             let mut h = crate::holt::Holt::default();
             h.fit(series);
-            if let Some((level, trend)) = h.state() {
+            let mut seasonal = Vec::new();
+            let fitted = h.state().filter(|_| seasonal.try_reserve_exact(m).is_ok());
+            if let Some((level, trend)) = fitted {
                 let neutral = match self.mode {
                     Seasonality::Additive => 0.0,
                     Seasonality::Multiplicative => 1.0,
                 };
+                seasonal.resize(m, neutral);
                 self.state = Some(State {
                     level,
                     trend,
-                    seasonal: vec![neutral; m],
+                    seasonal,
                     next_pos: series.len() % m,
                 });
                 self.rmse = h.fit_rmse();
@@ -189,7 +224,8 @@ impl Forecaster for HoltWinters {
             return;
         }
 
-        self.smooth_from(series, init(self.mode, m, series));
+        let (start, seasonal) = init(self.mode, m, series);
+        self.smooth_from(series, start, seasonal);
     }
 
     fn forecast(&self, horizon: usize) -> Option<Vec<f64>> {
@@ -215,9 +251,9 @@ impl Forecaster for HoltWinters {
 }
 
 /// Classic initialisation over a history of at least two seasons of length
-/// `m`: `(level0, trend0, seasonal0)`. Nothing here depends on (α, β, γ), so
+/// `m`: `((level0, trend0), seasonal0)`. Nothing here depends on (α, β, γ), so
 /// [`HoltWinters::fit_grid`] computes it once for all candidates.
-fn init(mode: Seasonality, m: usize, series: &[f64]) -> (f64, f64, Vec<f64>) {
+fn init(mode: Seasonality, m: usize, series: &[f64]) -> ((f64, f64), Vec<f64>) {
     let s1_mean: f64 = series[..m].iter().sum::<f64>() / m as f64;
     let s2_mean: f64 = series[m..2 * m].iter().sum::<f64>() / m as f64;
     let level = s1_mean;
@@ -249,21 +285,23 @@ fn init(mode: Seasonality, m: usize, series: &[f64]) -> (f64, f64, Vec<f64>) {
             *s = f64::EPSILON.max(1e-6);
         }
     }
-    (level, trend, seasonal)
+    ((level, trend), seasonal)
 }
 
 /// The smoothing recursion over `series[m..]` (`m = seasonal.len()`) from the
-/// [`init`] seed, updating `seasonal` in place: `(level, trend, rmse)` with
-/// `rmse` the root-mean-square one-step-ahead error. The single arithmetic
-/// path behind both `fit` and every `fit_grid` candidate.
+/// [`init`] seed, updating `seasonal` in place: `(level, trend, sq_err)` with
+/// `sq_err` the sum of squared one-step-ahead errors — or `None`, abandoned,
+/// as soon as the running sum exceeds `cap` (never, for `cap = +∞`). The
+/// single arithmetic path behind `fit`, every `fit_grid` candidate and the
+/// grid's final refit.
 fn smooth(
     mode: Seasonality,
     series: &[f64],
-    mut level: f64,
-    mut trend: f64,
+    (mut level, mut trend): (f64, f64),
     seasonal: &mut [f64],
     (alpha, beta, gamma): (f64, f64, f64),
-) -> (f64, f64, f64) {
+    cap: f64,
+) -> Option<(f64, f64, f64)> {
     let m = seasonal.len();
     let mut sq_err = 0.0;
     for (t, &y) in series.iter().enumerate().skip(m) {
@@ -275,6 +313,11 @@ fn smooth(
         };
         let err = y - pred;
         sq_err += err * err;
+        if sq_err > cap {
+            #[cfg(test)]
+            step_count::add(t + 1 - m);
+            return None;
+        }
 
         let new_level = match mode {
             Seasonality::Additive => alpha * (y - s_prev) + (1.0 - alpha) * (level + trend),
@@ -292,6 +335,32 @@ fn smooth(
         };
         level = new_level;
     }
-    let n_err = series.len() - m;
-    (level, trend, (sq_err / n_err as f64).sqrt())
+    #[cfg(test)]
+    step_count::add(series.len() - m);
+    Some((level, trend, sq_err))
+}
+
+/// Root-mean-square one-step error from a [`smooth`] sum over `n` steps.
+fn rmse(sq_err: f64, n: usize) -> f64 {
+    (sq_err / n as f64).sqrt()
+}
+
+/// A per-thread count of executed [`smooth`] steps, the work pruning saves.
+#[cfg(test)]
+pub(crate) mod step_count {
+    use std::cell::Cell;
+
+    thread_local! {
+        static STEPS: Cell<u64> = const { Cell::new(0) };
+    }
+
+    /// Books `n` executed steps of the smoothing recursion.
+    pub(super) fn add(n: usize) {
+        STEPS.with(|s| s.set(s.get() + n as u64));
+    }
+
+    /// Smoothing steps this thread has executed so far.
+    pub(crate) fn total() -> u64 {
+        STEPS.with(Cell::get)
+    }
 }

@@ -25,8 +25,15 @@
 //! [`HoltWinters::fit_grid`](holt_winters::HoltWinters::fit_grid) computes it
 //! once and runs each candidate as one smoothing pass over a reused buffer —
 //! the same two steps a plain `fit` takes, so the grid's answer is bit for
-//! bit that of 125 independent fits. Each pass is still linear in the
-//! history.
+//! bit that of 125 independent fits. A candidate is abandoned as soon as its
+//! running squared error exceeds the best full sum so far: round-to-nearest
+//! addition of non-negative terms is monotone, so such a candidate's RMSE
+//! could only tie or lose, and a NaN sum never compares greater, so it runs
+//! to the end as before. Pruning changes how much history a losing
+//! candidate reads, never which candidate wins or any bit of the result;
+//! the winner and the final refit still read the whole history, so a fit
+//! stays linear in it (the grid order is unchanged, so how early the cap
+//! tightens depends on where the winner lies in it).
 //!
 //! ## Example
 //!
@@ -59,7 +66,8 @@ pub trait Forecaster {
 
     /// Forecasts the next `horizon` values after the end of the fitted
     /// series. Returns `None` when no state is fitted — `fit` was never
-    /// called, or the last call saw an empty series.
+    /// called, or the last call saw an empty series (or, for Holt-Winters, a
+    /// season too long to hold an index table).
     fn forecast(&self, horizon: usize) -> Option<Vec<f64>>;
 
     /// Root-mean-square of one-step-ahead fit errors, if available.
@@ -100,7 +108,9 @@ pub fn predict_next(series: &[f64], season: usize, min_sigma: f64) -> Prediction
     }
 
     let positive = series.iter().all(|&v| v > 0.0);
-    let enough_for_hw = season >= 2 && series.len() >= 2 * season;
+    // `len / 2 >= season`, not `len >= 2 * season`: the product overflows on
+    // a huge season, which must take the short-history path instead.
+    let enough_for_hw = season >= 2 && series.len() / 2 >= season;
 
     let (value, rmse) = if enough_for_hw {
         let mut hw = HoltWinters::new(

@@ -371,13 +371,15 @@ fn forecaster_trait_objects_work() {
 }
 
 // ---------------------------------------------------------------------------
-// Refinement: the shared-initialisation grid against the rebuild it replaced
+// Refinement: the shared-initialisation, pruned grid against the unpruned
+// rebuild it replaced
 // ---------------------------------------------------------------------------
 
 /// The Holt-Winters fit and grid search as shipped before `init`/`smooth`
-/// were split out: every candidate clones the model and runs a whole fit,
-/// and a fit recomputes each season mean once per position. Kept here, and
-/// only here, as the oracle the shipped form must refine bit for bit.
+/// were split out: every candidate clones the model and runs a whole fit
+/// over the whole history (no pruning), and a fit recomputes each season
+/// mean once per position. Kept here, and only here, as the oracle the
+/// shipped form must refine bit for bit.
 #[derive(Clone)]
 struct OracleHw {
     season: usize,
@@ -610,9 +612,13 @@ fn assert_refines(series: &[f64], season: usize, mode: Seasonality) {
     assert_same_model(&hw, &oracle, &format!("fit_grid {what}"));
 }
 
+/// Number of series families [`shaped`] draws from.
+const SHAPES: usize = 9;
+
 /// Turns raw draws in `(-1, 1)` into one of the series families the
 /// refinement must hold on.
 fn shaped(raw: &[f64], season: usize, shape: usize) -> Vec<f64> {
+    let mut walk = 100.0;
     raw.iter()
         .enumerate()
         .map(|(t, &r)| match shape {
@@ -638,8 +644,36 @@ fn shaped(raw: &[f64], season: usize, shape: usize) -> Vec<f64> {
                     10.0 + 5.0 * r
                 }
             }
-            // Constant throughout.
-            _ => 7.5,
+            // Constant throughout: every candidate ties at RMSE 0.
+            5 => 7.5,
+            // All zero: the ties again, through the additive path.
+            6 => 0.0,
+            // Positive, with the odd NaN, +inf or -inf.
+            7 => match r {
+                r if r > 0.96 => f64::NAN,
+                r if r < -0.96 => f64::INFINITY,
+                r if r.abs() < 0.01 => f64::NEG_INFINITY,
+                r => 60.0 + 50.0 * r,
+            },
+            // A random walk: high smoothing factors win, late in grid order,
+            // so the cap tightens late.
+            _ => {
+                walk += 10.0 * r;
+                walk
+            }
+        })
+        .collect()
+}
+
+/// `n` draws in `[-1, 1)` from a fixed LCG stream.
+fn draws(seed: u64, n: usize) -> Vec<f64> {
+    let mut state = seed;
+    (0..n)
+        .map(|_| {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 11) as f64 / (1u64 << 52) as f64 - 1.0
         })
         .collect()
 }
@@ -654,7 +688,7 @@ proptest! {
         season_pick in 0usize..3,
         seasons in 2usize..41,
         ragged in 0usize..24,
-        shape in 0usize..6,
+        shape in 0usize..SHAPES,
         raw in proptest::collection::vec(-1.0f64..1.0, 41 * 24),
     ) {
         let season = [2, 6, 24][season_pick];
@@ -678,6 +712,97 @@ fn refinement_covers_the_length_boundaries() {
             for mode in [Seasonality::Additive, Seasonality::Multiplicative] {
                 assert_refines(&series, season, mode);
             }
+        }
+    }
+}
+
+#[test]
+fn pruned_grid_refines_the_unpruned_grid_on_every_length() {
+    // Every length from two to eight seasons, the family rotating with the
+    // length so each meets ragged and whole-season ends.
+    for (k, season) in [2usize, 6, 24].into_iter().enumerate() {
+        let raw = draws(0x5EED_0000 + k as u64, 8 * season);
+        for len in 2 * season..=8 * season {
+            let series = shaped(&raw[..len], season, len % SHAPES);
+            for mode in [Seasonality::Additive, Seasonality::Multiplicative] {
+                assert_refines(&series, season, mode);
+            }
+        }
+    }
+}
+
+#[test]
+fn pruned_grid_keeps_a_late_winner_and_the_earliest_tie() {
+    // A random walk: the winner sits in the last fifth of the grid order,
+    // so most candidates run under a loose cap and the cap tightens late.
+    let series = shaped(&draws(7, 96), 6, 8);
+    let mut hw = HoltWinters::new(6, Seasonality::Multiplicative);
+    hw.fit_grid(&series);
+    assert_eq!(
+        hw.alpha, 0.9,
+        "winner ({}, {}, {})",
+        hw.alpha, hw.beta, hw.gamma
+    );
+    let mut oracle = OracleHw::new(6, Seasonality::Multiplicative);
+    oracle.fit_grid(&series);
+    assert_same_model(&hw, &oracle, "late winner");
+
+    // Exact ties at RMSE 0: the first candidate stands, in both modes.
+    for series in [[7.5; 36], [0.0; 36]] {
+        for mode in [Seasonality::Additive, Seasonality::Multiplicative] {
+            let mut hw = HoltWinters::new(6, mode);
+            hw.fit_grid(&series);
+            assert_eq!((hw.alpha, hw.beta, hw.gamma), (0.1, 0.1, 0.1), "{mode:?}");
+            assert_eq!(hw.fit_rmse(), Some(0.0));
+            assert_refines(&series, 6, mode);
+        }
+    }
+}
+
+#[test]
+fn pruning_skips_pinned_smoothing_work() {
+    // A fixed seeded set: every family, both modes, three seasons. The
+    // unpruned grid runs 125 candidates and one refit over the whole
+    // history; the count of steps the pruned one executes is pinned, and
+    // moves only with a change that means to move it.
+    use crate::holt_winters::step_count;
+    let (mut unpruned, mut pruned) = (0u64, 0u64);
+    for (k, season) in [2usize, 6, 24].into_iter().enumerate() {
+        let raw = draws(0xC0FF_EE00 + k as u64, 8 * season);
+        for shape in 0..SHAPES {
+            let series = shaped(&raw, season, shape);
+            for mode in [Seasonality::Additive, Seasonality::Multiplicative] {
+                let before = step_count::total();
+                HoltWinters::new(season, mode).fit_grid(&series);
+                pruned += step_count::total() - before;
+                unpruned += 126 * (series.len() - season) as u64;
+            }
+        }
+    }
+    assert!(pruned < unpruned, "{pruned} of {unpruned}");
+    assert_eq!((pruned, unpruned), (352_848, 508_032));
+}
+
+#[test]
+fn a_huge_season_never_panics() {
+    // `2 * season` overflows here: the season must read as "longer than
+    // the history", not wrap to a short one.
+    let series = [1.0; 10];
+    for season in [usize::MAX / 2 + 1, usize::MAX] {
+        let p = predict_next(&series, season, 0.05);
+        assert!(
+            p.value.is_finite() && p.sigma.is_finite(),
+            "{season}: {p:?}"
+        );
+        assert_eq!(p, predict_next(&series, 11, 0.05), "the short-history path");
+        for mode in [Seasonality::Additive, Seasonality::Multiplicative] {
+            let mut hw = HoltWinters::new(season, mode).with_params(0.6, 0.2, 0.8);
+            hw.fit(&series);
+            assert!(hw.forecast(1).is_none(), "{season} {mode:?}");
+            assert!(hw.fit_rmse().is_none() && hw.seasonal_indices().is_none());
+            hw.fit_grid(&series);
+            assert!(hw.forecast(1).is_none(), "{season} {mode:?}");
+            assert_eq!((hw.alpha, hw.beta, hw.gamma), (0.6, 0.2, 0.8));
         }
     }
 }

@@ -73,7 +73,12 @@
 //! problem data as long as each brings its own `Workspace`. A workspace is
 //! pure scratch: it is reset at engine construction, carries no information
 //! between solves, and therefore never affects results — only allocation
-//! traffic.
+//! traffic. Within one solve the engine does reuse one thing it left there:
+//! the duals `B⁻ᵀc_B` in the pricing buffer, until a refactorization, an
+//! absorbed pivot or phase-1 pricing invalidates them (a BTRAN is a function
+//! of the factorization and its right-hand side, so a reuse is the BTRAN it
+//! skips, bit for bit). That reuse starts and ends inside the solve, so the
+//! contract above is unchanged.
 //!
 //! The *restart state* — statuses, basic set, the `x_B` buffer and the
 //! factorization — is not scratch and not borrowed: the engine moves it out
@@ -139,7 +144,8 @@ pub struct Workspace {
     alpha: Vec<f64>,
     /// Scratch row buffer (BTRAN rows in the dual simplex / devex updates).
     rowbuf: Vec<f64>,
-    /// Scratch row buffer (pricing vectors / duals).
+    /// Scratch row buffer (pricing vectors / duals). Within one solve it
+    /// keeps the current duals until the basis or factorization changes.
     ybuf: Vec<f64>,
     /// Devex reference weights per column (primal pricing).
     devex: Vec<f64>,
@@ -220,7 +226,8 @@ struct DualCand {
     j: usize,
     /// Pivot-row entry `α_rj = e_rᵀB⁻¹A_j`.
     arow: f64,
-    /// Dual step length `|d_j / α_rj|` at which `d_j` reaches zero.
+    /// Dual step length `|d_j / α_rj|` at which `d_j` reaches zero (set
+    /// once the walk has found a candidate and the duals are priced).
     ratio: f64,
 }
 
@@ -259,6 +266,10 @@ pub(super) struct Engine<'a> {
     /// Caller-lent scratch: every temporary buffer of the solve (see the
     /// module docs' threading contract).
     ws: &'a mut Workspace,
+    /// Whether `ws.ybuf` holds `B⁻ᵀc_B` for the current basis and
+    /// factorization (see [`Engine::price_duals`]). A refactorization, an
+    /// absorbed pivot and phase-1 pricing clear it.
+    y_fresh: bool,
     /// Rotating start position for candidate-list refresh scans (reset per
     /// solve — results never depend on previous solves).
     plist_cursor: usize,
@@ -365,6 +376,7 @@ impl<'a> Engine<'a> {
             iterations_left: opts.max_iterations,
             stats,
             ws,
+            y_fresh: false,
             plist_cursor: 0,
         }
     }
@@ -383,6 +395,7 @@ impl<'a> Engine<'a> {
     /// Rebuilds the (sparse) LU factorization from the current basic set.
     /// Returns false when the basis matrix is singular.
     fn refactorize(&mut self) -> bool {
+        self.y_fresh = false;
         match factor_basis(self.c, &self.basic, &mut self.stats, &mut self.ws.lu) {
             Some(fact) => {
                 self.fact = fact;
@@ -435,20 +448,40 @@ impl<'a> Engine<'a> {
 
     /// BTRAN of the phase-2 basic costs: the dual vector `y`.
     pub fn duals(&mut self) -> Vec<f64> {
-        let mut y = Vec::new();
-        self.price_basic_costs(&mut y);
-        y
+        self.price_duals();
+        self.ws.ybuf.clone()
     }
 
-    /// Overwrites `y` with `B⁻ᵀc_B`, the duals of the current basis.
-    fn price_basic_costs(&mut self, y: &mut Vec<f64>) {
+    /// Makes `ws.ybuf` hold `B⁻ᵀc_B`, the duals of the current basis: one
+    /// BTRAN, or none when the buffer already holds them for this basis and
+    /// factorization. Reusing them is bit-identical, since a BTRAN is a
+    /// function of the factorization and its right-hand side alone.
+    fn price_duals(&mut self) {
+        if self.y_fresh {
+            #[cfg(test)]
+            self.assert_kept_duals_fresh();
+            return;
+        }
+        let ws = &mut *self.ws;
+        let y = &mut ws.ybuf;
         y.clear();
         y.resize(self.c.m, 0.0);
         for (pos, &j) in self.basic.iter().enumerate() {
             y[pos] = self.c.cost[j];
         }
-        hint_nonzeros(&mut self.ws.lu, y);
-        self.fact.btran(y, &mut self.ws.lu);
+        hint_nonzeros(&mut ws.lu, y);
+        self.fact.btran(y, &mut ws.lu);
+        self.y_fresh = true;
+    }
+
+    /// The invariant behind every reuse in [`Engine::price_duals`]: the
+    /// kept duals are, bit for bit, the BTRAN a fresh pricing would return.
+    #[cfg(test)]
+    fn assert_kept_duals_fresh(&self) {
+        let mut y: Vec<f64> = self.basic.iter().map(|&j| self.c.cost[j]).collect();
+        self.fact.btran(&mut y, &mut SolveScratch::new());
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&self.ws.ybuf), bits(&y), "kept duals went stale");
     }
 
     /// Charges one pivot against the global iteration budget.
@@ -508,6 +541,7 @@ impl<'a> Engine<'a> {
     /// either way; only the refactorization path recomputes it (fresh
     /// factors, cleaner numbers).
     fn absorb_pivot(&mut self, r: usize) -> Result<(), SolveError> {
+        self.y_fresh = false;
         if self.fact.push_update(r, &mut self.ws.lu) {
             self.stats.eta_compressions += 1;
             return Ok(());
@@ -700,8 +734,10 @@ impl<'a> Engine<'a> {
     /// for the nonbasic point the scan settled on — this is the warm path's
     /// one from-scratch `x_B` (the cold path's is the phase driver's).
     pub fn repair_dual_feasibility(&mut self) -> bool {
-        let mut y = std::mem::take(&mut self.ws.ybuf);
-        self.price_basic_costs(&mut y);
+        // The duals priced here stay in the workspace for the dual's first
+        // iteration (flips move no basic column).
+        self.price_duals();
+        let y = &self.ws.ybuf;
         let mut flips = std::mem::take(&mut self.ws.flip_cols);
         flips.clear();
         let mut repairable = true;
@@ -710,7 +746,7 @@ impl<'a> Engine<'a> {
             if st == VarStatus::Basic || self.c.lb[j] == self.c.ub[j] {
                 continue; // fixed columns are dual feasible at either bound
             }
-            let d = self.c.cost[j] - self.c.col_dot(&y, j);
+            let d = self.c.cost[j] - self.c.col_dot(y, j);
             // A dual-infeasible column is repaired by moving it to its
             // opposite bound, which must be finite (a free column has none).
             let can_flip = match st {
@@ -734,7 +770,6 @@ impl<'a> Engine<'a> {
                 };
             }
         }
-        self.ws.ybuf = y;
         self.ws.flip_cols = flips;
         self.compute_xb();
         repairable
@@ -762,11 +797,14 @@ impl<'a> Engine<'a> {
 
             // Phase costs on the basic set, priced into the reusable buffer
             // (taken out of the workspace so later `&mut self` calls stay
-            // legal; every path below hands it back or consumes it).
-            let mut y = std::mem::take(&mut self.ws.ybuf);
-            y.clear();
-            y.resize(m, 0.0);
-            if phase1 {
+            // legal; every path below hands it back or consumes it). Phase
+            // 2's are the duals, kept from the last pricing while neither
+            // basis nor factorization changed (a bound-flip iteration).
+            let y = if phase1 {
+                self.y_fresh = false;
+                let mut y = std::mem::take(&mut self.ws.ybuf);
+                y.clear();
+                y.resize(m, 0.0);
                 let mut inf = 0.0;
                 for (pos, &j) in self.basic.iter().enumerate() {
                     let x = self.xb[pos];
@@ -782,13 +820,13 @@ impl<'a> Engine<'a> {
                     self.ws.ybuf = y;
                     return Ok(PrimalEnd::Optimal);
                 }
+                hint_nonzeros(&mut self.ws.lu, &y);
+                self.fact.btran(&mut y, &mut self.ws.lu);
+                y
             } else {
-                for (pos, &j) in self.basic.iter().enumerate() {
-                    y[pos] = self.c.cost[j];
-                }
-            }
-            hint_nonzeros(&mut self.ws.lu, &y);
-            self.fact.btran(&mut y, &mut self.ws.lu);
+                self.price_duals();
+                std::mem::take(&mut self.ws.ybuf)
+            };
 
             // Entering column: best devex-weighted improvement `d²/w` over
             // the candidate list (refreshed when stale), a full scan on
@@ -1022,10 +1060,9 @@ impl<'a> Engine<'a> {
                 return Ok(DualEnd::PrimalFeasible);
             };
 
-            // BTRAN row r and the current duals, both priced into the
-            // reusable buffers (taken out of the workspace so later
-            // `&mut self` calls stay legal; every path below hands them
-            // back).
+            // BTRAN row r into the reusable buffer (taken out of the
+            // workspace so later `&mut self` calls stay legal; every path
+            // below hands it back).
             let mut rho = std::mem::take(&mut self.ws.rowbuf);
             rho.clear();
             rho.resize(m, 0.0);
@@ -1033,8 +1070,6 @@ impl<'a> Engine<'a> {
             self.ws.lu.rhs_nz.clear();
             self.ws.lu.rhs_nz.push(r as u32);
             self.fact.btran(&mut rho, &mut self.ws.lu);
-            let mut y = std::mem::take(&mut self.ws.ybuf);
-            self.price_basic_costs(&mut y);
 
             // Collect every eligible dual-ratio-test breakpoint. The leaving
             // variable exits at its violated bound; entering candidates must
@@ -1093,17 +1128,17 @@ impl<'a> Engine<'a> {
                 if !eligible {
                     return;
                 }
-                let d = self.c.cost[j] - self.c.col_dot(&y, j);
+                // The ratio needs the duals, priced below once a candidate
+                // exists.
                 cand.push(DualCand {
                     j,
                     arow,
-                    ratio: (d / arow).abs(),
+                    ratio: f64::NAN,
                 });
             });
             self.stats.pricing_scans += scanned;
             self.ws.cand_bits = bits;
             self.ws.row_acc = acc;
-            self.ws.ybuf = y;
 
             if cand.is_empty() {
                 // No column can absorb the violation: primal infeasible.
@@ -1115,6 +1150,11 @@ impl<'a> Engine<'a> {
                 return Ok(DualEnd::Infeasible { y: y_cert });
             }
             self.ws.rowbuf = rho;
+            self.price_duals();
+            for c in cand.iter_mut() {
+                let d = self.c.cost[c.j] - self.c.col_dot(&self.ws.ybuf, c.j);
+                c.ratio = (d / c.arow).abs();
+            }
 
             // `flip_upto`: candidates `cand[..flip_upto]` are flipped through
             // (long step). Selection only — no state mutates until the

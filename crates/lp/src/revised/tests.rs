@@ -2303,3 +2303,112 @@ mod chain_edges {
         }
     }
 }
+
+/// The engine keeps the duals `B⁻ᵀc_B` it priced until the basis or the
+/// factorization changes, instead of pricing them again.
+mod dual_reuse {
+    use super::*;
+    use crate::model::ConsId;
+    use crate::revised::lu::SolveScratch;
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// `duals` equal, bit for bit, one fresh BTRAN of `c_B` through the
+    /// factorization `basis` carries — the one the solve ended with.
+    fn assert_btran_of_basic_costs(p: &Problem, duals: &[f64], basis: &Basis, tag: &str) {
+        let fact = basis
+            .fact
+            .as_deref()
+            .unwrap_or_else(|| panic!("{tag}: an optimal solve leaves its factorization"));
+        let mut y: Vec<f64> = basis.basic.iter().map(|&j| p.cost[j]).collect();
+        fact.btran(&mut y, &mut SolveScratch::new());
+        assert_eq!(bits(duals), bits(&y), "{tag}");
+    }
+
+    /// Over random LPs and warm chains of bound, right-hand-side and cost
+    /// edits — dual re-solves, primal mop-ups with bound flips, phase 1
+    /// after a bound turns infinite, and every refactorization interval from
+    /// each pivot to rarely — an optimal solve's duals are the BTRAN a
+    /// from-scratch pricing would return, through a `Basis` hand-off and
+    /// through a `WarmChain` alike.
+    #[test]
+    fn optimal_duals_are_a_btran_through_the_final_factorization() {
+        let mut rng = GenRng::new(0x0D0A_15EE_D0A1_5EED);
+        let mut checked = 0;
+        for case in 0..240 {
+            let cfg = &[LpGenConfig::default(), LpGenConfig::torture()][case % 2];
+            let mut p = random_lp(&mut rng, cfg);
+            let mut chain = WarmChain::new();
+            let mut basis: Option<Basis> = None;
+            for step in 0..8 {
+                let tag = format!("case {case} step {step}");
+                // An interval below the carried factorization's update count
+                // refactorizes between the repair's pricing and the dual.
+                let options = SimplexOptions {
+                    refactor_interval: [1, 2, 8, 128][rng.index(4)],
+                    ..SimplexOptions::default()
+                };
+                let w = p
+                    .solve_warm_in(basis.as_ref(), &options, &mut Workspace::new())
+                    .unwrap_or_else(|e| panic!("{tag}: {e}"));
+                let (outcome, _) = p
+                    .resolve(&mut chain, &options)
+                    .unwrap_or_else(|e| panic!("{tag}: {e}"));
+                if let Outcome::Optimal(s) = &w.outcome {
+                    assert_btran_of_basic_costs(&p, &s.duals, &w.basis, &tag);
+                    checked += 1;
+                }
+                if let Outcome::Optimal(s) = &outcome {
+                    let held = chain.basis().expect("a finished solve leaves a basis");
+                    assert_btran_of_basic_costs(&p, &s.duals, &held, &format!("{tag} chain"));
+                }
+                basis = Some(w.basis);
+                let v = VarId(rng.index(p.num_vars()));
+                match rng.index(4) {
+                    0 => random_bound_edit(&mut rng, &mut p),
+                    1 => p.set_rhs(ConsId(rng.index(p.num_cons())), rng.uniform(-6.0, 10.0)),
+                    2 => p.set_objective(v, rng.uniform(-3.0, 3.0)),
+                    _ => p.set_bounds(v, f64::NEG_INFINITY, f64::INFINITY),
+                }
+            }
+        }
+        assert!(checked > 300, "only {checked} optimal solves checked");
+    }
+
+    /// A warm start whose repair priced the duals, then a phase 1 that ends
+    /// on one bound flip and no pivot: phase 1 overwrote the pricing
+    /// buffer, so phase 2 must price afresh.
+    #[test]
+    fn phase_one_by_a_flip_alone_leaves_no_stale_duals() {
+        let options = SimplexOptions {
+            fault: None,
+            ..SimplexOptions::default()
+        };
+        let mut p = Problem::new();
+        let x = p.add_var(0.0, 1.0, 0.0);
+        let w = p.add_var(0.0, f64::INFINITY, -1.0);
+        let u = p.add_var(0.0, f64::INFINITY, 0.0);
+        let row = p.add_cons(&[(x, 1.0)], Cmp::Ge, 0.0);
+        p.add_cons(&[(w, 1.0), (u, 1.0)], Cmp::Le, 5.0);
+        let first = p
+            .solve_warm_in(None, &options, &mut Workspace::new())
+            .unwrap();
+        // `u` turns attractive below an infinite upper bound, which no flip
+        // repairs; `x >= 1` is met by flipping `x` to its upper bound.
+        p.set_objective(u, -2.0);
+        p.set_rhs(row, 1.0);
+        let w = p
+            .solve_warm_in(Some(&first.basis), &options, &mut Workspace::new())
+            .unwrap();
+        let stats = &w.stats;
+        assert_eq!(
+            (stats.warm_starts, stats.phase1_pivots, stats.bound_flips),
+            (1, 1, 1)
+        );
+        let s = w.outcome.unwrap_optimal();
+        assert_eq!((s.objective, s.value(x), s.value(u)), (-10.0, 1.0, 5.0));
+        assert_btran_of_basic_costs(&p, &s.duals, &w.basis, "flip-only phase 1");
+    }
+}
