@@ -5,13 +5,13 @@
 //! 2. **Forecast headroom** — violation rate vs revenue as the reservation
 //!    safety margin shrinks.
 //! 3. **Solver** — Benders (optimal) vs KAC (heuristic) on the same cells.
-//! 4. **Warm-start engine** — pivot counts and wall time of the revised
-//!    simplex with and without basis reuse on the Benders hot path.
+//! 4. **Warm-start engine** — the pivot, refactorization and reuse counters
+//!    of the revised simplex with and without basis reuse on the Benders hot
+//!    path.
 
 use ovnes::experiment::{homogeneous, run_on, Scenario, SigmaLevel};
-use ovnes::orchestrator::{Orchestrator, OrchestratorConfig};
 use ovnes::prelude::*;
-use ovnes_bench::{scale_arg, seed_arg};
+use ovnes_bench::{embb_cell, scale_arg, seed_arg};
 
 fn main() {
     let scale = scale_arg(0.04);
@@ -35,46 +35,19 @@ fn main() {
         ("with learning", 3usize),
         ("prior only (no learning)", usize::MAX),
     ] {
-        let mut orch = Orchestrator::new(
-            model.clone(),
-            OrchestratorConfig {
-                solver: SolverKind::Kac,
-                prior_history: history, // usize::MAX ⇒ never trust the monitor
-                seed,
-                ..Default::default()
-            },
-        );
-        for t in 0..10 {
-            orch.submit(SliceRequest::from_template(
-                t,
-                SliceTemplate::embb(),
-                0.2,
-                2.5,
-                1.0,
-            ));
-        }
-        let mut rev = 0.0;
-        let mut adm = 0;
-        let mut violated = 0;
-        let mut samples = 0;
-        for _ in 0..16 {
-            let out = orch.step().expect("epoch");
-            rev += out.net_revenue;
-            adm = out.admitted.len();
-            violated += out.violation_samples.0;
-            samples += out.violation_samples.1;
-        }
-        let rate = if samples > 0 {
-            violated as f64 / samples as f64
-        } else {
-            0.0
+        let config = OrchestratorConfig {
+            solver: SolverKind::Kac,
+            prior_history: history, // usize::MAX ⇒ never trust the monitor
+            seed,
+            ..Default::default()
         };
+        let cell = embb_cell(&model, config, 0.25, 1.0, 16, 0).expect("cell");
         println!(
             "{:<24} {:>12.1} {:>10} {:>11.4}%",
             label,
-            rev,
-            adm,
-            100.0 * rate
+            cell.revenue,
+            cell.admitted,
+            100.0 * cell.violation_rate()
         );
     }
 
@@ -87,49 +60,20 @@ fn main() {
     println!("{header}");
     ovnes_bench::rule(&header);
     for headroom in [0.0, 0.5, 1.5, 3.0] {
-        let mut orch = Orchestrator::new(
-            model.clone(),
-            OrchestratorConfig {
-                solver: SolverKind::Kac,
-                forecast_headroom: headroom,
-                seed,
-                ..Default::default()
-            },
-        );
-        for t in 0..10 {
-            orch.submit(SliceRequest::from_template(
-                t,
-                SliceTemplate::embb(),
-                0.2,
-                5.0,
-                1.0,
-            ));
-        }
-        let mut rev = 0.0;
-        let mut adm = 0;
-        let mut violated = 0;
-        let mut samples = 0;
-        let mut worst: f64 = 0.0;
-        for _ in 0..16 {
-            let out = orch.step().expect("epoch");
-            rev += out.net_revenue;
-            adm = out.admitted.len();
-            violated += out.violation_samples.0;
-            samples += out.violation_samples.1;
-            worst = worst.max(out.worst_drop_fraction);
-        }
-        let rate = if samples > 0 {
-            violated as f64 / samples as f64
-        } else {
-            0.0
+        let config = OrchestratorConfig {
+            solver: SolverKind::Kac,
+            forecast_headroom: headroom,
+            seed,
+            ..Default::default()
         };
+        let cell = embb_cell(&model, config, 0.5, 1.0, 16, 0).expect("cell");
         println!(
             "{:<10.1} {:>12.1} {:>10} {:>11.4}% {:>12.2}",
             headroom,
-            rev,
-            adm,
-            100.0 * rate,
-            worst
+            cell.revenue,
+            cell.admitted,
+            100.0 * cell.violation_rate(),
+            cell.worst_drop
         );
     }
 
@@ -197,9 +141,9 @@ fn main() {
         true,
         None,
     );
-    // The counter columns come straight from `LpStats::named_counters` —
-    // the shared name list every renderer in the workspace uses — plus a
-    // wall-clock column local to this ablation.
+    // The columns come straight from `LpStats::named_counters` — the shared
+    // name list every renderer in the workspace uses. Nothing is timed here:
+    // wall-clock numbers come from `benchmark/` only.
     let mut allocs = Vec::new();
     let mut rows = Vec::new();
     for (mode, warm) in [("warm", true), ("cold", false)] {
@@ -207,17 +151,14 @@ fn main() {
             warm_start: warm,
             ..Default::default()
         };
-        let t0 = std::time::Instant::now();
         let alloc = ovnes::solver::benders::solve(&inst, &opts).expect("benders");
-        let secs = t0.elapsed().as_secs_f64();
-        let mut cells: Vec<(&'static str, String)> = alloc
+        let cells: Vec<(&'static str, String)> = alloc
             .stats
             .lp
             .named_counters()
             .into_iter()
             .map(|(name, value)| (name, value.to_string()))
             .collect();
-        cells.push(("seconds", format!("{secs:.4}")));
         rows.push((mode.to_string(), cells));
         allocs.push(alloc);
     }

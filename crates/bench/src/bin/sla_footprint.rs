@@ -5,59 +5,12 @@
 //! more aggressive sanity check (σ = 3λ̄/4, m = 0.01) stayed at 0.043% with
 //! at most 20% dropped.
 
-use ovnes::orchestrator::{Orchestrator, OrchestratorConfig};
 use ovnes::prelude::*;
-use ovnes_bench::{scale_arg, seed_arg};
+use ovnes_bench::{embb_cell, scale_arg, seed_arg};
 
-/// Runs 10 eMBB tenants at λ̄ = 0.2Λ with the given σ fraction and penalty
-/// factor m for `epochs` epochs; returns (violation rate, worst drop
-/// fraction, mean net revenue).
-fn cell(
-    model: &NetworkModel,
-    sigma_frac: f64,
-    m: f64,
-    epochs: usize,
-    seed: u64,
-) -> (f64, f64, f64) {
-    let mut orch = Orchestrator::new(
-        model.clone(),
-        OrchestratorConfig {
-            solver: SolverKind::Kac,
-            seed,
-            ..Default::default()
-        },
-    );
-    let template = SliceTemplate::embb();
-    let mean = 0.2 * template.sla_mbps;
-    for t in 0..10 {
-        orch.submit(SliceRequest::from_template(
-            t,
-            template.clone(),
-            0.2,
-            sigma_frac * mean,
-            m,
-        ));
-    }
-    let mut violated = 0usize;
-    let mut samples = 0usize;
-    let mut worst: f64 = 0.0;
-    let mut revenue = 0.0;
-    for e in 0..epochs {
-        let out = orch.step().expect("epoch");
-        if e >= 6 {
-            violated += out.violation_samples.0;
-            samples += out.violation_samples.1;
-            worst = worst.max(out.worst_drop_fraction);
-            revenue += out.net_revenue;
-        }
-    }
-    let rate = if samples > 0 {
-        violated as f64 / samples as f64
-    } else {
-        0.0
-    };
-    (rate, worst, revenue / (epochs - 6) as f64)
-}
+/// Epochs per cell, of which the first `WARMUP` are not measured.
+const EPOCHS: usize = 40;
+const WARMUP: usize = 6;
 
 fn main() {
     let scale = scale_arg(0.04);
@@ -83,13 +36,18 @@ fn main() {
         ("moderate (σ=λ̄/4, m=1)", 0.25, 1.0),
         ("deterministic (σ=0, m=1)", 0.0, 1.0),
     ] {
-        let (rate, worst, rev) = cell(&model, sigma_frac, m, 40, seed);
+        let config = OrchestratorConfig {
+            solver: SolverKind::Kac,
+            seed,
+            ..Default::default()
+        };
+        let cell = embb_cell(&model, config, sigma_frac, m, EPOCHS, WARMUP).expect("cell");
         println!(
             "{:<30} {:>14.5}% {:>14.2} {:>12.2}",
             label,
-            100.0 * rate,
-            worst,
-            rev
+            100.0 * cell.violation_rate(),
+            cell.worst_drop,
+            cell.revenue / (EPOCHS - WARMUP) as f64
         );
     }
 

@@ -1,10 +1,13 @@
 //! Scenario runners for the paper's simulation campaign (§4.3).
 //!
-//! [`run`] executes one (topology, tenant mix, solver) cell: it submits all
-//! slice requests at the start (as the paper does), steps the orchestrator
-//! until the mean net revenue stabilises ("runs until the mean revenue has a
-//! standard error lower than 2%"), and reports steady-state revenue plus the
-//! SLA-violation footprint.
+//! [`run`] executes one (topology, tenant mix, solver) cell through the
+//! orchestrator's one horizon loop, [`Orchestrator::run`]: every slice
+//! request arrives at epoch 0 (as the paper does), and the cell's observer
+//! stops the horizon once the mean net revenue stabilises ("runs until the
+//! mean revenue has a standard error lower than 2%") or at
+//! [`Scenario::max_epochs`]. It reports steady-state revenue plus the
+//! SLA-violation footprint. The stop rule is this observer's, not an
+//! orchestrator option.
 //!
 //! Helper constructors produce the homogeneous mixes of Fig. 5 (`λ̄ = α·Λ`,
 //! `σ ∈ {0, λ̄/4, λ̄/2}`, penalty `K = m·R` for `m ∈ {1, 4, 16}`) and the
@@ -14,6 +17,7 @@ use crate::orchestrator::{Orchestrator, OrchestratorConfig};
 use crate::slice::{SliceClass, SliceRequest, SliceTemplate};
 use crate::solver::{AcrrError, SolverKind};
 use ovnes_topology::operators::{GeneratorConfig, NetworkModel, Operator};
+use std::ops::ControlFlow;
 
 /// Traffic variability levels used in Fig. 5/6.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -141,19 +145,17 @@ pub fn run_on(scenario: &Scenario, model: NetworkModel) -> Result<RevenueSummary
         seed: scenario.seed,
         ..Default::default()
     };
-    let mut orch = Orchestrator::new(model, config);
-    for (i, spec) in scenario.tenants.iter().enumerate() {
-        let template = SliceTemplate::for_class(spec.class);
-        let mean = spec.alpha * template.sla_mbps;
-        let sigma = spec.sigma.fraction() * mean;
-        orch.submit(SliceRequest::from_template(
-            i as u32,
-            template,
-            spec.alpha,
-            sigma,
-            spec.penalty_factor,
-        ));
-    }
+    let requests = scenario
+        .tenants
+        .iter()
+        .enumerate()
+        .map(|(i, spec)| {
+            let template = SliceTemplate::for_class(spec.class);
+            let mean = spec.alpha * template.sla_mbps;
+            let sigma = spec.sigma.fraction() * mean;
+            SliceRequest::from_template(i as u32, template, spec.alpha, sigma, spec.penalty_factor)
+        })
+        .collect();
 
     let mut revenues: Vec<f64> = Vec::new();
     let mut admitted: Vec<f64> = Vec::new();
@@ -162,8 +164,7 @@ pub fn run_on(scenario: &Scenario, model: NetworkModel) -> Result<RevenueSummary
     let mut worst_drop = 0.0f64;
     let mut epochs = 0usize;
 
-    loop {
-        let out = orch.step()?;
+    Orchestrator::new(model, config).run(requests, scenario.max_epochs, |out| {
         epochs += 1;
         if epochs > scenario.warmup_epochs {
             revenues.push(out.net_revenue);
@@ -172,19 +173,19 @@ pub fn run_on(scenario: &Scenario, model: NetworkModel) -> Result<RevenueSummary
             samples += out.violation_samples.1;
             worst_drop = worst_drop.max(out.worst_drop_fraction);
         }
-        if epochs >= scenario.max_epochs {
-            break;
-        }
         if epochs >= scenario.min_epochs && revenues.len() >= 4 {
             let (mean, stderr) = mean_stderr(&revenues);
-            if mean.abs() > 1e-9 && stderr / mean.abs() < scenario.target_stderr {
-                break;
-            }
-            if mean.abs() <= 1e-9 && stderr < 1e-9 {
-                break; // flat zero revenue (nothing admitted)
+            let converged = if mean.abs() > 1e-9 {
+                stderr / mean.abs() < scenario.target_stderr
+            } else {
+                stderr < 1e-9 // flat zero revenue (nothing admitted)
+            };
+            if converged {
+                return ControlFlow::Break(());
             }
         }
-    }
+        ControlFlow::Continue(())
+    })?;
 
     let (mean, stderr) = mean_stderr(&revenues);
     Ok(RevenueSummary {

@@ -15,7 +15,8 @@
 //! * [`solver`] — the paper's algorithms: optimal **Benders decomposition**
 //!   (Algorithm 1), the **KAC** knapsack heuristic (Algorithms 2–3), the
 //!   one-shot MILP (Problem 2) and the **no-overbooking** baseline,
-//! * [`orchestrator`] — the epoch loop: monitor → forecast → solve → enforce,
+//! * [`orchestrator`] — the epoch (monitor → forecast → solve → enforce)
+//!   and the one horizon loop, [`orchestrator::Orchestrator::run`],
 //! * [`experiment`] — scenario runners regenerating Fig. 5/6 and the SLA
 //!   footprint numbers of §4.3.3,
 //! * [`testbed`] — the §5 proof-of-concept testbed scenario (Fig. 8).
@@ -25,7 +26,7 @@
 //! (operator networks), `ovnes-netsim` (traffic + middlebox). On top sits
 //! `ovnes-scenario`: city-scale generated workloads (arrival processes,
 //! churn, flash crowds) driven through
-//! [`orchestrator::Orchestrator::step`] and swept in parallel with
+//! [`orchestrator::Orchestrator::run`] and swept in parallel with
 //! bit-identical aggregated reports.
 //!
 //! ## Failure semantics (fault-tolerant admission)
@@ -64,17 +65,17 @@
 //!     solver: SolverKind::Kac,
 //!     ..Default::default()
 //! });
-//! // Four eMBB tenants at 20% mean utilisation.
-//! for t in 0..4 {
-//!     orch.submit(SliceRequest::from_template(
-//!         t, SliceTemplate::embb(), 0.2, 2.5, 1.0,
-//!     ));
-//! }
+//! // Four eMBB tenants at 20% mean utilisation, all arriving at epoch 0.
+//! let requests = (0..4)
+//!     .map(|t| SliceRequest::from_template(t, SliceTemplate::embb(), 0.2, 2.5, 1.0))
+//!     .collect();
 //! // The KAC heuristic admits once load patterns have been learnt.
 //! let mut admitted = 0;
-//! for _ in 0..6 {
-//!     admitted = orch.step().unwrap().admitted.len();
-//! }
+//! orch.run(requests, 6, |out| {
+//!     admitted = out.admitted.len();
+//!     std::ops::ControlFlow::Continue(())
+//! })
+//! .unwrap();
 //! assert!(admitted > 0);
 //! ```
 

@@ -14,6 +14,11 @@
 //!    traffic through the middlebox,
 //! 5. records monitoring peaks and accounts revenue: rewards for admitted
 //!    slices minus penalties `K·(worst SLA deficit)/Λ` for violations.
+//!
+//! [`Orchestrator::step`] is one epoch and [`Orchestrator::run`] the one
+//! horizon loop every experiment drives. Pending requests are considered in
+//! stable arrival-epoch order, so a horizon depends on its requests and not
+//! on when they were submitted.
 
 use crate::problem::{AcrrInstance, PathPolicy, TenantInput, MBPS_PER_MHZ};
 use crate::slice::SliceRequest;
@@ -26,6 +31,7 @@ use ovnes_topology::operators::NetworkModel;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::{HashMap, HashSet};
+use std::ops::ControlFlow;
 use std::time::Instant;
 
 /// Orchestrator configuration.
@@ -383,7 +389,9 @@ impl Orchestrator {
         }
     }
 
-    /// Queues a slice request (takes effect from its `arrival_epoch`).
+    /// Queues a slice request. It is considered from its `arrival_epoch` on,
+    /// ordered among the pending requests by that epoch and not by when it
+    /// was submitted.
     ///
     /// A tenant's monitoring history lives while it is queued or active:
     /// the end of the epoch in which it expires, is evicted or abandons
@@ -667,7 +675,10 @@ impl Orchestrator {
             }
         });
         // Previously rejected requests keep re-applying (they were returned
-        // to the queue with their original arrival epoch).
+        // to the queue with their original arrival epoch). Arrival order, not
+        // submission order: the order of the rejected flows decides which
+        // random draws each gets (step 5).
+        pending.sort_by_key(|r| r.arrival_epoch);
 
         // 2. Assemble tenant inputs: active slices first (forced), then
         // pending requests.
@@ -1017,6 +1028,35 @@ impl Orchestrator {
             incremental,
             overcommit: (over_radio, over_link, over_cu),
         })
+    }
+
+    /// Runs a horizon of up to `epochs` [`Orchestrator::step`]s, handing
+    /// each outcome to `observe`.
+    ///
+    /// * **Submission.** `requests` is sorted stably by `arrival_epoch`, and
+    ///   each is submitted at the start of that epoch (or of the first step,
+    ///   if it has passed): the pending queue never holds the future.
+    /// * **Stop rule.** After `epochs` steps, or right after the outcome on
+    ///   which `observe` returns [`ControlFlow::Break`].
+    /// * **Errors.** The first `step` error (a configuration error, raised
+    ///   before that epoch mutates anything) is returned as is.
+    pub fn run(
+        &mut self,
+        mut requests: Vec<SliceRequest>,
+        epochs: usize,
+        mut observe: impl FnMut(&EpochOutcome) -> ControlFlow<()>,
+    ) -> Result<(), AcrrError> {
+        requests.sort_by_key(|r| r.arrival_epoch);
+        let mut arrivals = requests.into_iter().peekable();
+        for _ in 0..epochs {
+            while let Some(request) = arrivals.next_if(|r| r.arrival_epoch <= self.epoch) {
+                self.submit(request);
+            }
+            if observe(&self.step()?).is_break() {
+                break;
+            }
+        }
+        Ok(())
     }
 }
 

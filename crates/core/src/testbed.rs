@@ -23,6 +23,7 @@ use crate::solver::{AcrrError, SolverKind};
 use ovnes_topology::graph::{Graph, LinkTech};
 use ovnes_topology::ksp::k_shortest;
 use ovnes_topology::operators::{BaseStation, ComputeUnit, CuKind, NetworkModel, Operator};
+use std::ops::ControlFlow;
 
 /// Number of decision epochs in the experiment (06:00–24:00).
 pub const TESTBED_EPOCHS: usize = 18;
@@ -112,7 +113,8 @@ pub fn testbed_requests() -> Vec<SliceRequest> {
         .collect()
 }
 
-/// Runs the testbed day; returns one [`EpochOutcome`] per hour-epoch.
+/// Runs the testbed day through [`Orchestrator::run`]; returns one
+/// [`EpochOutcome`] per hour-epoch.
 pub fn run_testbed(
     solver: SolverKind,
     overbooking: bool,
@@ -128,14 +130,11 @@ pub fn run_testbed(
         seed,
         ..Default::default()
     };
-    let mut orch = Orchestrator::new(testbed_model(), config);
-    for r in testbed_requests() {
-        orch.submit(r);
-    }
     let mut outcomes = Vec::with_capacity(TESTBED_EPOCHS);
-    for _ in 0..TESTBED_EPOCHS {
-        outcomes.push(orch.step()?);
-    }
+    Orchestrator::new(testbed_model(), config).run(testbed_requests(), TESTBED_EPOCHS, |out| {
+        outcomes.push(out.clone());
+        ControlFlow::Continue(())
+    })?;
     Ok(outcomes)
 }
 

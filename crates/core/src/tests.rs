@@ -663,6 +663,73 @@ fn testbed_urllc_capacity_narrative() {
     assert_eq!(urllc_admitted, 2, "overbooking admits a second uRLLC");
 }
 
+/// A request's arrival epoch alone decides when, and in which order, it is
+/// considered: the Fig. 8 day with every request submitted before epoch 0
+/// decides exactly as `Orchestrator::run`, which submits each at its epoch.
+/// (Without the arrival-order sort in `step`, the up-front run considers a
+/// new arrival ahead of older re-applicants, which reshuffles the random
+/// draws of the rejected flows and moves the overbooking run's
+/// reservations.)
+#[test]
+fn upfront_and_batched_submission_decide_the_same() {
+    for overbooking in [true, false] {
+        let config = || OrchestratorConfig {
+            solver: SolverKind::Benders,
+            overbooking,
+            adaptive_reservations: true,
+            seed: 18,
+            ..Default::default()
+        };
+        let mut upfront = Orchestrator::new(testbed_model(), config());
+        for r in testbed_requests() {
+            upfront.submit(r);
+        }
+        let upfront: Vec<_> = (0..TESTBED_EPOCHS)
+            .map(|_| upfront.step().unwrap())
+            .collect();
+        let mut batched = Vec::new();
+        Orchestrator::new(testbed_model(), config())
+            .run(testbed_requests(), TESTBED_EPOCHS, |out| {
+                batched.push(out.clone());
+                std::ops::ControlFlow::Continue(())
+            })
+            .unwrap();
+        assert_eq!(batched.len(), TESTBED_EPOCHS);
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for (u, b) in upfront.iter().zip(&batched) {
+            assert_eq!(u.admitted, b.admitted, "epoch {}", u.epoch);
+            assert_eq!(u.net_revenue.to_bits(), b.net_revenue.to_bits());
+            assert_eq!(
+                bits(&u.bs_reserved_mhz),
+                bits(&b.bs_reserved_mhz),
+                "overbooking {overbooking}, epoch {}",
+                u.epoch
+            );
+        }
+    }
+}
+
+/// The horizon loop stops right after the outcome its observer breaks on,
+/// and never submits a request whose epoch it did not reach.
+#[test]
+fn run_stops_when_the_observer_breaks() {
+    let mut orch = Orchestrator::new(testbed_model(), OrchestratorConfig::default());
+    let mut seen = Vec::new();
+    orch.run(testbed_requests(), TESTBED_EPOCHS, |out| {
+        seen.push(out.epoch);
+        if out.epoch == 4 {
+            std::ops::ControlFlow::Break(())
+        } else {
+            std::ops::ControlFlow::Continue(())
+        }
+    })
+    .unwrap();
+    assert_eq!(seen, [0, 1, 2, 3, 4]);
+    assert_eq!(orch.epoch(), 5);
+    // Requests 0, 1, 2 arrived at epochs 0, 2, 4; 3..8 were never submitted.
+    assert_eq!(orch.active_tenants().len() + orch.queue_len(), 3);
+}
+
 // --------------------------------------------------------------- proptests
 
 proptest! {

@@ -1,16 +1,18 @@
-//! The simulation driver: expands a [`ScenarioSpec`] into a workload,
-//! steps a [`ovnes::orchestrator::Orchestrator`] over the multi-day
-//! horizon, and aggregates the metrics pipeline into a [`ScenarioReport`].
+//! The simulation driver: expands a [`ScenarioSpec`] into a workload, runs
+//! it through the orchestrator's horizon loop
+//! ([`ovnes::orchestrator::Orchestrator::run`]) and aggregates the metrics
+//! pipeline into a [`ScenarioReport`].
 
 use crate::faults::FaultPlan;
 use crate::metrics::{CdfSummary, ScenarioReport};
 use crate::workload::WorkloadSpec;
-use ovnes::orchestrator::{EpochOutcome, Orchestrator, OrchestratorConfig};
+use ovnes::orchestrator::{Orchestrator, OrchestratorConfig};
 use ovnes::slice::SliceRequest;
 use ovnes::solver::{AcrrError, Degradation, SolveBudget, SolverKind};
 use ovnes::testbed;
 use ovnes_topology::operators::{GeneratorConfig, NetworkModel, Operator};
 use std::collections::HashMap;
+use std::ops::ControlFlow;
 use std::time::Instant;
 
 /// Which data-plane model a scenario runs on.
@@ -274,7 +276,7 @@ pub fn run_scenario_on(
     let t0 = Instant::now();
     let generate_span = ovnes_obs::span!("generate");
     let generate_started = obs_on.then(Instant::now);
-    let mut requests: Vec<SliceRequest> = match &spec.workload {
+    let requests: Vec<SliceRequest> = match &spec.workload {
         Workload::Generated(w) => w.generate(spec.seed, spec.horizon_epochs),
         Workload::Explicit(reqs) => reqs
             .iter()
@@ -282,9 +284,6 @@ pub fn run_scenario_on(
             .cloned()
             .collect(),
     };
-    // Arrival order within an epoch is preserved (generated streams are
-    // already sorted; explicit lists may not be).
-    requests.sort_by_key(|r| r.arrival_epoch);
     let arrivals = requests.len();
     let phase_generate_seconds =
         generate_started.map_or(0.0, |started| started.elapsed().as_secs_f64());
@@ -364,14 +363,11 @@ pub fn run_scenario_on(
     let mut decision_latency = ovnes_obs::Histogram::new();
     let mut phase_seconds = ovnes::orchestrator::EpochPhaseSeconds::default();
 
-    // Epoch loop with *batched* submission: each epoch receives only its
-    // own arrivals, so the orchestrator's pending queue holds re-applicants
-    // (bounded by the patience knob) rather than the entire multi-day
-    // future — at city scale, submitting everything up front would make
-    // every epoch re-scan ~all generated requests. Metrics aggregate epoch
-    // by epoch instead of materialising the whole trajectory.
-    let mut arrival_stream = requests.into_iter().peekable();
-    let mut observe = |out: &EpochOutcome| {
+    // `Orchestrator::run` submits each request at its arrival epoch, so the
+    // pending queue holds re-applicants (bounded by the patience knob)
+    // rather than the entire multi-day future. Metrics aggregate epoch by
+    // epoch instead of materialising the whole trajectory.
+    orch.run(requests, spec.horizon_epochs, |out| {
         accepted += out.newly_admitted.len();
         abandoned += out.abandoned.len();
         reward += out.reward;
@@ -416,16 +412,8 @@ pub fn run_scenario_on(
         decision_seconds_sum += out.decision_seconds;
         decision_latency.record_secs(out.decision_seconds);
         phase_seconds.accumulate(&out.phase_seconds);
-    };
-    for epoch in 0..spec.horizon_epochs as u32 {
-        while arrival_stream
-            .peek()
-            .is_some_and(|r| r.arrival_epoch <= epoch)
-        {
-            orch.submit(arrival_stream.next().expect("peeked arrival"));
-        }
-        observe(&orch.step()?);
-    }
+        ControlFlow::Continue(())
+    })?;
 
     let epochs = spec.horizon_epochs.max(1) as f64;
     let utilisation = |sums: &[f64], caps: &[f64]| {

@@ -59,13 +59,16 @@ pub fn preset(name: &str) -> Option<ScenarioSpec> {
 }
 
 /// The §5 testbed day (Fig. 8): the hand-written 9-request schedule on the
-/// two-BS testbed data plane, solved optimally.
+/// two-BS testbed data plane, solved optimally. Rejected tenants re-apply
+/// every epoch, as in `ovnes::testbed::run_testbed`, so the preset is that
+/// day.
 pub fn testbed_day() -> ScenarioSpec {
     ScenarioSpec::builder("testbed-day")
         .testbed()
         .requests(testbed::testbed_requests())
         .horizon(testbed::TESTBED_EPOCHS)
         .solver(SolverKind::Benders)
+        .reapply_epochs(u32::MAX)
         .build()
 }
 

@@ -9,6 +9,8 @@ use crate::workload::{
     ArrivalProcess, BurstEvent, ClassMix, DiurnalProfile, DurationModel, WorkloadSpec,
 };
 use ovnes::slice::SliceClass;
+use ovnes::solver::SolverKind;
+use ovnes::testbed::run_testbed;
 use ovnes_topology::operators::Operator;
 
 fn tiny_spec(name: &str, seed: u64) -> ScenarioSpec {
@@ -278,6 +280,45 @@ fn ablation_pair_differs_only_in_overbooking() {
     for (x, y) in a.iter().zip(&b) {
         assert_eq!(x.arrival_epoch, y.arrival_epoch);
         assert_eq!(x.true_mean_mbps.to_bits(), y.true_mean_mbps.to_bits());
+    }
+}
+
+/// The `testbed-day` preset is the Fig. 8 day of `ovnes::testbed`: same
+/// revenue bit for bit epoch by epoch, same admissions, same SLA samples —
+/// at the preset's seed and at `fig8`'s, where a finite re-apply patience
+/// would part the two from 20:00 on.
+#[test]
+fn testbed_day_preset_is_the_fig8_day() {
+    for seed in [7, 18] {
+        let spec = ScenarioSpec {
+            seed,
+            ..presets::testbed_day()
+        };
+        let report = run_scenario(&spec).expect("preset runs");
+        let day = run_testbed(SolverKind::Benders, true, seed).expect("testbed day runs");
+        let mut cumulative = 0.0;
+        let running: Vec<u64> = day
+            .iter()
+            .map(|o| {
+                cumulative += o.net_revenue;
+                cumulative.to_bits()
+            })
+            .collect();
+        let trajectory: Vec<u64> = report
+            .revenue_trajectory
+            .iter()
+            .map(|r| r.to_bits())
+            .collect();
+        assert_eq!(trajectory, running, "seed {seed}");
+        let newly: usize = day.iter().map(|o| o.newly_admitted.len()).sum();
+        assert_eq!(report.accepted, newly, "seed {seed}");
+        let violated: usize = day.iter().map(|o| o.violation_samples.0).sum();
+        let total: usize = day.iter().map(|o| o.violation_samples.1).sum();
+        assert_eq!(
+            (report.violated_samples, report.total_samples),
+            (violated, total),
+            "seed {seed}"
+        );
     }
 }
 
