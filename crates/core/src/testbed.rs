@@ -21,7 +21,7 @@ use crate::orchestrator::{EpochOutcome, Orchestrator, OrchestratorConfig};
 use crate::slice::{SliceClass, SliceRequest, SliceTemplate};
 use crate::solver::{AcrrError, SolverKind};
 use ovnes_topology::graph::{Graph, LinkTech};
-use ovnes_topology::ksp::k_shortest;
+use ovnes_topology::ksp::KShortest;
 use ovnes_topology::operators::{BaseStation, ComputeUnit, CuKind, NetworkModel, Operator};
 use std::ops::ControlFlow;
 
@@ -65,12 +65,16 @@ pub fn testbed_model() -> NetworkModel {
             kind: CuKind::Core,
         },
     ];
+    let mut toward_cu: Vec<KShortest> = compute_units
+        .iter()
+        .map(|cu| KShortest::new(&g, cu.node))
+        .collect();
     let paths = base_stations
         .iter()
         .map(|bs| {
-            compute_units
-                .iter()
-                .map(|cu| k_shortest(&g, bs.node, cu.node, 4))
+            toward_cu
+                .iter_mut()
+                .map(|search| search.paths_from(bs.node, 4))
                 .collect()
         })
         .collect();

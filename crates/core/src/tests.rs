@@ -608,6 +608,24 @@ fn testbed_model_matches_table2() {
 }
 
 #[test]
+fn testbed_paths_refine_the_unbounded_search() {
+    // The fenced path table equals the unbounded Yen search, bit for bit.
+    let m = testbed_model();
+    for (b, bs) in m.base_stations.iter().enumerate() {
+        for (c, cu) in m.compute_units.iter().enumerate() {
+            let want = ovnes_topology::oracle::k_shortest(&m.graph, bs.node, cu.node, 4);
+            let got = &m.paths[b][c];
+            assert_eq!(got.len(), want.len(), "BS {b} CU {c}");
+            for (p, q) in got.iter().zip(&want) {
+                assert_eq!(p.links, q.links, "BS {b} CU {c}");
+                assert_eq!(p.delay_us.to_bits(), q.delay_us.to_bits());
+                assert_eq!(p.bottleneck_mbps.to_bits(), q.bottleneck_mbps.to_bits());
+            }
+        }
+    }
+}
+
+#[test]
 fn testbed_requests_follow_the_schedule() {
     let reqs = testbed_requests();
     assert_eq!(reqs.len(), 9);

@@ -6,7 +6,7 @@
 //! mapping onto paths/CUs; this engine only produces the traffic-level truth.
 
 use crate::middlebox::classify;
-use crate::traffic::TrafficGenerator;
+use crate::traffic::{diurnal_sin, TrafficGenerator};
 use rand::rngs::StdRng;
 
 /// One simulated flow for an epoch.
@@ -87,7 +87,21 @@ pub fn run_epoch(
 ) -> EpochReport {
     assert!(samples_per_epoch > 0, "an epoch needs at least one sample");
     let mut reports = Vec::with_capacity(flows.len());
+    // The diurnal sines of this epoch's samples, once per distinct period.
+    let mut sines: Vec<(usize, Vec<f64>)> = Vec::new();
     for flow in flows {
+        let row = flow.generator.diurnal.map(|(_, period)| {
+            sines
+                .iter()
+                .position(|&(p, _)| p == period)
+                .unwrap_or_else(|| {
+                    let row = (0..samples_per_epoch)
+                        .map(|s| diurnal_sin(first_sample_index + s as u64, period))
+                        .collect();
+                    sines.push((period, row));
+                    sines.len() - 1
+                })
+        });
         let mut peak = 0.0f64;
         let mut sum = 0.0;
         let mut served = 0.0;
@@ -96,8 +110,8 @@ pub fn run_epoch(
         let mut worst_frac = 0.0f64;
         let mut worst_abs = 0.0f64;
         for s in 0..samples_per_epoch {
-            let t = first_sample_index + s as u64;
-            let offered = flow.generator.sample(t, rng);
+            let sin = row.map_or(0.0, |r| sines[r].1[s]);
+            let offered = flow.generator.sample_given(sin, rng);
             let v = classify(offered, flow.sla_mbps, flow.reservation_mbps);
             peak = peak.max(offered);
             sum += offered;

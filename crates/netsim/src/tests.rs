@@ -233,6 +233,40 @@ fn epoch_engine_threads_sample_index() {
 }
 
 #[test]
+fn epoch_engine_shared_sines_match_per_sample_draws() {
+    // `run_epoch` computes each period's sines once per epoch; every draw
+    // must equal the generator's own per-sample `sample`, bit for bit.
+    let gens = [
+        TrafficGenerator::gaussian(40.0, 4.0).with_diurnal(0.3, 24),
+        TrafficGenerator::gaussian(10.0, 2.0),
+        TrafficGenerator::deterministic(30.0).with_diurnal(0.5, 7),
+        TrafficGenerator::gaussian(20.0, 6.0).with_diurnal(0.6, 24),
+    ];
+    let flows: Vec<Flow> = gens
+        .iter()
+        .enumerate()
+        .map(|(i, g)| Flow {
+            key: (i as u32, 0),
+            sla_mbps: 1e9,
+            reservation_mbps: 1e9,
+            generator: g.clone(),
+        })
+        .collect();
+    let (samples, first) = (12, 1_000);
+    let rep = run_epoch(&flows, samples, first, &mut rng(9));
+    let mut r = rng(9);
+    for (flow, got) in flows.iter().zip(&rep.flows) {
+        let draws: Vec<f64> = (0..samples as u64)
+            .map(|s| flow.generator.sample(first + s, &mut r))
+            .collect();
+        let peak = draws.iter().copied().fold(0.0f64, f64::max);
+        let sum: f64 = draws.iter().sum();
+        assert_eq!(got.peak_offered.to_bits(), peak.to_bits());
+        assert_eq!(got.mean_offered.to_bits(), (sum / samples as f64).to_bits());
+    }
+}
+
+#[test]
 fn epoch_engine_mean_tracks_generator() {
     let flows = vec![Flow {
         key: (0, 0),

@@ -58,18 +58,33 @@ impl TrafficGenerator {
 
     /// Instantaneous mean at global sample index `t`.
     pub fn mean_at(&self, t: u64) -> f64 {
-        match self.diurnal {
-            None => self.mean,
-            Some((amp, period)) => {
-                let phase = std::f64::consts::TAU * (t % period as u64) as f64 / period as f64;
-                self.mean * (1.0 + amp * phase.sin())
-            }
-        }
+        self.mean_given(self.phase_sin(t))
     }
 
     /// Draws the offered load for global sample index `t`, truncated at 0.
     pub fn sample(&self, t: u64, rng: &mut StdRng) -> f64 {
-        let mean = self.mean_at(t);
+        self.sample_given(self.phase_sin(t), rng)
+    }
+
+    /// The diurnal sine at sample `t` ([`diurnal_sin`] over this
+    /// generator's period); 0 without seasonality.
+    fn phase_sin(&self, t: u64) -> f64 {
+        self.diurnal
+            .map_or(0.0, |(_, period)| diurnal_sin(t, period))
+    }
+
+    /// The instantaneous mean given the diurnal sine of the sample.
+    fn mean_given(&self, sin: f64) -> f64 {
+        match self.diurnal {
+            None => self.mean,
+            Some((amp, _)) => self.mean * (1.0 + amp * sin),
+        }
+    }
+
+    /// [`TrafficGenerator::sample`] given the diurnal sine of the sample, so
+    /// flows sharing a period share its sines.
+    pub(crate) fn sample_given(&self, sin: f64, rng: &mut StdRng) -> f64 {
+        let mean = self.mean_given(sin);
         if self.sigma == 0.0 {
             return mean;
         }
@@ -80,4 +95,10 @@ impl TrafficGenerator {
         let z = (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos();
         (mean + self.sigma * z).max(0.0)
     }
+}
+
+/// `sin(2π·(t mod period)/period)`, the phase of sample `t` in a diurnal
+/// cycle of `period` samples.
+pub(crate) fn diurnal_sin(t: u64, period: usize) -> f64 {
+    (std::f64::consts::TAU * (t % period as u64) as f64 / period as f64).sin()
 }

@@ -116,6 +116,10 @@ impl Graph {
 
     /// Adds an undirected link; length defaults to the Euclidean distance
     /// between endpoints.
+    ///
+    /// # Panics
+    /// As [`Graph::add_link_with`]; an endpoint with a non-finite coordinate
+    /// gives a non-finite length.
     pub fn add_link(&mut self, a: NodeId, b: NodeId, capacity_mbps: f64, tech: LinkTech) -> LinkId {
         let length = self.distance(a, b);
         self.add_link_with(a, b, capacity_mbps, length, tech, 0.0)
@@ -124,7 +128,9 @@ impl Graph {
     /// Adds a link with explicit length and extra fixed delay.
     ///
     /// # Panics
-    /// Panics on self-loops or unknown endpoints.
+    /// Panics on self-loops or unknown endpoints, on a capacity that is not
+    /// positive, and on a length or extra delay that is not finite and
+    /// non-negative (path searches order by delay and need a real one).
     pub fn add_link_with(
         &mut self,
         a: NodeId,
@@ -140,6 +146,14 @@ impl Graph {
             "unknown endpoint"
         );
         assert!(capacity_mbps > 0.0, "capacity must be positive");
+        assert!(
+            length_km.is_finite() && length_km >= 0.0,
+            "length must be finite and non-negative"
+        );
+        assert!(
+            extra_delay_us.is_finite() && extra_delay_us >= 0.0,
+            "extra delay must be finite and non-negative"
+        );
         let id = LinkId(self.links.len());
         self.links.push(Link {
             a,

@@ -13,9 +13,9 @@
 //! * [`graph`] — an undirected multigraph with per-link capacity, length and
 //!   technology; delays follow the paper's footnote 11 model
 //!   (store-and-forward `12000/C_e`, 4–5 µs/km propagation, 5 µs processing),
-//! * [`dijkstra`] — shortest paths by delay,
+//! * [`dijkstra`] — shortest paths by delay, and the fenced spur search,
 //! * [`ksp`] — Yen's k-shortest loopless paths (the paper's offline path
-//!   precomputation, §2.1.2),
+//!   precomputation, §2.1.2), one shortest-path tree per destination,
 //! * [`operators`] — the N1/N2/N3 generators and the [`operators::NetworkModel`]
 //!   consumed by the orchestrator,
 //! * [`stats`] — empirical CDFs regenerating Fig. 4(d)-(e).
@@ -30,5 +30,7 @@ pub use graph::{Graph, LinkId, LinkTech, NodeId};
 pub use ksp::Path;
 pub use operators::{NetworkModel, Operator};
 
+#[cfg(any(test, feature = "testgen"))]
+pub mod oracle;
 #[cfg(test)]
 mod tests;

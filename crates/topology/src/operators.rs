@@ -19,7 +19,7 @@
 //! unlimited bandwidth.
 
 use crate::graph::{Graph, LinkTech, NodeId};
-use crate::ksp::{k_shortest, Path};
+use crate::ksp::{KShortest, Path};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -361,13 +361,18 @@ fn build(operator: Operator, p: &OperatorParams, config: &GeneratorConfig) -> Ne
         },
     ];
 
-    // Precompute P_{b,c} with Yen's algorithm.
+    // Precompute P_{b,c} with Yen's algorithm: one shortest-path tree per
+    // CU bounds every spur search of every BS toward it (`ksp` docs).
+    let mut toward_cu: Vec<KShortest> = compute_units
+        .iter()
+        .map(|cu| KShortest::new(&g, cu.node))
+        .collect();
     let paths = base_stations
         .iter()
         .map(|bs| {
-            compute_units
-                .iter()
-                .map(|cu| k_shortest(&g, bs.node, cu.node, config.k_paths))
+            toward_cu
+                .iter_mut()
+                .map(|search| search.paths_from(bs.node, config.k_paths))
                 .collect()
         })
         .collect();

@@ -1,9 +1,10 @@
 //! Tests for the graph, pathfinding and topology generators.
 
-use crate::dijkstra::shortest;
-use crate::graph::{Graph, LinkTech};
-use crate::ksp::k_shortest;
+use crate::dijkstra::{settled, shortest, Search, ShortestTree};
+use crate::graph::{Graph, LinkTech, NodeId};
+use crate::ksp::{k_shortest, KShortest, Path};
 use crate::operators::{CuKind, GeneratorConfig, NetworkModel, Operator};
+use crate::oracle;
 use crate::stats::{cdf_at, ecdf, path_capacity_cdf, path_delay_cdf, quantile};
 use proptest::prelude::*;
 
@@ -378,17 +379,14 @@ fn zero_capacity_rejected() {
 #[test]
 fn banned_nodes_block_dijkstra() {
     let g = line_graph(4, 1_000.0);
-    let mut banned_nodes = vec![false; g.num_nodes()];
-    banned_nodes[1] = true; // cut the only route
-    let banned_links = vec![false; g.num_links()];
-    assert!(crate::dijkstra::shortest_path(
-        &g,
-        crate::NodeId(0),
-        crate::NodeId(3),
-        &banned_nodes,
-        &banned_links
-    )
-    .is_none());
+    let tree = ShortestTree::new(&g, crate::NodeId(3));
+    let mut search = Search::new(&g);
+    assert!(search.spur(&g, &tree, crate::NodeId(0)).is_some());
+    search.clear_bans();
+    search.ban_node(crate::NodeId(1)); // cut the only route
+    assert!(search.spur(&g, &tree, crate::NodeId(0)).is_none());
+    search.clear_bans();
+    assert!(search.spur(&g, &tree, crate::NodeId(0)).is_some());
 }
 
 #[test]
@@ -445,4 +443,244 @@ fn quantile_edges() {
     assert_eq!(quantile(&cdf, 0.0), 1.0);
     assert_eq!(quantile(&cdf, 1.0), 4.0);
     assert!(quantile(&[], 0.5).is_nan());
+}
+
+// ---------------------------------------------------------------------------
+// Hostile link delays
+// ---------------------------------------------------------------------------
+
+fn link_with(length_km: f64, extra_delay_us: f64) {
+    let mut g = Graph::new();
+    let a = g.add_node(0.0, 0.0);
+    let b = g.add_node(1.0, 0.0);
+    g.add_link_with(a, b, 1_000.0, length_km, LinkTech::Fiber, extra_delay_us);
+}
+
+#[test]
+#[should_panic(expected = "length must be finite")]
+fn nan_length_rejected() {
+    link_with(f64::NAN, 0.0);
+}
+
+#[test]
+#[should_panic(expected = "length must be finite")]
+fn infinite_length_rejected() {
+    link_with(f64::INFINITY, 0.0);
+}
+
+#[test]
+#[should_panic(expected = "length must be finite")]
+fn negative_length_rejected() {
+    link_with(-1.0, 0.0);
+}
+
+#[test]
+#[should_panic(expected = "extra delay must be finite")]
+fn nan_extra_delay_rejected() {
+    link_with(1.0, f64::NAN);
+}
+
+#[test]
+#[should_panic(expected = "extra delay must be finite")]
+fn infinite_extra_delay_rejected() {
+    link_with(1.0, f64::INFINITY);
+}
+
+#[test]
+#[should_panic(expected = "extra delay must be finite")]
+fn negative_extra_delay_rejected() {
+    link_with(1.0, -5.0);
+}
+
+#[test]
+#[should_panic(expected = "length must be finite")]
+fn nan_coordinate_rejected() {
+    let mut g = Graph::new();
+    let a = g.add_node(0.0, 0.0);
+    let b = g.add_node(f64::NAN, 0.0);
+    g.add_link(a, b, 1_000.0, LinkTech::Fiber);
+}
+
+// ---------------------------------------------------------------------------
+// Path tables against the unbounded search
+// ---------------------------------------------------------------------------
+
+/// Asserts two path lists equal link for link and bit for bit.
+fn assert_same_paths(got: &[Path], want: &[Path], what: &str) {
+    assert_eq!(got.len(), want.len(), "{what}: path count");
+    for (i, (p, q)) in got.iter().zip(want).enumerate() {
+        assert_eq!(p.links, q.links, "{what}: path {i} links");
+        assert_eq!(
+            p.delay_us.to_bits(),
+            q.delay_us.to_bits(),
+            "{what}: path {i} delay"
+        );
+        assert_eq!(
+            p.bottleneck_mbps.to_bits(),
+            q.bottleneck_mbps.to_bits(),
+            "{what}: path {i} bottleneck"
+        );
+    }
+}
+
+/// Checks every (BS, CU) list of a generated model against the oracle and
+/// returns how many lists it compared.
+fn check_model(op: Operator, scale: f64, seed: u64, k: usize) -> usize {
+    let m = NetworkModel::generate(
+        op,
+        &GeneratorConfig {
+            scale,
+            seed,
+            k_paths: k,
+        },
+    );
+    let mut lists = 0;
+    for (b, bs) in m.base_stations.iter().enumerate() {
+        for (c, cu) in m.compute_units.iter().enumerate() {
+            let want = oracle::k_shortest(&m.graph, bs.node, cu.node, k);
+            let what = format!("{op:?} scale {scale} seed {seed} k {k} BS {b} CU {c}");
+            assert_same_paths(&m.paths[b][c], &want, &what);
+            lists += 1;
+        }
+    }
+    lists
+}
+
+#[test]
+fn path_tables_refine_the_unbounded_search() {
+    // The full sweep runs in release (CI); a debug build checks a corner of
+    // it, every operator and k at the small scales.
+    let (scales, seeds): (&[f64], &[u64]) = if cfg!(debug_assertions) {
+        (&[0.025, 0.05, 0.1], &[1, 18])
+    } else {
+        (
+            &[0.025, 0.05, 0.1, 0.15, 0.25, 0.5, 1.0],
+            &[1, 2, 3, 7, 18, 42],
+        )
+    };
+    let mut lists = 0;
+    for op in Operator::all() {
+        for &scale in scales {
+            for &seed in seeds {
+                for k in [1, 2, 4, 8] {
+                    lists += check_model(op, scale, seed, k);
+                }
+            }
+        }
+    }
+    assert!(lists > 0);
+}
+
+/// An `n`×`n` grid whose links all have the same delay, exactly 5 µs
+/// (unlimited capacity, zero length): every monotone route between two
+/// nodes ties exactly, so the heap order alone picks. Node ids are
+/// scrambled across the grid (position `p` gets id `7p mod n²`), so the
+/// id tie-break does not follow the rows.
+fn unit_grid(n: usize) -> Graph {
+    let nn = n * n;
+    assert_ne!(nn % 7, 0, "7 must be invertible mod n²");
+    let id = |p: usize| NodeId(p * 7 % nn);
+    let mut at = vec![(0.0, 0.0); nn];
+    for p in 0..nn {
+        at[id(p).0] = ((p % n) as f64, (p / n) as f64);
+    }
+    let mut g = Graph::new();
+    for &(x, y) in &at {
+        g.add_node(x, y);
+    }
+    for p in 0..nn {
+        let (x, y) = (p % n, p / n);
+        if x + 1 < n {
+            g.add_link_with(id(p), id(p + 1), f64::INFINITY, 0.0, LinkTech::Virtual, 0.0);
+        }
+        if y + 1 < n {
+            g.add_link_with(id(p), id(p + n), f64::INFINITY, 0.0, LinkTech::Virtual, 0.0);
+        }
+    }
+    g
+}
+
+#[test]
+fn unit_grid_ties_resolve_as_the_unbounded_search() {
+    let n = 6;
+    let g = unit_grid(n);
+    for dst in 0..n * n {
+        let mut search = KShortest::new(&g, NodeId(dst));
+        for src in 0..n * n {
+            for k in [1, 2, 4, 8] {
+                let want = oracle::k_shortest(&g, NodeId(src), NodeId(dst), k);
+                let got = search.paths_from(NodeId(src), k);
+                assert_same_paths(&got, &want, &format!("grid {src} -> {dst}, k {k}"));
+            }
+        }
+    }
+}
+
+#[test]
+fn a_star_alone_breaks_grid_ties_differently() {
+    // Why the corridor pass exists: A*'s own path has the optimal delay but,
+    // under exact ties, not always the unbounded Dijkstra's links.
+    let n = 6;
+    let g = unit_grid(n);
+    let nothing = (vec![false; g.num_nodes()], vec![false; g.num_links()]);
+    let mut differ = 0;
+    for dst in 0..n * n {
+        let tree = ShortestTree::new(&g, NodeId(dst));
+        let mut search = Search::new(&g);
+        for src in (0..n * n).filter(|&s| s != dst) {
+            let (want, delay) =
+                oracle::shortest_path(&g, NodeId(src), NodeId(dst), &nothing.0, &nothing.1)
+                    .unwrap();
+            let a_star_delay = search.a_star(&g, &tree, NodeId(src)).unwrap();
+            let (a_star, _) = search.labelled_path(&g, NodeId(src), NodeId(dst)).unwrap();
+            assert_eq!(a_star_delay.to_bits(), delay.to_bits());
+            differ += usize::from(a_star != want);
+            assert_eq!(search.spur(&g, &tree, NodeId(src)).unwrap().0, want);
+        }
+    }
+    assert!(differ > 0, "A* matched Dijkstra on every grid tie");
+}
+
+// ---------------------------------------------------------------------------
+// Settled-node counts
+// ---------------------------------------------------------------------------
+
+/// Nodes settled building the Romanian seed-18, k = 4 path table at `scale`:
+/// (fenced search, unbounded oracle, BS count).
+fn settled_for_table(scale: f64) -> (u64, u64, usize) {
+    let cfg = GeneratorConfig {
+        scale,
+        seed: 18,
+        k_paths: 4,
+    };
+    let before = settled::total();
+    let m = NetworkModel::generate(Operator::Romanian, &cfg);
+    let fenced = settled::total() - before;
+    let before = settled::total();
+    for bs in &m.base_stations {
+        for cu in &m.compute_units {
+            oracle::k_shortest(&m.graph, bs.node, cu.node, cfg.k_paths);
+        }
+    }
+    (fenced, settled::total() - before, m.base_stations.len())
+}
+
+#[test]
+fn fenced_search_settles_pinned_node_counts() {
+    // Counts, not timings: both trees, every A* and every corridor pass,
+    // against the unbounded search's pops. They move only with a change to
+    // the search or to the generator. The last column caps the fenced
+    // share of the oracle's work, in percent.
+    let pinned = [
+        (0.025, 5, 397, 382, 110),
+        (0.1, 20, 2_717, 4_563, 100),
+        (0.25, 50, 13_737, 35_366, 45),
+        (1.0, 198, 193_839, 898_364, 25),
+    ];
+    for (scale, n_bs, fenced_pin, oracle_pin, max_share) in pinned {
+        let (fenced, oracle, bs) = settled_for_table(scale);
+        assert_eq!(bs, n_bs);
+        assert_eq!((fenced, oracle), (fenced_pin, oracle_pin), "{bs} BS");
+        assert!(fenced * 100 <= oracle * max_share, "{bs} BS");
+    }
 }
