@@ -1,0 +1,308 @@
+//! Pinned digests of what each admission solver returns.
+//!
+//! Every [`SolverKind`] solves about a dozen seeded instances on generated
+//! Romanian (N1) topologies: relaxed (§3.4 deficit) and strict, with and
+//! without forced and pinned tenants, squeezed capacities so that slices
+//! are rejected, and `overbooking = false` instances, the only ones the
+//! no-overbooking baseline accepts. Per solver kind, one FNV-1a hash covers
+//! the bits of every allocation: objective, CU assignment, reservations,
+//! deficit, the solve counters and every `LpStats` counter.
+//!
+//! The constants are a refinement check for refactors of the solver
+//! internals: the same bits before and after. The simplex options are
+//! pinned like `tests/kernel_counts.rs` does, so the digests repeat on the
+//! fault-injection and refactorization-interval CI legs, and the
+//! branch-and-bound results are deterministic in the worker count. A
+//! constant moves only in a change that means to move a decision or a
+//! count.
+
+use ovnes::problem::{AcrrInstance, Allocation, PathPolicy, TenantInput};
+use ovnes::slice::{SliceClass, SliceTemplate};
+use ovnes::solver::{baseline, benders, kac, oneshot, AcrrError, SolverKind};
+use ovnes_lp::{LpStats, SimplexOptions};
+use ovnes_milp::MilpOptions;
+use ovnes_topology::operators::{GeneratorConfig, NetworkModel, Operator};
+
+/// No ambient fault plan and the default refactorization interval spelled
+/// out (see the module docs).
+fn pinned() -> SimplexOptions {
+    SimplexOptions {
+        fault: None,
+        refactor_interval: 128,
+        ..SimplexOptions::default()
+    }
+}
+
+/// One instance: topology seed, tenants, capacity squeeze (radio and
+/// compute multiplied by it), overbooking, deficit relaxation, and how
+/// many leading tenants are forced (`must_accept`) and of those, how many
+/// are also pinned to their first allowed CU.
+struct Case {
+    topology_seed: u64,
+    tenants: usize,
+    squeeze: f64,
+    overbooking: bool,
+    deficit: bool,
+    forced: usize,
+    pinned: usize,
+}
+
+#[rustfmt::skip]
+const CASES: [Case; 12] = [
+    Case { topology_seed: 1,  tenants: 3, squeeze: 1.0,  overbooking: true,  deficit: false, forced: 0, pinned: 0 },
+    Case { topology_seed: 2,  tenants: 4, squeeze: 0.3,  overbooking: true,  deficit: true,  forced: 0, pinned: 0 },
+    Case { topology_seed: 3,  tenants: 5, squeeze: 0.15, overbooking: true,  deficit: false, forced: 0, pinned: 0 },
+    Case { topology_seed: 4,  tenants: 4, squeeze: 0.1,  overbooking: true,  deficit: true,  forced: 2, pinned: 1 },
+    Case { topology_seed: 5,  tenants: 5, squeeze: 0.25, overbooking: true,  deficit: false, forced: 1, pinned: 1 },
+    Case { topology_seed: 6,  tenants: 3, squeeze: 0.05, overbooking: true,  deficit: true,  forced: 3, pinned: 2 },
+    Case { topology_seed: 7,  tenants: 4, squeeze: 1.0,  overbooking: false, deficit: false, forced: 0, pinned: 0 },
+    Case { topology_seed: 8,  tenants: 5, squeeze: 0.2,  overbooking: false, deficit: true,  forced: 0, pinned: 0 },
+    Case { topology_seed: 9,  tenants: 4, squeeze: 0.15, overbooking: false, deficit: false, forced: 1, pinned: 0 },
+    Case { topology_seed: 10, tenants: 5, squeeze: 0.1,  overbooking: false, deficit: true,  forced: 2, pinned: 2 },
+    Case { topology_seed: 11, tenants: 3, squeeze: 0.05, overbooking: false, deficit: true,  forced: 3, pinned: 1 },
+    Case { topology_seed: 12, tenants: 6, squeeze: 0.3,  overbooking: true,  deficit: true,  forced: 1, pinned: 0 },
+];
+
+/// Per solver kind, the digest over every case it solves.
+const PINNED: [(SolverKind, u64); 4] = [
+    (SolverKind::Benders, 0xeb6e_8384_f756_880b),
+    (SolverKind::Kac, 0x1a8b_e026_9f0b_8ac9),
+    (SolverKind::OneShot, 0x82ed_0be3_2230_e89d),
+    (SolverKind::NoOverbooking, 0x55ed_2d44_d93d_6646),
+];
+
+fn instance(case: &Case) -> AcrrInstance {
+    let mut model = NetworkModel::generate(
+        Operator::Romanian,
+        &GeneratorConfig {
+            scale: 0.025,
+            seed: case.topology_seed,
+            k_paths: 3,
+        },
+    );
+    for bs in &mut model.base_stations {
+        bs.capacity_mhz *= case.squeeze;
+    }
+    for cu in &mut model.compute_units {
+        cu.cores *= case.squeeze;
+    }
+    let n_bs = model.base_stations.len();
+    let classes = [SliceClass::Embb, SliceClass::Urllc, SliceClass::Mmtc];
+    let seed = case.topology_seed as usize;
+    let mut tenants: Vec<TenantInput> = (0..case.tenants)
+        .map(|i| {
+            let t = SliceTemplate::for_class(classes[(i + seed) % 3]);
+            let alpha = 0.15 + 0.1 * ((i * 7 + seed) % 6) as f64;
+            TenantInput {
+                tenant: (100 * seed + i) as u32,
+                sla_mbps: t.sla_mbps,
+                reward: t.reward,
+                penalty: t.reward * (1.0 + (i % 3) as f64),
+                delay_budget_us: t.delay_budget_us,
+                service: t.service,
+                forecast_mbps: (0..n_bs)
+                    .map(|b| alpha * t.sla_mbps * (1.0 + 0.05 * b as f64))
+                    .collect(),
+                sigma: 0.05 + 0.1 * ((i + seed) % 4) as f64,
+                duration_weight: 1.0,
+                must_accept: i < case.forced,
+                pinned_cu: None,
+            }
+        })
+        .collect();
+    let deficit_cost = case.deficit.then_some(1e4);
+    if case.pinned > 0 {
+        let free = AcrrInstance::build(
+            &model,
+            tenants.clone(),
+            PathPolicy::Spread,
+            case.overbooking,
+            deficit_cost,
+        );
+        for (t, tenant) in tenants.iter_mut().enumerate().take(case.pinned) {
+            tenant.pinned_cu = free.cu_allowed[t].iter().position(|&a| a);
+        }
+    }
+    AcrrInstance::build(
+        &model,
+        tenants,
+        PathPolicy::Spread,
+        case.overbooking,
+        deficit_cost,
+    )
+}
+
+/// Solves `instance` with `kind`; `budgeted` caps the MILP solvers at two
+/// branch-and-bound nodes and Benders at two rounds, so their truncated
+/// incumbents are digested too (KAC has no budget).
+fn solve(
+    kind: SolverKind,
+    instance: &AcrrInstance,
+    budgeted: bool,
+) -> Result<Allocation, AcrrError> {
+    let milp = MilpOptions {
+        simplex: pinned(),
+        max_nodes: if budgeted {
+            2
+        } else {
+            MilpOptions::default().max_nodes
+        },
+        ..MilpOptions::default()
+    };
+    match kind {
+        SolverKind::Benders => benders::solve(
+            instance,
+            &benders::BendersOptions {
+                milp,
+                max_iterations: if budgeted { 2 } else { 60 },
+                ..benders::BendersOptions::default()
+            },
+        ),
+        SolverKind::Kac => kac::solve(instance, &pinned()),
+        SolverKind::OneShot => oneshot::solve(instance, &milp),
+        SolverKind::NoOverbooking => baseline::solve(instance, &milp),
+    }
+}
+
+/// FNV-1a over 64-bit words.
+struct Fnv(u64);
+
+impl Fnv {
+    fn word(&mut self, w: u64) {
+        for byte in w.to_le_bytes() {
+            self.0 ^= u64::from(byte);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    fn float(&mut self, x: f64) {
+        self.word(x.to_bits());
+    }
+}
+
+fn digest_into(h: &mut Fnv, result: &Result<Allocation, AcrrError>) {
+    let a = match result {
+        Ok(a) => a,
+        Err(e) => {
+            let code = match e {
+                AcrrError::ForcedInfeasible => 1,
+                AcrrError::Infeasible => 2,
+                AcrrError::Engine(_) => 3,
+                AcrrError::Internal(_) => 4,
+                AcrrError::Config(_) => 5,
+            };
+            h.word(u64::MAX - code);
+            return;
+        }
+    };
+    h.float(a.objective);
+    for cu in &a.assigned_cu {
+        h.word(cu.map_or(u64::MAX, |c| c as u64));
+    }
+    for row in &a.reservations {
+        for &z in row {
+            h.float(z);
+        }
+    }
+    h.float(a.deficit.0);
+    h.float(a.deficit.1);
+    h.float(a.deficit.2);
+    let s = &a.stats;
+    for w in [
+        s.iterations,
+        s.lp_solves,
+        usize::from(s.truncated),
+        s.carry_cold_restarts,
+        s.carry_certified,
+        s.carry_certified_perturbed,
+    ] {
+        h.word(w as u64);
+    }
+    h.float(s.gap);
+    let LpStats {
+        phase1_pivots,
+        phase2_pivots,
+        dual_pivots,
+        refactorizations,
+        factorization_reuses,
+        fill_in,
+        eta_len_end,
+        warm_starts,
+        cold_starts,
+        bound_flips,
+        pricing_scans,
+        candidate_refreshes,
+        eta_compressions,
+        hypersparse_ftrans,
+        hypersparse_btrans,
+        pivot_scan_work,
+    } = s.lp;
+    for w in [
+        phase1_pivots,
+        phase2_pivots,
+        dual_pivots,
+        refactorizations,
+        factorization_reuses,
+        fill_in,
+        eta_len_end,
+        warm_starts,
+        cold_starts,
+        bound_flips,
+        pricing_scans,
+        candidate_refreshes,
+        eta_compressions,
+        hypersparse_ftrans,
+        hypersparse_btrans,
+    ] {
+        h.word(w as u64);
+    }
+    h.word(pivot_scan_work);
+}
+
+#[test]
+fn every_solver_kind_reproduces_its_pinned_digest() {
+    let instances: Vec<AcrrInstance> = CASES.iter().map(instance).collect();
+    let mut got = Vec::new();
+    for (kind, _) in PINNED {
+        let mut h = Fnv(0xcbf2_9ce4_8422_2325);
+        for (case, inst) in CASES.iter().zip(&instances) {
+            if kind == SolverKind::NoOverbooking && case.overbooking {
+                continue; // the baseline refuses overbooking instances
+            }
+            for budgeted in [false, true] {
+                digest_into(&mut h, &solve(kind, inst, budgeted));
+            }
+        }
+        got.push((kind, h.0));
+    }
+    let printed: Vec<String> = got
+        .iter()
+        .map(|(kind, d)| format!("({kind:?}, {d:#018x})"))
+        .collect();
+    assert_eq!(got, PINNED, "digests moved: {}", printed.join(", "));
+}
+
+/// The cases exercise what the module docs say they do: each kind rejects
+/// somebody somewhere, the relaxed cases draw on the deficit, and pinned
+/// tenants stay on their CU.
+#[test]
+fn the_cases_cover_rejection_deficit_and_pinning() {
+    let (mut rejected, mut deficit, mut pinned_kept) = (0, 0, 0);
+    for case in &CASES {
+        let inst = instance(case);
+        for kind in [SolverKind::Benders, SolverKind::Kac, SolverKind::OneShot] {
+            let Ok(a) = solve(kind, &inst, false) else {
+                continue;
+            };
+            rejected += usize::from(a.accepted() < a.assigned_cu.len());
+            deficit += usize::from(a.deficit.0 + a.deficit.1 + a.deficit.2 > 0.0);
+            for (t, tenant) in inst.tenants.iter().enumerate() {
+                if let Some(c) = tenant.pinned_cu {
+                    assert_eq!(a.assigned_cu[t], Some(c), "{kind:?}: pinned tenant moved");
+                    pinned_kept += 1;
+                }
+            }
+        }
+    }
+    assert!(rejected > 0 && deficit > 0 && pinned_kept > 0);
+}
