@@ -211,10 +211,11 @@ struct ActiveSlice {
 
 /// Wall-clock seconds spent in each orchestrator phase of one epoch
 /// (the `revalidate → forecast → solve → admit → simulate` pipeline of
-/// [`Orchestrator::step`]). Captured only while `ovnes-obs` is enabled —
-/// all-zero otherwise, except [`EpochPhaseSeconds::solve`], which always
-/// mirrors [`EpochOutcome::decision_seconds`]. **Not deterministic** —
-/// scenario fingerprints must never include these.
+/// [`Orchestrator::step`]). Each is the inclusive time of the phase's
+/// `ovnes-obs` span (`epoch;<phase>`), so all-zero while observability is
+/// off, except [`EpochPhaseSeconds::solve`], which always mirrors
+/// [`EpochOutcome::decision_seconds`]. **Not deterministic** — scenario
+/// fingerprints must never include these.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct EpochPhaseSeconds {
     /// Infra event application + active-set revalidation (step 0).
@@ -237,22 +238,6 @@ impl EpochPhaseSeconds {
         self.solve += other.solve;
         self.admit += other.admit;
         self.simulate += other.simulate;
-    }
-}
-
-/// Starts a wall-clock only when observability is on; `stop` writes the
-/// elapsed seconds into the phase slot (no clock read when off).
-struct PhaseTimer(Option<Instant>);
-
-impl PhaseTimer {
-    fn start(enabled: bool) -> Self {
-        PhaseTimer(enabled.then(Instant::now))
-    }
-
-    fn stop(self, slot: &mut f64) {
-        if let Some(started) = self.0 {
-            *slot = started.elapsed().as_secs_f64();
-        }
     }
 }
 
@@ -649,20 +634,14 @@ impl Orchestrator {
         let epoch = self.epoch;
         let n_bs = self.model.base_stations.len();
         let _epoch_span = ovnes_obs::span!("epoch", epoch = epoch as i64);
-        let obs_on = ovnes_obs::enabled();
-        let mut phase_seconds = EpochPhaseSeconds::default();
 
         // 0. Infrastructure: apply due events, then revalidate the active
         // set against the shrunken model (re-home / evict / trim) so the
         // admission solve below starts from an enforceable state.
-        let (infra_events, (evicted, rehomed, eviction_penalty)) = {
-            let _span = ovnes_obs::span!("revalidate");
-            let timer = PhaseTimer::start(obs_on);
-            let infra_events = self.apply_due_events(epoch);
-            let revalidated = self.revalidate_active();
-            timer.stop(&mut phase_seconds.revalidate);
-            (infra_events, revalidated)
-        };
+        let revalidate_span = ovnes_obs::span!("revalidate");
+        let infra_events = self.apply_due_events(epoch);
+        let (evicted, rehomed, eviction_penalty) = self.revalidate_active();
+        let revalidate_seconds = revalidate_span.close();
 
         // 1. Arrivals: requests whose time has come move into consideration.
         let mut pending: Vec<SliceRequest> = Vec::new();
@@ -680,48 +659,36 @@ impl Orchestrator {
         // random draws each gets (step 5).
         pending.sort_by_key(|r| r.arrival_epoch);
 
-        // 2. Assemble tenant inputs: active slices first (forced), then
-        // pending requests.
+        // 2. Assemble tenant inputs: active slices first, each forced and
+        // pinned to its CU, then pending requests.
         let forecast_span = ovnes_obs::span!("forecast");
-        let forecast_timer = PhaseTimer::start(obs_on);
+        let tenant_input = |req: &SliceRequest, pinned_cu: Option<usize>| {
+            let (forecast_mbps, sigma) = self.forecast_for(req);
+            TenantInput {
+                tenant: req.tenant,
+                sla_mbps: req.template.sla_mbps,
+                reward: req.template.reward,
+                penalty: req.penalty,
+                delay_budget_us: req.template.delay_budget_us,
+                service: req.template.service,
+                forecast_mbps,
+                sigma,
+                duration_weight: DURATION_WEIGHT,
+                must_accept: pinned_cu.is_some(),
+                pinned_cu,
+            }
+        };
         let mut tenants: Vec<TenantInput> = Vec::new();
         let mut req_of: Vec<SliceRequest> = Vec::new();
         for a in &self.active {
-            let (forecast, sigma) = self.forecast_for(&a.request);
-            tenants.push(TenantInput {
-                tenant: a.request.tenant,
-                sla_mbps: a.request.template.sla_mbps,
-                reward: a.request.template.reward,
-                penalty: a.request.penalty,
-                delay_budget_us: a.request.template.delay_budget_us,
-                service: a.request.template.service,
-                forecast_mbps: forecast,
-                sigma,
-                duration_weight: DURATION_WEIGHT,
-                must_accept: true,
-                pinned_cu: Some(a.cu),
-            });
+            tenants.push(tenant_input(&a.request, Some(a.cu)));
             req_of.push(a.request.clone());
         }
         for r in &pending {
-            let (forecast, sigma) = self.forecast_for(r);
-            tenants.push(TenantInput {
-                tenant: r.tenant,
-                sla_mbps: r.template.sla_mbps,
-                reward: r.template.reward,
-                penalty: r.penalty,
-                delay_budget_us: r.template.delay_budget_us,
-                service: r.template.service,
-                forecast_mbps: forecast,
-                sigma,
-                duration_weight: DURATION_WEIGHT,
-                must_accept: false,
-                pinned_cu: None,
-            });
+            tenants.push(tenant_input(r, None));
             req_of.push(r.clone());
         }
-        forecast_timer.stop(&mut phase_seconds.forecast);
-        drop(forecast_span);
+        let forecast_seconds = forecast_span.close();
 
         // 3. Solve AC-RR through the degradation ladder — never aborts.
         let instance = AcrrInstance::build(
@@ -754,7 +721,6 @@ impl Orchestrator {
             None => (solver::solve_controlled(&instance, &controls), None),
         };
         let decision_seconds = solve_started.elapsed().as_secs_f64();
-        phase_seconds.solve = decision_seconds;
         drop(solve_span);
         let degradation = controlled.degradation;
         let solver_error = controlled.error.as_ref().map(|e| e.to_string());
@@ -767,7 +733,6 @@ impl Orchestrator {
         // is no decision: active slices keep their previous reservations and
         // every pending request is rejected (re-applying under its patience).
         let admit_span = ovnes_obs::span!("admit");
-        let admit_timer = PhaseTimer::start(obs_on);
         let n_active_before = self.active.len();
         // `instance.tenants` index of each active slice, in `active` order.
         let mut instance_tenant: Vec<usize> = (0..n_active_before).collect();
@@ -838,8 +803,7 @@ impl Orchestrator {
             }
         }
 
-        admit_timer.stop(&mut phase_seconds.admit);
-        drop(admit_span);
+        let admit_seconds = admit_span.close();
 
         // 5. Simulate the epoch through the middlebox. The demand of
         // rejected tenants is sampled too (the paper's simulations learn
@@ -847,7 +811,6 @@ impl Orchestrator {
         // never register as violations and never enter utilisation/revenue
         // accounting.
         let simulate_span = ovnes_obs::span!("simulate");
-        let simulate_timer = PhaseTimer::start(obs_on);
         let mut flows = Vec::new();
         let mk_gen = |req: &SliceRequest| {
             let mut gen = TrafficGenerator::gaussian(req.true_mean_mbps, req.true_sigma_mbps);
@@ -883,8 +846,7 @@ impl Orchestrator {
             &mut self.rng,
         );
         self.sample_index = report.next_sample_index;
-        simulate_timer.stop(&mut phase_seconds.simulate);
-        drop(simulate_span);
+        let simulate_seconds = simulate_span.close();
 
         // 6. Monitoring feedback: record per-flow peaks.
         for f in &report.flows {
@@ -976,10 +938,12 @@ impl Orchestrator {
             self.model.graph.link(LinkId(gid)).capacity_mbps
         });
 
-        // 9. Ageing: expire slices whose duration elapsed.
+        // 9. Ageing: expire slices whose duration elapsed. A zero lifetime
+        // saturates, so it expires with the epoch that admitted it, like a
+        // lifetime of one; `u32::MAX` lives forever.
         for a in self.active.iter_mut() {
             if a.remaining != u32::MAX {
-                a.remaining -= 1;
+                a.remaining = a.remaining.saturating_sub(1);
             }
         }
         self.active.retain(|a| a.remaining > 0);
@@ -1024,7 +988,13 @@ impl Orchestrator {
             degradation,
             solver_error,
             decision_seconds,
-            phase_seconds,
+            phase_seconds: EpochPhaseSeconds {
+                revalidate: revalidate_seconds,
+                forecast: forecast_seconds,
+                solve: decision_seconds,
+                admit: admit_seconds,
+                simulate: simulate_seconds,
+            },
             incremental,
             overcommit: (over_radio, over_link, over_cu),
         })

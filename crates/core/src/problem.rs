@@ -280,6 +280,20 @@ impl AcrrInstance {
         Some(risk - t.reward)
     }
 
+    /// `Σ_τ Γ_{τ,c}` over the admitted (tenant, CU) pairs of `assigned`,
+    /// summed in tenant order: the fixed part of an admission's objective,
+    /// to which a slave adds its reservation value. `None` when a tenant is
+    /// assigned a CU it is not allowed on.
+    pub fn admission_cost(&self, assigned: &[Option<usize>]) -> Option<f64> {
+        let mut cost = 0.0;
+        for (t, c) in assigned.iter().enumerate() {
+            if let Some(c) = *c {
+                cost += self.gamma(t, c)?;
+            }
+        }
+        Some(cost)
+    }
+
     /// All allowed (tenant, cu) pairs.
     pub fn pairs(&self) -> Vec<(usize, usize)> {
         let mut out = Vec::new();
@@ -336,6 +350,32 @@ pub struct Allocation {
 }
 
 impl Allocation {
+    /// The allocation of an admission decision: each admitted tenant's
+    /// reservation at BS `b` is `leg_z(li)` of the leg `li` of its
+    /// (tenant, CU) pair at `b`; rejected tenants reserve nothing.
+    pub(crate) fn from_legs(
+        instance: &AcrrInstance,
+        objective: f64,
+        assigned_cu: Vec<Option<usize>>,
+        leg_z: impl Fn(usize) -> f64,
+        deficit: (f64, f64, f64),
+        stats: SolveStats,
+    ) -> Allocation {
+        let mut reservations = vec![vec![0.0; instance.n_bs]; instance.tenants.len()];
+        for (li, leg) in instance.legs.iter().enumerate() {
+            if assigned_cu[leg.tenant] == Some(leg.cu) {
+                reservations[leg.tenant][leg.bs] = leg_z(li);
+            }
+        }
+        Allocation {
+            objective,
+            assigned_cu,
+            reservations,
+            deficit,
+            stats,
+        }
+    }
+
     /// Number of accepted tenants.
     pub fn accepted(&self) -> usize {
         self.assigned_cu.iter().filter(|c| c.is_some()).count()

@@ -7,10 +7,10 @@
 //! rows. The paper solves this with its optimal method, making the baseline
 //! an upper bound among non-overbooking policies; so do we.
 
-use super::AcrrError;
-use crate::problem::{AcrrInstance, Allocation, SolveStats};
+use super::{add_deficit_vars, solve_admission_milp, AcrrError, Admission};
+use crate::problem::{AcrrInstance, Allocation};
 use ovnes_lp::{Cmp, Problem, VarId};
-use ovnes_milp::{Milp, MilpOptions, MilpOutcome};
+use ovnes_milp::MilpOptions;
 
 /// Solves the no-overbooking admission problem optimally. Node, pivot and
 /// wall limits and LP fault injection arrive through `options`; a limited
@@ -28,54 +28,26 @@ pub fn solve(instance: &AcrrInstance, options: &MilpOptions) -> Result<Allocatio
     if !instance.forced_feasible() {
         return Err(AcrrError::ForcedInfeasible);
     }
-    let pairs = instance.pairs();
-    let n_t = instance.tenants.len();
     let mut p = Problem::new();
 
     // Objective: −Σ R·u (γ reduces to −R since q = 0 without overbooking).
-    let u_vars: Vec<((usize, usize), VarId)> = pairs
-        .iter()
-        .map(|&(t, c)| ((t, c), p.add_var(0.0, 1.0, -instance.tenants[t].reward)))
-        .collect();
-
-    let deficit_vars = instance.deficit_cost.map(|m| {
-        (
-            p.add_var(0.0, f64::INFINITY, m),
-            p.add_var(0.0, f64::INFINITY, m),
-            p.add_var(0.0, f64::INFINITY, m),
-        )
-    });
-
-    for t in 0..n_t {
-        let row: Vec<(VarId, f64)> = u_vars
-            .iter()
-            .filter(|((ti, _), _)| *ti == t)
-            .map(|(_, v)| (*v, 1.0))
-            .collect();
-        if row.is_empty() {
-            continue;
-        }
-        let cmp = if instance.tenants[t].must_accept {
-            Cmp::Eq
-        } else {
-            Cmp::Le
-        };
-        p.add_cons(&row, cmp, 1.0);
-    }
+    let admission = Admission::new(instance, &mut p, |t, _| Some(-instance.tenants[t].reward))?;
+    let deficit_vars = add_deficit_vars(&mut p, instance.deficit_cost);
+    admission.add_rows(instance, &mut p);
 
     // Capacity rows with z = Λ·u substituted.
     // CU: Σ_τ (a_τ + b_τ·Σ_b Λ_τ)·u_{τ,c} ≤ C_c.
     for c in 0..instance.n_cu {
         let mut row: Vec<(VarId, f64)> = Vec::new();
-        for ((t, ci), v) in &u_vars {
-            if *ci != c {
+        for ((t, ci), v) in admission.iter() {
+            if ci != c {
                 continue;
             }
-            let ten = &instance.tenants[*t];
-            let legs = instance.legs_of(*t, c).len() as f64;
+            let ten = &instance.tenants[t];
+            let legs = instance.legs_of(t, c).len() as f64;
             let load = ten.service.base_cores + ten.service.cores_per_mbps * ten.sla_mbps * legs;
             if load != 0.0 {
-                row.push((*v, load));
+                row.push((v, load));
             }
         }
         if let Some((_, _, dc)) = deficit_vars {
@@ -87,16 +59,16 @@ pub fn solve(instance: &AcrrInstance, options: &MilpOptions) -> Result<Allocatio
     // Links: Σ legs crossing e contribute Λ·u of their pair.
     for (e, &cap) in instance.link_caps.iter().enumerate() {
         let mut row: Vec<(VarId, f64)> = Vec::new();
-        for ((t, c), v) in &u_vars {
+        for ((t, c), v) in admission.iter() {
             let crossings = instance
-                .legs_of(*t, *c)
+                .legs_of(t, c)
                 .iter()
                 .filter(|l| l.links.contains(&e))
                 .count() as f64;
             if crossings > 0.0 {
                 row.push((
-                    *v,
-                    crossings * instance.eta_transport * instance.tenants[*t].sla_mbps,
+                    v,
+                    crossings * instance.eta_transport * instance.tenants[t].sla_mbps,
                 ));
             }
         }
@@ -112,9 +84,9 @@ pub fn solve(instance: &AcrrInstance, options: &MilpOptions) -> Result<Allocatio
     // Radio: per BS, Σ_pairs Λ/η_b · u ≤ C_b.
     for b in 0..instance.n_bs {
         let mut row: Vec<(VarId, f64)> = Vec::new();
-        for ((t, c), v) in &u_vars {
-            if instance.legs_of(*t, *c).iter().any(|l| l.bs == b) {
-                row.push((*v, instance.tenants[*t].sla_mbps / instance.mbps_per_mhz[b]));
+        for ((t, c), v) in admission.iter() {
+            if instance.legs_of(t, c).iter().any(|l| l.bs == b) {
+                row.push((v, instance.tenants[t].sla_mbps / instance.mbps_per_mhz[b]));
             }
         }
         if let Some((dr, _, _)) = deficit_vars {
@@ -123,43 +95,8 @@ pub fn solve(instance: &AcrrInstance, options: &MilpOptions) -> Result<Allocatio
         p.add_cons(&row, Cmp::Le, instance.bs_radio_mhz[b]);
     }
 
-    let mut milp = Milp::new(p);
-    for (_, v) in &u_vars {
-        milp.mark_integer(*v);
-    }
-    milp.set_options(options.clone());
-    let sol = match milp.solve()? {
-        MilpOutcome::Optimal(s) => s,
-        MilpOutcome::Infeasible => return Err(AcrrError::Infeasible),
-        MilpOutcome::Unbounded => return Err(AcrrError::Internal("bounded binaries")),
-    };
-
-    let mut assigned: Vec<Option<usize>> = vec![None; n_t];
-    for ((t, c), v) in &u_vars {
-        if sol.value(*v) > 0.5 {
-            assigned[*t] = Some(*c);
-        }
-    }
-    let mut reservations = vec![vec![0.0; instance.n_bs]; n_t];
-    for leg in &instance.legs {
-        if assigned[leg.tenant] == Some(leg.cu) {
-            reservations[leg.tenant][leg.bs] = instance.tenants[leg.tenant].sla_mbps;
-        }
-    }
-    let deficit = deficit_vars
-        .map(|(r, b, c)| (sol.value(r), sol.value(b), sol.value(c)))
-        .unwrap_or((0.0, 0.0, 0.0));
-    Ok(Allocation {
-        objective: sol.objective,
-        assigned_cu: assigned,
-        reservations,
-        deficit,
-        stats: SolveStats {
-            iterations: 1,
-            lp_solves: sol.nodes,
-            truncated: sol.truncated,
-            lp: sol.lp_stats,
-            ..SolveStats::default()
-        },
+    // Accepted slices reserve their full SLA on every leg.
+    solve_admission_milp(instance, p, &admission, deficit_vars, options, |_, li| {
+        instance.tenants[instance.legs[li].tenant].sla_mbps
     })
 }

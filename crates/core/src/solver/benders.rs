@@ -7,15 +7,11 @@
 //! the best evaluated admission (Theorem 2: finitely many dual extreme
 //! points/rays ⇒ finite convergence).
 
-use super::slave::{SlaveContext, SlaveResult};
-use super::AcrrError;
+use super::slave::{CutExpr, SlaveContext, SlaveResult};
+use super::{AcrrError, Admission};
 use crate::problem::{AcrrInstance, Allocation, SolveStats};
 use ovnes_lp::{Cmp, Problem, SimplexOptions, VarId};
 use ovnes_milp::{Milp, MilpOptions, MilpOutcome};
-
-/// Incumbent bookkeeping: (objective, admission vector, reservations per
-/// leg, deficit triple).
-type Incumbent = (f64, Vec<Option<usize>>, Vec<f64>, (f64, f64, f64));
 
 /// Algorithm 1's convergence threshold on `UB − LB` (absolute, on the Ψ
 /// scale).
@@ -53,18 +49,10 @@ pub fn solve(instance: &AcrrInstance, options: &BendersOptions) -> Result<Alloca
     if !instance.forced_feasible() {
         return Err(AcrrError::ForcedInfeasible);
     }
-    let pairs = instance.pairs();
-    let n_t = instance.tenants.len();
 
     // ---- master skeleton ----
     let mut master = Problem::new();
-    let mut u_vars: Vec<((usize, usize), VarId)> = Vec::with_capacity(pairs.len());
-    for &(t, c) in &pairs {
-        let gamma = instance
-            .gamma(t, c)
-            .ok_or(AcrrError::Internal("allowed pair has no gamma"))?;
-        u_vars.push(((t, c), master.add_var(0.0, 1.0, gamma)));
-    }
+    let admission = Admission::new(instance, &mut master, |t, c| instance.gamma(t, c))?;
     // θ is bounded below by the most negative achievable slave value
     // (every leg reserved at Λ recovers all its risk; deficits only add).
     let theta_min: f64 = -instance
@@ -73,28 +61,10 @@ pub fn solve(instance: &AcrrInstance, options: &BendersOptions) -> Result<Alloca
         .map(|l| instance.leg_q(l) * instance.tenants[l.tenant].sla_mbps)
         .sum::<f64>();
     let theta = master.add_var(theta_min, f64::INFINITY, 1.0);
-
-    for t in 0..n_t {
-        let row: Vec<(VarId, f64)> = u_vars
-            .iter()
-            .filter(|((ti, _), _)| *ti == t)
-            .map(|(_, v)| (*v, 1.0))
-            .collect();
-        if row.is_empty() {
-            continue; // tenant with no allowed CU is implicitly rejected
-        }
-        let cmp = if instance.tenants[t].must_accept {
-            Cmp::Eq
-        } else {
-            Cmp::Le
-        };
-        master.add_cons(&row, cmp, 1.0);
-    }
+    admission.add_rows(instance, &mut master);
 
     let mut milp = Milp::new(master);
-    for &(_, v) in &u_vars {
-        milp.mark_integer(v);
-    }
+    admission.mark_integer(&mut milp);
     let mut milp_options = options.milp.clone();
     // A cold Benders run forces the master cold too, but a warm run still
     // honours a caller's explicit `MilpOptions { warm_start: false, … }`.
@@ -118,7 +88,16 @@ pub fn solve(instance: &AcrrInstance, options: &BendersOptions) -> Result<Alloca
     if !options.warm_start {
         slave.set_warm(false);
     }
-    let mut best: Option<Incumbent> = None;
+    // A cut over the admission binaries, after an optional head term.
+    let cut_row = |head: Option<(VarId, f64)>, cut: &CutExpr| -> Vec<(VarId, f64)> {
+        let terms = admission
+            .iter()
+            .filter_map(|(pair, v)| Some((v, cut.get(pair)?)));
+        head.into_iter().chain(terms).collect()
+    };
+    // The best admission the slave has priced: its objective is the upper
+    // bound.
+    let mut best: Option<Allocation> = None;
     let mut lower = f64::NEG_INFINITY;
     let mut stats = SolveStats::default();
     let mut converged = false;
@@ -136,7 +115,7 @@ pub fn solve(instance: &AcrrInstance, options: &BendersOptions) -> Result<Alloca
                 stats.lp.absorb(milp.last_lp_stats());
                 stats.lp.absorb(&slave.stats);
                 stats.truncated = true;
-                return break_out(instance, best, lower, stats);
+                return break_out(best, lower, stats);
             }
             Err(e) => return Err(e.into()),
         };
@@ -149,10 +128,7 @@ pub fn solve(instance: &AcrrInstance, options: &BendersOptions) -> Result<Alloca
                 // Feasibility cuts exclude every admission (possible only
                 // without the deficit relaxation and with forced slices).
                 stats.lp.absorb(&slave.stats);
-                return match best {
-                    Some(_) => break_out(instance, best, lower, stats),
-                    None => Err(AcrrError::Infeasible),
-                };
+                return break_out(best, lower, stats);
             }
             MilpOutcome::Unbounded => return Err(AcrrError::Internal("θ is bounded below")),
         };
@@ -165,13 +141,7 @@ pub fn solve(instance: &AcrrInstance, options: &BendersOptions) -> Result<Alloca
             lower = lower.max(master_sol.objective);
         }
 
-        // Decode the admission vector.
-        let mut assigned: Vec<Option<usize>> = vec![None; n_t];
-        for ((t, c), v) in &u_vars {
-            if master_sol.value(*v) > 0.5 {
-                assigned[*t] = Some(*c);
-            }
-        }
+        let assigned = admission.decode(|v| master_sol.value(v));
 
         stats.lp_solves += 1;
         let slave_result = match slave.solve_for(&assigned) {
@@ -179,7 +149,7 @@ pub fn solve(instance: &AcrrInstance, options: &BendersOptions) -> Result<Alloca
             Err(_) if best.is_some() => {
                 stats.lp.absorb(&slave.stats);
                 stats.truncated = true;
-                return break_out(instance, best, lower, stats);
+                return break_out(best, lower, stats);
             }
             Err(e) => return Err(e.into()),
         };
@@ -190,40 +160,34 @@ pub fn solve(instance: &AcrrInstance, options: &BendersOptions) -> Result<Alloca
                 deficit,
                 duals,
             } => {
-                let mut fixed = 0.0;
-                for ((t, c), _) in &u_vars {
-                    if assigned[*t] == Some(*c) {
-                        fixed += instance
-                            .gamma(*t, *c)
-                            .ok_or(AcrrError::Internal("assigned pair has no gamma"))?;
-                    }
-                }
+                let fixed = instance
+                    .admission_cost(&assigned)
+                    .ok_or(AcrrError::Internal("assigned pair has no gamma"))?;
                 let total = fixed + value;
-                if best.as_ref().is_none_or(|(b, ..)| total < *b) {
-                    best = Some((total, assigned.clone(), z, deficit));
+                if best.as_ref().is_none_or(|b| total < b.objective) {
+                    best = Some(Allocation::from_legs(
+                        instance,
+                        total,
+                        assigned,
+                        |li| z[li],
+                        deficit,
+                        SolveStats::default(),
+                    ));
                 }
                 // Optimality cut: θ ≥ cut(u)  ⇔  Σ coeff·u − θ ≤ −constant.
                 let cut = slave.optimality_cut(&duals);
-                let mut row: Vec<(VarId, f64)> = vec![(theta, -1.0)];
-                for ((t, c), v) in &u_vars {
-                    if let Some(w) = cut.get((*t, *c)) {
-                        row.push((*v, w));
-                    }
-                }
+                let row = cut_row(Some((theta, -1.0)), &cut);
                 milp.problem_mut().add_cons(&row, Cmp::Le, -cut.constant);
             }
             SlaveResult::Infeasible { cut } => {
                 // Feasibility cut: Σ coeff·u ≤ −constant.
-                let row: Vec<(VarId, f64)> = u_vars
-                    .iter()
-                    .filter_map(|(pair, v)| cut.get(*pair).map(|w| (*v, w)))
-                    .collect();
+                let row = cut_row(None, &cut);
                 milp.problem_mut().add_cons(&row, Cmp::Le, -cut.constant);
             }
         }
 
-        if let Some((ub, ..)) = &best {
-            stats.gap = ub - lower;
+        if let Some(b) = &best {
+            stats.gap = b.objective - lower;
             if stats.gap <= EPSILON {
                 converged = true;
                 break;
@@ -237,30 +201,18 @@ pub fn solve(instance: &AcrrInstance, options: &BendersOptions) -> Result<Alloca
         stats.truncated = true;
     }
     stats.lp.absorb(&slave.stats);
-    break_out(instance, best, lower, stats)
+    break_out(best, lower, stats)
 }
 
+/// Returns the incumbent with the run's stats and its final gap;
+/// [`AcrrError::Infeasible`] when no admission was feasible.
 fn break_out(
-    instance: &AcrrInstance,
-    best: Option<Incumbent>,
+    best: Option<Allocation>,
     lower: f64,
     mut stats: SolveStats,
 ) -> Result<Allocation, AcrrError> {
-    let Some((objective, assigned, z, deficit)) = best else {
-        return Err(AcrrError::Infeasible);
-    };
-    stats.gap = objective - lower;
-    let mut reservations = vec![vec![0.0; instance.n_bs]; instance.tenants.len()];
-    for (li, leg) in instance.legs.iter().enumerate() {
-        if assigned[leg.tenant] == Some(leg.cu) {
-            reservations[leg.tenant][leg.bs] = z[li];
-        }
-    }
-    Ok(Allocation {
-        objective,
-        assigned_cu: assigned,
-        reservations,
-        deficit,
-        stats,
-    })
+    let mut allocation = best.ok_or(AcrrError::Infeasible)?;
+    stats.gap = allocation.objective - lower;
+    allocation.stats = stats;
+    Ok(allocation)
 }

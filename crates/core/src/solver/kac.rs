@@ -16,7 +16,6 @@ use super::slave::{LpCarry, SlaveContext, SlaveResult};
 use super::AcrrError;
 use crate::problem::{AcrrInstance, Allocation, SolveStats};
 use ovnes_lp::SimplexOptions;
-use std::collections::HashMap;
 
 /// Lazy-constraint iterations (Algorithm 3's cap) before falling back to
 /// dropping the least profitable admitted tenant.
@@ -84,14 +83,15 @@ pub fn solve_carried(
     // not to let the greedy overbook into paid-for federated capacity. If
     // even the forced set needs the relaxation, we fall back to it at the
     // end.
+    //
+    // Per-pair values (Γ here, w̄ below) live in dense slots `t·n_cu + c`.
     let pairs = instance.pairs();
     let n_t = instance.tenants.len();
-    let mut gammas: HashMap<(usize, usize), f64> = HashMap::with_capacity(pairs.len());
+    let mut gammas = vec![f64::INFINITY; n_t * instance.n_cu];
     for &(t, c) in &pairs {
-        let g = instance
+        gammas[t * instance.n_cu + c] = instance
             .gamma(t, c)
             .ok_or(AcrrError::Internal("allowed pair has no gamma"))?;
-        gammas.insert((t, c), g);
     }
 
     // Vets and pivot work thrown away by discarded carried attempts (and
@@ -125,7 +125,7 @@ pub fn solve_carried(
         // normalises each ray so no single cut dominates (the paper's
         // recursive ε is a scaling device; we normalise by the ray's
         // capacity term).
-        let mut w_bar: HashMap<(usize, usize), f64> = HashMap::new();
+        let mut w_bar = vec![0.0f64; n_t * instance.n_cu];
         let mut cap_bar = 0.0f64;
         let mut have_cuts = false;
         let mut stats = SolveStats::default();
@@ -135,7 +135,9 @@ pub fn solve_carried(
         let mut extra_rounds = 0usize;
         loop {
             stats.iterations += 1;
-            let assigned = greedy_pack(instance, &gammas, &w_bar, cap_bar, have_cuts, &banned);
+            let assigned = greedy_pack(
+                instance, &pairs, &gammas, &w_bar, cap_bar, have_cuts, &banned,
+            );
             stats.lp_solves += 1;
             let result = slave.solve_for(&assigned)?;
             if seeded || verify_chain {
@@ -209,25 +211,18 @@ pub fn solve_carried(
                             }
                         }
                     }
-                    let fixed: f64 = assigned
-                        .iter()
-                        .enumerate()
-                        .filter_map(|(t, c)| c.and_then(|c| gammas.get(&(t, c))))
-                        .sum();
-                    let mut reservations = vec![vec![0.0; instance.n_bs]; n_t];
-                    for (li, leg) in instance.legs.iter().enumerate() {
-                        if assigned[leg.tenant] == Some(leg.cu) {
-                            reservations[leg.tenant][leg.bs] = z[li];
-                        }
-                    }
+                    let fixed = instance
+                        .admission_cost(&assigned)
+                        .ok_or(AcrrError::Internal("assigned pair has no gamma"))?;
                     settle(&mut stats, &slave, &wasted, carry);
-                    return Ok(Allocation {
-                        objective: fixed + value,
-                        assigned_cu: assigned,
-                        reservations,
+                    return Ok(Allocation::from_legs(
+                        instance,
+                        fixed + value,
+                        assigned,
+                        |li| z[li],
                         deficit,
                         stats,
-                    });
+                    ));
                 }
                 SlaveResult::Infeasible { cut } => {
                     if stats.iterations <= MAX_ITERATIONS {
@@ -237,8 +232,8 @@ pub fn solve_carried(
                         // scaling).
                         let cap_k = -cut.constant;
                         let norm = cap_k.abs().max(1.0);
-                        for &(pair, w) in &cut.coeffs {
-                            *w_bar.entry(pair).or_insert(0.0) += w / norm;
+                        for &((t, c), w) in &cut.coeffs {
+                            w_bar[t * instance.n_cu + c] += w / norm;
                         }
                         cap_bar += cap_k / norm;
                         have_cuts = true;
@@ -252,9 +247,10 @@ pub fn solve_carried(
                             .enumerate()
                             .filter(|(t, c)| c.is_some() && !instance.tenants[*t].must_accept)
                             .max_by(|(ta, ca), (tb, cb)| {
-                                let ga = ca.and_then(|c| gammas.get(&(*ta, c))).copied();
-                                let gb = cb.and_then(|c| gammas.get(&(*tb, c))).copied();
-                                ga.unwrap_or(0.0).total_cmp(&gb.unwrap_or(0.0))
+                                let gamma = |t: usize, c: &Option<usize>| {
+                                    c.map_or(0.0, |c| gammas[t * instance.n_cu + c])
+                                };
+                                gamma(*ta, ca).total_cmp(&gamma(*tb, cb))
                             })
                             .map(|(t, _)| t);
                         match victim {
@@ -267,12 +263,12 @@ pub fn solve_carried(
                                 // relaxed fallback context has a different
                                 // column layout).
                                 settle(&mut stats, &slave, &wasted, carry);
-                                return finish_with_deficit(instance, &assigned, stats);
+                                return finish_with_deficit(instance, simplex, &assigned, stats);
                             }
                         }
                         if extra_rounds > n_t {
                             settle(&mut stats, &slave, &wasted, carry);
-                            return finish_with_deficit(instance, &assigned, stats);
+                            return finish_with_deficit(instance, simplex, &assigned, stats);
                         }
                     }
                 }
@@ -339,23 +335,19 @@ fn worst_net_negative(
 
 /// Last resort when the strictly-capacitated system cannot even hold the
 /// forced slices: price the overflow with the big-M deficit (§3.4), exactly
-/// what the orchestrator's relaxed formulation does.
+/// what the orchestrator's relaxed formulation does. The relaxed vet runs
+/// under the caller's `simplex` options like every other vet.
 fn finish_with_deficit(
     instance: &AcrrInstance,
+    simplex: &SimplexOptions,
     assigned: &[Option<usize>],
     mut stats: SolveStats,
 ) -> Result<Allocation, AcrrError> {
     // Keep only forced tenants; everything optional was already shed.
     let forced: Vec<Option<usize>> = assigned
         .iter()
-        .enumerate()
-        .map(|(t, c)| {
-            if instance.tenants[t].must_accept {
-                *c
-            } else {
-                None
-            }
-        })
+        .zip(&instance.tenants)
+        .map(|(c, t)| c.filter(|_| t.must_accept))
         .collect();
     if instance.deficit_cost.is_none() {
         return Err(AcrrError::Infeasible);
@@ -364,33 +356,24 @@ fn finish_with_deficit(
     // Fresh context over the *relaxed* instance (the loop's context was
     // strict); keep its pivot counters so `stats.lp` covers every solve.
     let mut relaxed = SlaveContext::new(instance);
+    relaxed.set_simplex_options(simplex.clone());
     let result = relaxed.solve_for(&forced)?;
     stats.lp.absorb(&relaxed.stats);
     match result {
         SlaveResult::Feasible {
             value, z, deficit, ..
         } => {
-            let mut gammas_sum = 0.0;
-            for (t, c) in forced.iter().enumerate() {
-                if let Some(c) = c {
-                    gammas_sum += instance
-                        .gamma(t, *c)
-                        .ok_or(AcrrError::Internal("forced pair has no gamma"))?;
-                }
-            }
-            let mut reservations = vec![vec![0.0; instance.n_bs]; instance.tenants.len()];
-            for (li, leg) in instance.legs.iter().enumerate() {
-                if forced[leg.tenant] == Some(leg.cu) {
-                    reservations[leg.tenant][leg.bs] = z[li];
-                }
-            }
-            Ok(Allocation {
-                objective: gammas_sum + value,
-                assigned_cu: forced,
-                reservations,
+            let fixed = instance
+                .admission_cost(&forced)
+                .ok_or(AcrrError::Internal("forced pair has no gamma"))?;
+            Ok(Allocation::from_legs(
+                instance,
+                fixed + value,
+                forced,
+                |li| z[li],
                 deficit,
                 stats,
-            })
+            ))
         }
         SlaveResult::Infeasible { .. } => Err(AcrrError::Infeasible),
     }
@@ -398,11 +381,13 @@ fn finish_with_deficit(
 
 /// One FFD pass (Algorithm 2): forced tenants first, then profitable items
 /// by benefit per aggregated weight, subject to ≤ 1 CU per tenant and, once
-/// rays exist, the aggregated capacity `W̄`.
+/// rays exist, the aggregated capacity `W̄`. `gammas` and `w_bar` hold Γ and
+/// w̄ of pair `(t, c)` in slot `t·n_cu + c`.
 fn greedy_pack(
     instance: &AcrrInstance,
-    gammas: &HashMap<(usize, usize), f64>,
-    w_bar: &HashMap<(usize, usize), f64>,
+    pairs: &[(usize, usize)],
+    gammas: &[f64],
+    w_bar: &[f64],
     cap_bar: f64,
     have_cuts: bool,
     banned: &[bool],
@@ -412,8 +397,7 @@ fn greedy_pack(
     let n_t = instance.tenants.len();
     let mut assigned: Vec<Option<usize>> = vec![None; n_t];
     let mut budget = cap_bar;
-
-    let weight = |pair: &(usize, usize)| w_bar.get(pair).copied().unwrap_or(0.0);
+    let slot = |t: usize, c: usize| t * instance.n_cu + c;
 
     // Forced tenants take their cheapest-γ CU unconditionally (constraint
     // (13) outranks the knapsack).
@@ -421,14 +405,13 @@ fn greedy_pack(
         if !ten.must_accept {
             continue;
         }
-        let gamma_of = |c: usize| gammas.get(&(t, c)).copied().unwrap_or(f64::INFINITY);
         let best = (0..instance.n_cu)
             .filter(|&c| instance.cu_allowed[t][c])
-            .min_by(|&a, &b| gamma_of(a).total_cmp(&gamma_of(b)));
+            .min_by(|&a, &b| gammas[slot(t, a)].total_cmp(&gammas[slot(t, b)]));
         if let Some(c) = best {
             assigned[t] = Some(c);
             if have_cuts {
-                budget -= weight(&(t, c));
+                budget -= w_bar[slot(t, c)];
             }
         }
     }
@@ -437,25 +420,21 @@ fn greedy_pack(
     // Algorithm 2 has no profitability filter: admission control is done by
     // the (lazily discovered) capacity, with γ only steering the order —
     // risky, low-reward items are packed last and shed first.
-    let mut items: Vec<((usize, usize), f64)> = gammas
+    let mut items: Vec<((usize, usize), f64)> = pairs
         .iter()
-        .filter(|((t, _), _)| !instance.tenants[*t].must_accept && !banned[*t])
-        .map(|(&pair, &g)| {
-            let phi = -g / weight(&pair).max(EPS_W);
-            (pair, phi)
-        })
+        .filter(|&&(t, _)| !instance.tenants[t].must_accept && !banned[t])
+        .map(|&(t, c)| ((t, c), -gammas[slot(t, c)] / w_bar[slot(t, c)].max(EPS_W)))
         .collect();
-    // Total order: priority ratio first, then (tenant, CU) — `items` was
-    // collected in HashMap order, and a stable sort on φ alone would let
-    // that arbitrary order decide ties, making admissions differ from run
-    // to run (φ ties are common: same-class tenants share γ and w̄).
+    // Total order: priority ratio first, then (tenant, CU). φ ties are
+    // common (same-class tenants share γ and w̄), so the pair decides them,
+    // whatever order the items were collected in.
     items.sort_by(|a, b| b.1.total_cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
 
     for ((t, c), _) in items {
         if assigned[t].is_some() {
             continue;
         }
-        let w = weight(&(t, c));
+        let w = w_bar[slot(t, c)];
         if have_cuts && w > 0.0 && budget - w < 0.0 {
             continue; // does not fit the aggregated knapsack
         }

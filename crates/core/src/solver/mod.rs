@@ -11,6 +11,31 @@
 //! * [`baseline`] — the `no-overbooking` policy (constraint (9) flipped to
 //!   `z = Λ·x`), solved optimally as a pure admission MILP,
 //! * [`slave`] — the shared reservation LP and Benders-cut extraction.
+//!
+//! ## One admission layout
+//!
+//! All four solvers decide the same thing: one CU or none per tenant, and
+//! a reservation on each leg of the chosen (tenant, CU) pair. That
+//! bookkeeping exists once, and each solver calls it with its float
+//! operations in the same order:
+//!
+//! * `Admission` — the binaries `u_{τ,c}` of the three MILP formulations
+//!   (the Benders master, the one-shot MILP, the baseline): one column per
+//!   allowed pair, in [`AcrrInstance::pairs`] order and ahead of every
+//!   other column, rows (5)/(6) (at most one CU per tenant, exactly one
+//!   when forced) and the decode `u > 0.5`;
+//! * `add_deficit_vars` / `deficit_values` — the §3.4 deficit triple
+//!   `(δ_r, δ_b, δ_c)` of the slave, the one-shot and the baseline;
+//! * `solve_admission_milp` — the branch-and-bound tail of the one-shot
+//!   and the baseline: solve, map the outcome, decode, read out;
+//! * [`AcrrInstance::admission_cost`] (`Σ Γ` over an admission, in tenant
+//!   order) and `Allocation::from_legs` (per-leg values into
+//!   `reservations[tenant][bs]`) — all four.
+//!
+//! What stays each solver's own is its formulation: the Benders cuts and
+//! `θ`, KAC's aggregated knapsack, the one-shot's capacity and
+//! linearisation rows (8)-(12) — what it cross-checks Benders with — and
+//! the baseline's rows with `z = Λ·u` substituted.
 
 pub mod baseline;
 pub mod benders;
@@ -19,7 +44,9 @@ pub mod kac;
 pub mod oneshot;
 pub mod slave;
 
-use crate::problem::{AcrrInstance, Allocation};
+use crate::problem::{AcrrInstance, Allocation, SolveStats};
+use ovnes_lp::{Cmp, Problem, VarId};
+use ovnes_milp::{Milp, MilpOptions, MilpOutcome, MilpSolution};
 use std::time::Duration;
 
 /// Which algorithm the orchestrator runs each epoch.
@@ -341,4 +368,140 @@ pub fn solve_controlled(instance: &AcrrInstance, controls: &SolveControls) -> Co
             error: Some(primary),
         },
     }
+}
+
+/// The admission binaries `u_{τ,c}` of a MILP formulation: one column per
+/// allowed (tenant, CU) pair, in [`AcrrInstance::pairs`] order, added
+/// before any other column of the problem.
+struct Admission {
+    /// The allowed pairs, ascending.
+    pairs: Vec<(usize, usize)>,
+    /// The column of each pair.
+    vars: Vec<VarId>,
+    n_tenants: usize,
+}
+
+impl Admission {
+    /// Adds one binary per allowed pair to `p`, with objective coefficient
+    /// `cost(t, c)`.
+    fn new(
+        instance: &AcrrInstance,
+        p: &mut Problem,
+        cost: impl Fn(usize, usize) -> Option<f64>,
+    ) -> Result<Admission, AcrrError> {
+        let pairs = instance.pairs();
+        let mut vars = Vec::with_capacity(pairs.len());
+        for &(t, c) in &pairs {
+            let cost = cost(t, c).ok_or(AcrrError::Internal("allowed pair has no gamma"))?;
+            vars.push(p.add_var(0.0, 1.0, cost));
+        }
+        Ok(Admission {
+            pairs,
+            vars,
+            n_tenants: instance.tenants.len(),
+        })
+    }
+
+    /// The binary of pair `(t, c)`; `None` when the pair is not allowed.
+    fn var(&self, t: usize, c: usize) -> Option<VarId> {
+        self.pairs.binary_search(&(t, c)).ok().map(|k| self.vars[k])
+    }
+
+    /// Every pair with its binary, pairs ascending.
+    fn iter(&self) -> impl Iterator<Item = ((usize, usize), VarId)> + '_ {
+        self.pairs.iter().copied().zip(self.vars.iter().copied())
+    }
+
+    /// Rows (5)/(6 reformulated): at most one CU per tenant, exactly one
+    /// when the tenant is forced. A tenant with no allowed CU gets no row;
+    /// it is implicitly rejected.
+    fn add_rows(&self, instance: &AcrrInstance, p: &mut Problem) {
+        for (t, tenant) in instance.tenants.iter().enumerate() {
+            let lo = self.pairs.partition_point(|&(pt, _)| pt < t);
+            let hi = self.pairs.partition_point(|&(pt, _)| pt <= t);
+            if lo == hi {
+                continue;
+            }
+            let row: Vec<(VarId, f64)> = self.vars[lo..hi].iter().map(|&v| (v, 1.0)).collect();
+            let cmp = if tenant.must_accept { Cmp::Eq } else { Cmp::Le };
+            p.add_cons(&row, cmp, 1.0);
+        }
+    }
+
+    fn mark_integer(&self, milp: &mut Milp) {
+        for &v in &self.vars {
+            milp.mark_integer(v);
+        }
+    }
+
+    /// The admission vector of a solution: tenant `t` on CU `c` where
+    /// `u_{t,c}` reads above one half.
+    fn decode(&self, value: impl Fn(VarId) -> f64) -> Vec<Option<usize>> {
+        let mut assigned = vec![None; self.n_tenants];
+        for ((t, c), v) in self.iter() {
+            if value(v) > 0.5 {
+                assigned[t] = Some(c);
+            }
+        }
+        assigned
+    }
+}
+
+/// The §3.4 deficit columns `(δ_r, δ_b, δ_c)` (radio, transport, compute:
+/// one per domain), `None` without the relaxation.
+type DeficitVars = Option<(VarId, VarId, VarId)>;
+
+/// Adds the deficit columns at cost `M` each when the relaxation is on.
+fn add_deficit_vars(p: &mut Problem, cost: Option<f64>) -> DeficitVars {
+    cost.map(|m| {
+        (
+            p.add_var(0.0, f64::INFINITY, m),
+            p.add_var(0.0, f64::INFINITY, m),
+            p.add_var(0.0, f64::INFINITY, m),
+        )
+    })
+}
+
+/// The deficit a solution draws, zero without the relaxation.
+fn deficit_values(vars: DeficitVars, value: impl Fn(VarId) -> f64) -> (f64, f64, f64) {
+    vars.map_or((0.0, 0.0, 0.0), |(r, b, c)| (value(r), value(b), value(c)))
+}
+
+/// Solves an admission MILP by branch and bound and reads its allocation:
+/// the decoded admission, the deficit, and `leg_z(solution, li)` on every
+/// admitted leg `li`. A node-limited tree returns its best incumbent with
+/// `stats.truncated` set.
+fn solve_admission_milp(
+    instance: &AcrrInstance,
+    problem: Problem,
+    admission: &Admission,
+    deficit: DeficitVars,
+    options: &MilpOptions,
+    leg_z: impl Fn(&MilpSolution, usize) -> f64,
+) -> Result<Allocation, AcrrError> {
+    let mut milp = Milp::new(problem);
+    admission.mark_integer(&mut milp);
+    milp.set_options(options.clone());
+    let sol = match milp.solve()? {
+        MilpOutcome::Optimal(s) => s,
+        MilpOutcome::Infeasible => return Err(AcrrError::Infeasible),
+        MilpOutcome::Unbounded => {
+            return Err(AcrrError::Internal("admission MILP columns are bounded"))
+        }
+    };
+    let stats = SolveStats {
+        iterations: 1,
+        lp_solves: sol.nodes,
+        truncated: sol.truncated,
+        lp: sol.lp_stats,
+        ..SolveStats::default()
+    };
+    Ok(Allocation::from_legs(
+        instance,
+        sol.objective,
+        admission.decode(|v| sol.value(v)),
+        |li| leg_z(&sol, li),
+        deficit_values(deficit, |v| sol.value(v)),
+        stats,
+    ))
 }

@@ -4,11 +4,17 @@
 //!
 //! Exponential in the number of binaries, so this is the *reference oracle*
 //! for small instances: tests cross-check Benders and bound KAC against it.
+//! It shares the admission bookkeeping every solver uses (the `u` columns
+//! and rows (5)/(6), the deficit triple, the decode and the per-leg readout;
+//! see the [`solver`](super) docs). Its capacity rows and the linearisation
+//! (8)-(12) are its own: they are what it checks Benders' decomposition
+//! with. `oneshot_matches_brute_force` checks this formulation in turn with
+//! no solver code at all.
 
-use super::AcrrError;
-use crate::problem::{AcrrInstance, Allocation, SolveStats};
+use super::{add_deficit_vars, solve_admission_milp, AcrrError, Admission};
+use crate::problem::{AcrrInstance, Allocation};
 use ovnes_lp::{Cmp, Problem, VarId};
-use ovnes_milp::{Milp, MilpOptions, MilpOutcome};
+use ovnes_milp::MilpOptions;
 
 /// Solves the AC-RR instance as a single MILP. Node, pivot and wall limits
 /// and LP fault injection arrive through `options`; a node- or wall-limited
@@ -19,24 +25,10 @@ pub fn solve(instance: &AcrrInstance, options: &MilpOptions) -> Result<Allocatio
     if !instance.forced_feasible() {
         return Err(AcrrError::ForcedInfeasible);
     }
-    let pairs = instance.pairs();
-    let n_t = instance.tenants.len();
     let mut p = Problem::new();
 
     // u_{τ,c} with objective Γ_{τ,c} = Σ_b q·Λ − R.
-    let mut u_vars: Vec<((usize, usize), VarId)> = Vec::with_capacity(pairs.len());
-    for &(t, c) in &pairs {
-        let gamma = instance
-            .gamma(t, c)
-            .ok_or(AcrrError::Internal("allowed pair has no gamma"))?;
-        u_vars.push(((t, c), p.add_var(0.0, 1.0, gamma)));
-    }
-    let u_of = |t: usize, c: usize| -> Option<VarId> {
-        u_vars
-            .iter()
-            .find(|((ti, ci), _)| *ti == t && *ci == c)
-            .map(|(_, v)| *v)
-    };
+    let admission = Admission::new(instance, &mut p, |t, c| instance.gamma(t, c))?;
 
     // z and y per leg; objective −q on y (risk recovered by reservations).
     let z_vars: Vec<VarId> = instance
@@ -49,32 +41,9 @@ pub fn solve(instance: &AcrrInstance, options: &MilpOptions) -> Result<Allocatio
         .iter()
         .map(|leg| p.add_var(0.0, f64::INFINITY, -instance.leg_q(leg)))
         .collect();
+    let deficit_vars = add_deficit_vars(&mut p, instance.deficit_cost);
 
-    let deficit_vars = instance.deficit_cost.map(|m| {
-        (
-            p.add_var(0.0, f64::INFINITY, m),
-            p.add_var(0.0, f64::INFINITY, m),
-            p.add_var(0.0, f64::INFINITY, m),
-        )
-    });
-
-    // (5)/(6 reformulated): at most one CU per tenant; exactly one if forced.
-    for t in 0..n_t {
-        let row: Vec<(VarId, f64)> = u_vars
-            .iter()
-            .filter(|((ti, _), _)| *ti == t)
-            .map(|(_, v)| (*v, 1.0))
-            .collect();
-        if row.is_empty() {
-            continue;
-        }
-        let cmp = if instance.tenants[t].must_accept {
-            Cmp::Eq
-        } else {
-            Cmp::Le
-        };
-        p.add_cons(&row, cmp, 1.0);
-    }
+    admission.add_rows(instance, &mut p);
 
     // (2/14) CU capacity with baseline cores on u.
     for c in 0..instance.n_cu {
@@ -89,7 +58,7 @@ pub fn solve(instance: &AcrrInstance, options: &MilpOptions) -> Result<Allocatio
         }
         for (t, ten) in instance.tenants.iter().enumerate() {
             if ten.service.base_cores != 0.0 {
-                if let Some(u) = u_of(t, c) {
+                if let Some(u) = admission.var(t, c) {
                     row.push((u, ten.service.base_cores));
                 }
             }
@@ -136,9 +105,11 @@ pub fn solve(instance: &AcrrInstance, options: &MilpOptions) -> Result<Allocatio
         let t = &instance.tenants[leg.tenant];
         let lam = t.sla_mbps;
         let lam_hat = instance.leg_forecast(leg);
-        let u = u_of(leg.tenant, leg.cu).ok_or(AcrrError::Internal(
-            "leg does not correspond to an allowed pair",
-        ))?;
+        let u = admission
+            .var(leg.tenant, leg.cu)
+            .ok_or(AcrrError::Internal(
+                "leg does not correspond to an allowed pair",
+            ))?;
         let (z, y) = (z_vars[li], y_vars[li]);
         p.add_cons(&[(z, 1.0), (u, -lam)], Cmp::Le, 0.0); // (8)  z ≤ Λu
         p.add_cons(&[(z, 1.0), (u, -lam_hat)], Cmp::Ge, 0.0); // (9)  z ≥ λ̂u
@@ -147,47 +118,7 @@ pub fn solve(instance: &AcrrInstance, options: &MilpOptions) -> Result<Allocatio
         p.add_cons(&[(z, 1.0), (u, lam), (y, -1.0)], Cmp::Le, lam); // (12)
     }
 
-    let mut milp = Milp::new(p);
-    for (_, v) in &u_vars {
-        milp.mark_integer(*v);
-    }
-    milp.set_options(options.clone());
-    let sol = match milp.solve()? {
-        MilpOutcome::Optimal(s) => s,
-        MilpOutcome::Infeasible => return Err(AcrrError::Infeasible),
-        MilpOutcome::Unbounded => {
-            return Err(AcrrError::Internal(
-                "objective bounded: u, z, y all bounded",
-            ))
-        }
-    };
-
-    let mut assigned: Vec<Option<usize>> = vec![None; n_t];
-    for ((t, c), v) in &u_vars {
-        if sol.value(*v) > 0.5 {
-            assigned[*t] = Some(*c);
-        }
-    }
-    let mut reservations = vec![vec![0.0; instance.n_bs]; n_t];
-    for (li, leg) in instance.legs.iter().enumerate() {
-        if assigned[leg.tenant] == Some(leg.cu) {
-            reservations[leg.tenant][leg.bs] = sol.value(z_vars[li]);
-        }
-    }
-    let deficit = deficit_vars
-        .map(|(r, b, c)| (sol.value(r), sol.value(b), sol.value(c)))
-        .unwrap_or((0.0, 0.0, 0.0));
-    Ok(Allocation {
-        objective: sol.objective,
-        assigned_cu: assigned,
-        reservations,
-        deficit,
-        stats: SolveStats {
-            iterations: 1,
-            lp_solves: sol.nodes,
-            truncated: sol.truncated,
-            lp: sol.lp_stats,
-            ..SolveStats::default()
-        },
+    solve_admission_milp(instance, p, &admission, deficit_vars, options, |sol, li| {
+        sol.value(z_vars[li])
     })
 }

@@ -52,6 +52,7 @@
 //! ([`ovnes_lp::Farkas::ub_multipliers`]) is not needed here and not
 //! computed.
 
+use super::{add_deficit_vars, deficit_values, DeficitVars};
 use crate::problem::AcrrInstance;
 use ovnes_lp::{Basis, Cmp, ConsId, LpStats, Outcome, Problem, SimplexOptions, VarId, WarmChain};
 
@@ -213,7 +214,7 @@ pub struct SlaveContext<'a> {
     instance: &'a AcrrInstance,
     problem: Problem,
     z_vars: Vec<VarId>,
-    deficit_vars: Option<(VarId, VarId, VarId)>,
+    deficit_vars: DeficitVars,
     rows: Vec<RowSpec>,
     /// Per-leg reservation window `[λ̂, Λ]`, applied as variable bounds
     /// scaled by the admission binary.
@@ -290,13 +291,7 @@ impl<'a> SlaveContext<'a> {
             .collect();
 
         // Domain-wide deficit variables (paper §3.4: one per domain).
-        let deficit_vars = deficit_cost.map(|m| {
-            (
-                p.add_var(0.0, f64::INFINITY, m), // radio δ_r
-                p.add_var(0.0, f64::INFINITY, m), // transport δ_b
-                p.add_var(0.0, f64::INFINITY, m), // compute δ_c
-            )
-        });
+        let deficit_vars = add_deficit_vars(&mut p, deficit_cost);
 
         // Bucket the legs once per row family, in ascending leg order: the
         // rows below are then assembled in O(nonzeros), and every row's
@@ -686,14 +681,10 @@ impl<'a> SlaveContext<'a> {
                         || ovnes_lp::certify_unique_optimum_perturbed(&self.problem, &sol);
                 }
                 let z: Vec<f64> = self.z_vars.iter().map(|&v| sol.value(v).max(0.0)).collect();
-                let deficit = self
-                    .deficit_vars
-                    .map(|(r, b, c)| (sol.value(r), sol.value(b), sol.value(c)))
-                    .unwrap_or((0.0, 0.0, 0.0));
                 Ok(SlaveResult::Feasible {
                     value: sol.objective,
                     z,
-                    deficit,
+                    deficit: deficit_values(self.deficit_vars, |v| sol.value(v)),
                     duals: sol.duals,
                 })
             }

@@ -556,6 +556,36 @@ fn hostile_model_parameters_never_panic() {
     }
 }
 
+/// A slice requested for zero epochs neither underflows its lifetime nor
+/// wraps it to the "lives forever" sentinel: it expires at the end of the
+/// epoch that admits it, exactly like a lifetime of one.
+#[test]
+fn zero_lifetime_slices_expire_like_one_epoch_slices() {
+    let run = |duration_epochs: u32| {
+        let mut orch = Orchestrator::new(
+            one_bs_model(100.0),
+            OrchestratorConfig {
+                seed: 7,
+                ..Default::default()
+            },
+        );
+        let mut r = SliceRequest::from_template(0, SliceTemplate::embb(), 0.2, 1.0, 1.0);
+        r.duration_epochs = duration_epochs;
+        let mut outcomes = Vec::new();
+        orch.run(vec![r], 4, |out| {
+            outcomes.push((out.admitted.clone(), out.net_revenue.to_bits()));
+            std::ops::ControlFlow::Continue(())
+        })
+        .expect("the horizon runs");
+        (outcomes, orch.active_tenants().len())
+    };
+    let (zero, active_after) = run(0);
+    assert_eq!(zero[0].0, vec![0], "admitted in its arrival epoch");
+    assert!(zero[1..].iter().all(|(admitted, _)| admitted.is_empty()));
+    assert_eq!(active_after, 0, "expired, not immortal");
+    assert_eq!(zero, run(1).0);
+}
+
 #[test]
 fn rejected_requests_reapply() {
     let model = one_bs_model(2.0); // tiny compute

@@ -7,21 +7,26 @@
 //! **multiplicative Holt-Winters** method (triple exponential smoothing)
 //! because mobile traffic is strongly seasonal (§2.2.2, "Forecasting").
 //!
-//! This crate implements the full family so ablations can swap methods:
+//! The orchestrator forecasts through one function, [`predict_next`], and
+//! the crate holds the three smoothers behind it:
 //!
-//! * [`ses`] — simple exponential smoothing (level only),
-//! * [`holt`] — double exponential smoothing (level + trend),
+//! * [`ses`] — simple exponential smoothing (level only): its path for a
+//!   history shorter than two seasons,
+//! * [`holt`] — double exponential smoothing (level + trend): what a
+//!   Holt-Winters fit falls back to on a history shorter than two seasons,
 //! * [`holt_winters`] — triple smoothing with additive or multiplicative
 //!   seasonality, plus a small grid-search fitter,
 //! * [`uncertainty`] — normalised one-step-error estimator mapping model fit
 //!   quality into the paper's `σ̂ ∈ (0, 1]` scale factor.
 //!
-//! All estimators share the [`Forecaster`] trait so the orchestrator can be
-//! parameterised over them.
+//! The [`Forecaster`] trait is their common fit / forecast interface. The
+//! orchestrator is not generic over it, and no ablation swaps the method.
 //!
-//! [`predict_next`] is what the orchestrator calls per (slice, BS) series
-//! every epoch: a 5×5×5 grid over (α, β, γ) by one-step RMSE. The seasonal
-//! initialisation does not depend on the factors, so
+//! [`predict_next`] runs per (slice, BS) series every epoch: on two seasons
+//! of history or more, a Holt-Winters fit (multiplicative, or additive when
+//! a sample is not positive) chosen by a 5×5×5 grid over (α, β, γ) by
+//! one-step RMSE; on less, SES. The seasonal initialisation does not
+//! depend on the factors, so
 //! [`HoltWinters::fit_grid`](holt_winters::HoltWinters::fit_grid) computes it
 //! once and runs each candidate as one smoothing pass over a reused buffer —
 //! the same two steps a plain `fit` takes, so the grid's answer is bit for
@@ -85,9 +90,9 @@ pub struct Prediction {
     pub sigma: f64,
 }
 
-/// One-call convenience used by the orchestrator: fit the paper's
-/// multiplicative Holt-Winters (falling back to Holt/SES on short or
-/// non-positive histories), forecast one step, and attach σ̂.
+/// The orchestrator's one forecasting call: fit the paper's multiplicative
+/// Holt-Winters (additive when a sample is not positive, SES on a history
+/// shorter than two seasons), forecast one step, and attach σ̂.
 ///
 /// `season` is the seasonal period in samples; `min_sigma` floors the
 /// uncertainty (the paper requires σ̂ > 0).

@@ -6,7 +6,7 @@ use std::cell::RefCell;
 use std::collections::{BTreeMap, HashMap};
 use std::io::{self, Write};
 use std::sync::{Mutex, OnceLock};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Journal events retained per thread; beyond this, spans still fold
 /// (aggregates are never dropped) but journal lines are counted into
@@ -128,10 +128,9 @@ impl ThreadTracer {
         });
     }
 
-    fn close(&mut self) {
-        let Some(frame) = self.stack.pop() else {
-            return;
-        };
+    /// Closes the innermost open span; returns its inclusive duration.
+    fn close(&mut self) -> Option<u64> {
+        let frame = self.stack.pop()?;
         let dur_ns = frame.start.elapsed().as_nanos() as u64;
         if let Some(parent) = self.stack.last_mut() {
             parent.child_ns += dur_ns;
@@ -151,6 +150,7 @@ impl ThreadTracer {
         } else {
             self.dropped += 1;
         }
+        Some(dur_ns)
     }
 
     fn path_string(&self, mut id: u32) -> String {
@@ -247,6 +247,22 @@ fn span_inner(name: &'static str, attr: Option<(&'static str, i64)>) -> SpanGuar
         .try_with(|t| t.0.borrow_mut().open(name, attr))
         .is_ok();
     SpanGuard { armed }
+}
+
+impl SpanGuard {
+    /// Closes the span now and returns the inclusive seconds it measured:
+    /// the nanoseconds its folded cell and journal line record. An inert
+    /// guard (observability off) returns 0.0 without reading the clock.
+    pub fn close(mut self) -> f64 {
+        if !std::mem::take(&mut self.armed) {
+            return 0.0;
+        }
+        TRACER
+            .try_with(|t| t.0.borrow_mut().close())
+            .ok()
+            .flatten()
+            .map_or(0.0, |ns| Duration::from_nanos(ns).as_secs_f64())
+    }
 }
 
 impl Drop for SpanGuard {

@@ -268,6 +268,31 @@ fn self_time_plus_child_time_accounts_for_root_time() {
 }
 
 #[test]
+fn a_closed_guard_returns_the_time_its_span_recorded() {
+    let _guard = obs_lock();
+    {
+        let _force = ForceObs::off();
+        assert_eq!(span!("ghost_close").close(), 0.0);
+    }
+    let _force = ForceObs::on();
+    let _ = trace::drain();
+    let root = span!("close_root");
+    let child = span!("close_child");
+    std::hint::black_box((0..1000).sum::<u64>());
+    let seconds = child.close();
+    let root_seconds = root.close();
+    let trace = trace::drain();
+    let recorded = |path: &str| trace.folded[path].total_ns as f64 / 1e9;
+    assert!(seconds > 0.0 && seconds <= root_seconds);
+    assert!((seconds - recorded("close_root;close_child")).abs() < 1e-12);
+    assert!((root_seconds - recorded("close_root")).abs() < 1e-12);
+    assert_eq!(
+        trace.folded["close_root"].count, 1,
+        "closed once, not again on drop"
+    );
+}
+
+#[test]
 fn journal_and_folded_exports_round_trip() {
     let _guard = obs_lock();
     let _force = ForceObs::on();

@@ -272,10 +272,8 @@ pub fn run_scenario_on(
     model: NetworkModel,
 ) -> Result<ScenarioReport, AcrrError> {
     let _scenario_span = ovnes_obs::span!("scenario");
-    let obs_on = ovnes_obs::enabled();
     let t0 = Instant::now();
     let generate_span = ovnes_obs::span!("generate");
-    let generate_started = obs_on.then(Instant::now);
     let requests: Vec<SliceRequest> = match &spec.workload {
         Workload::Generated(w) => w.generate(spec.seed, spec.horizon_epochs),
         Workload::Explicit(reqs) => reqs
@@ -285,9 +283,7 @@ pub fn run_scenario_on(
             .collect(),
     };
     let arrivals = requests.len();
-    let phase_generate_seconds =
-        generate_started.map_or(0.0, |started| started.elapsed().as_secs_f64());
-    drop(generate_span);
+    let phase_generate_seconds = generate_span.close();
 
     // Static capacities, captured before the model moves into the
     // orchestrator.

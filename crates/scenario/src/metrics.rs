@@ -169,8 +169,8 @@ pub struct ScenarioReport {
     /// fingerprint.
     pub decision_latency_percentiles: [f64; 4],
     /// Wall-clock spent generating/expanding the workload before the
-    /// horizon ran. Captured only when `ovnes-obs` is enabled; zero
-    /// otherwise. **Excluded** from the fingerprint.
+    /// horizon ran: the `scenario;generate` span's time, so zero when
+    /// `ovnes-obs` is off. **Excluded** from the fingerprint.
     pub phase_generate_seconds: f64,
     /// Per-phase orchestrator wall-clock summed over the horizon
     /// (revalidate / forecast / solve / admit / simulate — the epoch

@@ -151,6 +151,42 @@ fn obs_on_leaves_fingerprints_bitwise_identical() {
     ovnes_obs::set_enabled(false);
 }
 
+/// Each phase is timed once, by its span: on a traced run, every summed
+/// `phase_seconds` field is its `scenario;epoch;<phase>` span total, and
+/// `phase_generate_seconds` is `scenario;generate`'s, up to the ns → s
+/// conversion. `solve` is the always-on decision clock, read inside its
+/// span.
+#[test]
+fn phase_seconds_are_their_span_totals() {
+    let _guard = obs_lock();
+    ovnes_obs::set_enabled(true);
+    let _ = ovnes_obs::trace::drain();
+    let mut spec = presets::preset("fig5-n1").expect("preset");
+    spec.threads = 1;
+    let report = run_scenario(&spec).expect("run");
+    let trace = ovnes_obs::trace::drain();
+    let _ = ovnes_obs::metrics::drain_global();
+    ovnes_obs::set_enabled(false);
+
+    let spanned = |path: &str| trace.total_ns(path) as f64 / 1e9;
+    let p = report.phase_seconds;
+    for (path, seconds) in [
+        ("scenario;epoch;revalidate", p.revalidate),
+        ("scenario;epoch;forecast", p.forecast),
+        ("scenario;epoch;admit", p.admit),
+        ("scenario;epoch;simulate", p.simulate),
+        ("scenario;generate", report.phase_generate_seconds),
+    ] {
+        assert!(
+            (seconds - spanned(path)).abs() <= 1e-12,
+            "{path}: {seconds} s summed, {} s spanned",
+            spanned(path)
+        );
+    }
+    assert!(p.forecast > 0.0 && p.simulate > 0.0, "{p:?}");
+    assert!(p.solve > 0.0 && p.solve <= spanned("scenario;epoch;solve") + 1e-12);
+}
+
 /// Decision-latency percentiles ride along in every report (the
 /// histogram is counter-shaped, so it records whether or not tracing is
 /// on) — but they are wall-clock and therefore hash-excluded, which the
