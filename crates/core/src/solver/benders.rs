@@ -105,7 +105,8 @@ pub fn solve(instance: &AcrrInstance, options: &BendersOptions) -> Result<Alloca
     for iter in 0..options.max_iterations {
         let _span = ovnes_obs::span!("benders_round", round = iter as i64);
         stats.iterations = iter + 1;
-        // Mid-loop failures (budget-starved or fault-injected master) fall
+        // Mid-loop failures (a master the node budget stopped before its
+        // first incumbent, or a pivot-starved or fault-injected one) fall
         // back to the incumbent: a valid admission evaluated by the slave,
         // just not proven optimal — flagged `truncated` so the orchestrator
         // records the degradation.

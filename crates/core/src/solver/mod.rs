@@ -121,7 +121,8 @@ pub struct SolveBudget {
     /// engine error, which the degradation ladder absorbs.
     pub max_pivots: Option<usize>,
     /// Cap on branch-and-bound nodes per MILP solve; the tree returns its
-    /// best incumbent flagged `truncated`.
+    /// best incumbent flagged `truncated`, or, stopped before its first
+    /// incumbent, an engine error the degradation ladder absorbs.
     pub max_nodes: Option<usize>,
     /// Cap on Benders outer iterations; the loop returns its incumbent
     /// flagged `truncated`. Ignored by the other solvers.
@@ -470,7 +471,7 @@ fn deficit_values(vars: DeficitVars, value: impl Fn(VarId) -> f64) -> (f64, f64,
 /// Solves an admission MILP by branch and bound and reads its allocation:
 /// the decoded admission, the deficit, and `leg_z(solution, li)` on every
 /// admitted leg `li`. A node-limited tree returns its best incumbent with
-/// `stats.truncated` set.
+/// `stats.truncated` set, or [`AcrrError::Engine`] when it had none yet.
 fn solve_admission_milp(
     instance: &AcrrInstance,
     problem: Problem,

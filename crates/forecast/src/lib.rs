@@ -40,6 +40,18 @@
 //! stays linear in it (the grid order is unchanged, so how early the cap
 //! tightens depends on where the winner lies in it).
 //!
+//! **Shared first season.** In the first smoothed season every step reads
+//! an initial seasonal index, never one a candidate wrote, so γ does not
+//! reach the level, the trend or the error sum before `2m`. The five γ of
+//! an (α, β) pair therefore share those `m` steps bit for bit: the grid
+//! runs them once per pair (under the cap in force when the pair starts,
+//! the loosest any of its γ meets), keeps each step's blend input, and per
+//! γ forms the first-season indices with the recursion's own blend before
+//! smoothing on from `2m`. On `2m + k` samples that is at most
+//! `25·m + 125·k` full steps and `125·m` blends instead of `125·(m + k)`
+//! steps, so the short histories of the first days gain most. One function
+//! holds a step's arithmetic, and both paths call it.
+//!
 //! ## Example
 //!
 //! ```

@@ -764,7 +764,9 @@ fn pruning_skips_pinned_smoothing_work() {
     // A fixed seeded set: every family, both modes, three seasons. The
     // unpruned grid runs 125 candidates and one refit over the whole
     // history; the count of steps the pruned one executes is pinned, and
-    // moves only with a change that means to move it.
+    // moves only with a change that means to move it. A shared first
+    // season counts its steps once per (α, β) pair, and a blend is not a
+    // step.
     use crate::holt_winters::step_count;
     let (mut unpruned, mut pruned) = (0u64, 0u64);
     for (k, season) in [2usize, 6, 24].into_iter().enumerate() {
@@ -780,7 +782,157 @@ fn pruning_skips_pinned_smoothing_work() {
         }
     }
     assert!(pruned < unpruned, "{pruned} of {unpruned}");
-    assert_eq!((pruned, unpruned), (352_848, 508_032));
+    assert_eq!((pruned, unpruned), (299_040, 508_032));
+}
+
+#[test]
+fn shared_season_skips_pinned_work_on_short_histories() {
+    // Two to three seasons, every family, both modes: the histories where
+    // the first season is most of the work, and where a slow pair's first
+    // season alone can cost more than the best full fit.
+    use crate::holt_winters::step_count;
+    let (mut unpruned, mut pruned) = (0u64, 0u64);
+    for (k, season) in [2usize, 6, 24].into_iter().enumerate() {
+        let raw = draws(0x5407_0000 + k as u64, 3 * season);
+        for len in 2 * season..=3 * season {
+            for shape in 0..SHAPES {
+                let series = shaped(&raw[..len], season, shape);
+                for mode in [Seasonality::Additive, Seasonality::Multiplicative] {
+                    let before = step_count::total();
+                    HoltWinters::new(season, mode).fit_grid(&series);
+                    pruned += step_count::total() - before;
+                    unpruned += 126 * (len - season) as u64;
+                }
+            }
+        }
+    }
+    assert_eq!((pruned, unpruned), (699_584, 2_204_496));
+}
+
+/// Grid-fits `series` under `mode` against the oracle, and `predict_next`
+/// against the oracle's.
+fn assert_refines_and_predicts(series: &[f64], season: usize) {
+    for mode in [Seasonality::Additive, Seasonality::Multiplicative] {
+        assert_refines(series, season, mode);
+    }
+    let p = predict_next(series, season, 0.05);
+    let o = oracle_predict_next(series, season, 0.05);
+    let what = format!("predict_next m={season} len={}", series.len());
+    assert_eq!(
+        bits(&[p.value, p.sigma]),
+        bits(&[o.value, o.sigma]),
+        "{what}"
+    );
+}
+
+#[test]
+fn shared_first_season_refines_at_the_season_boundaries() {
+    // Two seasons (an empty tail: a pair's five γ tie on the shared sum, so
+    // γ = 0.1 wins), one sample more, one short of three seasons and three.
+    // The families include a zero-mean first season (4) and the random
+    // walk whose winner comes late (8).
+    for (k, season) in [2usize, 6, 24].into_iter().enumerate() {
+        let raw = draws(0x5EA5_0000 + k as u64, 3 * season);
+        for len in [2 * season, 2 * season + 1, 3 * season - 1, 3 * season] {
+            let mut families = vec![diurnal(len, season, 80.0, 30.0)];
+            families.extend([0, 2, 4, 8].map(|shape| shaped(&raw[..len], season, shape)));
+            for series in &families {
+                assert_refines_and_predicts(series, season);
+                if len == 2 * season {
+                    for mode in [Seasonality::Additive, Seasonality::Multiplicative] {
+                        let mut hw = HoltWinters::new(season, mode);
+                        hw.fit_grid(series);
+                        assert_eq!(hw.gamma, 0.1, "m={season} {mode:?}");
+                    }
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn shared_first_season_refines_on_non_finite_sums() {
+    // Every factor-independent way for the first season to go non-finite:
+    // a NaN or +inf sample at each of its positions. Every candidate's sum
+    // turns NaN or +inf there, so the first candidate's sticks as the cap,
+    // and each later pair shares its season under that cap.
+    let grid = [0.1, 0.3, 0.5, 0.7, 0.9];
+    for season in [2usize, 6, 24] {
+        let base = diurnal(4 * season, season, 40.0, 15.0);
+        for pos in season..2 * season {
+            for poison in [f64::NAN, f64::INFINITY] {
+                let mut series = base.clone();
+                series[pos] = poison;
+                assert_refines_and_predicts(&series, season);
+            }
+        }
+    }
+    // A NaN first candidate: it sticks, and its NaN cap abandons nothing.
+    let mut series = diurnal(24, 6, 40.0, 15.0);
+    series[8] = f64::NAN;
+    for mode in [Seasonality::Additive, Seasonality::Multiplicative] {
+        let mut hw = HoltWinters::new(6, mode);
+        hw.fit_grid(&series);
+        assert!(hw.fit_rmse().is_some_and(f64::is_nan), "{mode:?}");
+        assert_eq!((hw.alpha, hw.beta, hw.gamma), (0.1, 0.1, 0.1), "{mode:?}");
+    }
+
+    // Factor-dependent overflow: a first season of 7e153 spikes squares to
+    // just under `f64::MAX`, so the running sum overflows to +inf inside
+    // the first season for the fastest-tracking pairs only. Those come last
+    // in grid order: their shared season runs under a finite cap and is
+    // abandoned at the overflow.
+    let (season, mode) = (6, Seasonality::Multiplicative);
+    let mut series = diurnal(4 * season, season, 10.0, 3.0);
+    for pos in (season..2 * season).step_by(2) {
+        series[pos] = 7e153;
+    }
+    let first_finite = grid
+        .iter()
+        .flat_map(|&a| grid.iter().flat_map(move |&b| grid.map(|g| (a, b, g))))
+        .position(|(a, b, g)| {
+            let mut hw = HoltWinters::new(season, mode).with_params(a, b, g);
+            hw.fit(&series);
+            hw.fit_rmse().is_some_and(f64::is_finite)
+        });
+    let overflowing: Vec<usize> = (0..25)
+        .filter(|&pair| {
+            let (a, b) = (grid[pair / 5], grid[pair % 5]);
+            let mut hw = HoltWinters::new(season, mode).with_params(a, b, 0.1);
+            hw.fit(&series[..2 * season]); // the first season's sum alone
+            hw.fit_rmse() == Some(f64::INFINITY)
+        })
+        .collect();
+    let first_finite = first_finite.expect("some candidate stays finite");
+    assert!(
+        overflowing.iter().any(|&pair| 5 * pair > first_finite),
+        "{first_finite} {overflowing:?}"
+    );
+    assert_refines_and_predicts(&series, season);
+}
+
+#[test]
+fn shared_first_season_refines_through_the_level_clamp() {
+    // Multiplicative seasonal blends divide by the new level, clamped to
+    // 1e-12 when smaller. Seasons of ones, then one of 1e-14 followed by
+    // -m: the level and trend seeds cancel, so the first smoothed level is
+    // about 1e-14 for every α and then turns negative, crossing the clamp
+    // inside the first season.
+    for season in [2usize, 6, 24] {
+        let m = season as f64;
+        let mut series = vec![1.0; 4 * season];
+        series[season] = 1e-14;
+        for y in &mut series[season + 1..2 * season] {
+            *y = -m;
+        }
+        let s1 = series[..season].iter().sum::<f64>() / m;
+        let s2 = series[season..2 * season].iter().sum::<f64>() / m;
+        assert!(
+            (s1 + (s2 - s1) / m).abs() < 1e-13,
+            "level + trend seeds cancel"
+        );
+        assert_refines_and_predicts(&series, season);
+    }
 }
 
 #[test]

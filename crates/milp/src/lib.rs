@@ -21,7 +21,8 @@
 //!   picks it up; the node's solve copies only the factorization's update
 //!   state, a fixed set of flat arrays with room for the node's own
 //!   updates — see `ovnes_lp`'s *Copy-on-compress sharing*),
-//! * node limits with a best-effort solution flagged as truncated.
+//! * node limits with a best-effort solution flagged as truncated (an
+//!   error when the limit struck before any incumbent).
 //!
 //! ## Parallel architecture and determinism
 //!
@@ -152,7 +153,9 @@ pub fn default_threads() -> usize {
 pub struct MilpOptions {
     /// Maximum number of branch-and-bound nodes applied (counted in the
     /// deterministic application order, so truncation is reproducible at
-    /// any worker count).
+    /// any worker count). A search it stops returns its best incumbent
+    /// flagged `truncated`, or `Err(SolveError::IterationLimit)` when it has
+    /// none yet: an unfinished tree proves nothing infeasible.
     pub max_nodes: usize,
     /// Simplex options used for node relaxations.
     pub simplex: SimplexOptions,
@@ -184,8 +187,9 @@ pub struct MilpOptions {
     pub round_width: Option<usize>,
     /// Optional wall-clock budget per `solve` call. When it expires the
     /// search stops at the next canonical application point and returns the
-    /// best incumbent flagged `truncated` (or `Infeasible` when none was
-    /// found). **Non-deterministic by construction** — where the clock
+    /// best incumbent flagged `truncated` (or, when none was found yet,
+    /// `Err(SolveError::IterationLimit)`, as for `max_nodes`).
+    /// **Non-deterministic by construction** — where the clock
     /// lands depends on the machine — so callers that fingerprint results
     /// must leave this `None` and rely on the deterministic `max_nodes`
     /// budget instead.
@@ -235,7 +239,8 @@ impl MilpSolution {
 pub enum MilpOutcome {
     /// Proven-optimal (within the 1e-7 absolute gap) integral solution.
     Optimal(MilpSolution),
-    /// No integral solution exists (within the explored tree).
+    /// No integral solution exists: the search ran to exhaustion without
+    /// an incumbent.
     Infeasible,
     /// The LP relaxation is unbounded.
     Unbounded,
@@ -425,6 +430,9 @@ impl Milp {
     /// grew rows since (the Benders master pattern). Results — outcome,
     /// node count, pivot statistics — are deterministic in the worker
     /// count; see the crate docs.
+    ///
+    /// `Err` is an engine failure in a node relaxation, or a node or
+    /// wall-clock budget spent before any incumbent was found.
     pub fn solve(&mut self) -> Result<MilpOutcome, SolveError> {
         let _span = ovnes_obs::span!("milp_solve");
         let threads = self.options.threads.max(1);
@@ -521,6 +529,10 @@ impl Milp {
                 truncated: state.truncated,
                 lp_stats: state.lp_stats,
             })),
+            // A budget stopped the search before any incumbent: the open
+            // nodes may still hold one, so this is not a proof of
+            // infeasibility.
+            None if state.truncated => Err(SolveError::IterationLimit),
             None => Ok(MilpOutcome::Infeasible),
         }
     }

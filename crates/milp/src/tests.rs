@@ -1,7 +1,7 @@
 //! Tests for branch-and-bound, cross-checked against brute-force enumeration.
 
 use crate::{adaptive_round_width, Milp, MilpOptions, MilpOutcome, MilpSolution};
-use ovnes_lp::{Cmp, Problem, VarId};
+use ovnes_lp::{Cmp, Problem, SolveError, VarId};
 use proptest::prelude::*;
 
 /// Brute-force optimum of a 0-1 knapsack: max Σ v_i x_i s.t. Σ w_i x_i ≤ cap.
@@ -174,11 +174,31 @@ fn node_limit_truncates() {
         max_nodes: 2,
         ..Default::default()
     });
-    match m.solve().unwrap() {
-        MilpOutcome::Optimal(s) => assert!(s.truncated || s.nodes <= 2),
-        MilpOutcome::Infeasible => {} // no incumbent found in 2 nodes is fine
-        MilpOutcome::Unbounded => panic!("bounded problem"),
+    match m.solve() {
+        Ok(MilpOutcome::Optimal(s)) => assert!(s.truncated || s.nodes <= 2),
+        // No incumbent in 2 nodes: a spent budget, never `Infeasible`.
+        Err(SolveError::IterationLimit) => {}
+        other => panic!("feasible problem: {other:?}"),
     }
+}
+
+/// A tree the node budget stops before any incumbent has not proved the
+/// problem infeasible: it reports the spent budget, while the same tree run
+/// to the end finds the optimum.
+#[test]
+fn node_limit_without_incumbent_is_not_infeasible() {
+    let values: Vec<f64> = (0..14).map(|i| 10.0 + (i as f64) * 0.618).collect();
+    let weights: Vec<f64> = (0..14).map(|i| 7.0 + ((i * 37) % 11) as f64).collect();
+    let mut m = knapsack_milp(&values, &weights, 40.0);
+    m.set_options(MilpOptions {
+        max_nodes: 1, // the root relaxation is fractional
+        ..Default::default()
+    });
+    assert!(matches!(m.solve(), Err(SolveError::IterationLimit)));
+    m.set_options(MilpOptions::default());
+    let s = m.solve().unwrap().unwrap_optimal();
+    assert!(!s.truncated);
+    assert!((-s.objective - knapsack_brute(&values, &weights, 40.0)).abs() < 1e-6);
 }
 
 #[test]
@@ -420,10 +440,12 @@ fn truncation_is_deterministic_across_workers() {
             threads,
             ..MilpOptions::default()
         });
-        match m.solve().unwrap() {
-            MilpOutcome::Optimal(s) => outcomes.push((s.objective.to_bits(), s.nodes, s.truncated)),
-            MilpOutcome::Infeasible => outcomes.push((0, 0, true)),
-            MilpOutcome::Unbounded => panic!("bounded problem"),
+        match m.solve() {
+            Ok(MilpOutcome::Optimal(s)) => {
+                outcomes.push((s.objective.to_bits(), s.nodes, s.truncated))
+            }
+            Err(SolveError::IterationLimit) => outcomes.push((0, 0, true)),
+            other => panic!("feasible problem: {other:?}"),
         }
     }
     assert_eq!(outcomes[0], outcomes[1], "truncated runs diverged");

@@ -15,10 +15,17 @@
 //! branch-and-bound results are deterministic in the worker count. A
 //! constant moves only in a change that means to move a decision or a
 //! count.
+//!
+//! The same instances check the node budget's contract: a relaxed instance
+//! is always feasible, so a tree the budget stops before any incumbent is a
+//! spent budget, never `AcrrError::Infeasible`.
 
 use ovnes::problem::{AcrrInstance, Allocation, PathPolicy, TenantInput};
 use ovnes::slice::{SliceClass, SliceTemplate};
-use ovnes::solver::{baseline, benders, kac, oneshot, AcrrError, SolverKind};
+use ovnes::solver::{
+    baseline, benders, kac, oneshot, solve_controlled, AcrrError, Degradation, SolveBudget,
+    SolveControls, SolverKind,
+};
 use ovnes_lp::{LpStats, SimplexOptions};
 use ovnes_milp::MilpOptions;
 use ovnes_topology::operators::{GeneratorConfig, NetworkModel, Operator};
@@ -65,10 +72,10 @@ const CASES: [Case; 12] = [
 
 /// Per solver kind, the digest over every case it solves.
 const PINNED: [(SolverKind, u64); 4] = [
-    (SolverKind::Benders, 0xeb6e_8384_f756_880b),
+    (SolverKind::Benders, 0x366c_34d8_f956_797b),
     (SolverKind::Kac, 0x1a8b_e026_9f0b_8ac9),
-    (SolverKind::OneShot, 0x82ed_0be3_2230_e89d),
-    (SolverKind::NoOverbooking, 0x55ed_2d44_d93d_6646),
+    (SolverKind::OneShot, 0x4137_4ac5_c418_7ff4),
+    (SolverKind::NoOverbooking, 0x8a61_3bf8_4eca_82d7),
 ];
 
 fn instance(case: &Case) -> AcrrInstance {
@@ -140,13 +147,24 @@ fn solve(
     instance: &AcrrInstance,
     budgeted: bool,
 ) -> Result<Allocation, AcrrError> {
+    if budgeted {
+        solve_under(kind, instance, 2, 2)
+    } else {
+        solve_under(kind, instance, MilpOptions::default().max_nodes, 60)
+    }
+}
+
+/// Solves `instance` with `kind` at `max_nodes` branch-and-bound nodes per
+/// MILP solve and `max_rounds` Benders rounds.
+fn solve_under(
+    kind: SolverKind,
+    instance: &AcrrInstance,
+    max_nodes: usize,
+    max_rounds: usize,
+) -> Result<Allocation, AcrrError> {
     let milp = MilpOptions {
         simplex: pinned(),
-        max_nodes: if budgeted {
-            2
-        } else {
-            MilpOptions::default().max_nodes
-        },
+        max_nodes,
         ..MilpOptions::default()
     };
     match kind {
@@ -154,7 +172,7 @@ fn solve(
             instance,
             &benders::BendersOptions {
                 milp,
-                max_iterations: if budgeted { 2 } else { 60 },
+                max_iterations: max_rounds,
                 ..benders::BendersOptions::default()
             },
         ),
@@ -305,4 +323,69 @@ fn the_cases_cover_rejection_deficit_and_pinning() {
         }
     }
     assert!(rejected > 0 && deficit > 0 && pinned_kept > 0);
+}
+
+/// With the deficit relaxation on, rejecting every optional tenant is always
+/// feasible, so no node budget may make a solver report the instance
+/// infeasible: a tree stopped before its first incumbent is a spent budget.
+#[test]
+fn a_node_budget_never_makes_a_relaxed_instance_infeasible() {
+    let kinds = PINNED.map(|(kind, _)| kind);
+    let mut spent = 0;
+    for case in CASES.iter().filter(|case| case.deficit) {
+        let inst = instance(case);
+        for kind in kinds {
+            if kind == SolverKind::NoOverbooking && case.overbooking {
+                continue;
+            }
+            for max_nodes in 1..=4 {
+                let result = solve_under(kind, &inst, max_nodes, 60);
+                let what = format!("seed {} {kind:?} at {max_nodes} nodes", case.topology_seed);
+                assert!(!matches!(result, Err(AcrrError::Infeasible)), "{what}");
+                spent += usize::from(matches!(result, Err(AcrrError::Engine(_))));
+            }
+        }
+    }
+    assert!(spent > 0, "no budget struck before an incumbent");
+}
+
+/// A Benders master that the node budget stops before any incumbent, after
+/// round 1, ends the loop on the incumbent the earlier rounds priced: the
+/// epoch degrades to `Incumbent`. Such a round runs no slave, which the
+/// loop's counters show as one round more than slave solves.
+#[test]
+fn a_master_stopped_without_incumbent_degrades_the_epoch() {
+    if ovnes_lp::fault_injection_active() {
+        return; // the ambient fault plan moves which masters stop
+    }
+    let mut stopped = 0;
+    for case in CASES.iter().filter(|case| case.deficit) {
+        let inst = instance(case);
+        for max_nodes in 1..=4 {
+            let controls = SolveControls {
+                kind: SolverKind::Benders,
+                threads: 1,
+                refactor_interval: 128,
+                budget: SolveBudget {
+                    max_nodes: Some(max_nodes),
+                    ..SolveBudget::default()
+                },
+                ..SolveControls::default()
+            };
+            let out = solve_controlled(&inst, &controls);
+            let Some(a) = out.allocation.as_ref() else {
+                continue;
+            };
+            if out.degradation == Degradation::Greedy || a.stats.iterations < 2 {
+                continue; // round 1 failed, or the loop ended in one round
+            }
+            if a.stats.lp_solves + 1 == a.stats.iterations {
+                stopped += 1;
+                let what = format!("seed {} at {max_nodes} nodes", case.topology_seed);
+                assert_eq!(out.degradation, Degradation::Incumbent, "{what}");
+                assert!(a.stats.truncated, "{what}");
+            }
+        }
+    }
+    assert!(stopped > 0, "no master stopped without an incumbent");
 }
