@@ -1,102 +1,54 @@
-//! # ovnes-forecast — exponential-smoothing forecasting
+//! # ovnes-forecast — one-step demand forecasting
 //!
 //! The CoNEXT'18 overbooking orchestrator drives admission decisions from a
 //! *forecast* of each slice's peak demand in the next decision epoch
 //! (`λ̂`) and an *uncertainty estimate* for that forecast (`σ̂ ∈ (0, 1]`),
-//! which scales the risk term of the yield objective. The paper uses the
-//! **multiplicative Holt-Winters** method (triple exponential smoothing)
-//! because mobile traffic is strongly seasonal (§2.2.2, "Forecasting").
+//! which scales the risk term of the yield objective (§2.2.2,
+//! "Forecasting"). The crate is one function, [`predict_next`], called per
+//! (slice, BS) series every epoch, and the [`Prediction`] it returns.
 //!
-//! The orchestrator forecasts through one function, [`predict_next`], and
-//! the crate holds the three smoothers behind it:
+//! * On two seasons of history or more (and a season of at least 2), the
+//!   paper's **multiplicative Holt-Winters** method (triple exponential
+//!   smoothing), additive when a sample is not positive, with its factors
+//!   chosen by one-step RMSE over a 5×5×5 grid of (α, β, γ). Mobile traffic
+//!   is strongly seasonal, and the seasonal amplitude scales with the level.
+//! * On a shorter history, simple exponential smoothing of the level at
+//!   α = 0.3: a trend fitted to a few noisy peaks chases the noise and would
+//!   inflate σ̂ during the learning phase.
+//! * σ̂ is the normalised one-step fit error, RMSE over the series' mean
+//!   magnitude, clamped into `[min_sigma, 1]`; 1 when there is no error to
+//!   measure or the series holds a non-finite sample.
 //!
-//! * [`ses`] — simple exponential smoothing (level only): its path for a
-//!   history shorter than two seasons,
-//! * [`holt`] — double exponential smoothing (level + trend): what a
-//!   Holt-Winters fit falls back to on a history shorter than two seasons,
-//! * [`holt_winters`] — triple smoothing with additive or multiplicative
-//!   seasonality, plus a small grid-search fitter,
-//! * [`uncertainty`] — normalised one-step-error estimator mapping model fit
-//!   quality into the paper's `σ̂ ∈ (0, 1]` scale factor.
-//!
-//! The [`Forecaster`] trait is their common fit / forecast interface. The
-//! orchestrator is not generic over it, and no ablation swaps the method.
-//!
-//! [`predict_next`] runs per (slice, BS) series every epoch: on two seasons
-//! of history or more, a Holt-Winters fit (multiplicative, or additive when
-//! a sample is not positive) chosen by a 5×5×5 grid over (α, β, γ) by
-//! one-step RMSE; on less, SES. The seasonal initialisation does not
-//! depend on the factors, so
-//! [`HoltWinters::fit_grid`](holt_winters::HoltWinters::fit_grid) computes it
-//! once and runs each candidate as one smoothing pass over a reused buffer —
-//! the same two steps a plain `fit` takes, so the grid's answer is bit for
-//! bit that of 125 independent fits. A candidate is abandoned as soon as its
-//! running squared error exceeds the best full sum so far: round-to-nearest
-//! addition of non-negative terms is monotone, so such a candidate's RMSE
-//! could only tie or lose, and a NaN sum never compares greater, so it runs
-//! to the end as before. Pruning changes how much history a losing
-//! candidate reads, never which candidate wins or any bit of the result;
-//! the winner and the final refit still read the whole history, so a fit
-//! stays linear in it (the grid order is unchanged, so how early the cap
-//! tightens depends on where the winner lies in it).
-//!
-//! **Shared first season.** In the first smoothed season every step reads
-//! an initial seasonal index, never one a candidate wrote, so γ does not
-//! reach the level, the trend or the error sum before `2m`. The five γ of
-//! an (α, β) pair therefore share those `m` steps bit for bit: the grid
-//! runs them once per pair (under the cap in force when the pair starts,
-//! the loosest any of its γ meets), keeps each step's blend input, and per
-//! γ forms the first-season indices with the recursion's own blend before
-//! smoothing on from `2m`. On `2m + k` samples that is at most
-//! `25·m + 125·k` full steps and `125·m` blends instead of `125·(m + k)`
-//! steps, so the short histories of the first days gain most. One function
-//! holds a step's arithmetic, and both paths call it.
+//! `predict_next` is total: no series, season or `min_sigma` panics, `λ̂` is
+//! never negative or NaN, and σ̂ is always in `(0, 1]`. The grid's answer is
+//! bit for bit that of 125 independent Holt-Winters fits and a refit under
+//! the winner; it gets there with shared, pruned smoothing passes.
 //!
 //! ## Example
 //!
 //! ```
-//! use ovnes_forecast::{holt_winters::{HoltWinters, Seasonality}, Forecaster};
+//! use ovnes_forecast::predict_next;
 //!
 //! // Two days of hourly load with a clear diurnal pattern.
 //! let series: Vec<f64> = (0..48)
 //!     .map(|h| 100.0 + 40.0 * (2.0 * std::f64::consts::PI * (h % 24) as f64 / 24.0).sin())
 //!     .collect();
-//! let mut hw = HoltWinters::new(24, Seasonality::Multiplicative);
-//! hw.fit(&series);
-//! let next = hw.forecast(1).expect("fitted above")[0];
-//! assert!((next - 100.0).abs() < 30.0); // follows the cycle back up
+//! let p = predict_next(&series, 24, 0.05);
+//! assert!((p.value - 100.0).abs() < 30.0); // follows the cycle back up
+//! assert!(p.sigma > 0.0 && p.sigma <= 1.0);
 //! ```
 
-pub mod holt;
-pub mod holt_winters;
-pub mod ses;
-pub mod uncertainty;
+mod holt_winters;
+mod uncertainty;
 
-/// Common interface for time-series forecasters.
-///
-/// Implementations are *offline*: `fit` consumes the full history each epoch
-/// (histories in the orchestrator are short — hundreds of points) and
-/// `forecast` extrapolates from the fitted state.
-pub trait Forecaster {
-    /// Fits internal state to the observation history (earliest first).
-    fn fit(&mut self, series: &[f64]);
-
-    /// Forecasts the next `horizon` values after the end of the fitted
-    /// series. Returns `None` when no state is fitted — `fit` was never
-    /// called, or the last call saw an empty series (or, for Holt-Winters, a
-    /// season too long to hold an index table).
-    fn forecast(&self, horizon: usize) -> Option<Vec<f64>>;
-
-    /// Root-mean-square of one-step-ahead fit errors, if available.
-    /// `None` before `fit` or when the series was too short to estimate.
-    fn fit_rmse(&self) -> Option<f64>;
-}
+use holt_winters::Seasonality;
 
 /// Forecast for the next epoch with its uncertainty, the pair consumed by
 /// the AC-RR objective (`λ̂`, `σ̂`).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Prediction {
-    /// Predicted value (e.g. peak slice load next epoch).
+    /// Predicted value (e.g. peak slice load next epoch), never negative or
+    /// NaN.
     pub value: f64,
     /// Normalised uncertainty in `(0, 1]`: ~0 ⇒ highly confident.
     pub sigma: f64,
@@ -107,60 +59,50 @@ pub struct Prediction {
 /// shorter than two seasons), forecast one step, and attach σ̂.
 ///
 /// `season` is the seasonal period in samples; `min_sigma` floors the
-/// uncertainty (the paper requires σ̂ > 0).
+/// uncertainty (the paper requires σ̂ > 0). A `min_sigma` outside `(0, 1]`
+/// is clamped into it: NaN and non-positive values become
+/// `f64::MIN_POSITIVE`, values above 1 become 1.
 pub fn predict_next(series: &[f64], season: usize, min_sigma: f64) -> Prediction {
-    use holt_winters::{HoltWinters, Seasonality};
-
-    if series.is_empty() {
-        return Prediction {
-            value: 0.0,
-            sigma: 1.0,
-        };
-    }
-    if series.len() < 2 {
-        return Prediction {
-            value: series[0],
-            sigma: 1.0,
-        };
-    }
-
-    let positive = series.iter().all(|&v| v > 0.0);
+    let min_sigma = if min_sigma > 0.0 {
+        min_sigma.min(1.0)
+    } else {
+        f64::MIN_POSITIVE
+    };
     // `len / 2 >= season`, not `len >= 2 * season`: the product overflows on
     // a huge season, which must take the short-history path instead.
-    let enough_for_hw = season >= 2 && series.len() / 2 >= season;
-
-    let (value, rmse) = if enough_for_hw {
-        let mut hw = HoltWinters::new(
-            season,
-            if positive {
-                Seasonality::Multiplicative
-            } else {
-                Seasonality::Additive
-            },
-        );
-        hw.fit_grid(series);
-        match hw.forecast(1) {
-            Some(f) => (f[0], hw.fit_rmse()),
-            None => (series[series.len() - 1], None),
-        }
+    let (value, rmse) = if season >= 2 && series.len() / 2 >= season {
+        let mode = if series.iter().all(|&v| v > 0.0) {
+            Seasonality::Multiplicative
+        } else {
+            Seasonality::Additive
+        };
+        let fit = holt_winters::fit_grid(mode, season, series);
+        (fit.forecast(mode, series.len()), Some(fit.rmse))
     } else {
-        // Short history: a level-only smoother. (Holt's trend term chases
-        // noise on short peak series and wildly inflates the fit error,
-        // which would make σ̂ — and thus reservations — far too
-        // conservative during the learning phase.)
-        let mut s = ses::Ses::new(0.3);
-        s.fit(series);
-        match s.forecast(1) {
-            Some(f) => (f[0], s.fit_rmse()),
-            None => (series[series.len() - 1], None),
-        }
+        ses(series)
     };
-
-    let sigma = uncertainty::sigma_from_rmse(rmse, series, min_sigma);
     Prediction {
         value: value.max(0.0),
-        sigma,
+        sigma: uncertainty::sigma_from_rmse(rmse, series, min_sigma),
     }
+}
+
+/// Simple exponential smoothing of the level, `ℓ_t = α·y_t + (1−α)·ℓ_{t−1}`
+/// at α = 0.3 from `ℓ_0 = y_0`: the final level (0 on an empty series) and
+/// the one-step RMSE (`None` below two samples).
+fn ses(series: &[f64]) -> (f64, Option<f64>) {
+    const ALPHA: f64 = 0.3;
+    let Some((&first, rest)) = series.split_first() else {
+        return (0.0, None);
+    };
+    let (mut level, mut sq_err) = (first, 0.0);
+    for &y in rest {
+        let err = y - level;
+        sq_err += err * err;
+        level = ALPHA * y + (1.0 - ALPHA) * level;
+    }
+    let rmse = (!rest.is_empty()).then(|| (sq_err / rest.len() as f64).sqrt());
+    (level, rmse)
 }
 
 #[cfg(test)]

@@ -1,13 +1,12 @@
-//! Tests for the forecasting family.
+//! Tests for `predict_next` and the Holt-Winters grid behind it.
 
-use crate::holt::Holt;
-use crate::holt_winters::{HoltWinters, Seasonality};
-use crate::ses::Ses;
+use crate::holt_winters::{fit_grid, step_count, Fit, Seasonality};
 use crate::uncertainty::sigma_from_rmse;
-use crate::{predict_next, Forecaster, Prediction};
+use crate::{predict_next, Prediction};
 use proptest::prelude::*;
 
 const TAU: f64 = std::f64::consts::TAU;
+const MODES: [Seasonality; 2] = [Seasonality::Additive, Seasonality::Multiplicative];
 
 fn diurnal(n: usize, period: usize, mean: f64, amp: f64) -> Vec<f64> {
     (0..n)
@@ -15,107 +14,113 @@ fn diurnal(n: usize, period: usize, mean: f64, amp: f64) -> Vec<f64> {
         .collect()
 }
 
+/// The one-step forecasts of `series[from..]`, each from the history before
+/// it.
+fn rolling(series: &[f64], season: usize, from: usize) -> Vec<Prediction> {
+    (from..series.len())
+        .map(|t| predict_next(&series[..t], season, 0.05))
+        .collect()
+}
+
+// ---------------------------------------------------------------------------
+// The short-history path: SES at α = 0.3
+// ---------------------------------------------------------------------------
+
 #[test]
 fn ses_constant_series() {
-    let mut s = Ses::default();
-    s.fit(&[7.0; 20]);
-    assert!((s.forecast(3).unwrap()[2] - 7.0).abs() < 1e-9);
-    assert!(s.fit_rmse().unwrap() < 1e-9);
+    let p = predict_next(&[7.0; 20], 24, 0.05);
+    assert!((p.value - 7.0).abs() < 1e-9);
+    assert_eq!(p.sigma, 0.05, "zero fit error floors σ̂");
 }
 
 #[test]
 fn ses_converges_toward_recent_level() {
     let mut series = vec![0.0; 30];
     series.extend(vec![10.0; 30]);
-    let mut s = Ses::new(0.5);
-    s.fit(&series);
-    assert!(
-        s.forecast(1).unwrap()[0] > 9.5,
-        "SES should track the regime change"
-    );
+    let p = predict_next(&series, 48, 0.05); // under two seasons: SES
+    assert!(p.value > 9.5, "SES should track the regime change");
 }
 
 #[test]
 fn ses_empty_and_single() {
-    let mut s = Ses::default();
-    s.fit(&[]);
-    assert!(s.level().is_none());
-    assert!(s.forecast(1).is_none());
-    s.fit(&[3.0]);
-    assert_eq!(s.forecast(2).unwrap(), vec![3.0, 3.0]);
-    assert!(s.fit_rmse().is_none());
+    assert_eq!(
+        predict_next(&[], 6, 0.05),
+        Prediction {
+            value: 0.0,
+            sigma: 1.0
+        }
+    );
+    let p = predict_next(&[3.0], 6, 0.05);
+    assert_eq!((p.value, p.sigma), (3.0, 1.0), "no error to measure");
+    // Two samples: one step of error 2 against a mean magnitude of 4.
+    let p = predict_next(&[3.0, 5.0], 6, 0.05);
+    assert!((p.value - 3.6).abs() < 1e-12, "{p:?}");
+    assert!((p.sigma - 0.5).abs() < 1e-12, "{p:?}");
 }
 
-#[test]
-#[should_panic(expected = "alpha")]
-fn ses_rejects_bad_alpha() {
-    Ses::new(0.0);
-}
-
-#[test]
-fn holt_tracks_linear_trend() {
-    let series: Vec<f64> = (0..40).map(|t| 2.0 + 0.5 * t as f64).collect();
-    let mut h = Holt::default();
-    h.fit(&series);
-    let f = h.forecast(4).unwrap();
-    // Next values continue the line: 2 + 0.5·40 = 22, then 22.5, …
-    for (i, v) in f.iter().enumerate() {
-        let expect = 2.0 + 0.5 * (40 + i) as f64;
-        assert!((v - expect).abs() < 0.5, "h={i}: {v} vs {expect}");
-    }
-}
-
-#[test]
-fn holt_single_point() {
-    let mut h = Holt::default();
-    h.fit(&[4.0]);
-    assert_eq!(h.forecast(2).unwrap(), vec![4.0, 4.0]);
-}
+// ---------------------------------------------------------------------------
+// The Holt-Winters path, read through `predict_next` and the grid's `Fit`
+// ---------------------------------------------------------------------------
 
 #[test]
 fn hw_multiplicative_learns_seasonality() {
-    let series = diurnal(24 * 6, 24, 100.0, 40.0);
-    let mut hw = HoltWinters::new(24, Seasonality::Multiplicative);
-    hw.fit(&series);
-    let f = hw.forecast(24).unwrap();
-    // The forecast of the next full period should match the true cycle.
-    for (h, v) in f.iter().enumerate() {
-        let truth = 100.0 + 40.0 * (TAU * ((24 * 6 + h) % 24) as f64 / 24.0).sin();
-        assert!((v - truth).abs() < 12.0, "h={h}: {v} vs {truth}");
+    let series = diurnal(24 * 7, 24, 100.0, 40.0);
+    // Each hour of the seventh day, forecast from the hours before it,
+    // should match the true cycle.
+    for (h, p) in rolling(&series, 24, 24 * 6).iter().enumerate() {
+        let truth = series[24 * 6 + h];
+        assert!((p.value - truth).abs() < 12.0, "h={h}: {p:?} vs {truth}");
     }
     // And the fit error should be far below the seasonal amplitude.
-    assert!(hw.fit_rmse().unwrap() < 10.0);
+    let fit = fit_grid(Seasonality::Multiplicative, 24, &series[..24 * 6]);
+    assert!(fit.rmse < 10.0);
 }
 
 #[test]
 fn hw_additive_learns_seasonality_with_negatives() {
-    let series = diurnal(12 * 8, 12, 0.0, 5.0); // oscillates around zero
-    let mut hw = HoltWinters::new(12, Seasonality::Additive);
-    hw.fit(&series);
-    let f = hw.forecast(12).unwrap();
-    for (h, v) in f.iter().enumerate() {
-        let truth = 5.0 * (TAU * ((12 * 8 + h) % 12) as f64 / 12.0).sin();
-        assert!((v - truth).abs() < 2.5, "h={h}: {v} vs {truth}");
+    let series = diurnal(12 * 9, 12, 0.0, 5.0); // oscillates around zero
+    for (h, p) in rolling(&series, 12, 12 * 8).iter().enumerate() {
+        let (history, truth) = (&series[..12 * 8 + h], series[12 * 8 + h]);
+        let fit = fit_grid(Seasonality::Additive, 12, history);
+        let f = fit.forecast(Seasonality::Additive, history.len());
+        assert!((f - truth).abs() < 2.5, "h={h}: {f} vs {truth}");
+        assert_eq!(p.value, f.max(0.0), "h={h}: the additive fit, floored");
     }
 }
 
 #[test]
+fn holt_tracks_linear_trend() {
+    // Holt's linear trend, as the trend term of the Holt-Winters path: the
+    // next values continue the line, 2 + 0.5·40 = 22, then 22.5, …
+    let series: Vec<f64> = (0..44).map(|t| 2.0 + 0.5 * t as f64).collect();
+    for (h, p) in rolling(&series, 6, 40).iter().enumerate() {
+        let expect = series[40 + h];
+        assert!((p.value - expect).abs() < 0.5, "h={h}: {p:?} vs {expect}");
+    }
+}
+
+#[test]
+fn holt_downtrend_extrapolates_below_last() {
+    let series: Vec<f64> = (0..30).map(|t| 100.0 - 2.0 * t as f64).collect();
+    let p = predict_next(&series, 6, 0.05);
+    assert!(p.value < series[29], "{p:?}");
+    // Two steps on, the trend continues downward.
+    let longer: Vec<f64> = (0..32).map(|t| 100.0 - 2.0 * t as f64).collect();
+    assert!(predict_next(&longer, 6, 0.05).value < p.value);
+}
+
+#[test]
 fn hw_beats_holt_on_seasonal_data() {
+    // One-step forecasts over the fifth day: the seasonal path against
+    // Holt's level + trend (the oracle's fallback) from the same history.
     let series = diurnal(24 * 5, 24, 50.0, 20.0);
-    let (train, test) = series.split_at(24 * 4);
-    let mut hw = HoltWinters::new(24, Seasonality::Multiplicative);
-    hw.fit(train);
-    let mut h = Holt::default();
-    h.fit(train);
-    let err = |f: &[f64]| -> f64 {
-        f.iter()
-            .zip(test)
-            .map(|(a, b)| (a - b).powi(2))
-            .sum::<f64>()
-            .sqrt()
-    };
-    let hw_err = err(&hw.forecast(24).unwrap());
-    let holt_err = err(&h.forecast(24).unwrap());
+    let (mut hw_err, mut holt_err) = (0.0, 0.0);
+    for t in 24 * 4..24 * 5 {
+        let hw = predict_next(&series[..t], 24, 0.05).value;
+        let ((level, trend), _) = oracle_holt(&series[..t]).expect("non-empty");
+        hw_err += (hw - series[t]).powi(2);
+        holt_err += (level + trend - series[t]).powi(2);
+    }
     assert!(
         hw_err < holt_err,
         "Holt-Winters ({hw_err:.2}) should beat Holt ({holt_err:.2}) on seasonal data"
@@ -123,41 +128,58 @@ fn hw_beats_holt_on_seasonal_data() {
 }
 
 #[test]
-fn hw_grid_search_not_worse_than_default() {
-    let series = diurnal(24 * 5, 24, 80.0, 30.0);
-    let mut default_hw = HoltWinters::new(24, Seasonality::Multiplicative);
-    default_hw.fit(&series);
-    let mut tuned = HoltWinters::new(24, Seasonality::Multiplicative);
-    tuned.fit_grid(&series);
-    assert!(tuned.fit_rmse().unwrap() <= default_hw.fit_rmse().unwrap() + 1e-9);
+fn hw_short_history_falls_back() {
+    // Under two seasons there is no seasonal initialisation: the level-only
+    // path answers, and it does not extrapolate the rise.
+    let series = [5.0, 6.0, 7.0];
+    let p = predict_next(&series, 24, 0.05);
+    let (level, rmse) = oracle_ses(&series);
+    let sigma = sigma_from_rmse(rmse, &series, 0.05);
+    assert_eq!(bits(&[p.value, p.sigma]), bits(&[level, sigma]));
+    assert!(p.value > 5.0 && p.value < 7.0, "{p:?}");
 }
 
 #[test]
-fn hw_short_history_falls_back() {
-    let mut hw = HoltWinters::new(24, Seasonality::Multiplicative);
-    hw.fit(&[5.0, 6.0, 7.0]); // < 2 seasons
-    let f = hw.forecast(2).unwrap();
-    assert!(
-        f[0] > 6.0,
-        "fallback should extrapolate the trend, got {}",
-        f[0]
-    );
+fn hw_grid_search_not_worse_than_default() {
+    let series = diurnal(24 * 5, 24, 80.0, 30.0);
+    let mut default_hw = OracleHw::new(24, Seasonality::Multiplicative);
+    default_hw.fit(&series);
+    let tuned = fit_grid(Seasonality::Multiplicative, 24, &series);
+    assert!(tuned.rmse <= default_hw.rmse.unwrap() + 1e-9);
 }
 
 #[test]
 fn hw_seasonal_indices_multiplicative_centered_near_one() {
     let series = diurnal(24 * 4, 24, 100.0, 30.0);
-    let mut hw = HoltWinters::new(24, Seasonality::Multiplicative);
-    hw.fit(&series);
-    let idx = hw.seasonal_indices().unwrap();
+    let idx = fit_grid(Seasonality::Multiplicative, 24, &series).seasonal;
     let mean: f64 = idx.iter().sum::<f64>() / idx.len() as f64;
     assert!((mean - 1.0).abs() < 0.1, "indices mean {mean}");
 }
 
 #[test]
-#[should_panic(expected = "seasonal period")]
-fn hw_rejects_tiny_season() {
-    HoltWinters::new(1, Seasonality::Additive);
+fn hw_handles_constant_series() {
+    let p = predict_next(&[10.0; 36], 6, 0.05);
+    assert!((p.value - 10.0).abs() < 1e-6, "{p:?}");
+    assert_eq!(p.sigma, 0.05);
+    let fit = fit_grid(Seasonality::Multiplicative, 6, &[10.0; 36]);
+    assert!(fit.rmse < 1e-9);
+    assert!((fit.level - 10.0).abs() < 1e-6 && fit.trend.abs() < 1e-9);
+    assert!(fit.seasonal.iter().all(|s| (s - 1.0).abs() < 1e-9));
+}
+
+#[test]
+fn hw_additive_handles_zero_heavy_series() {
+    // Many zeros would break the multiplicative form; additive must cope.
+    let series: Vec<f64> = (0..60)
+        .map(|t| if t % 12 < 6 { 0.0 } else { 5.0 })
+        .collect();
+    let forecasts = rolling(&series, 12, 48);
+    assert!(forecasts.iter().all(|p| p.value.is_finite()));
+    // The square wave should be roughly reproduced.
+    assert!(
+        forecasts[2].value < forecasts[8].value,
+        "quiet half must forecast below busy half"
+    );
 }
 
 #[test]
@@ -228,18 +250,16 @@ proptest! {
         prop_assert!(p.sigma > 0.0 && p.sigma <= 1.0);
     }
 
-    /// SES level always lies within the series' range.
+    /// The SES path's level always lies within the series' range (floored
+    /// at zero, as every forecast is).
     #[test]
     fn prop_ses_level_within_range(
         values in proptest::collection::vec(-50.0f64..50.0, 2..60),
-        alpha in 0.05f64..1.0,
     ) {
-        let mut s = Ses::new(alpha);
-        s.fit(&values);
+        let value = predict_next(&values, 0, 0.05).value;
         let lo = values.iter().cloned().fold(f64::INFINITY, f64::min);
         let hi = values.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-        let level = s.level().unwrap();
-        prop_assert!(level >= lo - 1e-9 && level <= hi + 1e-9);
+        prop_assert!(value >= lo.max(0.0) - 1e-9 && value <= hi.max(0.0) + 1e-9);
     }
 
     /// Holt-Winters one-step forecast of a noiseless periodic signal is
@@ -251,68 +271,11 @@ proptest! {
     ) {
         let amp = mean * 0.3;
         let series = diurnal(season * 8, season, mean, amp);
-        let mut hw = HoltWinters::new(season, Seasonality::Multiplicative);
-        hw.fit(&series);
-        let f = hw.forecast(1).unwrap()[0];
+        let f = predict_next(&series, season, 0.05).value;
         let truth = mean + amp * (TAU * ((season * 8) % season) as f64 / season as f64).sin();
         prop_assert!((f - truth).abs() < mean * 0.25,
             "forecast {f} too far from truth {truth}");
     }
-}
-
-// ---------------------------------------------------------------------------
-// Additional edge cases
-// ---------------------------------------------------------------------------
-
-#[test]
-fn hw_handles_constant_series() {
-    let mut hw = HoltWinters::new(6, Seasonality::Multiplicative);
-    hw.fit(&[10.0; 36]);
-    let f = hw.forecast(6).unwrap();
-    for v in f {
-        assert!((v - 10.0).abs() < 1e-6);
-    }
-    assert!(hw.fit_rmse().unwrap() < 1e-9);
-}
-
-#[test]
-fn hw_additive_handles_zero_heavy_series() {
-    // Many zeros would break the multiplicative form; additive must cope.
-    let series: Vec<f64> = (0..48)
-        .map(|t| if t % 12 < 6 { 0.0 } else { 5.0 })
-        .collect();
-    let mut hw = HoltWinters::new(12, Seasonality::Additive);
-    hw.fit(&series);
-    let f = hw.forecast(12).unwrap();
-    assert!(f.iter().all(|v| v.is_finite()));
-    // The square wave should be roughly reproduced.
-    assert!(f[2] < f[8], "quiet half must forecast below busy half");
-}
-
-#[test]
-fn hw_with_params_applies() {
-    let series = diurnal(48, 12, 50.0, 10.0);
-    let hw = HoltWinters::new(12, Seasonality::Multiplicative).with_params(0.9, 0.9, 0.9);
-    assert_eq!((hw.alpha, hw.beta, hw.gamma), (0.9, 0.9, 0.9));
-    let mut hw = hw;
-    hw.fit(&series);
-    assert!(hw.fit_rmse().is_some());
-}
-
-#[test]
-#[should_panic(expected = "alpha")]
-fn hw_with_params_validates() {
-    HoltWinters::new(12, Seasonality::Additive).with_params(1.5, 0.5, 0.5);
-}
-
-#[test]
-fn holt_downtrend_extrapolates_below_last() {
-    let series: Vec<f64> = (0..30).map(|t| 100.0 - 2.0 * t as f64).collect();
-    let mut h = Holt::default();
-    h.fit(&series);
-    let f = h.forecast(3).unwrap();
-    assert!(f[0] < series[29]);
-    assert!(f[2] < f[0], "trend continues downward");
 }
 
 #[test]
@@ -332,42 +295,6 @@ fn predict_next_sigma_respects_floor() {
     let series = vec![5.0; 40];
     let p = predict_next(&series, 6, 0.07);
     assert_eq!(p.sigma, 0.07, "constant series hits the σ̂ floor exactly");
-}
-
-#[test]
-fn forecast_before_fit_returns_none() {
-    // Regression: these used to panic on `.expect("fit before forecast")`,
-    // taking down an orchestrator epoch on a not-yet-warmed monitor stream.
-    assert!(Ses::default().forecast(3).is_none());
-    assert!(Holt::default().forecast(3).is_none());
-    assert!(HoltWinters::new(12, Seasonality::Multiplicative)
-        .forecast(3)
-        .is_none());
-    // Fitting on an empty series clears state rather than fabricating one.
-    let mut h = Holt::default();
-    h.fit(&[1.0, 2.0]);
-    h.fit(&[]);
-    assert!(h.forecast(1).is_none());
-    let mut hw = HoltWinters::new(4, Seasonality::Additive);
-    hw.fit(&[]);
-    assert!(hw.forecast(1).is_none());
-}
-
-#[test]
-fn forecaster_trait_objects_work() {
-    // The orchestrator can swap methods through the trait.
-    let series = diurnal(48, 12, 50.0, 10.0);
-    let mut methods: Vec<Box<dyn Forecaster>> = vec![
-        Box::new(Ses::default()),
-        Box::new(Holt::default()),
-        Box::new(HoltWinters::new(12, Seasonality::Multiplicative)),
-    ];
-    for m in methods.iter_mut() {
-        m.fit(&series);
-        let f = m.forecast(4).unwrap();
-        assert_eq!(f.len(), 4);
-        assert!(f.iter().all(|v| v.is_finite()));
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -405,6 +332,19 @@ impl OracleHw {
         }
     }
 
+    /// One fit under the factors `(a, b, g)`; its RMSE.
+    fn rmse_under(
+        series: &[f64],
+        season: usize,
+        mode: Seasonality,
+        (a, b, g): (f64, f64, f64),
+    ) -> Option<f64> {
+        let mut hw = Self::new(season, mode);
+        (hw.alpha, hw.beta, hw.gamma) = (a, b, g);
+        hw.fit(series);
+        hw.rmse
+    }
+
     fn fit_grid(&mut self, series: &[f64]) {
         const GRID: [f64; 5] = [0.1, 0.3, 0.5, 0.7, 0.9];
         let mut best: Option<(f64, f64, f64, f64)> = None;
@@ -437,15 +377,13 @@ impl OracleHw {
         self.rmse = None;
         let m = self.season;
         if series.len() < 2 * m {
-            let mut h = Holt::default();
-            h.fit(series);
-            if let Some((level, trend)) = h.state() {
+            if let Some(((level, trend), rmse)) = oracle_holt(series) {
                 let neutral = match self.mode {
                     Seasonality::Additive => 0.0,
                     Seasonality::Multiplicative => 1.0,
                 };
                 self.state = Some((level, trend, vec![neutral; m], series.len() % m));
-                self.rmse = h.fit_rmse();
+                self.rmse = rmse;
             }
             return;
         }
@@ -539,25 +477,72 @@ impl OracleHw {
     }
 }
 
-/// `predict_next` as shipped, over the oracle grid.
-fn oracle_predict_next(series: &[f64], season: usize, min_sigma: f64) -> Prediction {
-    if series.len() < 2 || season < 2 || series.len() < 2 * season {
-        // Below the Holt-Winters threshold no grid runs: nothing to refine.
-        return predict_next(series, season, min_sigma);
+/// Holt's linear method at α = 0.4, β = 0.2, the oracle's fallback below two
+/// seasons: the fitted `(level, trend)` (none on an empty series) and the
+/// one-step RMSE (none below two samples).
+fn oracle_holt(series: &[f64]) -> Option<((f64, f64), Option<f64>)> {
+    let (alpha, beta) = (0.4, 0.2);
+    match series.len() {
+        0 => return None,
+        1 => return Some(((series[0], 0.0), None)),
+        _ => {}
     }
-    let positive = series.iter().all(|&v| v > 0.0);
-    let mut hw = OracleHw::new(
-        season,
-        if positive {
-            Seasonality::Multiplicative
-        } else {
-            Seasonality::Additive
-        },
-    );
-    hw.fit_grid(series);
-    let (value, rmse) = match hw.forecast(1) {
-        Some(f) => (f[0], hw.rmse),
-        None => (series[series.len() - 1], None),
+    let mut level = series[0];
+    let mut trend = series[1] - series[0];
+    let mut sq_err = 0.0;
+    let mut n_err = 0usize;
+    for &y in &series[1..] {
+        let pred = level + trend;
+        let err = y - pred;
+        sq_err += err * err;
+        n_err += 1;
+        let new_level = alpha * y + (1.0 - alpha) * (level + trend);
+        trend = beta * (new_level - level) + (1.0 - beta) * trend;
+        level = new_level;
+    }
+    Some(((level, trend), Some((sq_err / n_err as f64).sqrt())))
+}
+
+/// Simple exponential smoothing at α = 0.3 as the retired `Ses` smoother
+/// fitted it: the level (0 on an empty series) and the one-step RMSE (none
+/// below two samples).
+fn oracle_ses(series: &[f64]) -> (f64, Option<f64>) {
+    let alpha = 0.3;
+    if series.is_empty() {
+        return (0.0, None);
+    }
+    let mut level = series[0];
+    let mut sq_err = 0.0;
+    let mut n_err = 0usize;
+    for &y in &series[1..] {
+        let err = y - level;
+        sq_err += err * err;
+        n_err += 1;
+        level = alpha * y + (1.0 - alpha) * level;
+    }
+    (level, (n_err > 0).then(|| (sq_err / n_err as f64).sqrt()))
+}
+
+/// `predict_next` over the oracle grid and the oracle SES, for a `min_sigma`
+/// in `(0, 1]`.
+fn oracle_predict_next(series: &[f64], season: usize, min_sigma: f64) -> Prediction {
+    let (value, rmse) = if season >= 2 && series.len() / 2 >= season {
+        let positive = series.iter().all(|&v| v > 0.0);
+        let mut hw = OracleHw::new(
+            season,
+            if positive {
+                Seasonality::Multiplicative
+            } else {
+                Seasonality::Additive
+            },
+        );
+        hw.fit_grid(series);
+        match hw.forecast(1) {
+            Some(f) => (f[0], hw.rmse),
+            None => (series[series.len() - 1], None),
+        }
+    } else {
+        oracle_ses(series)
     };
     Prediction {
         value: value.max(0.0),
@@ -574,42 +559,47 @@ fn bits(values: &[f64]) -> Vec<u64> {
         .collect()
 }
 
-/// Asserts the shipped model and the oracle agree bit for bit on everything
-/// a caller can observe.
-fn assert_same_model(hw: &HoltWinters, oracle: &OracleHw, what: &str) {
+/// Asserts the grid's fit and the oracle's agree bit for bit on the
+/// factors, the RMSE, the fitted level, trend and seasonal indices, and the
+/// one-step forecast after `len` samples.
+fn assert_same_model(fit: &Fit, oracle: &OracleHw, len: usize, what: &str) {
+    let (a, b, g) = fit.factors;
     assert_eq!(
-        bits(&[hw.alpha, hw.beta, hw.gamma]),
+        bits(&[a, b, g]),
         bits(&[oracle.alpha, oracle.beta, oracle.gamma]),
         "{what}: factors"
     );
     assert_eq!(
-        hw.fit_rmse().map(|r| bits(&[r])),
+        Some(bits(&[fit.rmse])),
         oracle.rmse.map(|r| bits(&[r])),
         "{what}: rmse"
     );
+    let (level, trend, seasonal, _) = oracle.state.as_ref().expect("two seasons fit");
     assert_eq!(
-        hw.forecast(3).map(|f| bits(&f)),
-        oracle.forecast(3).map(|f| bits(&f)),
-        "{what}: forecast"
+        bits(&[fit.level, fit.trend]),
+        bits(&[*level, *trend]),
+        "{what}: level and trend"
     );
     assert_eq!(
-        hw.seasonal_indices().map(bits),
-        oracle.state.as_ref().map(|(_, _, s, _)| bits(s)),
+        bits(&fit.seasonal),
+        bits(seasonal),
         "{what}: seasonal indices"
+    );
+    assert_eq!(
+        bits(&[fit.forecast(oracle.mode, len)]),
+        bits(&oracle.forecast(1).expect("two seasons fit")),
+        "{what}: forecast"
     );
 }
 
-/// Fits and grid-fits both forms on `series` under `mode` and compares them.
+/// Grid-fits `series` (two seasons or more) under `mode` in both forms and
+/// compares them.
 fn assert_refines(series: &[f64], season: usize, mode: Seasonality) {
-    let what = format!("m={season} len={} {mode:?}", series.len());
-    let mut hw = HoltWinters::new(season, mode);
+    let what = format!("fit_grid m={season} len={} {mode:?}", series.len());
+    let fit = fit_grid(mode, season, series);
     let mut oracle = OracleHw::new(season, mode);
-    hw.fit(series);
-    oracle.fit(series);
-    assert_same_model(&hw, &oracle, &format!("fit {what}"));
-    hw.fit_grid(series);
     oracle.fit_grid(series);
-    assert_same_model(&hw, &oracle, &format!("fit_grid {what}"));
+    assert_same_model(&fit, &oracle, series.len(), &what);
 }
 
 /// Number of series families [`shaped`] draws from.
@@ -681,8 +671,8 @@ fn draws(seed: u64, n: usize) -> Vec<f64> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// `fit` and `fit_grid` from the shared initialisation equal the
-    /// clone-and-refit grid bit for bit, in both modes, whatever the series.
+    /// The grid from the shared initialisation equals the clone-and-refit
+    /// grid bit for bit, in both modes, whatever the series.
     #[test]
     fn prop_shared_init_refines_rebuild(
         season_pick in 0usize..3,
@@ -694,7 +684,7 @@ proptest! {
         let season = [2, 6, 24][season_pick];
         let len = (seasons * season + ragged % season).min(40 * season);
         let series = shaped(&raw[..len], season, shape);
-        for mode in [Seasonality::Additive, Seasonality::Multiplicative] {
+        for mode in MODES {
             assert_refines(&series, season, mode);
         }
         let p = predict_next(&series, season, 0.05);
@@ -709,7 +699,7 @@ fn refinement_covers_the_length_boundaries() {
     for season in [2usize, 6, 24] {
         for len in [2 * season, 3 * season - 1, 40 * season] {
             let series = diurnal(len, season, 80.0, 30.0);
-            for mode in [Seasonality::Additive, Seasonality::Multiplicative] {
+            for mode in MODES {
                 assert_refines(&series, season, mode);
             }
         }
@@ -724,7 +714,7 @@ fn pruned_grid_refines_the_unpruned_grid_on_every_length() {
         let raw = draws(0x5EED_0000 + k as u64, 8 * season);
         for len in 2 * season..=8 * season {
             let series = shaped(&raw[..len], season, len % SHAPES);
-            for mode in [Seasonality::Additive, Seasonality::Multiplicative] {
+            for mode in MODES {
                 assert_refines(&series, season, mode);
             }
         }
@@ -736,24 +726,18 @@ fn pruned_grid_keeps_a_late_winner_and_the_earliest_tie() {
     // A random walk: the winner sits in the last fifth of the grid order,
     // so most candidates run under a loose cap and the cap tightens late.
     let series = shaped(&draws(7, 96), 6, 8);
-    let mut hw = HoltWinters::new(6, Seasonality::Multiplicative);
-    hw.fit_grid(&series);
-    assert_eq!(
-        hw.alpha, 0.9,
-        "winner ({}, {}, {})",
-        hw.alpha, hw.beta, hw.gamma
-    );
+    let fit = fit_grid(Seasonality::Multiplicative, 6, &series);
+    assert_eq!(fit.factors.0, 0.9, "winner {:?}", fit.factors);
     let mut oracle = OracleHw::new(6, Seasonality::Multiplicative);
     oracle.fit_grid(&series);
-    assert_same_model(&hw, &oracle, "late winner");
+    assert_same_model(&fit, &oracle, series.len(), "late winner");
 
     // Exact ties at RMSE 0: the first candidate stands, in both modes.
     for series in [[7.5; 36], [0.0; 36]] {
-        for mode in [Seasonality::Additive, Seasonality::Multiplicative] {
-            let mut hw = HoltWinters::new(6, mode);
-            hw.fit_grid(&series);
-            assert_eq!((hw.alpha, hw.beta, hw.gamma), (0.1, 0.1, 0.1), "{mode:?}");
-            assert_eq!(hw.fit_rmse(), Some(0.0));
+        for mode in MODES {
+            let fit = fit_grid(mode, 6, &series);
+            assert_eq!(fit.factors, (0.1, 0.1, 0.1), "{mode:?}");
+            assert_eq!(fit.rmse, 0.0);
             assert_refines(&series, 6, mode);
         }
     }
@@ -767,15 +751,14 @@ fn pruning_skips_pinned_smoothing_work() {
     // moves only with a change that means to move it. A shared first
     // season counts its steps once per (α, β) pair, and a blend is not a
     // step.
-    use crate::holt_winters::step_count;
     let (mut unpruned, mut pruned) = (0u64, 0u64);
     for (k, season) in [2usize, 6, 24].into_iter().enumerate() {
         let raw = draws(0xC0FF_EE00 + k as u64, 8 * season);
         for shape in 0..SHAPES {
             let series = shaped(&raw, season, shape);
-            for mode in [Seasonality::Additive, Seasonality::Multiplicative] {
+            for mode in MODES {
                 let before = step_count::total();
-                HoltWinters::new(season, mode).fit_grid(&series);
+                fit_grid(mode, season, &series);
                 pruned += step_count::total() - before;
                 unpruned += 126 * (series.len() - season) as u64;
             }
@@ -790,16 +773,15 @@ fn shared_season_skips_pinned_work_on_short_histories() {
     // Two to three seasons, every family, both modes: the histories where
     // the first season is most of the work, and where a slow pair's first
     // season alone can cost more than the best full fit.
-    use crate::holt_winters::step_count;
     let (mut unpruned, mut pruned) = (0u64, 0u64);
     for (k, season) in [2usize, 6, 24].into_iter().enumerate() {
         let raw = draws(0x5407_0000 + k as u64, 3 * season);
         for len in 2 * season..=3 * season {
             for shape in 0..SHAPES {
                 let series = shaped(&raw[..len], season, shape);
-                for mode in [Seasonality::Additive, Seasonality::Multiplicative] {
+                for mode in MODES {
                     let before = step_count::total();
-                    HoltWinters::new(season, mode).fit_grid(&series);
+                    fit_grid(mode, season, &series);
                     pruned += step_count::total() - before;
                     unpruned += 126 * (len - season) as u64;
                 }
@@ -809,10 +791,10 @@ fn shared_season_skips_pinned_work_on_short_histories() {
     assert_eq!((pruned, unpruned), (699_584, 2_204_496));
 }
 
-/// Grid-fits `series` under `mode` against the oracle, and `predict_next`
-/// against the oracle's.
+/// Grid-fits `series` under both modes against the oracle, and
+/// `predict_next` against the oracle's.
 fn assert_refines_and_predicts(series: &[f64], season: usize) {
-    for mode in [Seasonality::Additive, Seasonality::Multiplicative] {
+    for mode in MODES {
         assert_refines(series, season, mode);
     }
     let p = predict_next(series, season, 0.05);
@@ -839,10 +821,9 @@ fn shared_first_season_refines_at_the_season_boundaries() {
             for series in &families {
                 assert_refines_and_predicts(series, season);
                 if len == 2 * season {
-                    for mode in [Seasonality::Additive, Seasonality::Multiplicative] {
-                        let mut hw = HoltWinters::new(season, mode);
-                        hw.fit_grid(series);
-                        assert_eq!(hw.gamma, 0.1, "m={season} {mode:?}");
+                    for mode in MODES {
+                        let fit = fit_grid(mode, season, series);
+                        assert_eq!(fit.factors.2, 0.1, "m={season} {mode:?}");
                     }
                 }
             }
@@ -870,18 +851,18 @@ fn shared_first_season_refines_on_non_finite_sums() {
     // A NaN first candidate: it sticks, and its NaN cap abandons nothing.
     let mut series = diurnal(24, 6, 40.0, 15.0);
     series[8] = f64::NAN;
-    for mode in [Seasonality::Additive, Seasonality::Multiplicative] {
-        let mut hw = HoltWinters::new(6, mode);
-        hw.fit_grid(&series);
-        assert!(hw.fit_rmse().is_some_and(f64::is_nan), "{mode:?}");
-        assert_eq!((hw.alpha, hw.beta, hw.gamma), (0.1, 0.1, 0.1), "{mode:?}");
+    for mode in MODES {
+        let fit = fit_grid(mode, 6, &series);
+        assert!(fit.rmse.is_nan(), "{mode:?}");
+        assert_eq!(fit.factors, (0.1, 0.1, 0.1), "{mode:?}");
     }
 
     // Factor-dependent overflow: a first season of 7e153 spikes squares to
     // just under `f64::MAX`, so the running sum overflows to +inf inside
     // the first season for the fastest-tracking pairs only. Those come last
     // in grid order: their shared season runs under a finite cap and is
-    // abandoned at the overflow.
+    // abandoned at the overflow. (The candidates are enumerated on the
+    // oracle, the specification of a single fit.)
     let (season, mode) = (6, Seasonality::Multiplicative);
     let mut series = diurnal(4 * season, season, 10.0, 3.0);
     for pos in (season..2 * season).step_by(2) {
@@ -890,17 +871,15 @@ fn shared_first_season_refines_on_non_finite_sums() {
     let first_finite = grid
         .iter()
         .flat_map(|&a| grid.iter().flat_map(move |&b| grid.map(|g| (a, b, g))))
-        .position(|(a, b, g)| {
-            let mut hw = HoltWinters::new(season, mode).with_params(a, b, g);
-            hw.fit(&series);
-            hw.fit_rmse().is_some_and(f64::is_finite)
+        .position(|factors| {
+            OracleHw::rmse_under(&series, season, mode, factors).is_some_and(f64::is_finite)
         });
     let overflowing: Vec<usize> = (0..25)
         .filter(|&pair| {
-            let (a, b) = (grid[pair / 5], grid[pair % 5]);
-            let mut hw = HoltWinters::new(season, mode).with_params(a, b, 0.1);
-            hw.fit(&series[..2 * season]); // the first season's sum alone
-            hw.fit_rmse() == Some(f64::INFINITY)
+            let factors = (grid[pair / 5], grid[pair % 5], 0.1);
+            // The first season's sum alone.
+            OracleHw::rmse_under(&series[..2 * season], season, mode, factors)
+                == Some(f64::INFINITY)
         })
         .collect();
     let first_finite = first_finite.expect("some candidate stays finite");
@@ -947,47 +926,55 @@ fn a_huge_season_never_panics() {
             "{season}: {p:?}"
         );
         assert_eq!(p, predict_next(&series, 11, 0.05), "the short-history path");
-        for mode in [Seasonality::Additive, Seasonality::Multiplicative] {
-            let mut hw = HoltWinters::new(season, mode).with_params(0.6, 0.2, 0.8);
-            hw.fit(&series);
-            assert!(hw.forecast(1).is_none(), "{season} {mode:?}");
-            assert!(hw.fit_rmse().is_none() && hw.seasonal_indices().is_none());
-            hw.fit_grid(&series);
-            assert!(hw.forecast(1).is_none(), "{season} {mode:?}");
-            assert_eq!((hw.alpha, hw.beta, hw.gamma), (0.6, 0.2, 0.8));
-        }
-    }
-}
-
-#[test]
-fn hw_grid_on_short_history_fits_once_and_keeps_the_tie_break() {
-    // Below two seasons the Holt fallback ignores the factors, so all 125
-    // candidates tie and the first one wins.
-    let mut hw = HoltWinters::new(24, Seasonality::Multiplicative);
-    let mut oracle = OracleHw::new(24, Seasonality::Multiplicative);
-    let series = [5.0, 6.0, 7.0, 9.0];
-    hw.fit_grid(&series);
-    oracle.fit_grid(&series);
-    assert_eq!((hw.alpha, hw.beta, hw.gamma), (0.1, 0.1, 0.1));
-    assert_same_model(&hw, &oracle, "short history");
-    assert!(hw.fit_rmse().is_some());
-
-    // No RMSE (a single point, an empty series): the factors stay untouched.
-    for series in [&[3.0][..], &[]] {
-        let mut hw = HoltWinters::new(24, Seasonality::Additive).with_params(0.6, 0.2, 0.8);
-        let mut oracle = OracleHw::new(24, Seasonality::Additive);
-        (oracle.alpha, oracle.beta, oracle.gamma) = (0.6, 0.2, 0.8);
-        hw.fit_grid(series);
-        oracle.fit_grid(series);
-        assert_eq!((hw.alpha, hw.beta, hw.gamma), (0.6, 0.2, 0.8));
-        assert!(hw.fit_rmse().is_none());
-        assert_same_model(&hw, &oracle, "no rmse");
     }
 }
 
 // ---------------------------------------------------------------------------
 // Hostile input (ROADMAP aim 3)
 // ---------------------------------------------------------------------------
+
+#[test]
+fn predict_next_is_total() {
+    // No series, season or `min_sigma` panics; λ̂ is never negative or NaN;
+    // σ̂ is in (0, 1]; and for a valid `min_sigma` the answer is the
+    // oracle's, bit for bit.
+    let m = 6;
+    let day = diurnal(2 * m + 3, m, 40.0, 15.0);
+    let poisoned = |at: usize, v: f64| {
+        let mut s = day.clone();
+        s[at] = v;
+        s
+    };
+    let series = [
+        vec![],
+        vec![-5.0],
+        vec![f64::NAN],
+        poisoned(m + 1, f64::NAN),
+        poisoned(2 * m + 1, f64::INFINITY),
+        poisoned(0, f64::NEG_INFINITY),
+        vec![0.0; 2 * m + 3],
+        day.clone(),
+    ];
+    let min_sigmas = [f64::NAN, -1.0, 0.0, 1e-300, 0.05, 1.0, 2.0, f64::INFINITY];
+    for s in &series {
+        for season in [0, 1, 2, m, usize::MAX] {
+            for min_sigma in min_sigmas {
+                let what = format!("{s:?} season {season} min_sigma {min_sigma}");
+                let p = predict_next(s, season, min_sigma);
+                assert!(p.value >= 0.0, "{what}: {p:?}");
+                assert!(p.sigma > 0.0 && p.sigma <= 1.0, "{what}: {p:?}");
+                if min_sigma > 0.0 && min_sigma <= 1.0 {
+                    let o = oracle_predict_next(s, season, min_sigma);
+                    assert_eq!(
+                        bits(&[p.value, p.sigma]),
+                        bits(&[o.value, o.sigma]),
+                        "{what}"
+                    );
+                }
+            }
+        }
+    }
+}
 
 #[test]
 fn hostile_series_never_panic_and_answer_as_before() {
@@ -1024,10 +1011,10 @@ fn hostile_series_never_panic_and_answer_as_before() {
             if series.iter().any(|v| !v.is_finite()) {
                 assert_eq!(p.sigma, 1.0, "{name} season {season}");
             }
-            if season < 2 {
-                continue; // `HoltWinters::new` rejects these by contract.
+            if season < 2 || len / 2 < season {
+                continue; // the grid runs on two seasons of `m ≥ 2` or more
             }
-            for mode in [Seasonality::Additive, Seasonality::Multiplicative] {
+            for mode in MODES {
                 assert_refines(series, season, mode);
             }
         }
@@ -1044,7 +1031,8 @@ fn grid_never_lets_a_nan_rmse_displace_a_finite_one() {
     // 0.3, overflows the squared error to +inf at 0.5 and 0.7, and overflows
     // the level itself at 0.9, where inf - inf leaves a NaN RMSE. Every
     // (alpha, beta) block therefore ends on a NaN candidate that follows
-    // finite ones; `r < best` must skip it.
+    // finite ones; `r < best` must skip it. (The candidates are enumerated
+    // on the oracle, the specification of a single fit.)
     let series: Vec<f64> = (0..424)
         .map(|t| match t {
             420 => 1e100,
@@ -1058,9 +1046,7 @@ fn grid_never_lets_a_nan_rmse_displace_a_finite_one() {
     for a in grid {
         for b in grid {
             for g in grid {
-                let mut cand = HoltWinters::new(2, mode).with_params(a, b, g);
-                cand.fit(&series);
-                match cand.fit_rmse() {
+                match OracleHw::rmse_under(&series, 2, mode, (a, b, g)) {
                     Some(r) if r.is_nan() => nan += 1,
                     Some(r) if r.is_finite() => finite.push(r),
                     _ => {}
@@ -1071,11 +1057,10 @@ fn grid_never_lets_a_nan_rmse_displace_a_finite_one() {
     assert_eq!(nan, 25, "every gamma = 0.9 candidate must blow up");
     assert!(!finite.is_empty());
 
-    let mut hw = HoltWinters::new(2, mode);
+    let fit = fit_grid(mode, 2, &series);
     let mut oracle = OracleHw::new(2, mode);
-    hw.fit_grid(&series);
     oracle.fit_grid(&series);
-    assert_same_model(&hw, &oracle, "nan candidates");
+    assert_same_model(&fit, &oracle, series.len(), "nan candidates");
     let best = finite.iter().copied().fold(f64::INFINITY, f64::min);
-    assert_eq!(hw.fit_rmse(), Some(best));
+    assert_eq!(fit.rmse, best);
 }

@@ -1,4 +1,4 @@
-//! Forecast-uncertainty estimation.
+//! Forecast-uncertainty estimation behind [`predict_next`](crate::predict_next).
 //!
 //! The AC-RR objective scales its risk term by `ξ = σ̂ · L` where
 //! `σ̂ ∈ (0, 1]` quantifies how much the forecast can be trusted (§3.1).
@@ -21,8 +21,9 @@
 /// * Otherwise `clamp(rmse / mean(|series|), min_sigma, 1.0)`.
 ///
 /// # Panics
-/// Panics unless `0 < min_sigma ≤ 1`.
-pub fn sigma_from_rmse(rmse: Option<f64>, series: &[f64], min_sigma: f64) -> f64 {
+/// Panics unless `0 < min_sigma ≤ 1`; `predict_next` clamps its argument
+/// into that range first.
+pub(crate) fn sigma_from_rmse(rmse: Option<f64>, series: &[f64], min_sigma: f64) -> f64 {
     assert!(
         min_sigma > 0.0 && min_sigma <= 1.0,
         "min_sigma must be in (0, 1]"

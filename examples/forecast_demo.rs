@@ -1,71 +1,80 @@
-//! Demonstrates the forecasting block (§2.2.2): Holt-Winters learning a
-//! diurnal mobile-traffic pattern, compared against Holt and SES, and the
-//! uncertainty estimate σ̂ that scales the overbooking risk term.
+//! Demonstrates the forecasting block (§2.2.2): `predict_next` on a flat, a
+//! trending and a diurnal series of hourly peak loads, first on less than
+//! two days of history (simple exponential smoothing) and then on four
+//! (Holt-Winters with a daily season), with the uncertainty estimate σ̂
+//! that scales the overbooking risk term.
 //!
 //! Run with: `cargo run --release --example forecast_demo`
 
-use ovnes_forecast::holt::Holt;
-use ovnes_forecast::holt_winters::{HoltWinters, Seasonality};
-use ovnes_forecast::ses::Ses;
-use ovnes_forecast::{predict_next, Forecaster};
+use ovnes_forecast::predict_next;
 use ovnes_netsim::TrafficGenerator;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+const SEASON: usize = 24;
+const MIN_SIGMA: f64 = 0.05;
+
+/// RMSE of the one-step forecasts of `series[from..from + SEASON]`, each
+/// made from the history before it.
+fn rolling_rmse(series: &[f64], from: usize) -> f64 {
+    let sq: f64 = (from..from + SEASON)
+        .map(|t| (predict_next(&series[..t], SEASON, MIN_SIGMA).value - series[t]).powi(2))
+        .sum();
+    (sq / SEASON as f64).sqrt()
+}
+
 fn main() {
-    // Five days of hourly peak loads with a strong diurnal cycle + noise.
-    let gen = TrafficGenerator::gaussian(100.0, 6.0).with_diurnal(0.5, 24);
+    // Five days of hourly peak loads around 100 Mb/s.
     let mut rng = StdRng::seed_from_u64(4);
-    let series: Vec<f64> = (0..24 * 5).map(|t| gen.sample(t, &mut rng)).collect();
-    let (train, test) = series.split_at(24 * 4);
-
-    let mut hw = HoltWinters::new(24, Seasonality::Multiplicative);
-    hw.fit_grid(train);
-    let mut holt = Holt::default();
-    holt.fit(train);
-    let mut ses = Ses::default();
-    ses.fit(train);
-
-    let rmse = |f: &[f64]| {
-        (f.iter()
-            .zip(test)
-            .map(|(a, b)| (a - b).powi(2))
-            .sum::<f64>()
-            / test.len() as f64)
-            .sqrt()
+    let mut draw = |gen: &TrafficGenerator, ramp: f64| -> Vec<f64> {
+        (0..SEASON * 5)
+            .map(|t| gen.sample(t as u64, &mut rng) + ramp * t as f64)
+            .collect()
     };
+    let flat = TrafficGenerator::gaussian(100.0, 6.0);
+    let series = [
+        ("flat", draw(&flat, 0.0)),
+        (
+            "trending",
+            draw(&TrafficGenerator::gaussian(70.0, 6.0), 0.5),
+        ),
+        (
+            "diurnal",
+            draw(&flat.clone().with_diurnal(0.5, SEASON), 0.0),
+        ),
+    ];
 
-    println!("Forecasting one day ahead of diurnal traffic (true mean 100 Mb/s ±50%):\n");
-    println!("{:<22} {:>12}", "method", "RMSE (Mb/s)");
+    println!("One-step forecasts with predict_next (season {SEASON} h, σ̂ floor {MIN_SIGMA}).");
+    println!("Day 2 forecasts from under two seasons of history (SES); day 5 from four");
+    println!("or more (Holt-Winters). RMSE in Mb/s over each day's 24 forecasts.\n");
+    // Each hat is a combining character: one more char than it shows.
     println!(
-        "{:<22} {:>12.2}",
-        "Holt-Winters (mult.)",
-        rmse(&hw.forecast(24).expect("fitted"))
+        "{:<10} {:>12} {:>12} {:>15} {:>11}",
+        "series", "RMSE day 2", "RMSE day 5", "λ̂ hour 97", "σ̂ hour 97"
     );
-    println!(
-        "{:<22} {:>12.2}",
-        "Holt (trend only)",
-        rmse(&holt.forecast(24).expect("fitted"))
-    );
-    println!(
-        "{:<22} {:>12.2}",
-        "SES (level only)",
-        rmse(&ses.forecast(24).expect("fitted"))
-    );
-
-    println!("\nHour-by-hour (first 8 h):");
-    println!("{:>4} {:>8} {:>8} {:>8}", "h", "truth", "HW", "Holt");
-    let hwf = hw.forecast(24).expect("fitted");
-    let hf = holt.forecast(24).expect("fitted");
-    for h in 0..8 {
-        println!("{:>4} {:>8.1} {:>8.1} {:>8.1}", h, test[h], hwf[h], hf[h]);
+    for (name, s) in &series {
+        let p = predict_next(&s[..SEASON * 4], SEASON, MIN_SIGMA);
+        println!(
+            "{:<10} {:>12.2} {:>12.2} {:>14.1} {:>10.3}",
+            name,
+            rolling_rmse(s, SEASON),
+            rolling_rmse(s, SEASON * 4),
+            p.value,
+            p.sigma
+        );
     }
 
-    let p = predict_next(train, 24, 0.05);
-    println!(
-        "\nOrchestrator-facing prediction: λ̂ = {:.1} Mb/s, σ̂ = {:.3}",
-        p.value, p.sigma
-    );
-    println!("(σ̂ scales the risk term ξ = σ̂·L in the AC-RR objective: predictable");
+    let (_, diurnal) = &series[2];
+    println!("\nDiurnal series, hour by hour (first 8 h of day 5):");
+    println!("{:>4} {:>8} {:>9} {:>8}", "h", "truth", "λ̂", "σ̂");
+    for h in 0..8 {
+        let t = SEASON * 4 + h;
+        let p = predict_next(&diurnal[..t], SEASON, MIN_SIGMA);
+        println!(
+            "{:>4} {:>8.1} {:>8.1} {:>7.3}",
+            h, diurnal[t], p.value, p.sigma
+        );
+    }
+    println!("\n(σ̂ scales the risk term ξ = σ̂·L in the AC-RR objective: predictable");
     println!(" traffic ⇒ aggressive overbooking, erratic traffic ⇒ conservative.)");
 }

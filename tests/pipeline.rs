@@ -4,10 +4,7 @@
 //! true peak demand, freeing capacity.
 
 use ovnes::prelude::*;
-use ovnes_forecast::{
-    holt_winters::{HoltWinters, Seasonality},
-    predict_next, Forecaster,
-};
+use ovnes_forecast::predict_next;
 use ovnes_netsim::{run_epoch, Flow, MonitorStore, TrafficGenerator};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -46,7 +43,7 @@ fn monitor_to_forecast_loop_converges() {
 
 #[test]
 fn seasonal_demand_is_learnt_by_holt_winters() {
-    // A diurnal tenant: the HW forecast must track the cycle so the
+    // A diurnal tenant: the forecast must track the cycle so the
     // orchestrator can release capacity at night.
     let mut monitor = MonitorStore::new();
     let mut rng = StdRng::seed_from_u64(2);
@@ -63,10 +60,12 @@ fn seasonal_demand_is_learnt_by_holt_winters() {
         sample_index = report.next_sample_index;
         monitor.record_peak((0, 0), report.flows[0].peak_offered);
     }
+    // Each epoch of the fourth day, forecast from the three days or more
+    // before it: the Holt-Winters path, with a daily season of 24 epochs.
     let series = monitor.series((0, 0));
-    let mut hw = HoltWinters::new(24, Seasonality::Multiplicative);
-    hw.fit(series);
-    let forecast = hw.forecast(24).expect("fitted on four days of peaks");
+    let forecast: Vec<f64> = (24 * 3..24 * 4)
+        .map(|t| predict_next(&series[..t], 24, 0.05).value)
+        .collect();
     // The forecast cycle must span a meaningful fraction of the true
     // amplitude (quiet vs busy hours differ by ~3x here).
     let lo = forecast.iter().cloned().fold(f64::INFINITY, f64::min);
