@@ -4,12 +4,16 @@
 //! Romanian (N1) topologies: relaxed (§3.4 deficit) and strict, with and
 //! without forced and pinned tenants, squeezed capacities so that slices
 //! are rejected, and `overbooking = false` instances, the only ones the
-//! no-overbooking baseline accepts. Per solver kind, one FNV-1a hash covers
-//! the bits of every allocation: objective, CU assignment, reservations,
-//! deficit, the solve counters and every `LpStats` counter.
+//! no-overbooking baseline accepts. Per solver kind, two FNV-1a hashes
+//! cover the bits of every allocation: a *decision* digest over the
+//! objective, CU assignment, reservations, deficit and error code, and a
+//! *count* digest over the `SolveStats` counters and every `LpStats`
+//! counter.
 //!
 //! The constants are a refinement check for refactors of the solver
-//! internals: the same bits before and after. The simplex options are
+//! internals: the same bits before and after. A change that only moves
+//! how much work a solver does (fewer vets, other pivots) re-records the
+//! count digest and leaves the decision digest alone. The simplex options are
 //! pinned like `tests/kernel_counts.rs` does, so the digests repeat on the
 //! fault-injection and refactorization-interval CI legs, and the
 //! branch-and-bound results are deterministic in the worker count. A
@@ -70,12 +74,14 @@ const CASES: [Case; 12] = [
     Case { topology_seed: 12, tenants: 6, squeeze: 0.3,  overbooking: true,  deficit: true,  forced: 1, pinned: 0 },
 ];
 
-/// Per solver kind, the digest over every case it solves.
-const PINNED: [(SolverKind, u64); 4] = [
-    (SolverKind::Benders, 0x366c_34d8_f956_797b),
-    (SolverKind::Kac, 0x1a8b_e026_9f0b_8ac9),
-    (SolverKind::OneShot, 0x4137_4ac5_c418_7ff4),
-    (SolverKind::NoOverbooking, 0x8a61_3bf8_4eca_82d7),
+/// Per solver kind, the (decision, count) digests over every case it
+/// solves.
+#[rustfmt::skip]
+const PINNED: [(SolverKind, u64, u64); 4] = [
+    (SolverKind::Benders, 0xfea4_f835_3762_90d7, 0xf1b7_deb3_c7dc_0571),
+    (SolverKind::Kac, 0xa96d_0861_d8b5_c675, 0x866c_13dd_191d_9b49),
+    (SolverKind::OneShot, 0xee6c_d50d_69cc_52f1, 0xb7ad_783d_a614_8fb8),
+    (SolverKind::NoOverbooking, 0x99bb_7d93_0f5b_a0e3, 0xe8ae_d372_7ba4_e255),
 ];
 
 fn instance(case: &Case) -> AcrrInstance {
@@ -198,7 +204,9 @@ impl Fnv {
     }
 }
 
-fn digest_into(h: &mut Fnv, result: &Result<Allocation, AcrrError>) {
+/// Folds `result` into the decision digest `h` and, when it is an
+/// allocation, its counters into the count digest `counts`.
+fn digest_into(h: &mut Fnv, counts: &mut Fnv, result: &Result<Allocation, AcrrError>) {
     let a = match result {
         Ok(a) => a,
         Err(e) => {
@@ -225,7 +233,7 @@ fn digest_into(h: &mut Fnv, result: &Result<Allocation, AcrrError>) {
     h.float(a.deficit.0);
     h.float(a.deficit.1);
     h.float(a.deficit.2);
-    let s = &a.stats;
+    let (h, s) = (counts, &a.stats);
     for w in [
         s.iterations,
         s.lp_solves,
@@ -281,21 +289,22 @@ fn digest_into(h: &mut Fnv, result: &Result<Allocation, AcrrError>) {
 fn every_solver_kind_reproduces_its_pinned_digest() {
     let instances: Vec<AcrrInstance> = CASES.iter().map(instance).collect();
     let mut got = Vec::new();
-    for (kind, _) in PINNED {
+    for (kind, _, _) in PINNED {
         let mut h = Fnv(0xcbf2_9ce4_8422_2325);
+        let mut counts = Fnv(0xcbf2_9ce4_8422_2325);
         for (case, inst) in CASES.iter().zip(&instances) {
             if kind == SolverKind::NoOverbooking && case.overbooking {
                 continue; // the baseline refuses overbooking instances
             }
             for budgeted in [false, true] {
-                digest_into(&mut h, &solve(kind, inst, budgeted));
+                digest_into(&mut h, &mut counts, &solve(kind, inst, budgeted));
             }
         }
-        got.push((kind, h.0));
+        got.push((kind, h.0, counts.0));
     }
     let printed: Vec<String> = got
         .iter()
-        .map(|(kind, d)| format!("({kind:?}, {d:#018x})"))
+        .map(|(kind, d, c)| format!("({kind:?}, {d:#018x}, {c:#018x})"))
         .collect();
     assert_eq!(got, PINNED, "digests moved: {}", printed.join(", "));
 }
@@ -330,7 +339,7 @@ fn the_cases_cover_rejection_deficit_and_pinning() {
 /// infeasible: a tree stopped before its first incumbent is a spent budget.
 #[test]
 fn a_node_budget_never_makes_a_relaxed_instance_infeasible() {
-    let kinds = PINNED.map(|(kind, _)| kind);
+    let kinds = PINNED.map(|(kind, _, _)| kind);
     let mut spent = 0;
     for case in CASES.iter().filter(|case| case.deficit) {
         let inst = instance(case);
