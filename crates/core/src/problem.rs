@@ -411,19 +411,21 @@ pub struct SolveStats {
     /// frozen `benchmark/src/harness.rs` names it; it goes in the next
     /// `benchmark` PR.
     pub recycled_cuts: usize,
-    /// Carried-basis warm solves discarded because the uniqueness
-    /// certificate failed, forcing an in-solve cold restart (cross-epoch
-    /// incremental KAC only; 0 elsewhere). Decisions after a restart are
-    /// exactly the from-scratch decisions — this only records that the
-    /// carry bought nothing that epoch.
+    /// Seeded (carried-basis) vets that were feasible but certified
+    /// [`Uniqueness::Unproven`](ovnes_lp::Uniqueness::Unproven) and were
+    /// re-vetted cold in the same slave (cross-epoch incremental KAC only;
+    /// 0 elsewhere). The re-vet is exactly the from-scratch vet — this
+    /// only records that the carry bought nothing that epoch. An
+    /// infeasible seeded vet goes straight to the deficit fallback and is
+    /// not counted.
     pub carry_cold_restarts: usize,
-    /// Carried-basis warm solves that stood: the seeded solve certified at
-    /// least a unique optimal decision (cross-epoch incremental KAC only).
+    /// Seeded vets that stood: feasible and certified at least a unique
+    /// optimal decision (cross-epoch incremental KAC only).
     pub carry_certified: usize,
-    /// Subset of [`SolveStats::carry_certified`] certified only by the
-    /// perturbation certificate — degenerate optima the strict
-    /// complementarity test rejects (see
-    /// [`ovnes_lp::certify_unique_optimum_perturbed`]).
+    /// Subset of [`SolveStats::carry_certified`] certified
+    /// [`Uniqueness::Decision`](ovnes_lp::Uniqueness::Decision) only —
+    /// degenerate optima the strict complementarity test rejects (see
+    /// [`ovnes_lp::certify_unique`]).
     pub carry_certified_perturbed: usize,
     /// Always 0: the churn-epoch carry was deleted with the carry verdict
     /// (the carry is attempted on all-forced epochs only). Kept for the

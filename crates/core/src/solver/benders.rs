@@ -160,6 +160,7 @@ pub fn solve(instance: &AcrrInstance, options: &BendersOptions) -> Result<Alloca
                 z,
                 deficit,
                 duals,
+                ..
             } => {
                 let fixed = instance
                     .admission_cost(&assigned)

@@ -14,13 +14,16 @@
 //!   identities ([`LpCarry`]). [`kac::solve_carried`](super::kac::solve_carried)
 //!   seeds it on **all-forced epochs only** — nothing to admit, so the
 //!   mapping is usually the identity and the first solve replays the
-//!   persisted LU with zero refactorizations — and lets the seeded solve
-//!   stand only under the strict or the perturbed uniqueness certificate,
-//!   restarting the epoch cold otherwise.
+//!   persisted LU with zero refactorizations. That seeded vet is the only
+//!   vet the carried basis reaches: it stands if it is feasible and
+//!   [`certify_unique`](ovnes_lp::certify_unique) proves a unique basis
+//!   or a unique decision; a feasible but unproven one is re-vetted cold
+//!   in the same slave, and an infeasible one goes straight to the
+//!   deficit fallback, where the from-scratch solve also ends.
 //!
 //! Infrastructure events only change row capacities, which the slave
 //! re-prices anyway; a carried basis they make useless fails its
-//! certificate and costs one cold restart.
+//! certificate and costs one cold re-vet.
 //!
 //! Every other [`SolverKind`] has no carried state at all: for Benders,
 //! one-shot and the baseline, [`EpochSolver::solve_epoch`] *is*

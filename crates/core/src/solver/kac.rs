@@ -15,7 +15,7 @@
 use super::slave::{LpCarry, SlaveContext, SlaveResult};
 use super::AcrrError;
 use crate::problem::{AcrrInstance, Allocation, SolveStats};
-use ovnes_lp::SimplexOptions;
+use ovnes_lp::{SimplexOptions, Uniqueness};
 
 /// Lazy-constraint iterations (Algorithm 3's cap) before falling back to
 /// dropping the least profitable admitted tenant.
@@ -32,35 +32,6 @@ pub fn solve(instance: &AcrrInstance, simplex: &SimplexOptions) -> Result<Alloca
 /// a solve from the previous epoch's re-keyed basis and deposits its final
 /// basis back on success.
 ///
-/// **Decision-identity contract (two certificates).** KAC's decisions
-/// consume the vetting LP's *certificates* (reservations `z`, Farkas
-/// rays), which are only start-point-independent when the optimal decision
-/// is unique. A carried (seeded) solve therefore only stands if it is
-/// feasible and certifies at least decision uniqueness:
-///
-/// * **strict** ([`SlaveContext::last_solve_certified_unique`]) — optimum
-///   *and* optimal basis unique; the warm solve terminated in exactly the
-///   state a cold solve reaches, so the rest of the epoch's warm chain
-///   follows the from-scratch trajectory with no further checks;
-/// * **perturbed** ([`SlaveContext::last_solve_certified_decision`]) — the
-///   decision is unique but the basis may not be (degenerate optima from
-///   homogeneous requests). The decisions agree with a cold solve, but the
-///   chain's terminal basis may differ from scratch, so every *subsequent*
-///   solve of the epoch must also certify decision uniqueness until one
-///   certifies strictly (which pins the basis and re-synchronizes the
-///   chain).
-///
-/// A solve that fails its required certificate — including an infeasible
-/// seeded vet, whose Farkas ray is never certified — discards the carried
-/// attempt and restarts the whole epoch cold, reproducing the from-scratch
-/// path verbatim (`stats.carry_cold_restarts` counts the discards). Either
-/// way the decision is [`solve`]'s — same admission, same optimal vertex —
-/// and the carry only changes how many pivots it costs. The reservations
-/// are the same *bits* wherever they rest on window edges, which is every
-/// case the presets, the benchmark and the 512-chain refinement check
-/// produce; an interior basic reservation can differ in its last bit
-/// (`crates/scenario/DESIGN.md`, "Known limit").
-///
 /// **Where the carry is attempted.** Only on an all-forced epoch (no churn
 /// to admit): its opening forced-only vet is seeded directly, usually
 /// identity-remapped onto the previous basis — the O(churn) fast path. A
@@ -68,7 +39,33 @@ pub fn solve(instance: &AcrrInstance, simplex: &SimplexOptions) -> Result<Alloca
 /// infeasible, and a Farkas ray is never certified) and only deposits its
 /// final basis for the next epoch; seeding a later shed iteration was
 /// measured and deleted (`crates/scenario/DESIGN.md`, "Cross-epoch warm
-/// start").
+/// start"). An all-forced epoch has nothing to shed, so the seeded vet is
+/// the only vet a carried basis ever reaches.
+///
+/// **Decision-identity contract (one certificate).** KAC's decisions
+/// consume the vetting LP's *certificates* (reservations `z`, Farkas
+/// rays), which are only start-point-independent when the optimal decision
+/// is unique. The seeded vet therefore returns its
+/// [`certify_unique`](ovnes_lp::certify_unique) verdict, and:
+///
+/// * a feasible vet certified [`Uniqueness::Basis`] (optimum and optimal
+///   basis unique) or [`Uniqueness::Decision`] (decision unique, basis
+///   perhaps not, on degenerate optima) stands: it holds the decision a
+///   cold vet reaches, and the epoch ends on it;
+/// * a feasible but [`Uniqueness::Unproven`] vet is re-vetted cold in the
+///   same context ([`SlaveContext::restart_cold`]), which is the vet a
+///   from-scratch solve runs, bit for bit (`stats.carry_cold_restarts`
+///   counts these);
+/// * an infeasible vet needs no certificate: only forced tenants are
+///   packed, so the epoch goes straight to the deficit fallback, as the
+///   from-scratch solve does after its own infeasible vets.
+///
+/// Either way the decision is [`solve`]'s — same admission, same optimal
+/// vertex — and the carry only changes how many pivots it costs. The
+/// reservations are the same *bits* wherever they rest on window edges,
+/// which is every case the presets, the benchmark and the 512-chain
+/// refinement check produce; an interior basic reservation can differ in
+/// its last bit (`crates/scenario/DESIGN.md`, "Known limit").
 pub fn solve_carried(
     instance: &AcrrInstance,
     simplex: &SimplexOptions,
@@ -94,212 +91,161 @@ pub fn solve_carried(
             .ok_or(AcrrError::Internal("allowed pair has no gamma"))?;
     }
 
-    // Vets and pivot work thrown away by discarded carried attempts (and
-    // how many there were): still real solve cost, so it is folded into
-    // the returned stats.
-    let mut wasted = SolveStats::default();
-    // The carried basis is attempted on an all-forced epoch only (see the
-    // function docs); a discarded attempt clears the flag.
-    let mut use_carry = carry.is_some() && instance.tenants.iter().all(|t| t.must_accept);
-    'attempt: loop {
-        // One persistent strict-slave LP per attempt: every vetting solve
-        // below re-prices the RHS and warm-starts from the previous
-        // admission's basis. All algorithm state is rebuilt per attempt so
-        // a cold restart replays the from-scratch path exactly.
-        let mut slave = SlaveContext::new_strict(instance);
-        slave.set_simplex_options(simplex.clone());
-        // The next solve runs from a carried (seeded) basis and must
-        // certify decision uniqueness to stand.
-        let mut seeded = false;
-        // A seeded solve certified only the perturbed (decision-level)
-        // certificate: the chain's basis may differ from scratch, so every
-        // later solve must keep certifying until one certifies strictly.
-        let mut verify_chain = false;
-        if use_carry {
-            if let Some(c) = carry.as_deref() {
-                seeded = slave.seed_from_carry(c);
+    // One persistent strict-slave LP: every vet below re-prices the RHS
+    // and warm-starts from the previous admission's basis. The carried
+    // basis seeds the opening vet of an all-forced epoch only (see the
+    // function docs).
+    let mut slave = SlaveContext::new_strict(instance);
+    slave.set_simplex_options(simplex.clone());
+    if instance.tenants.iter().all(|t| t.must_accept) {
+        if let Some(c) = carry.as_deref() {
+            slave.seed_from_carry(c);
+        }
+    }
+
+    // Aggregated knapsack (Eq. 29): w̄ per item, W̄ total capacity. ε_k
+    // normalises each ray so no single cut dominates (the paper's
+    // recursive ε is a scaling device; we normalise by the ray's capacity
+    // term).
+    let mut w_bar = vec![0.0f64; n_t * instance.n_cu];
+    let mut cap_bar = 0.0f64;
+    let mut have_cuts = false;
+    let mut stats = SolveStats::default();
+    // Tenants force-dropped by the fallback (never readmitted this epoch).
+    let mut banned: Vec<bool> = vec![false; n_t];
+
+    loop {
+        stats.iterations += 1;
+        let assigned = greedy_pack(
+            instance, &pairs, &gammas, &w_bar, cap_bar, have_cuts, &banned,
+        );
+        stats.lp_solves += 1;
+        let mut result = slave.solve_for(&assigned)?;
+        if let SlaveResult::Feasible {
+            certificate: Some(verdict),
+            ..
+        } = result
+        {
+            // The seeded vet: it stands only on a unique optimal decision;
+            // otherwise the warm start may have landed on another vertex
+            // than a cold vet would, so it is re-vetted cold.
+            match verdict {
+                Uniqueness::Basis => stats.carry_certified += 1,
+                Uniqueness::Decision => {
+                    stats.carry_certified += 1;
+                    stats.carry_certified_perturbed += 1;
+                }
+                Uniqueness::Unproven => {
+                    slave.restart_cold();
+                    stats.carry_cold_restarts += 1;
+                    stats.lp_solves += 1;
+                    result = slave.solve_for(&assigned)?;
+                }
             }
         }
-
-        // Aggregated knapsack (Eq. 29): w̄ per item, W̄ total capacity. ε_k
-        // normalises each ray so no single cut dominates (the paper's
-        // recursive ε is a scaling device; we normalise by the ray's
-        // capacity term).
-        let mut w_bar = vec![0.0f64; n_t * instance.n_cu];
-        let mut cap_bar = 0.0f64;
-        let mut have_cuts = false;
-        let mut stats = SolveStats::default();
-        // Tenants force-dropped by the fallback (never readmitted this epoch).
-        let mut banned: Vec<bool> = vec![false; n_t];
-
-        let mut extra_rounds = 0usize;
-        loop {
-            stats.iterations += 1;
-            let assigned = greedy_pack(
-                instance, &pairs, &gammas, &w_bar, cap_bar, have_cuts, &banned,
-            );
-            stats.lp_solves += 1;
-            let result = slave.solve_for(&assigned)?;
-            if seeded || verify_chain {
-                // A carried solve (and, after a perturbed-only
-                // certification, every later solve of the chain) only
-                // stands if its optimal decision is provably unique —
-                // otherwise the warm start may have landed on a different
-                // vertex / Farkas ray than a cold solve would, and every
-                // certificate-consuming decision downstream could diverge.
-                // Discard and restart cold; the from-scratch trajectory is
-                // restored verbatim.
-                let certified = matches!(result, SlaveResult::Feasible { .. })
-                    && slave.last_solve_certified_decision();
-                if !certified {
-                    discard(&mut wasted, &stats, &slave);
-                    use_carry = false;
-                    continue 'attempt;
-                }
-                if seeded {
-                    stats.carry_certified += 1;
-                    if !slave.last_solve_certified_unique() {
-                        stats.carry_certified_perturbed += 1;
+        match result {
+            SlaveResult::Feasible {
+                value, z, deficit, ..
+            } => {
+                // Improvement pass: with the slave's priced reservations,
+                // a squeezed tenant may cost more in expected penalty than
+                // its reward (`Σ_legs q·(Λ − z) > R`). Shedding it frees
+                // room for the survivors; iterate until no tenant is
+                // net-negative (the admitted set strictly shrinks, so this
+                // terminates).
+                let (mut assigned, mut value, mut z, mut deficit) = (assigned, value, z, deficit);
+                while let Some(t) = worst_net_negative(instance, &assigned, &z) {
+                    assigned[t] = None;
+                    stats.lp_solves += 1;
+                    match slave.solve_for(&assigned)? {
+                        SlaveResult::Feasible {
+                            value: v2,
+                            z: z2,
+                            deficit: d2,
+                            ..
+                        } => {
+                            value = v2;
+                            z = z2;
+                            deficit = d2;
+                        }
+                        SlaveResult::Infeasible { .. } => {
+                            return Err(AcrrError::Internal(
+                                "shedding a tenant cannot break feasibility",
+                            ))
+                        }
                     }
-                    seeded = false;
                 }
-                // A strict certification pins the terminal basis itself, so
-                // the chain is re-synchronized with the from-scratch
-                // trajectory and needs no further verification.
-                verify_chain = !slave.last_solve_certified_unique();
+                let fixed = instance
+                    .admission_cost(&assigned)
+                    .ok_or(AcrrError::Internal("assigned pair has no gamma"))?;
+                settle(&mut stats, &slave, carry);
+                return Ok(Allocation::from_legs(
+                    instance,
+                    fixed + value,
+                    assigned,
+                    |li| z[li],
+                    deficit,
+                    stats,
+                ));
             }
-            match result {
-                SlaveResult::Feasible {
-                    value, z, deficit, ..
-                } => {
-                    // Improvement pass: with the slave's priced reservations,
-                    // a squeezed tenant may cost more in expected penalty than
-                    // its reward (`Σ_legs q·(Λ − z) > R`). Shedding it frees
-                    // room for the survivors; iterate until no tenant is
-                    // net-negative (the admitted set strictly shrinks, so this
-                    // terminates).
-                    let (mut assigned, mut value, mut z, mut deficit) =
-                        (assigned, value, z, deficit);
-                    loop {
-                        let victim = worst_net_negative(instance, &assigned, &z);
-                        let Some(t) = victim else { break };
-                        assigned[t] = None;
-                        stats.lp_solves += 1;
-                        match slave.solve_for(&assigned)? {
-                            SlaveResult::Feasible {
-                                value: v2,
-                                z: z2,
-                                deficit: d2,
-                                ..
-                            } => {
-                                // A perturbed-only chain keeps verifying
-                                // through the improvement pass too.
-                                if verify_chain && !slave.last_solve_certified_decision() {
-                                    discard(&mut wasted, &stats, &slave);
-                                    use_carry = false;
-                                    continue 'attempt;
-                                }
-                                verify_chain = verify_chain && !slave.last_solve_certified_unique();
-                                value = v2;
-                                z = z2;
-                                deficit = d2;
-                            }
-                            SlaveResult::Infeasible { .. } => {
-                                return Err(AcrrError::Internal(
-                                    "shedding a tenant cannot break feasibility",
-                                ))
-                            }
-                        }
+            SlaveResult::Infeasible { cut } => {
+                // The least profitable admitted optional tenant: the one
+                // the fallback below sheds.
+                let victim = assigned
+                    .iter()
+                    .enumerate()
+                    .filter(|(t, c)| c.is_some() && !instance.tenants[*t].must_accept)
+                    .max_by(|(ta, ca), (tb, cb)| {
+                        let gamma = |t: usize, c: &Option<usize>| {
+                            c.map_or(0.0, |c| gammas[t * instance.n_cu + c])
+                        };
+                        gamma(*ta, ca).total_cmp(&gamma(*tb, cb))
+                    })
+                    .map(|(t, _)| t);
+                let Some(victim) = victim else {
+                    // Only forced tenants are packed and they do not fit
+                    // strictly, so no packing of this epoch fits: every
+                    // strict-slave row has nonnegative leg coefficients
+                    // (and an admission term that only lowers its
+                    // capacity), every window floor is ≥ 0
+                    // (`leg_forecast` clamps it), and every packing holds
+                    // this same forced assignment. Lean on the §3.4
+                    // relaxation at once. The strict slave's final basis
+                    // is still the best available carry for the next epoch
+                    // (the relaxed fallback context has a different column
+                    // layout).
+                    settle(&mut stats, &slave, carry);
+                    return finish_with_deficit(instance, simplex, assigned, stats);
+                };
+                if stats.iterations <= MAX_ITERATIONS {
+                    // Feasibility requires cut(u) ≤ 0 ⇔ Σ coeff·u ≤
+                    // −constant. Fold into the aggregated knapsack,
+                    // normalised by the capacity magnitude (Eq. 30's ε
+                    // scaling).
+                    let cap_k = -cut.constant;
+                    let norm = cap_k.abs().max(1.0);
+                    for &((t, c), w) in &cut.coeffs {
+                        w_bar[t * instance.n_cu + c] += w / norm;
                     }
-                    let fixed = instance
-                        .admission_cost(&assigned)
-                        .ok_or(AcrrError::Internal("assigned pair has no gamma"))?;
-                    settle(&mut stats, &slave, &wasted, carry);
-                    return Ok(Allocation::from_legs(
-                        instance,
-                        fixed + value,
-                        assigned,
-                        |li| z[li],
-                        deficit,
-                        stats,
-                    ));
-                }
-                SlaveResult::Infeasible { cut } => {
-                    if stats.iterations <= MAX_ITERATIONS {
-                        // Feasibility requires cut(u) ≤ 0 ⇔ Σ coeff·u ≤
-                        // −constant. Fold into the aggregated knapsack,
-                        // normalised by the capacity magnitude (Eq. 30's ε
-                        // scaling).
-                        let cap_k = -cut.constant;
-                        let norm = cap_k.abs().max(1.0);
-                        for &((t, c), w) in &cut.coeffs {
-                            w_bar[t * instance.n_cu + c] += w / norm;
-                        }
-                        cap_bar += cap_k / norm;
-                        have_cuts = true;
-                    } else {
-                        // Fallback for pathological aggregation: shed the
-                        // least profitable non-forced admitted tenant.
-                        // Terminates since the admitted set strictly shrinks.
-                        extra_rounds += 1;
-                        let victim = assigned
-                            .iter()
-                            .enumerate()
-                            .filter(|(t, c)| c.is_some() && !instance.tenants[*t].must_accept)
-                            .max_by(|(ta, ca), (tb, cb)| {
-                                let gamma = |t: usize, c: &Option<usize>| {
-                                    c.map_or(0.0, |c| gammas[t * instance.n_cu + c])
-                                };
-                                gamma(*ta, ca).total_cmp(&gamma(*tb, cb))
-                            })
-                            .map(|(t, _)| t);
-                        match victim {
-                            Some(t) => banned[t] = true,
-                            None => {
-                                // Only forced tenants remain and they do not
-                                // fit strictly: lean on the §3.4 relaxation.
-                                // The strict slave's final basis is still the
-                                // best available carry for the next epoch (the
-                                // relaxed fallback context has a different
-                                // column layout).
-                                settle(&mut stats, &slave, &wasted, carry);
-                                return finish_with_deficit(instance, simplex, &assigned, stats);
-                            }
-                        }
-                        if extra_rounds > n_t {
-                            settle(&mut stats, &slave, &wasted, carry);
-                            return finish_with_deficit(instance, simplex, &assigned, stats);
-                        }
-                    }
+                    cap_bar += cap_k / norm;
+                    have_cuts = true;
+                } else {
+                    // Fallback for pathological aggregation: shed the
+                    // victim. Terminates since the admitted set strictly
+                    // shrinks.
+                    banned[victim] = true;
                 }
             }
         }
     }
 }
 
-/// Books a discarded carried attempt in `wasted`: its vets, its pivots and
-/// the restart itself.
-fn discard(wasted: &mut SolveStats, attempt: &SolveStats, slave: &SlaveContext<'_>) {
-    wasted.lp_solves += attempt.lp_solves;
-    wasted.lp.absorb(&slave.stats);
-    wasted.carry_cold_restarts += 1;
-}
-
-/// Closes the returning attempt's stats — the one place every return site
-/// of [`solve_carried`] settles its counters: the surviving slave's vets
-/// and pivots plus what discarded attempts wasted, the carry counters, and
-/// the final basis deposited for the next epoch.
-fn settle(
-    stats: &mut SolveStats,
-    slave: &SlaveContext<'_>,
-    wasted: &SolveStats,
-    carry: Option<&mut LpCarry>,
-) {
+/// Closes the solve's stats — the one place every return site of
+/// [`solve_carried`] settles its counters: the slave's vets and pivots,
+/// and the final basis deposited for the next epoch.
+fn settle(stats: &mut SolveStats, slave: &SlaveContext<'_>, carry: Option<&mut LpCarry>) {
     stats.lp.absorb(&slave.stats);
-    stats.lp.absorb(&wasted.lp);
-    stats.lp_solves += wasted.lp_solves;
-    stats.carry_cold_restarts = wasted.carry_cold_restarts;
-    // Every vet is one LP solve, a discarded attempt's included.
+    // Every vet is one LP solve, a cold re-vet included.
     debug_assert_eq!(stats.lp_solves, stats.lp.warm_starts + stats.lp.cold_starts);
     if let Some(c) = carry {
         slave.save_carry(c);
@@ -335,20 +281,15 @@ fn worst_net_negative(
 
 /// Last resort when the strictly-capacitated system cannot even hold the
 /// forced slices: price the overflow with the big-M deficit (§3.4), exactly
-/// what the orchestrator's relaxed formulation does. The relaxed vet runs
-/// under the caller's `simplex` options like every other vet.
+/// what the orchestrator's relaxed formulation does. `forced` admits the
+/// forced tenants only. The relaxed vet runs under the caller's `simplex`
+/// options like every other vet.
 fn finish_with_deficit(
     instance: &AcrrInstance,
     simplex: &SimplexOptions,
-    assigned: &[Option<usize>],
+    forced: Vec<Option<usize>>,
     mut stats: SolveStats,
 ) -> Result<Allocation, AcrrError> {
-    // Keep only forced tenants; everything optional was already shed.
-    let forced: Vec<Option<usize>> = assigned
-        .iter()
-        .zip(&instance.tenants)
-        .map(|(c, t)| c.filter(|_| t.must_accept))
-        .collect();
     if instance.deficit_cost.is_none() {
         return Err(AcrrError::Infeasible);
     }

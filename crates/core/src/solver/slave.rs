@@ -54,7 +54,9 @@
 
 use super::{add_deficit_vars, deficit_values, DeficitVars};
 use crate::problem::AcrrInstance;
-use ovnes_lp::{Basis, Cmp, ConsId, LpStats, Outcome, Problem, SimplexOptions, VarId, WarmChain};
+use ovnes_lp::{
+    Basis, Cmp, ConsId, LpStats, Outcome, Problem, SimplexOptions, Uniqueness, VarId, WarmChain,
+};
 
 /// Stable cross-epoch identity of a slave LP column. Instance-local leg
 /// indices reshuffle as tenants arrive and depart; the (global tenant id,
@@ -189,6 +191,11 @@ pub enum SlaveResult {
         /// Row duals of the optimum; [`SlaveContext::optimality_cut`]
         /// prices them into the cut `θ ≥ cut(u)`.
         duals: Vec<f64>,
+        /// How unique the optimum is ([`ovnes_lp::certify_unique`]), for
+        /// the one solve after [`SlaveContext::seed_from_carry`]; `None`
+        /// for every unseeded solve, which evaluates no certificate:
+        /// without a carried basis there is no start to be independent of.
+        certificate: Option<Uniqueness>,
     },
     /// No reservation satisfies the capacities (only without the deficit
     /// relaxation).
@@ -237,19 +244,9 @@ pub struct SlaveContext<'a> {
     /// Per leg: whether the Farkas ray being priced touches it. Set and
     /// cleared within one feasibility cut.
     ray_legs: Vec<bool>,
-    /// [`SlaveContext::seed_from_carry`] installed a carried basis: only
-    /// then does `solve_for` evaluate the two uniqueness certificates
-    /// (KAC, their one reader, consults them only on a seeded chain).
+    /// [`SlaveContext::seed_from_carry`] installed a carried basis that no
+    /// `solve_for` has consumed yet: the next one certifies its optimum.
     seeded: bool,
-    /// Whether the most recent `solve_for` certified a unique optimum and
-    /// unique optimal basis (see [`ovnes_lp::certify_unique_optimum`]).
-    /// Stays `false` on an unseeded context, like `last_decision_unique`.
-    last_unique: bool,
-    /// Whether the most recent `solve_for` certified at least a unique
-    /// optimal *decision* (strict certificate, or the perturbation
-    /// certificate on a degenerate optimum — see
-    /// [`ovnes_lp::certify_unique_optimum_perturbed`]).
-    last_decision_unique: bool,
     /// Pivot statistics accumulated over every `solve_for` call.
     pub stats: LpStats,
 }
@@ -404,8 +401,6 @@ impl<'a> SlaveContext<'a> {
             cut_acc: CutAcc::new(instance.tenants.len(), instance.n_cu),
             ray_legs: vec![false; instance.legs.len()],
             seeded: false,
-            last_unique: false,
-            last_decision_unique: false,
             stats: LpStats::default(),
         }
     }
@@ -443,17 +438,17 @@ impl<'a> SlaveContext<'a> {
     /// the old basis is re-keyed onto this LP's column/row layout with
     /// [`Basis::remap`]. Columns and rows that only one epoch has start
     /// exactly where a cold solve would place them. A no-churn epoch maps
-    /// identically and inherits the persisted factorization. Returns
-    /// whether a basis was actually installed (`false` for an empty carry
-    /// or a cold-start context) so callers know if the next solve is
-    /// genuinely warm-started.
-    pub fn seed_from_carry(&mut self, carry: &LpCarry) -> bool {
+    /// identically and inherits the persisted factorization. An empty
+    /// carry or a cold-start context installs nothing. Once a basis is
+    /// installed, the next [`SlaveContext::solve_for`] alone certifies its
+    /// optimum (the seeded vet's `certificate`).
+    pub fn seed_from_carry(&mut self, carry: &LpCarry) {
         use std::collections::HashMap;
         let Some(basis) = &carry.basis else {
-            return false;
+            return;
         };
         if !self.warm {
-            return false;
+            return;
         }
         let new_cols = self.col_keys();
         let col_index: HashMap<ColKey, usize> =
@@ -477,7 +472,6 @@ impl<'a> SlaveContext<'a> {
         self.chain
             .load(&basis.remap(&col_map, new_cols.len(), &row_map, self.rows.len()));
         self.seeded = true;
-        true
     }
 
     /// Deposits this context's final basis and keyed layout into `carry`
@@ -489,28 +483,12 @@ impl<'a> SlaveContext<'a> {
         carry.rows = self.row_keys.clone();
     }
 
-    /// Whether the most recent [`SlaveContext::solve_for`] certified that
-    /// its optimum — *and* its optimal basis — are unique, i.e. that any
-    /// simplex start (a carried cross-epoch basis included) must terminate
-    /// in the identical state. `false` after an infeasible solve (Farkas
-    /// rays are never certified) and on an unseeded context, which
-    /// evaluates no certificate: without a carried basis there is no start
-    /// to be independent of.
-    pub fn last_solve_certified_unique(&self) -> bool {
-        self.last_unique
-    }
-
-    /// Whether the most recent [`SlaveContext::solve_for`] certified at
-    /// least a unique optimal *decision*: the strict certificate above, or
-    /// — when strict complementarity fails on a degenerate optimum — the
-    /// perturbation certificate
-    /// ([`ovnes_lp::certify_unique_optimum_perturbed`]). This is the
-    /// decision-identity gate of the cross-epoch warm start: a carried
-    /// solve chain whose members cannot certify decision uniqueness is
-    /// discarded and re-run cold. `false` after an infeasible solve and on
-    /// an unseeded context.
-    pub fn last_solve_certified_decision(&self) -> bool {
-        self.last_decision_unique
+    /// Forgets the warm chain: the next [`SlaveContext::solve_for`] runs
+    /// cold. Re-vetting the admission the LP is already priced for is then
+    /// bit for bit the vet a fresh context runs for it — how KAC replaces
+    /// a seeded vet it could not certify.
+    pub fn restart_cold(&mut self) {
+        self.chain.clear();
     }
 
     /// Row part of a cut, `Σ_i y_i·rhs_i(u)`, identical for optimality and
@@ -670,27 +648,23 @@ impl<'a> SlaveContext<'a> {
         if !self.warm {
             self.chain.clear();
         }
+        let seeded = std::mem::take(&mut self.seeded);
         let (outcome, stats) = self.problem.resolve(&mut self.chain, &self.simplex)?;
         self.stats.absorb(&stats);
 
         match outcome {
             Outcome::Optimal(sol) => {
-                if self.seeded {
-                    self.last_unique = ovnes_lp::certify_unique_optimum(&self.problem, &sol);
-                    self.last_decision_unique = self.last_unique
-                        || ovnes_lp::certify_unique_optimum_perturbed(&self.problem, &sol);
-                }
+                let certificate = seeded.then(|| ovnes_lp::certify_unique(&self.problem, &sol));
                 let z: Vec<f64> = self.z_vars.iter().map(|&v| sol.value(v).max(0.0)).collect();
                 Ok(SlaveResult::Feasible {
                     value: sol.objective,
                     z,
                     deficit: deficit_values(self.deficit_vars, |v| sol.value(v)),
                     duals: sol.duals,
+                    certificate,
                 })
             }
             Outcome::Infeasible(farkas) => {
-                self.last_unique = false;
-                self.last_decision_unique = false;
                 let cut = self.feasibility_cut(&farkas.row_multipliers);
                 Ok(SlaveResult::Infeasible { cut })
             }

@@ -5,7 +5,7 @@ use crate::experiment::{heterogeneous, homogeneous, revenue_gain_percent, SigmaL
 use crate::orchestrator::{Orchestrator, OrchestratorConfig};
 use crate::problem::{AcrrInstance, PathPolicy, TenantInput, MBPS_PER_MHZ};
 use crate::slice::{ServiceModel, SliceClass, SliceRequest, SliceTemplate};
-use crate::solver::slave::{solve_slave, SlaveResult};
+use crate::solver::slave::{solve_slave, SlaveContext, SlaveResult};
 use crate::solver::{benders, kac, AcrrError, SolveControls, SolverKind};
 use crate::testbed::epoch_to_time;
 use ovnes_lp::SimplexOptions;
@@ -279,6 +279,78 @@ fn kac_respects_aggregated_capacity() {
     assert!(alloc.accepted() <= 2);
     let used: f64 = alloc.reservations.iter().map(|r| r[0]).sum();
     assert!(used / MBPS_PER_MHZ <= 20.0 + 1e-6);
+}
+
+/// When the forced set alone does not fit the strict capacities, KAC ends
+/// on the §3.4 relaxation of exactly that set: the same bits as a relaxed
+/// slave priced for it directly, whatever optional tenants were packed and
+/// shed on the way. An epoch whose first packing is already forced-only
+/// spends two vets: the strict one that does not fit and the relaxed one.
+#[test]
+fn kac_forced_overflow_is_the_relaxed_vet_of_the_forced_set() {
+    // Half a core cannot hold the forced tenant's floor at a core per Mb/s.
+    let model = one_bs_model(0.5);
+    let tenant = |id: u32, must_accept: bool| {
+        let mut t = simple_tenant(id, 10.0, 0.2);
+        t.service.cores_per_mbps = 1.0;
+        t.must_accept = must_accept;
+        t.pinned_cu = must_accept.then_some(0);
+        t
+    };
+    // No CU meets a zero delay budget, so this tenant is never packed.
+    let unplaceable = |id: u32| TenantInput {
+        delay_budget_us: 0.0,
+        ..tenant(id, false)
+    };
+    let cases = [
+        (
+            vec![tenant(0, true), tenant(1, false), tenant(2, false)],
+            false,
+        ),
+        (vec![tenant(0, true), unplaceable(1)], true),
+    ];
+    for (tenants, forced_only_first) in cases {
+        let inst = AcrrInstance::build(&model, tenants, PathPolicy::MinDelay, true, Some(1e4));
+        assert_eq!(inst.cu_allowed[1][0], !forced_only_first);
+        let forced: Vec<Option<usize>> = inst
+            .tenants
+            .iter()
+            .map(|t| t.must_accept.then_some(0))
+            .collect();
+        let alloc = kac::solve(&inst, &SimplexOptions::default()).unwrap();
+        let SlaveResult::Feasible {
+            value, z, deficit, ..
+        } = SlaveContext::new(&inst).solve_for(&forced).unwrap()
+        else {
+            panic!("the relaxed slave always fits");
+        };
+        assert!(deficit.2 > 0.0, "the forced set must overflow the CU");
+        assert_eq!(alloc.assigned_cu, forced);
+        let fixed = inst.admission_cost(&forced).unwrap();
+        assert_eq!(alloc.objective.to_bits(), (fixed + value).to_bits());
+        assert_eq!(alloc.deficit.0.to_bits(), deficit.0.to_bits());
+        assert_eq!(alloc.deficit.1.to_bits(), deficit.1.to_bits());
+        assert_eq!(alloc.deficit.2.to_bits(), deficit.2.to_bits());
+        for (li, leg) in inst.legs.iter().enumerate() {
+            let zt = if forced[leg.tenant] == Some(leg.cu) {
+                z[li]
+            } else {
+                0.0
+            };
+            assert_eq!(
+                alloc.reservations[leg.tenant][leg.bs].to_bits(),
+                zt.to_bits()
+            );
+        }
+        if forced_only_first {
+            assert_eq!((alloc.stats.iterations, alloc.stats.lp_solves), (1, 2));
+        } else {
+            assert!(
+                alloc.stats.iterations > 1,
+                "the optional tenants were packed"
+            );
+        }
+    }
 }
 
 #[test]

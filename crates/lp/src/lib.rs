@@ -254,9 +254,7 @@ pub mod revised;
 mod simplex;
 pub mod sparse;
 
-pub use model::{
-    certify_unique_optimum, certify_unique_optimum_perturbed, Cmp, ConsId, Problem, VarId,
-};
+pub use model::{certify_unique, Cmp, ConsId, Problem, Uniqueness, VarId};
 pub use revised::{Basis, LpStats, WarmChain, WarmSolve, Workspace};
 pub use simplex::{
     default_refactor_interval, fault_injection_active, Farkas, FaultConfig, Outcome,

@@ -340,31 +340,80 @@ impl Problem {
     }
 }
 
-/// Certifies that `s` is the **unique** optimum of `p` *and* that its
-/// optimal basis is unique — the precondition for basis-start-independent
-/// re-solves (any simplex path, warm or cold, must then terminate in the
-/// identical state).
+/// What [`certify_unique`] proves about an optimum `s` of `p`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Uniqueness {
+    /// The optimum *and* its optimal basis are unique — the precondition
+    /// for basis-start-independent re-solves (any simplex path, warm or
+    /// cold, must terminate in the identical state).
+    Basis,
+    /// The optimal decision `s.x` is unique, but the optimal basis, and
+    /// hence the dual vector, may not be. Consumers of dual certificates
+    /// (e.g. Benders optimality cuts) need [`Uniqueness::Basis`].
+    Decision,
+    /// Neither could be certified. Both checks are conservative
+    /// (sufficient, not necessary): `Unproven` for a genuinely unique
+    /// optimum only costs the caller a fallback, never correctness.
+    Unproven,
+}
+
+/// Certifies how unique the optimum `s` of `p` is. One sweep over the
+/// nonzeros computes the reduced costs `d_j = c_j − y'A_j`; the strict
+/// basis test runs first and the decision test only when it fails.
 ///
-/// The check is conservative (sufficient, not necessary): it demands
-/// strict complementarity at the KKT point —
+/// **Basis** demands strict complementarity at the KKT point:
 ///
 /// * every variable resting on a bound has a strictly nonzero reduced cost
-///   `d_j = c_j − y'A_j` (dual nondegeneracy: no zero-cost direction into
-///   the feasible box, and a basic-at-bound column — whose `d_j` is zero —
-///   is rejected as primal-degenerate);
+///   (dual nondegeneracy: no zero-cost direction into the feasible box,
+///   and a basic-at-bound column — whose `d_j` is zero — is rejected as
+///   primal-degenerate);
 /// * every tight inequality row carries a strictly nonzero multiplier
 ///   (a tight row with `y_i ≈ 0` either admits an alternative optimum or
 ///   hides a degenerate basic slack).
 ///
 /// Fixed variables (`lb == ub`) and equality rows have no freedom and are
-/// skipped. Returns `false` whenever uniqueness cannot be certified; a
-/// `false` from a genuinely unique optimum only costs the caller a
-/// fallback, never correctness.
-pub fn certify_unique_optimum(p: &Problem, s: &Solution) -> bool {
-    const TOL: f64 = 1e-7;
-    // Reduced costs in one sweep over the nonzeros.
-    let n = p.num_vars();
-    let mut d: Vec<f64> = p.cost[..n].to_vec();
+/// skipped.
+///
+/// **Decision** widens this for degenerate optima, the normal case for
+/// LPs built from exchangeable columns (many identical requests): a
+/// capacity row can sit exactly tight with a zero multiplier, or a basic
+/// variable can rest on its bound, so strict complementarity fails even
+/// though every optimum has the same `x`. The test reasons about the
+/// optimal *face* instead, mimicking what an infinitesimal lexicographic
+/// perturbation of the bounds would reveal:
+///
+/// 1. Complementary slackness with the one known optimal dual `y` holds
+///    between *every* primal optimum and *every* dual optimum, so a
+///    variable with a strictly nonzero reduced cost is pinned to the bound
+///    it currently rests on at every optimum. Fixed variables are pinned
+///    trivially.
+/// 2. Equality rows, and inequality rows with `|y_i| > tol`, are tight at
+///    every optimum (the optimal face lies inside them).
+/// 3. A face row whose nonzeros cover exactly one unpinned column
+///    determines that column; propagate to a fixed point.
+///
+/// It succeeds iff every variable ends up pinned. A tight row with a zero
+/// dual is simply *not* a face row and costs nothing, while genuine
+/// alternative optima (exchangeable columns sharing a binding row with
+/// equal costs) leave columns unpinned and are refused.
+pub fn certify_unique(p: &Problem, s: &Solution) -> Uniqueness {
+    let d = reduced_costs(p, s);
+    if unique_basis(p, s, &d) {
+        Uniqueness::Basis
+    } else if unique_decision(p, s, &d) {
+        Uniqueness::Decision
+    } else {
+        Uniqueness::Unproven
+    }
+}
+
+/// Tolerance of both uniqueness tests.
+const CERTIFY_TOL: f64 = 1e-7;
+
+/// Reduced costs `d_j = c_j − y'A_j` of `s`, in one sweep over the
+/// nonzeros.
+pub(crate) fn reduced_costs(p: &Problem, s: &Solution) -> Vec<f64> {
+    let mut d: Vec<f64> = p.cost[..p.num_vars()].to_vec();
     for (i, cons) in p.cons.iter().enumerate() {
         let y = s.duals[i];
         if y != 0.0 {
@@ -373,15 +422,25 @@ pub fn certify_unique_optimum(p: &Problem, s: &Solution) -> bool {
             }
         }
     }
-    for j in 0..n {
+    d
+}
+
+/// Whether `x` rests on one of the finite bounds `lb`, `ub`.
+fn at_bound(x: f64, lb: f64, ub: f64) -> bool {
+    let at_lower = lb.is_finite() && (x - lb).abs() <= CERTIFY_TOL * (1.0 + lb.abs());
+    let at_upper = ub.is_finite() && (ub - x).abs() <= CERTIFY_TOL * (1.0 + ub.abs());
+    at_lower || at_upper
+}
+
+/// The strict-complementarity test of [`Uniqueness::Basis`]; `d` holds
+/// the reduced costs of `s`.
+fn unique_basis(p: &Problem, s: &Solution, d: &[f64]) -> bool {
+    for (j, &dj) in d.iter().enumerate() {
         let (lb, ub) = (p.lb[j], p.ub[j]);
         if lb == ub {
             continue;
         }
-        let x = s.x[j];
-        let at_lower = lb.is_finite() && (x - lb).abs() <= TOL * (1.0 + lb.abs());
-        let at_upper = ub.is_finite() && (ub - x).abs() <= TOL * (1.0 + ub.abs());
-        if (at_lower || at_upper) && d[j].abs() <= TOL * (1.0 + p.cost[j].abs()) {
+        if at_bound(s.x[j], lb, ub) && dj.abs() <= CERTIFY_TOL * (1.0 + p.cost[j].abs()) {
             return false;
         }
     }
@@ -390,70 +449,28 @@ pub fn certify_unique_optimum(p: &Problem, s: &Solution) -> bool {
             continue;
         }
         let activity: f64 = cons.coeffs.iter().map(|&(j, a)| a * s.x[j]).sum();
-        let tight = (activity - p.rhs[i]).abs() <= TOL * (1.0 + p.rhs[i].abs());
-        if tight && s.duals[i].abs() <= TOL {
+        let tight = (activity - p.rhs[i]).abs() <= CERTIFY_TOL * (1.0 + p.rhs[i].abs());
+        if tight && s.duals[i].abs() <= CERTIFY_TOL {
             return false;
         }
     }
     true
 }
 
-/// Certifies that `s.x` is the **unique optimal decision** of `p`, without
-/// requiring the optimal *basis* to be unique — the perturbation-style
-/// widening of [`certify_unique_optimum`] for degenerate optima.
-///
-/// Degeneracy is the normal case for LPs built from exchangeable columns
-/// (many identical requests): a capacity row can sit exactly tight with a
-/// zero multiplier, or a basic variable can rest on its bound, so strict
-/// complementarity fails even though every optimum has the same `x`. This
-/// certificate reasons about the optimal *face* instead, mimicking what an
-/// infinitesimal lexicographic perturbation of the bounds would reveal:
-///
-/// 1. Complementary slackness with the one known optimal dual `y` holds
-///    between *every* primal optimum and *every* dual optimum, so a
-///    variable with a strictly nonzero reduced cost `d_j = c_j − y'A_j` is
-///    pinned to the bound it currently rests on at every optimum. Fixed
-///    variables (`lb == ub`) are pinned trivially.
-/// 2. Equality rows, and inequality rows with `|y_i| > tol`, are tight at
-///    every optimum (the optimal face lies inside them).
-/// 3. A face row whose nonzeros cover exactly one unpinned column
-///    determines that column; propagate to a fixed point.
-///
-/// Certification succeeds iff every variable ends up pinned. A tight row
-/// with a zero dual — the classic degenerate pattern strict
-/// complementarity rejects — is simply *not* a face row here and costs
-/// nothing, while genuine alternative optima (exchangeable columns sharing
-/// a binding row with equal costs) leave columns unpinned and are refused.
-///
-/// **Scope:** this certifies the primal decision only. The optimal basis,
-/// and hence the dual vector, may still be non-unique — consumers of dual
-/// certificates (e.g. Benders optimality cuts) must keep using
-/// [`certify_unique_optimum`].
-pub fn certify_unique_optimum_perturbed(p: &Problem, s: &Solution) -> bool {
-    const TOL: f64 = 1e-7;
-    let n = p.num_vars();
-    let mut d: Vec<f64> = p.cost[..n].to_vec();
-    for (i, cons) in p.cons.iter().enumerate() {
-        let y = s.duals[i];
-        if y != 0.0 {
-            for &(j, a) in &cons.coeffs {
-                d[j] -= y * a;
-            }
-        }
-    }
+/// The face-propagation test of [`Uniqueness::Decision`]; `d` holds the
+/// reduced costs of `s`.
+pub(crate) fn unique_decision(p: &Problem, s: &Solution, d: &[f64]) -> bool {
+    let n = d.len();
     let mut pinned = vec![false; n];
     let mut unpinned = 0usize;
-    for j in 0..n {
+    for (j, &dj) in d.iter().enumerate() {
         let (lb, ub) = (p.lb[j], p.ub[j]);
         if lb == ub {
             pinned[j] = true;
             continue;
         }
-        if d[j].abs() > TOL * (1.0 + p.cost[j].abs()) {
-            let x = s.x[j];
-            let at_lower = lb.is_finite() && (x - lb).abs() <= TOL * (1.0 + lb.abs());
-            let at_upper = ub.is_finite() && (ub - x).abs() <= TOL * (1.0 + ub.abs());
-            if at_lower || at_upper {
+        if dj.abs() > CERTIFY_TOL * (1.0 + p.cost[j].abs()) {
+            if at_bound(s.x[j], lb, ub) {
                 pinned[j] = true;
                 continue;
             }
@@ -471,7 +488,7 @@ pub fn certify_unique_optimum_perturbed(p: &Problem, s: &Solution) -> bool {
         .cons
         .iter()
         .enumerate()
-        .filter(|(i, c)| matches!(c.cmp, Cmp::Eq) || s.duals[*i].abs() > TOL)
+        .filter(|(i, c)| matches!(c.cmp, Cmp::Eq) || s.duals[*i].abs() > CERTIFY_TOL)
         .map(|(i, _)| i)
         .collect();
     loop {

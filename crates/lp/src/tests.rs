@@ -583,8 +583,7 @@ fn perturbed_certificate_accepts_degenerate_tight_row() {
         x: vec![1.0, 1.0, 1.0],
         duals: vec![0.0],
     };
-    assert!(!crate::certify_unique_optimum(&p, &s));
-    assert!(crate::certify_unique_optimum_perturbed(&p, &s));
+    assert_eq!(crate::certify_unique(&p, &s), crate::Uniqueness::Decision);
 
     // The revised engine's own terminal state agrees: unique decision,
     // degenerate basis.
@@ -592,33 +591,35 @@ fn perturbed_certificate_accepts_degenerate_tight_row() {
     for j in 0..3 {
         assert_close(sol.x[j], 1.0, 1e-9);
     }
-    assert!(crate::certify_unique_optimum_perturbed(&p, &sol));
+    assert_eq!(crate::certify_unique(&p, &sol), crate::Uniqueness::Decision);
 }
 
 #[test]
 fn perturbed_certificate_refuses_alternative_optima() {
     // max z1+z2 with z ∈ [0,1]² and z1+z2 ≤ 1: every split along the
-    // binding row is optimal. Neither certificate may accept.
+    // binding row is optimal. Neither test may accept.
     let mut p = Problem::new();
     let z1 = p.add_var(0.0, 1.0, -1.0);
     let z2 = p.add_var(0.0, 1.0, -1.0);
     p.add_cons(&[(z1, 1.0), (z2, 1.0)], Cmp::Le, 1.0);
     // An interior optimum of the binding face (simplex never returns one,
-    // but the certificate must still refuse it).
+    // but the decision test must still refuse it). The strict test only
+    // inspects at-bound columns and passes it, so the decision test is
+    // called directly.
     let s = crate::Solution {
         objective: -1.0,
         x: vec![0.5, 0.5],
         duals: vec![-1.0],
     };
-    assert!(!crate::certify_unique_optimum_perturbed(&p, &s));
-    // A vertex optimum of the same face is refused by both certificates.
+    let d = crate::model::reduced_costs(&p, &s);
+    assert!(!crate::model::unique_decision(&p, &s, &d));
+    // A vertex optimum of the same face is refused by both tests.
     let v = crate::Solution {
         objective: -1.0,
         x: vec![1.0, 0.0],
         duals: vec![-1.0],
     };
-    assert!(!crate::certify_unique_optimum(&p, &v));
-    assert!(!crate::certify_unique_optimum_perturbed(&p, &v));
+    assert_eq!(crate::certify_unique(&p, &v), crate::Uniqueness::Unproven);
 }
 
 #[test]
@@ -636,6 +637,5 @@ fn perturbed_certificate_pins_through_face_rows() {
         x: vec![2.0, 1.0],
         duals: vec![0.0],
     };
-    assert!(!crate::certify_unique_optimum(&p, &s));
-    assert!(crate::certify_unique_optimum_perturbed(&p, &s));
+    assert_eq!(crate::certify_unique(&p, &s), crate::Uniqueness::Decision);
 }

@@ -125,13 +125,14 @@ pub struct ScenarioReport {
     /// Incremental epochs that degraded to a from-scratch cold solve
     /// (carried state invalid or a fault hit the incremental path).
     pub incremental_cold_epochs: usize,
-    /// Carried warm solves discarded mid-epoch because the LP uniqueness
-    /// certificate failed, forcing an in-solve cold restart (KAC only).
-    /// Unlike `incremental_cold_epochs` these are part of normal clean
-    /// operation, not fault degradation.
+    /// Seeded vets that were feasible but could not certify a unique
+    /// optimal decision, and were re-vetted cold in the same slave (KAC
+    /// only; an infeasible seeded vet goes straight to the deficit
+    /// fallback and is not counted). Unlike `incremental_cold_epochs`
+    /// these are part of normal clean operation, not fault degradation.
     pub carry_cold_restarts: usize,
-    /// Carried warm solves that stood: the seeded solve certified at least
-    /// a unique optimal decision (KAC only).
+    /// Seeded vets that stood: feasible and certified at least a unique
+    /// optimal decision (KAC only).
     pub carry_certified: usize,
     /// Subset of [`ScenarioReport::carry_certified`] certified only by the
     /// perturbation certificate — degenerate epochs the strict

@@ -79,7 +79,7 @@ const CASES: [Case; 12] = [
 #[rustfmt::skip]
 const PINNED: [(SolverKind, u64, u64); 4] = [
     (SolverKind::Benders, 0xfea4_f835_3762_90d7, 0xf1b7_deb3_c7dc_0571),
-    (SolverKind::Kac, 0xa96d_0861_d8b5_c675, 0x866c_13dd_191d_9b49),
+    (SolverKind::Kac, 0xa96d_0861_d8b5_c675, 0x2136_9603_407f_f0f9),
     (SolverKind::OneShot, 0xee6c_d50d_69cc_52f1, 0xb7ad_783d_a614_8fb8),
     (SolverKind::NoOverbooking, 0x99bb_7d93_0f5b_a0e3, 0xe8ae_d372_7ba4_e255),
 ];

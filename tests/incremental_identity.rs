@@ -450,12 +450,21 @@ fn kac_carry_refines_scratch_on_every_small_churn_pattern() {
                 certified += a.stats.carry_certified;
                 perturbed += a.stats.carry_certified_perturbed;
                 restarts += a.stats.carry_cold_restarts;
-                // Every vet is counted, a discarded attempt's included.
+                // Every vet is counted, a cold re-vet included.
                 assert_eq!(
                     a.stats.lp_solves,
                     a.stats.lp.warm_starts + a.stats.lp.cold_starts,
                     "chain {pattern:#011b} epoch {epoch}"
                 );
+                // An all-forced epoch vets its one packing once, plus a
+                // cold re-vet or the relaxed deficit vet at most.
+                if inst.tenants.iter().all(|t| t.must_accept) {
+                    assert!(
+                        a.stats.lp_solves <= 2,
+                        "chain {pattern:#011b} epoch {epoch}: {} vets",
+                        a.stats.lp_solves
+                    );
+                }
                 admitted.extend(
                     a.assigned_cu
                         .iter()
