@@ -96,11 +96,12 @@ pub struct OrchestratorConfig {
     /// (chaos testing; see [`ovnes_lp::FaultConfig`]). Default `None`.
     pub lp_fault: Option<ovnes_lp::FaultConfig>,
     /// Cross-epoch carry: keep a persistent [`EpochSolver`] that resumes
-    /// KAC's vetting slave from the previous epoch's basis (and
-    /// factorization) on epochs with nothing to admit, so a no-churn epoch
-    /// costs a handful of pivots instead of a cold solve. Every carried
-    /// solve must certify a unique optimal decision or the epoch restarts
-    /// cold, so admission decisions are those of the from-scratch run
+    /// KAC's vetting slave from the previous epoch's warm chain (basis and
+    /// factorization) on epochs with nothing to admit, when that chain fits
+    /// the epoch's slave LP, so a no-churn epoch costs a handful of pivots
+    /// instead of a cold solve. Every carried solve must certify a unique
+    /// optimal decision or the epoch restarts cold, so admission decisions
+    /// are those of the from-scratch run
     /// (`tests/incremental_identity.rs` holds them to it bitwise); only
     /// KAC's solve telemetry (pivots, refactorizations, latency) differs.
     /// Under any other [`SolverKind`] nothing is carried and the flag

@@ -1,4 +1,4 @@
-//! Cross-epoch carry: one slave basis, for KAC, on epochs without churn.
+//! Cross-epoch carry: one slave warm chain, for KAC, on epochs without churn.
 //!
 //! The paper solves AC-RR afresh every epoch; the from-scratch
 //! [`solve_controlled`] is therefore the specification, and anything
@@ -8,22 +8,25 @@
 //! (`crates/scenario/DESIGN.md`, "Cross-epoch warm start", has the
 //! measurements, what was deleted, and the known limit of the proof):
 //!
-//! * the previous epoch's final KAC vetting-slave **basis** (plus its
-//!   factorization), re-keyed onto the new epoch's LP layout via stable
-//!   [`ColKey`](super::slave::ColKey)/[`RowKey`](super::slave::RowKey)
-//!   identities ([`LpCarry`]). [`kac::solve_carried`](super::kac::solve_carried)
-//!   seeds it on **all-forced epochs only** — nothing to admit, so the
-//!   mapping is usually the identity and the first solve replays the
-//!   persisted LU with zero refactorizations. That seeded vet is the only
-//!   vet the carried basis reaches: it stands if it is feasible and
-//!   [`certify_unique`](ovnes_lp::certify_unique) proves a unique basis
-//!   or a unique decision; a feasible but unproven one is re-vetted cold
-//!   in the same slave, and an infeasible one goes straight to the
+//! * the previous epoch's KAC vetting-slave **warm chain**
+//!   ([`WarmChain`]: final basis, its factorization and the engine's
+//!   buffers), handed over by swap at the end of every epoch.
+//!   [`kac::solve_carried`](super::kac::solve_carried) seeds it on
+//!   **all-forced epochs only**, and only when it
+//!   [fits](WarmChain::fits) the new slave LP — same shape, same
+//!   structural matrix — so the first solve replays the held LU with zero
+//!   refactorizations; nothing is copied or re-keyed. That seeded vet is
+//!   the only vet the carried chain reaches: it stands if it is feasible
+//!   and [`certify_unique`](ovnes_lp::certify_unique) proves a unique
+//!   basis or a unique decision; a feasible but unproven one is re-vetted
+//!   cold in the same slave, and an infeasible one goes straight to the
 //!   deficit fallback, where the from-scratch solve also ends.
 //!
-//! Infrastructure events only change row capacities, which the slave
-//! re-prices anyway; a carried basis they make useless fails its
-//! certificate and costs one cold re-vet.
+//! An infrastructure event that changes only row capacities leaves the
+//! chain fitting (the slave re-prices right-hand sides anyway), and a
+//! carried basis it makes useless fails its certificate and costs one cold
+//! re-vet; one that reroutes legs changes the matrix, and the chain is not
+//! seeded.
 //!
 //! Every other [`SolverKind`] has no carried state at all: for Benders,
 //! one-shot and the baseline, [`EpochSolver::solve_epoch`] *is*
@@ -35,9 +38,9 @@
 //! [`solve_controlled`], never as an error the orchestrator wouldn't
 //! survive.
 
-use super::slave::LpCarry;
 use super::{dispatch, solve_controlled, ControlledOutcome, SolveControls, SolverKind};
 use crate::problem::AcrrInstance;
+use ovnes_lp::WarmChain;
 
 /// Per-epoch telemetry of the carry, alongside the [`ControlledOutcome`] it
 /// produced. (How often a carried solve certified or restarted cold is in
@@ -53,7 +56,7 @@ pub struct IncrementalReport {
 /// one [`AcrrInstance`] per epoch. See the module docs for what is carried.
 #[derive(Debug, Default)]
 pub struct EpochSolver {
-    carry: LpCarry,
+    carry: WarmChain,
 }
 
 impl EpochSolver {
@@ -63,7 +66,7 @@ impl EpochSolver {
     }
 
     /// Solves one epoch's admission, resuming KAC's vetting slave from the
-    /// carried basis where that applies and depositing the final basis for
+    /// carried chain where that applies and keeping the final chain for
     /// the next epoch.
     ///
     /// Mirrors [`solve_controlled`]'s degradation ladder — this method
@@ -83,7 +86,7 @@ impl EpochSolver {
             match dispatch(instance, controls, Some(&mut self.carry)) {
                 Ok(allocation) => ControlledOutcome::primary(allocation),
                 Err(_) => {
-                    self.carry = LpCarry::default();
+                    self.carry.clear();
                     cold_fallback = true;
                     solve_controlled(instance, controls)
                 }

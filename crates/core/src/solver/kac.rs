@@ -12,10 +12,10 @@
 //! `−γ/max(w̄, ε)` descending and skip unprofitable items, which is what we
 //! do.
 
-use super::slave::{LpCarry, SlaveContext, SlaveResult};
+use super::slave::{SlaveContext, SlaveResult};
 use super::AcrrError;
 use crate::problem::{AcrrInstance, Allocation, SolveStats};
-use ovnes_lp::{SimplexOptions, Uniqueness};
+use ovnes_lp::{SimplexOptions, Uniqueness, WarmChain};
 
 /// Lazy-constraint iterations (Algorithm 3's cap) before falling back to
 /// dropping the least profitable admitted tenant.
@@ -28,19 +28,22 @@ pub fn solve(instance: &AcrrInstance, simplex: &SimplexOptions) -> Result<Alloca
     solve_carried(instance, simplex, None)
 }
 
-/// [`solve`] with an optional cross-epoch LP carry: the vetting slave seeds
-/// a solve from the previous epoch's re-keyed basis and deposits its final
-/// basis back on success.
+/// [`solve`] with an optional cross-epoch carry: the previous epoch's
+/// vetting-slave [`WarmChain`], which seeds a solve and takes back the
+/// final chain on success.
 ///
 /// **Where the carry is attempted.** Only on an all-forced epoch (no churn
-/// to admit): its opening forced-only vet is seeded directly, usually
-/// identity-remapped onto the previous basis — the O(churn) fast path. A
-/// churn epoch solves from scratch (its opening all-in vet is usually
-/// infeasible, and a Farkas ray is never certified) and only deposits its
-/// final basis for the next epoch; seeding a later shed iteration was
-/// measured and deleted (`crates/scenario/DESIGN.md`, "Cross-epoch warm
-/// start"). An all-forced epoch has nothing to shed, so the seeded vet is
-/// the only vet a carried basis ever reaches.
+/// to admit), and only when the carried chain
+/// [fits](WarmChain::fits) the new slave LP — same shape, same structural
+/// matrix: its opening forced-only vet then continues the chain in place
+/// and replays the held factorization — the O(churn) fast path. A carry
+/// that does not fit is not seeded, and the vet runs cold. A churn epoch
+/// solves from scratch (its opening all-in vet is usually infeasible, and
+/// a Farkas ray is never certified) and only hands its final chain on to
+/// the next epoch; seeding a later shed iteration was measured and deleted
+/// (`crates/scenario/DESIGN.md`, "Cross-epoch warm start"). An all-forced
+/// epoch has nothing to shed, so the seeded vet is the only vet a carried
+/// chain ever reaches.
 ///
 /// **Decision-identity contract (one certificate).** KAC's decisions
 /// consume the vetting LP's *certificates* (reservations `z`, Farkas
@@ -69,7 +72,7 @@ pub fn solve(instance: &AcrrInstance, simplex: &SimplexOptions) -> Result<Alloca
 pub fn solve_carried(
     instance: &AcrrInstance,
     simplex: &SimplexOptions,
-    carry: Option<&mut LpCarry>,
+    mut carry: Option<&mut WarmChain>,
 ) -> Result<Allocation, AcrrError> {
     let _span = ovnes_obs::span!("kac");
     if !instance.forced_feasible() {
@@ -93,12 +96,12 @@ pub fn solve_carried(
 
     // One persistent strict-slave LP: every vet below re-prices the RHS
     // and warm-starts from the previous admission's basis. The carried
-    // basis seeds the opening vet of an all-forced epoch only (see the
+    // chain seeds the opening vet of an all-forced epoch only (see the
     // function docs).
     let mut slave = SlaveContext::new_strict(instance);
     slave.set_simplex_options(simplex.clone());
     if instance.tenants.iter().all(|t| t.must_accept) {
-        if let Some(c) = carry.as_deref() {
+        if let Some(c) = carry.as_deref_mut() {
             slave.seed_from_carry(c);
         }
     }
@@ -178,7 +181,7 @@ pub fn solve_carried(
                 let fixed = instance
                     .admission_cost(&assigned)
                     .ok_or(AcrrError::Internal("assigned pair has no gamma"))?;
-                settle(&mut stats, &slave, carry);
+                settle(&mut stats, &mut slave, carry);
                 return Ok(Allocation::from_legs(
                     instance,
                     fixed + value,
@@ -210,11 +213,11 @@ pub fn solve_carried(
                     // capacity), every window floor is ≥ 0
                     // (`leg_forecast` clamps it), and every packing holds
                     // this same forced assignment. Lean on the §3.4
-                    // relaxation at once. The strict slave's final basis
+                    // relaxation at once. The strict slave's final chain
                     // is still the best available carry for the next epoch
                     // (the relaxed fallback context has a different column
                     // layout).
-                    settle(&mut stats, &slave, carry);
+                    settle(&mut stats, &mut slave, carry);
                     return finish_with_deficit(instance, simplex, assigned, stats);
                 };
                 if stats.iterations <= MAX_ITERATIONS {
@@ -242,8 +245,8 @@ pub fn solve_carried(
 
 /// Closes the solve's stats — the one place every return site of
 /// [`solve_carried`] settles its counters: the slave's vets and pivots,
-/// and the final basis deposited for the next epoch.
-fn settle(stats: &mut SolveStats, slave: &SlaveContext<'_>, carry: Option<&mut LpCarry>) {
+/// and the final chain handed on to the next epoch.
+fn settle(stats: &mut SolveStats, slave: &mut SlaveContext<'_>, carry: Option<&mut WarmChain>) {
     stats.lp.absorb(&slave.stats);
     // Every vet is one LP solve, a cold re-vet included.
     debug_assert_eq!(stats.lp_solves, stats.lp.warm_starts + stats.lp.cold_starts);

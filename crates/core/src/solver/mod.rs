@@ -280,13 +280,13 @@ pub fn solve(instance: &AcrrInstance, controls: &SolveControls) -> Result<Alloca
 }
 
 /// The one dispatch on [`SolverKind`]. `carry` is the cross-epoch slave
-/// basis of the persistent [`epoch::EpochSolver`] and is KAC's alone
+/// chain of the persistent [`epoch::EpochSolver`] and is KAC's alone
 /// (certified per solve — it changes the solve path, never the decision);
 /// every other kind always solves from scratch.
 fn dispatch(
     instance: &AcrrInstance,
     controls: &SolveControls,
-    carry: Option<&mut slave::LpCarry>,
+    carry: Option<&mut ovnes_lp::WarmChain>,
 ) -> Result<Allocation, AcrrError> {
     match controls.kind {
         SolverKind::Kac => kac::solve_carried(instance, &controls.kac_options(), carry),

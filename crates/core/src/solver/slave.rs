@@ -55,45 +55,8 @@
 use super::{add_deficit_vars, deficit_values, DeficitVars};
 use crate::problem::AcrrInstance;
 use ovnes_lp::{
-    Basis, Cmp, ConsId, LpStats, Outcome, Problem, SimplexOptions, Uniqueness, VarId, WarmChain,
+    Cmp, ConsId, LpStats, Outcome, Problem, SimplexOptions, Uniqueness, VarId, WarmChain,
 };
-
-/// Stable cross-epoch identity of a slave LP column. Instance-local leg
-/// indices reshuffle as tenants arrive and depart; the (global tenant id,
-/// BS, CU) triple does not.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum ColKey {
-    /// Reservation variable of the leg (tenant global id, BS, CU).
-    Leg(u32, usize, usize),
-    /// Domain deficit variable: 0 = radio, 1 = transport, 2 = compute.
-    Deficit(u8),
-}
-
-/// Stable cross-epoch identity of a slave LP row. Links are keyed by their
-/// graph-level id because the instance-local link list is rebuilt (and
-/// renumbered) from whatever paths the epoch's legs actually use.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum RowKey {
-    /// CU capacity row (2/14).
-    Cu(usize),
-    /// Link capacity row (3/15), keyed by graph-level link id.
-    Link(usize),
-    /// BS radio row (4/16).
-    Bs(usize),
-}
-
-/// Cross-epoch warm-start baggage: the final basis of one epoch's slave LP
-/// together with the keyed layout it was built against, so the next epoch's
-/// (freshly built) slave can re-key it onto its own column/row order via
-/// [`Basis::remap`]. On a no-churn epoch the mapping is the identity and the
-/// persisted factorization rides along — the first re-solve then performs
-/// zero refactorizations.
-#[derive(Debug, Clone, Default)]
-pub struct LpCarry {
-    pub(crate) basis: Option<Basis>,
-    pub(crate) cols: Vec<ColKey>,
-    pub(crate) rows: Vec<RowKey>,
-}
 
 /// An affine function of the admission binaries: `g(u) = constant +
 /// Σ coeffs[(t,c)]·u_{t,c}`.
@@ -192,9 +155,10 @@ pub enum SlaveResult {
         /// prices them into the cut `θ ≥ cut(u)`.
         duals: Vec<f64>,
         /// How unique the optimum is ([`ovnes_lp::certify_unique`]), for
-        /// the one solve after [`SlaveContext::seed_from_carry`]; `None`
-        /// for every unseeded solve, which evaluates no certificate:
-        /// without a carried basis there is no start to be independent of.
+        /// the one solve after [`SlaveContext::seed_from_carry`] installed a
+        /// chain; `None` for every unseeded solve, which evaluates no
+        /// certificate: without a carried basis there is no start to be
+        /// independent of.
         certificate: Option<Uniqueness>,
     },
     /// No reservation satisfies the capacities (only without the deficit
@@ -226,8 +190,6 @@ pub struct SlaveContext<'a> {
     /// Per-leg reservation window `[λ̂, Λ]`, applied as variable bounds
     /// scaled by the admission binary.
     leg_window: Vec<(f64, f64)>,
-    /// Stable identity per row of `rows`, in row order.
-    row_keys: Vec<RowKey>,
     /// The admission the LP's right-hand sides and windows are priced for
     /// (`None` until the first `solve_for`, which prices everything).
     priced: Option<Vec<Option<usize>>>,
@@ -244,7 +206,7 @@ pub struct SlaveContext<'a> {
     /// Per leg: whether the Farkas ray being priced touches it. Set and
     /// cleared within one feasibility cut.
     ray_legs: Vec<bool>,
-    /// [`SlaveContext::seed_from_carry`] installed a carried basis that no
+    /// [`SlaveContext::seed_from_carry`] installed a carried chain that no
     /// `solve_for` has consumed yet: the next one certifies its optimum.
     seeded: bool,
     /// Pivot statistics accumulated over every `solve_for` call.
@@ -309,7 +271,6 @@ impl<'a> SlaveContext<'a> {
         }
 
         let mut rows: Vec<RowSpec> = Vec::new();
-        let mut row_keys: Vec<RowKey> = Vec::new();
         let mut coeffs: Vec<(VarId, f64)> = Vec::new();
 
         // (2/14) CU capacity.
@@ -334,7 +295,6 @@ impl<'a> SlaveContext<'a> {
                 }
             }
             let id = p.add_cons(&coeffs, Cmp::Le, instance.cu_cores[c]);
-            row_keys.push(RowKey::Cu(c));
             rows.push(RowSpec {
                 r0: instance.cu_cores[c],
                 u_coeffs,
@@ -357,7 +317,6 @@ impl<'a> SlaveContext<'a> {
             }
             let cap = instance.link_caps[e];
             let id = p.add_cons(&coeffs, Cmp::Le, cap);
-            row_keys.push(RowKey::Link(instance.link_graph_ids[e]));
             rows.push(RowSpec {
                 r0: cap,
                 u_coeffs: Vec::new(),
@@ -376,7 +335,6 @@ impl<'a> SlaveContext<'a> {
                 coeffs.push((dr, -1.0));
             }
             let id = p.add_cons(&coeffs, Cmp::Le, instance.bs_radio_mhz[b]);
-            row_keys.push(RowKey::Bs(b));
             rows.push(RowSpec {
                 r0: instance.bs_radio_mhz[b],
                 u_coeffs: Vec::new(),
@@ -393,7 +351,6 @@ impl<'a> SlaveContext<'a> {
             deficit_vars,
             rows,
             leg_window,
-            row_keys,
             priced: None,
             chain: WarmChain::new(),
             warm: true,
@@ -419,68 +376,29 @@ impl<'a> SlaveContext<'a> {
         self.simplex = options;
     }
 
-    /// Stable column identities, in LP column order (legs first, then the
-    /// deficit triple when the instance is relaxed).
-    pub fn col_keys(&self) -> Vec<ColKey> {
-        let mut keys: Vec<ColKey> = self
-            .instance
-            .legs
-            .iter()
-            .map(|l| ColKey::Leg(self.instance.tenants[l.tenant].tenant, l.bs, l.cu))
-            .collect();
-        if self.deficit_vars.is_some() {
-            keys.extend([ColKey::Deficit(0), ColKey::Deficit(1), ColKey::Deficit(2)]);
+    /// Seeds this (freshly built) context with a previous epoch's slave
+    /// chain, taken by swap with its basis, factorization and buffers —
+    /// but only when the chain [fits](WarmChain::fits) this LP: same shape,
+    /// same structural matrix, so the held factorization replays as is. A
+    /// carry that does not fit, or a cold-start context, installs nothing
+    /// and the next solve is cold. Once a chain is installed, the next
+    /// [`SlaveContext::solve_for`] alone certifies its optimum (the seeded
+    /// vet's `certificate`).
+    pub fn seed_from_carry(&mut self, carry: &mut WarmChain) {
+        if self.warm && carry.fits(&self.problem) {
+            std::mem::swap(&mut self.chain, carry);
+            self.seeded = true;
         }
-        keys
     }
 
-    /// Seeds this (freshly built) context from a previous epoch's carry:
-    /// the old basis is re-keyed onto this LP's column/row layout with
-    /// [`Basis::remap`]. Columns and rows that only one epoch has start
-    /// exactly where a cold solve would place them. A no-churn epoch maps
-    /// identically and inherits the persisted factorization. An empty
-    /// carry or a cold-start context installs nothing. Once a basis is
-    /// installed, the next [`SlaveContext::solve_for`] alone certifies its
-    /// optimum (the seeded vet's `certificate`).
-    pub fn seed_from_carry(&mut self, carry: &LpCarry) {
-        use std::collections::HashMap;
-        let Some(basis) = &carry.basis else {
-            return;
-        };
+    /// Hands this context's warm chain to `carry` (by swap, nothing is
+    /// copied) for the next epoch's context to resume from. A cold-start
+    /// context hands over a cleared chain.
+    pub fn save_carry(&mut self, carry: &mut WarmChain) {
+        std::mem::swap(&mut self.chain, carry);
         if !self.warm {
-            return;
+            carry.clear();
         }
-        let new_cols = self.col_keys();
-        let col_index: HashMap<ColKey, usize> =
-            new_cols.iter().enumerate().map(|(i, &k)| (k, i)).collect();
-        let col_map: Vec<Option<usize>> = carry
-            .cols
-            .iter()
-            .map(|k| col_index.get(k).copied())
-            .collect();
-        let row_index: HashMap<RowKey, usize> = self
-            .row_keys
-            .iter()
-            .enumerate()
-            .map(|(i, &k)| (k, i))
-            .collect();
-        let row_map: Vec<Option<usize>> = carry
-            .rows
-            .iter()
-            .map(|k| row_index.get(k).copied())
-            .collect();
-        self.chain
-            .load(&basis.remap(&col_map, new_cols.len(), &row_map, self.rows.len()));
-        self.seeded = true;
-    }
-
-    /// Deposits this context's final basis and keyed layout into `carry`
-    /// for the next epoch's context to resume from (the one place the
-    /// chain's state is copied out as a [`Basis`]: once per epoch).
-    pub fn save_carry(&self, carry: &mut LpCarry) {
-        carry.basis = self.warm.then(|| self.chain.basis()).flatten();
-        carry.cols = self.col_keys();
-        carry.rows = self.row_keys.clone();
     }
 
     /// Forgets the warm chain: the next [`SlaveContext::solve_for`] runs

@@ -8,14 +8,13 @@ use rand::{Rng, SeedableRng};
 
 /// The skeleton as a scan of every leg per row (every leg's path per
 /// link row) — what [`SlaveContext::new`]'s one pass over leg buckets
-/// has to reproduce: the program, row keys, per-leg matrix columns and
-/// per-row `u` coefficients, all in this order.
+/// has to reproduce: the program, per-leg matrix columns and per-row `u`
+/// coefficients, all in this order.
 #[allow(clippy::type_complexity)]
 fn scanned_skeleton(
     instance: &AcrrInstance,
 ) -> (
     Problem,
-    Vec<RowKey>,
     Vec<Vec<(usize, f64)>>,
     Vec<Vec<((usize, usize), f64)>>,
 ) {
@@ -33,7 +32,6 @@ fn scanned_skeleton(
         )
     });
     let mut scanned_cols: Vec<Vec<(usize, f64)>> = vec![Vec::new(); instance.legs.len()];
-    let mut row_keys = Vec::new();
     let mut u_coeffs = Vec::new();
 
     for c in 0..instance.n_cu {
@@ -42,7 +40,7 @@ fn scanned_skeleton(
             let b = instance.tenants[leg.tenant].service.cores_per_mbps;
             if leg.cu == c && b != 0.0 {
                 coeffs.push((z_vars[li], b));
-                scanned_cols[li].push((row_keys.len(), b));
+                scanned_cols[li].push((p.num_cons(), b));
             }
         }
         if let Some((_, _, dc)) = deficit_vars {
@@ -55,7 +53,6 @@ fn scanned_skeleton(
             }
         }
         p.add_cons(&coeffs, Cmp::Le, instance.cu_cores[c]);
-        row_keys.push(RowKey::Cu(c));
         u_coeffs.push(u);
     }
     for (e, &cap) in instance.link_caps.iter().enumerate() {
@@ -63,7 +60,7 @@ fn scanned_skeleton(
         for (li, leg) in instance.legs.iter().enumerate() {
             if leg.links.contains(&e) {
                 coeffs.push((z_vars[li], instance.eta_transport));
-                scanned_cols[li].push((row_keys.len(), instance.eta_transport));
+                scanned_cols[li].push((p.num_cons(), instance.eta_transport));
             }
         }
         if coeffs.is_empty() {
@@ -73,7 +70,6 @@ fn scanned_skeleton(
             coeffs.push((db, -1.0));
         }
         p.add_cons(&coeffs, Cmp::Le, cap);
-        row_keys.push(RowKey::Link(instance.link_graph_ids[e]));
         u_coeffs.push(Vec::new());
     }
     for b in 0..instance.n_bs {
@@ -82,17 +78,16 @@ fn scanned_skeleton(
         for (li, leg) in instance.legs.iter().enumerate() {
             if leg.bs == b {
                 coeffs.push((z_vars[li], 1.0 / eff));
-                scanned_cols[li].push((row_keys.len(), 1.0 / eff));
+                scanned_cols[li].push((p.num_cons(), 1.0 / eff));
             }
         }
         if let Some((dr, _, _)) = deficit_vars {
             coeffs.push((dr, -1.0));
         }
         p.add_cons(&coeffs, Cmp::Le, instance.bs_radio_mhz[b]);
-        row_keys.push(RowKey::Bs(b));
         u_coeffs.push(Vec::new());
     }
-    (p, row_keys, scanned_cols, u_coeffs)
+    (p, scanned_cols, u_coeffs)
 }
 
 /// A seeded city slice: a generated N1 topology and a handful of
@@ -148,11 +143,13 @@ fn one_pass_skeleton_equals_the_per_row_scan() {
             instance.link_caps.push(456.0);
             instance.link_graph_ids.push(usize::MAX - 1);
 
-            let (problem, row_keys, scanned_cols, u_coeffs) = scanned_skeleton(&instance);
+            let (problem, scanned_cols, u_coeffs) = scanned_skeleton(&instance);
             let ctx = SlaveContext::new(&instance);
             let tag = format!("seed {seed}, deficit {deficit_cost:?}");
-            assert_eq!(ctx.row_keys, row_keys, "{tag}");
-            assert!(!row_keys.contains(&RowKey::Link(usize::MAX)), "{tag}");
+            assert!(
+                ctx.rows.iter().all(|r| r.r0 != 123.0 && r.r0 != 456.0),
+                "{tag}: a row for an unused link"
+            );
             // The per-leg columns the certificates are priced against are
             // the LP's own matrix columns: same rows, same order, same bits.
             let matrix = ctx.problem.structural_matrix();
@@ -186,7 +183,7 @@ fn one_pass_skeleton_equals_the_per_row_scan() {
 // ------------------------------------------------- the persistent context
 
 use crate::testbed::testbed_model;
-use ovnes_lp::{FaultConfig, SolveError};
+use ovnes_lp::{Basis, FaultConfig, SolveError};
 
 /// Up to three tenants on the testbed data plane (2 BS × 2 CU): an mMTC
 /// slice whose base cores move the CU right-hand sides and overflow the
@@ -388,9 +385,86 @@ fn a_failed_solve_leaves_a_cold_context() {
         ),
         (admissions.len(), 0, 0)
     );
-    let mut carry = LpCarry::default();
+    let mut carry = WarmChain::new();
     never_warm.save_carry(&mut carry);
-    assert!(carry.basis.is_none(), "a cold context deposits no basis");
+    assert!(!carry.is_warm(), "a cold context hands over no basis");
+}
+
+/// The cross-epoch carry both ways: a chain that fits a freshly built
+/// context is moved in whole, and its first solve replays the carried
+/// factorization; one that does not fit — another shape, or the same shape
+/// over another matrix — stays where it is, and the next solve is cold.
+#[test]
+fn seed_from_carry_installs_only_a_chain_that_fits() {
+    // Relaxed, so that admitting everyone is a feasible vet.
+    let inst = small_instance(3, Some(1e4));
+    let admissions = all_admissions(&inst);
+    let last = &admissions[admissions.len() - 1];
+    let carried = || {
+        let mut ctx = SlaveContext::new(&inst);
+        ctx.set_simplex_options(unfaulted());
+        ctx.solve_for(last).expect("carried solve");
+        let mut carry = WarmChain::new();
+        ctx.save_carry(&mut carry);
+        assert!(
+            carry.is_warm() && !ctx.chain.is_warm(),
+            "handed over by swap"
+        );
+        carry
+    };
+
+    let mut carry = carried();
+    let mut ctx = SlaveContext::new(&inst);
+    ctx.set_simplex_options(unfaulted());
+    ctx.seed_from_carry(&mut carry);
+    assert!(ctx.chain.is_warm() && !carry.is_warm(), "installed by swap");
+    let seeded = ctx.solve_for(last).expect("seeded solve");
+    assert!(matches!(
+        seeded,
+        SlaveResult::Feasible {
+            certificate: Some(_),
+            ..
+        }
+    ));
+    let stats = ctx.stats;
+    assert_eq!(
+        (
+            stats.warm_starts,
+            stats.factorization_reuses,
+            stats.refactorizations
+        ),
+        (1, 1, 0)
+    );
+
+    let mut other_matrix = inst.clone();
+    other_matrix.mbps_per_mhz[0] *= 2.0;
+    for (tag, other) in [
+        ("another shape", small_instance(2, Some(1e4))),
+        ("another matrix", other_matrix),
+    ] {
+        let mut carry = carried();
+        let mut ctx = SlaveContext::new(&other);
+        ctx.set_simplex_options(unfaulted());
+        ctx.seed_from_carry(&mut carry);
+        assert!(!ctx.chain.is_warm() && carry.is_warm(), "{tag}: installed");
+        let none = vec![None; other.tenants.len()];
+        let cold = ctx.solve_for(&none).expect("cold solve");
+        assert!(
+            matches!(
+                cold,
+                SlaveResult::Feasible {
+                    certificate: None,
+                    ..
+                }
+            ),
+            "{tag}"
+        );
+        assert_eq!(
+            (ctx.stats.cold_starts, ctx.stats.warm_starts),
+            (1, 0),
+            "{tag}"
+        );
+    }
 }
 
 /// The cut of a multiplier vector priced the long way: every row, then

@@ -67,9 +67,9 @@
 //!
 //! *Removing* variables or constraints invalidates a basis; `solve_warm`
 //! detects the shape mismatch and silently performs a cold solve (counted
-//! in [`LpStats::cold_starts`]). The cross-epoch consumers therefore never
-//! remove columns — a departed tenant's columns are clamped to `[0, 0]`
-//! with `set_bounds` instead.
+//! in [`LpStats::cold_starts`]). A caller that carries a [`WarmChain`] over
+//! to a rebuilt problem can ask [`WarmChain::fits`] first: same shape and
+//! same matrix, so the held factorization replays.
 //!
 //! The solver's outcomes, dual values, and Farkas certificates follow the
 //! conventions of the crate-level docs (which the dense oracle shares).
@@ -194,134 +194,6 @@ pub struct Basis {
     /// contract, but silently accepted by the shape checks) refactorizes
     /// from the real matrix instead of replaying stale factors.
     matrix_fp: u64,
-}
-
-impl Basis {
-    /// Number of constraint rows this basis covers.
-    pub fn num_rows(&self) -> usize {
-        self.basic.len()
-    }
-
-    /// Number of structural variables this basis covers.
-    pub fn num_vars(&self) -> usize {
-        self.n_vars
-    }
-
-    /// Re-keys this basis onto a **rebuilt** problem whose columns and rows
-    /// are an injective mapping of the originals — the cross-epoch warm-start
-    /// primitive. `col_map[j]`/`row_map[i]` give the new index of old
-    /// structural column `j` / old row `i`, or `None` for columns/rows that
-    /// no longer exist (departed tenants, vanished link rows). New columns
-    /// and rows of the rebuilt problem that no old index maps onto start
-    /// exactly where a cold start would place them (nonbasic on a bound /
-    /// that row's logical basic).
-    ///
-    /// Surviving basic assignments are preserved (old row order, capped at
-    /// the new row count), rows left without a basic column receive their
-    /// own logical, and the returned status vector is always consistent
-    /// with the returned basic set, so the engine can resume from it
-    /// directly. Statuses referencing bounds that changed finiteness are
-    /// repaired by the usual `solve_warm` adaptation.
-    ///
-    /// When both maps are the identity and the shape is unchanged, the
-    /// basis — **including its persisted factorization** — is returned
-    /// as-is: a rebuilt-but-structurally-identical program (the no-churn
-    /// epoch) then re-solves with zero refactorizations. Any genuine
-    /// remapping drops the factorization (the basis matrix changed), so the
-    /// next solve refactorizes once and proceeds with dual warm pivots.
-    ///
-    /// # Panics
-    /// Panics if a map's length disagrees with this basis's shape or a
-    /// mapped index is out of range for the new shape. Maps must be
-    /// injective (two old columns never merge); violations are not detected
-    /// here but produce a basis the engine will reject as singular and
-    /// replace with a cold start.
-    pub fn remap(
-        &self,
-        col_map: &[Option<usize>],
-        new_n: usize,
-        row_map: &[Option<usize>],
-        new_m: usize,
-    ) -> Basis {
-        assert_eq!(col_map.len(), self.n_vars, "col_map length != num_vars");
-        assert_eq!(
-            row_map.len(),
-            self.basic.len(),
-            "row_map length != num_rows"
-        );
-        let identity = new_n == self.n_vars
-            && new_m == self.basic.len()
-            && col_map.iter().enumerate().all(|(j, m)| *m == Some(j))
-            && row_map.iter().enumerate().all(|(i, m)| *m == Some(i));
-        if identity {
-            return self.clone();
-        }
-
-        let total = new_n + new_m;
-        let map_col = |j: usize| -> Option<usize> {
-            if j < self.n_vars {
-                let nj = col_map[j];
-                assert!(nj.is_none_or(|nj| nj < new_n), "col_map index out of range");
-                nj
-            } else {
-                let ni = row_map[j - self.n_vars];
-                assert!(ni.is_none_or(|ni| ni < new_m), "row_map index out of range");
-                ni.map(|ni| new_n + ni)
-            }
-        };
-
-        // New columns default to a bound; `solve_warm`'s adaptation repairs
-        // any whose lower bound turns out non-finite.
-        let mut status = vec![VarStatus::AtLower; total];
-        for (j, st) in self.status.iter().enumerate() {
-            if let Some(nj) = map_col(j) {
-                status[nj] = *st;
-            }
-        }
-
-        // Carry surviving basic columns in old row order; rows whose basic
-        // column vanished (and any new rows) get their own logical.
-        let mut basic: Vec<usize> = Vec::with_capacity(new_m);
-        let mut in_basis = vec![false; total];
-        for &j in &self.basic {
-            if basic.len() == new_m {
-                break;
-            }
-            if let Some(nj) = map_col(j) {
-                if !in_basis[nj] {
-                    in_basis[nj] = true;
-                    basic.push(nj);
-                }
-            }
-        }
-        for i in 0..new_m {
-            if basic.len() == new_m {
-                break;
-            }
-            let l = new_n + i;
-            if !in_basis[l] {
-                in_basis[l] = true;
-                basic.push(l);
-            }
-        }
-
-        // Status ↔ basic consistency is an engine invariant; enforce it.
-        for (nj, st) in status.iter_mut().enumerate() {
-            if in_basis[nj] {
-                *st = VarStatus::Basic;
-            } else if *st == VarStatus::Basic {
-                *st = VarStatus::AtLower;
-            }
-        }
-
-        Basis {
-            n_vars: new_n,
-            status,
-            basic,
-            fact: None,
-            matrix_fp: 0,
-        }
-    }
 }
 
 /// Pivot-level solver statistics, accumulated across warm-started solves.
@@ -606,6 +478,19 @@ impl WarmChain {
     /// Whether the next solve resumes from a basis.
     pub fn is_warm(&self) -> bool {
         self.state.warm
+    }
+
+    /// Whether the next solve of `p` would resume from the held basis *and*
+    /// may replay its held factorization: the chain is warm, and `p` has the
+    /// shape and the structural matrix (fingerprint) the basis was built
+    /// against. RHS, bound and objective edits keep a chain fitting; any
+    /// structural edit, or another problem of the same shape, does not.
+    pub fn fits(&self, p: &Problem) -> bool {
+        let st = &self.state;
+        st.warm
+            && st.n_vars == p.num_vars()
+            && st.basic.len() == p.num_cons()
+            && st.matrix_fp == p.structure().fingerprint
     }
 
     /// Makes `basis` what the next solve resumes from. The factors behind

@@ -2,7 +2,7 @@
 
 use crate::revised::{Basis, LpStats, WarmChain, Workspace};
 use crate::simplex::{FaultConfig, SimplexOptions};
-use crate::{Cmp, Farkas, Outcome, Problem, SolveError, VarId};
+use crate::{Cmp, ConsId, Farkas, Outcome, Problem, SolveError, VarId};
 
 fn assert_close(a: f64, b: f64, tol: f64) {
     assert!((a - b).abs() <= tol, "expected {b}, got {a} (tol {tol})");
@@ -1250,119 +1250,64 @@ fn review_probe_free_var_bounds_become_finite() {
     }
 }
 
-// ------------------------------------------------- cross-epoch basis remap
+// ------------------------------------------------- a chain that fits
 
-#[test]
-fn remap_identity_returns_basis_with_factorization() {
-    // The no-churn epoch: the rebuilt problem is structurally identical, so
-    // the identity remap must hand back the basis *with* its persisted
-    // factorization and the warm re-solve must pay zero refactorizations.
+/// A two-row program whose optimum sits on both rows.
+fn fits_fixture() -> Problem {
     let mut p = Problem::new();
     let x = p.add_var(0.0, f64::INFINITY, -3.0);
     let y = p.add_var(0.0, f64::INFINITY, -2.0);
     let z = p.add_var(0.0, 6.0, -4.0);
     p.add_cons(&[(x, 1.0), (y, 1.0), (z, 1.0)], Cmp::Le, 10.0);
     p.add_cons(&[(x, 2.0), (y, 1.0)], Cmp::Le, 15.0);
-    let first = p.solve_warm(None).unwrap();
+    p
+}
 
-    let id_cols: Vec<Option<usize>> = (0..2 + 1).map(Some).collect();
-    let id_rows: Vec<Option<usize>> = (0..2).map(Some).collect();
-    let remapped = first.basis.remap(&id_cols, 3, &id_rows, 2);
-    let warm = p.solve_warm(Some(&remapped)).unwrap();
-    if !crate::fault_injection_active() {
-        assert_eq!(
-            warm.stats.refactorizations, 0,
-            "identity remap must preserve the persisted factorization"
-        );
-        assert_eq!(warm.stats.factorization_reuses, 1);
-        assert_eq!(warm.stats.total_pivots(), 0, "nothing changed, no pivots");
-    }
-    assert_close(
-        warm.outcome.unwrap_optimal().objective,
-        first.outcome.unwrap_optimal().objective,
-        1e-9,
+#[test]
+fn a_chain_fits_its_problem_through_value_edits_only() {
+    let options = SimplexOptions {
+        fault: None,
+        ..SimplexOptions::default()
+    };
+    let mut p = fits_fixture();
+    let mut chain = WarmChain::new();
+    assert!(!chain.fits(&p), "a fresh chain holds no basis");
+    p.resolve(&mut chain, &options).unwrap();
+    assert!(chain.fits(&p));
+
+    // Value edits keep the matrix, so the held factorization replays.
+    p.set_rhs(ConsId(0), 9.0);
+    p.set_bounds(VarId(2), 0.0, 5.0);
+    p.set_objective(VarId(1), -2.5);
+    assert!(chain.fits(&p));
+    let (_, stats) = p.resolve(&mut chain, &options).unwrap();
+    assert_eq!((stats.refactorizations, stats.factorization_reuses), (0, 1));
+    assert!(chain.fits(&p));
+
+    chain.clear();
+    assert!(!chain.fits(&p), "a cleared chain holds no basis");
+
+    p.resolve(&mut chain, &options).unwrap();
+    let mut grown = p.clone();
+    grown.add_cons(&[(VarId(1), 1.0)], Cmp::Le, 4.0);
+    assert!(!chain.fits(&grown), "a new row changes the shape");
+    let mut widened = p.clone();
+    widened.add_column(0.0, 1.0, -1.0, &[(ConsId(1), 1.0)]);
+    assert!(!chain.fits(&widened), "a new column changes the shape");
+
+    // Same shape, one coefficient changed: another matrix.
+    let mut other = Problem::new();
+    let x = other.add_var(0.0, f64::INFINITY, -3.0);
+    let y = other.add_var(0.0, f64::INFINITY, -2.0);
+    let z = other.add_var(0.0, 6.0, -4.0);
+    other.add_cons(&[(x, 1.0), (y, 1.0), (z, 1.0)], Cmp::Le, 10.0);
+    other.add_cons(&[(x, 2.0), (y, 1.5)], Cmp::Le, 15.0);
+    assert_eq!(
+        (other.num_vars(), other.num_cons()),
+        (p.num_vars(), p.num_cons())
     );
-}
-
-#[test]
-fn remap_permutation_restarts_rebuilt_problem() {
-    // A genuine re-keying: the rebuilt problem lists the same columns and
-    // rows in a different order. The remapped basis must restart it to the
-    // same optimum; the factorization is (correctly) dropped, so exactly
-    // one refactorization is paid.
-    let mut p1 = Problem::new();
-    let x = p1.add_var(0.0, f64::INFINITY, -3.0);
-    let y = p1.add_var(0.0, f64::INFINITY, -2.0);
-    let z = p1.add_var(0.0, 6.0, -4.0);
-    p1.add_cons(&[(x, 1.0), (y, 1.0), (z, 1.0)], Cmp::Le, 10.0);
-    p1.add_cons(&[(x, 2.0), (y, 1.0)], Cmp::Le, 15.0);
-    let w1 = p1.solve_warm(None).unwrap();
-
-    // Rebuild with column order (z, x, y) and the rows swapped.
-    let mut p2 = Problem::new();
-    let z2 = p2.add_var(0.0, 6.0, -4.0);
-    let x2 = p2.add_var(0.0, f64::INFINITY, -3.0);
-    let y2 = p2.add_var(0.0, f64::INFINITY, -2.0);
-    p2.add_cons(&[(x2, 2.0), (y2, 1.0)], Cmp::Le, 15.0);
-    p2.add_cons(&[(x2, 1.0), (y2, 1.0), (z2, 1.0)], Cmp::Le, 10.0);
-
-    let col_map = [Some(1), Some(2), Some(0)]; // x→1, y→2, z→0
-    let row_map = [Some(1), Some(0)];
-    let remapped = w1.basis.remap(&col_map, 3, &row_map, 2);
-    let w2 = p2.solve_warm(Some(&remapped)).unwrap();
-    if !crate::fault_injection_active() {
-        assert_eq!(w2.stats.warm_starts, 1);
-        assert_eq!(
-            w2.stats.factorization_reuses, 0,
-            "a permuted basis matrix must not replay stale factors"
-        );
-        assert!(w2.stats.refactorizations >= 1);
-    }
-    let reference = solve_r(&p2).unwrap_optimal().objective;
-    let warm_obj = w2.outcome.unwrap_optimal().objective;
-    assert_close(warm_obj, reference, 1e-7);
-    assert_close(warm_obj, w1.outcome.unwrap_optimal().objective, 1e-7);
-}
-
-#[test]
-fn remap_with_departures_and_arrivals_stays_solvable() {
-    // Churn: one column departs, one row vanishes, and the rebuilt problem
-    // gains a fresh column the map cannot know about. The remapped basis
-    // must still be accepted by the engine and reach the rebuilt problem's
-    // own optimum.
-    let mut p1 = Problem::new();
-    let x = p1.add_var(0.0, f64::INFINITY, -3.0);
-    let y = p1.add_var(0.0, f64::INFINITY, -2.0);
-    let z = p1.add_var(0.0, 6.0, -4.0);
-    p1.add_cons(&[(x, 1.0), (y, 1.0), (z, 1.0)], Cmp::Le, 10.0);
-    p1.add_cons(&[(x, 2.0), (y, 1.0)], Cmp::Le, 15.0);
-    p1.add_cons(&[(y, 1.0), (z, 3.0)], Cmp::Le, 12.0);
-    let w1 = p1.solve_warm(None).unwrap();
-
-    // y departs, the middle row vanishes, and a new column w arrives.
-    let mut p2 = Problem::new();
-    let x2 = p2.add_var(0.0, f64::INFINITY, -3.0);
-    let z2 = p2.add_var(0.0, 6.0, -4.0);
-    let w2v = p2.add_var(0.0, 4.0, -1.0);
-    p2.add_cons(&[(x2, 1.0), (z2, 1.0), (w2v, 1.0)], Cmp::Le, 10.0);
-    p2.add_cons(&[(z2, 3.0), (w2v, 2.0)], Cmp::Le, 12.0);
-
-    let col_map = [Some(0), None, Some(1)]; // x→0, y gone, z→1 (w is new)
-    let row_map = [Some(0), None, Some(1)];
-    let remapped = w1.basis.remap(&col_map, 3, &row_map, 2);
-    let warm = p2.solve_warm(Some(&remapped)).unwrap();
-    let reference = solve_r(&p2).unwrap_optimal().objective;
-    assert_close(warm.outcome.unwrap_optimal().objective, reference, 1e-7);
-}
-
-#[test]
-#[should_panic(expected = "col_map length != num_vars")]
-fn remap_rejects_mismatched_map_length() {
-    let mut p = Problem::new();
-    let x = p.add_var(0.0, 1.0, -1.0);
-    p.add_cons(&[(x, 1.0)], Cmp::Le, 1.0);
-    let w = p.solve_warm(None).unwrap();
-    let _ = w.basis.remap(&[Some(0), Some(1)], 2, &[Some(0)], 1);
+    assert!(!chain.fits(&other), "same shape, another matrix");
+    assert!(chain.fits(&fits_fixture()), "a rebuilt twin fits");
 }
 
 // --------------------- factorization internals, gen-driven (ISSUE 9 props)

@@ -83,8 +83,9 @@ pub struct ScenarioSpec {
     /// Run the horizon through the persistent cross-epoch
     /// [`EpochSolver`](ovnes::solver::epoch::EpochSolver): under KAC, an
     /// epoch with nothing to admit resumes the vetting slave from the
-    /// previous epoch's basis and factorization, and keeps the result only
-    /// when it certifies a unique optimal decision. Admission decisions
+    /// previous epoch's warm chain (basis and factorization) when that
+    /// chain fits the new slave LP, and keeps the result only when it
+    /// certifies a unique optimal decision. Admission decisions
     /// (and the report's
     /// [`decision_fingerprint`](ScenarioReport::decision_fingerprint)) are
     /// unchanged; KAC's LP-path telemetry shrinks on no-churn epochs. With

@@ -115,15 +115,17 @@ pub struct ScenarioReport {
     pub lp_pivots: usize,
     /// Basis refactorizations across every epoch's AC-RR. The headline
     /// observable of cross-epoch incremental mode: a no-churn epoch whose
-    /// carried basis (and factorization) re-keys as the identity pays
-    /// **zero** of these.
+    /// carried slave chain fits its LP replays the held factorization and
+    /// pays **zero** of these.
     pub lp_refactorizations: usize,
     /// The spec ran with the persistent cross-epoch
     /// [`EpochSolver`](ovnes::solver::epoch::EpochSolver)
     /// (`ScenarioSpec::incremental`).
     pub incremental: bool,
-    /// Incremental epochs that degraded to a from-scratch cold solve
-    /// (carried state invalid or a fault hit the incremental path).
+    /// Incremental epochs whose carried solve errored (a fault hit the
+    /// incremental path) and were re-solved from scratch. A carry that
+    /// does not fit the epoch's slave LP is not counted here: it is simply
+    /// not seeded.
     pub incremental_cold_epochs: usize,
     /// Seeded vets that were feasible but could not certify a unique
     /// optimal decision, and were re-vetted cold in the same slave (KAC

@@ -370,8 +370,8 @@ pub fn chaos_incremental() -> ScenarioSpec {
 /// burst slice outlives the horizon), then **zero** arrivals and zero
 /// departures for the rest of the run — after the settle window every
 /// epoch is a pure no-churn revalidation of the same forced tenant set.
-/// On those epochs the carried basis re-keys as the identity, the
-/// persisted factorization is reused (zero refactorizations), and the
+/// On those epochs the carried slave chain fits the new slave LP, its
+/// held factorization is reused (zero refactorizations), and the
 /// only simplex work is the handful of dual pivots that forecast drift
 /// (an RHS-only perturbation) demands. `tests/incremental_identity.rs`
 /// measures the steady window by running a settle-length prefix and
