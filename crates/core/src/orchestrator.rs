@@ -22,7 +22,6 @@
 
 use crate::problem::{AcrrInstance, PathPolicy, TenantInput, MBPS_PER_MHZ};
 use crate::slice::SliceRequest;
-use crate::solver::epoch::{EpochSolver, IncrementalReport};
 use crate::solver::{self, AcrrError, Degradation, SolveBudget, SolveControls, SolverKind};
 use ovnes_forecast::predict_next;
 use ovnes_netsim::{run_epoch, Flow, MonitorStore, TrafficGenerator};
@@ -95,17 +94,11 @@ pub struct OrchestratorConfig {
     /// Seeded LP fault injection threaded into the MILP-backed epoch solves
     /// (chaos testing; see [`ovnes_lp::FaultConfig`]). Default `None`.
     pub lp_fault: Option<ovnes_lp::FaultConfig>,
-    /// Cross-epoch carry: keep a persistent [`EpochSolver`] that resumes
-    /// KAC's vetting slave from the previous epoch's warm chain (basis and
-    /// factorization) on epochs with nothing to admit, when that chain fits
-    /// the epoch's slave LP, so a no-churn epoch costs a handful of pivots
-    /// instead of a cold solve. Every carried solve must certify a unique
-    /// optimal decision or the epoch restarts cold, so admission decisions
-    /// are those of the from-scratch run
-    /// (`tests/incremental_identity.rs` holds them to it bitwise); only
-    /// KAC's solve telemetry (pivots, refactorizations, latency) differs.
-    /// Under any other [`SolverKind`] nothing is carried and the flag
-    /// changes nothing at all. Default `false`.
+    /// Ignored: every KAC epoch resumes its vetting slave from the
+    /// previous epoch's warm chain ([`solver::solve_epoch`]), whatever this
+    /// says. The field survives only because the frozen `benchmark/`
+    /// harness still names it; the next change to `benchmark/` drops that
+    /// use, and this field with it.
     pub incremental: bool,
 }
 
@@ -312,9 +305,10 @@ pub struct EpochOutcome {
     /// [`EpochPhaseSeconds`]). Zeros (except `solve`) unless `ovnes-obs`
     /// is enabled. **Not deterministic** — fingerprints exclude it.
     pub phase_seconds: EpochPhaseSeconds,
-    /// Cross-epoch incremental telemetry; `None` when the orchestrator runs
-    /// with [`OrchestratorConfig::incremental`] off.
-    pub incremental: Option<IncrementalReport>,
+    /// The solve from the carried chain errored, so the chain was dropped
+    /// and the epoch re-solved from scratch
+    /// ([`ControlledOutcome::carry_fallback`](solver::ControlledOutcome::carry_fallback)).
+    pub carry_fallback: bool,
     /// Enforced reservations in excess of current capacity, summed per
     /// resource class: (radio MHz, transport Mb/s, compute cores) — the
     /// same order as [`EpochOutcome::deficit`]. Bounded by the deficit the
@@ -343,9 +337,9 @@ pub struct Orchestrator {
     /// Per-BS availability factor (0 during an outage): demand forecasts
     /// are scaled by it so solves stop reserving at dark radios.
     bs_factor: Vec<f64>,
-    /// Persistent cross-epoch solver state
-    /// ([`OrchestratorConfig::incremental`]); `None` ⇒ scratch solves.
-    epoch_solver: Option<EpochSolver>,
+    /// KAC's vetting-slave warm chain, carried from one epoch's solve to
+    /// the next ([`solver::solve_epoch`]).
+    carry: ovnes_lp::WarmChain,
 }
 
 impl Orchestrator {
@@ -356,7 +350,6 @@ impl Orchestrator {
         let base_cu_cores: Vec<f64> = model.compute_units.iter().map(|c| c.cores).collect();
         let base_link_mbps: Vec<f64> = model.graph.links().map(|(_, l)| l.capacity_mbps).collect();
         let bs_factor = vec![1.0; base_bs_mhz.len()];
-        let epoch_solver = config.incremental.then(EpochSolver::new);
         Self {
             model,
             config,
@@ -371,7 +364,7 @@ impl Orchestrator {
             base_cu_cores,
             base_link_mbps,
             bs_factor,
-            epoch_solver,
+            carry: ovnes_lp::WarmChain::new(),
         }
     }
 
@@ -714,17 +707,12 @@ impl Orchestrator {
         };
         let solve_span = ovnes_obs::span!("solve");
         let solve_started = Instant::now();
-        let (controlled, incremental) = match self.epoch_solver.as_mut() {
-            Some(es) => {
-                let (outcome, report) = es.solve_epoch(&instance, &controls);
-                (outcome, Some(report))
-            }
-            None => (solver::solve_controlled(&instance, &controls), None),
-        };
+        let controlled = solver::solve_epoch(&instance, &controls, &mut self.carry);
         let decision_seconds = solve_started.elapsed().as_secs_f64();
         drop(solve_span);
         let degradation = controlled.degradation;
         let solver_error = controlled.error.as_ref().map(|e| e.to_string());
+        let carry_fallback = controlled.carry_fallback;
         let allocation = controlled.allocation;
 
         // 4. Apply the decision: update active set, return rejects to queue.
@@ -996,7 +984,7 @@ impl Orchestrator {
                 admit: admit_seconds,
                 simulate: simulate_seconds,
             },
-            incremental,
+            carry_fallback,
             overcommit: (over_radio, over_link, over_cu),
         })
     }

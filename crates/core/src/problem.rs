@@ -413,14 +413,14 @@ pub struct SolveStats {
     pub recycled_cuts: usize,
     /// Seeded (carried-basis) vets that were feasible but certified
     /// [`Uniqueness::Unproven`](ovnes_lp::Uniqueness::Unproven) and were
-    /// re-vetted cold in the same slave (cross-epoch incremental KAC only;
+    /// re-vetted cold in the same slave (KAC with a carried chain only;
     /// 0 elsewhere). The re-vet is exactly the from-scratch vet — this
     /// only records that the carry bought nothing that epoch. An
     /// infeasible seeded vet goes straight to the deficit fallback and is
     /// not counted.
     pub carry_cold_restarts: usize,
     /// Seeded vets that stood: feasible and certified at least a unique
-    /// optimal decision (cross-epoch incremental KAC only).
+    /// optimal decision (KAC with a carried chain only).
     pub carry_certified: usize,
     /// Subset of [`SolveStats::carry_certified`] certified
     /// [`Uniqueness::Decision`](ovnes_lp::Uniqueness::Decision) only —

@@ -21,18 +21,21 @@ use ovnes_lp::{SimplexOptions, Uniqueness, WarmChain};
 /// dropping the least profitable admitted tenant.
 const MAX_ITERATIONS: usize = 40;
 
-/// Solves the AC-RR instance with the KAC heuristic; every vetting-slave LP
-/// solves under `simplex` (how a caller's fault plan and refactorization
-/// interval reach the greedy path).
+/// Solves the AC-RR instance with the KAC heuristic from scratch; every
+/// vetting-slave LP solves under `simplex` (how a caller's fault plan and
+/// refactorization interval reach the greedy path). [`solve_carried`]
+/// over a fresh chain.
 pub fn solve(instance: &AcrrInstance, simplex: &SimplexOptions) -> Result<Allocation, AcrrError> {
-    solve_carried(instance, simplex, None)
+    solve_carried(instance, simplex, &mut WarmChain::new())
 }
 
-/// [`solve`] with an optional cross-epoch carry: the previous epoch's
-/// vetting-slave [`WarmChain`], which seeds a solve and takes back the
-/// final chain on success.
+/// [`solve`] resuming the vetting slave from `carry`, the previous
+/// epoch's vetting-slave [`WarmChain`] (owned by the caller of
+/// [`solve_epoch`](super::solve_epoch)), and handing the final chain back
+/// into it by swap on success — nothing is copied or re-keyed. A fresh
+/// chain makes this [`solve`].
 ///
-/// **Where the carry is attempted.** Only on an all-forced epoch (no churn
+/// **Where the carry is seeded.** Only on an all-forced epoch (no churn
 /// to admit), and only when the carried chain
 /// [fits](WarmChain::fits) the new slave LP — same shape, same structural
 /// matrix: its opening forced-only vet then continues the chain in place
@@ -66,13 +69,13 @@ pub fn solve(instance: &AcrrInstance, simplex: &SimplexOptions) -> Result<Alloca
 /// Either way the decision is [`solve`]'s — same admission, same optimal
 /// vertex — and the carry only changes how many pivots it costs. The
 /// reservations are the same *bits* wherever they rest on window edges,
-/// which is every case the presets, the benchmark and the 512-chain
+/// which is every case the presets, the benchmark and the 4,096-chain
 /// refinement check produce; an interior basic reservation can differ in
 /// its last bit (`crates/scenario/DESIGN.md`, "Known limit").
 pub fn solve_carried(
     instance: &AcrrInstance,
     simplex: &SimplexOptions,
-    mut carry: Option<&mut WarmChain>,
+    carry: &mut WarmChain,
 ) -> Result<Allocation, AcrrError> {
     let _span = ovnes_obs::span!("kac");
     if !instance.forced_feasible() {
@@ -101,10 +104,11 @@ pub fn solve_carried(
     let mut slave = SlaveContext::new_strict(instance);
     slave.set_simplex_options(simplex.clone());
     if instance.tenants.iter().all(|t| t.must_accept) {
-        if let Some(c) = carry.as_deref_mut() {
-            slave.seed_from_carry(c);
-        }
+        slave.seed_from_carry(carry);
     }
+    // An unseeded carry is stale (`settle` overwrites it): free its
+    // factorization and buffers before the vets allocate their own.
+    *carry = WarmChain::new();
 
     // Aggregated knapsack (Eq. 29): w̄ per item, W̄ total capacity. ε_k
     // normalises each ray so no single cut dominates (the paper's
@@ -246,13 +250,11 @@ pub fn solve_carried(
 /// Closes the solve's stats — the one place every return site of
 /// [`solve_carried`] settles its counters: the slave's vets and pivots,
 /// and the final chain handed on to the next epoch.
-fn settle(stats: &mut SolveStats, slave: &mut SlaveContext<'_>, carry: Option<&mut WarmChain>) {
+fn settle(stats: &mut SolveStats, slave: &mut SlaveContext<'_>, carry: &mut WarmChain) {
     stats.lp.absorb(&slave.stats);
     // Every vet is one LP solve, a cold re-vet included.
     debug_assert_eq!(stats.lp_solves, stats.lp.warm_starts + stats.lp.cold_starts);
-    if let Some(c) = carry {
-        slave.save_carry(c);
-    }
+    slave.save_carry(carry);
 }
 
 /// Finds the admitted, non-forced tenant whose expected risk at its current

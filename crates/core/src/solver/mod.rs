@@ -39,13 +39,12 @@
 
 pub mod baseline;
 pub mod benders;
-pub mod epoch;
 pub mod kac;
 pub mod oneshot;
 pub mod slave;
 
 use crate::problem::{AcrrInstance, Allocation, SolveStats};
-use ovnes_lp::{Cmp, Problem, VarId};
+use ovnes_lp::{Cmp, Problem, VarId, WarmChain};
 use ovnes_milp::{Milp, MilpOptions, MilpOutcome, MilpSolution};
 use std::time::Duration;
 
@@ -236,9 +235,10 @@ impl Degradation {
     }
 }
 
-/// The outcome of [`solve_controlled`]: an allocation when any rung of the
-/// ladder produced one, how degraded it is, and the primary-solver error
-/// when one occurred (recorded even when a fallback succeeded).
+/// The outcome of [`solve_controlled`] / [`solve_epoch`]: an allocation
+/// when any rung of the ladder produced one, how degraded it is, and the
+/// primary-solver error when one occurred (recorded even when a fallback
+/// succeeded).
 #[derive(Debug, Clone)]
 pub struct ControlledOutcome {
     /// The admission decision; `None` exactly when `degradation` is
@@ -248,21 +248,48 @@ pub struct ControlledOutcome {
     pub degradation: Degradation,
     /// The error that forced a fallback (or the final error on deferral).
     pub error: Option<AcrrError>,
+    /// The solve from the carried chain errored, so the chain was dropped
+    /// and the epoch re-solved from scratch ([`solve_epoch`]); always
+    /// `false` from [`solve_controlled`].
+    pub carry_fallback: bool,
 }
 
 impl ControlledOutcome {
-    /// The primary solver succeeded: its allocation stands, degraded to
-    /// [`Degradation::Incumbent`] when a budget limit truncated the search.
-    fn primary(allocation: Allocation) -> Self {
-        let degradation = if allocation.stats.truncated {
-            Degradation::Incumbent
-        } else {
-            Degradation::None
+    /// The ladder over the primary solver's result: its allocation stands,
+    /// degraded to [`Degradation::Incumbent`] when a budget limit truncated
+    /// the search; a failure falls through to the greedy rung or defers.
+    fn ladder(
+        instance: &AcrrInstance,
+        controls: &SolveControls,
+        primary: Result<Allocation, AcrrError>,
+    ) -> Self {
+        let (allocation, degradation, error) = match primary {
+            Ok(allocation) => {
+                let degradation = if allocation.stats.truncated {
+                    Degradation::Incumbent
+                } else {
+                    Degradation::None
+                };
+                (Some(allocation), degradation, None)
+            }
+            Err(AcrrError::ForcedInfeasible) => (
+                None,
+                Degradation::Deferred,
+                Some(AcrrError::ForcedInfeasible),
+            ),
+            Err(primary) if controls.kind != SolverKind::Kac => {
+                match kac::solve(instance, &controls.kac_options()) {
+                    Ok(allocation) => (Some(allocation), Degradation::Greedy, Some(primary)),
+                    Err(_) => (None, Degradation::Deferred, Some(primary)),
+                }
+            }
+            Err(primary) => (None, Degradation::Deferred, Some(primary)),
         };
         ControlledOutcome {
-            allocation: Some(allocation),
+            allocation,
             degradation,
-            error: None,
+            error,
+            carry_fallback: false,
         }
     }
 }
@@ -276,17 +303,17 @@ impl ControlledOutcome {
 /// workers; KAC is LP-only and ignores it. Results are deterministic in
 /// `threads` for all solvers.
 pub fn solve(instance: &AcrrInstance, controls: &SolveControls) -> Result<Allocation, AcrrError> {
-    dispatch(instance, controls, None)
+    dispatch(instance, controls, &mut WarmChain::new())
 }
 
 /// The one dispatch on [`SolverKind`]. `carry` is the cross-epoch slave
-/// chain of the persistent [`epoch::EpochSolver`] and is KAC's alone
-/// (certified per solve — it changes the solve path, never the decision);
-/// every other kind always solves from scratch.
+/// chain of [`solve_epoch`] and is KAC's alone (certified per solve — it
+/// changes the solve path, never the decision); every other kind always
+/// solves from scratch and leaves it untouched.
 fn dispatch(
     instance: &AcrrInstance,
     controls: &SolveControls,
-    carry: Option<&mut ovnes_lp::WarmChain>,
+    carry: &mut WarmChain,
 ) -> Result<Allocation, AcrrError> {
     match controls.kind {
         SolverKind::Kac => kac::solve_carried(instance, &controls.kac_options(), carry),
@@ -329,9 +356,17 @@ fn benders_options_for(controls: &SolveControls) -> benders::BendersOptions {
     options
 }
 
-/// Runs the admission solve through the **degradation ladder** (the
-/// fault-tolerance contract the orchestrator relies on — this function
-/// never returns an error):
+/// Runs the admission solve through the **degradation ladder** from
+/// scratch: [`solve_epoch`] over a fresh chain, so nothing is carried in or
+/// out. The paper solves AC-RR afresh every epoch (§4), so this is the
+/// specification every carried solve refines.
+pub fn solve_controlled(instance: &AcrrInstance, controls: &SolveControls) -> ControlledOutcome {
+    solve_epoch(instance, controls, &mut WarmChain::new())
+}
+
+/// Runs one epoch's admission solve through the **degradation ladder**
+/// (the fault-tolerance contract the orchestrator relies on — this
+/// function never returns an error):
 ///
 /// 1. the primary solver under the budget — a truncated-but-successful run
 ///    degrades to [`Degradation::Incumbent`];
@@ -341,33 +376,44 @@ fn benders_options_for(controls: &SolveControls) -> benders::BendersOptions {
 /// 3. if that also fails (or the failure is structural —
 ///    [`AcrrError::ForcedInfeasible`] cannot be solved by trying harder) —
 ///    [`Degradation::Deferred`] with no allocation.
-pub fn solve_controlled(instance: &AcrrInstance, controls: &SolveControls) -> ControlledOutcome {
-    match solve(instance, controls) {
-        Ok(allocation) => ControlledOutcome::primary(allocation),
-        Err(AcrrError::ForcedInfeasible) => ControlledOutcome {
-            allocation: None,
-            degradation: Degradation::Deferred,
-            error: Some(AcrrError::ForcedInfeasible),
-        },
-        Err(primary) if controls.kind != SolverKind::Kac => {
-            match kac::solve(instance, &controls.kac_options()) {
-                Ok(allocation) => ControlledOutcome {
-                    allocation: Some(allocation),
-                    degradation: Degradation::Greedy,
-                    error: Some(primary),
-                },
-                Err(_) => ControlledOutcome {
-                    allocation: None,
-                    degradation: Degradation::Deferred,
-                    error: Some(primary),
-                },
+///
+/// **The cross-epoch carry.** `carry` is the KAC vetting slave's
+/// [`WarmChain`] (final basis, its factorization and the engine's
+/// buffers), owned by the caller from one epoch to the next and handed
+/// over by swap at the end of every KAC solve.
+/// [`kac::solve_carried`] seeds it on **all-forced epochs only**, and only
+/// when it [fits](WarmChain::fits) the new slave LP — same shape, same
+/// structural matrix — so the first solve replays the held LU with zero
+/// refactorizations; a seeded vet stands only under a
+/// [`certify_unique`](ovnes_lp::certify_unique) certificate, so the
+/// decision is [`solve_controlled`]'s (`crates/scenario/DESIGN.md`,
+/// "Cross-epoch warm start", has the measurements and the known limit of
+/// the proof). An infrastructure event that changes only row capacities
+/// leaves the chain fitting; one that reroutes legs changes the matrix,
+/// and the chain is not seeded. Benders, one-shot and the baseline never
+/// touch `carry`: for them this *is* [`solve_controlled`].
+///
+/// **Safety contract:** the carry changes only the solve *path*. If a
+/// solve that started from a warm `carry` errors — a corrupt basis, a
+/// fault-injection hit — the chain is cleared and the epoch re-runs as a
+/// plain [`solve_controlled`], flagged
+/// [`ControlledOutcome::carry_fallback`].
+pub fn solve_epoch(
+    instance: &AcrrInstance,
+    controls: &SolveControls,
+    carry: &mut WarmChain,
+) -> ControlledOutcome {
+    let _span = ovnes_obs::span!("epoch_solve");
+    let carried = carry.is_warm();
+    match dispatch(instance, controls, carry) {
+        Err(_) if carried => {
+            carry.clear();
+            ControlledOutcome {
+                carry_fallback: true,
+                ..solve_controlled(instance, controls)
             }
         }
-        Err(primary) => ControlledOutcome {
-            allocation: None,
-            degradation: Degradation::Deferred,
-            error: Some(primary),
-        },
+        primary => ControlledOutcome::ladder(instance, controls, primary),
     }
 }
 

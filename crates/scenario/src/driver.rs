@@ -80,16 +80,12 @@ pub struct ScenarioSpec {
     /// and `lp_fault_seed` (if set) arms LP warm-path fault injection on
     /// the MILP-backed epoch solves.
     pub faults: Option<FaultPlan>,
-    /// Run the horizon through the persistent cross-epoch
-    /// [`EpochSolver`](ovnes::solver::epoch::EpochSolver): under KAC, an
-    /// epoch with nothing to admit resumes the vetting slave from the
-    /// previous epoch's warm chain (basis and factorization) when that
-    /// chain fits the new slave LP, and keeps the result only when it
-    /// certifies a unique optimal decision. Admission decisions
-    /// (and the report's
-    /// [`decision_fingerprint`](ScenarioReport::decision_fingerprint)) are
-    /// unchanged; KAC's LP-path telemetry shrinks on no-churn epochs. With
-    /// any other solver the flag changes nothing.
+    /// Ignored: under KAC every horizon carries the vetting slave's warm
+    /// chain from epoch to epoch
+    /// ([`solve_epoch`](ovnes::solver::solve_epoch)), whatever this says.
+    /// The field and [`ScenarioBuilder::incremental`] survive only because
+    /// the frozen `benchmark/` workloads still name them; the next change
+    /// to `benchmark/` drops those uses, and both with them.
     pub incremental: bool,
 }
 
@@ -241,10 +237,10 @@ impl ScenarioBuilder {
         self
     }
 
-    /// Cross-epoch KAC basis carry on/off (see
+    /// Does nothing: the cross-epoch carry is always on. Kept only
+    /// because the frozen `benchmark/` workloads still call it (see
     /// [`ScenarioSpec::incremental`]).
-    pub fn incremental(mut self, on: bool) -> Self {
-        self.spec.incremental = on;
+    pub fn incremental(self, _on: bool) -> Self {
         self
     }
 
@@ -300,7 +296,6 @@ pub fn run_scenario_on(
         round_width: spec.round_width.max(1),
         seed: spec.seed,
         budget: spec.budget,
-        incremental: spec.incremental,
         ..Default::default()
     };
     if spec.threads >= 1 {
@@ -340,7 +335,7 @@ pub fn run_scenario_on(
     let mut lp_solves = 0usize;
     let mut lp_pivots = 0usize;
     let mut lp_refactorizations = 0usize;
-    let mut incremental_cold_epochs = 0usize;
+    let mut carry_fallback_epochs = 0usize;
     let mut carry_cold_restarts = 0usize;
     let mut carry_certified = 0usize;
     let mut carry_certified_perturbed = 0usize;
@@ -391,9 +386,7 @@ pub fn run_scenario_on(
         carry_cold_restarts += out.solver_stats.carry_cold_restarts;
         carry_certified += out.solver_stats.carry_certified;
         carry_certified_perturbed += out.solver_stats.carry_certified_perturbed;
-        if let Some(inc) = &out.incremental {
-            incremental_cold_epochs += usize::from(inc.cold_fallback);
-        }
+        carry_fallback_epochs += usize::from(out.carry_fallback);
         if out.degradation != Degradation::None {
             degraded_epochs += 1;
         }
@@ -464,8 +457,7 @@ pub fn run_scenario_on(
         lp_solves,
         lp_pivots,
         lp_refactorizations,
-        incremental: spec.incremental,
-        incremental_cold_epochs,
+        carry_fallback_epochs,
         carry_cold_restarts,
         carry_certified,
         carry_certified_perturbed,

@@ -114,23 +114,19 @@ pub struct ScenarioReport {
     /// Simplex pivots across every epoch's AC-RR.
     pub lp_pivots: usize,
     /// Basis refactorizations across every epoch's AC-RR. The headline
-    /// observable of cross-epoch incremental mode: a no-churn epoch whose
+    /// observable of the cross-epoch carry: a no-churn KAC epoch whose
     /// carried slave chain fits its LP replays the held factorization and
     /// pays **zero** of these.
     pub lp_refactorizations: usize,
-    /// The spec ran with the persistent cross-epoch
-    /// [`EpochSolver`](ovnes::solver::epoch::EpochSolver)
-    /// (`ScenarioSpec::incremental`).
-    pub incremental: bool,
-    /// Incremental epochs whose carried solve errored (a fault hit the
-    /// incremental path) and were re-solved from scratch. A carry that
-    /// does not fit the epoch's slave LP is not counted here: it is simply
-    /// not seeded.
-    pub incremental_cold_epochs: usize,
+    /// KAC epochs whose solve from the carried chain errored (a fault hit
+    /// the carried path), so the chain was dropped and the epoch re-solved
+    /// from scratch. A carry that does not fit the epoch's slave LP is not
+    /// counted here: it is simply not seeded.
+    pub carry_fallback_epochs: usize,
     /// Seeded vets that were feasible but could not certify a unique
     /// optimal decision, and were re-vetted cold in the same slave (KAC
     /// only; an infeasible seeded vet goes straight to the deficit
-    /// fallback and is not counted). Unlike `incremental_cold_epochs`
+    /// fallback and is not counted). Unlike `carry_fallback_epochs`
     /// these are part of normal clean operation, not fault degradation.
     pub carry_cold_restarts: usize,
     /// Seeded vets that stood: feasible and certified at least a unique
@@ -197,8 +193,7 @@ impl ScenarioReport {
         h.write_u64(self.lp_solves as u64);
         h.write_u64(self.lp_pivots as u64);
         h.write_u64(self.lp_refactorizations as u64);
-        h.write_u64(u64::from(self.incremental));
-        h.write_u64(self.incremental_cold_epochs as u64);
+        h.write_u64(self.carry_fallback_epochs as u64);
         h.write_u64(self.carry_cold_restarts as u64);
         h.write_u64(self.carry_certified as u64);
         h.write_u64(self.carry_certified_perturbed as u64);
@@ -206,11 +201,11 @@ impl ScenarioReport {
 
     /// Folds only the fields determined by the *admission decisions* —
     /// everything in [`ScenarioReport::hash_into`] except the solver-path
-    /// telemetry (LP solves/pivots/refactorizations, the incremental
-    /// markers). An incremental run and a from-scratch run of
-    /// the same spec make identical decisions by contract, so their
-    /// decision fingerprints must match bit-for-bit even though their
-    /// solve paths (and full fingerprints) legitimately differ.
+    /// telemetry (LP solves/pivots/refactorizations, the carry counters).
+    /// A carried run and a from-scratch run of the same spec make
+    /// identical decisions by contract, so their decision fingerprints
+    /// must match bit-for-bit even though their solve paths (and full
+    /// fingerprints) legitimately differ.
     pub fn hash_decision_into(&self, h: &mut Fnv64) {
         h.write_bytes(self.name.as_bytes());
         h.write_u64(self.epochs as u64);
@@ -252,7 +247,7 @@ impl ScenarioReport {
 
     /// Fingerprint of the admission-decision trail only (see
     /// [`ScenarioReport::hash_decision_into`]) — the bit-identity contract
-    /// between incremental and from-scratch runs of the same spec.
+    /// between a carried horizon and the from-scratch one.
     pub fn decision_fingerprint(&self) -> u64 {
         let mut h = Fnv64::new();
         self.hash_decision_into(&mut h);

@@ -317,11 +317,10 @@ pub fn chaos_lpfault() -> ScenarioSpec {
 
 /// The cross-epoch carry workhorse on N1: a slow-churn KAC run — modest
 /// arrivals, long-lived slices — where a good share of the epochs have
-/// nothing to admit, the regime in which the persistent
-/// [`EpochSolver`](ovnes::solver::epoch::EpochSolver) resumes the previous
-/// basis for a few warm dual pivots. The scratch twin (`.incremental(false)`, same name)
-/// must produce a bit-identical decision fingerprint
-/// (`tests/incremental_identity.rs`).
+/// nothing to admit, the regime in which the carried slave chain
+/// ([`solve_epoch`](ovnes::solver::solve_epoch)) resumes the previous
+/// basis for a few warm dual pivots. Its decision fingerprint is pinned to
+/// the from-scratch run's (`tests/incremental_identity.rs`).
 pub fn incremental_n1() -> ScenarioSpec {
     ScenarioSpec::builder("incremental-n1")
         .operator(Operator::Romanian, 0.025)
@@ -334,17 +333,18 @@ pub fn incremental_n1() -> ScenarioSpec {
         })
         .reapply_epochs(6)
         .seed(99)
-        .incremental(true)
         .build()
 }
 
 /// [`incremental_n1`] under chaos: background BS/link/CU faults move
 /// capacities under carried bases and force revalidation epochs, and
-/// seeded LP fault injection poisons carried bases — every such epoch must degrade cleanly
-/// to a cold solve (never an error) while the decision trail stays
-/// bit-identical to the from-scratch twin. Deliberately **unbudgeted**:
-/// pivot-metered budgets would truncate warm and scratch runs at different
-/// algorithmic points, making decision identity impossible by design.
+/// seeded LP fault injection poisons carried bases — every such epoch must
+/// degrade cleanly to a cold solve (never an error) while the decision
+/// trail stays bit-identical to the from-scratch run's (pinned in
+/// `tests/incremental_identity.rs`). Deliberately **unbudgeted**:
+/// pivot-metered budgets would truncate carried and scratch solves at
+/// different algorithmic points, making decision identity impossible by
+/// design.
 pub fn chaos_incremental() -> ScenarioSpec {
     let mut plan = FaultPlan {
         seed: 991,
@@ -362,7 +362,6 @@ pub fn chaos_incremental() -> ScenarioSpec {
         .reapply_epochs(6)
         .seed(101)
         .faults(plan)
-        .incremental(true)
         .build()
 }
 
@@ -375,7 +374,7 @@ pub fn chaos_incremental() -> ScenarioSpec {
 /// only simplex work is the handful of dual pivots that forecast drift
 /// (an RHS-only perturbation) demands. `tests/incremental_identity.rs`
 /// measures the steady window by running a settle-length prefix and
-/// subtracting.
+/// subtracting, against the from-scratch counts pinned there.
 pub fn incremental_steady() -> ScenarioSpec {
     ScenarioSpec::builder("incremental-steady-n1")
         .operator(Operator::Romanian, 0.025)
@@ -409,7 +408,6 @@ pub fn incremental_steady() -> ScenarioSpec {
         })
         .reapply_epochs(2)
         .seed(202)
-        .incremental(true)
         .build()
 }
 
@@ -428,7 +426,8 @@ pub fn incremental_steady() -> ScenarioSpec {
 /// epochs solve from scratch, the binding-row ties they leave behind are
 /// genuine alternative optima, which both certificates must keep
 /// refusing, and once the wave has departed the carry resumes standing
-/// on the steady set.
+/// on the steady set. `tests/incremental_identity.rs` pins its decision
+/// fingerprint to the from-scratch run's at 1, 2 and 4 workers.
 pub fn incremental_degenerate() -> ScenarioSpec {
     let base = ScenarioSpec::builder("incremental-degenerate-n1")
         .operator(Operator::Romanian, 0.025)
@@ -466,7 +465,6 @@ pub fn incremental_degenerate() -> ScenarioSpec {
         })
         .reapply_epochs(6)
         .seed(303)
-        .incremental(true)
         .build();
     // Engineer the degeneracy: shrink the edge CU to (1 + 1e−9)× the
     // incumbents' exact full-SLA compute load. The margin keeps the

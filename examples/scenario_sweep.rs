@@ -9,15 +9,10 @@
 //!   (the CI smoke leg).
 //! * `--chaos` — the fault-injection suite instead of the full sweep: the
 //!   outage storm, the starved solve budget, LP warm-path fault
-//!   injection, and the incremental-under-chaos run (the CI chaos-smoke
+//!   injection, and the carry-under-chaos run (the CI chaos-smoke
 //!   leg). The run must complete with zero panics, apply infrastructure
 //!   events, degrade epochs, evict slices, and stay bit-identical across
 //!   worker counts.
-//! * `--incremental` — the cross-epoch incremental suite instead of the
-//!   full sweep: every `EpochSolver` preset run warm, then its
-//!   from-scratch twin, with per-scenario decision fingerprints asserted
-//!   bit-identical and the warm pivot saving printed (the CI
-//!   incremental-smoke leg).
 //! * `--workers N` — parallel sweep workers for the second pass
 //!   (default 4; the first pass is always serial for the comparison).
 //! * `--trace-out DIR` — force observability on and write the merged
@@ -41,7 +36,6 @@ fn arg_value(flag: &str) -> Option<String> {
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
     let chaos = std::env::args().any(|a| a == "--chaos");
-    let incremental = std::env::args().any(|a| a == "--incremental");
     let workers: usize = arg_value("--workers")
         .and_then(|v| v.parse().ok())
         .unwrap_or(4);
@@ -54,16 +48,6 @@ fn main() {
 
     let (specs, label): (Vec<_>, _) = if chaos {
         (presets::chaos_sweep(), "chaos sweep")
-    } else if incremental {
-        (
-            vec![
-                presets::incremental_n1(),
-                presets::chaos_incremental(),
-                presets::incremental_steady(),
-                presets::incremental_degenerate(),
-            ],
-            "incremental sweep",
-        )
     } else if smoke {
         (
             Operator::all().into_iter().map(presets::smoke).collect(),
@@ -119,59 +103,15 @@ fn main() {
         );
     }
 
-    // Horizon wall-clock actually traced, for the `--trace-out` coverage
-    // gate: every scenario run in this process contributes spans.
-    let mut traced_wall_seconds: f64 = serial
-        .scenarios
-        .iter()
-        .chain(parallel.scenarios.iter())
-        .map(|s| s.wall_seconds)
-        .sum();
-
-    if incremental {
-        // The decision-identity contract, end to end: every incremental
-        // scenario's decision fingerprint must match its from-scratch
-        // twin's bit-for-bit, and the warm sweep must pay less solve work.
-        let twins: Vec<_> = specs
-            .iter()
-            .map(|s| {
-                let mut t = s.clone();
-                t.incremental = false;
-                t
-            })
-            .collect();
-        let scratch = run_sweep(&twins, workers).expect("scratch sweep");
-        traced_wall_seconds += scratch
+    if let Some(dir) = trace_out {
+        // Horizon wall-clock actually traced, for the coverage gate below:
+        // every scenario run in this process contributes spans.
+        let traced_wall_seconds: f64 = serial
             .scenarios
             .iter()
+            .chain(parallel.scenarios.iter())
             .map(|s| s.wall_seconds)
-            .sum::<f64>();
-        for (warm, cold) in parallel.scenarios.iter().zip(scratch.scenarios.iter()) {
-            assert_eq!(
-                warm.decision_fingerprint(),
-                cold.decision_fingerprint(),
-                "{}: incremental decisions diverged from the from-scratch driver",
-                warm.name
-            );
-        }
-        assert!(
-            parallel.total_lp_pivots < scratch.total_lp_pivots,
-            "incremental sweep paid {} pivots vs scratch {} — the carry saves nothing",
-            parallel.total_lp_pivots,
-            scratch.total_lp_pivots
-        );
-        println!(
-            "incremental: decisions bit-identical to scratch; pivots {} vs {} ({:.2}x), \
-             refactorizations {} vs {}",
-            parallel.total_lp_pivots,
-            scratch.total_lp_pivots,
-            scratch.total_lp_pivots as f64 / parallel.total_lp_pivots.max(1) as f64,
-            parallel.total_lp_refactorizations,
-            scratch.total_lp_refactorizations,
-        );
-    }
-
-    if let Some(dir) = trace_out {
+            .sum();
         let trace = ovnes_obs::trace::drain();
         assert!(
             !trace.is_empty(),
