@@ -9,19 +9,17 @@
 //!    of the revised simplex with and without basis reuse on the Benders hot
 //!    path.
 
-use ovnes::experiment::{homogeneous, run_on, Scenario, SigmaLevel};
 use ovnes::prelude::*;
-use ovnes_bench::{embb_cell, scale_arg, seed_arg};
+use ovnes_bench::arg;
+use ovnes_scenario::experiment::{
+    campaign_topology, headroom_cell, learning_cell, solver_cell, warm_start_ablation,
+    CAMPAIGN_SCALE, HEADROOMS, LEARNING_VARIANTS, SEED, SOLVER_CELLS,
+};
 
 fn main() {
-    let scale = scale_arg(0.04);
-    let seed = seed_arg();
-    let topo = GeneratorConfig {
-        scale,
-        seed,
-        k_paths: 3,
-    };
-    let model = NetworkModel::generate(Operator::Romanian, &topo);
+    let scale = arg("--scale", CAMPAIGN_SCALE);
+    let seed = arg("--seed", SEED);
+    let model = NetworkModel::generate(Operator::Romanian, &campaign_topology(scale, seed));
 
     // ---- Ablation 1: learning on/off --------------------------------------
     println!("Ablation 1 — demand learning (Holt-Winters) vs prior-only\n");
@@ -31,17 +29,8 @@ fn main() {
     );
     println!("{header}");
     ovnes_bench::rule(&header);
-    for (label, history) in [
-        ("with learning", 3usize),
-        ("prior only (no learning)", usize::MAX),
-    ] {
-        let config = OrchestratorConfig {
-            solver: SolverKind::Kac,
-            prior_history: history, // usize::MAX ⇒ never trust the monitor
-            seed,
-            ..Default::default()
-        };
-        let cell = embb_cell(&model, config, 0.25, 1.0, 16, 0).expect("cell");
+    for (label, history) in LEARNING_VARIANTS {
+        let cell = learning_cell(&model, history, seed).expect("cell");
         println!(
             "{:<24} {:>12.1} {:>10} {:>11.4}%",
             label,
@@ -59,14 +48,8 @@ fn main() {
     );
     println!("{header}");
     ovnes_bench::rule(&header);
-    for headroom in [0.0, 0.5, 1.5, 3.0] {
-        let config = OrchestratorConfig {
-            solver: SolverKind::Kac,
-            forecast_headroom: headroom,
-            seed,
-            ..Default::default()
-        };
-        let cell = embb_cell(&model, config, 0.5, 1.0, 16, 0).expect("cell");
+    for headroom in HEADROOMS {
+        let cell = headroom_cell(&model, headroom, seed).expect("cell");
         println!(
             "{:<10.1} {:>12.1} {:>10} {:>11.4}% {:>12.2}",
             headroom,
@@ -85,83 +68,36 @@ fn main() {
     );
     println!("{header}");
     ovnes_bench::rule(&header);
-    for class in [SliceClass::Embb, SliceClass::Urllc] {
-        for alpha in [0.2, 0.5] {
-            let mut results = Vec::new();
-            for solver in [SolverKind::Benders, SolverKind::Kac] {
-                let mut scn = Scenario::new(
-                    Operator::Romanian,
-                    homogeneous(class, 8, alpha, SigmaLevel::Quarter, 1.0),
-                );
-                scn.topology = topo.clone();
-                scn.solver = solver;
-                scn.max_epochs = 20;
-                scn.min_epochs = 18;
-                scn.target_stderr = 0.001;
-                results.push(run_on(&scn, model.clone()).expect("cell").mean_net_revenue);
-            }
-            println!(
-                "{:<8} {:>6.1} {:>14.2} {:>14.2} {:>9.1}%",
-                class.label(),
-                alpha,
-                results[0],
-                results[1],
-                (results[0] - results[1]) / results[0].abs().max(1e-9) * 100.0,
-            );
-        }
+    for (class, alpha) in SOLVER_CELLS {
+        let [benders, kac] = [SolverKind::Benders, SolverKind::Kac].map(|solver| {
+            solver_cell(&model, (class, alpha), solver)
+                .expect("cell")
+                .mean_net_revenue
+        });
+        println!(
+            "{:<8} {:>6.1} {:>14.2} {:>14.2} {:>9.1}%",
+            class.label(),
+            alpha,
+            benders,
+            kac,
+            (benders - kac) / benders.abs().max(1e-9) * 100.0,
+        );
     }
     println!("\nExpected: KAC ≈ Benders on radio-bound eMBB (the paper's observation);");
     println!("small gaps may appear on compute-bound classes under congestion.");
 
     // ---- Ablation 4: warm-start engine ------------------------------------
     println!("\nAblation 4 — revised-simplex warm starts on the Benders hot path\n");
-    let n_bs = model.base_stations.len();
-    let tenants: Vec<ovnes::problem::TenantInput> = (0..8)
-        .map(|i| {
-            let t = SliceTemplate::embb();
-            ovnes::problem::TenantInput {
-                tenant: i as u32,
-                sla_mbps: t.sla_mbps,
-                reward: t.reward,
-                penalty: t.reward,
-                delay_budget_us: t.delay_budget_us,
-                service: t.service,
-                forecast_mbps: vec![0.3 * t.sla_mbps; n_bs],
-                sigma: 0.2,
-                duration_weight: 1.0,
-                must_accept: false,
-                pinned_cu: None,
-            }
-        })
-        .collect();
-    let inst = ovnes::problem::AcrrInstance::build(
-        &model,
-        tenants,
-        ovnes::problem::PathPolicy::Spread,
-        true,
-        None,
-    );
     // The columns come straight from `LpStats::named_counters` — the shared
     // name list every renderer in the workspace uses. Nothing is timed here:
     // wall-clock numbers come from `benchmark/` only.
-    let mut allocs = Vec::new();
-    let mut rows = Vec::new();
-    for (mode, warm) in [("warm", true), ("cold", false)] {
-        let opts = ovnes::solver::benders::BendersOptions {
-            warm_start: warm,
-            ..Default::default()
-        };
-        let alloc = ovnes::solver::benders::solve(&inst, &opts).expect("benders");
-        let cells: Vec<(&'static str, String)> = alloc
-            .stats
-            .lp
-            .named_counters()
-            .into_iter()
-            .map(|(name, value)| (name, value.to_string()))
-            .collect();
-        rows.push((mode.to_string(), cells));
-        allocs.push(alloc);
-    }
+    let allocs = warm_start_ablation(&model).expect("benders");
+    let row = |mode: &str, alloc: &Allocation| {
+        let counters = alloc.stats.lp.named_counters().into_iter();
+        let cells = counters.map(|(name, value)| (name, value.to_string()));
+        (mode.to_string(), cells.collect())
+    };
+    let rows = [row("warm", &allocs[0]), row("cold", &allocs[1])];
     print!("{}", ovnes_obs::report::counter_table("mode", &rows));
     println!(
         "\nidentical objectives: {} ({}  vs  {})",

@@ -1,18 +1,15 @@
 //! Fig. 4 — the three operator topologies: structural statistics (a)-(c)
 //! and the per-path capacity (d) / latency (e) CDFs.
 
-use ovnes_bench::{scale_arg, seed_arg};
-use ovnes_topology::operators::{GeneratorConfig, NetworkModel, Operator};
+use ovnes_bench::arg;
+use ovnes_scenario::experiment::{
+    fig4_models, FIG4_CAPACITY_QUANTILES, FIG4_DELAY_QUANTILES, FIG4_SCALE, SEED,
+};
 use ovnes_topology::stats::{path_capacity_cdf, path_delay_cdf, quantile};
 
 fn main() {
-    let scale = scale_arg(0.15);
-    let seed = seed_arg();
-    let cfg = GeneratorConfig {
-        scale,
-        seed,
-        k_paths: 8,
-    };
+    let scale = arg("--scale", FIG4_SCALE);
+    let seed = arg("--seed", SEED);
 
     println!("Fig. 4 — operator topologies at scale {scale} (seed {seed})\n");
     let header = format!(
@@ -22,21 +19,11 @@ fn main() {
     println!("{header}");
     ovnes_bench::rule(&header);
 
-    let models: Vec<NetworkModel> = Operator::all()
-        .iter()
-        .map(|&op| NetworkModel::generate(op, &cfg))
-        .collect();
+    let models = fig4_models(scale, seed);
     for m in &models {
-        let radio_lo = m
-            .base_stations
-            .iter()
-            .map(|b| b.capacity_mhz)
-            .fold(f64::INFINITY, f64::min);
-        let radio_hi = m
-            .base_stations
-            .iter()
-            .map(|b| b.capacity_mhz)
-            .fold(f64::NEG_INFINITY, f64::max);
+        let radio = m.base_stations.iter().map(|b| b.capacity_mhz);
+        let radio_lo = radio.clone().fold(f64::INFINITY, f64::min);
+        let radio_hi = radio.fold(f64::NEG_INFINITY, f64::max);
         println!(
             "{:<10} {:>5} {:>6} {:>7} {:>12.2} {:>12}",
             m.operator.label(),
@@ -61,15 +48,11 @@ fn main() {
     ovnes_bench::rule(&header);
     for m in &models {
         let cdf = path_capacity_cdf(m);
-        println!(
-            "{:<10} {:>8.1} {:>8.1} {:>8.1} {:>8.1} {:>8.1}",
-            m.operator.label(),
-            quantile(&cdf, 0.10),
-            quantile(&cdf, 0.25),
-            quantile(&cdf, 0.50),
-            quantile(&cdf, 0.75),
-            quantile(&cdf, 0.90),
-        );
+        let mut row = format!("{:<10}", m.operator.label());
+        for q in FIG4_CAPACITY_QUANTILES {
+            row.push_str(&format!(" {:>8.1}", quantile(&cdf, q)));
+        }
+        println!("{row}");
     }
 
     println!("\nFig. 4(e) — per-path latency CDF (µs), quantiles:");
@@ -81,15 +64,11 @@ fn main() {
     ovnes_bench::rule(&header);
     for m in &models {
         let cdf = path_delay_cdf(m);
-        println!(
-            "{:<10} {:>8.0} {:>8.0} {:>8.0} {:>8.0} {:>8.0}",
-            m.operator.label(),
-            quantile(&cdf, 0.10),
-            quantile(&cdf, 0.25),
-            quantile(&cdf, 0.50),
-            quantile(&cdf, 0.75),
-            quantile(&cdf, 0.95),
-        );
+        let mut row = format!("{:<10}", m.operator.label());
+        for q in FIG4_DELAY_QUANTILES {
+            row.push_str(&format!(" {:>8.0}", quantile(&cdf, q)));
+        }
+        println!("{row}");
     }
 
     println!("\nExpected shape (paper): Romanian has the highest path redundancy,");

@@ -1,46 +1,20 @@
 //! Fig. 5 — relative net-revenue gain (%) of overbooking over the
-//! no-overbooking baseline in *homogeneous* scenarios.
-//!
-//! Grid (quick default / `--full`):
-//!   operators  × slice classes × α            × σ              × m
-//!   N1,N2,N3     eMBB,mMTC,uRLLC
-//!   quick:                       0.2,0.5,0.8    0,λ̄/2           1,16
-//!   full:                        0.1…0.9        0,λ̄/4,λ̄/2      1,4,16
-//!
-//! The baseline revenue is computed once per (operator, class): without
-//! overbooking neither α, σ nor m changes admission (full-SLA reservations,
-//! no violations), exactly as the paper notes ("no-overbooking obtains a
-//! revenue equal to 3 monetary units irrespective of the conditions").
+//! no-overbooking baseline in *homogeneous* scenarios: every operator and
+//! slice class over the grid of `ovnes_scenario::experiment::fig5_grid`
+//! (α ∈ {0.2, 0.5, 0.8} × σ ∈ {0, λ̄/2} × m ∈ {1, 16}; σ = 0 only for mMTC),
+//! against one baseline per (operator, class).
 
-use ovnes::experiment::{homogeneous, revenue_gain_percent, run_on, Scenario, SigmaLevel};
 use ovnes::prelude::*;
-use ovnes_bench::{full_mode, scale_arg, seed_arg};
+use ovnes_bench::arg;
+use ovnes_scenario::experiment::{
+    campaign_topology, fig5_baseline, fig5_grid, fig5_tenants, overbooking_cell,
+    revenue_gain_percent, CAMPAIGN_SCALE, SEED,
+};
 
 fn main() {
-    let full = full_mode();
-    let scale = scale_arg(0.04);
-    let seed = seed_arg();
-    let topo = GeneratorConfig {
-        scale,
-        seed,
-        k_paths: 3,
-    };
-
-    let alphas: &[f64] = if full {
-        &[0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9]
-    } else {
-        &[0.2, 0.5, 0.8]
-    };
-    let sigmas: &[SigmaLevel] = if full {
-        &[SigmaLevel::Zero, SigmaLevel::Quarter, SigmaLevel::Half]
-    } else {
-        &[SigmaLevel::Zero, SigmaLevel::Half]
-    };
-    let penalties: &[f64] = if full {
-        &[1.0, 4.0, 16.0]
-    } else {
-        &[1.0, 16.0]
-    };
+    let scale = arg("--scale", CAMPAIGN_SCALE);
+    let seed = arg("--seed", SEED);
+    let topo = campaign_topology(scale, seed);
 
     println!("Fig. 5 — net revenue gain (%) over no-overbooking, homogeneous slices");
     println!("(solver: KAC; topology scale {scale}; seed {seed}; λ̄ = α·Λ)\n");
@@ -53,52 +27,24 @@ fn main() {
 
     for op in Operator::all() {
         let model = NetworkModel::generate(op, &topo);
-        // The paper uses 10 tenants on N1/N2 and 75 on the radio-rich N3; at
-        // harness scale 20 tenants congest N3's radio the same way.
-        let n_tenants = if op == Operator::Italian { 20 } else { 10 };
         for class in SliceClass::all() {
-            // Baseline once per (operator, class).
-            let mut base_scn = Scenario::new(
-                op,
-                homogeneous(class, n_tenants, 0.5, SigmaLevel::Zero, 1.0),
-            );
-            base_scn.topology = topo.clone();
-            base_scn.overbooking = false;
-            base_scn.max_epochs = 10;
-            base_scn.min_epochs = 6;
-            base_scn.warmup_epochs = 2;
-            let base = run_on(&base_scn, model.clone()).expect("baseline cell");
-
-            for &alpha in alphas {
-                for &sigma in sigmas {
-                    for &m in penalties {
-                        // mMTC load is deterministic (Table 1): only σ=0.
-                        if class == SliceClass::Mmtc && sigma != SigmaLevel::Zero {
-                            continue;
-                        }
-                        let mut scn =
-                            Scenario::new(op, homogeneous(class, n_tenants, alpha, sigma, m));
-                        scn.topology = topo.clone();
-                        scn.solver = SolverKind::Kac;
-                        scn.max_epochs = if full { 32 } else { 22 };
-                        scn.min_epochs = 18;
-                        let ours = run_on(&scn, model.clone()).expect("overbooking cell");
-                        let gain =
-                            revenue_gain_percent(ours.mean_net_revenue, base.mean_net_revenue);
-                        println!(
-                            "{:<10} {:<6} {:>5.1} {:>7} {:>4} {:>12.2} {:>12.2} {:>8.0}% {:>9.5}%",
-                            op.label(),
-                            class.label(),
-                            alpha,
-                            sigma.label(),
-                            m,
-                            ours.mean_net_revenue,
-                            base.mean_net_revenue,
-                            gain,
-                            100.0 * ours.violation_rate,
-                        );
-                    }
-                }
+            let base = fig5_baseline(&model, class).expect("baseline cell");
+            for (alpha, sigma, m) in fig5_grid(class) {
+                let tenants = fig5_tenants(op, class, (alpha, sigma, m));
+                let ours = overbooking_cell(&model, tenants).expect("overbooking cell");
+                let gain = revenue_gain_percent(ours.mean_net_revenue, base.mean_net_revenue);
+                println!(
+                    "{:<10} {:<6} {:>5.1} {:>7} {:>4} {:>12.2} {:>12.2} {:>8.0}% {:>9.5}%",
+                    op.label(),
+                    class.label(),
+                    alpha,
+                    sigma.label(),
+                    m,
+                    ours.mean_net_revenue,
+                    base.mean_net_revenue,
+                    gain,
+                    100.0 * ours.violation_rate,
+                );
             }
         }
     }

@@ -1,33 +1,19 @@
 //! Fig. 6 — net revenue (monetary units) of overbooking vs no-overbooking
 //! in *heterogeneous* scenarios: β% of one class mixed with (100−β)% of
-//! another, mean load fixed at λ̄ = 0.2·Λ.
+//! another, mean load fixed at λ̄ = 0.2·Λ (`ovnes_scenario::experiment`'s
+//! `FIG6_*` grid).
 
-use ovnes::experiment::{heterogeneous, run_on, Scenario, SigmaLevel};
 use ovnes::prelude::*;
-use ovnes_bench::{full_mode, scale_arg, seed_arg};
+use ovnes_bench::arg;
+use ovnes_scenario::experiment::{
+    baseline_cell, campaign_topology, fig6_tenants, overbooking_cell, CAMPAIGN_SCALE, FIG6_BETAS,
+    FIG6_MIXES, FIG6_PENALTY, FIG6_SIGMA, SEED,
+};
 
 fn main() {
-    let full = full_mode();
-    let scale = scale_arg(0.04);
-    let seed = seed_arg();
-    let topo = GeneratorConfig {
-        scale,
-        seed,
-        k_paths: 3,
-    };
-
-    let mixes: &[(SliceClass, SliceClass)] = &[
-        (SliceClass::Embb, SliceClass::Mmtc),
-        (SliceClass::Embb, SliceClass::Urllc),
-        (SliceClass::Mmtc, SliceClass::Urllc),
-    ];
-    let betas: &[f64] = &[0.0, 25.0, 50.0, 75.0, 100.0];
-    let sigmas: &[SigmaLevel] = if full {
-        &[SigmaLevel::Zero, SigmaLevel::Quarter, SigmaLevel::Half]
-    } else {
-        &[SigmaLevel::Quarter]
-    };
-    let penalties: &[f64] = if full { &[1.0, 4.0, 16.0] } else { &[1.0] };
+    let scale = arg("--scale", CAMPAIGN_SCALE);
+    let seed = arg("--seed", SEED);
+    let topo = campaign_topology(scale, seed);
 
     println!("Fig. 6 — net revenue in heterogeneous mixes (λ̄ = 0.2Λ, solver: KAC)");
     println!("(topology scale {scale}; seed {seed})\n");
@@ -40,41 +26,23 @@ fn main() {
 
     for op in Operator::all() {
         let model = NetworkModel::generate(op, &topo);
-        let n_tenants = if op == Operator::Italian { 20 } else { 10 };
-        for &(a, b) in mixes {
+        for (a, b) in FIG6_MIXES {
             let mix_label = format!("{}→{}", a.label(), b.label());
-            for &beta in betas {
-                for &sigma in sigmas {
-                    for &m in penalties {
-                        let tenants = heterogeneous(a, b, n_tenants, beta, sigma, m);
-                        let mut scn = Scenario::new(op, tenants.clone());
-                        scn.topology = topo.clone();
-                        scn.solver = SolverKind::Kac;
-                        scn.max_epochs = if full { 32 } else { 22 };
-                        scn.min_epochs = 18;
-                        let ours = run_on(&scn, model.clone()).expect("overbooking cell");
-
-                        let mut base_scn = Scenario::new(op, tenants);
-                        base_scn.topology = topo.clone();
-                        base_scn.overbooking = false;
-                        base_scn.max_epochs = 10;
-                        base_scn.min_epochs = 6;
-                        base_scn.warmup_epochs = 2;
-                        let base = run_on(&base_scn, model.clone()).expect("baseline cell");
-
-                        println!(
-                            "{:<10} {:<22} {:>5.0} {:>7} {:>4} {:>10.2} {:>10.2} {:>9.5}%",
-                            op.label(),
-                            mix_label,
-                            beta,
-                            sigma.label(),
-                            m,
-                            ours.mean_net_revenue,
-                            base.mean_net_revenue,
-                            100.0 * ours.violation_rate,
-                        );
-                    }
-                }
+            for beta in FIG6_BETAS {
+                let tenants = fig6_tenants(op, (a, b), beta);
+                let ours = overbooking_cell(&model, tenants.clone()).expect("overbooking cell");
+                let base = baseline_cell(&model, tenants).expect("baseline cell");
+                println!(
+                    "{:<10} {:<22} {:>5.0} {:>7} {:>4} {:>10.2} {:>10.2} {:>9.5}%",
+                    op.label(),
+                    mix_label,
+                    beta,
+                    FIG6_SIGMA.label(),
+                    FIG6_PENALTY,
+                    ours.mean_net_revenue,
+                    base.mean_net_revenue,
+                    100.0 * ours.violation_rate,
+                );
             }
         }
     }

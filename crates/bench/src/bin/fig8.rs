@@ -3,11 +3,16 @@
 //! series for 9 slice requests arriving every 2 hours.
 
 use ovnes::prelude::*;
-use ovnes::testbed::{epoch_to_time, run_testbed, testbed_model, testbed_requests};
-use ovnes_bench::seed_arg;
+use ovnes_bench::arg;
+use ovnes_scenario::experiment::{
+    epoch_to_time, reserved_links, run_testbed, testbed_requests, PRBS_PER_MHZ, SEED,
+};
+use ovnes_topology::operators::testbed_model;
+use std::collections::HashMap;
+use std::fmt::Display;
 
 fn main() {
-    let seed = seed_arg();
+    let seed = arg("--seed", SEED);
     let model = testbed_model();
     println!(
         "Table 2 testbed: {} BSs ({} MHz), edge {} cores, core {} cores, 1 Gb/s links",
@@ -28,91 +33,53 @@ fn main() {
     let base = run_testbed(SolverKind::Benders, false, seed).expect("baseline run");
 
     println!("\nFig. 8(a) — net revenue over time:");
-    let header = format!(
-        "{:<6} {:>10} {:>12} {:>12} {:>12}",
-        "time", "ours: adm", "ours: rev", "base: adm", "base: rev"
-    );
-    println!("{header}");
-    ovnes_bench::rule(&header);
-    for (o, b) in ours.iter().zip(&base) {
-        println!(
-            "{:<6} {:>10} {:>12.2} {:>12} {:>12.2}",
-            epoch_to_time(o.epoch),
-            o.admitted.len(),
-            o.net_revenue,
-            b.admitted.len(),
-            b.net_revenue,
-        );
-    }
+    let columns = [
+        ("ours: adm", 10, 0),
+        ("ours: rev", 12, 2),
+        ("base: adm", 12, 0),
+        ("base: rev", 12, 2),
+    ];
+    hourly(&ours, &columns, |o| {
+        let b = &base[o.epoch as usize];
+        let admitted = |o: &EpochOutcome| o.admitted.len() as f64;
+        vec![admitted(o), o.net_revenue, admitted(b), b.net_revenue]
+    });
 
     println!("\nFig. 8(b) — radio utilisation (PRBs of 100 per BS), our approach:");
-    let header = format!(
-        "{:<6} {:>12} {:>10} {:>12} {:>10}",
-        "time", "BS0 resv", "BS0 load", "BS1 resv", "BS1 load"
-    );
-    println!("{header}");
-    ovnes_bench::rule(&header);
-    for o in &ours {
-        // 20 MHz = 100 PRBs ⇒ 5 PRBs per MHz.
-        println!(
-            "{:<6} {:>12.1} {:>10.1} {:>12.1} {:>10.1}",
-            epoch_to_time(o.epoch),
-            o.bs_reserved_mhz[0] * 5.0,
-            o.bs_load_mhz[0] * 5.0,
-            o.bs_reserved_mhz[1] * 5.0,
-            o.bs_load_mhz[1] * 5.0,
-        );
-    }
+    let columns = [
+        ("BS0 resv", 12, 1),
+        ("BS0 load", 10, 1),
+        ("BS1 resv", 12, 1),
+        ("BS1 load", 10, 1),
+    ];
+    hourly(&ours, &columns, |o| {
+        let bs = (0..2).flat_map(|b| [o.bs_reserved_mhz[b], o.bs_load_mhz[b]]);
+        bs.map(|mhz| mhz * PRBS_PER_MHZ).collect()
+    });
 
     println!("\nFig. 8(c) — transport utilisation (Mb/s per link), our approach:");
-    let mut link_ids: Vec<usize> = ours
+    let links = reserved_links(&ours);
+    let columns: Vec<_> = links
         .iter()
-        .flat_map(|o| o.link_reserved_mbps.keys().copied())
+        .flat_map(|l| [(format!("L{l} resv"), 9, 1), (format!("L{l} load"), 9, 1)])
         .collect();
-    link_ids.sort_unstable();
-    link_ids.dedup();
-    let header = {
-        let mut h = format!("{:<6}", "time");
-        for l in &link_ids {
-            h.push_str(&format!(
-                " {:>9} {:>9}",
-                format!("L{l} resv"),
-                format!("L{l} load")
-            ));
-        }
-        h
-    };
-    println!("{header}");
-    ovnes_bench::rule(&header);
-    for o in &ours {
-        let mut row = format!("{:<6}", epoch_to_time(o.epoch));
-        for l in &link_ids {
-            row.push_str(&format!(
-                " {:>9.1} {:>9.1}",
-                o.link_reserved_mbps.get(l).copied().unwrap_or(0.0),
-                o.link_load_mbps.get(l).copied().unwrap_or(0.0),
-            ));
-        }
-        println!("{row}");
-    }
+    hourly(&ours, &columns, |o| {
+        let mbps = |per_link: &HashMap<usize, f64>, l| per_link.get(l).copied().unwrap_or(0.0);
+        let link = |l| [mbps(&o.link_reserved_mbps, l), mbps(&o.link_load_mbps, l)];
+        links.iter().flat_map(link).collect()
+    });
 
     println!("\nFig. 8(d) — computation utilisation (CPU cores), our approach:");
-    let header = format!(
-        "{:<6} {:>11} {:>10} {:>11} {:>10}",
-        "time", "edge resv", "edge load", "core resv", "core load"
-    );
-    println!("{header}");
-    ovnes_bench::rule(&header);
-    for o in &ours {
-        println!(
-            "{:<6} {:>11.1} {:>10.1} {:>11.1} {:>10.1}",
-            epoch_to_time(o.epoch),
-            o.cu_reserved_cores[0],
-            o.cu_load_cores[0],
-            o.cu_reserved_cores[1],
-            o.cu_load_cores[1],
-        );
-    }
+    let columns = [
+        ("edge resv", 11, 1),
+        ("edge load", 10, 1),
+        ("core resv", 11, 1),
+        ("core load", 10, 1),
+    ];
+    hourly(&ours, &columns, |o| {
+        let cu = (0..2).flat_map(|c| [o.cu_reserved_cores[c], o.cu_load_cores[c]]);
+        cu.collect()
+    });
 
     let rev_ours: f64 = ours.iter().map(|o| o.net_revenue).sum();
     let rev_base: f64 = base.iter().map(|o| o.net_revenue).sum();
@@ -121,4 +88,26 @@ fn main() {
         (rev_ours - rev_base) / rev_base.max(1e-9) * 100.0
     );
     println!("2x revenue at 10h (uRLLC), +100% at 16h (mMTC), +86% after 22h (eMBB).");
+}
+
+/// Prints one hourly block of `day`: the time, then one column per
+/// `(name, width, decimals)`, each row's values from `row`.
+fn hourly<N: Display>(
+    day: &[EpochOutcome],
+    columns: &[(N, usize, usize)],
+    row: impl Fn(&EpochOutcome) -> Vec<f64>,
+) {
+    let mut header = format!("{:<6}", "time");
+    for (name, width, _) in columns {
+        header.push_str(&format!(" {name:>width$}"));
+    }
+    println!("{header}");
+    ovnes_bench::rule(&header);
+    for o in day {
+        let mut line = format!("{:<6}", epoch_to_time(o.epoch));
+        for ((_, width, decimals), value) in columns.iter().zip(row(o)) {
+            line.push_str(&format!(" {value:>width$.decimals$}"));
+        }
+        println!("{line}");
+    }
 }

@@ -6,21 +6,15 @@
 //! at most 20% dropped.
 
 use ovnes::prelude::*;
-use ovnes_bench::{embb_cell, scale_arg, seed_arg};
-
-/// Epochs per cell, of which the first `WARMUP` are not measured.
-const EPOCHS: usize = 40;
-const WARMUP: usize = 6;
+use ovnes_bench::arg;
+use ovnes_scenario::experiment::{
+    campaign_topology, sla_footprint_cell, CAMPAIGN_SCALE, SEED, SLA_FOOTPRINT,
+};
 
 fn main() {
-    let scale = scale_arg(0.04);
-    let seed = seed_arg();
-    let topo = GeneratorConfig {
-        scale,
-        seed,
-        k_paths: 3,
-    };
-    let model = NetworkModel::generate(Operator::Romanian, &topo);
+    let scale = arg("--scale", CAMPAIGN_SCALE);
+    let seed = arg("--seed", SEED);
+    let model = NetworkModel::generate(Operator::Romanian, &campaign_topology(scale, seed));
 
     println!("§4.3.3 — SLA-violation footprint (Romanian, 10 eMBB @ α = 0.2, 40 epochs)\n");
     let header = format!(
@@ -30,24 +24,14 @@ fn main() {
     println!("{header}");
     ovnes_bench::rule(&header);
 
-    for (label, sigma_frac, m) in [
-        ("aggressive (σ=λ̄/2, m=1)", 0.5, 1.0),
-        ("sanity (σ=3λ̄/4, m=0.01)", 0.75, 0.01),
-        ("moderate (σ=λ̄/4, m=1)", 0.25, 1.0),
-        ("deterministic (σ=0, m=1)", 0.0, 1.0),
-    ] {
-        let config = OrchestratorConfig {
-            solver: SolverKind::Kac,
-            seed,
-            ..Default::default()
-        };
-        let cell = embb_cell(&model, config, sigma_frac, m, EPOCHS, WARMUP).expect("cell");
+    for (label, sigma_frac, m) in SLA_FOOTPRINT {
+        let cell = sla_footprint_cell(&model, sigma_frac, m, seed).expect("cell");
         println!(
             "{:<30} {:>14.5}% {:>14.2} {:>12.2}",
             label,
             100.0 * cell.violation_rate(),
             cell.worst_drop,
-            cell.revenue / (EPOCHS - WARMUP) as f64
+            cell.mean_revenue()
         );
     }
 

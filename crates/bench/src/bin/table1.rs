@@ -2,10 +2,8 @@
 //! the solver-engine pivot counters on a reference AC-RR instance (so a
 //! regenerated table documents which engine produced the paper numbers).
 
-use ovnes::problem::{AcrrInstance, PathPolicy, TenantInput};
 use ovnes::slice::{SliceClass, SliceTemplate};
-use ovnes::solver::benders;
-use ovnes_topology::operators::{GeneratorConfig, NetworkModel, Operator};
+use ovnes_scenario::experiment::engine_check;
 
 fn main() {
     println!("Table 1 — End-to-end network slice templates\n");
@@ -37,37 +35,7 @@ fn main() {
 
     // Footer: solver-engine diagnostics on a reference instance (one tenant
     // per template class on the small Romanian metro topology).
-    let model = NetworkModel::generate(
-        Operator::Romanian,
-        &GeneratorConfig {
-            scale: 0.03,
-            seed: 18,
-            k_paths: 3,
-        },
-    );
-    let n_bs = model.base_stations.len();
-    let tenants: Vec<TenantInput> = SliceClass::all()
-        .into_iter()
-        .enumerate()
-        .map(|(i, class)| {
-            let t = SliceTemplate::for_class(class);
-            TenantInput {
-                tenant: i as u32,
-                sla_mbps: t.sla_mbps,
-                reward: t.reward,
-                penalty: t.reward,
-                delay_budget_us: t.delay_budget_us,
-                service: t.service,
-                forecast_mbps: vec![0.3 * t.sla_mbps; n_bs],
-                sigma: 0.2,
-                duration_weight: 1.0,
-                must_accept: false,
-                pinned_cu: None,
-            }
-        })
-        .collect();
-    let inst = AcrrInstance::build(&model, tenants, PathPolicy::Spread, true, None);
-    match benders::solve(&inst, &benders::BendersOptions::default()) {
+    match engine_check() {
         Ok(alloc) => {
             println!("\nSolver engine (Benders, one tenant per template class above):");
             println!(

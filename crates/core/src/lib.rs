@@ -16,18 +16,16 @@
 //!   (Algorithm 1), the **KAC** knapsack heuristic (Algorithms 2–3), the
 //!   one-shot MILP (Problem 2) and the **no-overbooking** baseline,
 //! * [`orchestrator`] — the epoch (monitor → forecast → solve → enforce)
-//!   and the one horizon loop, [`orchestrator::Orchestrator::run`],
-//! * [`experiment`] — scenario runners regenerating Fig. 5/6 and the SLA
-//!   footprint numbers of §4.3.3,
-//! * [`testbed`] — the §5 proof-of-concept testbed scenario (Fig. 8).
+//!   and the one horizon loop, [`orchestrator::Orchestrator::run`].
 //!
 //! Substrates (each its own crate): `ovnes-lp` (simplex), `ovnes-milp`
 //! (branch & bound), `ovnes-forecast` (Holt-Winters), `ovnes-topology`
-//! (operator networks), `ovnes-netsim` (traffic + middlebox). On top sits
-//! `ovnes-scenario`: city-scale generated workloads (arrival processes,
-//! churn, flash crowds) driven through
-//! [`orchestrator::Orchestrator::run`] and swept in parallel with
-//! bit-identical aggregated reports.
+//! (operator networks and the §5 testbed's data plane), `ovnes-netsim`
+//! (traffic + middlebox). On top sits `ovnes-scenario`: the paper's
+//! evaluation (the §4.3 campaign of Figs. 5-6 and the §5 testbed day of
+//! Fig. 8) and city-scale generated workloads (arrival processes, churn,
+//! flash crowds), all driven through [`orchestrator::Orchestrator::run`]
+//! and swept in parallel with bit-identical aggregated reports.
 //!
 //! ## Failure semantics (fault-tolerant admission)
 //!
@@ -79,12 +77,10 @@
 //! assert!(admitted > 0);
 //! ```
 
-pub mod experiment;
 pub mod orchestrator;
 pub mod problem;
 pub mod slice;
 pub mod solver;
-pub mod testbed;
 
 /// One-stop imports for applications.
 pub mod prelude {

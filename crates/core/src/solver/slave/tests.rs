@@ -182,8 +182,8 @@ fn one_pass_skeleton_equals_the_per_row_scan() {
 
 // ------------------------------------------------- the persistent context
 
-use crate::testbed::testbed_model;
 use ovnes_lp::{Basis, FaultConfig, SolveError};
+use ovnes_topology::operators::testbed_model;
 
 /// Up to three tenants on the testbed data plane (2 BS × 2 CU): an mMTC
 /// slice whose base cores move the CU right-hand sides and overflow the

@@ -9,8 +9,7 @@ use crate::workload::WorkloadSpec;
 use ovnes::orchestrator::{Orchestrator, OrchestratorConfig};
 use ovnes::slice::SliceRequest;
 use ovnes::solver::{AcrrError, Degradation, SolveBudget, SolverKind};
-use ovnes::testbed;
-use ovnes_topology::operators::{GeneratorConfig, NetworkModel, Operator};
+use ovnes_topology::operators::{testbed_model, GeneratorConfig, NetworkModel, Operator};
 use std::collections::HashMap;
 use std::ops::ControlFlow;
 use std::time::Instant;
@@ -254,7 +253,7 @@ impl ScenarioBuilder {
 pub fn build_model(spec: &ScenarioSpec) -> NetworkModel {
     match &spec.model {
         ModelSpec::Generated { operator, topology } => NetworkModel::generate(*operator, topology),
-        ModelSpec::Testbed => testbed::testbed_model(),
+        ModelSpec::Testbed => testbed_model(),
     }
 }
 

@@ -9,6 +9,10 @@
 //!
 //! ## Layers
 //!
+//! * [`experiment`] — the paper's evaluation as the paper runs it, each
+//!   figure defined once for the `ovnes-bench` binaries to print and
+//!   `tests/paper_figures.rs` to pin: the §4.3 campaign, Fig. 4's
+//!   topologies and the §5 testbed day (Fig. 8).
 //! * [`workload`] — seeded arrival processes: Poisson and Markov-modulated
 //!   request streams with diurnal modulation, uRLLC/mMTC/eMBB class mixes,
 //!   geometric slice lifetimes, tenant populations with churn, and
@@ -64,6 +68,7 @@
 //! ```
 
 pub mod driver;
+pub mod experiment;
 pub mod faults;
 pub mod metrics;
 pub mod presets;
@@ -86,3 +91,6 @@ mod tests;
 
 #[cfg(test)]
 mod tests_chaos;
+
+#[cfg(test)]
+mod tests_more;

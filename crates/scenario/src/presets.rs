@@ -3,16 +3,18 @@
 //!
 //! Presets default to **harness scale** (a few percent of the paper's
 //! topology size) so sweeps run in seconds; the DESIGN note maps each one
-//! to the full-scale Figs. 5–6 setup it reproduces (pass `scale = 1.0`
-//! through the builder to run the paper-size instance).
+//! to the paper artefact it imitates (pass `scale = 1.0` through the
+//! builder to run the paper-size instance). The `fig5-*` and `fig6-mix-n1`
+//! presets are continuous-arrival workloads in the style of Figs. 5-6, not
+//! the figures' cells, which are [`crate::experiment`]'s.
 
 use crate::driver::{build_model, ScenarioSpec, Workload};
+use crate::experiment::{testbed_requests, TESTBED_EPOCHS};
 use crate::faults::FaultPlan;
 use crate::workload::{ArrivalProcess, BurstEvent, ClassMix, DiurnalProfile};
 use ovnes::orchestrator::{InfraEvent, InfraEventKind};
 use ovnes::slice::{SliceClass, SliceTemplate};
 use ovnes::solver::{SolveBudget, SolverKind};
-use ovnes::testbed;
 use ovnes_topology::operators::{CuKind, Operator};
 
 /// Every preset name [`preset`] resolves.
@@ -60,13 +62,13 @@ pub fn preset(name: &str) -> Option<ScenarioSpec> {
 
 /// The §5 testbed day (Fig. 8): the hand-written 9-request schedule on the
 /// two-BS testbed data plane, solved optimally. Rejected tenants re-apply
-/// every epoch, as in `ovnes::testbed::run_testbed`, so the preset is that
+/// every epoch, as in [`crate::experiment::run_testbed`], so the preset is that
 /// day.
 pub fn testbed_day() -> ScenarioSpec {
     ScenarioSpec::builder("testbed-day")
         .testbed()
-        .requests(testbed::testbed_requests())
-        .horizon(testbed::TESTBED_EPOCHS)
+        .requests(testbed_requests())
+        .horizon(TESTBED_EPOCHS)
         .solver(SolverKind::Benders)
         .reapply_epochs(u32::MAX)
         .build()
@@ -76,6 +78,8 @@ pub fn testbed_day() -> ScenarioSpec {
 /// population around the paper's `λ̄ = 0.2Λ` working point with σ up to
 /// λ̄/2 and `K = R`, continuous arrivals/departures, diurnal request
 /// activity.
+/// Not Fig. 5's cells, which are [`crate::experiment::fig5_grid`]'s (the
+/// name stays: the decision fingerprint hashes it).
 pub fn fig5(operator: Operator) -> ScenarioSpec {
     // Distinct seeds per operator: the paper's campaigns are independent
     // runs, and at harness scale N1/N2 share BS counts and radio capacity
@@ -100,6 +104,8 @@ pub fn fig5(operator: Operator) -> ScenarioSpec {
 
 /// Fig. 6-style heterogeneous β-mix: compute-heavy mMTC share competing
 /// with radio-bound eMBB at `λ̄ = 0.2Λ`.
+/// Not a Fig. 6 cell ([`crate::experiment::fig6_tenants`]): one
+/// continuous-arrival stream at β = 50 %.
 pub fn fig6_mix(operator: Operator) -> ScenarioSpec {
     let tag = match operator {
         Operator::Romanian => "fig6-mix-n1",

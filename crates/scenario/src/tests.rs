@@ -2,16 +2,19 @@
 //! sweep worker-count invariance on tiny scenarios.
 
 use crate::driver::{run_scenario, ScenarioSpec};
+use crate::experiment::{
+    homogeneous, run_on, run_testbed, testbed_requests, Scenario, SigmaLevel, TESTBED_EPOCHS,
+};
 use crate::metrics::CdfSummary;
 use crate::presets;
 use crate::sweep::run_sweep;
 use crate::workload::{
     ArrivalProcess, BurstEvent, ClassMix, DiurnalProfile, DurationModel, WorkloadSpec,
 };
+use ovnes::orchestrator::{Orchestrator, OrchestratorConfig};
 use ovnes::slice::SliceClass;
 use ovnes::solver::SolverKind;
-use ovnes::testbed::run_testbed;
-use ovnes_topology::operators::Operator;
+use ovnes_topology::operators::{testbed_model, Operator};
 
 fn tiny_spec(name: &str, seed: u64) -> ScenarioSpec {
     ScenarioSpec::builder(name)
@@ -283,7 +286,7 @@ fn ablation_pair_differs_only_in_overbooking() {
     }
 }
 
-/// The `testbed-day` preset is the Fig. 8 day of `ovnes::testbed`: same
+/// The `testbed-day` preset is the Fig. 8 day of `run_testbed`: same
 /// revenue bit for bit epoch by epoch, same admissions, same SLA samples —
 /// at the preset's seed and at `fig8`'s, where a finite re-apply patience
 /// would part the two from 20:00 on.
@@ -329,4 +332,148 @@ fn smoke_presets_run_on_every_operator() {
         assert!(report.arrivals > 0);
         assert!(report.total_samples > 0);
     }
+}
+
+// ------------------------------------------ the §4.3 runner and the Fig. 8 day
+
+#[test]
+fn experiment_runner_converges() {
+    let model = testbed_model();
+    let mut scenario = Scenario::new(homogeneous(
+        SliceClass::Embb,
+        4,
+        0.3,
+        SigmaLevel::Quarter,
+        1.0,
+    ));
+    scenario.solver = SolverKind::Kac;
+    scenario.max_epochs = 16;
+    scenario.min_epochs = 8;
+    let summary = run_on(&scenario, model).unwrap();
+    assert!(summary.mean_net_revenue > 0.0);
+    assert!(summary.epochs <= 16);
+    assert!(summary.mean_admitted > 0.0);
+}
+
+#[test]
+fn testbed_requests_follow_the_schedule() {
+    let reqs = testbed_requests();
+    assert_eq!(reqs.len(), 9);
+    for (i, r) in reqs.iter().enumerate() {
+        assert_eq!(r.arrival_epoch, (i * 2) as u32);
+        assert!((r.true_mean_mbps - r.template.sla_mbps / 2.0).abs() < 1e-9);
+    }
+    assert_eq!(reqs[0].template.class, SliceClass::Urllc);
+    assert_eq!(reqs[3].template.class, SliceClass::Mmtc);
+    assert_eq!(reqs[6].template.class, SliceClass::Embb);
+}
+
+#[test]
+fn testbed_overbooking_beats_baseline() {
+    let ours = run_testbed(SolverKind::Benders, true, 11).unwrap();
+    let base = run_testbed(SolverKind::Benders, false, 11).unwrap();
+    assert_eq!(ours.len(), TESTBED_EPOCHS);
+    let final_ours = ours.last().unwrap();
+    let final_base = base.last().unwrap();
+    assert!(
+        final_ours.admitted.len() > final_base.admitted.len(),
+        "overbooking must squeeze in extra slices ({} vs {})",
+        final_ours.admitted.len(),
+        final_base.admitted.len()
+    );
+    let rev_ours: f64 = ours.iter().map(|o| o.net_revenue).sum();
+    let rev_base: f64 = base.iter().map(|o| o.net_revenue).sum();
+    assert!(
+        rev_ours > rev_base,
+        "cumulative revenue {rev_ours} vs {rev_base}"
+    );
+    // The paper reports negligible SLA footprint: the total violation rate
+    // should stay small.
+    let violated: usize = ours.iter().map(|o| o.violation_samples.0).sum();
+    let total: usize = ours.iter().map(|o| o.violation_samples.1).sum();
+    assert!(total > 0);
+    assert!((violated as f64 / total as f64) < 0.1);
+}
+
+#[test]
+fn testbed_urllc_capacity_narrative() {
+    // With full-SLA reservations only one uRLLC fits the 16-core edge
+    // (2 BS × 25 Mb/s × 0.2 cores = 10 cores each).
+    let base = run_testbed(SolverKind::Benders, false, 11).unwrap();
+    // After epoch 4 all three uRLLC requests have arrived.
+    let at5 = &base[5];
+    let urllc_admitted = at5.admitted.iter().filter(|&&t| t < 3).count();
+    assert_eq!(urllc_admitted, 1, "baseline admits exactly one uRLLC");
+    // Overbooking admits two (reservations adapt to ~half load).
+    let ours = run_testbed(SolverKind::Benders, true, 11).unwrap();
+    let at5 = &ours[5];
+    let urllc_admitted = at5.admitted.iter().filter(|&&t| t < 3).count();
+    assert_eq!(urllc_admitted, 2, "overbooking admits a second uRLLC");
+}
+
+/// A request's arrival epoch alone decides when, and in which order, it is
+/// considered: the Fig. 8 day with every request submitted before epoch 0
+/// decides exactly as `Orchestrator::run`, which submits each at its epoch.
+/// (Without the arrival-order sort in `step`, the up-front run considers a
+/// new arrival ahead of older re-applicants, which reshuffles the random
+/// draws of the rejected flows and moves the overbooking run's
+/// reservations.)
+#[test]
+fn upfront_and_batched_submission_decide_the_same() {
+    for overbooking in [true, false] {
+        let config = || OrchestratorConfig {
+            solver: SolverKind::Benders,
+            overbooking,
+            adaptive_reservations: true,
+            seed: 18,
+            ..Default::default()
+        };
+        let mut upfront = Orchestrator::new(testbed_model(), config());
+        for r in testbed_requests() {
+            upfront.submit(r);
+        }
+        let upfront: Vec<_> = (0..TESTBED_EPOCHS)
+            .map(|_| upfront.step().unwrap())
+            .collect();
+        let mut batched = Vec::new();
+        Orchestrator::new(testbed_model(), config())
+            .run(testbed_requests(), TESTBED_EPOCHS, |out| {
+                batched.push(out.clone());
+                std::ops::ControlFlow::Continue(())
+            })
+            .unwrap();
+        assert_eq!(batched.len(), TESTBED_EPOCHS);
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for (u, b) in upfront.iter().zip(&batched) {
+            assert_eq!(u.admitted, b.admitted, "epoch {}", u.epoch);
+            assert_eq!(u.net_revenue.to_bits(), b.net_revenue.to_bits());
+            assert_eq!(
+                bits(&u.bs_reserved_mhz),
+                bits(&b.bs_reserved_mhz),
+                "overbooking {overbooking}, epoch {}",
+                u.epoch
+            );
+        }
+    }
+}
+
+/// The horizon loop stops right after the outcome its observer breaks on,
+/// and never submits a request whose epoch it did not reach.
+#[test]
+fn run_stops_when_the_observer_breaks() {
+    let mut orch = Orchestrator::new(testbed_model(), OrchestratorConfig::default());
+    let mut seen = Vec::new();
+    orch.run(testbed_requests(), TESTBED_EPOCHS, |out| {
+        seen.push(out.epoch);
+        if out.epoch == 4 {
+            std::ops::ControlFlow::Break(())
+        } else {
+            std::ops::ControlFlow::Continue(())
+        }
+    })
+    .unwrap();
+    assert_eq!(seen, [0, 1, 2, 3, 4]);
+    assert_eq!(orch.epoch(), 5);
+    // Requests 0, 1, 2 arrived at epochs 0, 2, 4; 3..8 were never submitted.
+    assert_eq!(orch.active_tenants().len() + orch.queue_len(), 3);
 }

@@ -16,7 +16,8 @@
 //! * [`dijkstra`] — shortest paths by delay, and the fenced spur search,
 //! * [`ksp`] — Yen's k-shortest loopless paths (the paper's offline path
 //!   precomputation, §2.1.2), one shortest-path tree per destination,
-//! * [`operators`] — the N1/N2/N3 generators and the [`operators::NetworkModel`]
+//! * [`operators`] — the N1/N2/N3 generators, the §5 testbed's data plane
+//!   ([`operators::testbed_model`]) and the [`operators::NetworkModel`]
 //!   consumed by the orchestrator,
 //! * [`stats`] — empirical CDFs regenerating Fig. 4(d)-(e).
 
@@ -30,7 +31,7 @@ pub use graph::{Graph, LinkId, LinkTech, NodeId};
 pub use ksp::Path;
 pub use operators::{NetworkModel, Operator};
 
-#[cfg(any(test, feature = "testgen"))]
-pub mod oracle;
+#[cfg(test)]
+mod oracle;
 #[cfg(test)]
 mod tests;

@@ -3,7 +3,7 @@
 use crate::dijkstra::{settled, shortest, Search, ShortestTree};
 use crate::graph::{Graph, LinkTech, NodeId};
 use crate::ksp::{k_shortest, KShortest, Path};
-use crate::operators::{CuKind, GeneratorConfig, NetworkModel, Operator};
+use crate::operators::{testbed_model, CuKind, GeneratorConfig, NetworkModel, Operator};
 use crate::oracle;
 use crate::stats::{cdf_at, ecdf, path_capacity_cdf, path_delay_cdf, quantile};
 use proptest::prelude::*;
@@ -682,5 +682,41 @@ fn fenced_search_settles_pinned_node_counts() {
         assert_eq!(bs, n_bs);
         assert_eq!((fenced, oracle), (fenced_pin, oracle_pin), "{bs} BS");
         assert!(fenced * 100 <= oracle * max_share, "{bs} BS");
+    }
+}
+
+// ----------------------------------------------------------------- testbed
+
+#[test]
+fn testbed_model_matches_table2() {
+    let m = testbed_model();
+    assert_eq!(m.base_stations.len(), 2);
+    assert_eq!(m.compute_units[0].cores, 16.0);
+    assert_eq!(m.compute_units[1].cores, 64.0);
+    for bs in &m.base_stations {
+        assert_eq!(bs.capacity_mhz, 20.0); // 100 PRBs
+    }
+    // uRLLC can reach the edge but not the core.
+    for per_cu in &m.paths {
+        assert!(per_cu[0][0].delay_us < 5_000.0);
+        assert!(per_cu[1][0].delay_us > 5_000.0);
+    }
+}
+
+#[test]
+fn testbed_paths_refine_the_unbounded_search() {
+    // The fenced path table equals the unbounded Yen search, bit for bit.
+    let m = testbed_model();
+    for (b, bs) in m.base_stations.iter().enumerate() {
+        for (c, cu) in m.compute_units.iter().enumerate() {
+            let want = oracle::k_shortest(&m.graph, bs.node, cu.node, 4);
+            let got = &m.paths[b][c];
+            assert_eq!(got.len(), want.len(), "BS {b} CU {c}");
+            for (p, q) in got.iter().zip(&want) {
+                assert_eq!(p.links, q.links, "BS {b} CU {c}");
+                assert_eq!(p.delay_us.to_bits(), q.delay_us.to_bits());
+                assert_eq!(p.bottleneck_mbps.to_bits(), q.bottleneck_mbps.to_bits());
+            }
+        }
     }
 }

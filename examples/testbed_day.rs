@@ -5,7 +5,7 @@
 //! Run with: `cargo run --release --example testbed_day`
 
 use ovnes::prelude::*;
-use ovnes::testbed::{epoch_to_time, run_testbed, testbed_requests};
+use ovnes_scenario::experiment::{epoch_to_time, run_testbed, testbed_requests};
 
 fn class_of(tenant: u32) -> &'static str {
     match tenant {

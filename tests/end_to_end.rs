@@ -1,8 +1,8 @@
 //! End-to-end integration: generated operator topology → orchestrator →
 //! revenue, overbooking vs baseline (the headline claim of the paper).
 
-use ovnes::experiment::{homogeneous, run_on, Scenario, SigmaLevel};
 use ovnes::prelude::*;
+use ovnes_scenario::experiment::{homogeneous, run_on, Scenario, SigmaLevel};
 use ovnes_topology::stats::{path_capacity_cdf, path_delay_cdf, quantile};
 
 fn small_topology() -> GeneratorConfig {
@@ -18,8 +18,7 @@ fn overbooking_beats_baseline_on_embb() {
     let topo = small_topology();
     let tenants = homogeneous(SliceClass::Embb, 8, 0.2, SigmaLevel::Quarter, 1.0);
 
-    let mut ours = Scenario::new(Operator::Romanian, tenants.clone());
-    ours.topology = topo.clone();
+    let mut ours = Scenario::new(tenants.clone());
     ours.solver = SolverKind::Kac;
     ours.max_epochs = 20;
     ours.min_epochs = 10;
@@ -53,8 +52,7 @@ fn mmtc_gains_are_compute_driven() {
     let topo = small_topology();
     let tenants = homogeneous(SliceClass::Mmtc, 8, 0.2, SigmaLevel::Zero, 1.0);
 
-    let mut ours = Scenario::new(Operator::Romanian, tenants);
-    ours.topology = topo.clone();
+    let mut ours = Scenario::new(tenants);
     ours.solver = SolverKind::Kac;
     ours.max_epochs = 16;
     ours.min_epochs = 10;
@@ -99,11 +97,7 @@ fn higher_variability_reduces_gain() {
     let model = NetworkModel::generate(Operator::Romanian, &topo);
 
     let run_sigma = |sigma: SigmaLevel| {
-        let mut s = Scenario::new(
-            Operator::Romanian,
-            homogeneous(SliceClass::Embb, 8, 0.3, sigma, 16.0),
-        );
-        s.topology = topo.clone();
+        let mut s = Scenario::new(homogeneous(SliceClass::Embb, 8, 0.3, sigma, 16.0));
         s.solver = SolverKind::Kac;
         s.max_epochs = 18;
         s.min_epochs = 12;
