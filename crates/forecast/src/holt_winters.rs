@@ -24,58 +24,67 @@
 //! The specification is 125 independent fits, each from its own
 //! initialisation over the whole history, and a refit under the winner (the
 //! clone-and-refit oracle of the crate's tests). [`fit_grid`] computes the
-//! same answer bit for bit with less work, in three steps.
+//! same answer bit for bit with less work. Every pass it runs steps through
+//! one function, [`step`], which holds the recursion's arithmetic.
 //!
 //! **Shared initialisation.** [`init`] does not depend on (α, β, γ), so it
-//! runs once, and each candidate continues with one [`smooth`] pass over a
-//! single reused seasonal buffer. A candidate owns only its running level,
-//! trend and error sum.
+//! runs once for all 125 candidates.
 //!
-//! **Pruning.** A candidate stops smoothing as soon as its running
-//! squared-error sum exceeds the final sum of the best candidate so far (no
-//! cap until a first candidate is kept). This is exact — it skips only
-//! candidates that could never be selected:
+//! **Pruning.** A candidate stops as soon as its running squared-error sum
+//! exceeds the cap, the final sum of the best candidate so far (no cap until
+//! a first candidate is kept). This skips only candidates that could never
+//! be selected:
 //!
 //! * each term `err * err` is ≥ 0 or NaN;
 //! * round-to-nearest addition is monotone, so once a partial sum is above
-//!   the best's final sum the candidate's final sum is too, and its RMSE
-//!   `sqrt(sq / n)` is ≥ the best's: it could never pass the strict
-//!   `r < best` test (ties keep the earlier candidate);
+//!   a kept candidate's final sum the candidate's final sum is too, and its
+//!   RMSE `sqrt(sq / n)` is ≥ the kept one's: it could never pass the
+//!   strict `r < best` test (ties keep the earlier candidate);
 //! * a NaN partial sum never compares greater, so a NaN candidate runs to
-//!   the end exactly as without pruning (and is then not kept, nor does a
-//!   NaN RMSE ever displace a finite one);
-//! * a `+∞` sum is abandoned once a finite best exists, which it could
+//!   the end (and is then not kept, nor does a NaN RMSE ever displace a
+//!   finite one);
+//! * a `+∞` sum is stopped once a finite best exists, which it could
 //!   never have displaced.
-//!
-//! The grid order, the shared `init`, the final refit and every
-//! floating-point operation of the candidates that do run are those of the
-//! unpruned grid, so factors, forecast, RMSE and seasonal indices are
-//! unchanged bit for bit. Pruning changes only how much of the history a
-//! losing candidate reads; the winner and the refit still read all of it,
-//! so a fit stays linear in the history (and how early the cap tightens
-//! depends on where the winner lies in the grid order).
 //!
 //! **Shared first season.** During the first season, `t ∈ [m, 2m)`, step
 //! `t` reads the `init` index `seasonal0[t − m]`, and the index it writes
 //! under γ is first read again at `t + m ≥ 2m`. So the five γ of an (α, β)
 //! pair reach `2m` with the same level, trend and error sum, computed by the
-//! same operations. Each pair runs those `m` steps once ([`first_season`]),
-//! under the cap `cap0` in force when the pair starts — the loosest any of
-//! its γ runs under, since the cap only tightens (or is NaN, which caps
-//! nothing, for good). A sum past `cap0` abandons all five γ. Otherwise
-//! each γ in grid order blends its first-season indices
-//! `γ·q + (1 − γ)·seasonal0` from the step's blend input `q` — the
-//! recursion's own expression on the same operands — and continues `smooth`
-//! from `t = 2m` under the cap now in force. No γ needs the shared sum
-//! re-checked against that cap: the cap moved since `cap0` only if an
-//! earlier γ of the pair was kept, and that γ's full sum is at least the
-//! shared one. On a history of `2m + k` samples the grid runs at most
-//! `25·m + 125·k` full steps and `125·m` blends, where it ran
-//! `125·(m + k)` steps: at `m = 6`, about a fifth of the steps on 12
-//! samples, and 97 % on 200. One function, [`step`], holds a step's
-//! arithmetic, and both paths call it.
+//! same operations. Each pair runs those `m` steps once ([`first_season`])
+//! under the cap `cap0` in force when the pair starts, and a sum past it
+//! stops all five γ. Each γ's first-season indices are then
+//! `γ·q + (1 − γ)·seasonal0` from each step's blend input `q`: the
+//! recursion's own expression ([`blend`]) on the same operands.
+//!
+//! **Five γ lanes.** From `2m` the five γ of a pair run side by side
+//! ([`lockstep`]): five independent level → trend → level chains, whose
+//! latencies the CPU overlaps, each through the one `step` and `blend` per
+//! observation and all under `cap0`. A lane whose sum passes `cap0` is dead
+//! but keeps stepping; the pass stops once every lane is dead. The live
+//! lanes are then compared in grid order under the same strict `r < best`
+//! rule, which keeps the sequential grid's choice:
+//!
+//! * the cap only tightens (or is NaN, which caps nothing, for good), so
+//!   `cap0` is never tighter than the cap a lane would meet in sequence;
+//! * a lane that passes `cap0` has a sum above a kept candidate's full sum;
+//! * a lane that a sibling γ's tighter cap would have stopped ends with a
+//!   sum at least that sibling's (or NaN), so it loses the strict `<`;
+//! * NaN and `+∞` sums behave as under pruning alone: a NaN lane never dies
+//!   and displaces no kept candidate, and a `+∞` one dies under a finite cap.
+//!
+//! **No refit.** A kept lane's level, trend and seasonal column are the
+//! [`Fit`]. A refit under the winner would compute the same bits: it runs
+//! the same operations in the same order, the first season from the `init`
+//! seed and then the lane's tail.
+//!
+//! **Work.** On a history of `2m + k` samples the grid runs at most `25·m`
+//! first-season steps, `125·k` lane steps and `125·m` blends, where the
+//! specification runs `126·(m + k)` steps: still linear in the history.
+//! A lane stops only with the last of its pair, so pruning skips less than
+//! in sequence.
 
-use std::cmp::Ordering;
+/// The grid's values of each smoothing factor, in grid order.
+const GRID: [f64; 5] = [0.1, 0.3, 0.5, 0.7, 0.9];
 
 /// Seasonal composition mode.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -86,8 +95,8 @@ pub(crate) enum Seasonality {
     Multiplicative,
 }
 
-/// What [`fit_grid`] leaves: the winning factors and the state of the final
-/// pass under them.
+/// What [`fit_grid`] leaves: the winning factors and the state their lane
+/// ends in.
 #[derive(Debug, Clone)]
 pub(crate) struct Fit {
     /// The winning `(α, β, γ)`, read by the refinement tests.
@@ -97,7 +106,7 @@ pub(crate) struct Fit {
     pub(crate) trend: f64,
     /// Seasonal indices by absolute position modulo the period.
     pub(crate) seasonal: Vec<f64>,
-    /// Root-mean-square one-step error of the final pass.
+    /// Root-mean-square one-step error of the winning candidate.
     pub(crate) rmse: f64,
 }
 
@@ -113,63 +122,50 @@ impl Fit {
 }
 
 /// Fits `series` (at least two seasons of `m ≥ 2` samples) with the 125
-/// (α, β, γ) candidates of the grid and refits under the one with the least
-/// one-step RMSE (ties keep the earlier candidate; a NaN RMSE never
+/// (α, β, γ) candidates of the grid and keeps the fit of the one with the
+/// least one-step RMSE (ties keep the earlier candidate; a NaN RMSE never
 /// displaces a finite one). See the module docs for why the pruned, shared
-/// passes give the answer of 125 independent fits bit for bit.
+/// lockstep passes give the answer of 125 independent fits and a refit
+/// under the winner bit for bit.
 pub(crate) fn fit_grid(mode: Seasonality, m: usize, series: &[f64]) -> Fit {
-    const GRID: [f64; 5] = [0.1, 0.3, 0.5, 0.7, 0.9];
     let n = series.len() - m;
     let (start, seasonal0) = init(mode, m, series);
-    let (mut seasonal, mut q) = (vec![0.0; m], vec![0.0; m]);
-    // (rmse, squared-error sum, factors) of the best candidate so far;
-    // its sum is the cap every later candidate is smoothed under.
-    let mut best: Option<(f64, f64, (f64, f64, f64))> = None;
-    let cap_of = |best: Option<(f64, f64, _)>| best.map_or(f64::INFINITY, |(_, sq, _)| sq);
+    let (mut seasonal, mut q) = (vec![[0.0; 5]; m], vec![0.0; m]);
+    // The best candidate so far: its squared-error sum, the cap every later
+    // pair runs under, and its fit.
+    let mut best: Option<(f64, Fit)> = None;
     for &a in &GRID {
         for &b in &GRID {
-            let cap0 = cap_of(best);
-            let run = first_season(mode, series, start, &seasonal0, (a, b), cap0, &mut q);
+            let cap = best.as_ref().map_or(f64::INFINITY, |(sq, _)| *sq);
+            let run = first_season(mode, series, start, &seasonal0, (a, b), cap, &mut q);
             let Some(shared) = run else {
                 continue; // all five γ abandoned: none could have won
             };
-            for &g in &GRID {
-                // The cap moved since `cap0` only if an earlier γ of this
-                // pair was kept, and its full sum is at least the shared
-                // one: no γ can be skipped on the shared sum alone.
-                let cap = cap_of(best);
-                debug_assert_ne!(shared.2.partial_cmp(&cap), Some(Ordering::Greater));
-                for ((s, &qi), &s0) in seasonal.iter_mut().zip(&q).zip(&seasonal0) {
-                    *s = blend(g, qi, s0);
-                }
-                let run = smooth(mode, series, 2 * m, shared, &mut seasonal, (a, b, g), cap);
-                let Some((_, _, sq)) = run else {
-                    continue; // abandoned: it could not have won
+            for ((row, &qi), &s0) in seasonal.iter_mut().zip(&q).zip(&seasonal0) {
+                *row = GRID.map(|g| blend(g, qi, s0));
+            }
+            let lanes = lockstep(mode, series, shared, &mut seasonal, (a, b), cap);
+            for (k, lane) in lanes.into_iter().enumerate() {
+                let Some((level, trend, sq)) = lane else {
+                    continue; // past the cap: it could not have won
                 };
                 let r = rmse(sq, n);
-                if best.is_none_or(|(br, ..)| r < br) {
-                    best = Some((r, sq, (a, b, g)));
+                if best.as_ref().is_none_or(|(_, fit)| r < fit.rmse) {
+                    let fit = Fit {
+                        #[cfg(test)]
+                        factors: (a, b, GRID[k]),
+                        level,
+                        trend,
+                        seasonal: seasonal.iter().map(|row| row[k]).collect(),
+                        rmse: r,
+                    };
+                    best = Some((sq, fit));
                 }
             }
         }
     }
-    let Some((.., factors)) = best else {
-        unreachable!("the first candidate runs uncapped and is kept");
-    };
-    let mut seasonal = seasonal0;
-    let (start, uncapped) = ((start.0, start.1, 0.0), f64::INFINITY);
-    let run = smooth(mode, series, m, start, &mut seasonal, factors, uncapped);
-    let Some((level, trend, sq)) = run else {
-        unreachable!("no sum exceeds an infinite cap");
-    };
-    Fit {
-        #[cfg(test)]
-        factors,
-        level,
-        trend,
-        seasonal,
-        rmse: rmse(sq, n),
-    }
+    best.map(|(_, fit)| fit)
+        .expect("the first candidate runs uncapped and is kept")
 }
 
 /// Classic initialisation over a history of at least two seasons of length
@@ -227,7 +223,7 @@ struct Step {
 
 /// One step of the recursion at observation `y` against the seasonal index
 /// `s_prev` it reads. The one place the recursion's arithmetic lives:
-/// [`smooth`] and [`first_season`] both step through it.
+/// [`first_season`] and [`lockstep`] both step through it.
 fn step(
     mode: Seasonality,
     y: f64,
@@ -265,39 +261,41 @@ fn blend(gamma: f64, q: f64, s_prev: f64) -> f64 {
     gamma * q + (1.0 - gamma) * s_prev
 }
 
-/// The smoothing recursion over `series[from..]` (`from ≥ m = seasonal.len()`)
-/// from the `(level, trend, sq_err)` reached at `from`, updating `seasonal`
-/// in place: `(level, trend, sq_err)` with `sq_err` the sum of squared
-/// one-step-ahead errors — or `None`, abandoned, as soon as the running sum
-/// exceeds `cap` (never, for `cap = +∞`). The grid's final refit runs it
-/// from the [`init`] seed at `from = m`; every candidate from its pair's
-/// [`first_season`] at `from = 2m`.
-fn smooth(
+/// The recursion over `series[2m..]` (`m = seasonal.len()`) for the five γ
+/// of the grid side by side under (α, β): one lane each, from the `(level,
+/// trend, sq_err)` its pair's [`first_season`] reached, stepping its own
+/// column of `seasonal` in place. A lane is dead once its running sum
+/// exceeds `cap` (never, for `cap = +∞` or NaN) but keeps stepping with the
+/// others, and the pass stops when every lane is dead. Returns each live
+/// lane's `(level, trend, sq_err)` and `None` for a dead one.
+fn lockstep(
     mode: Seasonality,
     series: &[f64],
-    from: usize,
-    (mut level, mut trend, mut sq_err): (f64, f64, f64),
-    seasonal: &mut [f64],
-    (alpha, beta, gamma): (f64, f64, f64),
+    shared: (f64, f64, f64),
+    seasonal: &mut [[f64; 5]],
+    factors: (f64, f64),
     cap: f64,
-) -> Option<(f64, f64, f64)> {
+) -> [Option<(f64, f64, f64)>; 5] {
     let m = seasonal.len();
-    for (t, &y) in series.iter().enumerate().skip(from) {
-        let pos = t % m;
-        let s_prev = seasonal[pos];
-        let st = step(mode, y, s_prev, (level, trend), (alpha, beta));
-        sq_err += st.err * st.err;
-        if sq_err > cap {
-            #[cfg(test)]
-            step_count::add(t + 1 - from);
-            return None;
+    let (mut lanes, mut dead) = ([shared; 5], [false; 5]);
+    for (t, &y) in series.iter().enumerate().skip(2 * m) {
+        let row = &mut seasonal[t % m];
+        for (((lane, dead), s), &g) in lanes.iter_mut().zip(&mut dead).zip(row).zip(&GRID) {
+            let (level, trend, sq) = *lane;
+            let st = step(mode, y, *s, (level, trend), factors);
+            *lane = (st.level, st.trend, sq + st.err * st.err);
+            *dead |= lane.2 > cap;
+            *s = blend(g, st.q, *s);
         }
-        seasonal[pos] = blend(gamma, st.q, s_prev);
-        (level, trend) = (st.level, st.trend);
+        if dead == [true; 5] {
+            #[cfg(test)]
+            step_count::add(5 * (t + 1 - 2 * m));
+            return [None; 5];
+        }
     }
     #[cfg(test)]
-    step_count::add(series.len() - from);
-    Some((level, trend, sq_err))
+    step_count::add(5 * (series.len() - 2 * m));
+    std::array::from_fn(|k| (!dead[k]).then_some(lanes[k]))
 }
 
 /// The first season of the recursion, `t ∈ [m, 2m)` (`m =
@@ -305,7 +303,7 @@ fn smooth(
 /// reads an `init` index, so γ enters only through the indices it leaves
 /// behind. Returns the `(level, trend, sq_err)` at `2m` and leaves each
 /// position's blend input in `q` — or `None` once the running sum exceeds
-/// `cap`, as [`smooth`] would.
+/// `cap`.
 fn first_season(
     mode: Seasonality,
     series: &[f64],
@@ -334,12 +332,13 @@ fn first_season(
     Some((level, trend, sq_err))
 }
 
-/// Root-mean-square one-step error from a [`smooth`] sum over `n` steps.
+/// Root-mean-square one-step error from a squared-error sum over `n` steps.
 fn rmse(sq_err: f64, n: usize) -> f64 {
     (sq_err / n as f64).sqrt()
 }
 
-/// A per-thread count of executed [`smooth`] steps, the work pruning saves.
+/// A per-thread count of executed steps: a [`first_season`] step once per
+/// pair, a [`lockstep`] step once per lane, dead or live.
 #[cfg(test)]
 pub(crate) mod step_count {
     use std::cell::Cell;

@@ -22,7 +22,8 @@
 //! `predict_next` is total: no series, season or `min_sigma` panics, `λ̂` is
 //! never negative or NaN, and σ̂ is always in `(0, 1]`. The grid's answer is
 //! bit for bit that of 125 independent Holt-Winters fits and a refit under
-//! the winner; it gets there with shared, pruned smoothing passes.
+//! the winner; it gets there with shared, pruned passes that smooth each
+//! (α, β) pair's five γ side by side, and keeps the winner's state.
 //!
 //! ## Example
 //!

@@ -746,11 +746,12 @@ fn pruned_grid_keeps_a_late_winner_and_the_earliest_tie() {
 #[test]
 fn pruning_skips_pinned_smoothing_work() {
     // A fixed seeded set: every family, both modes, three seasons. The
-    // unpruned grid runs 125 candidates and one refit over the whole
-    // history; the count of steps the pruned one executes is pinned, and
+    // unpruned grid runs 125 candidates over the whole history (there is no
+    // refit); the count of steps the pruned one executes is pinned, and
     // moves only with a change that means to move it. A shared first
-    // season counts its steps once per (α, β) pair, and a blend is not a
-    // step.
+    // season counts its steps once per (α, β) pair, the lockstep pass once
+    // per lane until its pair's last lane passes the cap, and a blend is
+    // not a step.
     let (mut unpruned, mut pruned) = (0u64, 0u64);
     for (k, season) in [2usize, 6, 24].into_iter().enumerate() {
         let raw = draws(0xC0FF_EE00 + k as u64, 8 * season);
@@ -760,12 +761,12 @@ fn pruning_skips_pinned_smoothing_work() {
                 let before = step_count::total();
                 fit_grid(mode, season, &series);
                 pruned += step_count::total() - before;
-                unpruned += 126 * (series.len() - season) as u64;
+                unpruned += 125 * (series.len() - season) as u64;
             }
         }
     }
     assert!(pruned < unpruned, "{pruned} of {unpruned}");
-    assert_eq!((pruned, unpruned), (299_040, 508_032));
+    assert_eq!((pruned, unpruned), (327_127, 504_000));
 }
 
 #[test]
@@ -783,12 +784,12 @@ fn shared_season_skips_pinned_work_on_short_histories() {
                     let before = step_count::total();
                     fit_grid(mode, season, &series);
                     pruned += step_count::total() - before;
-                    unpruned += 126 * (len - season) as u64;
+                    unpruned += 125 * (len - season) as u64;
                 }
             }
         }
     }
-    assert_eq!((pruned, unpruned), (699_584, 2_204_496));
+    assert_eq!((pruned, unpruned), (704_773, 2_187_000));
 }
 
 /// Grid-fits `series` under both modes against the oracle, and
@@ -911,6 +912,213 @@ fn shared_first_season_refines_through_the_level_clamp() {
             "level + trend seeds cancel"
         );
         assert_refines_and_predicts(&series, season);
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Refinement: the five γ lanes of a pair against the grid in sequence
+// ---------------------------------------------------------------------------
+
+const GRID: [f64; 5] = [0.1, 0.3, 0.5, 0.7, 0.9];
+
+/// One candidate's fit by the oracle's initialisation and recursion, with
+/// the running squared-error sum after each step `t ∈ [m, len)`: where a
+/// candidate run in sequence would pass a cap. The last sum reproduces the
+/// oracle's RMSE bit for bit (asserted).
+fn running_sums(series: &[f64], m: usize, mode: Seasonality, factors: (f64, f64, f64)) -> Vec<f64> {
+    let mean = |season: &[f64]| season.iter().sum::<f64>() / m as f64;
+    let (mut level, s2) = (mean(&series[..m]), mean(&series[m..2 * m]));
+    let mut trend = (s2 - level) / m as f64;
+    let seasons: Vec<&[f64]> = series.chunks_exact(m).collect();
+    let mut seasonal: Vec<f64> = (0..m)
+        .map(|pos| {
+            let mut acc = 0.0;
+            for season in &seasons {
+                let (y, mu) = (season[pos], mean(season));
+                acc += match mode {
+                    Seasonality::Additive => y - mu,
+                    Seasonality::Multiplicative if mu.abs() < f64::EPSILON => 1.0,
+                    Seasonality::Multiplicative => y / mu,
+                };
+            }
+            let s = acc / seasons.len() as f64;
+            match mode {
+                Seasonality::Multiplicative if s <= 0.0 => f64::EPSILON.max(1e-6),
+                _ => s,
+            }
+        })
+        .collect();
+    let (a, b, g) = factors;
+    let mut sq = 0.0;
+    let sums: Vec<f64> = (m..series.len())
+        .map(|t| {
+            let (y, s) = (series[t], seasonal[t % m]);
+            let (pred, new_level) = match mode {
+                Seasonality::Additive => {
+                    (level + trend + s, a * (y - s) + (1.0 - a) * (level + trend))
+                }
+                Seasonality::Multiplicative => (
+                    (level + trend) * s,
+                    a * (y / s) + (1.0 - a) * (level + trend),
+                ),
+            };
+            sq += (y - pred) * (y - pred);
+            trend = b * (new_level - level) + (1.0 - b) * trend;
+            let denom = if new_level.abs() < 1e-12 {
+                1e-12
+            } else {
+                new_level
+            };
+            seasonal[t % m] = match mode {
+                Seasonality::Additive => g * (y - new_level) + (1.0 - g) * s,
+                Seasonality::Multiplicative => g * (y / denom) + (1.0 - g) * s,
+            };
+            level = new_level;
+            sq
+        })
+        .collect();
+    let rmse = (sums[sums.len() - 1] / sums.len() as f64).sqrt();
+    let oracle = OracleHw::rmse_under(series, m, mode, factors).expect("two seasons");
+    assert_eq!(
+        bits(&[rmse]),
+        bits(&[oracle]),
+        "running sums of {factors:?}"
+    );
+    sums
+}
+
+/// One (α, β) pair of the grid run in sequence: the cap its first γ meets
+/// (the final sum of the best candidate before the pair, `+∞` before a
+/// first is kept), and each γ's running sums and whether it is kept when
+/// its turn comes.
+struct Pair {
+    cap0: f64,
+    sums: [Vec<f64>; 5],
+    kept: [bool; 5],
+}
+
+impl Pair {
+    /// The step index at which each γ's running sum first passes `cap0`.
+    fn passes(&self) -> [Option<usize>; 5] {
+        std::array::from_fn(|k| self.sums[k].iter().position(|&sq| sq > self.cap0))
+    }
+}
+
+/// The grid in sequence, specified on the oracle's fits: the 25 pairs in
+/// grid order and the winner's `(pair, γ lane)`.
+fn sequential_grid(series: &[f64], m: usize, mode: Seasonality) -> (Vec<Pair>, (usize, usize)) {
+    let n = (series.len() - m) as f64;
+    let mut best: Option<(f64, f64, (usize, usize))> = None;
+    let mut pairs = Vec::new();
+    for (p, (a, b)) in GRID.iter().flat_map(|&a| GRID.map(|b| (a, b))).enumerate() {
+        let cap0 = best.map_or(f64::INFINITY, |(_, sq, _)| sq);
+        let sums = GRID.map(|g| running_sums(series, m, mode, (a, b, g)));
+        let kept = std::array::from_fn(|k| {
+            let sq = sums[k][sums[k].len() - 1];
+            let r = (sq / n).sqrt();
+            let keep = best.is_none_or(|(br, ..)| r < br);
+            if keep {
+                best = Some((r, sq, (p, k)));
+            }
+            keep
+        });
+        pairs.push(Pair { cap0, sums, kept });
+    }
+    (pairs, best.expect("the first candidate is kept").2)
+}
+
+/// Series for the lane tests to search: the seeded families, each `len`
+/// samples long, that the multiplicative path can take.
+fn lane_candidates(m: usize, len: usize) -> impl Iterator<Item = Vec<f64>> {
+    (0..64u64).flat_map(move |seed| {
+        let raw = draws(0x1A4E_0000 + seed, len);
+        [0, 8].map(|shape| shaped(&raw, m, shape))
+    })
+}
+
+/// Asserts `fit_grid` agrees with the oracle on `series` and keeps the
+/// sequential grid's winner.
+fn assert_lanes_refine(series: &[f64], m: usize, mode: Seasonality, (p, k): (usize, usize)) {
+    assert_refines(series, m, mode);
+    let fit = fit_grid(mode, m, series);
+    assert_eq!(
+        fit.factors,
+        (GRID[p / 5], GRID[p % 5], GRID[k]),
+        "m={m} {mode:?}"
+    );
+}
+
+#[test]
+fn lanes_pass_the_cap_at_different_steps_while_a_later_lane_wins() {
+    // In the winner's pair, two or more lanes pass the pair's cap past the
+    // shared first season at different steps, one of them ahead of the
+    // winner in grid order: dead lanes keep stepping beside the winner, and
+    // the pass runs on until the winner's end.
+    for m in [2usize, 6, 24] {
+        for mode in MODES {
+            let found = lane_candidates(m, 8 * m).find_map(|series| {
+                let (pairs, (p, k)) = sequential_grid(&series, m, mode);
+                let passes = pairs[p].passes();
+                let steps: Vec<usize> = passes.iter().flatten().copied().collect();
+                let mid_pass = steps.iter().all(|&d| d >= m);
+                let distinct = steps.iter().any(|&d| d != steps[0]);
+                let ahead = passes[..k].iter().any(Option::is_some);
+                (mid_pass && distinct && ahead).then_some((series, (p, k)))
+            });
+            let (series, winner) = found.unwrap_or_else(|| panic!("no series for m={m} {mode:?}"));
+            assert_lanes_refine(&series, m, mode, winner);
+        }
+    }
+}
+
+#[test]
+fn two_lanes_of_a_pair_are_kept_in_turn() {
+    // γ = 0.1 beats every earlier pair and is kept, then a later γ of the
+    // same pair beats it: the fit is the later lane's level, trend and
+    // seasonal column, not the first kept lane's.
+    for m in [2usize, 6, 24] {
+        for mode in MODES {
+            let found = lane_candidates(m, 8 * m).find_map(|series| {
+                let (pairs, (p, k)) = sequential_grid(&series, m, mode);
+                (k > 0 && pairs[p].kept[0] && p > 0).then_some((series, (p, k)))
+            });
+            let (series, winner) = found.unwrap_or_else(|| panic!("no series for m={m} {mode:?}"));
+            assert_lanes_refine(&series, m, mode, winner);
+        }
+    }
+}
+
+#[test]
+fn a_lane_turns_non_finite_beside_live_lanes() {
+    // One spike of about 1e154 past the first season: its squared error is
+    // just below `f64::MAX`, and whether the errors after it overflow the
+    // running sum to +inf depends on γ. So in the winner's pair, run
+    // uncapped, some lanes turn +inf mid-pass beside the live winner, and in
+    // a later pair a lane turning +inf passes the finite cap mid-pass.
+    for m in [2usize, 6, 24] {
+        for mode in MODES {
+            let non_finite_mid_pass =
+                |sums: &Vec<f64>| sums[m - 1].is_finite() && !sums[sums.len() - 1].is_finite();
+            let spiked = (2 * m..6 * m).flat_map(|at| {
+                [4e153, 8e153, 1.2e154].map(|spike| {
+                    let mut series = diurnal(6 * m, m, 40.0, 15.0);
+                    series[at] = spike;
+                    series
+                })
+            });
+            let found = spiked.into_iter().find_map(|series| {
+                let (pairs, (p, k)) = sequential_grid(&series, m, mode);
+                let beside_winner = pairs[p].sums.iter().any(non_finite_mid_pass);
+                let capped = pairs[1..].iter().any(|pair| {
+                    let passes = pair.passes();
+                    let mid_pass = |k: usize| passes[k].is_some_and(|d| d >= m);
+                    (0..5).any(|k| mid_pass(k) && non_finite_mid_pass(&pair.sums[k]))
+                });
+                (beside_winner && capped).then_some((series, (p, k)))
+            });
+            let (series, winner) = found.unwrap_or_else(|| panic!("no series for m={m} {mode:?}"));
+            assert_lanes_refine(&series, m, mode, winner);
+        }
     }
 }
 
