@@ -12,8 +12,10 @@
 //!    deficit relaxation enabled),
 //! 4. pushes the reservations into the data plane and simulates one epoch of
 //!    traffic through the middlebox,
-//! 5. records monitoring peaks and accounts revenue: rewards for admitted
-//!    slices minus penalties `K·(worst SLA deficit)/Λ` for violations.
+//! 5. records each request's per-BS monitoring peaks on its own tenant
+//!    record, so a history lives exactly as long as its request, and
+//!    accounts revenue: rewards for admitted slices minus penalties
+//!    `K·(worst SLA deficit)/Λ` for violations.
 //!
 //! [`Orchestrator::step`] is one epoch and [`Orchestrator::run`] the one
 //! horizon loop every experiment drives. Pending requests are considered in
@@ -24,12 +26,12 @@ use crate::problem::{AcrrInstance, PathPolicy, TenantInput, MBPS_PER_MHZ};
 use crate::slice::SliceRequest;
 use crate::solver::{self, AcrrError, Degradation, SolveBudget, SolveControls, SolverKind};
 use ovnes_forecast::predict_next;
-use ovnes_netsim::{run_epoch, Flow, MonitorStore, TrafficGenerator};
+use ovnes_netsim::{run_epoch, Flow, FlowReport, TrafficGenerator};
 use ovnes_topology::graph::LinkId;
 use ovnes_topology::operators::NetworkModel;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::ops::ControlFlow;
 use std::time::Instant;
 
@@ -142,7 +144,8 @@ const PATH_POLICY: PathPolicy = PathPolicy::Spread;
 /// Capacity factors are **absolute fractions of the as-built ("base")
 /// capacity**, not of the current one — so a repair is simply a second
 /// event with `factor: 1.0`, and two degradations never compound by
-/// accident.
+/// accident. A factor is clamped into `[0, 1]`, and a NaN factor reads as
+/// 0: the resource is gone, exactly as at `factor: 0.0`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum InfraEventKind {
     /// A base station goes dark: its radio capacity drops to zero and
@@ -193,10 +196,36 @@ pub struct InfraEvent {
     pub kind: InfraEventKind,
 }
 
-/// An admitted slice with its remaining lifetime and current reservations.
-#[derive(Debug, Clone)]
-struct ActiveSlice {
+/// One request and its monitoring history (§2.2.2), as a single record.
+///
+/// The record moves by value from the queue to the epoch's pending set and
+/// on to the active set, or back to the queue; it is never cloned, and its
+/// history goes wherever it goes. A record that expires, is evicted or
+/// abandons drops its history with it, so two live requests under one
+/// tenant id keep separate series.
+#[derive(Debug)]
+struct Tenant {
     request: SliceRequest,
+    /// Peak offered load per BS, one series per BS, earliest epoch first;
+    /// empty until the tenant's first simulated epoch.
+    peaks: Vec<Vec<f64>>,
+}
+
+impl Tenant {
+    /// Appends one epoch's peaks from the tenant's block of flow reports,
+    /// one report per BS in BS order.
+    fn record(&mut self, reports: &[FlowReport]) {
+        self.peaks.resize_with(reports.len(), Vec::new);
+        for (series, f) in self.peaks.iter_mut().zip(reports) {
+            series.push(f.peak_offered.max(0.0));
+        }
+    }
+}
+
+/// An admitted slice with its remaining lifetime and current reservations.
+#[derive(Debug)]
+struct ActiveSlice {
+    tenant: Tenant,
     cu: usize,
     remaining: u32,
     /// Reservation per BS, Mb/s.
@@ -218,7 +247,7 @@ pub struct EpochPhaseSeconds {
     pub forecast: f64,
     /// The admission solve ladder (step 3) — `decision_seconds`.
     pub solve: f64,
-    /// Decision application: active set + queue bookkeeping (step 4).
+    /// Decision application: active set + rejects set aside (step 4).
     pub admit: f64,
     /// Middlebox data-plane simulation (step 5).
     pub simulate: f64,
@@ -322,12 +351,15 @@ pub struct EpochOutcome {
 pub struct Orchestrator {
     model: NetworkModel,
     config: OrchestratorConfig,
-    monitor: MonitorStore,
     rng: StdRng,
     epoch: u32,
     sample_index: u64,
+    /// Admitted slices; their order fixes the instance's tenant order and
+    /// the flow order.
     active: Vec<ActiveSlice>,
-    queue: Vec<SliceRequest>,
+    /// Requests not yet admitted, in submission order (re-applying rejects
+    /// appended after those still waiting).
+    queue: Vec<Tenant>,
     /// Scheduled infrastructure events not yet applied.
     events: Vec<InfraEvent>,
     /// As-built capacities (events express factors relative to these).
@@ -353,7 +385,6 @@ impl Orchestrator {
         Self {
             model,
             config,
-            monitor: MonitorStore::new(),
             rng,
             epoch: 0,
             sample_index: 0,
@@ -372,12 +403,16 @@ impl Orchestrator {
     /// ordered among the pending requests by that epoch and not by when it
     /// was submitted.
     ///
-    /// A tenant's monitoring history lives while it is queued or active:
-    /// the end of the epoch in which it expires, is evicted or abandons
-    /// drops its series, so a later request under the same tenant id starts
-    /// from the operator prior again.
+    /// The monitoring history belongs to the request, not to its tenant id:
+    /// it starts empty, lives while the request is queued or active, and
+    /// goes when the request expires, is evicted or abandons. Two live
+    /// requests under one id keep separate histories, and a later request
+    /// under a departed id starts from the operator prior again.
     pub fn submit(&mut self, request: SliceRequest) {
-        self.queue.push(request);
+        self.queue.push(Tenant {
+            request,
+            peaks: Vec::new(),
+        });
     }
 
     /// Schedules an infrastructure event. Events are applied at the start
@@ -400,7 +435,10 @@ impl Orchestrator {
 
     /// Tenants currently admitted.
     pub fn active_tenants(&self) -> Vec<u32> {
-        self.active.iter().map(|a| a.request.tenant).collect()
+        self.active
+            .iter()
+            .map(|a| a.tenant.request.tenant)
+            .collect()
     }
 
     /// Requests queued or re-applying (not yet admitted or abandoned).
@@ -408,10 +446,26 @@ impl Orchestrator {
         self.queue.len()
     }
 
-    /// Monitored `(tenant, BS)` series currently held.
+    /// Every live record, active ones first, then the queue.
+    #[cfg(test)]
+    fn records(&self) -> impl Iterator<Item = &Tenant> {
+        self.active.iter().map(|a| &a.tenant).chain(&self.queue)
+    }
+
+    /// Monitored per-BS series currently held, summed over live records.
     #[cfg(test)]
     pub(crate) fn monitored_series(&self) -> usize {
-        self.monitor.len()
+        self.records().map(|t| t.peaks.len()).sum()
+    }
+
+    /// Peaks held per BS by each live record under `tenant`, active records
+    /// first, then queued ones.
+    #[cfg(test)]
+    pub(crate) fn monitored_epochs(&self, tenant: u32) -> Vec<Vec<usize>> {
+        self.records()
+            .filter(|t| t.request.tenant == tenant)
+            .map(|t| t.peaks.iter().map(Vec::len).collect())
+            .collect()
     }
 
     /// The underlying network model.
@@ -421,7 +475,8 @@ impl Orchestrator {
 
     /// Forecast for a tenant: per-BS λ̂ plus σ̂ (max across BSs). Falls back
     /// to the operator prior below `prior_history` epochs of monitoring.
-    fn forecast_for(&self, request: &SliceRequest) -> (Vec<f64>, f64) {
+    fn forecast_for(&self, tenant: &Tenant) -> (Vec<f64>, f64) {
+        let request = &tenant.request;
         let n_bs = self.model.base_stations.len();
         let lam = request.template.sla_mbps;
         let mut lam_hat = vec![lam; n_bs];
@@ -432,7 +487,7 @@ impl Orchestrator {
         let m_factor = (request.penalty / request.template.reward.max(1e-9)).max(1.0);
         let headroom = self.config.forecast_headroom * (1.0 + 0.5 * m_factor.ln());
         for b in 0..n_bs {
-            let series = self.monitor.series((request.tenant, b as u32));
+            let series = tenant.peaks.get(b).map_or(&[][..], Vec::as_slice);
             if series.len() >= self.config.prior_history {
                 let pred = predict_next(series, self.config.season_epochs, MIN_SIGMA);
                 // Never reserve below the recent observed peaks: a transient
@@ -489,14 +544,14 @@ impl Orchestrator {
                 }
                 InfraEventKind::LinkDegradation { link, factor } => {
                     if link < self.base_link_mbps.len() {
-                        let cap = self.base_link_mbps[link] * factor.clamp(0.0, 1.0);
+                        let cap = self.base_link_mbps[link] * capacity_fraction(factor);
                         self.model.graph.set_link_capacity(LinkId(link), cap);
                     }
                 }
                 InfraEventKind::CuCapacityLoss { cu, factor } => {
                     if cu < self.base_cu_cores.len() {
                         self.model.compute_units[cu].cores =
-                            self.base_cu_cores[cu] * factor.clamp(0.0, 1.0);
+                            self.base_cu_cores[cu] * capacity_fraction(factor);
                     }
                 }
             }
@@ -506,7 +561,7 @@ impl Orchestrator {
 
     /// Cores an active slice occupies on its CU at its current reservations.
     fn slice_cores(a: &ActiveSlice) -> f64 {
-        let s = &a.request.template.service;
+        let s = &a.tenant.request.template.service;
         s.base_cores + s.cores_per_mbps * a.reservations.iter().sum::<f64>()
     }
 
@@ -560,18 +615,18 @@ impl Orchestrator {
                     .enumerate()
                     .filter(|(_, a)| a.cu == c)
                     .min_by(|(_, a), (_, b)| {
-                        a.request
-                            .template
+                        let (a, b) = (&a.tenant.request, &b.tenant.request);
+                        a.template
                             .reward
-                            .total_cmp(&b.request.template.reward)
-                            .then(a.request.tenant.cmp(&b.request.tenant))
+                            .total_cmp(&b.template.reward)
+                            .then(a.tenant.cmp(&b.tenant))
                     })
                     .map(|(i, _)| i)
                 else {
                     break; // base capacity shrank below zero load: nothing hosted
                 };
                 let need = Self::slice_cores(&self.active[vi]);
-                let budget_us = self.active[vi].request.template.delay_budget_us;
+                let budget_us = self.active[vi].tenant.request.template.delay_budget_us;
                 let new_home = (0..n_cu).find(|&c2| {
                     c2 != c
                         && self.cu_delay_feasible(c2, budget_us)
@@ -581,12 +636,12 @@ impl Orchestrator {
                 match new_home {
                     Some(c2) => {
                         self.active[vi].cu = c2;
-                        rehomed.push(self.active[vi].request.tenant);
+                        rehomed.push(self.active[vi].tenant.request.tenant);
                     }
                     None => {
-                        let victim = self.active.remove(vi);
-                        eviction_penalty += victim.request.penalty;
-                        evicted.push(victim.request.tenant);
+                        let victim = self.active.remove(vi).tenant.request;
+                        eviction_penalty += victim.penalty;
+                        evicted.push(victim.tenant);
                     }
                 }
             }
@@ -638,26 +693,22 @@ impl Orchestrator {
         let revalidate_seconds = revalidate_span.close();
 
         // 1. Arrivals: requests whose time has come move into consideration.
-        let mut pending: Vec<SliceRequest> = Vec::new();
-        self.queue.retain(|r| {
-            if r.arrival_epoch <= epoch {
-                pending.push(r.clone());
-                false
-            } else {
-                true
-            }
-        });
+        let (mut pending, waiting): (Vec<Tenant>, Vec<Tenant>) = std::mem::take(&mut self.queue)
+            .into_iter()
+            .partition(|t| t.request.arrival_epoch <= epoch);
+        self.queue = waiting;
         // Previously rejected requests keep re-applying (they were returned
         // to the queue with their original arrival epoch). Arrival order, not
         // submission order: the order of the rejected flows decides which
         // random draws each gets (step 5).
-        pending.sort_by_key(|r| r.arrival_epoch);
+        pending.sort_by_key(|t| t.request.arrival_epoch);
 
         // 2. Assemble tenant inputs: active slices first, each forced and
         // pinned to its CU, then pending requests.
         let forecast_span = ovnes_obs::span!("forecast");
-        let tenant_input = |req: &SliceRequest, pinned_cu: Option<usize>| {
-            let (forecast_mbps, sigma) = self.forecast_for(req);
+        let tenant_input = |tenant: &Tenant, pinned_cu: Option<usize>| {
+            let (forecast_mbps, sigma) = self.forecast_for(tenant);
+            let req = &tenant.request;
             TenantInput {
                 tenant: req.tenant,
                 sla_mbps: req.template.sla_mbps,
@@ -672,16 +723,12 @@ impl Orchestrator {
                 pinned_cu,
             }
         };
-        let mut tenants: Vec<TenantInput> = Vec::new();
-        let mut req_of: Vec<SliceRequest> = Vec::new();
-        for a in &self.active {
-            tenants.push(tenant_input(&a.request, Some(a.cu)));
-            req_of.push(a.request.clone());
-        }
-        for r in &pending {
-            tenants.push(tenant_input(r, None));
-            req_of.push(r.clone());
-        }
+        let tenants: Vec<TenantInput> = self
+            .active
+            .iter()
+            .map(|a| tenant_input(&a.tenant, Some(a.cu)))
+            .chain(pending.iter().map(|t| tenant_input(t, None)))
+            .collect();
         let forecast_seconds = forecast_span.close();
 
         // 3. Solve AC-RR through the degradation ladder — never aborts.
@@ -715,12 +762,13 @@ impl Orchestrator {
         let carry_fallback = controlled.carry_fallback;
         let allocation = controlled.allocation;
 
-        // 4. Apply the decision: update active set, return rejects to queue.
-        // Under adaptive reservations the enforced z is trimmed down to the
-        // head-roomed forecast floor (always capacity-feasible since the
-        // solver's z is an upper envelope of it). On a deferred epoch there
-        // is no decision: active slices keep their previous reservations and
-        // every pending request is rejected (re-applying under its patience).
+        // 4. Apply the decision: update the active set and set the rejects
+        // aside, in rejection order, for steps 5 and 6. Under adaptive
+        // reservations the enforced z is trimmed down to the head-roomed
+        // forecast floor (always capacity-feasible since the solver's z is
+        // an upper envelope of it). On a deferred epoch there is no
+        // decision: active slices keep their previous reservations and every
+        // pending request is rejected (re-applying under its patience).
         let admit_span = ovnes_obs::span!("admit");
         let n_active_before = self.active.len();
         // `instance.tenants` index of each active slice, in `active` order.
@@ -728,19 +776,7 @@ impl Orchestrator {
         let mut admitted = Vec::new();
         let mut newly_admitted = Vec::new();
         let mut rejected = Vec::new();
-        let mut abandoned = Vec::new();
-        let reapply_or_abandon =
-            |req: &SliceRequest, queue: &mut Vec<SliceRequest>, abandoned: &mut Vec<u32>| {
-                // Patience: a rejected request re-applies next epoch only
-                // while it is still within `reapply_epochs` of its arrival;
-                // afterwards the tenant walks away.
-                let waited = (epoch + 1).saturating_sub(req.arrival_epoch);
-                if waited < self.config.reapply_epochs {
-                    queue.push(req.clone());
-                } else {
-                    abandoned.push(req.tenant);
-                }
-            };
+        let mut rejects: Vec<Tenant> = Vec::new();
         if let Some(allocation) = &allocation {
             let effective_z = |ti: usize| -> Vec<f64> {
                 let z = &allocation.reservations[ti];
@@ -755,50 +791,48 @@ impl Orchestrator {
                     })
                     .collect()
             };
-            for (ti, cu) in allocation.assigned_cu.iter().enumerate() {
-                let req = &req_of[ti];
-                if ti < n_active_before {
-                    // Forced slices must stay admitted.
-                    debug_assert!(cu.is_some(), "active slice must remain admitted");
-                    self.active[ti].reservations = effective_z(ti);
-                    admitted.push(req.tenant);
-                } else {
-                    match cu {
-                        Some(c) => {
-                            self.active.push(ActiveSlice {
-                                request: req.clone(),
-                                cu: *c,
-                                remaining: req.duration_epochs,
-                                reservations: effective_z(ti),
-                            });
-                            instance_tenant.push(ti);
-                            admitted.push(req.tenant);
-                            newly_admitted.push(req.tenant);
-                        }
-                        None => {
-                            rejected.push(req.tenant);
-                            reapply_or_abandon(req, &mut self.queue, &mut abandoned);
-                        }
+            let (forced, fresh) = allocation.assigned_cu.split_at(n_active_before);
+            for (ti, cu) in forced.iter().enumerate() {
+                // Forced slices must stay admitted.
+                debug_assert!(cu.is_some(), "active slice must remain admitted");
+                self.active[ti].reservations = effective_z(ti);
+                admitted.push(self.active[ti].tenant.request.tenant);
+            }
+            for (ti, (tenant, cu)) in (n_active_before..).zip(pending.into_iter().zip(fresh)) {
+                let id = tenant.request.tenant;
+                match cu {
+                    Some(c) => {
+                        self.active.push(ActiveSlice {
+                            cu: *c,
+                            remaining: tenant.request.duration_epochs,
+                            reservations: effective_z(ti),
+                            tenant,
+                        });
+                        instance_tenant.push(ti);
+                        admitted.push(id);
+                        newly_admitted.push(id);
+                    }
+                    None => {
+                        rejected.push(id);
+                        rejects.push(tenant);
                     }
                 }
             }
         } else {
-            for a in &self.active {
-                admitted.push(a.request.tenant);
-            }
-            for req in req_of.iter().skip(n_active_before) {
-                rejected.push(req.tenant);
-                reapply_or_abandon(req, &mut self.queue, &mut abandoned);
-            }
+            admitted.extend(self.active.iter().map(|a| a.tenant.request.tenant));
+            rejected.extend(pending.iter().map(|t| t.request.tenant));
+            rejects = pending;
         }
 
         let admit_seconds = admit_span.close();
 
-        // 5. Simulate the epoch through the middlebox. The demand of
-        // rejected tenants is sampled too (the paper's simulations learn
-        // every request's load pattern) — with reservation = SLA so they
-        // never register as violations and never enter utilisation/revenue
-        // accounting.
+        // 5. Simulate the epoch through the middlebox: one flow per BS for
+        // each active slice, in `active` order, then for each reject, in
+        // rejection order. The demand of rejected tenants is sampled too
+        // (the paper's simulations learn every request's load pattern;
+        // abandoning ones included, their draws are part of the sequence) —
+        // with reservation = SLA so they never register as violations and
+        // never enter utilisation/revenue accounting.
         let simulate_span = ovnes_obs::span!("simulate");
         let mut flows = Vec::new();
         let mk_gen = |req: &SliceRequest| {
@@ -808,22 +842,17 @@ impl Orchestrator {
             }
             gen
         };
-        for a in &self.active {
-            for b in 0..n_bs {
-                flows.push(Flow {
-                    key: (a.request.tenant, b as u32),
-                    sla_mbps: a.request.template.sla_mbps,
-                    reservation_mbps: a.reservations[b],
-                    generator: mk_gen(&a.request),
-                });
-            }
-        }
-        for req in req_of.iter().filter(|r| rejected.contains(&r.tenant)) {
+        let simulated = self
+            .active
+            .iter()
+            .map(|a| (&a.tenant.request, Some(&a.reservations)))
+            .chain(rejects.iter().map(|t| (&t.request, None)));
+        for (req, reservations) in simulated {
             for b in 0..n_bs {
                 flows.push(Flow {
                     key: (req.tenant, b as u32),
                     sla_mbps: req.template.sla_mbps,
-                    reservation_mbps: req.template.sla_mbps,
+                    reservation_mbps: reservations.map_or(req.template.sla_mbps, |z| z[b]),
                     generator: mk_gen(req),
                 });
             }
@@ -837,9 +866,29 @@ impl Orchestrator {
         self.sample_index = report.next_sample_index;
         let simulate_seconds = simulate_span.close();
 
-        // 6. Monitoring feedback: record per-flow peaks.
-        for f in &report.flows {
-            self.monitor.record_peak(f.key, f.peak_offered);
+        // 6. Monitoring feedback: `run_epoch` reports in flow order, so the
+        // `i`-th record of step 5 owns the `i`-th block of `n_bs` reports.
+        // Each reject is then re-queued or dropped with its history.
+        let records = self.active.iter_mut().map(|a| &mut a.tenant);
+        for (i, tenant) in records.chain(rejects.iter_mut()).enumerate() {
+            let block = &report.flows[i * n_bs..(i + 1) * n_bs];
+            debug_assert!(block
+                .iter()
+                .map(|f| f.key)
+                .eq((0..n_bs as u32).map(|b| (tenant.request.tenant, b))));
+            tenant.record(block);
+        }
+        let mut abandoned = Vec::new();
+        for tenant in rejects {
+            // Patience: a rejected request re-applies next epoch only while
+            // it is still within `reapply_epochs` of its arrival; afterwards
+            // the tenant walks away.
+            let waited = (epoch + 1).saturating_sub(tenant.request.arrival_epoch);
+            if waited < self.config.reapply_epochs {
+                self.queue.push(tenant);
+            } else {
+                abandoned.push(tenant.request.tenant);
+            }
         }
 
         // 7. Revenue accounting.
@@ -848,16 +897,10 @@ impl Orchestrator {
         let mut violated = 0usize;
         let mut total_samples = 0usize;
         let mut worst_drop = 0.0f64;
-        // Step 5 pushed one flow per BS for each active slice, in `active`
-        // order, ahead of any monitored rejects, and `run_epoch` reports in
-        // flow order: slice `ai` owns the `ai`-th block of `n_bs` reports.
-        debug_assert!(self.active.iter().enumerate().all(|(ai, a)| report.flows
-            [ai * n_bs..(ai + 1) * n_bs]
-            .iter()
-            .map(|f| f.key)
-            .eq((0..n_bs as u32).map(|b| (a.request.tenant, b)))));
+        // Slice `ai` owns the `ai`-th block of `n_bs` reports (step 6).
         for (ai, a) in self.active.iter().enumerate() {
-            reward += a.request.template.reward;
+            let req = &a.tenant.request;
+            reward += req.template.reward;
             // Worst per-sample SLA deficit across this slice's BS legs.
             let mut worst_fraction_of_sla = 0.0f64;
             for f in &report.flows[ai * n_bs..(ai + 1) * n_bs] {
@@ -865,12 +908,11 @@ impl Orchestrator {
                 total_samples += f.samples;
                 worst_drop = worst_drop.max(f.worst_deficit_fraction);
                 if f.samples > 0 {
-                    let deficit_vs_sla =
-                        f.worst_deficit_mbps / a.request.template.sla_mbps.max(1e-9);
+                    let deficit_vs_sla = f.worst_deficit_mbps / req.template.sla_mbps.max(1e-9);
                     worst_fraction_of_sla = worst_fraction_of_sla.max(deficit_vs_sla);
                 }
             }
-            penalty += a.request.penalty * worst_fraction_of_sla;
+            penalty += req.penalty * worst_fraction_of_sla;
         }
         // One-time SLA-break charges for slices evicted by infrastructure
         // shrinkage this epoch (balanced accounting: `penalty` always equals
@@ -885,7 +927,7 @@ impl Orchestrator {
         let mut link_reserved: HashMap<usize, f64> = HashMap::new();
         let mut link_load: HashMap<usize, f64> = HashMap::new();
         for (ai, a) in self.active.iter().enumerate() {
-            let t = &a.request.template;
+            let t = &a.tenant.request.template;
             // The legs of the slice's (tenant, CU) pair, indexed by BS;
             // empty when the pinned CU lost a path this epoch.
             let legs = instance.legs_of(instance_tenant[ai], a.cu);
@@ -935,16 +977,8 @@ impl Orchestrator {
                 a.remaining = a.remaining.saturating_sub(1);
             }
         }
+        // An expired slice's record, history included, goes with it.
         self.active.retain(|a| a.remaining > 0);
-        // Departed tenants never come back (ids are per request), so their
-        // monitoring series would only accumulate over a churn horizon.
-        let live: HashSet<u32> = self
-            .active
-            .iter()
-            .map(|a| a.request.tenant)
-            .chain(self.queue.iter().map(|r| r.tenant))
-            .collect();
-        self.monitor.retain_tenants(|t| live.contains(&t));
 
         self.epoch += 1;
         let (deficit, solver_stats) = match allocation {
@@ -1016,6 +1050,16 @@ impl Orchestrator {
             }
         }
         Ok(())
+    }
+}
+
+/// The capacity fraction an event's `factor` leaves: clamped into `[0, 1]`,
+/// with NaN read as 0 (`f64::clamp` would pass a NaN through to the LP).
+fn capacity_fraction(factor: f64) -> f64 {
+    if factor.is_nan() {
+        0.0
+    } else {
+        factor.clamp(0.0, 1.0)
     }
 }
 

@@ -118,7 +118,10 @@ impl SliceTemplate {
 /// used by the simulator.
 #[derive(Debug, Clone)]
 pub struct SliceRequest {
-    /// Tenant identity (unique per request).
+    /// Tenant identity, as reported in outcomes. Meant to be unique per
+    /// request, but nothing is keyed by it: the monitoring history belongs
+    /// to the request ([`Orchestrator::submit`](crate::orchestrator::Orchestrator::submit)),
+    /// so two live requests under one id keep separate histories.
     pub tenant: u32,
     /// The requested template (becomes the SLA on acceptance).
     pub template: SliceTemplate,

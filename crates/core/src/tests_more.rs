@@ -1,7 +1,9 @@
 //! Second test battery: risk-model arithmetic, KAC internals, orchestrator
 //! edge cases and template invariants.
 
-use crate::orchestrator::{Orchestrator, OrchestratorConfig};
+use crate::orchestrator::{
+    EpochOutcome, InfraEvent, InfraEventKind, Orchestrator, OrchestratorConfig,
+};
 use crate::problem::{AcrrInstance, PathPolicy, TenantInput, MBPS_PER_MHZ};
 use crate::slice::{ServiceModel, SliceRequest, SliceTemplate};
 use crate::solver::slave::{solve_slave, SlaveContext, SlaveResult};
@@ -671,4 +673,147 @@ fn monitor_history_lives_only_while_a_tenant_is_active_or_queued() {
     );
     assert!(orch.active_tenants().is_empty() && orch.queue_len() == 0);
     assert_eq!(orch.monitored_series(), 0, "everyone left");
+}
+
+/// Two live requests under one tenant id are two records: each keeps its
+/// own per-BS series from its own first simulated epoch on.
+#[test]
+fn monitor_history_belongs_to_the_request_not_the_id() {
+    let model = one_bs_model(100.0);
+    let n_bs = model.base_stations.len();
+    let mut orch = Orchestrator::new(
+        model,
+        OrchestratorConfig {
+            solver: SolverKind::Kac,
+            seed: 32,
+            ..Default::default()
+        },
+    );
+    let mut later = SliceRequest::from_template(5, SliceTemplate::embb(), 0.2, 1.0, 1.0);
+    later.arrival_epoch = 2;
+    orch.submit(SliceRequest::from_template(
+        5,
+        SliceTemplate::embb(),
+        0.2,
+        1.0,
+        1.0,
+    ));
+    orch.submit(later);
+    orch.step().unwrap();
+    orch.step().unwrap();
+    assert_eq!(
+        orch.monitored_series(),
+        n_bs,
+        "the later one is not simulated yet"
+    );
+    let out = orch.step().unwrap();
+    assert_eq!(out.admitted, vec![5, 5]);
+    assert_eq!(orch.monitored_series(), 2 * n_bs);
+    assert_eq!(orch.monitored_epochs(5), vec![vec![3; n_bs], vec![1; n_bs]]);
+}
+
+/// A request rejected `k` epochs in a row carries one peak per BS from
+/// each of them into its admission.
+#[test]
+fn a_request_is_admitted_with_its_rejected_epochs_history() {
+    let model = one_bs_model(2.0);
+    let n_bs = model.base_stations.len();
+    let mut orch = Orchestrator::new(
+        model,
+        OrchestratorConfig {
+            solver: SolverKind::Kac,
+            seed: 33,
+            ..Default::default()
+        },
+    );
+    // Compute for one slice at a time: the second waits for the first to
+    // expire after three epochs.
+    for (t, arrival_epoch) in [(0, 0), (1, 1)] {
+        let mut r = SliceRequest::from_template(t, SliceTemplate::embb(), 0.2, 1.0, 1.0);
+        r.template.service = ServiceModel {
+            base_cores: 1.5,
+            cores_per_mbps: 0.0,
+        };
+        r.duration_epochs = 3;
+        r.arrival_epoch = arrival_epoch;
+        orch.submit(r);
+    }
+    let k = 2;
+    assert_eq!(orch.step().unwrap().newly_admitted, vec![0]);
+    for _ in 0..k {
+        assert_eq!(orch.step().unwrap().rejected, vec![1]);
+    }
+    assert_eq!(orch.monitored_epochs(1), vec![vec![k; n_bs]]);
+    assert_eq!(orch.step().unwrap().newly_admitted, vec![1]);
+    assert_eq!(orch.monitored_epochs(1), vec![vec![k + 1; n_bs]]);
+}
+
+/// What a capacity event decides, without the wall-clock fields and with
+/// the reserved-link map in ascending link id.
+fn decided(out: &EpochOutcome) -> String {
+    let mut links: Vec<(usize, u64)> = out
+        .link_reserved_mbps
+        .iter()
+        .map(|(&gid, z)| (gid, z.to_bits()))
+        .collect();
+    links.sort_unstable();
+    format!(
+        "{:?} {:?} {:?} {:?} {:?} {:x} {:x} {:?} {:?} {:?} {:?} {:?} {:?} {:?}",
+        out.admitted,
+        out.rejected,
+        out.abandoned,
+        out.evicted,
+        out.rehomed,
+        out.net_revenue.to_bits(),
+        out.penalty.to_bits(),
+        out.violation_samples,
+        out.deficit,
+        out.bs_reserved_mhz,
+        out.cu_reserved_cores,
+        links,
+        out.degradation,
+        out.overcommit,
+    )
+}
+
+/// A NaN capacity factor takes the resource away exactly as a factor of 0
+/// does, for links and compute units alike, under the greedy and the exact
+/// solver.
+#[test]
+fn nan_capacity_factor_reads_as_zero() {
+    let run = |solver: SolverKind, kind: InfraEventKind| {
+        let mut orch = Orchestrator::new(
+            one_bs_model(100.0),
+            OrchestratorConfig {
+                solver,
+                seed: 34,
+                ..Default::default()
+            },
+        );
+        orch.schedule_event(InfraEvent { epoch: 1, kind });
+        let requests = (0..3)
+            .map(|t| SliceRequest::from_template(t, SliceTemplate::embb(), 0.2, 2.0, 1.0))
+            .collect();
+        let mut outcomes = Vec::new();
+        orch.run(requests, 4, |out| {
+            assert!(out.net_revenue.is_finite(), "{:?}", out.net_revenue);
+            outcomes.push(decided(out));
+            std::ops::ControlFlow::Continue(())
+        })
+        .expect("the horizon runs");
+        outcomes
+    };
+    for solver in [SolverKind::Kac, SolverKind::Benders] {
+        for event in [
+            |factor| InfraEventKind::CuCapacityLoss { cu: 0, factor },
+            |factor| InfraEventKind::LinkDegradation { link: 0, factor },
+        ] {
+            assert_eq!(
+                run(solver, event(f64::NAN)),
+                run(solver, event(0.0)),
+                "{solver:?} {:?}",
+                event(f64::NAN)
+            );
+        }
+    }
 }

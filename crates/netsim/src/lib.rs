@@ -12,22 +12,27 @@
 //!   traffic exceeding the tenant's SLA, *buffer/drop* traffic within the SLA
 //!   but above the reservation — the latter is the **SLA violation** that
 //!   overbooking must keep rare,
-//! * [`monitor`] — the monitoring block of §2.2.2: per-epoch sample
-//!   collection, peak (`max`) aggregation into the `λ^{(t)}` series consumed
-//!   by the forecaster,
 //! * [`engine`] — an epoch runner that applies generators + middlebox to a
-//!   set of flows and produces per-flow epoch reports.
+//!   set of flows and produces per-flow epoch reports, each with the peak
+//!   (`max`) of its samples.
+//!
+//! The monitoring block of §2.2.2 is not here: the orchestrator appends each
+//! report's peak to the `λ^{(t)}` series held on its own tenant record, the
+//! series the forecaster reads.
 //!
 //! Everything is seeded and reproducible; no wall-clock time is involved.
 
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
+
 pub mod engine;
 pub mod middlebox;
-pub mod monitor;
 pub mod traffic;
 
 pub use engine::{run_epoch, EpochReport, Flow, FlowReport};
 pub use middlebox::{classify, Verdict};
-pub use monitor::MonitorStore;
 pub use traffic::TrafficGenerator;
 
 #[cfg(test)]

@@ -1,9 +1,8 @@
-//! Tests for traffic generation, the middlebox classifier, monitoring and
-//! the epoch engine.
+//! Tests for traffic generation, the middlebox classifier and the epoch
+//! engine.
 
 use crate::engine::{run_epoch, Flow};
 use crate::middlebox::classify;
-use crate::monitor::MonitorStore;
 use crate::traffic::TrafficGenerator;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -141,47 +140,6 @@ fn generator_reproducible_with_same_seed() {
 #[should_panic(expected = "amplitude")]
 fn diurnal_rejects_amplitude_one() {
     TrafficGenerator::deterministic(1.0).with_diurnal(1.0, 24);
-}
-
-// ------------------------------------------------------------------ monitor
-
-#[test]
-fn monitor_records_peaks() {
-    let mut m = MonitorStore::new();
-    let p = m.record_epoch((1, 0), &[3.0, 9.0, 4.0]);
-    assert_eq!(p, 9.0);
-    m.record_epoch((1, 0), &[5.0]);
-    assert_eq!(m.series((1, 0)), &[9.0, 5.0]);
-    assert_eq!(m.epochs((1, 0)), 2);
-    assert_eq!(m.series((2, 0)), &[] as &[f64]);
-}
-
-#[test]
-fn monitor_empty_epoch_records_zero() {
-    let mut m = MonitorStore::new();
-    assert_eq!(m.record_epoch((0, 0), &[]), 0.0);
-    assert_eq!(m.series((0, 0)), &[0.0]);
-}
-
-#[test]
-fn monitor_forget() {
-    let mut m = MonitorStore::new();
-    m.record_peak((7, 1), 4.0);
-    assert_eq!(m.len(), 1);
-    m.forget((7, 1));
-    assert!(m.is_empty());
-}
-
-#[test]
-fn monitor_retain_tenants_drops_every_series_of_the_rest() {
-    let mut m = MonitorStore::new();
-    for key in [(1, 0), (1, 1), (2, 0), (3, 0), (3, 2)] {
-        m.record_peak(key, 1.0);
-    }
-    m.retain_tenants(|t| t != 3);
-    assert_eq!(m.len(), 3);
-    assert_eq!(m.series((3, 2)), &[] as &[f64]);
-    assert_eq!(m.series((1, 1)), &[1.0]);
 }
 
 // ------------------------------------------------------------------- engine
@@ -341,18 +299,6 @@ fn diurnal_peak_to_trough_ratio() {
     let trough = (0..40).map(|t| g.mean_at(t)).fold(f64::INFINITY, f64::min);
     assert!((peak - 180.0).abs() < 1.0);
     assert!((trough - 20.0).abs() < 1.0);
-}
-
-#[test]
-fn monitor_series_independent_per_key() {
-    let mut m = MonitorStore::new();
-    m.record_peak((0, 0), 1.0);
-    m.record_peak((0, 1), 2.0);
-    m.record_peak((1, 0), 3.0);
-    assert_eq!(m.series((0, 0)), &[1.0]);
-    assert_eq!(m.series((0, 1)), &[2.0]);
-    assert_eq!(m.series((1, 0)), &[3.0]);
-    assert_eq!(m.len(), 3);
 }
 
 #[test]

@@ -5,7 +5,7 @@
 
 use ovnes::prelude::*;
 use ovnes_forecast::predict_next;
-use ovnes_netsim::{run_epoch, Flow, MonitorStore, TrafficGenerator};
+use ovnes_netsim::{run_epoch, Flow, TrafficGenerator};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -13,7 +13,7 @@ use rand::SeedableRng;
 fn monitor_to_forecast_loop_converges() {
     // Simulate 30 epochs of a slice's flat Gaussian demand, record peaks,
     // and check the forecast settles near the true per-epoch peak.
-    let mut monitor = MonitorStore::new();
+    let mut peaks: Vec<f64> = Vec::new();
     let mut rng = StdRng::seed_from_u64(1);
     let gen = TrafficGenerator::gaussian(20.0, 2.0);
     let mut sample_index = 0;
@@ -26,9 +26,9 @@ fn monitor_to_forecast_loop_converges() {
         }];
         let report = run_epoch(&flows, 12, sample_index, &mut rng);
         sample_index = report.next_sample_index;
-        monitor.record_peak((0, 0), report.flows[0].peak_offered);
+        peaks.push(report.flows[0].peak_offered);
     }
-    let pred = predict_next(monitor.series((0, 0)), 6, 0.05);
+    let pred = predict_next(&peaks, 6, 0.05);
     // True per-epoch peak of 12 samples from N(20, 2) is ≈ 20 + 1.6·2 ≈ 23.
     assert!(
         (pred.value - 23.0).abs() < 3.0,
@@ -45,7 +45,7 @@ fn monitor_to_forecast_loop_converges() {
 fn seasonal_demand_is_learnt_by_holt_winters() {
     // A diurnal tenant: the forecast must track the cycle so the
     // orchestrator can release capacity at night.
-    let mut monitor = MonitorStore::new();
+    let mut peaks: Vec<f64> = Vec::new();
     let mut rng = StdRng::seed_from_u64(2);
     let gen = TrafficGenerator::gaussian(30.0, 1.0).with_diurnal(0.6, 24 * 12);
     let mut sample_index = 0;
@@ -58,13 +58,12 @@ fn seasonal_demand_is_learnt_by_holt_winters() {
         }];
         let report = run_epoch(&flows, 12, sample_index, &mut rng);
         sample_index = report.next_sample_index;
-        monitor.record_peak((0, 0), report.flows[0].peak_offered);
+        peaks.push(report.flows[0].peak_offered);
     }
     // Each epoch of the fourth day, forecast from the three days or more
     // before it: the Holt-Winters path, with a daily season of 24 epochs.
-    let series = monitor.series((0, 0));
     let forecast: Vec<f64> = (24 * 3..24 * 4)
-        .map(|t| predict_next(&series[..t], 24, 0.05).value)
+        .map(|t| predict_next(&peaks[..t], 24, 0.05).value)
         .collect();
     // The forecast cycle must span a meaningful fraction of the true
     // amplitude (quiet vs busy hours differ by ~3x here).
