@@ -67,7 +67,10 @@ pub struct OrchestratorConfig {
     /// headroom·σ̂)`. The paper reserves for *forecasted peak* loads
     /// specifically to keep the violation footprint negligible (§3.1); the
     /// uncertainty-scaled headroom is how we realise that: confident
-    /// forecasts get a thin margin, erratic ones a thick margin.
+    /// forecasts get a thin margin, erratic ones a thick margin. Must be
+    /// finite: [`Orchestrator::step`] refuses NaN or ±∞ with
+    /// [`AcrrError::Config`], since `0 · ∞` would reach the admission LP as
+    /// a NaN bound.
     pub forecast_headroom: f64,
     /// §2.1.3: "our overbooking mechanism adapts the reservation of
     /// resources to the actual demand of each slice (or a prediction of
@@ -423,11 +426,6 @@ impl Orchestrator {
         self.events.push(event);
     }
 
-    /// Infrastructure events scheduled but not yet applied.
-    pub fn pending_events(&self) -> usize {
-        self.events.len()
-    }
-
     /// Current epoch index.
     pub fn epoch(&self) -> u32 {
         self.epoch
@@ -679,6 +677,9 @@ impl Orchestrator {
     pub fn step(&mut self) -> Result<EpochOutcome, AcrrError> {
         if self.config.samples_per_epoch == 0 {
             return Err(AcrrError::Config("samples_per_epoch must be positive"));
+        }
+        if !self.config.forecast_headroom.is_finite() {
+            return Err(AcrrError::Config("forecast_headroom must be finite"));
         }
         let epoch = self.epoch;
         let n_bs = self.model.base_stations.len();

@@ -87,7 +87,12 @@ pub struct Leg {
 }
 
 /// The assembled AC-RR optimization instance.
-#[derive(Debug, Clone)]
+///
+/// Not `Clone`: every solver borrows the caller's instance. KAC vets
+/// against strict capacities through `SlaveContext::new_strict`, never a
+/// copy with `deficit_cost` cleared, which would deep-copy every leg's
+/// link list each epoch.
+#[derive(Debug)]
 pub struct AcrrInstance {
     /// Number of base stations.
     pub n_bs: usize,

@@ -436,7 +436,7 @@ fn seed_from_carry_installs_only_a_chain_that_fits() {
         (1, 1, 0)
     );
 
-    let mut other_matrix = inst.clone();
+    let mut other_matrix = small_instance(3, Some(1e4));
     other_matrix.mbps_per_mhz[0] *= 2.0;
     for (tag, other) in [
         ("another shape", small_instance(2, Some(1e4))),

@@ -509,7 +509,7 @@ fn diurnal_requests_flow_through() {
     );
 }
 
-/// The two model parameters the config keeps, at their hostile values: a
+/// The three model parameters the config keeps, at their hostile values: a
 /// typed error or a finite horizon, never a panic.
 #[test]
 fn hostile_model_parameters_never_panic() {
@@ -533,6 +533,16 @@ fn hostile_model_parameters_never_panic() {
     });
     assert!(matches!(unsampled, Err(AcrrError::Config(_))));
     assert_eq!(epoch, 0, "the refused step must not advance the epoch");
+    // NaN headroom is a NaN bound at once; ±∞ is one as soon as a tenant's
+    // observed peaks are 0 (0 · ∞).
+    for forecast_headroom in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+        let (refused, epoch) = run(OrchestratorConfig {
+            forecast_headroom,
+            ..Default::default()
+        });
+        let refused = matches!(refused, Err(AcrrError::Config(_)));
+        assert!(refused && epoch == 0, "{forecast_headroom}");
+    }
     // 0 and 1 are no season; the huge ones overflow `2 * season`.
     for season_epochs in [0, 1, usize::MAX / 2 + 1, usize::MAX] {
         let (revenue, _) = run(OrchestratorConfig {

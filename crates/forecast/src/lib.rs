@@ -39,6 +39,11 @@
 //! assert!(p.sigma > 0.0 && p.sigma <= 1.0);
 //! ```
 
+// The public surface is `predict_next` and `Prediction`, both declared here;
+// a `pub` item elsewhere in the crate is unreachable and fails to compile, so
+// the grid, SES and σ̂ stay private (`tests/design_guards.rs` holds the rest).
+#![deny(unreachable_pub)]
+
 mod holt_winters;
 mod uncertainty;
 

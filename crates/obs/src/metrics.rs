@@ -204,10 +204,6 @@ impl Registry {
         self.counters.get(name).copied().unwrap_or(0)
     }
 
-    pub fn gauge_set(&mut self, name: &str, value: f64) {
-        self.gauges.insert(name.to_string(), value);
-    }
-
     /// High-water-mark gauge: keeps the maximum of all observations.
     pub fn gauge_max(&mut self, name: &str, value: f64) {
         let slot = self.gauges.entry(name.to_string()).or_insert(f64::MIN);

@@ -345,12 +345,10 @@ pub fn run_scenario_on(
     let mut eviction_penalty = 0.0f64;
     let mut infra_events = 0usize;
     let mut solver_errors = 0usize;
-    let mut max_decision_seconds = 0.0f64;
-    let mut decision_seconds_sum = 0.0f64;
-    // Latency percentiles come from an obs histogram fed with the same
-    // `decision_seconds` the mean/max already use — recorded always (the
-    // clock read exists regardless), so percentiles are present even with
-    // observability off. Wall-clock telemetry: never fingerprinted.
+    // Latency percentiles come from an obs histogram fed with each epoch's
+    // `decision_seconds` — recorded always (the clock read exists
+    // regardless), so percentiles are present even with observability
+    // off. Wall-clock telemetry: never fingerprinted.
     let mut decision_latency = ovnes_obs::Histogram::new();
     let mut phase_seconds = ovnes::orchestrator::EpochPhaseSeconds::default();
 
@@ -397,8 +395,6 @@ pub fn run_scenario_on(
         eviction_penalty += out.eviction_penalty;
         infra_events += out.infra_events;
         solver_errors += usize::from(out.solver_error.is_some());
-        max_decision_seconds = max_decision_seconds.max(out.decision_seconds);
-        decision_seconds_sum += out.decision_seconds;
         decision_latency.record_secs(out.decision_seconds);
         phase_seconds.accumulate(&out.phase_seconds);
         ControlFlow::Continue(())
@@ -468,8 +464,6 @@ pub fn run_scenario_on(
         infra_events,
         solver_errors,
         deterministic: spec.budget.is_deterministic(),
-        max_decision_seconds,
-        mean_decision_seconds: decision_seconds_sum / epochs,
         decision_latency_percentiles: [
             decision_latency.quantile_secs(0.50),
             decision_latency.quantile_secs(0.90),

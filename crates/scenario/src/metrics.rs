@@ -156,12 +156,6 @@ pub struct ScenarioReport {
     /// True when the spec's solve budget used counters only (no wall-clock
     /// deadline) — the precondition for the fingerprint guarantee.
     pub deterministic: bool,
-    /// Worst per-epoch decision latency in seconds — machine-dependent,
-    /// **excluded** from the fingerprint.
-    pub max_decision_seconds: f64,
-    /// Mean per-epoch decision latency in seconds — machine-dependent,
-    /// **excluded** from the fingerprint.
-    pub mean_decision_seconds: f64,
     /// Decision-latency percentiles over the horizon's epochs, seconds,
     /// from an `ovnes-obs` log-linear histogram (p50 / p90 / p99 / p999
     /// in that order). Machine-dependent, **excluded** from the
@@ -183,11 +177,11 @@ pub struct ScenarioReport {
 
 impl ScenarioReport {
     /// Folds every deterministic field (not the wall-clock telemetry:
-    /// `wall_seconds`, `max_decision_seconds`, `mean_decision_seconds`,
-    /// `decision_latency_percentiles`, `phase_generate_seconds`,
-    /// `phase_seconds`) into `h`: the decision trail plus the solver-path
-    /// telemetry. The wall-clock-never-in-fingerprints invariant lives
-    /// here: deterministic counters may be appended, timing never.
+    /// `wall_seconds`, `decision_latency_percentiles`,
+    /// `phase_generate_seconds`, `phase_seconds`) into `h`: the decision
+    /// trail plus the solver-path telemetry. The
+    /// wall-clock-never-in-fingerprints invariant lives here: deterministic
+    /// counters may be appended, timing never.
     pub fn hash_into(&self, h: &mut Fnv64) {
         self.hash_decision_into(h);
         h.write_u64(self.lp_solves as u64);
