@@ -88,7 +88,7 @@ pub mod prelude {
         EpochOutcome, InfraEvent, InfraEventKind, Orchestrator, OrchestratorConfig,
     };
     pub use crate::problem::{AcrrInstance, Allocation, PathPolicy, TenantInput};
-    pub use crate::slice::{ServiceModel, SliceClass, SliceRequest, SliceTemplate};
+    pub use crate::slice::{RequestFault, ServiceModel, SliceClass, SliceRequest, SliceTemplate};
     pub use crate::solver::{AcrrError, Degradation, SolveBudget, SolveControls, SolverKind};
     pub use ovnes_topology::operators::{GeneratorConfig, NetworkModel, Operator};
 }

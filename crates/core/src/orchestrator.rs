@@ -23,7 +23,7 @@
 //! on when they were submitted.
 
 use crate::problem::{AcrrInstance, PathPolicy, TenantInput, MBPS_PER_MHZ};
-use crate::slice::SliceRequest;
+use crate::slice::{RequestFault, SliceRequest};
 use crate::solver::{self, AcrrError, Degradation, SolveBudget, SolveControls, SolverKind};
 use ovnes_forecast::predict_next;
 use ovnes_netsim::{run_epoch, Flow, FlowReport, TrafficGenerator};
@@ -280,6 +280,11 @@ pub struct EpochOutcome {
     pub newly_admitted: Vec<u32>,
     /// Pending tenants rejected this epoch.
     pub rejected: Vec<u32>,
+    /// Requests refused on arrival this epoch, in arrival order, each with
+    /// its [`SliceRequest::fault`]. A refused request is dropped before
+    /// anything forecasts, solves or simulates it, so the other requests
+    /// are decided as if it had never been submitted.
+    pub refused: Vec<(u32, RequestFault)>,
     /// Rejected tenants that abandoned this epoch (their
     /// [`OrchestratorConfig::reapply_epochs`] patience ran out; they will
     /// not re-apply).
@@ -411,6 +416,9 @@ impl Orchestrator {
     /// goes when the request expires, is evicted or abandons. Two live
     /// requests under one id keep separate histories, and a later request
     /// under a departed id starts from the operator prior again.
+    ///
+    /// A request with a [`SliceRequest::fault`] is accepted here and
+    /// refused when it arrives ([`EpochOutcome::refused`]).
     pub fn submit(&mut self, request: SliceRequest) {
         self.queue.push(Tenant {
             request,
@@ -671,9 +679,11 @@ impl Orchestrator {
     /// ([`solver::solve_controlled`]), so a failed or budget-starved solve
     /// degrades *that epoch* (incumbent → greedy → defer) — recorded in
     /// [`EpochOutcome::degradation`] / [`EpochOutcome::solver_error`] — and
-    /// the epoch completes. An `Err` here signals a non-recoverable
-    /// configuration error ([`AcrrError::Config`]), returned before
-    /// anything is mutated, never a transient solver condition.
+    /// the epoch completes. A hostile request is refused on arrival and
+    /// listed in [`EpochOutcome::refused`], not raised. An `Err` here
+    /// signals a non-recoverable configuration error
+    /// ([`AcrrError::Config`]), returned before anything is mutated, never
+    /// a transient solver condition.
     pub fn step(&mut self) -> Result<EpochOutcome, AcrrError> {
         if self.config.samples_per_epoch == 0 {
             return Err(AcrrError::Config("samples_per_epoch must be positive"));
@@ -703,6 +713,17 @@ impl Orchestrator {
         // submission order: the order of the rejected flows decides which
         // random draws each gets (step 5).
         pending.sort_by_key(|t| t.request.arrival_epoch);
+        // A request the model cannot take (a NaN, an infinity, a negative
+        // rate, a degenerate diurnal period) is refused here, before it
+        // reaches the forecast, the LP or the traffic generator.
+        let mut refused = Vec::new();
+        pending.retain(|t| match t.request.fault() {
+            Some(fault) => {
+                refused.push((t.request.tenant, fault));
+                false
+            }
+            None => true,
+        });
 
         // 2. Assemble tenant inputs: active slices first, each forced and
         // pinned to its CU, then pending requests.
@@ -991,6 +1012,7 @@ impl Orchestrator {
             admitted,
             newly_admitted,
             rejected,
+            refused,
             abandoned,
             evicted,
             rehomed,

@@ -142,7 +142,50 @@ pub struct SliceRequest {
     pub penalty: f64,
 }
 
+/// Why [`Orchestrator::step`](crate::orchestrator::Orchestrator::step)
+/// refuses a request ([`SliceRequest::fault`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum RequestFault {
+    /// The named quantity (its path in the request, e.g.
+    /// `"template.sla_mbps"`) is NaN, infinite or negative.
+    Quantity(&'static str),
+    /// The diurnal modulation has an amplitude outside `[0, 1)` or a
+    /// period below 2 samples.
+    Diurnal,
+}
+
 impl SliceRequest {
+    /// The first reason this request cannot be orchestrated, if any. Every
+    /// quantity of the request must be a finite number ≥ 0, and a diurnal
+    /// modulation needs an amplitude in `[0, 1)` and a period of at least 2
+    /// samples: a NaN or an infinity would reach the LP as a coefficient,
+    /// and the traffic generator takes nothing else.
+    pub fn fault(&self) -> Option<RequestFault> {
+        let t = &self.template;
+        let quantities = [
+            ("template.reward", t.reward),
+            ("template.delay_budget_us", t.delay_budget_us),
+            ("template.sla_mbps", t.sla_mbps),
+            ("template.service.base_cores", t.service.base_cores),
+            ("template.service.cores_per_mbps", t.service.cores_per_mbps),
+            ("true_mean_mbps", self.true_mean_mbps),
+            ("true_sigma_mbps", self.true_sigma_mbps),
+            ("penalty", self.penalty),
+        ];
+        if let Some((field, _)) = quantities
+            .into_iter()
+            .find(|&(_, v)| !(v.is_finite() && v >= 0.0))
+        {
+            return Some(RequestFault::Quantity(field));
+        }
+        match self.diurnal {
+            Some((amp, period)) if !(0.0..1.0).contains(&amp) || period < 2 => {
+                Some(RequestFault::Diurnal)
+            }
+            _ => None,
+        }
+    }
+
     /// Builds a request from a template with `λ̄ = α·Λ` and an explicit σ,
     /// penalty factor `m` (so `K = m·R`).
     pub fn from_template(

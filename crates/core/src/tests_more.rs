@@ -5,7 +5,7 @@ use crate::orchestrator::{
     EpochOutcome, InfraEvent, InfraEventKind, Orchestrator, OrchestratorConfig,
 };
 use crate::problem::{AcrrInstance, PathPolicy, TenantInput, MBPS_PER_MHZ};
-use crate::slice::{ServiceModel, SliceRequest, SliceTemplate};
+use crate::slice::{RequestFault, ServiceModel, SliceRequest, SliceTemplate};
 use crate::solver::slave::{solve_slave, SlaveContext, SlaveResult};
 use crate::solver::{benders, kac, AcrrError, SolveControls, SolverKind};
 use ovnes_lp::SimplexOptions;
@@ -824,6 +824,83 @@ fn nan_capacity_factor_reads_as_zero() {
                 "{solver:?} {:?}",
                 event(f64::NAN)
             );
+        }
+    }
+}
+
+/// A request with each of its quantities at a hostile value, or with a
+/// degenerate diurnal modulation, arriving beside three ordinary ones under
+/// the greedy and the exact solver: `step` refuses it on arrival with its
+/// fault, nothing panics, revenue stays finite, and the ordinary requests
+/// are decided exactly as in a run without it.
+#[test]
+fn hostile_requests_are_refused_on_arrival() {
+    type Edit = fn(&mut SliceRequest, f64);
+    let quantities: [(&str, Edit); 8] = [
+        ("template.reward", |r, v| r.template.reward = v),
+        ("template.delay_budget_us", |r, v| {
+            r.template.delay_budget_us = v
+        }),
+        ("template.sla_mbps", |r, v| r.template.sla_mbps = v),
+        ("template.service.base_cores", |r, v| {
+            r.template.service.base_cores = v
+        }),
+        ("template.service.cores_per_mbps", |r, v| {
+            r.template.service.cores_per_mbps = v
+        }),
+        ("true_mean_mbps", |r, v| r.true_mean_mbps = v),
+        ("true_sigma_mbps", |r, v| r.true_sigma_mbps = v),
+        ("penalty", |r, v| r.penalty = v),
+    ];
+    let ordinary = |t| SliceRequest::from_template(t, SliceTemplate::embb(), 0.2, 2.0, 1.0);
+    let mut hostile: Vec<(SliceRequest, RequestFault)> = Vec::new();
+    for (field, edit) in quantities {
+        for v in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -1.0] {
+            let mut r = ordinary(9);
+            edit(&mut r, v);
+            hostile.push((r, RequestFault::Quantity(field)));
+        }
+    }
+    for diurnal in [(0.5, 0), (0.5, 1), (f64::NAN, 24), (1.0, 24), (-0.1, 24)] {
+        let mut r = ordinary(9);
+        r.diurnal = Some(diurnal);
+        hostile.push((r, RequestFault::Diurnal));
+    }
+    let run = |solver: SolverKind, extra: Option<SliceRequest>| {
+        let mut orch = Orchestrator::new(
+            one_bs_model(100.0),
+            OrchestratorConfig {
+                solver,
+                season_epochs: 2,
+                seed: 35,
+                ..Default::default()
+            },
+        );
+        let mut requests: Vec<SliceRequest> = (0..3).map(ordinary).collect();
+        requests.extend(extra.map(|mut r| {
+            r.arrival_epoch = 1;
+            r
+        }));
+        let (mut outcomes, mut refused) = (Vec::new(), Vec::new());
+        orch.run(requests, 6, |out| {
+            assert!(out.net_revenue.is_finite(), "{:?}", out.net_revenue);
+            outcomes.push(decided(out));
+            refused.push(out.refused.clone());
+            std::ops::ControlFlow::Continue(())
+        })
+        .expect("the horizon runs");
+        (outcomes, refused)
+    };
+    for solver in [SolverKind::Kac, SolverKind::Benders] {
+        let (without, none) = run(solver, None);
+        assert!(none.iter().all(Vec::is_empty));
+        for (r, fault) in &hostile {
+            let label = format!("{solver:?} {fault:?} {:?}", r.diurnal);
+            assert_eq!(r.fault(), Some(*fault), "{label}");
+            let (with, refused) = run(solver, Some(r.clone()));
+            assert_eq!(refused[1], vec![(9, *fault)], "{label}");
+            assert_eq!(refused.concat().len(), 1, "{label}: refused once");
+            assert_eq!(with, without, "{label}");
         }
     }
 }

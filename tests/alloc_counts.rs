@@ -1,5 +1,5 @@
-//! Heap allocations of the LP's hot paths, counted: a warm slave re-solve,
-//! one refactorization, one branch-and-bound node.
+//! Heap allocations of the hot paths, counted: a warm slave re-solve, one
+//! refactorization, one branch-and-bound node, one forecast.
 //!
 //! The slave's warm chain keeps its basis, factorization and buffers alive
 //! between solves, and `solve_for` re-prices only the tenants that moved:
@@ -9,9 +9,12 @@
 //! refactorization's working set is reused, so a refactorization allocates
 //! the arrays it returns and nothing else, the same number at every
 //! dimension; and a node that resumes from its parent's basis copies that
-//! factorization in a fixed handful of blocks. A count is deterministic
-//! where a timing is not, so this is the form in which `cargo test` holds
-//! these properties; the timings are `benchmark/`'s.
+//! factorization in a fixed handful of blocks. A forecast allocates its
+//! seasonal arrays once per call and one column per candidate it keeps,
+//! however long the history: the smoothing passes allocate nothing. A
+//! count is deterministic where a timing is not, so this is the form in
+//! which `cargo test` holds these properties; the timings are
+//! `benchmark/`'s.
 //!
 //! This file is its own test binary with one `#[test]`, so the counting
 //! allocator sees a single thread.
@@ -20,6 +23,7 @@ use ovnes::problem::{AcrrInstance, PathPolicy, TenantInput};
 use ovnes::slice::{SliceClass, SliceTemplate};
 use ovnes::solver::kac;
 use ovnes::solver::slave::SlaveContext;
+use ovnes_forecast::predict_next;
 use ovnes_lp::revised::{Factorization, SolveScratch, SparseLu};
 use ovnes_lp::{Cmp, Outcome, Problem, SimplexOptions, VarId, Workspace};
 use ovnes_topology::operators::{GeneratorConfig, NetworkModel, Operator};
@@ -270,9 +274,50 @@ fn bb_node_solve() {
     );
 }
 
+/// A seeded diurnal series of `len` samples at season 6 around `level`,
+/// with noise of `±noise`: all positive (the multiplicative grid) at a high
+/// level, crossing zero (the additive grid) at a low one.
+fn seasonal_series(len: usize, level: f64, noise: f64) -> Vec<f64> {
+    let mut state = 0x5EA5_0A11_u64;
+    (0..len)
+        .map(|t| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            let u = (state >> 11) as f64 / (1u64 << 53) as f64;
+            let phase = 2.0 * std::f64::consts::PI * (t % 6) as f64 / 6.0;
+            level + 10.0 * phase.sin() + noise * (2.0 * u - 1.0)
+        })
+        .collect()
+}
+
+fn predict_next_calls() {
+    // (multiplicative, additive) allocations of one call, by history length:
+    // the initial seasonal indices, the five lanes' seasonal rows and the
+    // first season's blend inputs, then one seasonal column per candidate
+    // the grid keeps on its way to the winner (one, or two for the additive
+    // series at 48 samples). Allocating per observation would add 36 at 48
+    // samples and 372 at 384, per (α, β) pair that runs its lanes.
+    let pinned: [(usize, (usize, usize)); 3] = [(12, (4, 4)), (48, (4, 5)), (384, (4, 4))];
+    let multiplicative = seasonal_series(384, 50.0, 4.0);
+    let additive = seasonal_series(384, 0.0, 4.0);
+    assert!(multiplicative.iter().all(|&y| y > 0.0));
+    assert!(additive.iter().any(|&y| y <= 0.0));
+    let measured = pinned.map(|(len, _)| {
+        let (mul, _) = counted(|| predict_next(&multiplicative[..len], 6, 0.05));
+        let (add, _) = counted(|| predict_next(&additive[..len], 6, 0.05));
+        (len, (mul, add))
+    });
+    assert_eq!(
+        measured, pinned,
+        "(multiplicative, additive) allocations of one forecast, by length"
+    );
+}
+
 #[test]
 fn a_warm_resolve_allocates_a_small_constant() {
     warm_slave_resolves();
     refactorizations();
     bb_node_solve();
+    predict_next_calls();
 }
