@@ -77,6 +77,11 @@
 //! assert!(admitted > 0);
 //! ```
 
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
+
 pub mod orchestrator;
 pub mod problem;
 pub mod slice;

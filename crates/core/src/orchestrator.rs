@@ -43,8 +43,7 @@ pub struct OrchestratorConfig {
     /// Branch-and-bound worker threads for the epoch solves (Benders
     /// master / one-shot / baseline MILPs fan their node relaxations across
     /// this many `std::thread::scope` workers; admission decisions are
-    /// deterministic in it). Defaults to [`ovnes_milp::default_threads`]
-    /// (the `OVNES_MILP_THREADS` environment variable, or 1).
+    /// deterministic in it). Defaults to 1.
     pub threads: usize,
     /// Branch-and-bound nodes per deterministic round for the epoch solves
     /// (see [`ovnes_milp::MilpOptions::round_width`]; 0 ⇒ the engine
@@ -111,7 +110,7 @@ impl Default for OrchestratorConfig {
     fn default() -> Self {
         Self {
             solver: SolverKind::Benders,
-            threads: ovnes_milp::default_threads(),
+            threads: 1,
             round_width: 0,
             overbooking: true,
             samples_per_epoch: 12,

@@ -174,16 +174,15 @@ pub struct SolveControls {
     /// via their simplex options, and the KAC/Benders slave LPs via
     /// theirs — so a chaos preset's fault plan reaches the greedy fallback
     /// with the same seed as the primary, and the fallback's telemetry
-    /// stays fingerprint-stable. When unset, the slave LPs still pick up the
-    /// ambient `OVNES_LP_FAULT_SEED` environment variable. Injection is a
-    /// pure function of (seed, matrix fingerprint, basis summary), so it is
-    /// thread-count invariant.
+    /// stays fingerprint-stable. `None` (the default) injects nothing.
+    /// Injection is a pure function of (seed, matrix fingerprint, basis
+    /// summary), so it is thread-count invariant.
     pub lp_fault: Option<ovnes_lp::FaultConfig>,
     /// LP basis refactorization interval — Forrest–Tomlin updates folded
     /// into a factorization before the engine rebuilds it from scratch
-    /// (0 ⇒ engine default: `OVNES_LP_REFACTOR_INTERVAL` or 128). Threaded
-    /// into every rung of the ladder, like `lp_fault`. A numerical-drift
-    /// bound, not a cost bound; results are identical at any interval.
+    /// (0 ⇒ the engine default, 128). Threaded into every rung of the
+    /// ladder, like `lp_fault`. A numerical-drift bound, not a cost bound;
+    /// results are identical at any interval.
     pub refactor_interval: usize,
 }
 
@@ -195,10 +194,10 @@ impl SolveControls {
     /// ladder's greedy rung is deliberately unbudgeted (its job is to
     /// produce *some* decision when the budgeted primary could not).
     fn kac_options(&self) -> ovnes_lp::SimplexOptions {
-        let mut simplex = ovnes_lp::SimplexOptions::default();
-        if self.lp_fault.is_some() {
-            simplex.fault = self.lp_fault;
-        }
+        let mut simplex = ovnes_lp::SimplexOptions {
+            fault: self.lp_fault,
+            ..ovnes_lp::SimplexOptions::default()
+        };
         if self.refactor_interval > 0 {
             simplex.refactor_interval = self.refactor_interval;
         }
@@ -335,9 +334,7 @@ fn milp_options_for(controls: &SolveControls) -> ovnes_milp::MilpOptions {
         milp_options.round_width = Some(controls.round_width);
     }
     controls.budget.apply_milp(&mut milp_options);
-    if controls.lp_fault.is_some() {
-        milp_options.simplex.fault = controls.lp_fault;
-    }
+    milp_options.simplex.fault = controls.lp_fault;
     if controls.refactor_interval > 0 {
         milp_options.simplex.refactor_interval = controls.refactor_interval;
     }

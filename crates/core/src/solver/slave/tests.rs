@@ -249,13 +249,6 @@ fn all_admissions(inst: &AcrrInstance) -> Vec<Vec<Option<usize>>> {
     out
 }
 
-fn unfaulted() -> SimplexOptions {
-    SimplexOptions {
-        fault: None,
-        ..SimplexOptions::default()
-    }
-}
-
 /// The from-scratch form of the warm chain is the specification, the
 /// persistent context its refinement — checked exhaustively on a small
 /// instance rather than on seeded presets: **every** admission sequence
@@ -339,13 +332,12 @@ fn a_failed_solve_leaves_a_cold_context() {
     let (first, second) = (&admissions[admissions.len() - 1], &admissions[4]);
 
     let mut ctx = SlaveContext::new(&inst);
-    ctx.set_simplex_options(unfaulted());
     ctx.solve_for(first).expect("opening solve");
     let opening = ctx.stats;
     assert!(ctx.chain.is_warm());
     ctx.set_simplex_options(SimplexOptions {
         max_iterations: 1,
-        ..unfaulted()
+        ..SimplexOptions::default()
     });
     assert_eq!(
         ctx.solve_for(second).err(),
@@ -355,10 +347,9 @@ fn a_failed_solve_leaves_a_cold_context() {
     assert!(!ctx.chain.is_warm(), "the failed solve left a basis behind");
     assert_eq!(ctx.stats, opening, "a failed solve books nothing");
 
-    ctx.set_simplex_options(unfaulted());
+    ctx.set_simplex_options(SimplexOptions::default());
     let retried = ctx.solve_for(second).expect("retry");
     let mut fresh = SlaveContext::new(&inst);
-    fresh.set_simplex_options(unfaulted());
     let cold = fresh.solve_for(second).expect("cold solve");
     assert_eq!(format!("{retried:?}"), format!("{cold:?}"));
     let mut expected = opening;
@@ -371,7 +362,6 @@ fn a_failed_solve_leaves_a_cold_context() {
     );
 
     let mut never_warm = SlaveContext::new(&inst);
-    never_warm.set_simplex_options(unfaulted());
     never_warm.set_warm(false);
     for assigned in &admissions {
         never_warm.solve_for(assigned).expect("cold solve");
@@ -402,7 +392,6 @@ fn seed_from_carry_installs_only_a_chain_that_fits() {
     let last = &admissions[admissions.len() - 1];
     let carried = || {
         let mut ctx = SlaveContext::new(&inst);
-        ctx.set_simplex_options(unfaulted());
         ctx.solve_for(last).expect("carried solve");
         let mut carry = WarmChain::new();
         ctx.save_carry(&mut carry);
@@ -415,7 +404,6 @@ fn seed_from_carry_installs_only_a_chain_that_fits() {
 
     let mut carry = carried();
     let mut ctx = SlaveContext::new(&inst);
-    ctx.set_simplex_options(unfaulted());
     ctx.seed_from_carry(&mut carry);
     assert!(ctx.chain.is_warm() && !carry.is_warm(), "installed by swap");
     let seeded = ctx.solve_for(last).expect("seeded solve");
@@ -444,7 +432,6 @@ fn seed_from_carry_installs_only_a_chain_that_fits() {
     ] {
         let mut carry = carried();
         let mut ctx = SlaveContext::new(&other);
-        ctx.set_simplex_options(unfaulted());
         ctx.seed_from_carry(&mut carry);
         assert!(!ctx.chain.is_warm() && carry.is_warm(), "{tag}: installed");
         let none = vec![None; other.tenants.len()];
@@ -524,7 +511,6 @@ fn cuts_are_ordered_and_evaluate_in_order() {
     let everyone = &admissions[admissions.len() - 1];
     let ray_cut = || {
         let mut ctx = SlaveContext::new(&inst);
-        ctx.set_simplex_options(unfaulted());
         match ctx.solve_for(everyone).expect("solve") {
             SlaveResult::Infeasible { cut } => cut,
             SlaveResult::Feasible { .. } => panic!("admitting everyone must not fit"),

@@ -126,11 +126,12 @@
 //! stability test is *refused* and the caller refactorizes from the
 //! already-updated basis instead — refusal is a performance event, never a
 //! correctness event. Scheduled refactorization is governed by
-//! [`SimplexOptions::refactor_interval`] (default 128, overridable via
-//! `OVNES_LP_REFACTOR_INTERVAL`): with compressed updates the interval
-//! bounds numerical drift, not eta-file cost, so it can sit far past the
-//! old product-form sweet spot. Warm/cold answers are identical at any
-//! interval; CI runs a leg at interval 8 to hammer the refusal seam.
+//! [`SimplexOptions::refactor_interval`] (default 128): with compressed
+//! updates the interval bounds numerical drift, not eta-file cost, so it
+//! can sit far past the old product-form sweet spot. Warm/cold answers are
+//! identical at any interval; the warm-chain torture in
+//! `tests/solver_cross_check.rs` runs at interval 8 to hammer the refusal
+//! seam and asserts that it refactorizes more often than at the default.
 //!
 //! **Hyper-sparse FTRAN/BTRAN.** When the right-hand side has few nonzeros
 //! relative to `m` (branch-bound column updates, unit vectors for row
@@ -256,10 +257,7 @@ pub mod sparse;
 
 pub use model::{certify_unique, Cmp, ConsId, Problem, Uniqueness, VarId};
 pub use revised::{Basis, LpStats, WarmChain, WarmSolve, Workspace};
-pub use simplex::{
-    default_refactor_interval, fault_injection_active, Farkas, FaultConfig, Outcome,
-    SimplexOptions, Solution, SolveError,
-};
+pub use simplex::{Farkas, FaultConfig, Outcome, SimplexOptions, Solution, SolveError};
 pub use sparse::SparseMatrix;
 
 #[cfg(test)]

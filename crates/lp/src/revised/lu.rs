@@ -146,8 +146,10 @@ const HYPERSPARSE_RATIO: usize = 16;
 /// Minimum dimension for the hyper-sparse path (see [`HYPERSPARSE_RATIO`]).
 const HYPERSPARSE_DIM_MIN: usize = 64;
 
-/// Binary min-heap push on a raw `Vec<u32>` (bucket heaps).
-fn heap_push_u32(h: &mut Vec<u32>, v: u32) {
+/// Binary min-heap push on a raw `Vec` (the bucket heaps' column indices,
+/// and worklist keys, where descending passes push the bitwise complement
+/// of the key).
+fn heap_push<T: Ord + Copy>(h: &mut Vec<T>, v: T) {
     h.push(v);
     let mut i = h.len() - 1;
     while i > 0 {
@@ -160,51 +162,8 @@ fn heap_push_u32(h: &mut Vec<u32>, v: u32) {
     }
 }
 
-/// Binary min-heap pop on a raw `Vec<u32>`.
-fn heap_pop_u32(h: &mut Vec<u32>) -> Option<u32> {
-    let n = h.len();
-    if n == 0 {
-        return None;
-    }
-    h.swap(0, n - 1);
-    let top = h.pop();
-    let n = h.len();
-    let mut i = 0;
-    loop {
-        let (l, r) = (2 * i + 1, 2 * i + 2);
-        let mut s = i;
-        if l < n && h[l] < h[s] {
-            s = l;
-        }
-        if r < n && h[r] < h[s] {
-            s = r;
-        }
-        if s == i {
-            break;
-        }
-        h.swap(i, s);
-        i = s;
-    }
-    top
-}
-
-/// Binary min-heap push on a raw `Vec<u64>` (worklist keys; descending
-/// passes push the bitwise complement of the key).
-fn heap_push_u64(h: &mut Vec<u64>, v: u64) {
-    h.push(v);
-    let mut i = h.len() - 1;
-    while i > 0 {
-        let p = (i - 1) / 2;
-        if h[p] <= h[i] {
-            break;
-        }
-        h.swap(p, i);
-        i = p;
-    }
-}
-
-/// Binary min-heap pop on a raw `Vec<u64>`.
-fn heap_pop_u64(h: &mut Vec<u64>) -> Option<u64> {
+/// Binary min-heap pop on a raw `Vec`.
+fn heap_pop<T: Ord + Copy>(h: &mut Vec<T>) -> Option<T> {
     let n = h.len();
     if n == 0 {
         return None;
@@ -259,7 +218,7 @@ impl CountBuckets {
     }
 
     fn push(&mut self, count: usize, col: usize) {
-        heap_push_u32(&mut self.heaps[count], col as u32);
+        heap_push(&mut self.heaps[count], col as u32);
         if count < self.min {
             self.min = count;
         }
@@ -281,7 +240,7 @@ impl CountBuckets {
             if self.min >= self.n {
                 return None;
             }
-            let j = heap_pop_u32(&mut self.heaps[self.min])? as usize;
+            let j = heap_pop(&mut self.heaps[self.min])? as usize;
             *work += 1;
             if col_active[j] && col_count[j] == self.min {
                 return Some(j);
@@ -817,10 +776,10 @@ impl SparseLu {
             if row_mark[ru] != mark_gen {
                 row_mark[ru] = mark_gen;
                 nzrows.push(r);
-                heap_push_u64(heap, self.stage_of_row[ru] as u64);
+                heap_push(heap, self.stage_of_row[ru] as u64);
             }
         }
-        while let Some(k) = heap_pop_u64(heap) {
+        while let Some(k) = heap_pop(heap) {
             let k = k as usize;
             let vk = v[self.perm_row[k] as usize];
             if vk == 0.0 {
@@ -832,7 +791,7 @@ impl SparseLu {
                 if row_mark[iu] != mark_gen {
                     row_mark[iu] = mark_gen;
                     nzrows.push(i);
-                    heap_push_u64(heap, self.stage_of_row[iu] as u64);
+                    heap_push(heap, self.stage_of_row[iu] as u64);
                 }
             }
         }
@@ -874,9 +833,9 @@ impl SparseLu {
                 let ru = $row as usize;
                 if row_mark[ru] != mark_gen {
                     row_mark[ru] = mark_gen;
-                    heap_push_u64(heap, !(self.stage_of_row[ru] as u64));
+                    heap_push(heap, !(self.stage_of_row[ru] as u64));
                     for &k in csr(&self.lrow_ptr, &self.lrow_stage, ru) {
-                        heap_push_u64(heap, !(k as u64));
+                        heap_push(heap, !(k as u64));
                     }
                 }
             }};
@@ -887,7 +846,7 @@ impl SparseLu {
             }
         }
         let mut last = u64::MAX;
-        while let Some(key) = heap_pop_u64(heap) {
+        while let Some(key) = heap_pop(heap) {
             let k = (!key) as usize;
             if key == last {
                 continue; // duplicate stage (activated via several rows)
@@ -1349,13 +1308,13 @@ impl FtState {
             let slot = self.slot_of_row[r as usize];
             if scratch.slot_mark[slot as usize] != mark_gen {
                 scratch.slot_mark[slot as usize] = mark_gen;
-                heap_push_u64(
+                heap_push(
                     &mut scratch.heap,
                     !wl_key(self.slots[slot as usize].seq, slot),
                 );
             }
         }
-        while let Some(key) = heap_pop_u64(&mut scratch.heap) {
+        while let Some(key) = heap_pop(&mut scratch.heap) {
             let slot = ((!key) & WL_SLOT_MASK) as usize;
             let sl = &self.slots[slot];
             let mut s = v[sl.prow as usize];
@@ -1374,7 +1333,7 @@ impl FtState {
                     let s2u = s2 as usize;
                     if self.slots[s2u].alive && scratch.slot_mark[s2u] != mark_gen {
                         scratch.slot_mark[s2u] = mark_gen;
-                        heap_push_u64(&mut scratch.heap, !wl_key(self.slots[s2u].seq, s2));
+                        heap_push(&mut scratch.heap, !wl_key(self.slots[s2u].seq, s2));
                     }
                 }
             }
@@ -1426,13 +1385,13 @@ impl FtState {
             let slot = self.slot_of_pos[p];
             if scratch.slot_mark[slot as usize] != mark_gen {
                 scratch.slot_mark[slot as usize] = mark_gen;
-                heap_push_u64(
+                heap_push(
                     &mut scratch.heap,
                     wl_key(self.slots[slot as usize].seq, slot),
                 );
             }
         }
-        while let Some(key) = heap_pop_u64(&mut scratch.heap) {
+        while let Some(key) = heap_pop(&mut scratch.heap) {
             let slot = (key & WL_SLOT_MASK) as usize;
             let sl = &self.slots[slot];
             let wk = w[sl.pos as usize];
@@ -1452,7 +1411,7 @@ impl FtState {
                 let s2 = self.slot_of_pos[pu];
                 if scratch.slot_mark[s2 as usize] != mark_gen {
                     scratch.slot_mark[s2 as usize] = mark_gen;
-                    heap_push_u64(&mut scratch.heap, wl_key(self.slots[s2 as usize].seq, s2));
+                    heap_push(&mut scratch.heap, wl_key(self.slots[s2 as usize].seq, s2));
                 }
             }
         }
@@ -1660,11 +1619,11 @@ impl Factorization {
             debug_assert!(ft.slots[s].seq > t_seq);
             scratch.acc[s] = u;
             scratch.acc_mark[s] = acc_gen;
-            heap_push_u64(&mut scratch.heap, wl_key(ft.slots[s].seq, s as u32));
+            heap_push(&mut scratch.heap, wl_key(ft.slots[s].seq, s as u32));
         }
         let terms_beg = ft.eta_terms.len();
         let mut new_pivot = v_t;
-        while let Some(key) = heap_pop_u64(&mut scratch.heap) {
+        while let Some(key) = heap_pop(&mut scratch.heap) {
             let s = (key & WL_SLOT_MASK) as usize;
             let val = scratch.acc[s];
             if val == 0.0 || val.abs() <= drop_tol {
@@ -1681,7 +1640,7 @@ impl Factorization {
                 if scratch.acc_mark[s2] != acc_gen {
                     scratch.acc_mark[s2] = acc_gen;
                     scratch.acc[s2] = 0.0;
-                    heap_push_u64(&mut scratch.heap, wl_key(ft.slots[s2].seq, s2 as u32));
+                    heap_push(&mut scratch.heap, wl_key(ft.slots[s2].seq, s2 as u32));
                 }
                 scratch.acc[s2] -= mu * u2;
             }

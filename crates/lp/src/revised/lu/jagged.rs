@@ -7,7 +7,7 @@
 //! layout equals this one's bit for bit. Test builds only.
 
 use super::{
-    heap_pop_u64, heap_push_u64, use_hypersparse, wl_key, CountBuckets, SolveScratch, DROP_TOL,
+    heap_pop, heap_push, use_hypersparse, wl_key, CountBuckets, SolveScratch, DROP_TOL,
     FT_PIVOT_REL, MARKOWITZ_TAU, SINGULAR_TOL, WL_SLOT_MASK,
 };
 use std::sync::Arc;
@@ -366,10 +366,10 @@ impl JaggedLu {
             if row_mark[ru] != mark_gen {
                 row_mark[ru] = mark_gen;
                 nzrows.push(r);
-                heap_push_u64(heap, self.stage_of_row[ru] as u64);
+                heap_push(heap, self.stage_of_row[ru] as u64);
             }
         }
-        while let Some(k) = heap_pop_u64(heap) {
+        while let Some(k) = heap_pop(heap) {
             let k = k as usize;
             let vk = v[self.perm_row[k] as usize];
             if vk == 0.0 {
@@ -381,7 +381,7 @@ impl JaggedLu {
                 if row_mark[iu] != mark_gen {
                     row_mark[iu] = mark_gen;
                     nzrows.push(i);
-                    heap_push_u64(heap, self.stage_of_row[iu] as u64);
+                    heap_push(heap, self.stage_of_row[iu] as u64);
                 }
             }
         }
@@ -423,9 +423,9 @@ impl JaggedLu {
                 let ru = $row as usize;
                 if row_mark[ru] != mark_gen {
                     row_mark[ru] = mark_gen;
-                    heap_push_u64(heap, !(self.stage_of_row[ru] as u64));
+                    heap_push(heap, !(self.stage_of_row[ru] as u64));
                     for &k in &self.lrow_stages[ru] {
-                        heap_push_u64(heap, !(k as u64));
+                        heap_push(heap, !(k as u64));
                     }
                 }
             }};
@@ -436,7 +436,7 @@ impl JaggedLu {
             }
         }
         let mut last = u64::MAX;
-        while let Some(key) = heap_pop_u64(heap) {
+        while let Some(key) = heap_pop(heap) {
             let k = (!key) as usize;
             if key == last {
                 continue; // duplicate stage (activated via several rows)
@@ -632,10 +632,10 @@ impl JaggedFt {
             let slot = self.slot_of_row[r as usize];
             if scratch.slot_mark[slot as usize] != mark_gen {
                 scratch.slot_mark[slot as usize] = mark_gen;
-                heap_push_u64(&mut scratch.heap, !wl_key(self.seq[slot as usize], slot));
+                heap_push(&mut scratch.heap, !wl_key(self.seq[slot as usize], slot));
             }
         }
-        while let Some(key) = heap_pop_u64(&mut scratch.heap) {
+        while let Some(key) = heap_pop(&mut scratch.heap) {
             let slot = ((!key) & WL_SLOT_MASK) as usize;
             let mut s = v[self.prow[slot] as usize];
             for &(p, u) in &self.urow[slot] {
@@ -653,7 +653,7 @@ impl JaggedFt {
                     let s2u = s2 as usize;
                     if self.alive[s2u] && scratch.slot_mark[s2u] != mark_gen {
                         scratch.slot_mark[s2u] = mark_gen;
-                        heap_push_u64(&mut scratch.heap, !wl_key(self.seq[s2u], s2));
+                        heap_push(&mut scratch.heap, !wl_key(self.seq[s2u], s2));
                     }
                 }
             }
@@ -705,10 +705,10 @@ impl JaggedFt {
             let slot = self.slot_of_pos[p];
             if scratch.slot_mark[slot as usize] != mark_gen {
                 scratch.slot_mark[slot as usize] = mark_gen;
-                heap_push_u64(&mut scratch.heap, wl_key(self.seq[slot as usize], slot));
+                heap_push(&mut scratch.heap, wl_key(self.seq[slot as usize], slot));
             }
         }
-        while let Some(key) = heap_pop_u64(&mut scratch.heap) {
+        while let Some(key) = heap_pop(&mut scratch.heap) {
             let slot = (key & WL_SLOT_MASK) as usize;
             let wk = w[self.pos[slot] as usize];
             if wk == 0.0 {
@@ -727,7 +727,7 @@ impl JaggedFt {
                 let s2 = self.slot_of_pos[pu];
                 if scratch.slot_mark[s2 as usize] != mark_gen {
                     scratch.slot_mark[s2 as usize] = mark_gen;
-                    heap_push_u64(&mut scratch.heap, wl_key(self.seq[s2 as usize], s2));
+                    heap_push(&mut scratch.heap, wl_key(self.seq[s2 as usize], s2));
                 }
             }
         }
@@ -918,11 +918,11 @@ impl JaggedFactorization {
             debug_assert!(ft.seq[s] > t_seq);
             scratch.acc[s] = u;
             scratch.acc_mark[s] = acc_gen;
-            heap_push_u64(&mut scratch.heap, wl_key(ft.seq[s], s as u32));
+            heap_push(&mut scratch.heap, wl_key(ft.seq[s], s as u32));
         }
         let mut new_pivot = v_t;
         let mut terms: Vec<(u32, f64)> = Vec::new();
-        while let Some(key) = heap_pop_u64(&mut scratch.heap) {
+        while let Some(key) = heap_pop(&mut scratch.heap) {
             let s = (key & WL_SLOT_MASK) as usize;
             let val = scratch.acc[s];
             if val == 0.0 || val.abs() <= drop_tol {
@@ -938,7 +938,7 @@ impl JaggedFactorization {
                 if scratch.acc_mark[s2] != acc_gen {
                     scratch.acc_mark[s2] = acc_gen;
                     scratch.acc[s2] = 0.0;
-                    heap_push_u64(&mut scratch.heap, wl_key(ft.seq[s2], s2 as u32));
+                    heap_push(&mut scratch.heap, wl_key(ft.seq[s2], s2 as u32));
                 }
                 scratch.acc[s2] -= mu * u2;
             }

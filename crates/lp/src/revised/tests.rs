@@ -270,12 +270,8 @@ fn warm_start_after_rhs_change() {
     p.set_rhs(cap1, 8.0);
     p.set_rhs(cap2, 18.0);
     let warm = p.solve_warm(Some(&first.basis)).unwrap();
-    // Ambient fault injection may drop the warm basis; the objective must
-    // survive either path, the counters only the clean one.
-    if !crate::fault_injection_active() {
-        assert_eq!(warm.stats.warm_starts, 1);
-        assert_eq!(warm.stats.phase1_pivots, 0);
-    }
+    assert_eq!(warm.stats.warm_starts, 1);
+    assert_eq!(warm.stats.phase1_pivots, 0);
     let reference = solve_r(&p).unwrap_optimal().objective;
     assert_close(warm.outcome.unwrap_optimal().objective, reference, 1e-7);
 }
@@ -430,12 +426,8 @@ fn long_warm_chain_stays_exact() {
         assert_close(warm_obj, cold_obj, 1e-6);
         basis = Some(w.basis);
     }
-    // Under ambient fault injection warm bases are intentionally dropped;
-    // the exactness asserts above still hold, the path counters do not.
-    if !crate::fault_injection_active() {
-        assert_eq!(stats.warm_starts, 39);
-        assert_eq!(stats.cold_starts, 1);
-    }
+    assert_eq!(stats.warm_starts, 39);
+    assert_eq!(stats.cold_starts, 1);
 }
 
 // ---------------------------------------- dense-tableau cross-check (prop)
@@ -741,7 +733,7 @@ mod warm_chain_props {
                         "link {}: dense {:?} vs warm {:?}", link, kind(other.0), kind(other.1)
                     ),
                 }
-                if basis.is_some() && prev_optimal && !crate::fault_injection_active() {
+                if basis.is_some() && prev_optimal {
                     prop_assert_eq!(
                         warm.stats.phase1_pivots, 0,
                         "link {}: a bound edit must preserve dual feasibility", link
@@ -1010,12 +1002,8 @@ fn bound_change_resolve_skips_refactorization() {
 
     p.set_bounds(b, 0.0, 0.0); // branch down
     let warm = p.solve_warm(Some(&first.basis)).unwrap();
-    // Ambient fault injection may discard the stored factorization; the
-    // reuse counters are only meaningful on the clean path.
-    if !crate::fault_injection_active() {
-        assert_eq!(warm.stats.refactorizations, 0);
-        assert_eq!(warm.stats.factorization_reuses, 1);
-    }
+    assert_eq!(warm.stats.refactorizations, 0);
+    assert_eq!(warm.stats.factorization_reuses, 1);
     let reference = solve_r(&p).unwrap_optimal().objective;
     assert_close(warm.outcome.unwrap_optimal().objective, reference, 1e-7);
 }
@@ -1090,14 +1078,10 @@ fn warm_chain_reports_factorization_counters() {
         stats.absorb(&w.stats);
         basis = Some(w.basis);
     }
-    // Under ambient fault injection warm state is intentionally discarded,
-    // so the reuse counters below do not apply (results stay exact).
-    if !crate::fault_injection_active() {
-        assert_eq!(stats.cold_starts, 1);
-        assert_eq!(stats.warm_starts, 9);
-        assert_eq!(stats.factorization_reuses, 9);
-        assert_eq!(stats.refactorizations, 1, "only the cold solve factorizes");
-    }
+    assert_eq!(stats.cold_starts, 1);
+    assert_eq!(stats.warm_starts, 9);
+    assert_eq!(stats.factorization_reuses, 9);
+    assert_eq!(stats.refactorizations, 1, "only the cold solve factorizes");
 }
 
 // ------------------------------------ sparse kernel vs dense oracle (prop)
@@ -1265,10 +1249,7 @@ fn fits_fixture() -> Problem {
 
 #[test]
 fn a_chain_fits_its_problem_through_value_edits_only() {
-    let options = SimplexOptions {
-        fault: None,
-        ..SimplexOptions::default()
-    };
+    let options = SimplexOptions::default();
     let mut p = fits_fixture();
     let mut chain = WarmChain::new();
     assert!(!chain.fits(&p), "a fresh chain holds no basis");
@@ -2212,11 +2193,7 @@ mod chain_edges {
     /// re-solves warm, where there is nothing to pivot on.
     #[test]
     fn empty_and_all_fixed_problems_resolve() {
-        // The counters below are the unfaulted warm path's.
-        let options = SimplexOptions {
-            fault: None,
-            ..SimplexOptions::default()
-        };
+        let options = SimplexOptions::default();
 
         let mut rowless = Problem::new();
         let x = rowless.add_var(0.0, 5.0, 2.0);
@@ -2327,10 +2304,7 @@ mod dual_reuse {
     /// buffer, so phase 2 must price afresh.
     #[test]
     fn phase_one_by_a_flip_alone_leaves_no_stale_duals() {
-        let options = SimplexOptions {
-            fault: None,
-            ..SimplexOptions::default()
-        };
+        let options = SimplexOptions::default();
         let mut p = Problem::new();
         let x = p.add_var(0.0, 1.0, 0.0);
         let w = p.add_var(0.0, f64::INFINITY, -1.0);

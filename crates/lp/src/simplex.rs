@@ -1,7 +1,6 @@
-//! Types shared by every caller of the LP engine: the solver options
-//! (with their two ambient environment defaults), the seeded fault-injection
-//! plan, and the solve outcomes — optimal solution, Farkas certificate,
-//! unbounded — with the terminal error type.
+//! Types shared by every caller of the LP engine: the solver options, the
+//! seeded fault-injection plan, and the solve outcomes — optimal solution,
+//! Farkas certificate, unbounded — with the terminal error type.
 
 /// Tunable solver options.
 #[derive(Debug, Clone)]
@@ -14,16 +13,13 @@ pub struct SimplexOptions {
     /// `bland_after` budget of Dantzig pivots.
     pub bland_after: usize,
     /// Seeded warm-path fault injection (revised engine; chaos testing).
-    /// Defaults to [`FaultConfig::from_env`] — `None` unless the
-    /// `OVNES_LP_FAULT_SEED` environment variable is set.
+    /// Defaults to `None`.
     pub fault: Option<FaultConfig>,
     /// Refactorize after this many Forrest–Tomlin updates have been folded
     /// into the basis factorization (revised engine). Compressed updates
     /// keep FTRAN/BTRAN cost flat as the count grows, so the default sits
     /// well past the old product-form eta limit of 64; lower it to bound
-    /// numerical drift on ill-conditioned bases. Defaults to
-    /// [`default_refactor_interval`] — the `OVNES_LP_REFACTOR_INTERVAL`
-    /// environment variable, or 128 when unset.
+    /// numerical drift on ill-conditioned bases. Defaults to 128.
     pub refactor_interval: usize,
 }
 
@@ -32,25 +28,10 @@ impl Default for SimplexOptions {
         Self {
             max_iterations: 200_000,
             bland_after: 10_000,
-            fault: FaultConfig::from_env(),
-            refactor_interval: default_refactor_interval(),
+            fault: None,
+            refactor_interval: 128,
         }
     }
-}
-
-/// The ambient refactorization interval: the `OVNES_LP_REFACTOR_INTERVAL`
-/// environment variable (clamped to ≥ 1), or 128 when unset or unparsable.
-/// Read once per process.
-pub fn default_refactor_interval() -> usize {
-    use std::sync::OnceLock;
-    static ENV: OnceLock<usize> = OnceLock::new();
-    *ENV.get_or_init(|| {
-        std::env::var("OVNES_LP_REFACTOR_INTERVAL")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .map(|v| v.max(1))
-            .unwrap_or(128)
-    })
 }
 
 /// Seeded fault injection on the warm-start path of the revised engine.
@@ -76,20 +57,6 @@ impl FaultConfig {
         Self { seed }
     }
 
-    /// The ambient fault config: [`FaultConfig::chaos`] seeded from the
-    /// `OVNES_LP_FAULT_SEED` environment variable, or `None` when unset
-    /// (the production default). Read once per process.
-    pub fn from_env() -> Option<Self> {
-        use std::sync::OnceLock;
-        static ENV: OnceLock<Option<u64>> = OnceLock::new();
-        ENV.get_or_init(|| {
-            std::env::var("OVNES_LP_FAULT_SEED")
-                .ok()
-                .and_then(|v| v.parse().ok())
-        })
-        .map(FaultConfig::chaos)
-    }
-
     /// Deterministic roll in `[0, 1)` from the seed, a solve fingerprint,
     /// a basis summary, and a per-decision salt (splitmix64 finalizer).
     pub fn roll(&self, fingerprint: u64, summary: u64, salt: u64) -> f64 {
@@ -103,14 +70,6 @@ impl FaultConfig {
         z ^= z >> 31;
         (z >> 11) as f64 / (1u64 << 53) as f64
     }
-}
-
-/// Whether ambient (environment-driven) LP fault injection is armed for
-/// this process. Tests that assert exact pivot/refactorization counters
-/// gate on this: under injection the *results* still hold, but the warm
-/// path's statistics intentionally do not.
-pub fn fault_injection_active() -> bool {
-    FaultConfig::from_env().is_some()
 }
 
 /// Terminal failures (distinct from well-defined outcomes).

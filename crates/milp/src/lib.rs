@@ -128,26 +128,6 @@ pub fn adaptive_round_width(open: usize) -> usize {
     (open / 2).clamp(FALLBACK_ROUND_WIDTH, MAX_ADAPTIVE_ROUND_WIDTH)
 }
 
-/// Default branch-and-bound worker count: the `OVNES_MILP_THREADS`
-/// environment variable when set to a positive integer, otherwise 1. Read
-/// once per process.
-///
-/// This is how the CI matrix runs the *entire* test suite through the
-/// parallel path (`OVNES_MILP_THREADS=4 cargo test`) without every call
-/// site growing a knob — determinism guarantees the answers are identical,
-/// so any divergence is a real bug.
-pub fn default_threads() -> usize {
-    use std::sync::OnceLock;
-    static ENV: OnceLock<usize> = OnceLock::new();
-    *ENV.get_or_init(|| {
-        std::env::var("OVNES_MILP_THREADS")
-            .ok()
-            .and_then(|s| s.trim().parse::<usize>().ok())
-            .filter(|&t| t >= 1)
-            .unwrap_or(1)
-    })
-}
-
 /// Options controlling the branch-and-bound search.
 #[derive(Debug, Clone)]
 pub struct MilpOptions {
@@ -171,7 +151,7 @@ pub struct MilpOptions {
     pub warm_start: bool,
     /// Worker threads draining the node queue (clamped to ≥ 1). Results are
     /// deterministic in this knob; it is purely a wall-clock lever.
-    /// Defaults to [`default_threads`].
+    /// Defaults to 1.
     pub threads: usize,
     /// Nodes per deterministic round: the active window workers draw from.
     /// `Some(w)` pins a fixed width (clamped to ≥ 1); `None` (the default)
@@ -202,7 +182,7 @@ impl Default for MilpOptions {
             max_nodes: 200_000,
             simplex: SimplexOptions::default(),
             warm_start: true,
-            threads: default_threads(),
+            threads: 1,
             round_width: None,
             wall_limit: None,
         }

@@ -57,9 +57,9 @@ pub struct ScenarioSpec {
     /// Re-apply patience handed to the orchestrator (bounds the pending
     /// queue under churn; see `OrchestratorConfig::reapply_epochs`).
     pub reapply_epochs: u32,
-    /// Branch-and-bound worker threads per epoch solve; 0 ⇒ inherit the
-    /// orchestrator default (`OVNES_MILP_THREADS`, or 1). Safe to leave
-    /// ambient: epoch solves are bit-identical at any worker count.
+    /// Branch-and-bound worker threads per epoch solve; 0 ⇒ the
+    /// orchestrator default, 1. Epoch solves are bit-identical at any
+    /// worker count, so this moves wall-clock only.
     pub threads: usize,
     /// Branch-and-bound nodes per deterministic round for the epoch
     /// solves. Unlike `threads`, different widths walk different search

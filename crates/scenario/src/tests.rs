@@ -247,9 +247,8 @@ fn sweep_is_bit_identical_at_any_worker_count() {
 
 #[test]
 fn spec_pins_the_bnb_round_width() {
-    // `threads` may float with the environment (results are identical at
-    // any worker count), but the round width changes the search sequence
-    // — the builder must pin it so reports are pure functions of the spec.
+    // The round width changes the search sequence — the builder must pin
+    // it so reports are pure functions of the spec.
     let spec = tiny_spec("pin", 1);
     assert_eq!(spec.round_width, 8);
 }

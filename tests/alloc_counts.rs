@@ -114,19 +114,15 @@ const REFACTORIZATION_ALLOCATIONS: usize = 20;
 const MAX_NODE_ALLOCATIONS: usize = 15;
 
 fn warm_slave_resolves() {
-    let pinned = SimplexOptions {
-        fault: None,
-        refactor_interval: 128,
-        ..SimplexOptions::default()
-    };
     for (label, scale, tenants) in [("10x", 0.12, 20), ("100x", 0.4, 60)] {
         let inst = instance_at(scale, tenants);
-        let base = kac::solve(&inst, &pinned).expect("KAC").assigned_cu;
+        let base = kac::solve(&inst, &SimplexOptions::default())
+            .expect("KAC")
+            .assigned_cu;
         let admitted: Vec<usize> = (0..base.len()).filter(|&t| base[t].is_some()).collect();
         assert!(admitted.len() >= 2, "{label}: nothing to move");
 
         let mut ctx = SlaveContext::new(&inst);
-        ctx.set_simplex_options(pinned.clone());
         ctx.solve_for(&base).expect("opening solve");
         // Drop one admitted tenant, then take it back: two one-tenant moves.
         let mut moved = base.clone();
@@ -231,10 +227,7 @@ fn knapsack_relaxation() -> (Problem, Vec<VarId>) {
 }
 
 fn bb_node_solve() {
-    let opts = SimplexOptions {
-        fault: None,
-        ..SimplexOptions::default()
-    };
+    let opts = SimplexOptions::default();
     let (mut p, x) = knapsack_relaxation();
     let root = p.solve_warm(None).expect("root");
     let Outcome::Optimal(sol) = &root.outcome else {

@@ -13,12 +13,10 @@
 //! The constants are a refinement check for refactors of the solver
 //! internals: the same bits before and after. A change that only moves
 //! how much work a solver does (fewer vets, other pivots) re-records the
-//! count digest and leaves the decision digest alone. The simplex options are
-//! pinned like `tests/kernel_counts.rs` does, so the digests repeat on the
-//! fault-injection and refactorization-interval CI legs, and the
-//! branch-and-bound results are deterministic in the worker count. A
-//! constant moves only in a change that means to move a decision or a
-//! count.
+//! count digest and leaves the decision digest alone. Every solve runs at
+//! the default simplex options, and the branch-and-bound results are
+//! deterministic in the worker count. A constant moves only in a change
+//! that means to move a decision or a count.
 //!
 //! The same instances check the node budget's contract: a relaxed instance
 //! is always feasible, so a tree the budget stops before any incumbent is a
@@ -33,16 +31,6 @@ use ovnes::solver::{
 use ovnes_lp::{LpStats, SimplexOptions};
 use ovnes_milp::MilpOptions;
 use ovnes_topology::operators::{GeneratorConfig, NetworkModel, Operator};
-
-/// No ambient fault plan and the default refactorization interval spelled
-/// out (see the module docs).
-fn pinned() -> SimplexOptions {
-    SimplexOptions {
-        fault: None,
-        refactor_interval: 128,
-        ..SimplexOptions::default()
-    }
-}
 
 /// One instance: topology seed, tenants, capacity squeeze (radio and
 /// compute multiplied by it), overbooking, deficit relaxation, and how
@@ -169,7 +157,6 @@ fn solve_under(
     max_rounds: usize,
 ) -> Result<Allocation, AcrrError> {
     let milp = MilpOptions {
-        simplex: pinned(),
         max_nodes,
         ..MilpOptions::default()
     };
@@ -182,7 +169,7 @@ fn solve_under(
                 ..benders::BendersOptions::default()
             },
         ),
-        SolverKind::Kac => kac::solve(instance, &pinned()),
+        SolverKind::Kac => kac::solve(instance, &SimplexOptions::default()),
         SolverKind::OneShot => oneshot::solve(instance, &milp),
         SolverKind::NoOverbooking => baseline::solve(instance, &milp),
     }
@@ -364,9 +351,6 @@ fn a_node_budget_never_makes_a_relaxed_instance_infeasible() {
 /// loop's counters show as one round more than slave solves.
 #[test]
 fn a_master_stopped_without_incumbent_degrades_the_epoch() {
-    if ovnes_lp::fault_injection_active() {
-        return; // the ambient fault plan moves which masters stop
-    }
     let mut stopped = 0;
     for case in CASES.iter().filter(|case| case.deficit) {
         let inst = instance(case);
@@ -374,7 +358,6 @@ fn a_master_stopped_without_incumbent_degrades_the_epoch() {
             let controls = SolveControls {
                 kind: SolverKind::Benders,
                 threads: 1,
-                refactor_interval: 128,
                 budget: SolveBudget {
                     max_nodes: Some(max_nodes),
                     ..SolveBudget::default()

@@ -56,22 +56,9 @@ const INCREMENTAL_DEGENERATE: Scratch = Scratch {
     lp_refactorizations: 64,
 };
 
-/// Whether the recorded counts apply: they were recorded at the default
-/// refactorization interval and without ambient LP fault injection, and
-/// either one moves the solve path (fault injection also moves decisions
-/// built on degenerate optima, as in `tests/obs_guard.rs`).
-fn pins_apply() -> bool {
-    !ovnes_lp::fault_injection_active() && ovnes_lp::default_refactor_interval() == DEFAULT_INTERVAL
-}
-
-/// The engine's refactorization interval when `OVNES_LP_REFACTOR_INTERVAL`
-/// is unset.
-const DEFAULT_INTERVAL: usize = 128;
-
 /// Runs `spec` at 1, 2 and 4 branch-and-bound workers, asserts that the
 /// full fingerprints (decision trail *plus* carry telemetry) agree, and
-/// returns the serial report. Worker agreement is what stands in for the
-/// decision pin under ambient fault injection.
+/// returns the serial report.
 fn run_at_1_2_4(spec: &ScenarioSpec) -> ScenarioReport {
     let mut spec = spec.clone();
     spec.threads = 1;
@@ -92,14 +79,12 @@ fn run_at_1_2_4(spec: &ScenarioSpec) -> ScenarioReport {
 /// The decision pin: the carried horizon decides as the from-scratch run
 /// did, bit for bit.
 fn assert_scratch_decisions(report: &ScenarioReport, scratch: &Scratch) {
-    if !ovnes_lp::fault_injection_active() {
-        assert_eq!(
-            report.decision_fingerprint(),
-            scratch.decision_fingerprint,
-            "{}: carried decisions diverged from the from-scratch run",
-            report.name
-        );
-    }
+    assert_eq!(
+        report.decision_fingerprint(),
+        scratch.decision_fingerprint,
+        "{}: carried decisions diverged from the from-scratch run",
+        report.name
+    );
 }
 
 /// Clean-path identity: the incremental-n1 preset (slow-churn KAC) must
@@ -119,20 +104,18 @@ fn incremental_n1_decisions_match_scratch_twin() {
         warm.carry_certified > 0,
         "no epoch resumed the carried chain"
     );
-    if pins_apply() {
-        assert!(
-            warm.lp_pivots < INCREMENTAL_N1.lp_pivots,
-            "carried ({}) must pay fewer pivots than scratch ({})",
-            warm.lp_pivots,
-            INCREMENTAL_N1.lp_pivots
-        );
-        assert!(
-            warm.lp_refactorizations < INCREMENTAL_N1.lp_refactorizations,
-            "carried ({}) must refactorize less than scratch ({})",
-            warm.lp_refactorizations,
-            INCREMENTAL_N1.lp_refactorizations
-        );
-    }
+    assert!(
+        warm.lp_pivots < INCREMENTAL_N1.lp_pivots,
+        "carried ({}) must pay fewer pivots than scratch ({})",
+        warm.lp_pivots,
+        INCREMENTAL_N1.lp_pivots
+    );
+    assert!(
+        warm.lp_refactorizations < INCREMENTAL_N1.lp_refactorizations,
+        "carried ({}) must refactorize less than scratch ({})",
+        warm.lp_refactorizations,
+        INCREMENTAL_N1.lp_refactorizations
+    );
 }
 
 /// Chaos-path identity: background BS/link/CU faults plus seeded LP fault
@@ -145,14 +128,12 @@ fn chaos_incremental_decisions_match_scratch_twin() {
     assert_scratch_decisions(&warm, &CHAOS_INCREMENTAL);
     assert_eq!(warm.solver_errors, 0, "faults must degrade, not error");
     assert!(warm.infra_events > 0, "chaos preset applied no faults");
-    if pins_apply() {
-        assert!(
-            warm.lp_pivots < CHAOS_INCREMENTAL.lp_pivots,
-            "carried ({}) must pay fewer pivots than scratch ({})",
-            warm.lp_pivots,
-            CHAOS_INCREMENTAL.lp_pivots
-        );
-    }
+    assert!(
+        warm.lp_pivots < CHAOS_INCREMENTAL.lp_pivots,
+        "carried ({}) must pay fewer pivots than scratch ({})",
+        warm.lp_pivots,
+        CHAOS_INCREMENTAL.lp_pivots
+    );
 }
 
 /// Worker invariance of the carried path itself: the full fingerprint of
@@ -188,9 +169,8 @@ const SETTLE: usize = 16;
 /// carried basis must make those epochs nearly free — ≥3× fewer simplex
 /// pivots than the from-scratch run and, at the default refactorization
 /// interval, **zero** refactorizations over the whole steady window (the
-/// carried chain fits ⇒ its held factorization is reused). At a tighter
-/// interval the chain refactorizes on schedule, at most once per interval
-/// of window pivots. The steady window is isolated by running a
+/// carried chain fits ⇒ its held factorization is reused). The steady
+/// window is isolated by running a
 /// settle-length prefix and subtracting; prefix stability of the horizon
 /// is asserted first so the subtraction is sound.
 #[test]
@@ -219,38 +199,23 @@ fn incremental_steady_no_churn_epochs_are_nearly_free() {
         "steady epochs must certify unique optima, not restart cold"
     );
     let steady_warm = warm_full.lp_pivots - warm_settle.lp_pivots;
-    // Exact path counters: seeded LP fault injection deliberately drops
-    // factorizations mid-chain (changing the path, never the answer), so
-    // they are checked only on uninjected runs, and against the
-    // from-scratch counts only where those were recorded.
     let steady_refactorizations = warm_full.lp_refactorizations - warm_settle.lp_refactorizations;
-    if pins_apply() {
-        let steady_cold = INCREMENTAL_STEADY.lp_pivots - INCREMENTAL_STEADY_SETTLE.0;
-        assert!(
-            steady_cold as f64 >= 3.0 * steady_warm.max(1) as f64,
-            "steady-window pivot reduction below 3x: warm {steady_warm} vs cold {steady_cold}"
-        );
-        let steady_cold_refactorizations =
-            INCREMENTAL_STEADY.lp_refactorizations - INCREMENTAL_STEADY_SETTLE.1;
-        assert!(
-            steady_refactorizations < steady_cold_refactorizations,
-            "steady window refactorized {steady_refactorizations} times vs cold \
-             {steady_cold_refactorizations}"
-        );
-    }
-    if !ovnes_lp::fault_injection_active() {
-        let interval = ovnes_lp::default_refactor_interval();
-        let allowed = if interval == DEFAULT_INTERVAL {
-            0
-        } else {
-            steady_warm.div_ceil(interval)
-        };
-        assert!(
-            steady_refactorizations <= allowed,
-            "a no-churn steady epoch refactorized off schedule: {steady_refactorizations} \
-             refactorizations over {steady_warm} pivots at interval {interval}"
-        );
-    }
+    let steady_cold = INCREMENTAL_STEADY.lp_pivots - INCREMENTAL_STEADY_SETTLE.0;
+    assert!(
+        steady_cold as f64 >= 3.0 * steady_warm.max(1) as f64,
+        "steady-window pivot reduction below 3x: warm {steady_warm} vs cold {steady_cold}"
+    );
+    let steady_cold_refactorizations =
+        INCREMENTAL_STEADY.lp_refactorizations - INCREMENTAL_STEADY_SETTLE.1;
+    assert!(
+        steady_refactorizations < steady_cold_refactorizations,
+        "steady window refactorized {steady_refactorizations} times vs cold \
+         {steady_cold_refactorizations}"
+    );
+    assert_eq!(
+        steady_refactorizations, 0,
+        "a no-churn steady epoch refactorized over {steady_warm} window pivots"
+    );
 }
 
 /// The degenerate-optimum fix, observed end-to-end: on the homogeneous
@@ -286,17 +251,15 @@ fn incremental_degenerate_certifies_perturbed_and_matches_scratch() {
         warm.carry_cold_restarts,
         warm.carry_certified
     );
-    if pins_apply() {
-        assert!(
-            warm.lp_pivots < INCREMENTAL_DEGENERATE.lp_pivots
-                && warm.lp_refactorizations < INCREMENTAL_DEGENERATE.lp_refactorizations,
-            "carried ({} pivots, {} refactorizations) must pay less than scratch ({}, {})",
-            warm.lp_pivots,
-            warm.lp_refactorizations,
-            INCREMENTAL_DEGENERATE.lp_pivots,
-            INCREMENTAL_DEGENERATE.lp_refactorizations
-        );
-    }
+    assert!(
+        warm.lp_pivots < INCREMENTAL_DEGENERATE.lp_pivots
+            && warm.lp_refactorizations < INCREMENTAL_DEGENERATE.lp_refactorizations,
+        "carried ({} pivots, {} refactorizations) must pay less than scratch ({}, {})",
+        warm.lp_pivots,
+        warm.lp_refactorizations,
+        INCREMENTAL_DEGENERATE.lp_pivots,
+        INCREMENTAL_DEGENERATE.lp_refactorizations
+    );
 }
 
 fn tiny_model() -> NetworkModel {

@@ -3,7 +3,7 @@
 //! warm context, and Benders warm vs cold.
 //!
 //! Pivots, refactorizations, bound flips and scan work are pure functions
-//! of the instance and the pinned simplex options, identical in debug and
+//! of the instance and the default simplex options, identical in debug and
 //! release builds. A count that moves means the pivoting rules, the
 //! long-step ratio test, the Forrest–Tomlin update or the Markowitz search
 //! changed: update the constant in the PR that means to, never as a side
@@ -16,17 +16,6 @@ use ovnes::solver::{benders, kac};
 use ovnes_lp::{LpStats, SimplexOptions};
 use ovnes_milp::MilpOptions;
 use ovnes_topology::operators::{GeneratorConfig, NetworkModel, Operator};
-
-/// No ambient fault plan and the default refactorization interval spelled
-/// out, so the counts repeat on the `OVNES_LP_FAULT_SEED` and
-/// `OVNES_LP_REFACTOR_INTERVAL` CI legs.
-fn pinned() -> SimplexOptions {
-    SimplexOptions {
-        fault: None,
-        refactor_interval: 128,
-        ..SimplexOptions::default()
-    }
-}
 
 fn instance_at(scale: f64, n_tenants: usize) -> AcrrInstance {
     let generator = GeneratorConfig {
@@ -84,7 +73,9 @@ fn rotating_sequence(inst: &AcrrInstance, steps: usize) -> Vec<Vec<Option<usize>
 /// tenant dropped per step, so each step re-opens one tenant's reservation
 /// windows and closes another's — bound-heavy dual-simplex re-solves.
 fn feasible_sequence(inst: &AcrrInstance, steps: usize) -> Vec<Vec<Option<usize>>> {
-    let base = kac::solve(inst, &pinned()).expect("KAC").assigned_cu;
+    let base = kac::solve(inst, &SimplexOptions::default())
+        .expect("KAC")
+        .assigned_cu;
     let admitted: Vec<usize> = (0..base.len()).filter(|&t| base[t].is_some()).collect();
     assert!(!admitted.is_empty(), "KAC admitted nothing");
     (0..steps)
@@ -99,7 +90,6 @@ fn feasible_sequence(inst: &AcrrInstance, steps: usize) -> Vec<Vec<Option<usize>
 /// The stats of solving `seq` in order through one persistent context.
 fn warm_chain(inst: &AcrrInstance, seq: &[Vec<Option<usize>>]) -> LpStats {
     let mut ctx = SlaveContext::new(inst);
-    ctx.set_simplex_options(pinned());
     for assigned in seq {
         ctx.solve_for(assigned).expect("slave solve");
     }
@@ -192,10 +182,7 @@ fn benders_warm_start_pivots() {
         let run = |warm_start: bool| {
             let options = benders::BendersOptions {
                 warm_start,
-                milp: MilpOptions {
-                    simplex: pinned(),
-                    ..MilpOptions::default()
-                },
+                milp: MilpOptions::default(),
                 ..benders::BendersOptions::default()
             };
             benders::solve(&inst, &options).expect("benders")

@@ -8,7 +8,7 @@
 //! an observability change), update them in the PR that means to — never
 //! from inside an observability PR.
 
-use std::sync::{Mutex, MutexGuard, OnceLock};
+use std::sync::{Mutex, MutexGuard};
 
 use ovnes_scenario::driver::run_scenario;
 use ovnes_scenario::presets;
@@ -54,27 +54,15 @@ fn obs_lock() -> ObsLock {
     }
 }
 
-/// Under ambient LP fault injection the constants do not apply: a dropped
-/// basis lands a degenerate slave optimum on another vertex or Farkas ray,
-/// and decisions built from those move with it. What still holds is that
-/// every run agrees with every other — tracing off or on, any worker count
-/// — so the first faulted run of a preset stands in for its constants.
-static FAULTED: [OnceLock<(u64, u64)>; PINNED.len()] = [const { OnceLock::new() }; PINNED.len()];
-
 fn assert_pinned(context: &str) {
-    for (i, &(name, fingerprint, decision_fingerprint)) in PINNED.iter().enumerate() {
+    for &(name, fingerprint, decision_fingerprint) in PINNED {
         for threads in [1usize, 2, 4] {
             let mut spec = presets::preset(name).expect("pinned preset exists");
             spec.threads = threads;
             let report = run_scenario(&spec).expect("pinned preset runs");
-            let got = (report.fingerprint(), report.decision_fingerprint());
-            let pinned = if ovnes_lp::fault_injection_active() {
-                *FAULTED[i].get_or_init(|| got)
-            } else {
-                (fingerprint, decision_fingerprint)
-            };
             assert_eq!(
-                got, pinned,
+                (report.fingerprint(), report.decision_fingerprint()),
+                (fingerprint, decision_fingerprint),
                 "{name} (fingerprint, decision fingerprint) moved ({context}, threads={threads})"
             );
         }

@@ -206,8 +206,7 @@ fn table1_templates() {
 }
 
 /// Table 1's footer: the engine counters of Benders on one tenant per
-/// class. Seeded LP fault injection moves pivot counts, so under it only
-/// the iteration and solve counts are held.
+/// class.
 #[test]
 fn table1_engine_footer() {
     let alloc = engine_check().expect("engine check");
@@ -216,14 +215,12 @@ fn table1_engine_footer() {
         (3, 3),
         "iterations, lp solves"
     );
-    if !ovnes_lp::fault_injection_active() {
-        assert_eq!(
-            alloc.stats.lp_summary(),
-            "pivots=28 phase1=0 phase2=25 dual=3 flips=25 warm=4 cold=2 refactor=4 reused=2 \
-             fill=0 scan_work=79 compressions=10 etas_end=21 hs_ftran=0 hs_btran=0 scans=1347 \
-             refreshes=0"
-        );
-    }
+    assert_eq!(
+        alloc.stats.lp_summary(),
+        "pivots=28 phase1=0 phase2=25 dual=3 flips=25 warm=4 cold=2 refactor=4 reused=2 \
+         fill=0 scan_work=79 compressions=10 etas_end=21 hs_ftran=0 hs_btran=0 scans=1347 \
+         refreshes=0"
+    );
 }
 
 /// Fig. 4 as `fig4` prints it: per operator the BS, link and node counts,
@@ -709,17 +706,13 @@ fn solver_ablation() {
 }
 
 /// Ablation 4 as `ablation` prints it: warm and cold Benders reach the
-/// same objective; the counter table is held where pivots are pure
-/// functions of the instance (no seeded LP fault injection).
+/// same objective, with the counter table it prints.
 #[test]
 fn warm_start_ablation_counters() {
     let model = model(Romanian);
     let [warm, cold] = warm_start_ablation(&model).expect("benders");
     assert_within_one_percent("warm objective", warm.objective, -6.571428571428571);
     assert!((warm.objective - cold.objective).abs() < 1e-6);
-    if ovnes_lp::fault_injection_active() {
-        return;
-    }
     let counters = |alloc: &Allocation| -> Vec<u64> {
         let named = alloc.stats.lp.named_counters();
         named.into_iter().map(|(_, value)| value).collect()

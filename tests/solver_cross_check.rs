@@ -8,7 +8,7 @@ use ovnes::problem::{AcrrInstance, PathPolicy, TenantInput};
 use ovnes::slice::{SliceClass, SliceTemplate};
 use ovnes::solver::{baseline, benders, kac, oneshot, solve, SolveControls, SolverKind};
 use ovnes_lp::revised::gen::{random_bound_edit, random_lp, GenRng, LpGenConfig};
-use ovnes_lp::{Basis, LpStats, Outcome, SimplexOptions};
+use ovnes_lp::{Basis, FaultConfig, LpStats, Outcome, SimplexOptions, Workspace};
 use ovnes_milp::{Milp, MilpOptions, MilpOutcome};
 use ovnes_topology::operators::{GeneratorConfig, NetworkModel, Operator};
 
@@ -135,7 +135,6 @@ fn benders_slave_runs_at_the_requested_refactor_interval() {
     let at = |refactor_interval: usize| {
         let mut options = benders::BendersOptions::default();
         options.milp.simplex = SimplexOptions {
-            fault: None,
             refactor_interval,
             ..SimplexOptions::default()
         };
@@ -154,15 +153,19 @@ fn benders_slave_runs_at_the_requested_refactor_interval() {
     assert!((every.objective - rarely.objective).abs() < 1e-9);
 }
 
-#[test]
-fn randomized_lp_torture_warm_chains_match_dense_oracle() {
-    // Larger instances than the unit-level cross-checks (the generator is
-    // shared; only the knobs differ): tight boxes and heavy degeneracy, a
-    // chain of bound edits per instance, every link checked against the
-    // dense tableau oracle. Warm pivots must never exceed the cold solve of
-    // the same link, and warm bound-edit restarts must never need phase 1.
+/// One pass of the LP torture under `options`: larger instances than the
+/// unit-level cross-checks (the generator is shared; only the knobs
+/// differ), tight boxes and heavy degeneracy, a chain of five bound edits
+/// per instance solved warm through `solve_warm_in`, every link checked
+/// against the dense tableau oracle. Without fault injection, warm pivots
+/// must never exceed the cold solve of the same link, and warm bound-edit
+/// restarts must never need phase 1; injection drops warm bases on
+/// purpose, so a faulted pass checks the answers only. Returns the summed
+/// statistics of the warm solves.
+fn torture_warm_chains(options: &SimplexOptions) -> LpStats {
     let mut rng = GenRng::new(0x7012_7012_7012_7012);
     let cfg = LpGenConfig::torture();
+    let mut ws = Workspace::new();
     let mut stats = LpStats::default();
     for case in 0..60 {
         let mut p = random_lp(&mut rng, &cfg);
@@ -171,7 +174,7 @@ fn randomized_lp_torture_warm_chains_match_dense_oracle() {
         for link in 0..5 {
             let tag = format!("case {case} link {link}");
             let warm = p
-                .solve_warm(basis.as_ref())
+                .solve_warm_in(basis.as_ref(), options, &mut ws)
                 .unwrap_or_else(|e| panic!("{tag}: warm solve failed: {e}"));
             stats.absorb(&warm.stats);
             let dense = ovnes_lp::dense::solve(&p, &SimplexOptions::default())
@@ -187,10 +190,7 @@ fn randomized_lp_torture_warm_chains_match_dense_oracle() {
                 (Outcome::Unbounded, Outcome::Unbounded) => {}
                 _ => panic!("{tag}: engines disagree on classification"),
             }
-            // Under ambient fault injection the warm basis is intentionally
-            // dropped sometimes, so only the exactness checks above hold;
-            // the warm-path counters are meaningful on the clean path only.
-            if basis.is_some() && prev_optimal && !ovnes_lp::fault_injection_active() {
+            if options.fault.is_none() && basis.is_some() && prev_optimal {
                 assert_eq!(
                     warm.stats.phase1_pivots, 0,
                     "{tag}: bound edits must keep the warm basis dual feasible"
@@ -198,7 +198,7 @@ fn randomized_lp_torture_warm_chains_match_dense_oracle() {
                 // +1 slack: a degenerate-lucky cold start can prove its
                 // outcome with zero pivots where the warm re-solve pays a
                 // single closing pivot (same slack as `kernel_counts.rs`).
-                let cold = p.solve_warm(None).unwrap();
+                let cold = p.solve_warm_in(None, options, &mut ws).unwrap();
                 assert!(
                     warm.stats.total_pivots() <= cold.stats.total_pivots() + 1,
                     "{tag}: warm {} pivots vs cold {}",
@@ -211,16 +211,49 @@ fn randomized_lp_torture_warm_chains_match_dense_oracle() {
             random_bound_edit(&mut rng, &mut p);
         }
     }
+    stats
+}
+
+/// The torture chain under three option sets: the defaults, seeded warm-path
+/// fault injection, and a refactorization interval of 8. Each set must agree
+/// with the dense oracle on every link, and each must visibly take its own
+/// path: faults leave fewer warm starts than the defaults, the tight
+/// interval more refactorizations.
+#[test]
+fn randomized_lp_torture_warm_chains_match_dense_oracle() {
+    let clean = torture_warm_chains(&SimplexOptions::default());
     // The torture mix must actually exercise the long-step machinery.
     assert!(
-        stats.bound_flips > 0,
+        clean.bound_flips > 0,
         "no bound flips across the whole torture run"
     );
-    assert!(stats.total_pivots() > 0, "torture run performed no pivots");
-    if !ovnes_lp::fault_injection_active() {
-        assert!(stats.warm_starts > 100, "chains were not warm-started");
-        assert!(stats.warm_starts > stats.cold_starts);
-    }
+    assert!(clean.total_pivots() > 0, "torture run performed no pivots");
+    assert!(clean.warm_starts > 100, "chains were not warm-started");
+    assert!(clean.warm_starts > clean.cold_starts);
+
+    let faulted = SimplexOptions {
+        fault: Some(FaultConfig::chaos(1337)),
+        ..SimplexOptions::default()
+    };
+    let faulted = torture_warm_chains(&faulted);
+    assert!(
+        faulted.warm_starts < clean.warm_starts,
+        "no fault fired: {} warm starts under injection vs {} without",
+        faulted.warm_starts,
+        clean.warm_starts
+    );
+
+    let tight = SimplexOptions {
+        refactor_interval: 8,
+        ..SimplexOptions::default()
+    };
+    let tight = torture_warm_chains(&tight);
+    assert!(
+        tight.refactorizations > clean.refactorizations,
+        "interval 8 refactorized {} times vs {} at the default",
+        tight.refactorizations,
+        clean.refactorizations
+    );
 }
 
 /// The parallel branch-and-bound must be schedule-independent: seeded
