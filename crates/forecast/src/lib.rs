@@ -22,8 +22,10 @@
 //! `predict_next` is total: no series, season or `min_sigma` panics, `λ̂` is
 //! never negative or NaN, and σ̂ is always in `(0, 1]`. The grid's answer is
 //! bit for bit that of 125 independent Holt-Winters fits and a refit under
-//! the winner; it gets there with shared, pruned passes that smooth each
-//! (α, β) pair's five γ side by side, and keeps the winner's state.
+//! the winner; it gets there with shared, pruned passes compiled once per
+//! seasonality mode, which smooth an α's five β side by side through the
+//! first season and each (α, β) pair's five γ side by side after it, and
+//! keeps the winner's state.
 //!
 //! ## Example
 //!
@@ -43,6 +45,10 @@
 // a `pub` item elsewhere in the crate is unreachable and fails to compile, so
 // the grid, SES and σ̂ stay private (`tests/design_guards.rs` holds the rest).
 #![deny(unreachable_pub)]
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
 
 mod holt_winters;
 mod uncertainty;

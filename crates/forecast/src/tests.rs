@@ -748,10 +748,11 @@ fn pruning_skips_pinned_smoothing_work() {
     // A fixed seeded set: every family, both modes, three seasons. The
     // unpruned grid runs 125 candidates over the whole history (there is no
     // refit); the count of steps the pruned one executes is pinned, and
-    // moves only with a change that means to move it. A shared first
-    // season counts its steps once per (α, β) pair, the lockstep pass once
-    // per lane until its pair's last lane passes the cap, and a blend is
-    // not a step.
+    // moves only with a change that means to move it. Both passes count a
+    // step per lane and observation, dead lanes included: the first season
+    // (an α's five β) until the group's last lane passes the cap, the
+    // lockstep pass (a pair's five γ) until the pair's last lane does. A
+    // blend is not a step.
     let (mut unpruned, mut pruned) = (0u64, 0u64);
     for (k, season) in [2usize, 6, 24].into_iter().enumerate() {
         let raw = draws(0xC0FF_EE00 + k as u64, 8 * season);
@@ -766,7 +767,7 @@ fn pruning_skips_pinned_smoothing_work() {
         }
     }
     assert!(pruned < unpruned, "{pruned} of {unpruned}");
-    assert_eq!((pruned, unpruned), (327_127, 504_000));
+    assert_eq!((pruned, unpruned), (327_240, 504_000));
 }
 
 #[test]
@@ -789,7 +790,7 @@ fn shared_season_skips_pinned_work_on_short_histories() {
             }
         }
     }
-    assert_eq!((pruned, unpruned), (704_773, 2_187_000));
+    assert_eq!((pruned, unpruned), (716_295, 2_187_000));
 }
 
 /// Grid-fits `series` under both modes against the oracle, and
@@ -926,6 +927,19 @@ const GRID: [f64; 5] = [0.1, 0.3, 0.5, 0.7, 0.9];
 /// candidate run in sequence would pass a cap. The last sum reproduces the
 /// oracle's RMSE bit for bit (asserted).
 fn running_sums(series: &[f64], m: usize, mode: Seasonality, factors: (f64, f64, f64)) -> Vec<f64> {
+    running_states(series, m, mode, factors)
+        .into_iter()
+        .map(|(sq, _)| sq)
+        .collect()
+}
+
+/// [`running_sums`] with the level each step leaves beside its sum.
+fn running_states(
+    series: &[f64],
+    m: usize,
+    mode: Seasonality,
+    factors: (f64, f64, f64),
+) -> Vec<(f64, f64)> {
     let mean = |season: &[f64]| season.iter().sum::<f64>() / m as f64;
     let (mut level, s2) = (mean(&series[..m]), mean(&series[m..2 * m]));
     let mut trend = (s2 - level) / m as f64;
@@ -950,7 +964,7 @@ fn running_sums(series: &[f64], m: usize, mode: Seasonality, factors: (f64, f64,
         .collect();
     let (a, b, g) = factors;
     let mut sq = 0.0;
-    let sums: Vec<f64> = (m..series.len())
+    let states: Vec<(f64, f64)> = (m..series.len())
         .map(|t| {
             let (y, s) = (series[t], seasonal[t % m]);
             let (pred, new_level) = match mode {
@@ -974,17 +988,17 @@ fn running_sums(series: &[f64], m: usize, mode: Seasonality, factors: (f64, f64,
                 Seasonality::Multiplicative => g * (y / denom) + (1.0 - g) * s,
             };
             level = new_level;
-            sq
+            (sq, level)
         })
         .collect();
-    let rmse = (sums[sums.len() - 1] / sums.len() as f64).sqrt();
+    let rmse = (states[states.len() - 1].0 / states.len() as f64).sqrt();
     let oracle = OracleHw::rmse_under(series, m, mode, factors).expect("two seasons");
     assert_eq!(
         bits(&[rmse]),
         bits(&[oracle]),
         "running sums of {factors:?}"
     );
-    sums
+    states
 }
 
 /// One (α, β) pair of the grid run in sequence: the cap its first γ meets
@@ -1001,6 +1015,13 @@ impl Pair {
     /// The step index at which each γ's running sum first passes `cap0`.
     fn passes(&self) -> [Option<usize>; 5] {
         std::array::from_fn(|k| self.sums[k].iter().position(|&sq| sq > self.cap0))
+    }
+
+    /// Whether the running sum the five γ share passes `cap` inside the
+    /// first season (the first `m` steps): where the pair stops before its
+    /// γ lanes when it meets `cap`.
+    fn first_season_passes(&self, m: usize, cap: f64) -> bool {
+        self.sums[0][..m].iter().any(|&sq| sq > cap)
     }
 }
 
@@ -1118,6 +1139,150 @@ fn a_lane_turns_non_finite_beside_live_lanes() {
             });
             let (series, winner) = found.unwrap_or_else(|| panic!("no series for m={m} {mode:?}"));
             assert_lanes_refine(&series, m, mode, winner);
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Refinement: the five β lanes of an α group's first season against the grid
+// in sequence
+// ---------------------------------------------------------------------------
+
+/// The seasons the β-lane tests sweep, an odd one among them.
+const SEASONS: [usize; 4] = [2, 3, 6, 24];
+
+/// [`lane_candidates`] at every length from two to three seasons, where the
+/// first season is most of each sum and a cap can stop it.
+fn short_lane_candidates(m: usize) -> impl Iterator<Item = Vec<f64>> {
+    (2 * m + 1..=3 * m).flat_map(move |len| lane_candidates(m, len))
+}
+
+/// Searches `candidates` for a series on which `wanted` holds of the
+/// sequential grid's 25 pairs in grid order, and checks `fit_grid` on it.
+fn assert_lanes_refine_where(
+    m: usize,
+    mode: Seasonality,
+    candidates: impl Iterator<Item = Vec<f64>>,
+    wanted: impl Fn(&[Pair]) -> bool,
+) {
+    let mut candidates = candidates;
+    let found = candidates.find_map(|series| {
+        let (pairs, winner) = sequential_grid(&series, m, mode);
+        wanted(&pairs).then_some((series, winner))
+    });
+    let (series, winner) = found.unwrap_or_else(|| panic!("no series for m={m} {mode:?}"));
+    assert_lanes_refine(&series, m, mode, winner);
+}
+
+#[test]
+fn beta_lanes_die_under_the_alpha_cap_beside_live_ones() {
+    // In an α group, the cap in force when the group starts stops some of
+    // its five β inside the first season and not others, which run on to
+    // their γ lanes.
+    for m in SEASONS {
+        for mode in MODES {
+            assert_lanes_refine_where(m, mode, short_lane_candidates(m), |pairs| {
+                pairs.chunks(5).any(|group| {
+                    let cap = group[0].cap0;
+                    let dead = group.iter().filter(|p| p.first_season_passes(m, cap));
+                    (1..5).contains(&dead.count())
+                })
+            });
+        }
+    }
+}
+
+#[test]
+fn a_beta_lane_passes_its_pairs_cap_but_not_the_alpha_cap() {
+    // A β kept earlier in its α group tightens the cap, and a later β's
+    // first season stays under the group's opening cap but passes the
+    // tighter one: the check before its γ lanes must drop it.
+    for m in SEASONS {
+        for mode in MODES {
+            assert_lanes_refine_where(m, mode, short_lane_candidates(m), |pairs| {
+                pairs.chunks(5).any(|group| {
+                    group.iter().any(|p| {
+                        !p.first_season_passes(m, group[0].cap0) && p.first_season_passes(m, p.cap0)
+                    })
+                })
+            });
+        }
+    }
+}
+
+#[test]
+fn beta_lanes_refine_on_non_finite_first_season_sums() {
+    // +∞: a spike and its negative in the first season, of a size whose
+    // square sits just under `f64::MAX`. The second error grows with the
+    // trend the first spike leaves, so whether a lane's first-season sum
+    // overflows depends on β within one α group. NaN: a NaN sample in the
+    // first season turns every lane NaN; the first candidate is kept on a
+    // NaN sum, and the NaN cap stops nothing afterwards.
+    for m in SEASONS {
+        for mode in MODES {
+            let spiked = (0..m - 1).flat_map(|at| {
+                (30..=90).step_by(5).map(move |tenths| {
+                    let spike = tenths as f64 * 1e152;
+                    let mut series = diurnal(4 * m, m, 10.0, 3.0);
+                    (series[m + at], series[m + at + 1]) = (spike, -spike);
+                    series
+                })
+            });
+            assert_lanes_refine_where(m, mode, spiked, |pairs| {
+                pairs.chunks(5).any(|group| {
+                    let last = |p: &Pair| p.sums[0][m - 1];
+                    group.iter().any(|p| last(p) == f64::INFINITY)
+                        && group.iter().any(|p| last(p).is_finite())
+                })
+            });
+        }
+        for at in m..2 * m {
+            let mut series = diurnal(3 * m, m, 40.0, 15.0);
+            series[at] = f64::NAN;
+            assert_refines_and_predicts(&series, m);
+            for mode in MODES {
+                let fit = fit_grid(mode, m, &series);
+                assert!(fit.rmse.is_nan(), "m={m} {mode:?} at {at}");
+            }
+        }
+    }
+}
+
+#[test]
+fn beta_lanes_refine_through_the_level_clamp() {
+    // Multiplicative blend inputs divide by the new level, clamped to 1e-12
+    // when smaller. On a positive series of levels around 1e-12, the five
+    // β lanes of an α group hold different levels in the first season, and
+    // at some step some of them fall inside the clamp while others do not.
+    let mode = Seasonality::Multiplicative;
+    for m in SEASONS {
+        let found = (0..64u64).find_map(|seed| {
+            let raw = draws(0xC1A4_0000 + seed, 3 * m);
+            let series: Vec<f64> = raw.iter().map(|r| 1e-12 * (1.0 + 0.9 * r)).collect();
+            let split = GRID.iter().any(|&a| {
+                let levels = GRID.map(|b| running_states(&series, m, mode, (a, b, 0.1)));
+                (0..m).any(|t| {
+                    let clamped = levels.iter().filter(|l| l[t].1.abs() < 1e-12).count();
+                    (1..5).contains(&clamped)
+                })
+            });
+            split.then_some(series)
+        });
+        let series = found.unwrap_or_else(|| panic!("no series for m={m}"));
+        assert_refines_and_predicts(&series, m);
+    }
+}
+
+#[test]
+fn beta_lanes_refine_on_every_short_history() {
+    // Every length from two to three seasons, every family, both modes,
+    // against the oracle bit for bit.
+    for (k, m) in SEASONS.into_iter().enumerate() {
+        let raw = draws(0xBE7A_0000 + k as u64, 3 * m);
+        for len in 2 * m..=3 * m {
+            for shape in 0..SHAPES {
+                assert_refines_and_predicts(&shaped(&raw[..len], m, shape), m);
+            }
         }
     }
 }

@@ -10,8 +10,9 @@
 //! the arrays it returns and nothing else, the same number at every
 //! dimension; and a node that resumes from its parent's basis copies that
 //! factorization in a fixed handful of blocks. A forecast allocates its
-//! seasonal arrays once per call and one column per candidate it keeps,
-//! however long the history: the smoothing passes allocate nothing. A
+//! seasonal arrays and the kept candidate's column once per call, however
+//! long the history and however many candidates it keeps: the smoothing
+//! passes allocate nothing. A
 //! count is deterministic where a timing is not, so this is the form in
 //! which `cargo test` holds these properties; the timings are
 //! `benchmark/`'s.
@@ -284,14 +285,42 @@ fn seasonal_series(len: usize, level: f64, noise: f64) -> Vec<f64> {
         .collect()
 }
 
+/// A seeded peak series of `len` epochs as the orchestrator records one: each
+/// epoch's peak is the maximum of 12 Gaussian draws around a diurnal mean
+/// (`level` ± 40 % over 24 epochs, the scenario traffic's day against the
+/// forecaster's season of 6) with a standard deviation of 0.3 of the mean.
+fn peak_series(len: usize, level: f64) -> Vec<f64> {
+    let mut state = 0x9EA4_5E1E_u64;
+    let mut uniform = move || {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        ((state >> 11) as f64 + 0.5) / (1u64 << 53) as f64
+    };
+    (0..len)
+        .map(|t| {
+            let phase = 2.0 * std::f64::consts::PI * (t % 24) as f64 / 24.0;
+            let mean = level * (1.0 + 0.4 * phase.sin());
+            (0..12)
+                .map(|_| {
+                    // Box-Muller: one standard normal from two uniforms.
+                    let (u, v) = (uniform(), uniform());
+                    let z = (-2.0 * u.ln()).sqrt() * (2.0 * std::f64::consts::PI * v).cos();
+                    mean + 0.3 * mean * z
+                })
+                .fold(f64::NEG_INFINITY, f64::max)
+        })
+        .collect()
+}
+
 fn predict_next_calls() {
     // (multiplicative, additive) allocations of one call, by history length:
-    // the initial seasonal indices, the five lanes' seasonal rows and the
-    // first season's blend inputs, then one seasonal column per candidate
-    // the grid keeps on its way to the winner (one, or two for the additive
-    // series at 48 samples). Allocating per observation would add 36 at 48
-    // samples and 372 at 384, per (α, β) pair that runs its lanes.
-    let pinned: [(usize, (usize, usize)); 3] = [(12, (4, 4)), (48, (4, 5)), (384, (4, 4))];
+    // the initial seasonal indices, the five lanes' seasonal rows, the first
+    // season's blend inputs and the kept candidate's seasonal column, however
+    // many candidates the grid keeps on its way to the winner. Allocating per
+    // observation would add 36 at 48 samples and 372 at 384, per (α, β) pair
+    // that runs its lanes; a column per kept candidate would add one each.
+    let pinned: [(usize, (usize, usize)); 3] = [(12, (4, 4)), (48, (4, 4)), (384, (4, 4))];
     let multiplicative = seasonal_series(384, 50.0, 4.0);
     let additive = seasonal_series(384, 0.0, 4.0);
     assert!(multiplicative.iter().all(|&y| y > 0.0));
@@ -304,6 +333,28 @@ fn predict_next_calls() {
     assert_eq!(
         measured, pinned,
         "(multiplicative, additive) allocations of one forecast, by length"
+    );
+
+    // The series the orchestrator feeds: noisy peaks, and the same peaks
+    // shifted down by 1.5 times their level so that troughs fall below zero
+    // and the additive grid runs. The grid keeps up to 22 candidates on its
+    // way to the winner here; with a column per kept candidate a call made
+    // 10 / 25 / 25 / 16 (multiplicative) and 10 / 18 / 22 / 17 (additive)
+    // allocations.
+    let pinned: [(usize, (usize, usize)); 4] =
+        [(12, (4, 4)), (24, (4, 4)), (48, (4, 4)), (384, (4, 4))];
+    let peaks = peak_series(384, 20.0);
+    let shifted: Vec<f64> = peaks.iter().map(|y| y - 30.0).collect();
+    let measured = pinned.map(|(len, _)| {
+        assert!(peaks[..len].iter().all(|&y| y > 0.0));
+        assert!(shifted[..len].iter().any(|&y| y <= 0.0));
+        let (mul, _) = counted(|| predict_next(&peaks[..len], 6, 0.05));
+        let (add, _) = counted(|| predict_next(&shifted[..len], 6, 0.05));
+        (len, (mul, add))
+    });
+    assert_eq!(
+        measured, pinned,
+        "(multiplicative, additive) allocations of one forecast on noisy peaks, by length"
     );
 }
 
