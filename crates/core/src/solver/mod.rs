@@ -159,7 +159,7 @@ impl SolveBudget {
 pub struct SolveControls {
     /// Primary algorithm (the ladder may fall back to KAC below it).
     pub kind: SolverKind,
-    /// Branch-and-bound worker threads (0 ⇒ engine default).
+    /// Branch-and-bound worker threads (the engine reads 0 as 1).
     pub threads: usize,
     /// Nodes-per-deterministic-round window (0 ⇒ engine default: adaptive
     /// in the round-start queue depth). Results are bit-identical at any
@@ -326,10 +326,10 @@ fn dispatch(
 /// the engine defaults, the budget folded in, and the fault plan on the
 /// node-relaxation simplex.
 fn milp_options_for(controls: &SolveControls) -> ovnes_milp::MilpOptions {
-    let mut milp_options = ovnes_milp::MilpOptions::default();
-    if controls.threads > 0 {
-        milp_options.threads = controls.threads;
-    }
+    let mut milp_options = ovnes_milp::MilpOptions {
+        threads: controls.threads,
+        ..Default::default()
+    };
     if controls.round_width > 0 {
         milp_options.round_width = Some(controls.round_width);
     }

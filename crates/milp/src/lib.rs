@@ -1,69 +1,57 @@
-//! # ovnes-milp — parallel branch-and-bound mixed-integer linear programming
+//! # ovnes-milp — best-first branch-and-bound mixed-integer linear programming
 //!
-//! A work-sharing **parallel best-first branch-and-bound** MILP solver built
-//! on the [`ovnes_lp`] revised simplex. It substitutes for IBM CPLEX in the
-//! CoNEXT'18 slice-overbooking reproduction: the Benders **master problem**
-//! (binary slice-admission variables plus the continuous surrogate cost θ)
-//! and the one-shot AC-RR MILP are both solved through this crate.
+//! A **best-first branch-and-bound** MILP solver built on the [`ovnes_lp`]
+//! revised simplex. It substitutes for IBM CPLEX in the CoNEXT'18
+//! slice-overbooking reproduction: the Benders **master problem** (binary
+//! slice-admission variables plus the continuous surrogate cost θ) and the
+//! one-shot AC-RR MILP are both solved through this crate.
 //!
 //! Capabilities:
 //!
 //! * binary / general-integer variable marking on top of an `ovnes_lp`
 //!   [`Problem`],
-//! * best-first search over a global node queue, drained by
-//!   `std::thread::scope` workers ([`MilpOptions::threads`]) — node
-//!   relaxations are independent LP re-solves, which is exactly the unit of
-//!   parallelism the engine's `Send + Sync` split was built for,
+//! * best-first search over one node queue, in rounds whose relaxations
+//!   `std::thread::scope` workers may pre-solve ([`MilpOptions::threads`])
+//!   — node relaxations are independent LP re-solves, which is exactly the
+//!   unit of parallelism the engine's `Send + Sync` split was built for,
 //! * **deterministic results at every worker count** (see below),
 //! * most-fractional branching, exploring the nearer integer side first,
 //! * parent→child warm-start basis threading per node (each child resumes
 //!   its parent's basis *and* Arc-shared factorization, whichever worker
-//!   picks it up; the node's solve copies only the factorization's update
+//!   solves it; the node's solve copies only the factorization's update
 //!   state, a fixed set of flat arrays with room for the node's own
 //!   updates — see `ovnes_lp`'s *Copy-on-compress sharing*),
 //! * node limits with a best-effort solution flagged as truncated (an
 //!   error when the limit struck before any incumbent).
 //!
-//! ## Parallel architecture and determinism
+//! ## Search loop and determinism
 //!
-//! The search state splits along the `ovnes_lp` threading contract:
+//! [`Milp::solve`] is one sequential loop, and it makes every search
+//! decision. Each pass forms a **round**: the up-to-[`MilpOptions::round_width`]
+//! best open nodes (lower parent bound first, ties broken on node ids),
+//! discarding queue-front nodes an incumbent already prunes. It then walks
+//! the round in order: a node that an incumbent found earlier in the round
+//! now prunes is skipped, the node budget or the wall-clock deadline stops
+//! the search flagged truncated, and any other node has its relaxation
+//! applied — an incumbent update or a branching whose children enter a
+//! later round. The loop repeats until a formed round is empty. Round
+//! membership, the adaptive width included, is a function of the search
+//! state alone, never of the worker count.
 //!
-//! * **shared, immutable** — the wrapped [`Problem`] (each worker clones it
-//!   once and only ever toggles variable bounds), parent [`Basis`] values
-//!   with their Arc-shared factorizations (a node's solve copies the
-//!   update state it folds its pivots into, never the factors), and the
-//!   options;
-//! * **per worker** — one [`ovnes_lp::Workspace`] holding every scratch
-//!   buffer of the simplex (a refactorization's working set included),
-//!   plus the worker's problem clone. A worker holds
-//!   scratch only, never an [`ovnes_lp::WarmChain`]: a node resumes from its
-//!   *parent's* basis, whichever worker solved the parent, so restart state
-//!   has to travel as a [`Basis`] value — and a node's result stays a
-//!   function of (problem, parent basis, options) alone;
-//! * **shared, mutable** — a mutex-protected node queue / result cache, and
-//!   the incumbent objective mirrored as an **atomic `f64` bit pattern**
-//!   that workers re-check lock-free between claiming a node and starting
-//!   its (expensive) LP solve, dropping work a freshly applied incumbent
-//!   has already pruned. The cutoff only ever decreases, so a skipped node
-//!   is guaranteed to be discarded at application — the shortcut saves
-//!   wall-clock, never changes a result.
-//!
-//! The search advances in **deterministic rounds**: each round moves the
-//! up-to-[`MilpOptions::round_width`] best open nodes (lower parent bound first, ties
-//! broken on node ids) from the queue into an active window whose
-//! membership is a pure function of the search state — never of the worker
-//! count or OS scheduling. Workers solve the window's relaxations in any
-//! order and in parallel, but results are **applied strictly in window
-//! order**, so incumbent updates, pruning decisions, branching, and node
-//! ids unfold in one canonical sequence; children always enter a later
-//! round. A result whose node gets pruned before application is discarded
-//! (wasted wall-clock, never a changed answer). Consequently the
-//! objective, the solution vector, the node count, and even the pivot
-//! statistics are identical at 1, 2, or N workers — a single worker walks
-//! the very same rounds alone; `tests/solver_cross_check.rs` asserts this
-//! on seeded torture MILPs. (The window is what buys wall-clock: applying
-//! in *global* best-first order instead would chase each freshly branched
-//! child, a parent→child chain of LP solves no speculation can overlap.)
+//! Workers only solve relaxations. At one worker the loop solves each node
+//! when it reaches it. At more, scoped workers first solve the whole round's
+//! relaxations into slots (node `i` on worker `i % n`), and the loop then
+//! applies them in the same order, discarding the results of nodes it skips.
+//! Each worker keeps, for the whole solve, its own clone of the [`Problem`]
+//! (it only toggles integer bounds) and its own [`ovnes_lp::Workspace`]; a
+//! node restarts from its *parent's* [`Basis`] value, never from a worker's
+//! state. A node's result is therefore a function of (problem, path, parent
+//! basis, options) alone, so the objective, the solution vector, the node
+//! count and even the pivot statistics are identical at 1, 2 or N workers;
+//! `tests/solver_cross_check.rs` asserts this on seeded torture MILPs.
+//! (Rounds are what buy wall-clock at several workers: applying in *global*
+//! best-first order instead would chase each freshly branched child, a
+//! parent→child chain of LP solves no pre-solve can overlap.)
 //!
 //! ## Example
 //!
@@ -87,13 +75,17 @@
 //! }
 //! ```
 
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
+
 use ovnes_lp::{
     Basis, LpStats, Outcome as LpOutcome, Problem, SimplexOptions, SolveError, VarId, WarmSolve,
     Workspace,
 };
-use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Condvar, Mutex};
+use std::collections::BTreeMap;
+use std::time::Instant;
 
 /// Tolerance for considering an LP value integral.
 const INT_EPS: f64 = 1e-6;
@@ -103,14 +95,14 @@ const INT_EPS: f64 = 1e-6;
 const ROOT_ID: u64 = 0;
 
 /// Floor of the adaptive nodes-per-round window. Sized a little above the
-/// worker counts we historically deploy (2–8) so the window keeps every
-/// core fed even when the open queue is shallow; oversizing only risks
-/// solving a few end-of-search nodes an incumbent discovered mid-round
-/// would have pruned.
+/// worker counts we historically deploy (2–8) so a round keeps every core
+/// fed even when the open queue is shallow; oversizing only risks
+/// pre-solving a few end-of-search nodes an incumbent discovered mid-round
+/// then prunes.
 const FALLBACK_ROUND_WIDTH: usize = 8;
 
 /// Ceiling of the adaptive nodes-per-round window: past this, wider rounds
-/// mostly solve nodes a mid-round incumbent would have pruned.
+/// mostly pre-solve nodes a mid-round incumbent then prunes.
 const MAX_ADAPTIVE_ROUND_WIDTH: usize = 64;
 
 /// Absolute optimality gap at which a node is pruned against the incumbent.
@@ -119,11 +111,11 @@ const ABS_GAP: f64 = 1e-7;
 
 /// The adaptive nodes-per-round window for an open queue of `open` nodes:
 /// half the queue, clamped to `[8, 64]`. A **pure function of the
-/// round-start queue length** — never of worker count, thread timing, or
-/// in-flight results — so round membership (and therefore every search
-/// decision) stays bit-identical at any parallelism. Deep queues get wide
-/// rounds (more parallel work, fewer round barriers); shallow end-of-search
-/// queues shrink back so incumbent pruning reacts quickly.
+/// round-start queue length** — never of worker count or thread timing —
+/// so round membership (and therefore every search decision) stays
+/// bit-identical at any parallelism. Deep queues get wide rounds (more
+/// work to pre-solve in parallel); shallow end-of-search queues shrink
+/// back so incumbent pruning reacts quickly.
 pub fn adaptive_round_width(open: usize) -> usize {
     (open / 2).clamp(FALLBACK_ROUND_WIDTH, MAX_ADAPTIVE_ROUND_WIDTH)
 }
@@ -149,26 +141,27 @@ pub struct MilpOptions {
     /// Disable only for debugging / regression comparison — results are
     /// identical either way, warm starts are purely a speed lever.
     pub warm_start: bool,
-    /// Worker threads draining the node queue (clamped to ≥ 1). Results are
-    /// deterministic in this knob; it is purely a wall-clock lever.
+    /// Workers that solve node relaxations (0 reads as 1). At more than
+    /// one, each round's relaxations are pre-solved in parallel. Results
+    /// are deterministic in this knob; it is purely a wall-clock lever.
     /// Defaults to 1.
     pub threads: usize,
-    /// Nodes per deterministic round: the active window workers draw from.
-    /// `Some(w)` pins a fixed width (clamped to ≥ 1); `None` (the default)
-    /// sizes each round by [`adaptive_round_width`] of the round-start
-    /// queue depth. Either way the width is never derived from the worker
-    /// count, so the round decomposition — and therefore every result — is
-    /// identical at any parallelism. Pin it on many-core hardware to tune
-    /// feeding (wider rounds keep more cores fed at the cost of
-    /// occasionally solving end-of-search nodes a mid-round incumbent would
-    /// have pruned), or when fingerprinting telemetry: different width
-    /// policies walk different, each internally deterministic, search
-    /// sequences.
+    /// Nodes per deterministic round. `Some(w)` pins a fixed width (clamped
+    /// to ≥ 1); `None` (the default) sizes each round by
+    /// [`adaptive_round_width`] of the round-start queue depth. Either way
+    /// the width is never derived from the worker count, so the round
+    /// decomposition — and therefore every result — is identical at any
+    /// parallelism. Pin it on many-core hardware to tune feeding (wider
+    /// rounds keep more cores fed at the cost of pre-solving end-of-search
+    /// nodes a mid-round incumbent then prunes), or when fingerprinting
+    /// telemetry: different width policies walk different, each internally
+    /// deterministic, search sequences.
     pub round_width: Option<usize>,
     /// Optional wall-clock budget per `solve` call. When it expires the
-    /// search stops at the next canonical application point and returns the
-    /// best incumbent flagged `truncated` (or, when none was found yet,
-    /// `Err(SolveError::IterationLimit)`, as for `max_nodes`).
+    /// search stops at the next node it would apply and returns the best
+    /// incumbent flagged `truncated` (or, when none was found yet,
+    /// `Err(SolveError::IterationLimit)`, as for `max_nodes`). At more than
+    /// one worker the round under way is pre-solved before the check.
     /// **Non-deterministic by construction** — where the clock
     /// lands depends on the machine — so callers that fingerprint results
     /// must leave this `None` and rely on the deterministic `max_nodes`
@@ -196,8 +189,8 @@ pub struct MilpSolution {
     pub objective: f64,
     /// Variable values; integer-marked entries are exactly rounded.
     pub x: Vec<f64>,
-    /// Number of nodes applied by the search (deterministic; speculative
-    /// solves discarded by pruning are not counted).
+    /// Number of nodes applied by the search (deterministic; relaxations
+    /// pre-solved for nodes the loop then skipped are not counted).
     pub nodes: usize,
     /// True when the node limit stopped the search before the tree was
     /// exhausted; the solution is then best-effort rather than proven optimal.
@@ -226,9 +219,10 @@ pub enum MilpOutcome {
     Unbounded,
 }
 
+#[cfg(test)]
 impl MilpOutcome {
-    /// Convenience accessor; panics unless the outcome carries a solution.
-    pub fn unwrap_optimal(self) -> MilpSolution {
+    /// Test accessor; panics unless the outcome carries a solution.
+    fn unwrap_optimal(self) -> MilpSolution {
         match self {
             MilpOutcome::Optimal(s) => s,
             MilpOutcome::Infeasible => panic!("MILP infeasible, expected optimal"),
@@ -252,13 +246,16 @@ fn ord_bits(x: f64) -> u64 {
 /// node ids are the deterministic tie-breaker of the whole search order.
 /// Oldest-first ties keep the open frontier *wide*: the next nodes to apply
 /// are usually siblings/cousins whose parents were applied long ago, so
-/// their relaxations can be (and usually already have been) solved in
-/// parallel. A newest-first (plunging) rule would chase each freshly
-/// created child, turning the application sequence into a parent→child
-/// chain whose every link waits on an LP solve — no parallel speedup.
+/// their relaxations can be pre-solved side by side in one round. A
+/// newest-first (plunging) rule would chase each freshly created child,
+/// turning the application sequence into a parent→child chain whose every
+/// link waits on an LP solve — no parallel speedup.
 fn queue_key(bound: f64, id: u64) -> (u64, u64) {
     (ord_bits(bound), id)
 }
+
+/// A node relaxation's result, as [`Worker::solve`] returns it.
+type NodeResult = Result<WarmSolve, SolveError>;
 
 /// A queued subproblem: the root problem narrowed by the bound overrides
 /// along its tree path, to be re-solved from its parent's basis.
@@ -275,75 +272,223 @@ struct Node {
     basis: Option<Basis>,
 }
 
-/// What a worker takes off the queue to solve (the node itself stays queued
-/// until its result is applied in canonical order).
-struct WorkItem {
-    id: u64,
-    /// Parent bound, for the lock-free prunability re-check right before
-    /// the (expensive) LP solve.
-    bound: f64,
-    path: Vec<(VarId, f64, f64)>,
-    basis: Option<Basis>,
+/// One worker's private state, kept for the whole solve: a clone of the
+/// problem whose integer bounds it narrows node by node, and the simplex
+/// scratch. It holds no restart state: a node resumes from its parent's
+/// basis, so its result does not depend on which worker solves it.
+struct Worker {
+    problem: Problem,
+    ws: Workspace,
 }
 
-/// Mutex-protected search state.
-struct SearchState {
+impl Worker {
+    /// Solves one node's relaxation: apply the path's bound overrides,
+    /// solve warm from the parent basis, restore the bounds of `root`.
+    fn solve(&mut self, root: &Problem, simplex: &SimplexOptions, node: &Node) -> NodeResult {
+        let _span = ovnes_obs::span!("milp_node", depth = node.path.len() as i64);
+        for &(v, lb, ub) in &node.path {
+            self.problem.set_bounds(v, lb, ub);
+        }
+        let result = self
+            .problem
+            .solve_warm_in(node.basis.as_ref(), simplex, &mut self.ws);
+        for &(v, _, _) in &node.path {
+            let (lb, ub) = root.bounds(v);
+            self.problem.set_bounds(v, lb, ub);
+        }
+        result
+    }
+}
+
+/// Solves every relaxation of `round` in parallel, node `i` on worker
+/// `i % workers.len()`, into slot `i`.
+fn presolve(
+    root: &Problem,
+    simplex: &SimplexOptions,
+    workers: &mut [Worker],
+    round: &[Node],
+) -> Vec<Option<NodeResult>> {
+    let n = workers.len();
+    let mut slots: Vec<Option<NodeResult>> = round.iter().map(|_| None).collect();
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = workers
+            .iter_mut()
+            .take(round.len())
+            .enumerate()
+            .map(|(k, worker)| {
+                scope.spawn(move || {
+                    let solved: Vec<NodeResult> = round
+                        .iter()
+                        .skip(k)
+                        .step_by(n)
+                        .map(|node| worker.solve(root, simplex, node))
+                        .collect();
+                    // Scoped joins can outrun TLS destructors; flush span
+                    // buffers so a drain right after the solve sees every
+                    // worker's nodes.
+                    if ovnes_obs::enabled() {
+                        ovnes_obs::trace::flush_thread();
+                    }
+                    solved
+                })
+            })
+            .collect();
+        for (k, handle) in handles.into_iter().enumerate() {
+            let solved = handle
+                .join()
+                .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+            for (slot, result) in slots.iter_mut().skip(k).step_by(n).zip(solved) {
+                *slot = Some(result);
+            }
+        }
+    });
+    slots
+}
+
+/// The search state of one [`Milp::solve`] call: the open nodes and
+/// everything the loop has decided so far.
+struct Search<'a> {
+    problem: &'a Problem,
+    integers: &'a [VarId],
+    options: &'a MilpOptions,
     /// Open nodes awaiting a future round, in canonical order (see
     /// [`queue_key`]).
     queue: BTreeMap<(u64, u64), Node>,
-    /// The active round: node ids in application order. Formed
-    /// deterministically from the queue front whenever the previous round
-    /// has fully drained.
-    round: VecDeque<u64>,
-    /// The active round's nodes (moved out of the queue).
-    round_nodes: HashMap<u64, Node>,
-    /// Node ids currently being solved by some worker.
-    claimed: HashSet<u64>,
-    /// Round LP results awaiting application.
-    results: HashMap<u64, Result<WarmSolve, SolveError>>,
-    /// Solves in flight (claimed, lock released).
-    inflight: usize,
     next_id: u64,
     /// Nodes applied so far, in canonical order.
     applied: usize,
     truncated: bool,
     /// Objective value new solutions must beat by `ABS_GAP` (incumbent
-    /// objective, `+∞` until one is found). Mirrored into
-    /// [`Shared::incumbent_bits`] on every change.
+    /// objective, `+∞` until one is found).
     cutoff: f64,
-    /// Best integral solution: (objective, rounded x, node id).
-    best: Option<(f64, Vec<f64>, u64)>,
+    /// Best integral solution: (objective, rounded x).
+    best: Option<(f64, Vec<f64>)>,
     root_basis: Option<Basis>,
     unbounded: bool,
     error: Option<SolveError>,
     lp_stats: LpStats,
-    done: bool,
 }
 
-/// State shared across workers.
-struct Shared {
-    state: Mutex<SearchState>,
-    cv: Condvar,
-    /// Bit pattern of [`SearchState::cutoff`]: the shared incumbent bound,
-    /// readable without the lock so workers can decline speculative solves
-    /// that can no longer affect the result. Advisory only — the
-    /// authoritative pruning happens under the lock in application order,
-    /// which is what keeps the search deterministic.
-    incumbent_bits: AtomicU64,
-}
+impl Search<'_> {
+    /// Whether the incumbent already dominates a subtree bounded by `bound`.
+    fn prunes(&self, bound: f64) -> bool {
+        bound >= self.cutoff - ABS_GAP
+    }
 
-/// Immutable per-solve context handed to every worker.
-struct Ctx<'a> {
-    shared: &'a Shared,
-    problem: &'a Problem,
-    integers: &'a [VarId],
-    options: &'a MilpOptions,
-    /// Root bounds of every integer variable (`v.index()` keyed): what a
-    /// worker restores after un-applying a node path.
-    base_bounds: HashMap<usize, (f64, f64)>,
-    /// Wall-clock cutoff of this solve ([`MilpOptions::wall_limit`] past
-    /// the solve start), `None` for unbudgeted (deterministic) searches.
-    deadline: Option<std::time::Instant>,
+    /// Moves the next round out of the queue: the up-to-width best open
+    /// nodes, discarding front nodes already prunable. Membership (the
+    /// adaptive width included, a function of the round-start queue depth
+    /// alone) depends only on the search state.
+    fn next_round(&mut self) -> Vec<Node> {
+        let width = match self.options.round_width {
+            Some(w) => w.max(1),
+            None => adaptive_round_width(self.queue.len()),
+        };
+        // Round barrier: telemetry only (counters and a high-water gauge —
+        // no wall clock, no search effect).
+        if ovnes_obs::enabled() && !self.queue.is_empty() {
+            ovnes_obs::metrics::global_counter_add("milp.rounds", 1);
+            ovnes_obs::metrics::global_gauge_max("milp.queue_depth", self.queue.len() as f64);
+        }
+        let mut round = Vec::new();
+        while round.len() < width {
+            let Some((_, node)) = self.queue.pop_first() else {
+                break;
+            };
+            if !self.prunes(node.bound) {
+                round.push(node);
+            }
+        }
+        round
+    }
+
+    /// Applies one node's LP result: incumbent update or branching.
+    fn apply(&mut self, node: Node, solved: WarmSolve) {
+        self.lp_stats.absorb(&solved.stats);
+        let warm = self.options.warm_start;
+        if node.id == ROOT_ID && warm {
+            // Keep the root basis for the next solve() of this Milp (valid
+            // as long as only rows are appended in between).
+            self.root_basis = Some(solved.basis.clone());
+        }
+        let sol = match solved.outcome {
+            LpOutcome::Optimal(s) => s,
+            LpOutcome::Infeasible(_) => return,
+            LpOutcome::Unbounded => {
+                if node.id == ROOT_ID {
+                    self.unbounded = true;
+                }
+                // A node of a bounded root cannot be unbounded; prune
+                // defensively.
+                return;
+            }
+        };
+        if self.prunes(sol.objective) {
+            return; // bound: cannot beat the incumbent
+        }
+
+        // Find the most fractional integer variable.
+        let mut branch: Option<(VarId, f64)> = None;
+        let mut best_frac_dist = INT_EPS;
+        for &v in self.integers {
+            let val = sol.x[v.index()];
+            let frac = (val - val.round()).abs();
+            if frac > best_frac_dist {
+                best_frac_dist = frac;
+                branch = Some((v, val));
+            }
+        }
+
+        match branch {
+            None => {
+                // Integral: new incumbent. Application order is canonical,
+                // so which of two near-tied solutions wins is a function of
+                // the tree alone, never of the worker count.
+                let mut x = sol.x;
+                for &v in self.integers {
+                    x[v.index()] = x[v.index()].round();
+                }
+                self.cutoff = sol.objective;
+                self.best = Some((sol.objective, x));
+            }
+            Some((v, val)) => {
+                // Effective bounds of the branch variable at this node.
+                let (lb, ub) = node
+                    .path
+                    .iter()
+                    .rev()
+                    .find(|&&(pv, _, _)| pv == v)
+                    .map(|&(_, l, u)| (l, u))
+                    .unwrap_or_else(|| self.problem.bounds(v));
+                let down = (lb, val.floor().min(ub));
+                let up = (val.ceil().max(lb), ub);
+                // Push the nearer side first: it gets the smaller id, and
+                // the queue breaks bound ties toward smaller ids, so the
+                // nearer integer side is explored first.
+                let near_down = val - val.floor() <= 0.5;
+                let ordered = if near_down { [down, up] } else { [up, down] };
+                let parent = warm.then_some(solved.basis);
+                for (clb, cub) in ordered {
+                    if clb > cub {
+                        continue; // empty domain: prune without an LP solve
+                    }
+                    let id = self.next_id;
+                    self.next_id += 1;
+                    let mut path = node.path.clone();
+                    path.push((v, clb, cub));
+                    self.queue.insert(
+                        queue_key(sol.objective, id),
+                        Node {
+                            id,
+                            bound: sol.objective,
+                            path,
+                            basis: parent.clone(),
+                        },
+                    );
+                }
+            }
+        }
+    }
 }
 
 /// A mixed-integer linear program: an LP plus integrality marks.
@@ -400,7 +545,8 @@ impl Milp {
         &self.problem
     }
 
-    /// Runs branch and bound across [`MilpOptions::threads`] workers.
+    /// Runs branch and bound: one loop over rounds of open nodes, with
+    /// [`MilpOptions::threads`] workers solving the relaxations.
     ///
     /// Node relaxations run on the revised simplex: each child node reuses
     /// its parent's basis *and* its persisted Arc-shared factorization (one
@@ -415,23 +561,20 @@ impl Milp {
     /// wall-clock budget spent before any incumbent was found.
     pub fn solve(&mut self) -> Result<MilpOutcome, SolveError> {
         let _span = ovnes_obs::span!("milp_solve");
-        let threads = self.options.threads.max(1);
-        let warm = self.options.warm_start;
-        let root_basis = if warm { self.root_basis.take() } else { None };
-
-        let base_bounds: HashMap<usize, (f64, f64)> = self
-            .integers
-            .iter()
-            .map(|&v| (v.index(), self.problem.bounds(v)))
-            .collect();
-
-        let mut state = SearchState {
-            queue: BTreeMap::new(),
-            round: VecDeque::new(),
-            round_nodes: HashMap::new(),
-            claimed: HashSet::new(),
-            results: HashMap::new(),
-            inflight: 0,
+        let options = &self.options;
+        let problem = &self.problem;
+        let warm = options.warm_start;
+        let root = Node {
+            id: ROOT_ID,
+            bound: f64::NEG_INFINITY,
+            path: Vec::new(),
+            basis: if warm { self.root_basis.take() } else { None },
+        };
+        let mut search = Search {
+            problem,
+            integers: &self.integers,
+            options,
+            queue: BTreeMap::from([(queue_key(root.bound, ROOT_ID), root)]),
             next_id: ROOT_ID + 1,
             applied: 0,
             truncated: false,
@@ -441,355 +584,84 @@ impl Milp {
             unbounded: false,
             error: None,
             lp_stats: LpStats::default(),
-            done: false,
         };
-        state.queue.insert(
-            queue_key(f64::NEG_INFINITY, ROOT_ID),
-            Node {
-                id: ROOT_ID,
-                bound: f64::NEG_INFINITY,
-                path: Vec::new(),
-                basis: root_basis,
-            },
-        );
+        let deadline = options.wall_limit.map(|limit| Instant::now() + limit);
+        let mut workers: Vec<Worker> = (0..options.threads.max(1))
+            .map(|_| Worker {
+                problem: problem.clone(),
+                ws: Workspace::new(),
+            })
+            .collect();
 
-        let shared = Shared {
-            state: Mutex::new(state),
-            cv: Condvar::new(),
-            incumbent_bits: AtomicU64::new(f64::INFINITY.to_bits()),
-        };
-        let ctx = Ctx {
-            shared: &shared,
-            problem: &self.problem,
-            integers: &self.integers,
-            options: &self.options,
-            base_bounds,
-            deadline: self
-                .options
-                .wall_limit
-                .map(|limit| std::time::Instant::now() + limit),
-        };
-
-        if threads == 1 {
-            // Serial: same code path, no thread overhead — by construction
-            // identical to any multi-worker run.
-            Self::worker(&ctx);
-        } else {
-            std::thread::scope(|scope| {
-                for _ in 0..threads {
-                    scope.spawn(|| {
-                        Self::worker(&ctx);
-                        // Scoped joins can outrun TLS destructors; flush
-                        // span buffers so a drain right after the solve
-                        // sees every worker's nodes.
-                        if ovnes_obs::enabled() {
-                            ovnes_obs::trace::flush_thread();
-                        }
-                    });
+        'search: loop {
+            let round = search.next_round();
+            if round.is_empty() {
+                break;
+            }
+            // At one worker each node is solved when the loop reaches it:
+            // pre-solving the round would waste solves on nodes that an
+            // in-round incumbent or the node cap then discards.
+            let mut presolved = if workers.len() > 1 {
+                presolve(problem, &options.simplex, &mut workers, &round)
+            } else {
+                Vec::new()
+            };
+            for (i, node) in round.into_iter().enumerate() {
+                // An incumbent found earlier in this round may have
+                // overtaken the node since it was selected. Checked before
+                // the budgets so a tree that is effectively exhausted (every
+                // remaining node dominated) is never reported truncated.
+                if search.prunes(node.bound) {
+                    continue;
                 }
-            });
+                // The wall-clock deadline shares the node budget's
+                // truncation path; *which* prefix it explores depends on the
+                // machine (see [`MilpOptions::wall_limit`]).
+                if search.applied >= options.max_nodes
+                    || deadline.is_some_and(|d| Instant::now() >= d)
+                {
+                    search.truncated = true;
+                    break 'search;
+                }
+                let result = match presolved.get_mut(i).and_then(Option::take) {
+                    Some(result) => result,
+                    None => workers[0].solve(problem, &options.simplex, &node),
+                };
+                search.applied += 1;
+                match result {
+                    Ok(solved) => search.apply(node, solved),
+                    Err(e) => search.error = Some(e),
+                }
+                if search.error.is_some() || search.unbounded {
+                    break 'search;
+                }
+            }
         }
 
-        let state = shared.state.into_inner().expect("no worker panicked");
-        self.last_lp_stats = state.lp_stats;
+        self.last_lp_stats = search.lp_stats;
         if warm {
-            self.root_basis = state.root_basis;
+            self.root_basis = search.root_basis;
         }
-        if let Some(e) = state.error {
+        if let Some(e) = search.error {
             return Err(e);
         }
-        if state.unbounded {
+        if search.unbounded {
             return Ok(MilpOutcome::Unbounded);
         }
-        match state.best {
-            Some((objective, x, _id)) => Ok(MilpOutcome::Optimal(MilpSolution {
+        match search.best {
+            Some((objective, x)) => Ok(MilpOutcome::Optimal(MilpSolution {
                 objective,
                 x,
-                nodes: state.applied,
-                truncated: state.truncated,
-                lp_stats: state.lp_stats,
+                nodes: search.applied,
+                truncated: search.truncated,
+                lp_stats: search.lp_stats,
             })),
             // A budget stopped the search before any incumbent: the open
             // nodes may still hold one, so this is not a proof of
             // infeasibility.
-            None if state.truncated => Err(SolveError::IterationLimit),
+            None if search.truncated => Err(SolveError::IterationLimit),
             None => Ok(MilpOutcome::Infeasible),
         }
-    }
-
-    /// One worker: repeatedly apply ready results in canonical order, then
-    /// solve the best claimable node speculatively; park on the condvar
-    /// when neither is possible.
-    fn worker(ctx: &Ctx<'_>) {
-        let mut local = ctx.problem.clone();
-        let mut ws = Workspace::new();
-        let mut guard = ctx.shared.state.lock().expect("search mutex");
-        loop {
-            Self::drain(ctx, &mut guard);
-            if guard.done {
-                ctx.shared.cv.notify_all();
-                return;
-            }
-            if let Some(work) = Self::claim(&mut guard) {
-                guard.inflight += 1;
-                drop(guard);
-                // Lock-free incumbent re-check before the expensive solve:
-                // an incumbent applied since this node was claimed may
-                // already dominate it. Skipping is always safe — the cutoff
-                // only decreases, so drain will discard the node at the
-                // round front without ever needing its result, and claim
-                // will not hand it out again.
-                let cutoff = f64::from_bits(ctx.shared.incumbent_bits.load(Ordering::Relaxed));
-                let result = (work.bound < cutoff - ABS_GAP)
-                    .then(|| Self::solve_node(ctx, &mut local, &mut ws, &work));
-                guard = ctx.shared.state.lock().expect("search mutex");
-                guard.inflight -= 1;
-                guard.claimed.remove(&work.id);
-                // A result for a node pruned mid-solve is dead — drop it.
-                if let Some(result) = result {
-                    if guard.round_nodes.contains_key(&work.id) {
-                        guard.results.insert(work.id, result);
-                    }
-                }
-                ctx.shared.cv.notify_all();
-            } else {
-                guard = ctx.shared.cv.wait(guard).expect("search mutex");
-            }
-        }
-    }
-
-    /// Applies ready results in canonical round order (forming the next
-    /// round whenever the current one has drained), pruning as it goes.
-    /// This is the *only* place search decisions are made, and it runs
-    /// under the lock in a deterministic sequence — the heart of the
-    /// any-worker-count determinism guarantee.
-    fn drain(ctx: &Ctx<'_>, st: &mut SearchState) {
-        loop {
-            if st.error.is_some() || st.unbounded {
-                st.queue.clear();
-                st.round.clear();
-                st.round_nodes.clear();
-                st.results.clear();
-            }
-            let Some(&id) = st.round.front() else {
-                // Round drained: form the next one from the queue front,
-                // skipping (discarding) nodes already prunable. Membership
-                // (including the adaptive width, a function of the
-                // round-start queue depth alone) depends only on the search
-                // state — never on workers.
-                let width = match ctx.options.round_width {
-                    Some(w) => w.max(1),
-                    None => adaptive_round_width(st.queue.len()),
-                };
-                // Round barrier: telemetry only (counters and a
-                // high-water gauge — no wall clock, no search effect).
-                if ovnes_obs::enabled() && !st.queue.is_empty() {
-                    ovnes_obs::metrics::global_counter_add("milp.rounds", 1);
-                    ovnes_obs::metrics::global_gauge_max("milp.queue_depth", st.queue.len() as f64);
-                }
-                while st.round.len() < width {
-                    let Some((&key, front)) = st.queue.first_key_value() else {
-                        break;
-                    };
-                    if front.bound >= st.cutoff - ABS_GAP {
-                        st.queue.remove(&key);
-                        continue;
-                    }
-                    let node = st.queue.remove(&key).expect("queue front");
-                    st.round.push_back(node.id);
-                    st.round_nodes.insert(node.id, node);
-                }
-                if st.round.is_empty() {
-                    if st.inflight == 0 {
-                        st.done = true;
-                    }
-                    return;
-                }
-                continue;
-            };
-            // Prune on the parent bound: an incumbent found earlier in this
-            // round may have overtaken the node since it was selected.
-            // Checked before the node budget so a tree that is effectively
-            // exhausted (every remaining node dominated) is never spuriously
-            // reported as truncated.
-            let node_bound = st.round_nodes[&id].bound;
-            if node_bound >= st.cutoff - ABS_GAP {
-                st.round.pop_front();
-                st.round_nodes.remove(&id);
-                st.results.remove(&id);
-                continue;
-            }
-            // Node budget: the canonical order would apply this node next.
-            // The wall-clock deadline shares the truncation path (checked
-            // here, at a canonical application point, so the partial tree
-            // is still internally consistent — but *which* prefix was
-            // explored depends on the machine; see
-            // [`MilpOptions::wall_limit`]).
-            if st.applied >= ctx.options.max_nodes
-                || ctx.deadline.is_some_and(|d| std::time::Instant::now() >= d)
-            {
-                st.truncated = true;
-                st.queue.clear();
-                st.round.clear();
-                st.round_nodes.clear();
-                st.results.clear();
-                continue;
-            }
-            // The round front must be applied next; stall until some worker
-            // delivers its relaxation (the rest of the round keeps solving
-            // in parallel meanwhile).
-            let Some(result) = st.results.remove(&id) else {
-                return;
-            };
-            st.round.pop_front();
-            let node = st.round_nodes.remove(&id).expect("round member");
-            st.applied += 1;
-            match result {
-                Err(e) => st.error = Some(e),
-                Ok(solved) => Self::apply(ctx, st, node, solved),
-            }
-        }
-    }
-
-    /// Applies one node's LP result: incumbent update or branching.
-    fn apply(ctx: &Ctx<'_>, st: &mut SearchState, node: Node, solved: WarmSolve) {
-        st.lp_stats.absorb(&solved.stats);
-        let warm = ctx.options.warm_start;
-        if node.id == ROOT_ID && warm {
-            // Keep the root basis for the next solve() of this Milp (valid
-            // as long as only rows are appended in between).
-            st.root_basis = Some(solved.basis.clone());
-        }
-        let sol = match solved.outcome {
-            LpOutcome::Optimal(s) => s,
-            LpOutcome::Infeasible(_) => return,
-            LpOutcome::Unbounded => {
-                if node.id == ROOT_ID {
-                    st.unbounded = true;
-                }
-                // A node of a bounded root cannot be unbounded; prune
-                // defensively.
-                return;
-            }
-        };
-        if sol.objective >= st.cutoff - ABS_GAP {
-            return; // bound: cannot beat the incumbent
-        }
-
-        // Find the most fractional integer variable.
-        let mut branch: Option<(VarId, f64)> = None;
-        let mut best_frac_dist = INT_EPS;
-        for &v in ctx.integers {
-            let val = sol.x[v.index()];
-            let frac = (val - val.round()).abs();
-            if frac > best_frac_dist {
-                best_frac_dist = frac;
-                branch = Some((v, val));
-            }
-        }
-
-        match branch {
-            None => {
-                // Integral: new incumbent. Application order is canonical,
-                // so which of two near-tied solutions wins is a function of
-                // the tree alone, never of worker scheduling.
-                let mut x = sol.x;
-                for &v in ctx.integers {
-                    x[v.index()] = x[v.index()].round();
-                }
-                st.cutoff = sol.objective;
-                ctx.shared
-                    .incumbent_bits
-                    .store(sol.objective.to_bits(), Ordering::Relaxed);
-                st.best = Some((sol.objective, x, node.id));
-            }
-            Some((v, val)) => {
-                // Effective bounds of the branch variable at this node.
-                let (lb, ub) = node
-                    .path
-                    .iter()
-                    .rev()
-                    .find(|&&(pv, _, _)| pv == v)
-                    .map(|&(_, l, u)| (l, u))
-                    .unwrap_or_else(|| ctx.base_bounds[&v.index()]);
-                let down = (lb, val.floor().min(ub));
-                let up = (val.ceil().max(lb), ub);
-                // Push the nearer side first: it gets the smaller id, and
-                // the queue breaks bound ties toward smaller ids, so the
-                // nearer integer side is explored first.
-                let near_down = val - val.floor() <= 0.5;
-                let ordered = if near_down { [down, up] } else { [up, down] };
-                let parent = warm.then_some(solved.basis);
-                for (clb, cub) in ordered {
-                    if clb > cub {
-                        continue; // empty domain: prune without an LP solve
-                    }
-                    let id = st.next_id;
-                    st.next_id += 1;
-                    let mut path = node.path.clone();
-                    path.push((v, clb, cub));
-                    st.queue.insert(
-                        queue_key(sol.objective, id),
-                        Node {
-                            id,
-                            bound: sol.objective,
-                            path,
-                            basis: parent.clone(),
-                        },
-                    );
-                }
-            }
-        }
-    }
-
-    /// Picks the next solvable node of the active round: not already
-    /// claimed or solved, and not prunable under the current incumbent —
-    /// solving a node an incumbent already dominates is pure waste, and
-    /// skipping it here cannot change the outcome because the
-    /// authoritative prune happens again at application.
-    fn claim(st: &mut SearchState) -> Option<WorkItem> {
-        let cutoff = st.cutoff;
-        for i in 0..st.round.len() {
-            let id = st.round[i];
-            if st.claimed.contains(&id) || st.results.contains_key(&id) {
-                continue;
-            }
-            let node = st.round_nodes.get_mut(&id).expect("round member");
-            if node.bound >= cutoff - ABS_GAP {
-                continue; // will be discarded once it reaches the front
-            }
-            st.claimed.insert(id);
-            return Some(WorkItem {
-                id,
-                bound: node.bound,
-                path: node.path.clone(),
-                // The basis is only needed for this solve; taking it (rather
-                // than cloning) keeps window memory flat.
-                basis: node.basis.take(),
-            });
-        }
-        None
-    }
-
-    /// Solves one node's relaxation on the worker's private problem clone
-    /// and workspace: apply the path's bound overrides, solve warm from the
-    /// parent basis, restore the root bounds.
-    fn solve_node(
-        ctx: &Ctx<'_>,
-        local: &mut Problem,
-        ws: &mut Workspace,
-        work: &WorkItem,
-    ) -> Result<WarmSolve, SolveError> {
-        let _span = ovnes_obs::span!("milp_node", depth = work.path.len() as i64);
-        for &(v, lb, ub) in &work.path {
-            local.set_bounds(v, lb, ub);
-        }
-        let result = local.solve_warm_in(work.basis.as_ref(), &ctx.options.simplex, ws);
-        for &(v, _, _) in &work.path {
-            let (lb, ub) = ctx.base_bounds[&v.index()];
-            local.set_bounds(v, lb, ub);
-        }
-        result
     }
 
     /// Pivot statistics of the most recent completed [`Milp::solve`] call —

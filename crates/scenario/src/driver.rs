@@ -57,9 +57,9 @@ pub struct ScenarioSpec {
     /// Re-apply patience handed to the orchestrator (bounds the pending
     /// queue under churn; see `OrchestratorConfig::reapply_epochs`).
     pub reapply_epochs: u32,
-    /// Branch-and-bound worker threads per epoch solve; 0 ⇒ the
-    /// orchestrator default, 1. Epoch solves are bit-identical at any
-    /// worker count, so this moves wall-clock only.
+    /// Branch-and-bound worker threads per epoch solve (the builder's
+    /// default is 1; the engine reads 0 as 1). Epoch solves are
+    /// bit-identical at any worker count, so this moves wall-clock only.
     pub threads: usize,
     /// Branch-and-bound nodes per deterministic round for the epoch
     /// solves. Unlike `threads`, different widths walk different search
@@ -110,7 +110,7 @@ impl ScenarioSpec {
                 overbooking: true,
                 adaptive_reservations: true,
                 reapply_epochs: 8,
-                threads: 0,
+                threads: 1,
                 round_width: 8,
                 seed: 7,
                 budget: SolveBudget::default(),
@@ -204,7 +204,7 @@ impl ScenarioBuilder {
         self
     }
 
-    /// Per-epoch branch-and-bound worker threads (0 = inherit default).
+    /// Per-epoch branch-and-bound worker threads (default 1; 0 reads as 1).
     pub fn threads(mut self, threads: usize) -> Self {
         self.spec.threads = threads;
         self
@@ -292,14 +292,12 @@ pub fn run_scenario_on(
         overbooking: spec.overbooking,
         adaptive_reservations: spec.adaptive_reservations,
         reapply_epochs: spec.reapply_epochs,
+        threads: spec.threads,
         round_width: spec.round_width.max(1),
         seed: spec.seed,
         budget: spec.budget,
         ..Default::default()
     };
-    if spec.threads >= 1 {
-        config.threads = spec.threads;
-    }
     if let Some(plan) = &spec.faults {
         config.lp_fault = plan.lp_fault_seed.map(ovnes_lp::FaultConfig::chaos);
     }

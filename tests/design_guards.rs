@@ -104,6 +104,7 @@ const HW: &str = "crates/forecast/src/holt_winters.rs";
 const LIB: &str = "crates/forecast/src/lib.rs";
 const LU: &str = "crates/lp/src/revised/lu.rs";
 const KAC: &str = "crates/core/src/solver/kac.rs";
+const MILP: &str = "crates/milp/src *.rs !tests";
 const EXACT: &str = "crates/core/src/solver/benders.rs crates/core/src/solver/oneshot.rs \
                      crates/core/src/solver/baseline.rs crates/milp/src/lib.rs";
 const TERMS: [&str; 3] = ["1.0 - alpha", "1.0 - beta", "1.0 - gamma"];
@@ -246,6 +247,11 @@ const GUARDS: &[(&str, Check)] = &[
          `.step()` caller in crates/*/src; a second is a hand-written epoch loop.",
         |t| count(1..=1, grep(t, CODE, &[".step()"])),
     ),
+    (
+        "One B&B loop: `Milp::solve`'s loop makes every search decision and workers only \
+         pre-solve a round, so crates/milp/src (non-test) holds no `Mutex`, `Condvar` or `Atomic`.",
+        |t| grep(t, MILP, &["Mutex", "Condvar", "Atomic"]),
+    ),
 ];
 
 const SOLVER: &str = "crates/core/src/solver";
@@ -274,6 +280,9 @@ const DELETED: &[(&str, u32, &str)] = &[
     ("OVNES_MILP_THREADS", 44, SRC_TESTS),
     ("OVNES_LP_REFACTOR_INTERVAL", 44, SRC_TESTS),
     ("OVNES_LP_FAULT_SEED", 44, SRC_TESTS),
+    ("incumbent_bits", 47, SRC_TESTS),
+    ("WorkItem", 47, SRC_TESTS),
+    ("SearchState", 47, SRC_TESTS),
 ];
 
 #[test]

@@ -10,6 +10,8 @@
 
 use std::sync::{Mutex, MutexGuard};
 
+use ovnes_lp::{Cmp, Problem};
+use ovnes_milp::{Milp, MilpOptions, MilpOutcome};
 use ovnes_scenario::driver::run_scenario;
 use ovnes_scenario::presets;
 
@@ -217,4 +219,54 @@ fn decision_latency_percentiles_present_in_report() {
         report.bs_utilisation.p99 >= report.bs_utilisation.p90,
         "CdfSummary p99 below p90"
     );
+}
+
+/// At one worker the search solves a node's relaxation only when it applies
+/// the node, so every `milp_node` span is an applied node: the span count is
+/// `MilpSolution::nodes`, on a tree searched to the end and on one the node
+/// cap stops mid-round. Pre-solving rounds at one worker would open spans
+/// for nodes an in-round incumbent or the cap then discards.
+#[test]
+fn one_worker_solves_only_the_nodes_it_applies() {
+    let _guard = obs_lock();
+    ovnes_obs::set_enabled(true);
+    // A 14-item 0-1 knapsack with correlated weights: max Σ v_i x_i s.t.
+    // Σ w_i x_i ≤ 40: 135 nodes, and its first incumbent after 30.
+    let mut p = Problem::new();
+    let items: Vec<_> = (0..14)
+        .map(|i| {
+            let x = p.add_var(0.0, 1.0, -(10.0 + f64::from(i) * 0.618));
+            (x, 7.0 + f64::from((i * 37) % 11))
+        })
+        .collect();
+    p.add_cons(&items, Cmp::Le, 40.0);
+    for max_nodes in [200_000, 40] {
+        let _ = ovnes_obs::trace::drain();
+        let mut milp = Milp::new(p.clone());
+        for &(x, _) in &items {
+            milp.mark_integer(x);
+        }
+        milp.set_options(MilpOptions {
+            max_nodes,
+            threads: 1,
+            ..MilpOptions::default()
+        });
+        let Ok(MilpOutcome::Optimal(solution)) = milp.solve() else {
+            panic!("the knapsack has an incumbent within {max_nodes} nodes");
+        };
+        let spans: u64 = ovnes_obs::trace::drain()
+            .folded
+            .iter()
+            .filter(|(path, _)| path.ends_with("milp_node"))
+            .map(|(_, cell)| cell.count)
+            .sum();
+        assert_eq!(
+            spans, solution.nodes as u64,
+            "max_nodes {max_nodes}: node solves vs applied nodes"
+        );
+        // The capped run stops at its cap; the full run needs more nodes.
+        let capped = max_nodes == 40;
+        assert_eq!(solution.truncated, capped);
+        assert_eq!(solution.nodes == 40, capped, "{} nodes", solution.nodes);
+    }
 }
