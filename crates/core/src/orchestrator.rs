@@ -40,17 +40,15 @@ use std::time::Instant;
 pub struct OrchestratorConfig {
     /// Which AC-RR algorithm to run each epoch.
     pub solver: SolverKind,
-    /// Branch-and-bound worker threads for the epoch solves (Benders
-    /// master / one-shot / baseline MILPs fan their node relaxations across
-    /// this many `std::thread::scope` workers; admission decisions are
-    /// deterministic in it). Defaults to 1.
+    /// Branch-and-bound worker count for the epoch solves, passed on as
+    /// [`ovnes_milp::MilpOptions::threads`], which the engine ignores: the
+    /// search runs on the calling thread. Defaults to 1.
     pub threads: usize,
     /// Branch-and-bound nodes per deterministic round for the epoch solves
     /// (see [`ovnes_milp::MilpOptions::round_width`]; 0 ⇒ the engine
-    /// default, adaptive in the round-start queue depth). Unlike `threads`,
-    /// different width policies walk different (each internally
-    /// deterministic) search sequences, so callers that fingerprint solver
-    /// telemetry pin this explicitly.
+    /// default, adaptive in the round-start queue depth). Different width
+    /// policies walk different (each deterministic) search sequences, so
+    /// callers that fingerprint solver telemetry pin this explicitly.
     pub round_width: usize,
     /// Overbooking on/off (off ⇒ the no-overbooking baseline semantics).
     pub overbooking: bool,

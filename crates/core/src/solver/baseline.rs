@@ -14,8 +14,7 @@ use ovnes_milp::MilpOptions;
 
 /// Solves the no-overbooking admission problem optimally. Node, pivot and
 /// wall limits and LP fault injection arrive through `options`; a limited
-/// tree returns its best incumbent with `stats.truncated` set (results are
-/// deterministic in `options.threads`).
+/// tree returns its best incumbent with `stats.truncated` set.
 ///
 /// An instance built with `overbooking = true` is rejected with
 /// [`AcrrError::Internal`]: the baseline must price full-SLA reservations.

@@ -22,9 +22,8 @@ const EPSILON: f64 = 1e-6;
 pub struct BendersOptions {
     /// Maximum outer iterations before returning the incumbent.
     pub max_iterations: usize,
-    /// Node budget, worker-thread count, and simplex options per master
-    /// MILP solve (`milp.threads` is the parallel branch-and-bound knob —
-    /// admission decisions are deterministic in it).
+    /// Node budget, round width and simplex options per master MILP
+    /// solve.
     pub milp: MilpOptions,
     /// Reuse bases across iterations: the slave re-prices warm from the
     /// previous admission's basis and the master resumes its stored root

@@ -159,13 +159,13 @@ impl SolveBudget {
 pub struct SolveControls {
     /// Primary algorithm (the ladder may fall back to KAC below it).
     pub kind: SolverKind,
-    /// Branch-and-bound worker threads (the engine reads 0 as 1).
+    /// Branch-and-bound worker count, passed on as
+    /// [`ovnes_milp::MilpOptions::threads`], which the engine ignores.
     pub threads: usize,
     /// Nodes-per-deterministic-round window (0 ⇒ engine default: adaptive
-    /// in the round-start queue depth). Results are bit-identical at any
-    /// worker count *for a fixed width policy*, but different policies walk
-    /// different search sequences, so callers that fingerprint solver
-    /// telemetry (the scenario sweeps) pin it.
+    /// in the round-start queue depth). Different policies walk different
+    /// search sequences, so callers that fingerprint solver telemetry (the
+    /// scenario sweeps) pin it.
     pub round_width: usize,
     /// Compute budget; default unlimited.
     pub budget: SolveBudget,
@@ -298,9 +298,8 @@ impl ControlledOutcome {
 /// modules. No fallback: budget truncation returns `Ok` with
 /// `stats.truncated` set, errors propagate ([`solve_controlled`] is the
 /// degradation ladder over this). Every MILP-backed solver (Benders master,
-/// one-shot, baseline) fans its node relaxations across `controls.threads`
-/// workers; KAC is LP-only and ignores it. Results are deterministic in
-/// `threads` for all solvers.
+/// one-shot, baseline) searches on the calling thread, whatever
+/// `controls.threads` says.
 pub fn solve(instance: &AcrrInstance, controls: &SolveControls) -> Result<Allocation, AcrrError> {
     dispatch(instance, controls, &mut WarmChain::new())
 }

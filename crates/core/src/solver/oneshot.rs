@@ -18,9 +18,7 @@ use ovnes_milp::MilpOptions;
 
 /// Solves the AC-RR instance as a single MILP. Node, pivot and wall limits
 /// and LP fault injection arrive through `options`; a node- or wall-limited
-/// tree returns its best incumbent with `stats.truncated` set. The one-shot
-/// tree is the deepest in the codebase, so it benefits the most from
-/// `options.threads` (results are deterministic in it).
+/// tree returns its best incumbent with `stats.truncated` set.
 pub fn solve(instance: &AcrrInstance, options: &MilpOptions) -> Result<Allocation, AcrrError> {
     if !instance.forced_feasible() {
         return Err(AcrrError::ForcedInfeasible);

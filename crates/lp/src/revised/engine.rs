@@ -124,10 +124,10 @@ const PARTIAL_PRICING_MIN_COLS: usize = 256;
 /// solve; reuse it across solves to amortise allocations. Contents are
 /// overwritten at engine construction, so a workspace carries **no state
 /// between solves** — two solves of the same problem through different (or
-/// differently-used) workspaces produce bit-identical results. This is what
-/// makes the parallel branch-and-bound deterministic: workers share
-/// `Problem` / `SparseMatrix` / `Arc<Factorization>` read-only, pass restart
-/// state between them as `Basis` values, and keep all mutation in here.
+/// differently-used) workspaces produce bit-identical results. Branch and
+/// bound relies on it: a node's result depends only on its problem and its
+/// parent's `Basis` value (which shares `Arc<Factorization>` read-only),
+/// never on the solves that went through the workspace before it.
 ///
 /// What *does* persist from one solve to the next on a sequential warm
 /// chain is kept apart, in a [`WarmChain`](crate::WarmChain), which owns a

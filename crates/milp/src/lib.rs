@@ -10,17 +10,16 @@
 //!
 //! * binary / general-integer variable marking on top of an `ovnes_lp`
 //!   [`Problem`],
-//! * best-first search over one node queue, in rounds whose relaxations
-//!   `std::thread::scope` workers may pre-solve ([`MilpOptions::threads`])
-//!   — node relaxations are independent LP re-solves, which is exactly the
-//!   unit of parallelism the engine's `Send + Sync` split was built for,
-//! * **deterministic results at every worker count** (see below),
+//! * best-first search over one node queue, in rounds, on the calling
+//!   thread,
+//! * **deterministic results**: the same problem and options always walk
+//!   the same tree (see below),
 //! * most-fractional branching, exploring the nearer integer side first,
 //! * parent→child warm-start basis threading per node (each child resumes
-//!   its parent's basis *and* Arc-shared factorization, whichever worker
-//!   solves it; the node's solve copies only the factorization's update
-//!   state, a fixed set of flat arrays with room for the node's own
-//!   updates — see `ovnes_lp`'s *Copy-on-compress sharing*),
+//!   its parent's basis *and* Arc-shared factorization; the node's solve
+//!   copies only the factorization's update state, a fixed set of flat
+//!   arrays with room for the node's own updates — see `ovnes_lp`'s
+//!   *Copy-on-compress sharing*),
 //! * node limits with a best-effort solution flagged as truncated (an
 //!   error when the limit struck before any incumbent).
 //!
@@ -33,25 +32,20 @@
 //! the round in order: a node that an incumbent found earlier in the round
 //! now prunes is skipped, the node budget or the wall-clock deadline stops
 //! the search flagged truncated, and any other node has its relaxation
-//! applied — an incumbent update or a branching whose children enter a
-//! later round. The loop repeats until a formed round is empty. Round
-//! membership, the adaptive width included, is a function of the search
-//! state alone, never of the worker count.
+//! solved and applied — an incumbent update or a branching whose children
+//! enter a later round. The loop repeats until a formed round is empty.
 //!
-//! Workers only solve relaxations. At one worker the loop solves each node
-//! when it reaches it. At more, scoped workers first solve the whole round's
-//! relaxations into slots (node `i` on worker `i % n`), and the loop then
-//! applies them in the same order, discarding the results of nodes it skips.
-//! Each worker keeps, for the whole solve, its own clone of the [`Problem`]
-//! (it only toggles integer bounds) and its own [`ovnes_lp::Workspace`]; a
-//! node restarts from its *parent's* [`Basis`] value, never from a worker's
-//! state. A node's result is therefore a function of (problem, path, parent
-//! basis, options) alone, so the objective, the solution vector, the node
-//! count and even the pivot statistics are identical at 1, 2 or N workers;
-//! `tests/solver_cross_check.rs` asserts this on seeded torture MILPs.
-//! (Rounds are what buy wall-clock at several workers: applying in *global*
-//! best-first order instead would chase each freshly branched child, a
-//! parent→child chain of LP solves no pre-solve can overlap.)
+//! A node's relaxation is solved when the loop reaches it, so a node the
+//! loop skips or never reaches costs no LP solve. The solve runs on one
+//! clone of the [`Problem`] (it only toggles integer bounds) and one
+//! [`ovnes_lp::Workspace`], kept for the whole `solve` call, and restarts
+//! from the node's *parent's* [`Basis`] value. Rounds fix the application
+//! order: children branched during a round wait for the next one, so the
+//! order is not global best-first, and the pinned node counts and decision
+//! fingerprints record exactly this order. [`MilpOptions::threads`] is
+//! accepted and ignored, so results are trivially identical at every
+//! worker count; `tests/solver_cross_check.rs` still asserts it at 1, 2
+//! and 4 on seeded torture MILPs.
 //!
 //! ## Example
 //!
@@ -94,15 +88,10 @@ const INT_EPS: f64 = 1e-6;
 /// root is always applied first).
 const ROOT_ID: u64 = 0;
 
-/// Floor of the adaptive nodes-per-round window. Sized a little above the
-/// worker counts we historically deploy (2–8) so a round keeps every core
-/// fed even when the open queue is shallow; oversizing only risks
-/// pre-solving a few end-of-search nodes an incumbent discovered mid-round
-/// then prunes.
+/// Floor of the adaptive nodes-per-round window.
 const FALLBACK_ROUND_WIDTH: usize = 8;
 
-/// Ceiling of the adaptive nodes-per-round window: past this, wider rounds
-/// mostly pre-solve nodes a mid-round incumbent then prunes.
+/// Ceiling of the adaptive nodes-per-round window.
 const MAX_ADAPTIVE_ROUND_WIDTH: usize = 64;
 
 /// Absolute optimality gap at which a node is pruned against the incumbent.
@@ -111,11 +100,10 @@ const ABS_GAP: f64 = 1e-7;
 
 /// The adaptive nodes-per-round window for an open queue of `open` nodes:
 /// half the queue, clamped to `[8, 64]`. A **pure function of the
-/// round-start queue length** — never of worker count or thread timing —
-/// so round membership (and therefore every search decision) stays
-/// bit-identical at any parallelism. Deep queues get wide rounds (more
-/// work to pre-solve in parallel); shallow end-of-search queues shrink
-/// back so incumbent pruning reacts quickly.
+/// round-start queue length**, so round membership (and therefore every
+/// search decision) is a function of the search state alone. Shallow
+/// end-of-search queues get narrow rounds, so children of a freshly
+/// applied node are considered sooner.
 pub fn adaptive_round_width(open: usize) -> usize {
     (open / 2).clamp(FALLBACK_ROUND_WIDTH, MAX_ADAPTIVE_ROUND_WIDTH)
 }
@@ -124,8 +112,8 @@ pub fn adaptive_round_width(open: usize) -> usize {
 #[derive(Debug, Clone)]
 pub struct MilpOptions {
     /// Maximum number of branch-and-bound nodes applied (counted in the
-    /// deterministic application order, so truncation is reproducible at
-    /// any worker count). A search it stops returns its best incumbent
+    /// deterministic application order, so truncation is reproducible). A
+    /// search it stops returns its best incumbent
     /// flagged `truncated`, or `Err(SolveError::IterationLimit)` when it has
     /// none yet: an unfinished tree proves nothing infeasible.
     pub max_nodes: usize,
@@ -136,32 +124,24 @@ pub struct MilpOptions {
     /// phases. Because a bound change leaves the basis *matrix* untouched,
     /// the child also inherits the parent's persisted factorization and
     /// starts with **zero refactorizations** (`LpStats::factorization_reuses`
-    /// counts the hits) — the factorization is Arc-shared, so this works
-    /// identically when the child lands on a different worker thread.
+    /// counts the hits; the factorization is Arc-shared, not copied).
     /// Disable only for debugging / regression comparison — results are
     /// identical either way, warm starts are purely a speed lever.
     pub warm_start: bool,
-    /// Workers that solve node relaxations (0 reads as 1). At more than
-    /// one, each round's relaxations are pre-solved in parallel. Results
-    /// are deterministic in this knob; it is purely a wall-clock lever.
-    /// Defaults to 1.
+    /// Accepted and ignored: the search runs on the calling thread at any
+    /// value. Kept only because existing callers still set it. Defaults
+    /// to 1.
     pub threads: usize,
     /// Nodes per deterministic round. `Some(w)` pins a fixed width (clamped
     /// to ≥ 1); `None` (the default) sizes each round by
-    /// [`adaptive_round_width`] of the round-start queue depth. Either way
-    /// the width is never derived from the worker count, so the round
-    /// decomposition — and therefore every result — is identical at any
-    /// parallelism. Pin it on many-core hardware to tune feeding (wider
-    /// rounds keep more cores fed at the cost of pre-solving end-of-search
-    /// nodes a mid-round incumbent then prunes), or when fingerprinting
-    /// telemetry: different width policies walk different, each internally
-    /// deterministic, search sequences.
+    /// [`adaptive_round_width`] of the round-start queue depth. Different
+    /// width policies walk different, each deterministic, search sequences,
+    /// so pin it when fingerprinting telemetry.
     pub round_width: Option<usize>,
     /// Optional wall-clock budget per `solve` call. When it expires the
     /// search stops at the next node it would apply and returns the best
     /// incumbent flagged `truncated` (or, when none was found yet,
-    /// `Err(SolveError::IterationLimit)`, as for `max_nodes`). At more than
-    /// one worker the round under way is pre-solved before the check.
+    /// `Err(SolveError::IterationLimit)`, as for `max_nodes`).
     /// **Non-deterministic by construction** — where the clock
     /// lands depends on the machine — so callers that fingerprint results
     /// must leave this `None` and rely on the deterministic `max_nodes`
@@ -189,14 +169,14 @@ pub struct MilpSolution {
     pub objective: f64,
     /// Variable values; integer-marked entries are exactly rounded.
     pub x: Vec<f64>,
-    /// Number of nodes applied by the search (deterministic; relaxations
-    /// pre-solved for nodes the loop then skipped are not counted).
+    /// Number of nodes applied by the search, one relaxation solve each
+    /// (deterministic).
     pub nodes: usize,
     /// True when the node limit stopped the search before the tree was
     /// exhausted; the solution is then best-effort rather than proven optimal.
     pub truncated: bool,
     /// Pivot-level LP statistics aggregated over every applied node
-    /// relaxation (deterministic at any worker count).
+    /// relaxation (deterministic).
     pub lp_stats: LpStats,
 }
 
@@ -243,19 +223,11 @@ fn ord_bits(x: f64) -> u64 {
 }
 
 /// Queue priority: parent bound ascending, then node id **ascending** —
-/// node ids are the deterministic tie-breaker of the whole search order.
-/// Oldest-first ties keep the open frontier *wide*: the next nodes to apply
-/// are usually siblings/cousins whose parents were applied long ago, so
-/// their relaxations can be pre-solved side by side in one round. A
-/// newest-first (plunging) rule would chase each freshly created child,
-/// turning the application sequence into a parent→child chain whose every
-/// link waits on an LP solve — no parallel speedup.
+/// node ids are the deterministic tie-breaker of the whole search order,
+/// oldest first (the pinned node counts record this rule).
 fn queue_key(bound: f64, id: u64) -> (u64, u64) {
     (ord_bits(bound), id)
 }
-
-/// A node relaxation's result, as [`Worker::solve`] returns it.
-type NodeResult = Result<WarmSolve, SolveError>;
 
 /// A queued subproblem: the root problem narrowed by the bound overrides
 /// along its tree path, to be re-solved from its parent's basis.
@@ -272,19 +244,24 @@ struct Node {
     basis: Option<Basis>,
 }
 
-/// One worker's private state, kept for the whole solve: a clone of the
-/// problem whose integer bounds it narrows node by node, and the simplex
-/// scratch. It holds no restart state: a node resumes from its parent's
-/// basis, so its result does not depend on which worker solves it.
-struct Worker {
+/// The problem the search re-solves node by node, kept for the whole
+/// [`Milp::solve`] call: a clone of the root problem whose integer bounds
+/// it narrows per node, and the simplex scratch. It holds no restart
+/// state: a node resumes from its parent's basis.
+struct NodeSolver {
     problem: Problem,
     ws: Workspace,
 }
 
-impl Worker {
+impl NodeSolver {
     /// Solves one node's relaxation: apply the path's bound overrides,
     /// solve warm from the parent basis, restore the bounds of `root`.
-    fn solve(&mut self, root: &Problem, simplex: &SimplexOptions, node: &Node) -> NodeResult {
+    fn solve(
+        &mut self,
+        root: &Problem,
+        simplex: &SimplexOptions,
+        node: &Node,
+    ) -> Result<WarmSolve, SolveError> {
         let _span = ovnes_obs::span!("milp_node", depth = node.path.len() as i64);
         for &(v, lb, ub) in &node.path {
             self.problem.set_bounds(v, lb, ub);
@@ -298,51 +275,6 @@ impl Worker {
         }
         result
     }
-}
-
-/// Solves every relaxation of `round` in parallel, node `i` on worker
-/// `i % workers.len()`, into slot `i`.
-fn presolve(
-    root: &Problem,
-    simplex: &SimplexOptions,
-    workers: &mut [Worker],
-    round: &[Node],
-) -> Vec<Option<NodeResult>> {
-    let n = workers.len();
-    let mut slots: Vec<Option<NodeResult>> = round.iter().map(|_| None).collect();
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = workers
-            .iter_mut()
-            .take(round.len())
-            .enumerate()
-            .map(|(k, worker)| {
-                scope.spawn(move || {
-                    let solved: Vec<NodeResult> = round
-                        .iter()
-                        .skip(k)
-                        .step_by(n)
-                        .map(|node| worker.solve(root, simplex, node))
-                        .collect();
-                    // Scoped joins can outrun TLS destructors; flush span
-                    // buffers so a drain right after the solve sees every
-                    // worker's nodes.
-                    if ovnes_obs::enabled() {
-                        ovnes_obs::trace::flush_thread();
-                    }
-                    solved
-                })
-            })
-            .collect();
-        for (k, handle) in handles.into_iter().enumerate() {
-            let solved = handle
-                .join()
-                .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
-            for (slot, result) in slots.iter_mut().skip(k).step_by(n).zip(solved) {
-                *slot = Some(result);
-            }
-        }
-    });
-    slots
 }
 
 /// The search state of one [`Milp::solve`] call: the open nodes and
@@ -384,7 +316,7 @@ impl Search<'_> {
             Some(w) => w.max(1),
             None => adaptive_round_width(self.queue.len()),
         };
-        // Round barrier: telemetry only (counters and a high-water gauge —
+        // Round start: telemetry only (counters and a high-water gauge —
         // no wall clock, no search effect).
         if ovnes_obs::enabled() && !self.queue.is_empty() {
             ovnes_obs::metrics::global_counter_add("milp.rounds", 1);
@@ -443,7 +375,7 @@ impl Search<'_> {
             None => {
                 // Integral: new incumbent. Application order is canonical,
                 // so which of two near-tied solutions wins is a function of
-                // the tree alone, never of the worker count.
+                // the tree alone.
                 let mut x = sol.x;
                 for &v in self.integers {
                     x[v.index()] = x[v.index()].round();
@@ -545,17 +477,16 @@ impl Milp {
         &self.problem
     }
 
-    /// Runs branch and bound: one loop over rounds of open nodes, with
-    /// [`MilpOptions::threads`] workers solving the relaxations.
+    /// Runs branch and bound: one loop over rounds of open nodes, solving
+    /// each node's relaxation when it reaches it.
     ///
     /// Node relaxations run on the revised simplex: each child node reuses
     /// its parent's basis *and* its persisted Arc-shared factorization (one
-    /// bound changed ⇒ dual-simplex restart with zero refactorizations)
-    /// regardless of which worker solves it, and the root reuses the
-    /// previous `solve` call's root basis when the wrapped problem only
-    /// grew rows since (the Benders master pattern). Results — outcome,
-    /// node count, pivot statistics — are deterministic in the worker
-    /// count; see the crate docs.
+    /// bound changed ⇒ dual-simplex restart with zero refactorizations),
+    /// and the root reuses the previous `solve` call's root basis when the
+    /// wrapped problem only grew rows since (the Benders master pattern).
+    /// Results — outcome, node count, pivot statistics — are deterministic;
+    /// see the crate docs.
     ///
     /// `Err` is an engine failure in a node relaxation, or a node or
     /// wall-clock budget spent before any incumbent was found.
@@ -586,27 +517,20 @@ impl Milp {
             lp_stats: LpStats::default(),
         };
         let deadline = options.wall_limit.map(|limit| Instant::now() + limit);
-        let mut workers: Vec<Worker> = (0..options.threads.max(1))
-            .map(|_| Worker {
-                problem: problem.clone(),
-                ws: Workspace::new(),
-            })
-            .collect();
+        let mut solver = NodeSolver {
+            problem: problem.clone(),
+            ws: Workspace::new(),
+        };
 
         'search: loop {
             let round = search.next_round();
             if round.is_empty() {
                 break;
             }
-            // At one worker each node is solved when the loop reaches it:
-            // pre-solving the round would waste solves on nodes that an
+            // Each node is solved only when the loop reaches it: solving
+            // the round up front would waste solves on nodes that an
             // in-round incumbent or the node cap then discards.
-            let mut presolved = if workers.len() > 1 {
-                presolve(problem, &options.simplex, &mut workers, &round)
-            } else {
-                Vec::new()
-            };
-            for (i, node) in round.into_iter().enumerate() {
+            for node in round {
                 // An incumbent found earlier in this round may have
                 // overtaken the node since it was selected. Checked before
                 // the budgets so a tree that is effectively exhausted (every
@@ -623,10 +547,7 @@ impl Milp {
                     search.truncated = true;
                     break 'search;
                 }
-                let result = match presolved.get_mut(i).and_then(Option::take) {
-                    Some(result) => result,
-                    None => workers[0].solve(problem, &options.simplex, &node),
-                };
+                let result = solver.solve(problem, &options.simplex, &node);
                 search.applied += 1;
                 match result {
                     Ok(solved) => search.apply(node, solved),

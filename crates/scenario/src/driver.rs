@@ -57,16 +57,16 @@ pub struct ScenarioSpec {
     /// Re-apply patience handed to the orchestrator (bounds the pending
     /// queue under churn; see `OrchestratorConfig::reapply_epochs`).
     pub reapply_epochs: u32,
-    /// Branch-and-bound worker threads per epoch solve (the builder's
-    /// default is 1; the engine reads 0 as 1). Epoch solves are
-    /// bit-identical at any worker count, so this moves wall-clock only.
+    /// Branch-and-bound worker count per epoch solve (the builder's default
+    /// is 1), passed on as `ovnes_milp::MilpOptions::threads`, which the
+    /// engine ignores: it moves nothing.
     pub threads: usize,
     /// Branch-and-bound nodes per deterministic round for the epoch
-    /// solves. Unlike `threads`, different widths walk different search
-    /// sequences (node/pivot counts differ), so the builder **pins** this
-    /// to 8 rather than inheriting the engine's queue-depth-adaptive
-    /// default — a scenario report, and therefore every sweep fingerprint,
-    /// stays a pure function of its spec.
+    /// solves. Different widths walk different search sequences (node and
+    /// pivot counts differ), so the builder **pins** this to 8 rather than
+    /// inheriting the engine's queue-depth-adaptive default — a scenario
+    /// report, and therefore every sweep fingerprint, stays a pure function
+    /// of its spec.
     pub round_width: usize,
     /// Master seed: drives both the workload expansion and the simulator.
     pub seed: u64,
@@ -204,7 +204,8 @@ impl ScenarioBuilder {
         self
     }
 
-    /// Per-epoch branch-and-bound worker threads (default 1; 0 reads as 1).
+    /// Per-epoch branch-and-bound worker count (default 1; ignored by the
+    /// engine).
     pub fn threads(mut self, threads: usize) -> Self {
         self.spec.threads = threads;
         self

@@ -42,8 +42,8 @@
 //!
 //! Scenario reports are pure functions of their spec: the workload
 //! expansion and the simulator share one seeded PRNG stream each, the
-//! epoch solves are deterministic at any [`ScenarioSpec::threads`] (the
-//! round-scheduler guarantee), and scenarios share no mutable state. The
+//! epoch solves are deterministic (the branch-and-bound search is one
+//! sequential loop), and scenarios share no mutable state. The
 //! aggregated [`sweep::SweepReport`] is therefore **bit-identical at any
 //! worker count**; [`sweep::SweepReport::fingerprint`] states that
 //! guarantee as a single build-stable `u64` (wall-clock fields are

@@ -248,9 +248,9 @@ const GUARDS: &[(&str, Check)] = &[
         |t| count(1..=1, grep(t, CODE, &[".step()"])),
     ),
     (
-        "One B&B loop: `Milp::solve`'s loop makes every search decision and workers only \
-         pre-solve a round, so crates/milp/src (non-test) holds no `Mutex`, `Condvar` or `Atomic`.",
-        |t| grep(t, MILP, &["Mutex", "Condvar", "Atomic"]),
+        "One B&B loop: `Milp::solve`'s loop makes every search decision on the calling thread, \
+         so crates/milp/src (non-test) holds no `Mutex`, `Condvar`, `Atomic` or `thread::`.",
+        |t| grep(t, MILP, &["Mutex", "Condvar", "Atomic", "thread::"]),
     ),
 ];
 

@@ -221,13 +221,13 @@ fn decision_latency_percentiles_present_in_report() {
     );
 }
 
-/// At one worker the search solves a node's relaxation only when it applies
-/// the node, so every `milp_node` span is an applied node: the span count is
+/// The search solves a node's relaxation only when it applies the node, so
+/// every `milp_node` span is an applied node: the span count is
 /// `MilpSolution::nodes`, on a tree searched to the end and on one the node
-/// cap stops mid-round. Pre-solving rounds at one worker would open spans
-/// for nodes an in-round incumbent or the cap then discards.
+/// cap stops mid-round, at any `threads` value. Pre-solving rounds would
+/// open spans for nodes an in-round incumbent or the cap then discards.
 #[test]
-fn one_worker_solves_only_the_nodes_it_applies() {
+fn search_solves_only_the_nodes_it_applies() {
     let _guard = obs_lock();
     ovnes_obs::set_enabled(true);
     // A 14-item 0-1 knapsack with correlated weights: max Σ v_i x_i s.t.
@@ -240,7 +240,7 @@ fn one_worker_solves_only_the_nodes_it_applies() {
         })
         .collect();
     p.add_cons(&items, Cmp::Le, 40.0);
-    for max_nodes in [200_000, 40] {
+    for (max_nodes, threads) in [(200_000, 1), (40, 1), (200_000, 2), (40, 2)] {
         let _ = ovnes_obs::trace::drain();
         let mut milp = Milp::new(p.clone());
         for &(x, _) in &items {
@@ -248,7 +248,7 @@ fn one_worker_solves_only_the_nodes_it_applies() {
         }
         milp.set_options(MilpOptions {
             max_nodes,
-            threads: 1,
+            threads,
             ..MilpOptions::default()
         });
         let Ok(MilpOutcome::Optimal(solution)) = milp.solve() else {
@@ -262,7 +262,7 @@ fn one_worker_solves_only_the_nodes_it_applies() {
             .sum();
         assert_eq!(
             spans, solution.nodes as u64,
-            "max_nodes {max_nodes}: node solves vs applied nodes"
+            "max_nodes {max_nodes}, threads {threads}: node solves vs applied nodes"
         );
         // The capped run stops at its cap; the full run needs more nodes.
         let capped = max_nodes == 40;
