@@ -40,15 +40,13 @@ use std::time::Instant;
 pub struct OrchestratorConfig {
     /// Which AC-RR algorithm to run each epoch.
     pub solver: SolverKind,
-    /// Branch-and-bound worker count for the epoch solves, passed on as
-    /// [`ovnes_milp::MilpOptions::threads`], which the engine ignores: the
-    /// search runs on the calling thread. Defaults to 1.
+    /// Ignored: every epoch's branch and bound is one best-first loop on
+    /// the calling thread. The field survives only because the frozen
+    /// `benchmark/` harness still names it; the next change to
+    /// `benchmark/` drops that use, and this field with it.
     pub threads: usize,
-    /// Branch-and-bound nodes per deterministic round for the epoch solves
-    /// (see [`ovnes_milp::MilpOptions::round_width`]; 0 ⇒ the engine
-    /// default, adaptive in the round-start queue depth). Different width
-    /// policies walk different (each deterministic) search sequences, so
-    /// callers that fingerprint solver telemetry pin this explicitly.
+    /// Ignored, as [`OrchestratorConfig::threads`] is: the search has no
+    /// rounds to size.
     pub round_width: usize,
     /// Overbooking on/off (off ⇒ the no-overbooking baseline semantics).
     pub overbooking: bool,
@@ -765,11 +763,9 @@ impl Orchestrator {
         };
         let controls = SolveControls {
             kind,
-            threads: self.config.threads,
-            round_width: self.config.round_width,
             budget: self.config.budget,
             lp_fault: self.config.lp_fault,
-            refactor_interval: 0,
+            ..SolveControls::default()
         };
         let solve_span = ovnes_obs::span!("solve");
         let solve_started = Instant::now();

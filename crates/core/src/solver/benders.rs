@@ -22,8 +22,7 @@ const EPSILON: f64 = 1e-6;
 pub struct BendersOptions {
     /// Maximum outer iterations before returning the incumbent.
     pub max_iterations: usize,
-    /// Node budget, round width and simplex options per master MILP
-    /// solve.
+    /// Node budget and simplex options per master MILP solve.
     pub milp: MilpOptions,
     /// Reuse bases across iterations: the slave re-prices warm from the
     /// previous admission's basis and the master resumes its stored root

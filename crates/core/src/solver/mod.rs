@@ -153,19 +153,19 @@ impl SolveBudget {
 }
 
 /// Everything the orchestrator threads into one epoch's admission solve:
-/// the algorithm, the parallelism knobs, the compute budget, and an
-/// optional LP fault-injection plan for chaos testing.
+/// the algorithm, the compute budget, and an optional LP fault-injection
+/// plan for chaos testing.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SolveControls {
     /// Primary algorithm (the ladder may fall back to KAC below it).
     pub kind: SolverKind,
-    /// Branch-and-bound worker count, passed on as
-    /// [`ovnes_milp::MilpOptions::threads`], which the engine ignores.
+    /// Ignored: the branch and bound is one best-first loop on the calling
+    /// thread. The field survives only because the frozen `benchmark/`
+    /// harness still names it; the next change to `benchmark/` drops that
+    /// use, and this field with it.
     pub threads: usize,
-    /// Nodes-per-deterministic-round window (0 ⇒ engine default: adaptive
-    /// in the round-start queue depth). Different policies walk different
-    /// search sequences, so callers that fingerprint solver telemetry (the
-    /// scenario sweeps) pin it.
+    /// Ignored, as [`SolveControls::threads`] is: the search has no rounds
+    /// to size.
     pub round_width: usize,
     /// Compute budget; default unlimited.
     pub budget: SolveBudget,
@@ -293,13 +293,12 @@ impl ControlledOutcome {
     }
 }
 
-/// Solves an instance with the algorithm, parallelism knobs, compute budget
-/// and LP fault plan of `controls` — the one way into the four solver
-/// modules. No fallback: budget truncation returns `Ok` with
-/// `stats.truncated` set, errors propagate ([`solve_controlled`] is the
-/// degradation ladder over this). Every MILP-backed solver (Benders master,
-/// one-shot, baseline) searches on the calling thread, whatever
-/// `controls.threads` says.
+/// Solves an instance with the algorithm, compute budget and LP fault plan
+/// of `controls` — the one way into the four solver modules. No fallback:
+/// budget truncation returns `Ok` with `stats.truncated` set, errors
+/// propagate ([`solve_controlled`] is the degradation ladder over this).
+/// Every MILP-backed solver (Benders master, one-shot, baseline) searches
+/// on the calling thread.
 pub fn solve(instance: &AcrrInstance, controls: &SolveControls) -> Result<Allocation, AcrrError> {
     dispatch(instance, controls, &mut WarmChain::new())
 }
@@ -321,17 +320,10 @@ fn dispatch(
     }
 }
 
-/// MILP options implied by a control set: explicit parallelism knobs over
-/// the engine defaults, the budget folded in, and the fault plan on the
-/// node-relaxation simplex.
+/// MILP options implied by a control set: the engine defaults, the budget
+/// folded in, and the fault plan on the node-relaxation simplex.
 fn milp_options_for(controls: &SolveControls) -> ovnes_milp::MilpOptions {
-    let mut milp_options = ovnes_milp::MilpOptions {
-        threads: controls.threads,
-        ..Default::default()
-    };
-    if controls.round_width > 0 {
-        milp_options.round_width = Some(controls.round_width);
-    }
+    let mut milp_options = ovnes_milp::MilpOptions::default();
     controls.budget.apply_milp(&mut milp_options);
     milp_options.simplex.fault = controls.lp_fault;
     if controls.refactor_interval > 0 {

@@ -694,12 +694,9 @@ fn knob_census() {
         max_nodes,
         simplex: _,
         warm_start,
-        threads,
-        round_width,
         wall_limit,
     } = MilpOptions::default();
-    assert_eq!((max_nodes, warm_start, threads), (200_000, true, 1));
-    assert_eq!((round_width, wall_limit), (None, None));
+    assert_eq!((max_nodes, warm_start, wall_limit), (200_000, true, None));
 
     let benders::BendersOptions {
         max_iterations,
@@ -719,20 +716,25 @@ fn knob_census() {
 
     let SolveControls {
         kind,
-        threads,
-        round_width,
+        // Ignored by the solvers (the branch and bound is one best-first
+        // loop); they survive only because the frozen `benchmark/`
+        // harness names them.
+        threads: _,
+        round_width: _,
         budget: _,
         lp_fault,
         refactor_interval,
     } = SolveControls::default();
-    assert_eq!(kind, SolverKind::Benders);
-    assert_eq!((threads, round_width, refactor_interval), (0, 0, 0));
+    assert_eq!((kind, refactor_interval), (SolverKind::Benders, 0));
     assert_eq!(lp_fault, None);
 
     let OrchestratorConfig {
         solver,
-        threads,
-        round_width,
+        // Ignored by the orchestrator (the branch and bound is one
+        // best-first loop); they survive only because the frozen
+        // `benchmark/` harness names them.
+        threads: _,
+        round_width: _,
         overbooking,
         samples_per_epoch,
         season_epochs,
@@ -747,8 +749,8 @@ fn knob_census() {
         // survives only because the frozen `benchmark/` harness names it.
         incremental: _,
     } = OrchestratorConfig::default();
-    assert_eq!((solver, threads), (SolverKind::Benders, 1));
-    assert_eq!((round_width, samples_per_epoch, season_epochs), (0, 12, 6));
+    assert_eq!(solver, SolverKind::Benders);
+    assert_eq!((samples_per_epoch, season_epochs), (12, 6));
     assert_eq!((prior_history, forecast_headroom), (3, 2.5));
     assert!(overbooking && !adaptive_reservations);
     assert_eq!((reapply_epochs, seed, lp_fault), (u32::MAX, 7, None));

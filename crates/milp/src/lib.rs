@@ -10,8 +10,8 @@
 //!
 //! * binary / general-integer variable marking on top of an `ovnes_lp`
 //!   [`Problem`],
-//! * best-first search over one node queue, in rounds, on the calling
-//!   thread,
+//! * best-first search over one node queue, one node at a time, on the
+//!   calling thread,
 //! * **deterministic results**: the same problem and options always walk
 //!   the same tree (see below),
 //! * most-fractional branching, exploring the nearer integer side first,
@@ -26,26 +26,22 @@
 //! ## Search loop and determinism
 //!
 //! [`Milp::solve`] is one sequential loop, and it makes every search
-//! decision. Each pass forms a **round**: the up-to-[`MilpOptions::round_width`]
-//! best open nodes (lower parent bound first, ties broken on node ids),
-//! discarding queue-front nodes an incumbent already prunes. It then walks
-//! the round in order: a node that an incumbent found earlier in the round
-//! now prunes is skipped, the node budget or the wall-clock deadline stops
-//! the search flagged truncated, and any other node has its relaxation
-//! solved and applied — an incumbent update or a branching whose children
-//! enter a later round. The loop repeats until a formed round is empty.
+//! decision. Each pass pops the best open node (lower parent bound first,
+//! ties broken toward the older node id). A node the incumbent now prunes
+//! is skipped; the node budget or the wall-clock deadline stops the search
+//! flagged truncated; any other node has its relaxation solved and
+//! applied — an incumbent update, or a branching whose children enter the
+//! queue and compete with every open node at the next pop. The loop ends
+//! when the queue is empty.
 //!
-//! A node's relaxation is solved when the loop reaches it, so a node the
-//! loop skips or never reaches costs no LP solve. The solve runs on one
-//! clone of the [`Problem`] (it only toggles integer bounds) and one
-//! [`ovnes_lp::Workspace`], kept for the whole `solve` call, and restarts
-//! from the node's *parent's* [`Basis`] value. Rounds fix the application
-//! order: children branched during a round wait for the next one, so the
-//! order is not global best-first, and the pinned node counts and decision
-//! fingerprints record exactly this order. [`MilpOptions::threads`] is
-//! accepted and ignored, so results are trivially identical at every
-//! worker count; `tests/solver_cross_check.rs` still asserts it at 1, 2
-//! and 4 on seeded torture MILPs.
+//! The order is global best-first, so every node whose parent bound is
+//! below the optimum (less the 1e-7 gap) is applied and, once the optimum
+//! is the incumbent, no other node is; the crate's tests count this
+//! against an independent enumeration of the tree. A node's relaxation is
+//! solved only when the loop applies it, on one clone of the [`Problem`]
+//! (it only toggles integer bounds) and one [`ovnes_lp::Workspace`], kept
+//! for the whole `solve` call, restarting from the node's *parent's*
+//! [`Basis`] value.
 //!
 //! ## Example
 //!
@@ -88,25 +84,9 @@ const INT_EPS: f64 = 1e-6;
 /// root is always applied first).
 const ROOT_ID: u64 = 0;
 
-/// Floor of the adaptive nodes-per-round window.
-const FALLBACK_ROUND_WIDTH: usize = 8;
-
-/// Ceiling of the adaptive nodes-per-round window.
-const MAX_ADAPTIVE_ROUND_WIDTH: usize = 64;
-
 /// Absolute optimality gap at which a node is pruned against the incumbent.
 /// Also the guarantee on the returned solution.
 const ABS_GAP: f64 = 1e-7;
-
-/// The adaptive nodes-per-round window for an open queue of `open` nodes:
-/// half the queue, clamped to `[8, 64]`. A **pure function of the
-/// round-start queue length**, so round membership (and therefore every
-/// search decision) is a function of the search state alone. Shallow
-/// end-of-search queues get narrow rounds, so children of a freshly
-/// applied node are considered sooner.
-pub fn adaptive_round_width(open: usize) -> usize {
-    (open / 2).clamp(FALLBACK_ROUND_WIDTH, MAX_ADAPTIVE_ROUND_WIDTH)
-}
 
 /// Options controlling the branch-and-bound search.
 #[derive(Debug, Clone)]
@@ -128,16 +108,6 @@ pub struct MilpOptions {
     /// Disable only for debugging / regression comparison — results are
     /// identical either way, warm starts are purely a speed lever.
     pub warm_start: bool,
-    /// Accepted and ignored: the search runs on the calling thread at any
-    /// value. Kept only because existing callers still set it. Defaults
-    /// to 1.
-    pub threads: usize,
-    /// Nodes per deterministic round. `Some(w)` pins a fixed width (clamped
-    /// to ≥ 1); `None` (the default) sizes each round by
-    /// [`adaptive_round_width`] of the round-start queue depth. Different
-    /// width policies walk different, each deterministic, search sequences,
-    /// so pin it when fingerprinting telemetry.
-    pub round_width: Option<usize>,
     /// Optional wall-clock budget per `solve` call. When it expires the
     /// search stops at the next node it would apply and returns the best
     /// incumbent flagged `truncated` (or, when none was found yet,
@@ -155,8 +125,6 @@ impl Default for MilpOptions {
             max_nodes: 200_000,
             simplex: SimplexOptions::default(),
             warm_start: true,
-            threads: 1,
-            round_width: None,
             wall_limit: None,
         }
     }
@@ -169,8 +137,10 @@ pub struct MilpSolution {
     pub objective: f64,
     /// Variable values; integer-marked entries are exactly rounded.
     pub x: Vec<f64>,
-    /// Number of nodes applied by the search, one relaxation solve each
-    /// (deterministic).
+    /// Number of nodes the best-first search applied, one relaxation solve
+    /// each (deterministic): on a search run to the end, every node whose
+    /// parent bound is below the optimum, plus those tied with it that
+    /// were popped before the optimum became the incumbent.
     pub nodes: usize,
     /// True when the node limit stopped the search before the tree was
     /// exhausted; the solution is then best-effort rather than proven optimal.
@@ -283,8 +253,7 @@ struct Search<'a> {
     problem: &'a Problem,
     integers: &'a [VarId],
     options: &'a MilpOptions,
-    /// Open nodes awaiting a future round, in canonical order (see
-    /// [`queue_key`]).
+    /// Open nodes, in canonical order (see [`queue_key`]).
     queue: BTreeMap<(u64, u64), Node>,
     next_id: u64,
     /// Nodes applied so far, in canonical order.
@@ -305,33 +274,6 @@ impl Search<'_> {
     /// Whether the incumbent already dominates a subtree bounded by `bound`.
     fn prunes(&self, bound: f64) -> bool {
         bound >= self.cutoff - ABS_GAP
-    }
-
-    /// Moves the next round out of the queue: the up-to-width best open
-    /// nodes, discarding front nodes already prunable. Membership (the
-    /// adaptive width included, a function of the round-start queue depth
-    /// alone) depends only on the search state.
-    fn next_round(&mut self) -> Vec<Node> {
-        let width = match self.options.round_width {
-            Some(w) => w.max(1),
-            None => adaptive_round_width(self.queue.len()),
-        };
-        // Round start: telemetry only (counters and a high-water gauge —
-        // no wall clock, no search effect).
-        if ovnes_obs::enabled() && !self.queue.is_empty() {
-            ovnes_obs::metrics::global_counter_add("milp.rounds", 1);
-            ovnes_obs::metrics::global_gauge_max("milp.queue_depth", self.queue.len() as f64);
-        }
-        let mut round = Vec::new();
-        while round.len() < width {
-            let Some((_, node)) = self.queue.pop_first() else {
-                break;
-            };
-            if !self.prunes(node.bound) {
-                round.push(node);
-            }
-        }
-        round
     }
 
     /// Applies one node's LP result: incumbent update or branching.
@@ -434,8 +376,8 @@ pub struct Milp {
     /// valid (rows append, columns never change) — reusing it turns the new
     /// root solve into a short dual-simplex run. (The basis also carries its
     /// factorization; appended rows grow the basis matrix, so that part is
-    /// rebuilt once per cut round, while node re-solves within a round reuse
-    /// factors untouched.)
+    /// rebuilt once per cut round, while node re-solves within a solve
+    /// reuse factors untouched.)
     root_basis: Option<Basis>,
     /// Pivot statistics of the most recent `solve` call (all outcomes).
     last_lp_stats: LpStats,
@@ -477,8 +419,8 @@ impl Milp {
         &self.problem
     }
 
-    /// Runs branch and bound: one loop over rounds of open nodes, solving
-    /// each node's relaxation when it reaches it.
+    /// Runs branch and bound: one best-first loop over the open nodes,
+    /// solving a node's relaxation only when it applies the node.
     ///
     /// Node relaxations run on the revised simplex: each child node reuses
     /// its parent's basis *and* its persisted Arc-shared factorization (one
@@ -522,40 +464,35 @@ impl Milp {
             ws: Workspace::new(),
         };
 
-        'search: loop {
-            let round = search.next_round();
-            if round.is_empty() {
+        while let Some((_, node)) = search.queue.pop_first() {
+            if ovnes_obs::enabled() {
+                // Telemetry only: the open queue's high-water mark, the
+                // popped node included.
+                let depth = search.queue.len() + 1;
+                ovnes_obs::metrics::global_gauge_max("milp.queue_depth", depth as f64);
+            }
+            // Checked before the budgets so a tree that is effectively
+            // exhausted (every remaining node dominated) is never reported
+            // truncated.
+            if search.prunes(node.bound) {
+                continue;
+            }
+            // The wall-clock deadline shares the node budget's truncation
+            // path; *which* prefix it explores depends on the machine (see
+            // [`MilpOptions::wall_limit`]).
+            if search.applied >= options.max_nodes || deadline.is_some_and(|d| Instant::now() >= d)
+            {
+                search.truncated = true;
                 break;
             }
-            // Each node is solved only when the loop reaches it: solving
-            // the round up front would waste solves on nodes that an
-            // in-round incumbent or the node cap then discards.
-            for node in round {
-                // An incumbent found earlier in this round may have
-                // overtaken the node since it was selected. Checked before
-                // the budgets so a tree that is effectively exhausted (every
-                // remaining node dominated) is never reported truncated.
-                if search.prunes(node.bound) {
-                    continue;
-                }
-                // The wall-clock deadline shares the node budget's
-                // truncation path; *which* prefix it explores depends on the
-                // machine (see [`MilpOptions::wall_limit`]).
-                if search.applied >= options.max_nodes
-                    || deadline.is_some_and(|d| Instant::now() >= d)
-                {
-                    search.truncated = true;
-                    break 'search;
-                }
-                let result = solver.solve(problem, &options.simplex, &node);
-                search.applied += 1;
-                match result {
-                    Ok(solved) => search.apply(node, solved),
-                    Err(e) => search.error = Some(e),
-                }
-                if search.error.is_some() || search.unbounded {
-                    break 'search;
-                }
+            let result = solver.solve(problem, &options.simplex, &node);
+            search.applied += 1;
+            match result {
+                Ok(solved) => search.apply(node, solved),
+                Err(e) => search.error = Some(e),
+            }
+            if search.error.is_some() || search.unbounded {
+                break;
             }
         }
 

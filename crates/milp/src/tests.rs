@@ -1,7 +1,7 @@
 //! Tests for branch-and-bound, cross-checked against brute-force enumeration.
 
-use crate::{adaptive_round_width, Milp, MilpOptions, MilpOutcome, MilpSolution};
-use ovnes_lp::{Cmp, Problem, SolveError, VarId};
+use crate::{Milp, MilpOptions, MilpOutcome, ABS_GAP, INT_EPS};
+use ovnes_lp::{Cmp, Outcome as LpOutcome, Problem, SolveError, VarId};
 use proptest::prelude::*;
 
 /// Brute-force optimum of a 0-1 knapsack: max Σ v_i x_i s.t. Σ w_i x_i ≤ cap.
@@ -35,6 +35,14 @@ fn knapsack_milp(values: &[f64], weights: &[f64], cap: f64) -> Milp {
         m.mark_integer(v);
     }
     m
+}
+
+/// The knapsack family the node-budget and search-order tests share: 14 items with
+/// correlated weights (forces real branching).
+fn correlated_knapsack() -> (Vec<f64>, Vec<f64>) {
+    let values = (0..14).map(|i| 10.0 + (i as f64) * 0.618).collect();
+    let weights = (0..14).map(|i| 7.0 + ((i * 37) % 11) as f64).collect();
+    (values, weights)
 }
 
 #[test]
@@ -166,9 +174,7 @@ fn equality_assignment_problem() {
 
 #[test]
 fn node_limit_truncates() {
-    // A 14-item knapsack with correlated weights forces some branching.
-    let values: Vec<f64> = (0..14).map(|i| 10.0 + (i as f64) * 0.618).collect();
-    let weights: Vec<f64> = (0..14).map(|i| 7.0 + ((i * 37) % 11) as f64).collect();
+    let (values, weights) = correlated_knapsack();
     let mut m = knapsack_milp(&values, &weights, 40.0);
     m.set_options(MilpOptions {
         max_nodes: 2,
@@ -187,8 +193,7 @@ fn node_limit_truncates() {
 /// to the end finds the optimum.
 #[test]
 fn node_limit_without_incumbent_is_not_infeasible() {
-    let values: Vec<f64> = (0..14).map(|i| 10.0 + (i as f64) * 0.618).collect();
-    let weights: Vec<f64> = (0..14).map(|i| 7.0 + ((i * 37) % 11) as f64).collect();
+    let (values, weights) = correlated_knapsack();
     let mut m = knapsack_milp(&values, &weights, 40.0);
     m.set_options(MilpOptions {
         max_nodes: 1, // the root relaxation is fractional
@@ -290,165 +295,96 @@ proptest! {
     }
 }
 
-// ------------------------------------------------------ parallel determinism
+// ------------------------------------------------------------- search order
 
-/// The parallel search must return bit-identical results — objective,
-/// solution vector, node count, pivot statistics — at every worker count.
-/// Speculative solves may be wasted, but application order is canonical.
-#[test]
-fn worker_count_never_changes_results() {
-    // A knapsack family with correlated weights (forces real branching)
-    // plus the multi-constraint instance.
-    let values: Vec<f64> = (0..14).map(|i| 10.0 + (i as f64) * 0.618).collect();
-    let weights: Vec<f64> = (0..14).map(|i| 7.0 + ((i * 37) % 11) as f64).collect();
-    for cap in [20.0, 40.0, 55.0] {
-        let mut reference: Option<MilpSolution> = None;
-        for threads in [1usize, 2, 4] {
-            let mut m = knapsack_milp(&values, &weights, cap);
-            m.set_options(MilpOptions {
-                threads,
-                ..MilpOptions::default()
-            });
-            let s = m.solve().unwrap().unwrap_optimal();
-            match &reference {
-                None => reference = Some(s),
-                Some(r) => {
-                    assert_eq!(
-                        r.objective.to_bits(),
-                        s.objective.to_bits(),
-                        "cap {cap}: objective differs at {threads} workers"
-                    );
-                    assert_eq!(r.x, s.x, "cap {cap}: solution differs at {threads} workers");
-                    assert_eq!(
-                        r.nodes, s.nodes,
-                        "cap {cap}: node count differs at {threads} workers"
-                    );
-                    assert_eq!(
-                        r.lp_stats, s.lp_stats,
-                        "cap {cap}: pivot stats differ at {threads} workers"
-                    );
-                }
+/// The nodes a best-first search must apply on the 0-1 knapsack, counted
+/// without the search: the whole tree is enumerated with no pruning, each
+/// node's relaxation solved cold and branched on its most fractional item
+/// (the crate's rule), and the count is the root plus every node whose
+/// parent bound lies below the brute-force optimum by more than `ABS_GAP`.
+/// Best-first pops all of those before any node at or above the optimum,
+/// and none of them can be pruned, so once the optimum is the incumbent
+/// every later pop is pruned.
+fn best_first_node_count(values: &[f64], weights: &[f64], cap: f64) -> usize {
+    let optimum = -knapsack_brute(values, weights, cap);
+    let mut count = 0;
+    let mut open = vec![(f64::NEG_INFINITY, vec![(0.0, 1.0); values.len()])];
+    while let Some((parent_bound, bounds)) = open.pop() {
+        if parent_bound < optimum - ABS_GAP {
+            count += 1;
+        }
+        let mut p = Problem::new();
+        let row: Vec<_> = values
+            .iter()
+            .zip(weights)
+            .zip(&bounds)
+            .map(|((&v, &w), &(lb, ub))| (p.add_var(lb, ub, -v), w))
+            .collect();
+        p.add_cons(&row, Cmp::Le, cap);
+        let LpOutcome::Optimal(sol) = p.solve().unwrap() else {
+            continue;
+        };
+        let mut branch = None;
+        let mut best_frac_dist = INT_EPS;
+        for (i, &x) in sol.x.iter().enumerate() {
+            let frac = (x - x.round()).abs();
+            if frac > best_frac_dist {
+                best_frac_dist = frac;
+                branch = Some(i);
+            }
+        }
+        if let Some(i) = branch {
+            for side in [0.0, 1.0] {
+                let mut child = bounds.clone();
+                child[i] = (side, side);
+                open.push((sol.objective, child));
             }
         }
     }
+    count
 }
 
-/// The round width is a hardware-tuning lever: every width must find the
-/// same optimum, and any fixed width must stay bit-identical across
-/// worker counts (the determinism contract is per width, not across
-/// widths — node counts may legitimately differ between widths).
+/// The search is best-first: on knapsacks whose items have distinct
+/// value/weight ratios (so every relaxation has a unique optimum, and the
+/// warm search and the cold enumeration branch alike), it applies exactly
+/// the nodes [`best_first_node_count`] counts, and finds the brute-force
+/// optimum.
 #[test]
-fn round_width_preserves_optimum_and_per_width_determinism() {
-    let values: Vec<f64> = (0..14).map(|i| 10.0 + (i as f64) * 0.618).collect();
-    let weights: Vec<f64> = (0..14).map(|i| 7.0 + ((i * 37) % 11) as f64).collect();
-    let solve = |round_width: Option<usize>, threads: usize| {
-        let mut m = knapsack_milp(&values, &weights, 40.0);
-        m.set_options(MilpOptions {
-            round_width,
-            threads,
-            ..MilpOptions::default()
-        });
-        m.solve().unwrap().unwrap_optimal()
-    };
-    let reference = solve(Some(8), 1);
-    for width in [Some(1usize), Some(2), Some(4), Some(16), Some(64), None] {
-        let width_label = width.map_or("adaptive".to_string(), |w| w.to_string());
-        let serial = solve(width, 1);
-        assert!(
-            (serial.objective - reference.objective).abs() < 1e-9,
-            "width {width_label}: objective {} vs {}",
-            serial.objective,
-            reference.objective
-        );
-        let parallel = solve(width, 4);
+fn search_applies_exactly_the_best_first_nodes() {
+    let (values, weights) = correlated_knapsack();
+    let mut ratios: Vec<f64> = values.iter().zip(&weights).map(|(v, w)| v / w).collect();
+    ratios.sort_by(f64::total_cmp);
+    assert!(ratios.windows(2).all(|r| r[1] - r[0] > 1e-9));
+    for cap in [20.0, 40.0, 55.0] {
+        let s = knapsack_milp(&values, &weights, cap)
+            .solve()
+            .unwrap()
+            .unwrap_optimal();
+        assert!((-s.objective - knapsack_brute(&values, &weights, cap)).abs() < 1e-6);
+        assert!(!s.truncated);
         assert_eq!(
-            serial.objective.to_bits(),
-            parallel.objective.to_bits(),
-            "width {width_label}: objective differs at 4 workers"
-        );
-        assert_eq!(
-            serial.x, parallel.x,
-            "width {width_label}: solution differs"
-        );
-        assert_eq!(
-            serial.nodes, parallel.nodes,
-            "width {width_label}: node count differs"
-        );
-        assert_eq!(
-            serial.lp_stats, parallel.lp_stats,
-            "width {width_label}: pivot stats differ"
+            s.nodes,
+            best_first_node_count(&values, &weights, cap),
+            "cap {cap}: applied nodes vs the best-first count"
         );
     }
 }
 
-/// The adaptive round-width policy (`round_width: None`) must be a pure
-/// function of the round-start queue depth: the node count, objective, and
-/// pivot statistics are bit-identical at 1, 2, and 4 workers.
-#[test]
-fn adaptive_round_width_is_worker_count_invariant() {
-    let values: Vec<f64> = (0..16).map(|i| 9.0 + (i as f64) * 0.731).collect();
-    let weights: Vec<f64> = (0..16).map(|i| 6.0 + ((i * 29) % 13) as f64).collect();
-    let solve = |threads: usize| {
-        let mut m = knapsack_milp(&values, &weights, 47.0);
-        m.set_options(MilpOptions {
-            round_width: None,
-            threads,
-            ..MilpOptions::default()
-        });
-        m.solve().unwrap().unwrap_optimal()
-    };
-    let one = solve(1);
-    assert!(
-        one.nodes >= 16,
-        "a {}-node tree is too shallow to exercise the round scheduler",
-        one.nodes
-    );
-    for threads in [2usize, 4] {
-        let multi = solve(threads);
-        assert_eq!(
-            one.objective.to_bits(),
-            multi.objective.to_bits(),
-            "adaptive width: objective differs at {threads} workers"
-        );
-        assert_eq!(one.x, multi.x, "adaptive width: solution differs");
-        assert_eq!(
-            one.nodes, multi.nodes,
-            "adaptive width: node count differs at {threads} workers"
-        );
-        assert_eq!(
-            one.lp_stats, multi.lp_stats,
-            "adaptive width: pivot stats differ at {threads} workers"
-        );
-    }
-    // The policy itself: clamped halving of the open-queue depth.
-    assert_eq!(adaptive_round_width(0), 8);
-    assert_eq!(adaptive_round_width(16), 8);
-    assert_eq!(adaptive_round_width(40), 20);
-    assert_eq!(adaptive_round_width(1000), 64);
-}
-
-/// Truncation by the node budget is part of the deterministic contract too.
+/// Truncation by the node budget is part of the deterministic contract:
+/// the cap stops the search after exactly `max_nodes` applied nodes.
 #[test]
 fn truncation_is_deterministic_across_workers() {
-    let values: Vec<f64> = (0..14).map(|i| 10.0 + (i as f64) * 0.618).collect();
-    let weights: Vec<f64> = (0..14).map(|i| 7.0 + ((i * 37) % 11) as f64).collect();
-    let mut outcomes = Vec::new();
-    for threads in [1usize, 3] {
-        let mut m = knapsack_milp(&values, &weights, 40.0);
-        m.set_options(MilpOptions {
-            max_nodes: 9,
-            threads,
-            ..MilpOptions::default()
-        });
-        match m.solve() {
-            Ok(MilpOutcome::Optimal(s)) => {
-                outcomes.push((s.objective.to_bits(), s.nodes, s.truncated))
-            }
-            Err(SolveError::IterationLimit) => outcomes.push((0, 0, true)),
-            other => panic!("feasible problem: {other:?}"),
-        }
+    let (values, weights) = correlated_knapsack();
+    let mut m = knapsack_milp(&values, &weights, 40.0);
+    m.set_options(MilpOptions {
+        max_nodes: 9,
+        ..MilpOptions::default()
+    });
+    match m.solve() {
+        Ok(MilpOutcome::Optimal(s)) => assert_eq!((s.nodes, s.truncated), (9, true)),
+        Err(SolveError::IterationLimit) => {}
+        other => panic!("feasible problem: {other:?}"),
     }
-    assert_eq!(outcomes[0], outcomes[1], "truncated runs diverged");
 }
 
 // ----------------------------------------------------- warm-start regression

@@ -29,11 +29,16 @@
 //! path joins them with `;` (`scenario;epoch;solve;benders_round`).
 //! Layer prefixes keep the namespace flat: `lp_*` for simplex internals
 //! (`lp_factor`, `lp_ftran`, `lp_btran`, `lp_pricing`), `milp_*` for the
-//! branch-and-bound tree (`milp_round`, `milp_node`), `kac_*` for the
+//! branch-and-bound tree (`milp_solve`, `milp_node`), `kac_*` for the
 //! heuristic vet chain, bare nouns for orchestrator phases (`generate`,
 //! `revalidate`, `forecast`, `solve`, `admit`, `simulate`). Dynamic data
 //! (round numbers, node ids) goes in the span attribute, never the name,
 //! so folded paths stay low-cardinality.
+
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
 
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::OnceLock;

@@ -203,8 +203,8 @@ impl ThreadTracer {
 }
 
 /// Wrapper whose Drop flushes the thread's buffers into the global sink
-/// when the thread exits (sweep/B&B workers are short-lived scoped
-/// threads, so their spans land in the sink at scope join).
+/// when the thread exits (sweep workers are short-lived scoped threads, so
+/// their spans land in the sink at scope join).
 struct TracerCell(RefCell<ThreadTracer>);
 
 impl Drop for TracerCell {

@@ -57,16 +57,14 @@ pub struct ScenarioSpec {
     /// Re-apply patience handed to the orchestrator (bounds the pending
     /// queue under churn; see `OrchestratorConfig::reapply_epochs`).
     pub reapply_epochs: u32,
-    /// Branch-and-bound worker count per epoch solve (the builder's default
-    /// is 1), passed on as `ovnes_milp::MilpOptions::threads`, which the
-    /// engine ignores: it moves nothing.
+    /// Ignored: every epoch's branch and bound is one best-first loop on
+    /// the calling thread. The field and [`ScenarioBuilder::threads`]
+    /// survive only because the frozen `benchmark/` workloads still name
+    /// them; the next change to `benchmark/` drops those uses, and both
+    /// with them.
     pub threads: usize,
-    /// Branch-and-bound nodes per deterministic round for the epoch
-    /// solves. Different widths walk different search sequences (node and
-    /// pivot counts differ), so the builder **pins** this to 8 rather than
-    /// inheriting the engine's queue-depth-adaptive default — a scenario
-    /// report, and therefore every sweep fingerprint, stays a pure function
-    /// of its spec.
+    /// Ignored, as [`ScenarioSpec::threads`] is (the search has no rounds
+    /// to size); [`ScenarioBuilder::round_width`] likewise.
     pub round_width: usize,
     /// Master seed: drives both the workload expansion and the simulator.
     pub seed: u64,
@@ -204,18 +202,17 @@ impl ScenarioBuilder {
         self
     }
 
-    /// Per-epoch branch-and-bound worker count (default 1; ignored by the
-    /// engine).
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.spec.threads = threads;
+    /// Does nothing: the branch and bound runs on the calling thread. Kept
+    /// only because the frozen `benchmark/` workloads still call it (see
+    /// [`ScenarioSpec::threads`]).
+    pub fn threads(self, _threads: usize) -> Self {
         self
     }
 
-    /// Per-epoch branch-and-bound round width (clamped to ≥ 1; changes
-    /// the — still deterministic — search sequence, and with it the
-    /// report fingerprint).
-    pub fn round_width(mut self, round_width: usize) -> Self {
-        self.spec.round_width = round_width.max(1);
+    /// Does nothing: the branch and bound has no rounds. Kept only because
+    /// the frozen `benchmark/` workloads still call it (see
+    /// [`ScenarioSpec::round_width`]).
+    pub fn round_width(self, _round_width: usize) -> Self {
         self
     }
 
@@ -293,8 +290,6 @@ pub fn run_scenario_on(
         overbooking: spec.overbooking,
         adaptive_reservations: spec.adaptive_reservations,
         reapply_epochs: spec.reapply_epochs,
-        threads: spec.threads,
-        round_width: spec.round_width.max(1),
         seed: spec.seed,
         budget: spec.budget,
         ..Default::default()

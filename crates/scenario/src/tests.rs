@@ -246,14 +246,6 @@ fn sweep_is_bit_identical_at_any_worker_count() {
 }
 
 #[test]
-fn spec_pins_the_bnb_round_width() {
-    // The round width changes the search sequence — the builder must pin
-    // it so reports are pure functions of the spec.
-    let spec = tiny_spec("pin", 1);
-    assert_eq!(spec.round_width, 8);
-}
-
-#[test]
 fn every_preset_name_resolves_and_builds() {
     for name in presets::PRESET_NAMES {
         let spec = presets::preset(name).unwrap_or_else(|| panic!("preset {name} must resolve"));

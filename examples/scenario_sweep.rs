@@ -134,8 +134,6 @@ fn main() {
         // The trace must be a faithful breakdown of where the horizon
         // went, not a sample: the `scenario` root span has to cover at
         // least 80% of the wall-clock the scenario drivers measured.
-        // (B&B workers open their own root stacks, so the all-roots
-        // total would double-count their time against the solve phase.)
         let coverage = trace.total_ns("scenario") as f64 / (traced_wall_seconds * 1e9).max(1.0);
         println!(
             "\ntrace: coverage {:.1}% of {:.2}s measured horizon wall-clock \

@@ -63,12 +63,14 @@ const CASES: [Case; 12] = [
 ];
 
 /// Per solver kind, the (decision, count) digests over every case it
-/// solves.
+/// solves. The Benders and OneShot count digests were re-recorded when the
+/// branch and bound became strictly best-first (it applies fewer nodes);
+/// no decision digest moved.
 #[rustfmt::skip]
 const PINNED: [(SolverKind, u64, u64); 4] = [
-    (SolverKind::Benders, 0xfea4_f835_3762_90d7, 0xf1b7_deb3_c7dc_0571),
+    (SolverKind::Benders, 0xfea4_f835_3762_90d7, 0xe93d_a394_c81f_860d),
     (SolverKind::Kac, 0xa96d_0861_d8b5_c675, 0x2136_9603_407f_f0f9),
-    (SolverKind::OneShot, 0xee6c_d50d_69cc_52f1, 0xb7ad_783d_a614_8fb8),
+    (SolverKind::OneShot, 0xee6c_d50d_69cc_52f1, 0xa34a_c1b9_9c16_f980),
     (SolverKind::NoOverbooking, 0x99bb_7d93_0f5b_a0e3, 0xe8ae_d372_7ba4_e255),
 ];
 
@@ -357,7 +359,6 @@ fn a_master_stopped_without_incumbent_degrades_the_epoch() {
         for max_nodes in 1..=4 {
             let controls = SolveControls {
                 kind: SolverKind::Benders,
-                threads: 1,
                 budget: SolveBudget {
                     max_nodes: Some(max_nodes),
                     ..SolveBudget::default()

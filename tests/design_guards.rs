@@ -283,6 +283,11 @@ const DELETED: &[(&str, u32, &str)] = &[
     ("incumbent_bits", 47, SRC_TESTS),
     ("WorkItem", 47, SRC_TESTS),
     ("SearchState", 47, SRC_TESTS),
+    ("next_round", 52, SRC_TESTS),
+    ("adaptive_round_width", 52, SRC_TESTS),
+    ("FALLBACK_ROUND_WIDTH", 52, SRC_TESTS),
+    ("MAX_ADAPTIVE_ROUND_WIDTH", 52, SRC_TESTS),
+    ("run_at_1_2_4", 52, SRC_TESTS),
 ];
 
 #[test]

@@ -2,7 +2,7 @@
 //! the solver, but they must never touch it. With tracing off the
 //! journal stays empty; on or off, the scenario fingerprints below are
 //! pinned to the exact values the engine produced before `ovnes-obs`
-//! existed, at every worker count.
+//! existed.
 //!
 //! If a change legitimately moves these constants (a solver change, not
 //! an observability change), update them in the PR that means to — never
@@ -16,7 +16,7 @@ use ovnes_scenario::driver::run_scenario;
 use ovnes_scenario::presets;
 
 /// Pre-`ovnes-obs` fingerprints (full telemetry + decision-only) for the
-/// two pinned presets, identical at 1/2/4 B&B threads. The full ones were
+/// two pinned presets. The full ones were
 /// re-recorded when `ScenarioReport` stopped hashing two words that were
 /// always zero (`recycled_cuts`, `churn_carry_attempts`), `fig5-n1`'s
 /// once more when KAC stopped re-vetting a forced set that does not fit
@@ -58,16 +58,13 @@ fn obs_lock() -> ObsLock {
 
 fn assert_pinned(context: &str) {
     for &(name, fingerprint, decision_fingerprint) in PINNED {
-        for threads in [1usize, 2, 4] {
-            let mut spec = presets::preset(name).expect("pinned preset exists");
-            spec.threads = threads;
-            let report = run_scenario(&spec).expect("pinned preset runs");
-            assert_eq!(
-                (report.fingerprint(), report.decision_fingerprint()),
-                (fingerprint, decision_fingerprint),
-                "{name} (fingerprint, decision fingerprint) moved ({context}, threads={threads})"
-            );
-        }
+        let spec = presets::preset(name).expect("pinned preset exists");
+        let report = run_scenario(&spec).expect("pinned preset runs");
+        assert_eq!(
+            (report.fingerprint(), report.decision_fingerprint()),
+            (fingerprint, decision_fingerprint),
+            "{name} (fingerprint, decision fingerprint) moved ({context})"
+        );
     }
 }
 
@@ -169,8 +166,7 @@ fn phase_seconds_are_their_span_totals() {
     let _guard = obs_lock();
     ovnes_obs::set_enabled(true);
     let _ = ovnes_obs::trace::drain();
-    let mut spec = presets::preset("fig5-n1").expect("preset");
-    spec.threads = 1;
+    let spec = presets::preset("fig5-n1").expect("preset");
     let report = run_scenario(&spec).expect("run");
     let trace = ovnes_obs::trace::drain();
 
@@ -201,8 +197,7 @@ fn phase_seconds_are_their_span_totals() {
 fn decision_latency_percentiles_present_in_report() {
     let _guard = obs_lock();
     ovnes_obs::set_enabled(false);
-    let mut spec = presets::preset("fig5-n1").expect("preset");
-    spec.threads = 1;
+    let spec = presets::preset("fig5-n1").expect("preset");
     let report = run_scenario(&spec).expect("run");
     assert!(
         report.epochs >= 24 && report.arrivals > 0 && report.accepted > 0 && report.lp_solves > 0,
@@ -224,8 +219,8 @@ fn decision_latency_percentiles_present_in_report() {
 /// The search solves a node's relaxation only when it applies the node, so
 /// every `milp_node` span is an applied node: the span count is
 /// `MilpSolution::nodes`, on a tree searched to the end and on one the node
-/// cap stops mid-round, at any `threads` value. Pre-solving rounds would
-/// open spans for nodes an in-round incumbent or the cap then discards.
+/// cap stops. Solving nodes ahead of applying them would open spans for
+/// nodes a later incumbent or the cap then discards.
 #[test]
 fn search_solves_only_the_nodes_it_applies() {
     let _guard = obs_lock();
@@ -240,7 +235,7 @@ fn search_solves_only_the_nodes_it_applies() {
         })
         .collect();
     p.add_cons(&items, Cmp::Le, 40.0);
-    for (max_nodes, threads) in [(200_000, 1), (40, 1), (200_000, 2), (40, 2)] {
+    for max_nodes in [200_000, 40] {
         let _ = ovnes_obs::trace::drain();
         let mut milp = Milp::new(p.clone());
         for &(x, _) in &items {
@@ -248,7 +243,6 @@ fn search_solves_only_the_nodes_it_applies() {
         }
         milp.set_options(MilpOptions {
             max_nodes,
-            threads,
             ..MilpOptions::default()
         });
         let Ok(MilpOutcome::Optimal(solution)) = milp.solve() else {
@@ -262,7 +256,7 @@ fn search_solves_only_the_nodes_it_applies() {
             .sum();
         assert_eq!(
             spans, solution.nodes as u64,
-            "max_nodes {max_nodes}, threads {threads}: node solves vs applied nodes"
+            "max_nodes {max_nodes}: node solves vs applied nodes"
         );
         // The capped run stops at its cap; the full run needs more nodes.
         let capped = max_nodes == 40;
