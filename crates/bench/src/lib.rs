@@ -19,6 +19,8 @@
 //! `benchmark/` package; the kernels' work is pinned as exact counts by
 //! `tests/kernel_counts.rs`.
 
+#![deny(unreachable_pub)]
+
 /// Reads `flag`'s value from the command line (`--scale F`, `--seed N`);
 /// `default` when it is absent or does not parse.
 pub fn arg<T: std::str::FromStr>(flag: &str, default: T) -> T {

@@ -77,6 +77,7 @@
 //! assert!(admitted > 0);
 //! ```
 
+#![deny(unreachable_pub)]
 #![cfg_attr(
     not(test),
     deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
@@ -89,12 +90,10 @@ pub mod solver;
 
 /// One-stop imports for applications.
 pub mod prelude {
-    pub use crate::orchestrator::{
-        EpochOutcome, InfraEvent, InfraEventKind, Orchestrator, OrchestratorConfig,
-    };
-    pub use crate::problem::{AcrrInstance, Allocation, PathPolicy, TenantInput};
-    pub use crate::slice::{RequestFault, ServiceModel, SliceClass, SliceRequest, SliceTemplate};
-    pub use crate::solver::{AcrrError, Degradation, SolveBudget, SolveControls, SolverKind};
+    pub use crate::orchestrator::{EpochOutcome, Orchestrator, OrchestratorConfig};
+    pub use crate::problem::Allocation;
+    pub use crate::slice::{SliceClass, SliceRequest, SliceTemplate};
+    pub use crate::solver::SolverKind;
     pub use ovnes_topology::operators::{GeneratorConfig, NetworkModel, Operator};
 }
 

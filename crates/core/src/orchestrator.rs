@@ -276,7 +276,7 @@ pub struct EpochOutcome {
     /// Pending tenants rejected this epoch.
     pub rejected: Vec<u32>,
     /// Requests refused on arrival this epoch, in arrival order, each with
-    /// its [`SliceRequest::fault`]. A refused request is dropped before
+    /// its `SliceRequest::fault`. A refused request is dropped before
     /// anything forecasts, solves or simulates it, so the other requests
     /// are decided as if it had never been submitted.
     pub refused: Vec<(u32, RequestFault)>,
@@ -412,7 +412,7 @@ impl Orchestrator {
     /// requests under one id keep separate histories, and a later request
     /// under a departed id starts from the operator prior again.
     ///
-    /// A request with a [`SliceRequest::fault`] is accepted here and
+    /// A request with a `SliceRequest::fault` is accepted here and
     /// refused when it arrives ([`EpochOutcome::refused`]).
     pub fn submit(&mut self, request: SliceRequest) {
         self.queue.push(Tenant {
@@ -467,11 +467,6 @@ impl Orchestrator {
             .filter(|t| t.request.tenant == tenant)
             .map(|t| t.peaks.iter().map(Vec::len).collect())
             .collect()
-    }
-
-    /// The underlying network model.
-    pub fn model(&self) -> &NetworkModel {
-        &self.model
     }
 
     /// Forecast for a tenant: per-BS λ̂ plus σ̂ (max across BSs). Falls back

@@ -30,7 +30,7 @@ use ovnes_topology::operators::NetworkModel;
 
 /// LTE-style spectral efficiency used to map bitrate to radio spectrum:
 /// 20 MHz ⇔ 150 Mb/s (the paper's `η_b = 20/150` with ideal 2×2 MIMO).
-pub const MBPS_PER_MHZ: f64 = 150.0 / 20.0;
+pub(crate) const MBPS_PER_MHZ: f64 = 150.0 / 20.0;
 
 /// How the single path per (tenant, BS, CU) triple is pre-selected among the
 /// delay-feasible k-shortest paths.
@@ -246,7 +246,7 @@ impl AcrrInstance {
 
     /// Effective forecast for a leg: under overbooking the clamped λ̂, else Λ
     /// (no-overbooking reserves the full SLA; constraint (9) flipped).
-    pub fn leg_forecast(&self, leg: &Leg) -> f64 {
+    pub(crate) fn leg_forecast(&self, leg: &Leg) -> f64 {
         let t = &self.tenants[leg.tenant];
         if self.overbooking {
             // Keep a strictly positive gap Λ − λ̂ so the risk ratio is
@@ -259,7 +259,7 @@ impl AcrrInstance {
 
     /// Linearised risk-rate coefficient `q = ξ·K_item/(Λ − λ̂)` of a leg
     /// (zero without overbooking, where the risk term vanishes).
-    pub fn leg_q(&self, leg: &Leg) -> f64 {
+    pub(crate) fn leg_q(&self, leg: &Leg) -> f64 {
         if !self.overbooking {
             return 0.0;
         }
@@ -272,7 +272,7 @@ impl AcrrInstance {
 
     /// Master objective coefficient `Γ_{τ,c} = Σ_b q·Λ − R` for a (tenant,
     /// CU) pair; `None` when the pair is not allowed.
-    pub fn gamma(&self, tenant: usize, cu: usize) -> Option<f64> {
+    pub(crate) fn gamma(&self, tenant: usize, cu: usize) -> Option<f64> {
         if !self.cu_allowed[tenant][cu] {
             return None;
         }
@@ -289,7 +289,7 @@ impl AcrrInstance {
     /// summed in tenant order: the fixed part of an admission's objective,
     /// to which a slave adds its reservation value. `None` when a tenant is
     /// assigned a CU it is not allowed on.
-    pub fn admission_cost(&self, assigned: &[Option<usize>]) -> Option<f64> {
+    pub(crate) fn admission_cost(&self, assigned: &[Option<usize>]) -> Option<f64> {
         let mut cost = 0.0;
         for (t, c) in assigned.iter().enumerate() {
             if let Some(c) = *c {
@@ -300,7 +300,7 @@ impl AcrrInstance {
     }
 
     /// All allowed (tenant, cu) pairs.
-    pub fn pairs(&self) -> Vec<(usize, usize)> {
+    pub(crate) fn pairs(&self) -> Vec<(usize, usize)> {
         let mut out = Vec::new();
         for t in 0..self.tenants.len() {
             for c in 0..self.n_cu {
@@ -323,13 +323,13 @@ impl AcrrInstance {
 
     /// Legs of a (tenant, cu) pair, indexed by BS; empty when the pair is not
     /// allowed.
-    pub fn legs_of(&self, tenant: usize, cu: usize) -> &[Leg] {
+    pub(crate) fn legs_of(&self, tenant: usize, cu: usize) -> &[Leg] {
         &self.legs[self.leg_range(tenant, cu)]
     }
 
     /// True if some assignment can satisfy `must_accept` tenants at all
     /// (every forced tenant has at least one allowed CU).
-    pub fn forced_feasible(&self) -> bool {
+    pub(crate) fn forced_feasible(&self) -> bool {
         self.tenants
             .iter()
             .enumerate()

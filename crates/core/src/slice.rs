@@ -143,7 +143,7 @@ pub struct SliceRequest {
 }
 
 /// Why [`Orchestrator::step`](crate::orchestrator::Orchestrator::step)
-/// refuses a request ([`SliceRequest::fault`]).
+/// refuses a request (`SliceRequest::fault`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RequestFault {
     /// The named quantity (its path in the request, e.g.
@@ -160,7 +160,7 @@ impl SliceRequest {
     /// modulation needs an amplitude in `[0, 1)` and a period of at least 2
     /// samples: a NaN or an infinity would reach the LP as a coefficient,
     /// and the traffic generator takes nothing else.
-    pub fn fault(&self) -> Option<RequestFault> {
+    pub(crate) fn fault(&self) -> Option<RequestFault> {
         let t = &self.template;
         let quantities = [
             ("template.reward", t.reward),

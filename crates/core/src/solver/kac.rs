@@ -23,7 +23,7 @@ const MAX_ITERATIONS: usize = 40;
 
 /// Solves the AC-RR instance with the KAC heuristic from scratch; every
 /// vetting-slave LP solves under `simplex` (how a caller's fault plan and
-/// refactorization interval reach the greedy path). [`solve_carried`]
+/// refactorization interval reach the greedy path). `solve_carried`
 /// over a fresh chain.
 pub fn solve(instance: &AcrrInstance, simplex: &SimplexOptions) -> Result<Allocation, AcrrError> {
     solve_carried(instance, simplex, &mut WarmChain::new())
@@ -72,7 +72,7 @@ pub fn solve(instance: &AcrrInstance, simplex: &SimplexOptions) -> Result<Alloca
 /// which is every case the presets, the benchmark and the 4,096-chain
 /// refinement check produce; an interior basic reservation can differ in
 /// its last bit (`crates/scenario/DESIGN.md`, "Known limit").
-pub fn solve_carried(
+pub(crate) fn solve_carried(
     instance: &AcrrInstance,
     simplex: &SimplexOptions,
     carry: &mut WarmChain,

@@ -21,14 +21,14 @@
 //!
 //! * `Admission` — the binaries `u_{τ,c}` of the three MILP formulations
 //!   (the Benders master, the one-shot MILP, the baseline): one column per
-//!   allowed pair, in [`AcrrInstance::pairs`] order and ahead of every
+//!   allowed pair, in `AcrrInstance::pairs` order and ahead of every
 //!   other column, rows (5)/(6) (at most one CU per tenant, exactly one
 //!   when forced) and the decode `u > 0.5`;
 //! * `add_deficit_vars` / `deficit_values` — the §3.4 deficit triple
 //!   `(δ_r, δ_b, δ_c)` of the slave, the one-shot and the baseline;
 //! * `solve_admission_milp` — the branch-and-bound tail of the one-shot
 //!   and the baseline: solve, map the outcome, decode, read out;
-//! * [`AcrrInstance::admission_cost`] (`Σ Γ` over an admission, in tenant
+//! * `AcrrInstance::admission_cost` (`Σ Γ` over an admission, in tenant
 //!   order) and `Allocation::from_legs` (per-leg values into
 //!   `reservations[tenant][bs]`) — all four.
 //!
@@ -222,18 +222,6 @@ pub enum Degradation {
     Deferred,
 }
 
-impl Degradation {
-    /// Stable small code for fingerprinting (0 = none … 3 = deferred).
-    pub fn code(self) -> u8 {
-        match self {
-            Degradation::None => 0,
-            Degradation::Incumbent => 1,
-            Degradation::Greedy => 2,
-            Degradation::Deferred => 3,
-        }
-    }
-}
-
 /// The outcome of [`solve_controlled`] / [`solve_epoch`]: an allocation
 /// when any rung of the ladder produced one, how degraded it is, and the
 /// primary-solver error when one occurred (recorded even when a fallback
@@ -369,7 +357,7 @@ pub fn solve_controlled(instance: &AcrrInstance, controls: &SolveControls) -> Co
 /// [`WarmChain`] (final basis, its factorization and the engine's
 /// buffers), owned by the caller from one epoch to the next and handed
 /// over by swap at the end of every KAC solve.
-/// [`kac::solve_carried`] seeds it on **all-forced epochs only**, and only
+/// `kac::solve_carried` seeds it on **all-forced epochs only**, and only
 /// when it [fits](WarmChain::fits) the new slave LP — same shape, same
 /// structural matrix — so the first solve replays the held LU with zero
 /// refactorizations; a seeded vet stands only under a

@@ -49,7 +49,7 @@
 //! multiplier is nonzero (every other leg's residual is an exact zero), and
 //! the per-(tenant, CU) sums run in a dense accumulator in the order the
 //! full scan would add them. The bound part of the certificate
-//! ([`ovnes_lp::Farkas::ub_multipliers`]) is not needed here and not
+//! (`ovnes_lp::Farkas::ub_multipliers`) is not needed here and not
 //! computed.
 
 use super::{add_deficit_vars, deficit_values, DeficitVars};
@@ -70,7 +70,7 @@ pub struct CutExpr {
 
 impl CutExpr {
     /// The coefficient of `u_{t,c}`, when the cut has one.
-    pub fn get(&self, pair: (usize, usize)) -> Option<f64> {
+    pub(crate) fn get(&self, pair: (usize, usize)) -> Option<f64> {
         self.coeffs
             .binary_search_by_key(&pair, |&(p, _)| p)
             .ok()
@@ -79,7 +79,8 @@ impl CutExpr {
 
     /// Evaluates the expression at an admission vector: the constant plus
     /// the admitted pairs' coefficients, added in pair order.
-    pub fn eval(&self, assigned: &[Option<usize>]) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn eval(&self, assigned: &[Option<usize>]) -> f64 {
         let mut v = self.constant;
         for &((t, c), w) in &self.coeffs {
             if assigned[t] == Some(c) {
@@ -151,11 +152,11 @@ pub enum SlaveResult {
         z: Vec<f64>,
         /// Deficit used: (radio MHz, transport Mb/s, compute cores).
         deficit: (f64, f64, f64),
-        /// Row duals of the optimum; [`SlaveContext::optimality_cut`]
+        /// Row duals of the optimum; `SlaveContext::optimality_cut`
         /// prices them into the cut `θ ≥ cut(u)`.
         duals: Vec<f64>,
         /// How unique the optimum is ([`ovnes_lp::certify_unique`]), for
-        /// the one solve after [`SlaveContext::seed_from_carry`] installed a
+        /// the one solve after `SlaveContext::seed_from_carry` installed a
         /// chain; `None` for every unseeded solve, which evaluates no
         /// certificate: without a carried basis there is no start to be
         /// independent of.
@@ -223,7 +224,7 @@ impl<'a> SlaveContext<'a> {
     /// [`SlaveContext::new`] without the §3.4 deficit relaxation, whatever
     /// the instance's `deficit_cost` says: capacities are hard, and an
     /// admission that does not fit comes back as a feasibility cut.
-    pub fn new_strict(instance: &'a AcrrInstance) -> SlaveContext<'a> {
+    pub(crate) fn new_strict(instance: &'a AcrrInstance) -> SlaveContext<'a> {
         Self::build(instance, None)
     }
 
@@ -364,7 +365,7 @@ impl<'a> SlaveContext<'a> {
 
     /// Disables basis reuse (comparison runs solve cold instead): while
     /// off, `solve_for` clears the chain before every solve.
-    pub fn set_warm(&mut self, warm: bool) {
+    pub(crate) fn set_warm(&mut self, warm: bool) {
         self.warm = warm;
     }
 
@@ -372,7 +373,7 @@ impl<'a> SlaveContext<'a> {
     /// [`SlaveContext::solve_for`] — how `SolveControls.lp_fault` (and, for
     /// callers that want it, pivot caps) reach the slave LP instead of only
     /// the master's node relaxations.
-    pub fn set_simplex_options(&mut self, options: SimplexOptions) {
+    pub(crate) fn set_simplex_options(&mut self, options: SimplexOptions) {
         self.simplex = options;
     }
 
@@ -384,7 +385,7 @@ impl<'a> SlaveContext<'a> {
     /// and the next solve is cold. Once a chain is installed, the next
     /// [`SlaveContext::solve_for`] alone certifies its optimum (the seeded
     /// vet's `certificate`).
-    pub fn seed_from_carry(&mut self, carry: &mut WarmChain) {
+    pub(crate) fn seed_from_carry(&mut self, carry: &mut WarmChain) {
         if self.warm && carry.fits(&self.problem) {
             std::mem::swap(&mut self.chain, carry);
             self.seeded = true;
@@ -394,7 +395,7 @@ impl<'a> SlaveContext<'a> {
     /// Hands this context's warm chain to `carry` (by swap, nothing is
     /// copied) for the next epoch's context to resume from. A cold-start
     /// context hands over a cleared chain.
-    pub fn save_carry(&mut self, carry: &mut WarmChain) {
+    pub(crate) fn save_carry(&mut self, carry: &mut WarmChain) {
         std::mem::swap(&mut self.chain, carry);
         if !self.warm {
             carry.clear();
@@ -405,7 +406,7 @@ impl<'a> SlaveContext<'a> {
     /// cold. Re-vetting the admission the LP is already priced for is then
     /// bit for bit the vet a fresh context runs for it — how KAC replaces
     /// a seeded vet it could not certify.
-    pub fn restart_cold(&mut self) {
+    pub(crate) fn restart_cold(&mut self) {
         self.chain.clear();
     }
 
@@ -439,7 +440,7 @@ impl<'a> SlaveContext<'a> {
     /// `d ≥ 0` (rests at the lower edge) and `d·Λ·u` when `d < 0` (upper
     /// edge); strong duality makes the cut tight at the generating
     /// admission.
-    pub fn optimality_cut(&mut self, multipliers: &[f64]) -> CutExpr {
+    pub(crate) fn optimality_cut(&mut self, multipliers: &[f64]) -> CutExpr {
         let constant = self.price_rows(multipliers);
         let instance = self.instance;
         for (li, leg) in instance.legs.iter().enumerate() {
@@ -597,15 +598,6 @@ impl<'a> SlaveContext<'a> {
 /// Reduced costs / residuals below this are treated as zero when pricing
 /// window contributions into cut coefficients.
 const BOUND_DUAL_TOL: f64 = 1e-9;
-
-/// One-shot convenience: builds a fresh context and prices `assigned` cold.
-/// Iterating callers (Benders, KAC) should hold a [`SlaveContext`] instead.
-pub fn solve_slave(
-    instance: &AcrrInstance,
-    assigned: &[Option<usize>],
-) -> Result<SlaveResult, ovnes_lp::SolveError> {
-    SlaveContext::new(instance).solve_for(assigned)
-}
 
 #[cfg(test)]
 mod tests;

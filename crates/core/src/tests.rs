@@ -4,7 +4,7 @@
 use crate::orchestrator::{Orchestrator, OrchestratorConfig};
 use crate::problem::{AcrrInstance, Allocation, PathPolicy, TenantInput};
 use crate::slice::{ServiceModel, SliceRequest, SliceTemplate};
-use crate::solver::slave::{solve_slave, SlaveContext, SlaveResult};
+use crate::solver::slave::{SlaveContext, SlaveResult};
 use crate::solver::{
     baseline, benders, kac, oneshot, solve, SolveBudget, SolveControls, SolverKind,
 };
@@ -115,7 +115,9 @@ fn brute_force(instance: &AcrrInstance) -> f64 {
         if !ok {
             continue;
         }
-        if let SlaveResult::Feasible { value, .. } = solve_slave(instance, &assigned).unwrap() {
+        if let SlaveResult::Feasible { value, .. } =
+            SlaveContext::new(instance).solve_for(&assigned).unwrap()
+        {
             let fixed: f64 = assigned
                 .iter()
                 .enumerate()
@@ -173,7 +175,9 @@ fn slave_optimality_cut_lower_bounds_other_points() {
         };
         let cut = slave.optimality_cut(&duals);
         for other in &points {
-            if let SlaveResult::Feasible { value, .. } = solve_slave(&inst, other).unwrap() {
+            if let SlaveResult::Feasible { value, .. } =
+                SlaveContext::new(&inst).solve_for(other).unwrap()
+            {
                 let bound = cut.eval(other);
                 assert!(
                     bound <= value + 1e-6,
@@ -196,7 +200,7 @@ fn slave_feasibility_cut_separates() {
     let inst = AcrrInstance::build(&model, vec![t0, t1], PathPolicy::MinDelay, true, None);
     assert!(inst.cu_allowed[0][0] && !inst.cu_allowed[0][1]);
     let bad = vec![Some(0), Some(0)];
-    match solve_slave(&inst, &bad).unwrap() {
+    match SlaveContext::new(&inst).solve_for(&bad).unwrap() {
         SlaveResult::Infeasible { cut } => {
             assert!(
                 cut.eval(&bad) > 1e-7,
@@ -206,7 +210,7 @@ fn slave_feasibility_cut_separates() {
             for ok in [vec![Some(0), None], vec![None, Some(0)], vec![None, None]] {
                 assert!(
                     matches!(
-                        solve_slave(&inst, &ok).unwrap(),
+                        SlaveContext::new(&inst).solve_for(&ok).unwrap(),
                         SlaveResult::Feasible { .. }
                     ),
                     "{ok:?} should be feasible"
@@ -224,7 +228,7 @@ fn slave_deficit_relaxation_always_feasible() {
     let mut t0 = tenant(0, 10.0, 3.0, 3.0, 8.0, 0.2, 1, 2.0);
     t0.delay_budget_us = 1_000.0;
     let inst = AcrrInstance::build(&model, vec![t0], PathPolicy::MinDelay, true, Some(1e4));
-    match solve_slave(&inst, &[Some(0)]).unwrap() {
+    match SlaveContext::new(&inst).solve_for(&[Some(0)]).unwrap() {
         SlaveResult::Feasible { deficit, .. } => {
             assert!(deficit.2 > 1.0, "compute deficit must absorb the overflow");
         }

@@ -6,7 +6,7 @@ use crate::orchestrator::{
 };
 use crate::problem::{AcrrInstance, PathPolicy, TenantInput, MBPS_PER_MHZ};
 use crate::slice::{RequestFault, ServiceModel, SliceRequest, SliceTemplate};
-use crate::solver::slave::{solve_slave, SlaveContext, SlaveResult};
+use crate::solver::slave::{SlaveContext, SlaveResult};
 use crate::solver::{benders, kac, AcrrError, SolveControls, SolverKind};
 use ovnes_lp::SimplexOptions;
 use ovnes_topology::graph::{Graph, LinkTech};
@@ -400,7 +400,7 @@ fn slave_handles_empty_admission() {
         true,
         None,
     );
-    match solve_slave(&inst, &[None]).unwrap() {
+    match SlaveContext::new(&inst).solve_for(&[None]).unwrap() {
         SlaveResult::Feasible { value, z, .. } => {
             assert_eq!(value, 0.0);
             assert!(z.iter().all(|&v| v.abs() < 1e-9));
@@ -419,7 +419,7 @@ fn negative_deficit_cost_lands_on_a_ladder_rung() {
     let tenants = vec![simple_tenant(0, 10.0, 0.2), simple_tenant(1, 10.0, 0.2)];
     let inst = AcrrInstance::build(&model, tenants, PathPolicy::MinDelay, true, Some(-1.0));
     assert!(matches!(
-        solve_slave(&inst, &[Some(0), Some(0)]),
+        SlaveContext::new(&inst).solve_for(&[Some(0), Some(0)]),
         Err(ovnes_lp::SolveError::Numerical)
     ));
     for kind in [SolverKind::Benders, SolverKind::Kac, SolverKind::OneShot] {

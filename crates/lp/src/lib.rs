@@ -20,8 +20,8 @@
 //! two-phase tableau simplex (`dense::solve`) — bounds canonicalised away,
 //! every solve cold, no code shared with the revised engine — survives as
 //! the specification side of the cross-check suites and is compiled only
-//! under `cfg(test)` or the `testgen` feature, next to the other slow twins
-//! (the dense `Lu`, `SparseLu::factor_rescan`).
+//! under `cfg(test)` or the `testgen` feature. The other slow twins (the
+//! dense `Lu`, `SparseLu::factor_rescan`) are `cfg(test)` only.
 //!
 //! **Bounded-variable revised simplex** ([`revised`], the production
 //! engine): box bounds are handled natively (no mirror/split/ub-row
@@ -30,7 +30,7 @@
 //! right-hand sides in the arrays the engine indexes (one entry per column,
 //! a logical column per row after the variables), so a solve borrows them
 //! and copies nothing. The structural constraint matrix is stored in
-//! compressed-sparse-column form ([`SparseMatrix`], built by
+//! compressed-sparse-column form (`SparseMatrix`, built by
 //! [`Problem::structural_matrix`] once per structural edit and cached in
 //! the [`Problem`]); the basis is
 //! kept factorized by a **sparse LU with bucketed Markowitz pivoting** —
@@ -69,7 +69,8 @@
 //! * [`Problem::set_bounds`] — branch-and-bound node bounds,
 //! * [`Problem::set_rhs`] — Benders slave re-pricing,
 //! * [`Problem::add_cons`] — Benders cuts (rows append; nothing renumbers),
-//! * [`Problem::set_objective`] — falls back to primal warm iterations.
+//! * `Problem::set_objective` (test builds) — falls back to primal warm
+//!   iterations.
 //!
 //! Adding *variables* changes the column space: `solve_warm` detects the
 //! mismatch and transparently performs a cold solve. Bases are plain values
@@ -164,7 +165,7 @@
 //! scratch:
 //!
 //! * **Shared immutably** (`Send + Sync`, enforced by compile-time
-//!   assertions): [`Problem`], the CSC [`SparseMatrix`], [`SimplexOptions`],
+//!   assertions): [`Problem`], the CSC `SparseMatrix`, [`SimplexOptions`],
 //!   and [`Basis`] — including the `Arc`-shared factorization persisted
 //!   inside it. The sparse-LU factors are immutable after construction;
 //!   FTRAN/BTRAN replay them through caller-supplied scratch, so a parent
@@ -248,17 +249,18 @@
 //! assert_eq!(re.stats.warm_starts, 1);
 //! ```
 
+#![deny(unreachable_pub)]
+
 #[cfg(any(test, feature = "testgen"))]
 pub mod dense;
 mod model;
 pub mod revised;
 mod simplex;
-pub mod sparse;
+mod sparse;
 
 pub use model::{certify_unique, Cmp, ConsId, Problem, Uniqueness, VarId};
 pub use revised::{Basis, LpStats, WarmChain, WarmSolve, Workspace};
-pub use simplex::{Farkas, FaultConfig, Outcome, SimplexOptions, Solution, SolveError};
-pub use sparse::SparseMatrix;
+pub use simplex::{FaultConfig, Outcome, SimplexOptions, SolveError};
 
 #[cfg(test)]
 mod tests;

@@ -66,13 +66,13 @@ pub(crate) struct ConsDef {
 /// columns — the `n` variables in creation order, then one *logical* column
 /// per constraint carrying the bounds of its sense and cost 0 — and `rhs`
 /// over the `m` rows. Editing is a store into those arrays
-/// ([`Problem::set_bounds`], [`Problem::set_rhs`], [`Problem::set_objective`])
+/// ([`Problem::set_bounds`], [`Problem::set_rhs`], `Problem::set_objective`)
 /// or a push ([`Problem::add_cons`]); only [`Problem::add_var`] after a
 /// constraint shifts anything, the logicals moving up by one. A solve
 /// borrows the arrays as they stand.
 ///
 /// The first solve after a **structural** edit ([`Problem::add_var`],
-/// [`Problem::add_cons`], [`Problem::add_column`]) assembles the matrix
+/// [`Problem::add_cons`], `Problem::add_column`) assembles the matrix
 /// structure (CSC matrix, CSR pattern, fingerprint) once and keeps it behind
 /// an `Arc`; value edits and `clone()` keep it, so a re-solve after such
 /// edits sets up in `O(1)`. A clone copies the arrays and the row lists
@@ -158,7 +158,14 @@ impl Problem {
     /// # Panics
     /// Panics on NaN/inverted bounds, a non-finite objective or coefficient,
     /// or an unknown constraint handle.
-    pub fn add_column(&mut self, lb: f64, ub: f64, obj: f64, coeffs: &[(ConsId, f64)]) -> VarId {
+    #[cfg(test)]
+    pub(crate) fn add_column(
+        &mut self,
+        lb: f64,
+        ub: f64,
+        obj: f64,
+        coeffs: &[(ConsId, f64)],
+    ) -> VarId {
         let v = self.add_var(lb, ub, obj);
         for &(c, a) in coeffs {
             assert!(a.is_finite(), "column coefficient must be finite");
@@ -170,13 +177,14 @@ impl Problem {
 
     /// Adds `k` to the objective function (useful to keep reported objective
     /// values aligned with a paper formulation).
-    pub fn add_objective_constant(&mut self, k: f64) {
+    #[cfg(test)]
+    pub(crate) fn add_objective_constant(&mut self, k: f64) {
         assert!(k.is_finite());
         self.obj_constant += k;
     }
 
     /// Returns the current number of variables.
-    pub fn num_vars(&self) -> usize {
+    pub(crate) fn num_vars(&self) -> usize {
         self.lb.len() - self.cons.len()
     }
 
@@ -221,7 +229,8 @@ impl Problem {
     }
 
     /// Overrides the objective coefficient of an existing variable.
-    pub fn set_objective(&mut self, var: VarId, obj: f64) {
+    #[cfg(test)]
+    pub(crate) fn set_objective(&mut self, var: VarId, obj: f64) {
         assert!(obj.is_finite());
         let j = self.col(var);
         self.cost[j] = obj;

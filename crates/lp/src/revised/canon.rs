@@ -34,7 +34,7 @@ use crate::sparse::SparseMatrix;
 /// alone: immutable once built, shared behind an `Arc` by a [`Problem`] and
 /// its clones until the next structural edit.
 #[derive(Debug)]
-pub struct Structure {
+pub(crate) struct Structure {
     /// Structural columns in compressed-sparse-column form (`m × n`),
     /// duplicates summed and zeros dropped.
     pub a: SparseMatrix,
@@ -55,7 +55,7 @@ pub struct Structure {
 
 impl Structure {
     /// Assembles the structure from scratch; cost is linear in the nonzeros.
-    pub fn build(p: &Problem) -> Structure {
+    pub(crate) fn build(p: &Problem) -> Structure {
         let (n, m) = (p.num_vars(), p.num_cons());
         let a = p.structural_matrix();
         // Transpose the CSC matrix into CSR. Visiting columns in ascending
@@ -94,7 +94,7 @@ impl Structure {
 
 /// The problem as the revised engine sees it: a view, nothing copied.
 #[derive(Debug)]
-pub struct Canon<'a> {
+pub(crate) struct Canon<'a> {
     /// Number of structural columns (== user variables).
     pub n: usize,
     /// Number of rows (== user constraints).
@@ -116,7 +116,7 @@ pub struct Canon<'a> {
 impl<'a> Canon<'a> {
     /// Borrows `p`'s value arrays and its cached structure (built here when
     /// a structural edit has dropped it since the last solve).
-    pub fn new(p: &'a Problem) -> Canon<'a> {
+    pub(crate) fn new(p: &'a Problem) -> Canon<'a> {
         Canon {
             n: p.num_vars(),
             m: p.num_cons(),
@@ -137,7 +137,7 @@ impl<'a> Canon<'a> {
     /// ascending order, so a column's nonzero terms arrive in the order
     /// [`Canon::col_dot`] adds them and the terms left out are exact zeros:
     /// where the sum is nonzero it has `col_dot(ρ, j)`'s bits.
-    pub fn mark_pivot_row(&self, rho: &[f64], bits: &mut [u64], acc: &mut [f64]) {
+    pub(crate) fn mark_pivot_row(&self, rho: &[f64], bits: &mut [u64], acc: &mut [f64]) {
         for (i, &ri) in rho.iter().enumerate() {
             if ri == 0.0 {
                 continue;
@@ -156,7 +156,7 @@ impl<'a> Canon<'a> {
     /// Dot product of a dense row-space vector with column `j` (structural
     /// or logical).
     #[inline]
-    pub fn col_dot(&self, y: &[f64], j: usize) -> f64 {
+    pub(crate) fn col_dot(&self, y: &[f64], j: usize) -> f64 {
         if j < self.n {
             self.s.a.col_dot(y, j)
         } else {
@@ -166,7 +166,7 @@ impl<'a> Canon<'a> {
 
     /// Scatters column `j` into the dense buffer `out` (assumed zeroed).
     #[inline]
-    pub fn scatter_col(&self, j: usize, out: &mut [f64]) {
+    pub(crate) fn scatter_col(&self, j: usize, out: &mut [f64]) {
         if j < self.n {
             self.s.a.scatter_col(j, out);
         } else {
@@ -176,7 +176,7 @@ impl<'a> Canon<'a> {
 
     /// Appends basis column `j`'s sparse entries to `out` (sorted by row).
     #[inline]
-    pub fn push_col(&self, j: usize, out: &mut Vec<(u32, f64)>) {
+    pub(crate) fn push_col(&self, j: usize, out: &mut Vec<(u32, f64)>) {
         if j < self.n {
             out.extend(self.s.a.col_iter(j));
         } else {
@@ -187,7 +187,7 @@ impl<'a> Canon<'a> {
 
 /// Calls `visit` with the index of every set bit of `bits`, ascending,
 /// leaving `bits` all zero; returns how many there were.
-pub fn drain_ascending(bits: &mut [u64], mut visit: impl FnMut(usize)) -> usize {
+pub(crate) fn drain_ascending(bits: &mut [u64], mut visit: impl FnMut(usize)) -> usize {
     let mut count = 0;
     for (w, word) in bits.iter_mut().enumerate() {
         let mut rest = std::mem::take(word);

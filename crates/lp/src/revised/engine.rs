@@ -337,7 +337,7 @@ impl<'a> Engine<'a> {
     ///
     /// `x_B` is **not** computed here: the phase driver computes it once it
     /// has settled the nonbasic point (see `run` in the parent module).
-    pub fn new(
+    pub(crate) fn new(
         canon: &'a Canon<'a>,
         opts: &'a SimplexOptions,
         restart: &mut Restart,
@@ -407,7 +407,7 @@ impl<'a> Engine<'a> {
 
     /// Recomputes `x_B = B⁻¹(b − N·x_N)` from scratch, into the buffer
     /// `x_B` already occupies.
-    pub fn compute_xb(&mut self) {
+    pub(crate) fn compute_xb(&mut self) {
         let m = self.c.m;
         let mut rhs = std::mem::take(&mut self.xb);
         rhs.clear();
@@ -433,7 +433,7 @@ impl<'a> Engine<'a> {
     }
 
     /// Sum of bound violations over basic variables.
-    pub fn infeasibility(&self) -> f64 {
+    pub(crate) fn infeasibility(&self) -> f64 {
         let mut s = 0.0;
         for (pos, &j) in self.basic.iter().enumerate() {
             let x = self.xb[pos];
@@ -447,7 +447,7 @@ impl<'a> Engine<'a> {
     }
 
     /// BTRAN of the phase-2 basic costs: the dual vector `y`.
-    pub fn duals(&mut self) -> Vec<f64> {
+    pub(crate) fn duals(&mut self) -> Vec<f64> {
         self.price_duals();
         self.ws.ybuf.clone()
     }
@@ -733,7 +733,7 @@ impl<'a> Engine<'a> {
     /// leave earlier flips applied. Either way `x_B` is computed here, once,
     /// for the nonbasic point the scan settled on — this is the warm path's
     /// one from-scratch `x_B` (the cold path's is the phase driver's).
-    pub fn repair_dual_feasibility(&mut self) -> bool {
+    pub(crate) fn repair_dual_feasibility(&mut self) -> bool {
         // The duals priced here stay in the workspace for the dual's first
         // iteration (flips move no basic column).
         self.price_duals();
@@ -780,7 +780,7 @@ impl<'a> Engine<'a> {
     /// Runs the primal simplex. `phase1 = true` minimises total infeasibility
     /// (with re-priced composite costs); `phase1 = false` minimises the true
     /// objective and requires a primal-feasible start.
-    pub fn primal(&mut self, phase1: bool) -> Result<PrimalEnd, SolveError> {
+    pub(crate) fn primal(&mut self, phase1: bool) -> Result<PrimalEnd, SolveError> {
         let _span = ovnes_obs::span!("lp_primal", phase1 = phase1 as i64);
         let n_total = self.c.n + self.c.m;
         let m = self.c.m;
@@ -1010,7 +1010,7 @@ impl<'a> Engine<'a> {
     /// applied with one FTRAN of the aggregated flip column. Under Bland's
     /// rule the classic shortest-step test is used unchanged (the
     /// anti-cycling argument needs it).
-    pub fn dual(&mut self) -> Result<DualEnd, SolveError> {
+    pub(crate) fn dual(&mut self) -> Result<DualEnd, SolveError> {
         let _span = ovnes_obs::span!("lp_dual");
         let m = self.c.m;
         let mut local_iters = 0usize;
@@ -1332,7 +1332,7 @@ impl<'a> Engine<'a> {
     // ----------------------------------------------------- solution pieces
 
     /// Primal values per structural column.
-    pub fn primal_x(&self) -> Vec<f64> {
+    pub(crate) fn primal_x(&self) -> Vec<f64> {
         let mut x = vec![0.0; self.c.n];
         for j in 0..self.c.n {
             if self.status[j] != VarStatus::Basic {
@@ -1348,7 +1348,7 @@ impl<'a> Engine<'a> {
     }
 
     /// Objective value of the current point.
-    pub fn objective(&self, x: &[f64]) -> f64 {
+    pub(crate) fn objective(&self, x: &[f64]) -> f64 {
         let mut obj = self.c.obj_constant;
         for j in 0..self.c.n {
             obj += self.c.cost[j] * x[j];
@@ -1360,7 +1360,7 @@ impl<'a> Engine<'a> {
     /// the solve left it; returns the accumulated statistics, with the
     /// end-of-solve update count and the scratch's hyper-sparse counters
     /// folded in.
-    pub fn finish(mut self, restart: &mut Restart) -> LpStats {
+    pub(crate) fn finish(mut self, restart: &mut Restart) -> LpStats {
         self.stats.eta_len_end += self.fact.update_count();
         let (hf, hb) = self.ws.lu.take_hypersparse_counts();
         self.stats.hypersparse_ftrans += hf as usize;

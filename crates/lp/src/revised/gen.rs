@@ -126,7 +126,8 @@ impl LpGenConfig {
     /// every solve past the engine's partial-pricing threshold (256 total
     /// columns), so the candidate-list scan/refresh path itself gets
     /// randomized coverage rather than only the fixed-seed unit test.
-    pub fn torture_wide() -> Self {
+    #[cfg(test)]
+    pub(crate) fn torture_wide() -> Self {
         LpGenConfig {
             min_vars: 260,
             max_vars: 340,

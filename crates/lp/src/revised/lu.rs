@@ -110,15 +110,21 @@
 //! tests and cross-checks, next to the rescan factor in the `oracle`
 //! submodule — none of it is compiled into the shipping library.
 
+// `SparseLu`, `Factorization` and `SolveScratch` are public for the
+// cross-check suites, which reach them through `revised` only under
+// `cfg(test)` or the `testgen` feature; the shipping build keeps them
+// crate-internal.
+#![cfg_attr(not(any(test, feature = "testgen")), allow(unreachable_pub))]
+
 use std::ops::Range;
 use std::sync::Arc;
 
 #[cfg(test)]
 mod jagged;
-#[cfg(any(test, feature = "testgen"))]
+#[cfg(test)]
 mod oracle;
-#[cfg(any(test, feature = "testgen"))]
-pub use oracle::Lu;
+#[cfg(test)]
+pub(super) use oracle::Lu;
 
 /// Relative pivot threshold below which a basis matrix is declared singular:
 /// a pivot must exceed `SINGULAR_TOL × max|B|`. (An *absolute* threshold
@@ -709,23 +715,23 @@ impl SparseLu {
     }
 
     /// Matrix dimension.
-    pub fn dim(&self) -> usize {
+    pub(crate) fn dim(&self) -> usize {
         self.m
     }
 
     /// Nonzeros stored in the `L` and `U` factors (pivots included).
-    pub fn nnz_factors(&self) -> usize {
+    pub(crate) fn nnz_factors(&self) -> usize {
         self.l_ent.len() + self.u_ent.len() + self.m
     }
 
     /// Fill-in: factor nonzeros beyond the input matrix's nonzeros.
-    pub fn fill_in(&self) -> usize {
+    pub(crate) fn fill_in(&self) -> usize {
         self.nnz_factors().saturating_sub(self.nnz_input)
     }
 
     /// Pivot-selection effort spent factorizing (see the module docs): the
     /// number of candidate entries examined while choosing pivot columns.
-    pub fn pivot_scan_work(&self) -> u64 {
+    pub(crate) fn pivot_scan_work(&self) -> u64 {
         self.pivot_scan_work
     }
 
@@ -972,7 +978,7 @@ impl SolveScratch {
     }
 
     /// Drains the hyper-sparse counters (for `LpStats` folding).
-    pub fn take_hypersparse_counts(&mut self) -> (u64, u64) {
+    pub(crate) fn take_hypersparse_counts(&mut self) -> (u64, u64) {
         (
             std::mem::take(&mut self.hs_ftrans),
             std::mem::take(&mut self.hs_btrans),
@@ -1457,7 +1463,7 @@ impl Factorization {
     }
 
     /// Basis dimension this factorization covers.
-    pub fn dim(&self) -> usize {
+    pub(crate) fn dim(&self) -> usize {
         self.lu.dim()
     }
 

@@ -2,7 +2,7 @@
 //! [`Lu`], the pre-bucketing [`SparseLu::factor_rescan`], and the dense
 //! triangular replays [`SparseLu::solve`] / [`SparseLu::solve_t`].
 //!
-//! Compiled only under `cfg(test)` or the `testgen` feature — the property
+//! Compiled only under `cfg(test)` — the property
 //! suites assert the production paths match these bitwise and count the
 //! rescan's scan work as the baseline the bucketed search is pinned
 //! against. Nothing in the shipping library calls into this module.
@@ -15,7 +15,7 @@ use super::{SparseLu, MARKOWITZ_TAU, SINGULAR_TOL};
 /// diagonal and the unit-lower-triangular `L` (without its diagonal) below.
 /// Retained as the reference oracle; production solves use [`SparseLu`].
 #[derive(Debug, Clone)]
-pub struct Lu {
+pub(crate) struct Lu {
     m: usize,
     f: Vec<f64>,
     /// Row swapped with `k` at elimination step `k`.
@@ -27,7 +27,7 @@ impl Lu {
     ///
     /// Returns `None` when the matrix is numerically singular *relative to
     /// its own scale*; callers are expected to repair or rebuild the basis.
-    pub fn factor(mut a: Vec<f64>, m: usize) -> Option<Lu> {
+    pub(crate) fn factor(mut a: Vec<f64>, m: usize) -> Option<Lu> {
         debug_assert_eq!(a.len(), m * m);
         let max_abs = a.iter().fold(0.0f64, |acc, &v| acc.max(v.abs()));
         if m > 0 && max_abs == 0.0 {
@@ -70,7 +70,7 @@ impl Lu {
     }
 
     /// Solves `B·x = v` in place (`v` becomes `x`).
-    pub fn solve(&self, v: &mut [f64]) {
+    pub(crate) fn solve(&self, v: &mut [f64]) {
         let m = self.m;
         debug_assert_eq!(v.len(), m);
         // Apply P.
@@ -98,7 +98,7 @@ impl Lu {
     }
 
     /// Solves `Bᵀ·y = w` in place (`w` becomes `y`).
-    pub fn solve_t(&self, w: &mut [f64]) {
+    pub(crate) fn solve_t(&self, w: &mut [f64]) {
         let m = self.m;
         debug_assert_eq!(w.len(), m);
         // Bᵀ = Uᵀ·Lᵀ·P⁻ᵀ: solve Uᵀ·t = w (forward), Lᵀ·s = t (backward),
@@ -133,7 +133,7 @@ impl SparseLu {
     /// Retained as the scan-work baseline and as the equivalence oracle
     /// for the bucketed path's property tests; its selection effort
     /// is likewise reported through [`SparseLu::pivot_scan_work`].
-    pub fn factor_rescan<F>(m: usize, mut col: F) -> Option<SparseLu>
+    pub(crate) fn factor_rescan<F>(m: usize, mut col: F) -> Option<SparseLu>
     where
         F: FnMut(usize, &mut Vec<(u32, f64)>),
     {
@@ -318,7 +318,7 @@ impl SparseLu {
     /// The factors are immutable: all intermediate state goes into
     /// `scratch` (resized as needed, every read position written first), so
     /// concurrent solves of one factorization only need distinct scratches.
-    pub fn solve(&self, v: &mut [f64], scratch: &mut Vec<f64>) {
+    pub(crate) fn solve(&self, v: &mut [f64], scratch: &mut Vec<f64>) {
         let m = self.m;
         debug_assert_eq!(v.len(), m);
         if scratch.len() < m {
@@ -357,7 +357,7 @@ impl SparseLu {
     ///
     /// Same contract as [`SparseLu::solve`]: immutable factors, all state in
     /// the caller's scratch.
-    pub fn solve_t(&self, w: &mut [f64], scratch: &mut Vec<f64>) {
+    pub(crate) fn solve_t(&self, w: &mut [f64], scratch: &mut Vec<f64>) {
         let m = self.m;
         debug_assert_eq!(w.len(), m);
         if scratch.len() < m {

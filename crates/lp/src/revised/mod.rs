@@ -79,7 +79,7 @@
 //! The hot-path state splits into two halves:
 //!
 //! * **Immutable, shared** — [`Problem`] (with the `Arc`-shared structure
-//!   it caches: the CSC [`SparseMatrix`](crate::SparseMatrix), CSR pattern
+//!   it caches: the CSC `SparseMatrix`, CSR pattern
 //!   and fingerprint, initialised at most once behind a `OnceLock`), a
 //!   [`Basis`], and the `Arc<Factorization>` persisted inside it are all
 //!   `Send + Sync` plain data. Any number of threads may solve the *same*
@@ -122,10 +122,10 @@ pub mod gen;
 pub(crate) mod lu;
 
 /// The sparse LU kernel, exposed for the cross-check suites (the
-/// bucketed factor, its rescan baseline and dense-LU oracle, the
-/// Forrest–Tomlin update wrapper, and the caller-owned solve scratch).
+/// bucketed factor, the Forrest–Tomlin update wrapper, and the
+/// caller-owned solve scratch).
 #[cfg(any(test, feature = "testgen"))]
-pub use lu::{Factorization, Lu, SolveScratch, SparseLu};
+pub use lu::{Factorization, SolveScratch, SparseLu};
 
 use crate::model::Problem;
 use crate::simplex::{Farkas, Outcome, SimplexOptions, Solution, SolveError};
@@ -157,7 +157,7 @@ const _: () = {
 
 /// Where a column currently sits relative to the basis.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum VarStatus {
+pub(crate) enum VarStatus {
     /// In the basis; its value lives in the basic solution vector.
     Basic,
     /// Nonbasic at its (finite) lower bound.

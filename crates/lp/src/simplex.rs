@@ -59,7 +59,7 @@ impl FaultConfig {
 
     /// Deterministic roll in `[0, 1)` from the seed, a solve fingerprint,
     /// a basis summary, and a per-decision salt (splitmix64 finalizer).
-    pub fn roll(&self, fingerprint: u64, summary: u64, salt: u64) -> f64 {
+    pub(crate) fn roll(&self, fingerprint: u64, summary: u64, salt: u64) -> f64 {
         let mut z = self
             .seed
             .wrapping_add(fingerprint.rotate_left(17))
@@ -109,17 +109,12 @@ impl Solution {
     pub fn value(&self, var: crate::VarId) -> f64 {
         self.x[var.index()]
     }
-
-    /// Dual value of a constraint in the optimal solution.
-    pub fn dual(&self, cons: crate::ConsId) -> f64 {
-        self.duals[cons.index()]
-    }
 }
 
 /// A Farkas certificate of primal infeasibility.
 ///
 /// Letting `y = row_multipliers` (one entry per user constraint) and `w` the
-/// bound multipliers [`Farkas::ub_multipliers`] derives from it (one entry
+/// bound multipliers `Farkas::ub_multipliers` derives from it (one entry
 /// per variable, nonzero only for variables with a finite upper bound), the
 /// certificate satisfies, within numeric tolerance:
 ///
@@ -144,7 +139,8 @@ impl Farkas {
     /// multipliers leaves a positive residual `g_j = Σ_i y_i a_{ij}` that the
     /// variable's finite upper bound must absorb, and on every fixed
     /// variable; 0.0 elsewhere. One column dot product per variable.
-    pub fn ub_multipliers(&self, p: &crate::Problem) -> Vec<f64> {
+    #[cfg(test)]
+    pub(crate) fn ub_multipliers(&self, p: &crate::Problem) -> Vec<f64> {
         p.var_ids()
             .map(|v| {
                 let g = p.col_dot(&self.row_multipliers, v);
@@ -178,10 +174,5 @@ impl Outcome {
             Outcome::Infeasible(_) => panic!("LP infeasible, expected optimal"),
             Outcome::Unbounded => panic!("LP unbounded, expected optimal"),
         }
-    }
-
-    /// True if the outcome is `Optimal`.
-    pub fn is_optimal(&self) -> bool {
-        matches!(self, Outcome::Optimal(_))
     }
 }

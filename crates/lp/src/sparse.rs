@@ -32,7 +32,8 @@ impl SparseMatrix {
     /// Each column's entries must be sorted by row; duplicate rows within a
     /// column are summed and exact-zero results are dropped (user models may
     /// legitimately contain zero coefficients or cancelling duplicates).
-    pub fn from_columns(nrows: usize, columns: &[Vec<(u32, f64)>]) -> SparseMatrix {
+    #[cfg(test)]
+    pub(crate) fn from_columns(nrows: usize, columns: &[Vec<(u32, f64)>]) -> SparseMatrix {
         let nnz_bound: usize = columns.iter().map(Vec::len).sum();
         Self::assemble(
             nrows,
@@ -42,11 +43,11 @@ impl SparseMatrix {
         )
     }
 
-    /// [`SparseMatrix::from_columns`] over one flat entry array: column `j`
+    /// `SparseMatrix::from_columns` over one flat entry array: column `j`
     /// is `entries[col_start[j]..col_start[j + 1]]`. Same contract, same
     /// result — the form a counting sort of row lists produces without one
     /// heap vector per column.
-    pub fn from_flat_columns(
+    pub(crate) fn from_flat_columns(
         nrows: usize,
         col_start: &[usize],
         entries: &[(u32, f64)],
@@ -107,24 +108,9 @@ impl SparseMatrix {
         }
     }
 
-    /// Number of rows.
-    pub fn nrows(&self) -> usize {
-        self.nrows
-    }
-
-    /// Number of columns.
-    pub fn ncols(&self) -> usize {
-        self.ncols
-    }
-
-    /// Number of stored nonzeros.
-    pub fn nnz(&self) -> usize {
-        self.values.len()
-    }
-
     /// The `(rows, values)` slices of column `j`.
     #[inline]
-    pub fn col(&self, j: usize) -> (&[u32], &[f64]) {
+    pub(crate) fn col(&self, j: usize) -> (&[u32], &[f64]) {
         let lo = self.col_ptr[j];
         let hi = self.col_ptr[j + 1];
         (&self.row_idx[lo..hi], &self.values[lo..hi])
@@ -139,7 +125,7 @@ impl SparseMatrix {
 
     /// Dot product of a dense row-space vector with column `j`.
     #[inline]
-    pub fn col_dot(&self, y: &[f64], j: usize) -> f64 {
+    pub(crate) fn col_dot(&self, y: &[f64], j: usize) -> f64 {
         let (rows, vals) = self.col(j);
         rows.iter()
             .zip(vals)
@@ -149,7 +135,7 @@ impl SparseMatrix {
 
     /// Adds column `j` into the dense buffer `out`.
     #[inline]
-    pub fn scatter_col(&self, j: usize, out: &mut [f64]) {
+    pub(crate) fn scatter_col(&self, j: usize, out: &mut [f64]) {
         let (rows, vals) = self.col(j);
         for (&i, &v) in rows.iter().zip(vals) {
             out[i as usize] += v;
@@ -194,9 +180,7 @@ mod tests {
             vec![(0, 0.0), (3, 4.0)], // explicit zero dropped
         ];
         let m = SparseMatrix::from_columns(4, &cols);
-        assert_eq!(m.nrows(), 4);
-        assert_eq!(m.ncols(), 4);
-        assert_eq!(m.nnz(), 4);
+        assert_eq!((m.nrows, m.ncols, m.values.len()), (4, 4, 4));
         assert_eq!(m.col(0), (&[0u32, 2][..], &[1.0, 3.0][..]));
         assert_eq!(m.col(1), (&[3u32][..], &[0.5][..]));
         assert_eq!(m.col(2), (&[][..], &[][..]));

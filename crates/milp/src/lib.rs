@@ -65,6 +65,7 @@
 //! }
 //! ```
 
+#![deny(unreachable_pub)]
 #![cfg_attr(
     not(test),
     deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
@@ -412,11 +413,6 @@ impl Milp {
     /// between solves).
     pub fn problem_mut(&mut self) -> &mut Problem {
         &mut self.problem
-    }
-
-    /// Read access to the wrapped problem.
-    pub fn problem(&self) -> &Problem {
-        &self.problem
     }
 
     /// Runs branch and bound: one best-first loop over the open nodes,

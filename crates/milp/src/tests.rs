@@ -373,7 +373,7 @@ fn search_applies_exactly_the_best_first_nodes() {
 /// Truncation by the node budget is part of the deterministic contract:
 /// the cap stops the search after exactly `max_nodes` applied nodes.
 #[test]
-fn truncation_is_deterministic_across_workers() {
+fn node_cap_stops_the_search_after_exactly_max_nodes() {
     let (values, weights) = correlated_knapsack();
     let mut m = knapsack_milp(&values, &weights, 40.0);
     m.set_options(MilpOptions {
@@ -452,7 +452,7 @@ fn resolve_after_added_rows_reuses_root_basis() {
     );
 
     // Reference: fresh Milp over the same cut problem.
-    let mut fresh = Milp::new(m.problem().clone());
+    let mut fresh = Milp::new(m.problem_mut().clone());
     fresh.mark_integer(a);
     fresh.mark_integer(b);
     fresh.mark_integer(c);

@@ -45,13 +45,6 @@ pub struct FlowReport {
     pub samples: usize,
 }
 
-impl FlowReport {
-    /// True when any sample violated the SLA.
-    pub fn violated(&self) -> bool {
-        self.violated_samples > 0
-    }
-}
-
 /// Whole-epoch summary.
 #[derive(Debug, Clone)]
 pub struct EpochReport {
@@ -62,23 +55,11 @@ pub struct EpochReport {
     pub next_sample_index: u64,
 }
 
-impl EpochReport {
-    /// Fraction of (flow, sample) pairs that violated their SLA.
-    pub fn violation_rate(&self) -> f64 {
-        let total: usize = self.flows.iter().map(|f| f.samples).sum();
-        if total == 0 {
-            return 0.0;
-        }
-        let bad: usize = self.flows.iter().map(|f| f.violated_samples).sum();
-        bad as f64 / total as f64
-    }
-}
-
 /// Runs `samples_per_epoch` monitoring samples for every flow.
 ///
 /// `first_sample_index` is the global index of the first sample (phases of
 /// diurnal generators continue across epochs when the caller threads
-/// [`EpochReport::next_sample_index`] back in).
+/// the report's `next_sample_index` back in).
 pub fn run_epoch(
     flows: &[Flow],
     samples_per_epoch: usize,

@@ -15,7 +15,7 @@
 
 /// Outcome of pushing one sample of offered load through the middlebox.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Verdict {
+pub(crate) struct Verdict {
     /// Offered load (what the tenant's VS transmitted).
     pub offered: f64,
     /// Delivered to users within the reservation: `min(offered, Λ, z)`.
@@ -29,12 +29,12 @@ pub struct Verdict {
 
 impl Verdict {
     /// True when this sample violated the tenant's SLA.
-    pub fn violated(&self) -> bool {
+    pub(crate) fn violated(&self) -> bool {
         self.deficit > 0.0
     }
 
     /// Fraction of the in-SLA load that was not served (0 when idle).
-    pub fn deficit_fraction(&self) -> f64 {
+    pub(crate) fn deficit_fraction(&self) -> f64 {
         let in_sla = self.served + self.deficit;
         if in_sla <= 0.0 {
             0.0
@@ -53,7 +53,7 @@ impl Verdict {
 ///
 /// # Panics
 /// Panics on negative inputs.
-pub fn classify(offered: f64, sla: f64, reservation: f64) -> Verdict {
+pub(crate) fn classify(offered: f64, sla: f64, reservation: f64) -> Verdict {
     assert!(offered >= 0.0 && sla >= 0.0 && reservation >= 0.0);
     let in_sla = offered.min(sla);
     let served = in_sla.min(reservation);

@@ -83,7 +83,7 @@ proptest! {
 
 #[test]
 fn deterministic_generator_is_flat() {
-    let g = TrafficGenerator::deterministic(10.0);
+    let g = TrafficGenerator::gaussian(10.0, 0.0);
     let mut r = rng(1);
     for t in 0..50 {
         assert_eq!(g.sample(t, &mut r), 10.0);
@@ -113,13 +113,16 @@ fn samples_never_negative() {
 
 #[test]
 fn diurnal_modulates_mean() {
-    let g = TrafficGenerator::deterministic(100.0).with_diurnal(0.5, 24);
+    let g = TrafficGenerator::gaussian(100.0, 0.0).with_diurnal(0.5, 24);
+    // At σ = 0 a sample is the instantaneous mean.
+    let mut r = rng(0);
+    let mut mean = |t| g.sample(t, &mut r);
     // Peak of sin at a quarter period.
-    assert!((g.mean_at(6) - 150.0).abs() < 1.0);
-    assert!((g.mean_at(18) - 50.0).abs() < 1.0);
-    assert!((g.mean_at(0) - 100.0).abs() < 1e-9);
+    assert!((mean(6) - 150.0).abs() < 1.0);
+    assert!((mean(18) - 50.0).abs() < 1.0);
+    assert!((mean(0) - 100.0).abs() < 1e-9);
     // Periodicity.
-    assert_eq!(g.mean_at(5), g.mean_at(5 + 24));
+    assert_eq!(mean(5), mean(5 + 24));
 }
 
 #[test]
@@ -139,7 +142,7 @@ fn generator_reproducible_with_same_seed() {
 #[test]
 #[should_panic(expected = "amplitude")]
 fn diurnal_rejects_amplitude_one() {
-    TrafficGenerator::deterministic(1.0).with_diurnal(1.0, 24);
+    TrafficGenerator::gaussian(1.0, 0.0).with_diurnal(1.0, 24);
 }
 
 // ------------------------------------------------------------------- engine
@@ -151,25 +154,24 @@ fn epoch_engine_reports_peaks_and_violations() {
             key: (0, 0),
             sla_mbps: 50.0,
             reservation_mbps: 50.0,
-            generator: TrafficGenerator::deterministic(25.0),
+            generator: TrafficGenerator::gaussian(25.0, 0.0),
         },
         Flow {
             key: (1, 0),
             sla_mbps: 50.0,
             reservation_mbps: 10.0, // overbooked below the offered load
-            generator: TrafficGenerator::deterministic(25.0),
+            generator: TrafficGenerator::gaussian(25.0, 0.0),
         },
     ];
     let mut r = rng(4);
     let rep = run_epoch(&flows, 12, 0, &mut r);
     assert_eq!(rep.flows.len(), 2);
     assert_eq!(rep.flows[0].peak_offered, 25.0);
-    assert!(!rep.flows[0].violated());
-    assert!(rep.flows[1].violated());
+    assert_eq!((rep.flows[0].samples, rep.flows[1].samples), (12, 12));
+    assert_eq!(rep.flows[0].violated_samples, 0);
     assert_eq!(rep.flows[1].violated_samples, 12);
     assert!((rep.flows[1].worst_deficit_fraction - 15.0 / 25.0).abs() < 1e-12);
     assert_eq!(rep.next_sample_index, 12);
-    assert!((rep.violation_rate() - 0.5).abs() < 1e-12);
 }
 
 #[test]
@@ -179,7 +181,7 @@ fn epoch_engine_threads_sample_index() {
         key: (0, 0),
         sla_mbps: 1e9,
         reservation_mbps: 1e9,
-        generator: TrafficGenerator::deterministic(100.0).with_diurnal(0.5, 24),
+        generator: TrafficGenerator::gaussian(100.0, 0.0).with_diurnal(0.5, 24),
     }];
     let mut r = rng(5);
     let rep1 = run_epoch(&flows, 12, 0, &mut r);
@@ -197,7 +199,7 @@ fn epoch_engine_shared_sines_match_per_sample_draws() {
     let gens = [
         TrafficGenerator::gaussian(40.0, 4.0).with_diurnal(0.3, 24),
         TrafficGenerator::gaussian(10.0, 2.0),
-        TrafficGenerator::deterministic(30.0).with_diurnal(0.5, 7),
+        TrafficGenerator::gaussian(30.0, 0.0).with_diurnal(0.5, 7),
         TrafficGenerator::gaussian(20.0, 6.0).with_diurnal(0.6, 24),
     ];
     let flows: Vec<Flow> = gens
@@ -294,9 +296,11 @@ fn gaussian_with_zero_mean_stays_at_zero_floor() {
 
 #[test]
 fn diurnal_peak_to_trough_ratio() {
-    let g = TrafficGenerator::deterministic(100.0).with_diurnal(0.8, 40);
-    let peak = (0..40).map(|t| g.mean_at(t)).fold(0.0f64, f64::max);
-    let trough = (0..40).map(|t| g.mean_at(t)).fold(f64::INFINITY, f64::min);
+    let g = TrafficGenerator::gaussian(100.0, 0.0).with_diurnal(0.8, 40);
+    let mut r = rng(0);
+    let means: Vec<f64> = (0..40).map(|t| g.sample(t, &mut r)).collect();
+    let peak = means.iter().copied().fold(0.0f64, f64::max);
+    let trough = means.iter().copied().fold(f64::INFINITY, f64::min);
     assert!((peak - 180.0).abs() < 1.0);
     assert!((trough - 20.0).abs() < 1.0);
 }
@@ -306,7 +310,6 @@ fn engine_empty_flow_list() {
     let mut r = rng(41);
     let rep = run_epoch(&[], 12, 0, &mut r);
     assert!(rep.flows.is_empty());
-    assert_eq!(rep.violation_rate(), 0.0);
     assert_eq!(rep.next_sample_index, 12);
 }
 
@@ -323,7 +326,7 @@ fn flow_report_worst_deficit_mbps_tracks_peak_violation() {
         key: (0, 0),
         sla_mbps: 50.0,
         reservation_mbps: 10.0,
-        generator: TrafficGenerator::deterministic(30.0),
+        generator: TrafficGenerator::gaussian(30.0, 0.0),
     }];
     let mut r = rng(43);
     let rep = run_epoch(&flows, 5, 0, &mut r);

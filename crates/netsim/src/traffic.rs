@@ -37,11 +37,6 @@ impl TrafficGenerator {
         }
     }
 
-    /// A deterministic generator (the mMTC template).
-    pub fn deterministic(mean: f64) -> Self {
-        Self::gaussian(mean, 0.0)
-    }
-
     /// Adds a diurnal modulation.
     ///
     /// # Panics
@@ -54,11 +49,6 @@ impl TrafficGenerator {
         assert!(period >= 2, "period must be at least 2 samples");
         self.diurnal = Some((amplitude, period));
         self
-    }
-
-    /// Instantaneous mean at global sample index `t`.
-    pub fn mean_at(&self, t: u64) -> f64 {
-        self.mean_given(self.phase_sin(t))
     }
 
     /// Draws the offered load for global sample index `t`, truncated at 0.

@@ -8,8 +8,8 @@
 //!   stack, per-worker buffers are merged **deterministically by folded
 //!   path** at flush, and [`Trace`] exports both a `flamegraph.pl`
 //!   folded-stack file and a JSONL event journal.
-//! * [`metrics`] — a registry of named counters, gauges, and log-linear
-//!   (HDR-style) [`Histogram`]s that report p50/p90/p99/p999.
+//! * [`metrics`] — a registry of named counters and gauges, and
+//!   log-linear (HDR-style) [`Histogram`]s that report p50/p90/p99/p999.
 //! * [`report`] — tiny counter formatters so every binary renders
 //!   `LpStats`-style counter sets from one source of truth.
 //!
@@ -35,6 +35,7 @@
 //! (round numbers, node ids) goes in the span attribute, never the name,
 //! so folded paths stay low-cardinality.
 
+#![deny(unreachable_pub)]
 #![cfg_attr(
     not(test),
     deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
@@ -47,8 +48,8 @@ pub mod metrics;
 pub mod report;
 pub mod trace;
 
-pub use metrics::{HistSummary, Histogram, Registry};
-pub use trace::{FoldedCell, JournalEvent, SpanGuard, Trace};
+pub use metrics::{Histogram, Registry};
+pub use trace::{FoldedCell, Trace};
 
 const STATE_UNINIT: u8 = 0;
 const STATE_OFF: u8 = 1;

@@ -1,7 +1,7 @@
-//! Metric registry: named counters, gauges, and log-linear (HDR-style)
-//! histograms with p50/p90/p99/p999 summaries. Counters are exact u64
-//! adds — deterministic, so they *may* feed fingerprints; histogram
-//! values are usually wall-clock and must never be hashed.
+//! Metrics: a registry of named counters and gauges, and log-linear
+//! (HDR-style) histograms with p50/p90/p99/p999 summaries. Counters are
+//! exact u64 adds — deterministic, so they *may* feed fingerprints;
+//! histogram values are usually wall-clock and must never be hashed.
 
 use std::collections::BTreeMap;
 use std::sync::Mutex;
@@ -20,7 +20,6 @@ const SUB_COUNT: u64 = 1 << SUB_BITS;
 pub struct Histogram {
     counts: Vec<u64>,
     total: u64,
-    sum: u64,
     min: u64,
     max: u64,
 }
@@ -78,7 +77,6 @@ impl Histogram {
             self.max = self.max.max(value);
         }
         self.total += 1;
-        self.sum = self.sum.saturating_add(value);
     }
 
     /// Record a duration in seconds as integer nanoseconds. Negative or
@@ -102,14 +100,6 @@ impl Histogram {
 
     pub fn max(&self) -> u64 {
         self.max
-    }
-
-    pub fn mean(&self) -> f64 {
-        if self.total == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.total as f64
-        }
     }
 
     /// Quantile estimate: the highest value equivalent to the bucket the
@@ -153,42 +143,15 @@ impl Histogram {
             self.max = self.max.max(other.max);
         }
         self.total += other.total;
-        self.sum = self.sum.saturating_add(other.sum);
-    }
-
-    pub fn summary(&self) -> HistSummary {
-        HistSummary {
-            count: self.total,
-            mean: self.mean(),
-            p50: self.quantile(0.50),
-            p90: self.quantile(0.90),
-            p99: self.quantile(0.99),
-            p999: self.quantile(0.999),
-            max: self.max,
-        }
     }
 }
 
-/// Point-in-time percentile summary of a [`Histogram`] (ns units by
-/// convention).
-#[derive(Debug, Default, Clone, Copy, PartialEq)]
-pub struct HistSummary {
-    pub count: u64,
-    pub mean: f64,
-    pub p50: u64,
-    pub p90: u64,
-    pub p99: u64,
-    pub p999: u64,
-    pub max: u64,
-}
-
-/// Named counters, gauges, and histograms. `BTreeMap` keys make every
-/// render/merge order deterministic.
+/// Named counters and gauges. `BTreeMap` keys make every render/merge
+/// order deterministic.
 #[derive(Debug, Default, Clone)]
 pub struct Registry {
     counters: BTreeMap<String, u64>,
     gauges: BTreeMap<String, f64>,
-    histograms: BTreeMap<String, Histogram>,
 }
 
 impl Registry {
@@ -216,19 +179,8 @@ impl Registry {
         self.gauges.get(name).copied()
     }
 
-    pub fn histogram_record(&mut self, name: &str, value: u64) {
-        self.histograms
-            .entry(name.to_string())
-            .or_default()
-            .record(value);
-    }
-
-    pub fn histogram(&self, name: &str) -> Option<&Histogram> {
-        self.histograms.get(name)
-    }
-
     pub fn is_empty(&self) -> bool {
-        self.counters.is_empty() && self.gauges.is_empty() && self.histograms.is_empty()
+        self.counters.is_empty() && self.gauges.is_empty()
     }
 
     /// Merge another registry in: counters add, gauges keep the max,
@@ -241,9 +193,6 @@ impl Registry {
         for (name, &value) in &other.gauges {
             self.gauge_max(name, value);
         }
-        for (name, hist) in &other.histograms {
-            self.histograms.entry(name.clone()).or_default().merge(hist);
-        }
     }
 
     /// Deterministic one-block text rendering (sorted by metric name).
@@ -255,13 +204,6 @@ impl Registry {
         for (name, value) in &self.gauges {
             out.push_str(&format!("gauge {name} {value}\n"));
         }
-        for (name, hist) in &self.histograms {
-            let s = hist.summary();
-            out.push_str(&format!(
-                "histogram {name} count={} p50={} p90={} p99={} p999={} max={}\n",
-                s.count, s.p50, s.p90, s.p99, s.p999, s.max
-            ));
-        }
         out
     }
 }
@@ -270,18 +212,8 @@ fn global() -> &'static Mutex<Registry> {
     static GLOBAL: Mutex<Registry> = Mutex::new(Registry {
         counters: BTreeMap::new(),
         gauges: BTreeMap::new(),
-        histograms: BTreeMap::new(),
     });
     &GLOBAL
-}
-
-/// Add to a process-global counter. No-op while observability is off.
-pub fn global_counter_add(name: &str, delta: u64) {
-    if !crate::enabled() {
-        return;
-    }
-    let mut reg = global().lock().unwrap_or_else(|e| e.into_inner());
-    reg.counter_add(name, delta);
 }
 
 /// High-water-mark a process-global gauge. No-op while observability is

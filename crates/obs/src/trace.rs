@@ -348,17 +348,6 @@ impl Trace {
         self.folded.get(path).map_or(0, |c| c.total_ns)
     }
 
-    /// Inclusive nanoseconds across all root (depth-0) spans. Because
-    /// children nest inside roots, this is the tracer's measure of
-    /// covered wall-clock.
-    pub fn root_total_ns(&self) -> u64 {
-        self.folded
-            .iter()
-            .filter(|(path, _)| !path.contains(';'))
-            .map(|(_, cell)| cell.total_ns)
-            .sum()
-    }
-
     /// `flamegraph.pl`-compatible folded stacks: one `path self_ns` line
     /// per folded path. Self time is the sample weight, so column widths
     /// sum to root inclusive time.

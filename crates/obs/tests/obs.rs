@@ -136,11 +136,7 @@ fn histogram_merge_is_associative_and_commutative() {
     swapped.merge(b);
 
     assert_eq!(left, right, "merge must be associative");
-    assert_eq!(
-        left.summary(),
-        swapped.summary(),
-        "merge must be commutative"
-    );
+    assert_eq!(left, swapped, "merge must be commutative");
     assert_eq!(left.count(), 1_500);
 }
 
@@ -151,12 +147,10 @@ fn registry_merge_is_order_independent() {
     let mut a = Registry::new();
     a.counter_add("lp.pivots", 7);
     a.gauge_max("milp.queue_depth", 3.0);
-    a.histogram_record("latency", 100);
     let mut b = Registry::new();
     b.counter_add("lp.pivots", 5);
     b.counter_add("kac.vets", 2);
     b.gauge_max("milp.queue_depth", 9.0);
-    b.histogram_record("latency", 200);
 
     let mut ab = a.clone();
     ab.merge(&b);
@@ -165,7 +159,6 @@ fn registry_merge_is_order_independent() {
     assert_eq!(ab.render(), ba.render());
     assert_eq!(ab.counter("lp.pivots"), 12);
     assert_eq!(ab.gauge("milp.queue_depth"), Some(9.0));
-    assert_eq!(ab.histogram("latency").unwrap().count(), 2);
 }
 
 // ---- tracer -------------------------------------------------------------
@@ -264,7 +257,9 @@ fn self_time_plus_child_time_accounts_for_root_time() {
     assert_eq!(child.count, 3);
     // Root inclusive = root self + child inclusive (exact by construction).
     assert_eq!(root.total_ns, root.self_ns + child.total_ns);
-    assert_eq!(trace.root_total_ns(), root.total_ns);
+    // The one root span is all the root-level time the trace holds.
+    let roots = trace.folded.iter().filter(|(path, _)| !path.contains(';'));
+    assert_eq!(roots.map(|(_, c)| c.total_ns).sum::<u64>(), root.total_ns);
 }
 
 #[test]
@@ -333,7 +328,7 @@ fn disabled_spans_record_nothing() {
         let _a = span!("ghost");
         let _b = span!("ghost_child", k = 1);
     }
-    ovnes_obs::metrics::global_counter_add("ghost.counter", 5);
+    ovnes_obs::metrics::global_gauge_max("ghost.gauge", 5.0);
     let trace = trace::drain();
     assert!(trace.is_empty(), "disabled tracer must record nothing");
     assert!(trace.events.is_empty());

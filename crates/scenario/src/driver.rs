@@ -141,7 +141,7 @@ impl ScenarioBuilder {
     }
 
     /// Run on the §5 testbed data plane instead of a generated topology.
-    pub fn testbed(mut self) -> Self {
+    pub(crate) fn testbed(mut self) -> Self {
         self.spec.model = ModelSpec::Testbed;
         self
     }
@@ -153,7 +153,7 @@ impl ScenarioBuilder {
     }
 
     /// Mutate the current generated workload in place (no-op after
-    /// [`ScenarioBuilder::requests`]).
+    /// `ScenarioBuilder::requests`).
     pub fn tune_workload(mut self, f: impl FnOnce(&mut WorkloadSpec)) -> Self {
         if let Workload::Generated(ref mut w) = self.spec.workload {
             f(w);
@@ -162,7 +162,7 @@ impl ScenarioBuilder {
     }
 
     /// Use an explicit request list instead of a generated workload.
-    pub fn requests(mut self, requests: Vec<SliceRequest>) -> Self {
+    pub(crate) fn requests(mut self, requests: Vec<SliceRequest>) -> Self {
         self.spec.workload = Workload::Explicit(requests);
         self
     }
@@ -255,13 +255,23 @@ pub fn build_model(spec: &ScenarioSpec) -> NetworkModel {
     }
 }
 
-/// Runs one scenario end to end.
+/// Runs one scenario end to end. A generated model whose scale is outside
+/// `(0, 1]` or whose `k_paths` is 0 is refused as [`AcrrError::Config`]
+/// before anything is built.
 pub fn run_scenario(spec: &ScenarioSpec) -> Result<ScenarioReport, AcrrError> {
+    if let ModelSpec::Generated { topology, .. } = &spec.model {
+        if !(topology.scale > 0.0 && topology.scale <= 1.0) {
+            return Err(AcrrError::Config("topology scale must be in (0, 1]"));
+        }
+        if topology.k_paths == 0 {
+            return Err(AcrrError::Config("topology needs k_paths >= 1"));
+        }
+    }
     run_scenario_on(spec, build_model(spec))
 }
 
 /// Runs one scenario on a pre-built model (reuse across ablation pairs).
-pub fn run_scenario_on(
+pub(crate) fn run_scenario_on(
     spec: &ScenarioSpec,
     model: NetworkModel,
 ) -> Result<ScenarioReport, AcrrError> {

@@ -43,7 +43,7 @@ pub enum SigmaLevel {
 
 impl SigmaLevel {
     /// σ as a fraction of the mean load.
-    pub fn fraction(self) -> f64 {
+    pub(crate) fn fraction(self) -> f64 {
         match self {
             SigmaLevel::Zero => 0.0,
             SigmaLevel::Quarter => 0.25,
@@ -221,7 +221,7 @@ pub fn homogeneous(
 
 /// Heterogeneous mix (Fig. 6): `beta`% of class `b`, the rest class `a`,
 /// all at `λ̄ = 0.2Λ` as in the paper.
-pub fn heterogeneous(
+pub(crate) fn heterogeneous(
     class_a: SliceClass,
     class_b: SliceClass,
     n: usize,
@@ -269,7 +269,7 @@ pub fn campaign_topology(scale: f64, seed: u64) -> GeneratorConfig {
 /// Tenants in one Fig. 5 / Fig. 6 cell. The paper uses 10 on N1/N2 and 75
 /// on the radio-rich N3; at harness scale 20 congest N3's radio the same
 /// way.
-pub fn tenants_on(operator: Operator) -> usize {
+pub(crate) fn tenants_on(operator: Operator) -> usize {
     if operator == Operator::Italian {
         20
     } else {
@@ -303,9 +303,9 @@ pub fn baseline_cell(
 }
 
 /// Fig. 5's α axis.
-pub const FIG5_ALPHAS: [f64; 3] = [0.2, 0.5, 0.8];
+pub(crate) const FIG5_ALPHAS: [f64; 3] = [0.2, 0.5, 0.8];
 /// Fig. 5's σ levels.
-pub const FIG5_SIGMAS: [SigmaLevel; 2] = [SigmaLevel::Zero, SigmaLevel::Half];
+pub(crate) const FIG5_SIGMAS: [SigmaLevel; 2] = [SigmaLevel::Zero, SigmaLevel::Half];
 /// Fig. 5's penalty factors m (`K = m·R`).
 pub const FIG5_PENALTIES: [f64; 2] = [1.0, 16.0];
 
@@ -370,7 +370,7 @@ pub fn fig6_tenants(
 
 // ------------------------------------ the SLA footprint and the ablations
 
-/// What an [`embb_cell`] saw after its warm-up.
+/// What an `embb_cell` saw after its warm-up.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct EmbbCell {
     /// Net revenue summed over the measured epochs.
@@ -407,7 +407,7 @@ impl EmbbCell {
 /// with `σ = sigma_frac·λ̄` and penalty factor `m`, all arriving at epoch 0,
 /// run for `epochs` epochs under `config`. The first `warmup` epochs are
 /// not measured.
-pub fn embb_cell(
+pub(crate) fn embb_cell(
     model: &NetworkModel,
     config: OrchestratorConfig,
     sigma_frac: f64,
@@ -591,7 +591,7 @@ pub fn fig4_models(scale: f64, seed: u64) -> Vec<NetworkModel> {
 // ------------------------------------------------------- Fig. 8: the day
 
 /// Number of decision epochs in the §5 testbed day (06:00–24:00).
-pub const TESTBED_EPOCHS: usize = 18;
+pub(crate) const TESTBED_EPOCHS: usize = 18;
 
 /// Radio PRBs per MHz: a 20 MHz base station has 100 PRBs.
 pub const PRBS_PER_MHZ: f64 = 5.0;

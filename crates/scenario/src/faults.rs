@@ -85,7 +85,7 @@ impl Default for FaultPlan {
 
 impl FaultPlan {
     /// An inert plan that only replays `scripted` (rates all zero).
-    pub fn scripted_only(events: Vec<InfraEvent>) -> Self {
+    pub(crate) fn scripted_only(events: Vec<InfraEvent>) -> Self {
         Self {
             bs_outage_rate: 0.0,
             link_degradation_rate: 0.0,

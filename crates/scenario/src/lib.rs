@@ -24,7 +24,7 @@
 //!   aggregates the metrics pipeline epoch by epoch:
 //!   acceptance ratio, revenue trajectory, SLA-violation rate, per-BS /
 //!   per-CU / per-link utilisation CDF summaries — the Fig. 5/6 observables.
-//! * [`faults`] — the seeded fault-injection harness: a [`faults::FaultPlan`]
+//! * `faults` — the seeded fault-injection harness: a [`FaultPlan`]
 //!   expands into a deterministic infrastructure-event schedule (BS outages,
 //!   link degradations, CU capacity losses, each with scheduled repair) and
 //!   can arm LP warm-path fault injection, exercising the orchestrator's
@@ -67,20 +67,23 @@
 //! );
 //! ```
 
+#![deny(unreachable_pub)]
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
+
 pub mod driver;
 pub mod experiment;
-pub mod faults;
-pub mod metrics;
+mod faults;
+mod metrics;
 pub mod presets;
 pub mod sweep;
 pub mod workload;
 
-pub use driver::{
-    run_scenario, run_scenario_on, ModelSpec, ScenarioBuilder, ScenarioSpec, Workload,
-};
+pub use driver::{run_scenario, ScenarioBuilder, ScenarioSpec};
 pub use faults::FaultPlan;
-pub use metrics::{CdfSummary, Fnv64, ScenarioReport};
-pub use sweep::{run_sweep, SweepReport};
+pub use metrics::ScenarioReport;
 pub use workload::{
     ArrivalProcess, BurstEvent, ClassMix, DiurnalProfile, DurationModel, TenantPopulation,
     WorkloadSpec,

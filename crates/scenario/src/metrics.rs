@@ -32,7 +32,7 @@ pub struct CdfSummary {
 
 impl CdfSummary {
     /// Summarises a sample set (empty ⇒ all-zero summary).
-    pub fn from_samples(mut xs: Vec<f64>) -> Self {
+    pub(crate) fn from_samples(mut xs: Vec<f64>) -> Self {
         if xs.is_empty() {
             return CdfSummary {
                 count: 0,
@@ -182,7 +182,7 @@ impl ScenarioReport {
     /// trail plus the solver-path telemetry. The
     /// wall-clock-never-in-fingerprints invariant lives here: deterministic
     /// counters may be appended, timing never.
-    pub fn hash_into(&self, h: &mut Fnv64) {
+    pub(crate) fn hash_into(&self, h: &mut Fnv64) {
         self.hash_decision_into(h);
         h.write_u64(self.lp_solves as u64);
         h.write_u64(self.lp_pivots as u64);
@@ -200,7 +200,7 @@ impl ScenarioReport {
     /// identical decisions by contract, so their decision fingerprints
     /// must match bit-for-bit even though their solve paths (and full
     /// fingerprints) legitimately differ.
-    pub fn hash_decision_into(&self, h: &mut Fnv64) {
+    pub(crate) fn hash_decision_into(&self, h: &mut Fnv64) {
         h.write_bytes(self.name.as_bytes());
         h.write_u64(self.epochs as u64);
         h.write_u64(self.arrivals as u64);
@@ -232,7 +232,7 @@ impl ScenarioReport {
         h.write_u64(u64::from(self.deterministic));
     }
 
-    /// Fingerprint of this single report (see [`ScenarioReport::hash_into`]).
+    /// Fingerprint of this single report (see `ScenarioReport::hash_into`).
     pub fn fingerprint(&self) -> u64 {
         let mut h = Fnv64::new();
         self.hash_into(&mut h);
@@ -240,7 +240,7 @@ impl ScenarioReport {
     }
 
     /// Fingerprint of the admission-decision trail only (see
-    /// [`ScenarioReport::hash_decision_into`]) — the bit-identity contract
+    /// `ScenarioReport::hash_decision_into`) — the bit-identity contract
     /// between a carried horizon and the from-scratch one.
     pub fn decision_fingerprint(&self) -> u64 {
         let mut h = Fnv64::new();
@@ -253,16 +253,16 @@ impl ScenarioReport {
 /// `DefaultHasher` is randomly keyed per process, which would defeat the
 /// cross-run fingerprint comparisons `tests/obs_guard.rs` pins.
 #[derive(Debug, Clone)]
-pub struct Fnv64(u64);
+pub(crate) struct Fnv64(u64);
 
 impl Fnv64 {
     /// FNV-1a offset basis.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Fnv64(0xcbf2_9ce4_8422_2325)
     }
 
     /// Folds raw bytes.
-    pub fn write_bytes(&mut self, bytes: &[u8]) {
+    pub(crate) fn write_bytes(&mut self, bytes: &[u8]) {
         for &b in bytes {
             self.0 ^= b as u64;
             self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
@@ -270,17 +270,17 @@ impl Fnv64 {
     }
 
     /// Folds a `u64` (little-endian bytes).
-    pub fn write_u64(&mut self, v: u64) {
+    pub(crate) fn write_u64(&mut self, v: u64) {
         self.write_bytes(&v.to_le_bytes());
     }
 
     /// Folds an `f64` by bit pattern — "bit-identical" is meant literally.
-    pub fn write_f64(&mut self, v: f64) {
+    pub(crate) fn write_f64(&mut self, v: f64) {
         self.write_u64(v.to_bits());
     }
 
     /// The accumulated hash.
-    pub fn finish(&self) -> u64 {
+    pub(crate) fn finish(&self) -> u64 {
         self.0
     }
 }

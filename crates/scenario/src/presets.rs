@@ -8,17 +8,20 @@
 //! presets are continuous-arrival workloads in the style of Figs. 5-6, not
 //! the figures' cells, which are [`crate::experiment`]'s.
 
-use crate::driver::{build_model, ScenarioSpec, Workload};
+use crate::driver::{build_model, ScenarioSpec};
 use crate::experiment::{testbed_requests, TESTBED_EPOCHS};
 use crate::faults::FaultPlan;
-use crate::workload::{ArrivalProcess, BurstEvent, ClassMix, DiurnalProfile};
+use crate::workload::{
+    ArrivalProcess, BurstEvent, ClassMix, DiurnalProfile, TenantPopulation, WorkloadSpec,
+};
 use ovnes::orchestrator::{InfraEvent, InfraEventKind};
 use ovnes::slice::{SliceClass, SliceTemplate};
 use ovnes::solver::{SolveBudget, SolverKind};
 use ovnes_topology::operators::{CuKind, Operator};
 
-/// Every preset name [`preset`] resolves.
-pub const PRESET_NAMES: [&str; 16] = [
+/// Every preset name [`preset`] resolves (the tests walk it).
+#[cfg(test)]
+pub(crate) const PRESET_NAMES: [&str; 16] = [
     "testbed-day",
     "fig5-n1",
     "fig5-n2",
@@ -64,7 +67,7 @@ pub fn preset(name: &str) -> Option<ScenarioSpec> {
 /// two-BS testbed data plane, solved optimally. Rejected tenants re-apply
 /// every epoch, as in [`crate::experiment::run_testbed`], so the preset is that
 /// day.
-pub fn testbed_day() -> ScenarioSpec {
+pub(crate) fn testbed_day() -> ScenarioSpec {
     ScenarioSpec::builder("testbed-day")
         .testbed()
         .requests(testbed_requests())
@@ -80,7 +83,7 @@ pub fn testbed_day() -> ScenarioSpec {
 /// activity.
 /// Not Fig. 5's cells, which are [`crate::experiment::fig5_grid`]'s (the
 /// name stays: the decision fingerprint hashes it).
-pub fn fig5(operator: Operator) -> ScenarioSpec {
+pub(crate) fn fig5(operator: Operator) -> ScenarioSpec {
     // Distinct seeds per operator: the paper's campaigns are independent
     // runs, and at harness scale N1/N2 share BS counts and radio capacity
     // — a common seed would make their reports near-identical.
@@ -106,7 +109,7 @@ pub fn fig5(operator: Operator) -> ScenarioSpec {
 /// with radio-bound eMBB at `λ̄ = 0.2Λ`.
 /// Not a Fig. 6 cell ([`crate::experiment::fig6_tenants`]): one
 /// continuous-arrival stream at β = 50 %.
-pub fn fig6_mix(operator: Operator) -> ScenarioSpec {
+pub(crate) fn fig6_mix(operator: Operator) -> ScenarioSpec {
     let tag = match operator {
         Operator::Romanian => "fig6-mix-n1",
         Operator::Swiss => "fig6-mix-n2",
@@ -132,7 +135,7 @@ pub fn fig6_mix(operator: Operator) -> ScenarioSpec {
 
 /// A stadium flash crowd on the wireless-heavy Swiss network: diurnal
 /// background load plus a 4-epoch surge of hot, short-lived eMBB slices.
-pub fn flash_crowd_stadium() -> ScenarioSpec {
+pub(crate) fn flash_crowd_stadium() -> ScenarioSpec {
     ScenarioSpec::builder("flash-crowd-stadium")
         .operator(Operator::Swiss, 0.025)
         .days(2)
@@ -160,7 +163,7 @@ pub fn flash_crowd_stadium() -> ScenarioSpec {
 /// 10× the paper's offered load on N1: a Markov-modulated request flood
 /// far past capacity, exercising rejection, patience, and churn. The
 /// acceptance ratio — not the revenue — is the observable here.
-pub fn load_10x() -> ScenarioSpec {
+pub(crate) fn load_10x() -> ScenarioSpec {
     ScenarioSpec::builder("load-10x")
         .operator(Operator::Romanian, 0.025)
         .horizon(30)
@@ -184,7 +187,7 @@ pub fn load_10x() -> ScenarioSpec {
 /// The overbooking on/off ablation on N1: *identical* topology, workload,
 /// and seed — only the admission policy differs, so the report delta is
 /// the pure value of overbooking (the paper's headline comparison).
-pub fn overbooking_ablation(overbooking: bool) -> ScenarioSpec {
+pub(crate) fn overbooking_ablation(overbooking: bool) -> ScenarioSpec {
     ScenarioSpec::builder(if overbooking {
         "overbook-n1-on"
     } else {
@@ -272,7 +275,7 @@ pub fn chaos_outage() -> ScenarioSpec {
 /// round, a handful of B&B nodes and a few hundred pivots — most epochs
 /// must take a degradation rung (incumbent → greedy → defer) and the
 /// horizon must still complete deterministically.
-pub fn chaos_budget() -> ScenarioSpec {
+pub(crate) fn chaos_budget() -> ScenarioSpec {
     ScenarioSpec::builder("chaos-budget-n1")
         .days(1)
         .solver(SolverKind::Benders)
@@ -298,7 +301,7 @@ pub fn chaos_budget() -> ScenarioSpec {
 /// recovery paths. Injection decisions are pure functions of the seed and
 /// per-solve fingerprints, so the report stays bit-identical at any
 /// worker count. A modest round budget bounds the runtime.
-pub fn chaos_lpfault() -> ScenarioSpec {
+pub(crate) fn chaos_lpfault() -> ScenarioSpec {
     let mut plan = FaultPlan::scripted_only(Vec::new());
     plan.lp_fault_seed = Some(4242);
     ScenarioSpec::builder("chaos-lpfault-n1")
@@ -435,40 +438,46 @@ pub fn incremental_steady() -> ScenarioSpec {
 /// on the steady set. `tests/incremental_identity.rs` pins its decision
 /// fingerprint to the from-scratch run's at 1, 2 and 4 workers.
 pub fn incremental_degenerate() -> ScenarioSpec {
+    let defaults = WorkloadSpec::default();
+    let w = WorkloadSpec {
+        arrivals: ArrivalProcess::Poisson { rate: 0.0 },
+        // Flat deterministic traffic: σ = 0 and no diurnal swing, so
+        // identical requests stay bit-identical LP columns for the
+        // whole horizon.
+        population: TenantPopulation {
+            sigma_frac: (0.0, 0.0),
+            ..defaults.population
+        },
+        traffic_diurnal: None,
+        bursts: vec![
+            // The incumbents: identical long-lived uRLLC slices whose
+            // 5 ms budget pins them all to the edge CU.
+            BurstEvent {
+                start_epoch: 0,
+                duration_epochs: 1,
+                extra_rate: 3.0,
+                class: SliceClass::Urllc,
+                alpha: 0.3,
+                slice_epochs: 64,
+            },
+            // The churn wave: identical short-lived requests that
+            // (once past the operator prior) overflow the shrunken
+            // CU's forecast floors and force shed iterations.
+            BurstEvent {
+                start_epoch: 30,
+                duration_epochs: 1,
+                extra_rate: 10.0,
+                class: SliceClass::Urllc,
+                alpha: 0.3,
+                slice_epochs: 4,
+            },
+        ],
+        ..defaults
+    };
     let base = ScenarioSpec::builder("incremental-degenerate-n1")
         .operator(Operator::Romanian, 0.025)
         .horizon(64)
-        .tune_workload(|w| {
-            w.arrivals = ArrivalProcess::Poisson { rate: 0.0 };
-            // Flat deterministic traffic: σ = 0 and no diurnal swing, so
-            // identical requests stay bit-identical LP columns for the
-            // whole horizon.
-            w.population.sigma_frac = (0.0, 0.0);
-            w.traffic_diurnal = None;
-            w.bursts = vec![
-                // The incumbents: identical long-lived uRLLC slices whose
-                // 5 ms budget pins them all to the edge CU.
-                BurstEvent {
-                    start_epoch: 0,
-                    duration_epochs: 1,
-                    extra_rate: 3.0,
-                    class: SliceClass::Urllc,
-                    alpha: 0.3,
-                    slice_epochs: 64,
-                },
-                // The churn wave: identical short-lived requests that
-                // (once past the operator prior) overflow the shrunken
-                // CU's forecast floors and force shed iterations.
-                BurstEvent {
-                    start_epoch: 30,
-                    duration_epochs: 1,
-                    extra_rate: 10.0,
-                    class: SliceClass::Urllc,
-                    alpha: 0.3,
-                    slice_epochs: 4,
-                },
-            ];
-        })
+        .workload(w.clone())
         .reapply_epochs(6)
         .seed(303)
         .build();
@@ -478,17 +487,18 @@ pub fn incremental_degenerate() -> ScenarioSpec {
     // optimum stays the unique exact-bound vertex) while sitting far
     // inside the certificates' 1e−7 relative tightness tolerance.
     let model = build_model(&base);
-    let incumbents = match &base.workload {
-        Workload::Generated(w) => w
-            .generate(base.seed, base.horizon_epochs)
-            .iter()
-            .filter(|r| r.duration_epochs as usize >= base.horizon_epochs)
-            .count(),
-        Workload::Explicit(_) => unreachable!("degenerate preset generates its workload"),
-    };
+    let incumbents = w
+        .generate(base.seed, base.horizon_epochs)
+        .iter()
+        .filter(|r| r.duration_epochs as usize >= base.horizon_epochs)
+        .count();
     let urllc = SliceTemplate::urllc();
     let n_bs = model.base_stations.len() as f64;
     let full_load_cores = incumbents as f64 * n_bs * urllc.service.cores_per_mbps * urllc.sla_mbps;
+    #[expect(
+        clippy::expect_used,
+        reason = "every generated operator topology has an edge CU"
+    )]
     let (edge_cu, edge_cores) = model
         .compute_units
         .iter()

@@ -3,15 +3,13 @@
 //! Scenarios are embarrassingly parallel — each one owns its model, its
 //! orchestrator, and its seeded PRNGs — so the runner fans them across
 //! `std::thread::scope` workers through a shared atomic work index (the
-//! same shape as the PR-4 branch-and-bound worker pool, one level up the
-//! stack: here the unit of work is a whole simulation rather than a node
-//! relaxation; the `Send + Sync` solver core is what lets the epoch solves
-//! inside different workers coexist).
+//! unit of work is a whole simulation; the `Send + Sync` solver core is
+//! what lets the epoch solves inside different workers coexist).
 //!
 //! **Determinism contract:** each scenario's report depends only on its
 //! spec (worker assignment never leaks in — there is no shared mutable
-//! state between scenarios), results are slotted by scenario index, and
-//! aggregation walks the slots in spec order. The aggregated
+//! state between scenarios), each result is tagged with its scenario
+//! index, and aggregation sorts them back into spec order. The aggregated
 //! [`SweepReport`] is therefore bit-identical at any worker count; only
 //! the wall-clock fields differ, and those are excluded from
 //! [`SweepReport::fingerprint`].
@@ -20,7 +18,7 @@ use crate::driver::{run_scenario, ScenarioSpec};
 use crate::metrics::{Fnv64, ScenarioReport};
 use ovnes::solver::AcrrError;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, PoisonError};
 use std::time::Instant;
 
 /// Aggregated result of one sweep.
@@ -154,9 +152,11 @@ pub fn run_sweep(specs: &[ScenarioSpec], workers: usize) -> Result<SweepReport, 
     let t0 = Instant::now();
     let workers = workers.max(1).min(specs.len().max(1));
     let next = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<Result<ScenarioReport, AcrrError>>>> =
-        specs.iter().map(|_| Mutex::new(None)).collect();
+    let done: Mutex<Vec<(usize, Result<ScenarioReport, AcrrError>)>> =
+        Mutex::new(Vec::with_capacity(specs.len()));
 
+    // The scope re-raises a worker's panic, so a poisoned lock is never read
+    // past it.
     std::thread::scope(|scope| {
         for _ in 0..workers {
             scope.spawn(|| {
@@ -166,7 +166,9 @@ pub fn run_sweep(specs: &[ScenarioSpec], workers: usize) -> Result<SweepReport, 
                         break;
                     }
                     let result = run_scenario(&specs[i]);
-                    *slots[i].lock().expect("sweep slot") = Some(result);
+                    done.lock()
+                        .unwrap_or_else(PoisonError::into_inner)
+                        .push((i, result));
                 }
                 // Scoped joins can outrun TLS destructors, so hand the
                 // span buffers to the sink before the closure returns.
@@ -177,13 +179,12 @@ pub fn run_sweep(specs: &[ScenarioSpec], workers: usize) -> Result<SweepReport, 
         }
     });
 
+    let mut results = done.into_inner().unwrap_or_else(PoisonError::into_inner);
+    results.sort_by_key(|&(i, _)| i);
+
     let mut scenarios = Vec::with_capacity(specs.len());
-    for slot in slots {
-        match slot.into_inner().expect("sweep slot") {
-            Some(Ok(report)) => scenarios.push(report),
-            Some(Err(e)) => return Err(e),
-            None => unreachable!("every sweep slot is filled before the scope ends"),
-        }
+    for (_, result) in results {
+        scenarios.push(result?);
     }
 
     let total_arrivals: usize = scenarios.iter().map(|s| s.arrivals).sum();

@@ -1,7 +1,7 @@
 //! Unit tests: workload statistics, determinism, driver aggregation, and
 //! sweep worker-count invariance on tiny scenarios.
 
-use crate::driver::{run_scenario, ScenarioSpec};
+use crate::driver::{run_scenario, ModelSpec, ScenarioSpec};
 use crate::experiment::{
     homogeneous, run_on, run_testbed, testbed_requests, Scenario, SigmaLevel, TESTBED_EPOCHS,
 };
@@ -13,8 +13,8 @@ use crate::workload::{
 };
 use ovnes::orchestrator::{Orchestrator, OrchestratorConfig};
 use ovnes::slice::SliceClass;
-use ovnes::solver::SolverKind;
-use ovnes_topology::operators::{testbed_model, Operator};
+use ovnes::solver::{AcrrError, SolverKind};
+use ovnes_topology::operators::{testbed_model, GeneratorConfig, Operator};
 
 fn tiny_spec(name: &str, seed: u64) -> ScenarioSpec {
     ScenarioSpec::builder(name)
@@ -283,6 +283,7 @@ fn ablation_pair_differs_only_in_overbooking() {
 /// would part the two from 20:00 on.
 #[test]
 fn testbed_day_preset_is_the_fig8_day() {
+    assert_eq!(presets::testbed_day().solver, SolverKind::Benders);
     for seed in [7, 18] {
         let spec = ScenarioSpec {
             seed,
@@ -467,4 +468,26 @@ fn run_stops_when_the_observer_breaks() {
     assert_eq!(orch.epoch(), 5);
     // Requests 0, 1, 2 arrived at epochs 0, 2, 4; 3..8 were never submitted.
     assert_eq!(orch.active_tenants().len() + orch.queue_len(), 3);
+}
+
+/// A generator config the topology builder cannot take (scale outside
+/// `(0, 1]`, no paths) is refused as a config error before the model is
+/// built, not a panic inside the generator.
+#[test]
+fn run_scenario_refuses_a_bad_generator_config() {
+    for (scale, k_paths) in [(0.0, 4), (-1.0, 4), (f64::NAN, 4), (1.5, 4), (0.02, 0)] {
+        let mut spec = tiny_spec("bad-generator", 1);
+        spec.model = ModelSpec::Generated {
+            operator: Operator::Romanian,
+            topology: GeneratorConfig {
+                scale,
+                seed: 18,
+                k_paths,
+            },
+        };
+        assert!(
+            matches!(run_scenario(&spec), Err(AcrrError::Config(_))),
+            "scale {scale}, k_paths {k_paths}"
+        );
+    }
 }

@@ -65,7 +65,7 @@ pub struct DiurnalProfile {
 
 impl DiurnalProfile {
     /// Rate multiplier at `epoch` (never negative).
-    pub fn factor(&self, epoch: u32) -> f64 {
+    pub(crate) fn factor(&self, epoch: u32) -> f64 {
         let period = self.period_epochs.max(1) as f64;
         let phase = std::f64::consts::TAU * (epoch as f64 - self.peak_epoch) / period;
         (1.0 + self.amplitude * phase.cos()).max(0.0)
@@ -85,7 +85,7 @@ pub struct ClassMix {
 
 impl ClassMix {
     /// Equal thirds, the paper's default simulation mix.
-    pub fn even() -> Self {
+    pub(crate) fn even() -> Self {
         ClassMix {
             urllc: 1.0,
             mmtc: 1.0,

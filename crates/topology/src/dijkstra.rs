@@ -332,11 +332,6 @@ impl Search {
     }
 }
 
-/// Shortest path from `src` to `dst` by delay, nothing banned.
-pub fn shortest(g: &Graph, src: NodeId, dst: NodeId) -> Option<(Vec<LinkId>, f64)> {
-    Search::new(g).spur(g, &ShortestTree::new(g, dst), src)
-}
-
 /// A per-thread count of settled nodes (heap pops that are not stale), the
 /// work the corridor saves.
 #[cfg(test)]

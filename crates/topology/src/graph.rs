@@ -30,7 +30,7 @@ pub enum LinkTech {
 
 impl LinkTech {
     /// Propagation delay per kilometre, µs.
-    pub fn us_per_km(self) -> f64 {
+    pub(crate) fn us_per_km(self) -> f64 {
         match self {
             LinkTech::Fiber | LinkTech::Copper => 4.0,
             LinkTech::Wireless => 5.0,
@@ -58,7 +58,7 @@ pub struct Link {
 
 impl Link {
     /// One-hop traversal delay in µs per the paper's model.
-    pub fn delay_us(&self) -> f64 {
+    pub(crate) fn delay_us(&self) -> f64 {
         let store_and_forward = if self.capacity_mbps.is_finite() && self.capacity_mbps > 0.0 {
             12_000.0 / self.capacity_mbps
         } else {
@@ -71,7 +71,7 @@ impl Link {
     ///
     /// # Panics
     /// Panics if `n` is not an endpoint of this link.
-    pub fn other(&self, n: NodeId) -> NodeId {
+    pub(crate) fn other(&self, n: NodeId) -> NodeId {
         if n == self.a {
             self.b
         } else if n == self.b {
@@ -85,7 +85,7 @@ impl Link {
 /// A node with a planar position (km coordinates, used by generators and for
 /// rendering Fig. 4-style maps).
 #[derive(Debug, Clone)]
-pub struct Node {
+pub(crate) struct Node {
     /// X coordinate, km.
     pub x: f64,
     /// Y coordinate, km.
@@ -179,7 +179,7 @@ impl Graph {
     }
 
     /// Node accessor.
-    pub fn node(&self, n: NodeId) -> &Node {
+    pub(crate) fn node(&self, n: NodeId) -> &Node {
         &self.nodes[n.0]
     }
 
@@ -201,19 +201,19 @@ impl Graph {
     }
 
     /// Links incident to a node.
-    pub fn incident(&self, n: NodeId) -> &[LinkId] {
+    pub(crate) fn incident(&self, n: NodeId) -> &[LinkId] {
         &self.adj[n.0]
     }
 
     /// Euclidean distance between two nodes, km.
-    pub fn distance(&self, a: NodeId, b: NodeId) -> f64 {
+    pub(crate) fn distance(&self, a: NodeId, b: NodeId) -> f64 {
         let na = &self.nodes[a.0];
         let nb = &self.nodes[b.0];
         ((na.x - nb.x).powi(2) + (na.y - nb.y).powi(2)).sqrt()
     }
 
     /// True when every node can reach node 0 (or the graph is empty).
-    pub fn is_connected(&self) -> bool {
+    pub(crate) fn is_connected(&self) -> bool {
         if self.nodes.is_empty() {
             return true;
         }

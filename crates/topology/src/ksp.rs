@@ -12,7 +12,7 @@
 //!   destination gives `h(v)`, the unbanned delay from
 //!   `v` to it. Bans only remove nodes and links, so `h` is admissible for
 //!   every spur search toward that destination, from every source. A
-//!   [`KShortest`] computes it once per destination.
+//!   `KShortest` computes it once per destination.
 //! * **Upper bound `D*`.** A spur search first finds `D*`, the delay of
 //!   some real unbanned path: the left-fold delay sum of the source's tree
 //!   path when that path avoids every ban, else the path an A* search on
@@ -59,7 +59,7 @@ pub struct Path {
 
 impl Path {
     /// Node sequence of the path given its source.
-    pub fn nodes(&self, g: &Graph, src: NodeId) -> Vec<NodeId> {
+    pub(crate) fn nodes(&self, g: &Graph, src: NodeId) -> Vec<NodeId> {
         let mut seq = vec![src];
         let mut cur = src;
         for &l in &self.links {
@@ -85,7 +85,7 @@ impl Path {
 /// Yen's algorithm toward one destination: its shortest-path tree, computed
 /// once, and the search scratch every source's spur searches reuse.
 #[derive(Debug)]
-pub struct KShortest<'g> {
+pub(crate) struct KShortest<'g> {
     g: &'g Graph,
     tree: ShortestTree,
     search: Search,
@@ -93,7 +93,7 @@ pub struct KShortest<'g> {
 
 impl<'g> KShortest<'g> {
     /// Prepares the searches toward `dst`: one Dijkstra over `g`.
-    pub fn new(g: &'g Graph, dst: NodeId) -> Self {
+    pub(crate) fn new(g: &'g Graph, dst: NodeId) -> Self {
         KShortest {
             g,
             tree: ShortestTree::new(g, dst),
@@ -104,7 +104,7 @@ impl<'g> KShortest<'g> {
     /// Up to `k` loopless shortest paths from `src` to the destination,
     /// sorted by increasing delay. Returns fewer when the graph does not
     /// contain `k` distinct loopless paths.
-    pub fn paths_from(&mut self, src: NodeId, k: usize) -> Vec<Path> {
+    pub(crate) fn paths_from(&mut self, src: NodeId, k: usize) -> Vec<Path> {
         let g = self.g;
         if k == 0 || src == self.tree.root() {
             return Vec::new();
@@ -171,7 +171,7 @@ impl<'g> KShortest<'g> {
 /// Computes up to `k` loopless shortest paths from `src` to `dst`, sorted by
 /// increasing delay. Returns fewer when the graph does not contain `k`
 /// distinct loopless paths. For many sources toward one destination, build
-/// one [`KShortest`] and call [`KShortest::paths_from`] per source.
+/// one `KShortest` and call `KShortest::paths_from` per source.
 pub fn k_shortest(g: &Graph, src: NodeId, dst: NodeId, k: usize) -> Vec<Path> {
     KShortest::new(g, dst).paths_from(src, k)
 }

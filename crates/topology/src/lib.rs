@@ -13,7 +13,7 @@
 //! * [`graph`] — an undirected multigraph with per-link capacity, length and
 //!   technology; delays follow the paper's footnote 11 model
 //!   (store-and-forward `12000/C_e`, 4–5 µs/km propagation, 5 µs processing),
-//! * [`dijkstra`] — shortest paths by delay, and the fenced spur search,
+//! * `dijkstra` — shortest paths by delay, and the fenced spur search,
 //! * [`ksp`] — Yen's k-shortest loopless paths (the paper's offline path
 //!   precomputation, §2.1.2), one shortest-path tree per destination,
 //! * [`operators`] — the N1/N2/N3 generators, the §5 testbed's data plane
@@ -21,15 +21,15 @@
 //!   consumed by the orchestrator,
 //! * [`stats`] — empirical CDFs regenerating Fig. 4(d)-(e).
 
-pub mod dijkstra;
+#![deny(unreachable_pub)]
+
+mod dijkstra;
 pub mod graph;
 pub mod ksp;
 pub mod operators;
 pub mod stats;
 
-pub use graph::{Graph, LinkId, LinkTech, NodeId};
 pub use ksp::Path;
-pub use operators::{NetworkModel, Operator};
 
 #[cfg(test)]
 mod oracle;

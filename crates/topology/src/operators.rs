@@ -133,7 +133,7 @@ impl NetworkModel {
     }
 
     /// All BS→edge-CU paths (used for the Fig. 4 CDFs).
-    pub fn edge_paths(&self) -> impl Iterator<Item = &Path> {
+    pub(crate) fn edge_paths(&self) -> impl Iterator<Item = &Path> {
         self.paths.iter().flat_map(|per_cu| per_cu[0].iter())
     }
 }

@@ -13,7 +13,7 @@ use std::collections::BinaryHeap;
 ///
 /// `banned_nodes[i] == true` removes node `i`; `banned_links` removes link
 /// ids (both used by Yen's algorithm for spur computations).
-pub fn shortest_path(
+pub(crate) fn shortest_path(
     g: &Graph,
     src: NodeId,
     dst: NodeId,
@@ -82,7 +82,7 @@ pub fn shortest_path(
 
 /// Yen's algorithm over [`shortest_path`]: up to `k` loopless shortest
 /// paths from `src` to `dst`, sorted by increasing delay.
-pub fn k_shortest(g: &Graph, src: NodeId, dst: NodeId, k: usize) -> Vec<Path> {
+pub(crate) fn k_shortest(g: &Graph, src: NodeId, dst: NodeId, k: usize) -> Vec<Path> {
     if k == 0 || src == dst {
         return Vec::new();
     }

@@ -3,7 +3,7 @@
 use crate::operators::NetworkModel;
 
 /// Empirical CDF: sorted `(value, cumulative_probability)` points.
-pub fn ecdf(mut values: Vec<f64>) -> Vec<(f64, f64)> {
+pub(crate) fn ecdf(mut values: Vec<f64>) -> Vec<(f64, f64)> {
     values.retain(|v| v.is_finite());
     values.sort_by(|a, b| a.partial_cmp(b).unwrap());
     let n = values.len();
@@ -28,19 +28,6 @@ pub fn path_capacity_cdf(model: &NetworkModel) -> Vec<(f64, f64)> {
 /// Per-path latency (µs) CDF across BS→edge-CU paths — Fig. 4(e).
 pub fn path_delay_cdf(model: &NetworkModel) -> Vec<(f64, f64)> {
     ecdf(model.edge_paths().map(|p| p.delay_us).collect())
-}
-
-/// Evaluates an ECDF at a probe value (fraction of mass ≤ probe).
-pub fn cdf_at(cdf: &[(f64, f64)], probe: f64) -> f64 {
-    let mut acc = 0.0;
-    for &(v, p) in cdf {
-        if v <= probe {
-            acc = p;
-        } else {
-            break;
-        }
-    }
-    acc
 }
 
 /// Summary quantile (q ∈ [0, 1]) of an ECDF.

@@ -1,8 +1,8 @@
 //! Design invariants the compiler cannot hold, checked over the source tree:
 //! one `GUARDS` row per invariant and one `DELETED` row per deleted name. A
 //! new design guard is a row here. The compiler holds two more: `AcrrInstance`
-//! is not `Clone` (KAC copies no instance), and `ovnes-forecast` denies
-//! `unreachable_pub` (its public items are the ones in `lib.rs`).
+//! is not `Clone` (KAC copies no instance), and every `ovnes*` crate denies
+//! `unreachable_pub` (the "Public surface" row checks the attribute is there).
 
 use std::{fs, ops::RangeBounds, path::Path};
 
@@ -101,7 +101,8 @@ const CODE: &str = "crates/*/src *.rs !tests";
 const CORE: &str = "crates/core/src *.rs !tests";
 const LP: &str = "crates/lp/src *.rs !/tests";
 const HW: &str = "crates/forecast/src/holt_winters.rs";
-const LIB: &str = "crates/forecast/src/lib.rs";
+const LIBS: &str = "crates/*/src/lib.rs";
+const DENY_UNREACHABLE_PUB: &str = "#![deny(unreachable_pub)]";
 const LU: &str = "crates/lp/src/revised/lu.rs";
 const KAC: &str = "crates/core/src/solver/kac.rs";
 const MILP: &str = "crates/milp/src *.rs !tests";
@@ -159,17 +160,14 @@ const GUARDS: &[(&str, Check)] = &[
         },
     ),
     (
-        "Forecast surface: lib.rs declares `pub fn predict_next` and `pub struct Prediction` \
-         and no other pub item, so the grid, SES and σ̂ can change behind them.",
+        "Public surface: every `ovnes*` crate's lib.rs (not `crates/compat`) denies \
+         `unreachable_pub`, so an item is `pub` only where another crate, a test, an example \
+         or the benchmark can name it, and crate-only items stay `pub(crate)`.",
         |t| {
-            let kinds = "fn struct enum trait mod type const static use union unsafe async extern";
-            let kind = |l: &str, k| l.trim_start().starts_with(&format!("pub {k} "));
-            let items = grep_by(t, LIB, |l| kinds.split(' ').any(|k| kind(l, k)));
-            let mut bad = count(2..=2, items);
-            for item in ["pub fn predict_next(", "pub struct Prediction "] {
-                bad.extend(count(1..=1, grep_by(t, LIB, |l| l.starts_with(item))));
-            }
-            bad
+            let libs = t.iter().filter(|(path, _)| within(path, LIBS));
+            let bare = libs.filter(|(_, text)| !text.lines().any(|l| l == DENY_UNREACHABLE_PUB));
+            bare.map(|(path, _)| format!("{path}: no `{DENY_UNREACHABLE_PUB}`"))
+                .collect()
         },
     ),
     (
@@ -288,6 +286,16 @@ const DELETED: &[(&str, u32, &str)] = &[
     ("FALLBACK_ROUND_WIDTH", 52, SRC_TESTS),
     ("MAX_ADAPTIVE_ROUND_WIDTH", 52, SRC_TESTS),
     ("run_at_1_2_4", 52, SRC_TESTS),
+    ("is_optimal", 53, SRC_TESTS),
+    ("mean_at", 53, SRC_TESTS),
+    ("cdf_at", 53, SRC_TESTS),
+    ("root_total_ns", 53, SRC_TESTS),
+    ("histogram_record", 53, SRC_TESTS),
+    ("global_counter_add", 53, SRC_TESTS),
+    ("solve_slave", 53, SRC_TESTS),
+    ("TrafficGenerator::deterministic", 53, SRC_TESTS),
+    ("fn shortest(", 53, SRC_TESTS),
+    ("HistSummary", 53, SRC_TESTS),
 ];
 
 #[test]

@@ -124,7 +124,7 @@ fn chaos_incremental_decisions_match_scratch_twin() {
 /// Two KAC carry presets run to the end, and on a budgeted Benders chaos
 /// horizon the chain stays out of the way: nothing is carried.
 #[test]
-fn incremental_runs_bit_identical_across_bnb_threads() {
+fn carry_presets_complete_and_a_benders_horizon_carries_nothing() {
     run(&presets::incremental_n1());
     run(&presets::incremental_steady());
     let benders = run(&presets::chaos_outage());

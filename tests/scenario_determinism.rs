@@ -1,8 +1,7 @@
-//! Long-horizon runs of the scenario engine: a multi-day horizon and the
-//! Benders testbed day run to the end, and the default named sweep must
-//! aggregate bit-identically at 1/2/4 sweep workers.
+//! Long-horizon runs of the scenario engine: a multi-day horizon runs to
+//! the end, and the default named sweep must aggregate bit-identically at
+//! 1/2/4 sweep workers.
 
-use ovnes::solver::SolverKind;
 use ovnes_scenario::driver::{run_scenario, ScenarioSpec};
 use ovnes_scenario::presets;
 use ovnes_scenario::sweep::run_sweep;
@@ -26,19 +25,10 @@ fn horizon_spec() -> ScenarioSpec {
 
 /// A two-day horizon runs every epoch and admits tenants.
 #[test]
-fn multi_day_trajectory_identical_across_bnb_threads() {
+fn two_day_horizon_runs_every_epoch_and_admits() {
     let report = run_scenario(&horizon_spec()).expect("horizon run");
     assert_eq!(report.revenue_trajectory.len(), 48);
     assert!(report.accepted > 0, "horizon scenario admitted nothing");
-}
-
-/// The Benders path (branch-and-bound master each epoch): the testbed-day
-/// preset runs to the end.
-#[test]
-fn testbed_day_identical_across_bnb_threads() {
-    let spec = presets::testbed_day();
-    assert_eq!(spec.solver, SolverKind::Benders);
-    run_scenario(&spec).expect("testbed day");
 }
 
 /// The full default sweep (≥ 6 named scenarios incl. the overbooking

@@ -260,7 +260,7 @@ fn randomized_lp_torture_warm_chains_match_dense_oracle() {
 /// column integer-marked) solve without an engine error, and enough of
 /// them branch to exercise the node queue.
 #[test]
-fn parallel_bnb_is_deterministic_on_torture_milps() {
+fn torture_milps_solve_and_enough_of_them_branch() {
     let mut rng = GenRng::new(0xD17E_4A11_CE55_0001);
     let cfg = LpGenConfig::torture();
     let mut branched_cases = 0usize;
@@ -300,7 +300,7 @@ fn parallel_bnb_is_deterministic_on_torture_milps() {
 /// The one-shot oracle and full Benders solve both test operators'
 /// instances and admit at least one tenant.
 #[test]
-fn parallel_acrr_solvers_match_serial_admissions() {
+fn oneshot_and_benders_admit_on_both_operators() {
     for (op, specs) in [
         (
             Operator::Romanian,
