@@ -22,14 +22,14 @@ const EPSILON: f64 = 1e-6;
 pub struct BendersOptions {
     /// Maximum outer iterations before returning the incumbent.
     pub max_iterations: usize,
-    /// Node budget and simplex options per master MILP solve.
-    pub milp: MilpOptions,
-    /// Reuse bases across iterations: the slave re-prices warm from the
-    /// previous admission's basis and the master resumes its stored root
-    /// basis after cuts append. Results are identical either way (the
+    /// Node budget and simplex options per master MILP solve. Its
+    /// `warm_start` is the whole run's: with it, the slave re-prices warm
+    /// from the previous admission's basis and the master resumes its
+    /// stored root basis after cuts append, besides the B&B handing each
+    /// node its parent's basis. Results are identical either way (the
     /// pivot savings are pinned in `tests/kernel_counts.rs`); disable only
     /// for comparison runs.
-    pub warm_start: bool,
+    pub milp: MilpOptions,
 }
 
 impl Default for BendersOptions {
@@ -37,7 +37,6 @@ impl Default for BendersOptions {
         Self {
             max_iterations: 60,
             milp: MilpOptions::default(),
-            warm_start: true,
         }
     }
 }
@@ -63,11 +62,7 @@ pub fn solve(instance: &AcrrInstance, options: &BendersOptions) -> Result<Alloca
 
     let mut milp = Milp::new(master);
     admission.mark_integer(&mut milp);
-    let mut milp_options = options.milp.clone();
-    // A cold Benders run forces the master cold too, but a warm run still
-    // honours a caller's explicit `MilpOptions { warm_start: false, … }`.
-    milp_options.warm_start &= options.warm_start;
-    milp.set_options(milp_options);
+    milp.set_options(options.milp.clone());
 
     // ---- Benders loop ----
     // One persistent slave LP: each iteration re-prices the RHS for the new
@@ -83,7 +78,7 @@ pub fn solve(instance: &AcrrInstance, options: &BendersOptions) -> Result<Alloca
         max_iterations: SimplexOptions::default().max_iterations,
         ..options.milp.simplex.clone()
     });
-    if !options.warm_start {
+    if !options.milp.warm_start {
         slave.set_warm(false);
     }
     // A cut over the admission binaries, after an optional head term.

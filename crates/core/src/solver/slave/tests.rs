@@ -304,11 +304,11 @@ fn one_context_refines_a_fresh_context_per_admission() {
                     SlaveResult::Infeasible { .. } => infeasible += 1,
                 }
                 spent.absorb(&fresh.stats);
-                basis = fresh.chain.basis();
+                basis = fresh.chain.take_basis();
             }
             assert_eq!(kept.stats, spent, "{tag}: sequence {code}");
             assert_eq!(
-                format!("{:?}", kept.chain.basis()),
+                format!("{:?}", kept.chain.take_basis()),
                 format!("{basis:?}"),
                 "{tag}: sequence {code}: final basis"
             );
@@ -357,8 +357,8 @@ fn a_failed_solve_leaves_a_cold_context() {
     assert_eq!(ctx.stats, expected);
     assert_eq!(fresh.stats.cold_starts, 1);
     assert_eq!(
-        format!("{:?}", ctx.chain.basis()),
-        format!("{:?}", fresh.chain.basis())
+        format!("{:?}", ctx.chain.take_basis()),
+        format!("{:?}", fresh.chain.take_basis())
     );
 
     let mut never_warm = SlaveContext::new(&inst);

@@ -705,9 +705,8 @@ fn knob_census() {
     let benders::BendersOptions {
         max_iterations,
         milp: _,
-        warm_start,
     } = benders::BendersOptions::default();
-    assert_eq!((max_iterations, warm_start), (60, true));
+    assert_eq!(max_iterations, 60);
 
     let SolveBudget {
         max_pivots,

@@ -15,8 +15,9 @@
 //! ## The engine and its test oracle
 //!
 //! The shipping library has **one** engine, the bounded-variable revised
-//! simplex below; [`Problem::solve`], [`Problem::solve_warm`],
-//! [`Problem::solve_warm_in`] and [`Problem::resolve`] are the only ways in. The original dense
+//! simplex below, and **one** way into it, [`Problem::resolve`] on a
+//! [`WarmChain`]; [`Problem::solve`] and [`Problem::solve_warm`] are
+//! conveniences over a fresh chain. The original dense
 //! two-phase tableau simplex (`dense::solve`) — bounds canonicalised away,
 //! every solve cold, no code shared with the revised engine — survives as
 //! the specification side of the cross-check suites and is compiled only
@@ -45,8 +46,8 @@
 //! a rotating bucket of attractive columns, refreshed by a cyclic scan only
 //! when stale, so per-iteration pricing stops scaling with total column
 //! count), and — the point of the exercise — the final **[`Basis`] is a
-//! value you can keep**. [`Problem::solve_warm`] resumes from a stored
-//! basis after problem edits, using the **dual simplex** when the edit
+//! value you can keep**. A [`WarmChain`] resumes from its last (or a
+//! loaded) basis after problem edits, using the **dual simplex** when the edit
 //! preserved dual feasibility (bound changes, RHS changes, appended rows —
 //! exactly the branch-and-bound and Benders deltas) so a re-solve costs a
 //! handful of pivots instead of two cold phases. The dual ratio test is the
@@ -63,8 +64,9 @@
 //!
 //! ## The `Basis` contract
 //!
-//! A [`Basis`] returned by [`Problem::solve_warm`] stays valid for a problem
-//! derived from the solved one by any combination of:
+//! A [`Basis`] taken from a [`WarmChain`] (or returned by
+//! [`Problem::solve_warm`]) stays valid for a problem derived from the
+//! solved one by any combination of:
 //!
 //! * [`Problem::set_bounds`] — branch-and-bound node bounds,
 //! * [`Problem::set_rhs`] — Benders slave re-pricing,
@@ -72,7 +74,7 @@
 //! * `Problem::set_objective` (test builds) — falls back to primal warm
 //!   iterations.
 //!
-//! Adding *variables* changes the column space: `solve_warm` detects the
+//! Adding *variables* changes the column space: the solve detects the
 //! mismatch and transparently performs a cold solve. Bases are plain values
 //! (`Clone`) — branch-and-bound hands each child its parent's basis.
 //!
@@ -82,7 +84,7 @@
 //! (shared via `Arc`, so clones are cheap). When the edit between solves
 //! leaves the basis matrix untouched — `set_rhs`, `set_bounds`,
 //! `set_objective`, i.e. every edit *except* appended rows — the next
-//! `solve_warm` resumes from the stored sparse factors and performs **zero
+//! solve resumes from the stored sparse factors and performs **zero
 //! refactorizations**: the re-solve goes straight to pivoting. Appended
 //! rows grow the basis matrix and force one fresh factorization; a changed
 //! column space falls back to cold as before.
@@ -147,53 +149,33 @@
 //! representation, the persisted factorization splits into an immutable
 //! `Arc`-shared sparse-LU core and a per-owner update state: a
 //! branch-and-bound node resuming from its parent's basis shares the
-//! factors but copies the update state, so a worker folding updates can
-//! never leak them into a sibling's (or the parent's) view. Both halves
+//! factors but copies the update state, so a node folding updates can
+//! never leak them into its sibling's (or the parent's) view. Both halves
 //! are flat arrays (no vector per row, stage or slot), so that copy is nine
 //! `memcpy`s at any dimension and reserves room for the node's own
 //! updates, and a refactorization reuses its working set from the
-//! workspace: it allocates only the arrays it returns. The cross-check
-//! suite drives four workers through divergent update chains off one
-//! shared parent to pin this down; `tests/alloc_counts.rs` counts the
+//! chain's workspace: it allocates only the arrays it returns. The
+//! cross-check suite drives four divergent update chains off one shared
+//! parent to pin this down; `tests/alloc_counts.rs` counts the
 //! allocations.
 //!
-//! ## Threading contract
+//! ## Who holds the restart state
 //!
-//! The revised engine's hot-path state is split so that parallel callers
-//! (the `ovnes-milp` branch-and-bound fans node re-solves across
-//! `std::thread::scope` workers) share everything expensive and own only
-//! scratch:
-//!
-//! * **Shared immutably** (`Send + Sync`, enforced by compile-time
-//!   assertions): [`Problem`], the CSC `SparseMatrix`, [`SimplexOptions`],
-//!   and [`Basis`] — including the `Arc`-shared factorization persisted
-//!   inside it. The sparse-LU factors are immutable after construction;
-//!   FTRAN/BTRAN replay them through caller-supplied scratch, so a parent
-//!   basis cloned to N children never copies the factors and never races.
-//! * **Per-worker** [`Workspace`]: every scratch buffer a solve needs —
-//!   triangular-solve scratch, FTRAN/BTRAN images, pricing vectors, primal
-//!   devex weights, dual devex row weights, the pricing candidate list,
-//!   the dual candidate bitset with its pivot-row accumulator, dual
-//!   ratio-test breakpoints, and the aggregated bound-flip column.
-//!   A workspace is reset on entry and carries **no state between solves**:
-//!   its reuse pattern can never change a result, only allocation traffic.
-//! * **Per-caller** [`WarmChain`]: the restart state of one caller
-//!   re-solving one problem again and again — the final basis and its
-//!   *owned* factorization — together with a workspace; the values a
-//!   re-solve reads are the problem's own. It *is* state: [`Problem::resolve`] continues from
-//!   what the chain's previous solve left, in place. It is also exactly the
-//!   state a [`Basis`] carries, moved instead of cloned, so a chain of
-//!   `resolve`s equals the chain of `solve_warm_in(Some(&previous_basis))`
-//!   calls bit for bit (`chain_refines_the_basis_handoff`).
-//!
-//! [`Problem::solve_warm_in`] is the per-worker entry point — the parallel
-//! branch-and-bound holds a `Workspace` per worker and exchanges `Basis`
-//! values, because a node resumes from its parent's basis whichever worker
-//! solved the parent; [`Problem::resolve`] is the entry point of a
-//! sequential re-pricing loop (the KAC / Benders slave);
-//! [`Problem::solve_warm`] remains the single-threaded convenience that
-//! allocates a throwaway workspace. All three run one inner solve function.
-//! See the [`revised`] module docs for the full contract.
+//! A solve reads the [`Problem`] and [`SimplexOptions`] and continues from
+//! restart state that one [`WarmChain`] holds: the final basis, its owned
+//! factorization and the engine's scratch buffers. One chain per caller —
+//! the KAC / Benders slave keeps one across its re-pricings, the
+//! `ovnes-milp` branch and bound one across a search's nodes. What callers
+//! share is [`Basis`] values: a chain moves its basis out
+//! ([`WarmChain::take_basis`]) and another solve loads it back
+//! ([`WarmChain::load`]), the way branch and bound hands one parent basis
+//! to both children ([`WarmChain::solve_from`] is that hand-off around one
+//! resolve); the factors behind a basis's `Arc` are shared, and a
+//! chain that replays them copies only their update state. No solve
+//! shares anything with another thread while it runs; holders may still
+//! hand chains and bases to one, so compile-time assertions keep the
+//! problem data and [`Basis`] `Send + Sync` and a chain `Send`. See the
+//! [`revised`] module docs.
 //!
 //! ## Conventions
 //!
@@ -236,17 +218,19 @@
 //! Warm-started re-solve after a bound change (the branch-and-bound step):
 //!
 //! ```
-//! use ovnes_lp::{Problem, Cmp};
+//! use ovnes_lp::{Cmp, Problem, SimplexOptions, WarmChain};
 //!
 //! let mut p = Problem::new();
 //! let x = p.add_var(0.0, 1.0, -1.0);
 //! let y = p.add_var(0.0, 1.0, -2.0);
 //! p.add_cons(&[(x, 1.0), (y, 1.0)], Cmp::Le, 1.5);
-//! let warm = p.solve_warm(None).unwrap();
+//! let opts = SimplexOptions::default();
+//! let mut chain = WarmChain::new();
+//! let parent = chain.solve_from(&p, None, &opts).unwrap().basis;
 //! p.set_bounds(y, 0.0, 0.0); // "branch down" on y
-//! let re = p.solve_warm(Some(&warm.basis)).unwrap();
-//! assert!((re.outcome.unwrap_optimal().value(x) - 1.0).abs() < 1e-9);
-//! assert_eq!(re.stats.warm_starts, 1);
+//! let child = chain.solve_from(&p, Some(&parent), &opts).unwrap();
+//! assert!((child.outcome.unwrap_optimal().value(x) - 1.0).abs() < 1e-9);
+//! assert_eq!(child.stats.warm_starts, 1);
 //! ```
 
 #![deny(unreachable_pub)]
@@ -259,7 +243,7 @@ mod simplex;
 mod sparse;
 
 pub use model::{certify_unique, Cmp, ConsId, Problem, Uniqueness, VarId};
-pub use revised::{Basis, LpStats, WarmChain, WarmSolve, Workspace};
+pub use revised::{Basis, LpStats, WarmChain, WarmSolve};
 pub use simplex::{FaultConfig, Outcome, SimplexOptions, SolveError};
 
 #[cfg(test)]

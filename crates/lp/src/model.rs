@@ -1,7 +1,7 @@
 //! Problem builder: variables with bounds, sparse linear constraints, and a
 //! linear minimisation objective.
 
-use crate::revised::{Basis, LpStats, Structure, WarmChain, WarmSolve, Workspace};
+use crate::revised::{Basis, LpStats, Structure, WarmChain, WarmSolve};
 use crate::simplex::{Outcome, SimplexOptions, Solution, SolveError};
 use crate::sparse::SparseMatrix;
 use std::sync::{Arc, OnceLock};
@@ -76,8 +76,8 @@ pub(crate) struct ConsDef {
 /// structure (CSC matrix, CSR pattern, fingerprint) once and keeps it behind
 /// an `Arc`; value edits and `clone()` keep it, so a re-solve after such
 /// edits sets up in `O(1)`. A clone copies the arrays and the row lists
-/// (`O(nonzeros)`) and shares the structure — the MILP branch-and-bound
-/// clones once per worker and only edits bounds per node.
+/// (`O(nonzeros)`) and shares the structure — the MILP branch and bound
+/// clones once per search and only edits bounds per node.
 #[derive(Debug, Clone, Default)]
 pub struct Problem {
     /// Lower bound per column: variables, then logicals.
@@ -305,47 +305,35 @@ impl Problem {
             .get_or_init(|| Arc::new(Structure::build(self)))
     }
 
-    /// Solves the program cold with default simplex options.
+    /// Solves the program cold with default simplex options, through a
+    /// fresh [`WarmChain`].
     pub fn solve(&self) -> Result<Outcome, SolveError> {
-        self.solve_warm(None).map(|w| w.outcome)
+        let (outcome, _) = self.resolve(&mut WarmChain::new(), &SimplexOptions::default())?;
+        Ok(outcome)
     }
 
     /// Solves the program, resuming from `warm` when supplied; returns the
     /// outcome plus a basis reusable for the next perturbed solve (see the
-    /// crate docs for the warm-start contract). Default simplex options and
-    /// a throwaway [`Workspace`] — hot loops hold one and call
-    /// [`Problem::solve_warm_in`].
+    /// crate docs for the warm-start contract). Default simplex options,
+    /// through a fresh chain's [`WarmChain::solve_from`] — a loop of solves
+    /// keeps one chain and calls that, or [`Problem::resolve`] to resume in
+    /// place.
     pub fn solve_warm(&self, warm: Option<&Basis>) -> Result<WarmSolve, SolveError> {
-        self.solve_warm_in(warm, &SimplexOptions::default(), &mut Workspace::new())
-    }
-
-    /// [`Problem::solve_warm`] with explicit simplex options, solving
-    /// through a caller-owned [`Workspace`] — the per-worker entry point of
-    /// the threading contract (see the `revised` module docs). The workspace
-    /// never affects results; holding one per worker amortises scratch
-    /// allocations across a worker's solves.
-    pub fn solve_warm_in(
-        &self,
-        warm: Option<&Basis>,
-        options: &SimplexOptions,
-        ws: &mut Workspace,
-    ) -> Result<WarmSolve, SolveError> {
-        crate::revised::solve_warm_in(self, warm, options, ws)
+        WarmChain::new().solve_from(self, warm, &SimplexOptions::default())
     }
 
     /// Solves the program continuing from `chain`: the basis, factorization
-    /// and buffers the chain's previous solve left behind are picked up in
-    /// place, and this solve's are left for the next. The same solve as
-    /// [`Problem::solve_warm_in`] with the previous call's [`Basis`], bit
-    /// for bit — what differs is that nothing is cloned, exported or
-    /// re-allocated in between. A fresh or [cleared](WarmChain::clear) chain
-    /// solves cold; an `Err` leaves the chain cold.
+    /// and buffers the chain's previous solve left behind (or the
+    /// [`Basis`] it [loaded](WarmChain::load)) are picked up in place, and
+    /// this solve's are left for the next. The one way into the engine. A
+    /// fresh or [cleared](WarmChain::clear) chain solves cold; an `Err`
+    /// leaves the chain cold.
     pub fn resolve(
         &self,
         chain: &mut WarmChain,
         options: &SimplexOptions,
     ) -> Result<(Outcome, LpStats), SolveError> {
-        chain.resolve(self, options)
+        crate::revised::solve_state(self, chain, options)
     }
 }
 

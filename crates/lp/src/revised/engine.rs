@@ -60,32 +60,30 @@
 //! untouched, so the solve starts with **zero refactorizations** —
 //! FTRAN/BTRAN replay the stored factors directly.
 //!
-//! ## Threading contract
+//! ## Scratch and restart state
 //!
 //! The engine owns **no hidden scratch**: every temporary buffer — the
 //! triangular-solve scratch, FTRAN/BTRAN images, pricing vectors, devex
 //! weights (primal and dual), the candidate list, the dual candidate bitset
 //! and pivot-row accumulator, the dual ratio-test breakpoints, the
-//! aggregated flip column — lives in an explicit [`Workspace`] the caller
-//! lends for the duration of one solve. The shared inputs ([`Canon`], a
-//! borrow of the problem's own arrays, and [`SimplexOptions`]) are
-//! read-only, so any number of engines can run concurrently over the same
-//! problem data as long as each brings its own `Workspace`. A workspace is
-//! pure scratch: it is reset at engine construction, carries no information
-//! between solves, and therefore never affects results — only allocation
-//! traffic. Within one solve the engine does reuse one thing it left there:
-//! the duals `B⁻ᵀc_B` in the pricing buffer, until a refactorization, an
-//! absorbed pivot or phase-1 pricing invalidates them (a BTRAN is a function
-//! of the factorization and its right-hand side, so a reuse is the BTRAN it
-//! skips, bit for bit). That reuse starts and ends inside the solve, so the
-//! contract above is unchanged.
+//! aggregated flip column — lives in a [`Workspace`], which the
+//! [`WarmChain`](super::WarmChain) running the solve owns and lends for its
+//! duration. The inputs ([`Canon`], a borrow of the problem's own arrays,
+//! and [`SimplexOptions`]) are read-only. A workspace is pure scratch: it
+//! is reset at engine construction, carries no information between solves,
+//! and therefore never affects results — only allocation traffic. Within
+//! one solve the engine does reuse one thing it left there: the duals
+//! `B⁻ᵀc_B` in the pricing buffer, until a refactorization, an absorbed
+//! pivot or phase-1 pricing invalidates them (a BTRAN is a function of the
+//! factorization and its right-hand side, so a reuse is the BTRAN it skips,
+//! bit for bit). That reuse starts and ends inside the solve.
 //!
 //! The *restart state* — statuses, basic set, the `x_B` buffer and the
 //! factorization — is not scratch and not borrowed: the engine moves it out
-//! of a [`Restart`] and puts it back through [`Engine::finish`]. Whoever
-//! owns it between solves (a `Basis` the caller clones from, or a
-//! `WarmChain` that lends it) is the parent module's business; the engine
-//! sees no difference.
+//! of the chain's [`Restart`] and puts it back through [`Engine::finish`].
+//! Which factorization it starts from, if any — the chain's own, or a copy
+//! of a loaded [`Basis`](super::Basis)'s — is settled before the engine
+//! sees it.
 
 use super::canon::{drain_ascending, Canon};
 use super::lu::{Factorization, SolveScratch, SparseLu};
@@ -116,24 +114,15 @@ const DEVEX_RESET: f64 = 1e8;
 /// large enough that a full scan dominates the iteration cost.
 const PARTIAL_PRICING_MIN_COLS: usize = 256;
 
-/// Per-worker scratch for the revised engine: every buffer a solve needs
-/// beyond the immutable problem data and the restart state (basis,
-/// factorization) itself.
-///
-/// Lend one to [`Problem::solve_warm_in`](crate::Problem::solve_warm_in) per
-/// solve; reuse it across solves to amortise allocations. Contents are
+/// Scratch for the revised engine: every buffer a solve needs beyond the
+/// immutable problem data and the restart state (basis, factorization)
+/// itself. A [`WarmChain`](crate::WarmChain) owns one and lends it to each
+/// of its solves, so the buffers are allocated once per chain. Contents are
 /// overwritten at engine construction, so a workspace carries **no state
-/// between solves** — two solves of the same problem through different (or
-/// differently-used) workspaces produce bit-identical results. Branch and
-/// bound relies on it: a node's result depends only on its problem and its
-/// parent's `Basis` value (which shares `Arc<Factorization>` read-only),
-/// never on the solves that went through the workspace before it.
-///
-/// What *does* persist from one solve to the next on a sequential warm
-/// chain is kept apart, in a [`WarmChain`](crate::WarmChain), which owns a
-/// `Workspace` beside it; nothing in this struct has to survive a solve.
+/// between solves**: what does persist from one solve to the next is the
+/// chain's [`Restart`], kept apart.
 #[derive(Debug, Default)]
-pub struct Workspace {
+pub(crate) struct Workspace {
     /// Scratch of the factorization: worklist heaps, stamp arrays, the
     /// Forrest–Tomlin spike, and the working set every refactorization
     /// resets and reuses. Before a solve, the engine loads `lu.rhs_nz` with
@@ -171,11 +160,6 @@ pub struct Workspace {
 }
 
 impl Workspace {
-    /// An empty workspace; buffers grow on first use.
-    pub fn new() -> Workspace {
-        Workspace::default()
-    }
-
     /// Sizes and resets every buffer for a solve over `m` rows and
     /// `n_total` columns. Called by the engine on construction — after this
     /// no trace of any previous solve remains.
@@ -263,8 +247,8 @@ pub(super) struct Engine<'a> {
     pub xb: Vec<f64>,
     iterations_left: usize,
     pub stats: LpStats,
-    /// Caller-lent scratch: every temporary buffer of the solve (see the
-    /// module docs' threading contract).
+    /// The chain's scratch: every temporary buffer of the solve (see the
+    /// module docs).
     ws: &'a mut Workspace,
     /// Whether `ws.ybuf` holds `B⁻ᵀc_B` for the current basis and
     /// factorization (see [`Engine::price_duals`]). A refactorization, an
@@ -279,7 +263,7 @@ pub(super) struct Engine<'a> {
 /// next. The engine takes the vectors and the factorization out of it
 /// ([`Engine::new`]) and puts them back ([`Engine::finish`]): one solve's end
 /// is the next one's start, moved rather than copied. The three words beside
-/// them are the holder's (see the parent module): the engine never reads them.
+/// them are the chain's (see the parent module): the engine never reads them.
 #[derive(Debug, Default)]
 pub(super) struct Restart {
     /// Status per column (`n + m` entries).

@@ -90,16 +90,17 @@
 //! factorization, so a refactorization allocates only the arrays it
 //! returns, the same number at every `m`.
 //!
-//! ## Threading contract
+//! ## Sharing contract
 //!
 //! A [`SparseLu`] is **immutable once factorized**: the triangular solves
 //! take `&self` and write only into caller-supplied scratch, so a single
-//! factorization can be replayed concurrently from any number of threads.
+//! factorization can be replayed by any number of holders.
 //! [`Factorization`] holds its `SparseLu` behind an [`Arc`] and keeps the
 //! *mutable* Forrest–Tomlin state by value: cloning a factorization — which
-//! every branch-and-bound node does through its parent `Basis` — shares the
-//! immutable factors and copies only the update state, so an update applied
-//! in one worker can never leak into a sibling's solves (copy-on-compress).
+//! every branch-and-bound node's solve does through its parent `Basis` —
+//! shares the immutable factors and copies only the update state, so an
+//! update applied in one node's solve can never leak into a sibling's
+//! (copy-on-compress).
 //! That copy is nine `memcpy`s whatever the dimension and however many
 //! updates the source holds, and it reserves room for the updates its own
 //! solve will fold in (`UPDATE_ROOM_SLOTS` slots, `UPDATE_ROOM_ENTRIES`
@@ -898,8 +899,8 @@ const SLOT_LIMIT: u64 = 1 << 21;
 /// Caller-owned scratch for [`Factorization`] solves and updates and for
 /// [`SparseLu::factor`]: worklist heaps, stamp arrays, the zero-maintained
 /// dense accumulators, the captured spike, and a factorization's working
-/// set. One per thread (it lives in the engine's `Workspace`); the factors
-/// themselves are never written during a solve.
+/// set. One per warm chain (it lives in the engine's `Workspace`, which the
+/// chain owns); the factors themselves are never written during a solve.
 #[derive(Debug, Clone, Default)]
 pub struct SolveScratch {
     /// Nonzero indices of the *next* solve's RHS, set by the caller (rows
@@ -1441,7 +1442,7 @@ const FT_PIVOT_REL: f64 = 1e-10;
 /// [`Arc`], plus the owned Forrest–Tomlin state that updates rewrite.
 ///
 /// Cloning shares the `Arc` and copies the dynamic state — a fixed set of
-/// flat arrays — so a basis handed to several branch-and-bound workers can
+/// flat arrays — so a basis handed to both branch-and-bound children can
 /// be updated independently in each without any cross-talk
 /// (**copy-on-compress**: an update mutates only the owner's private `U`
 /// working copy and row etas, never the shared factors). The solves take

@@ -74,46 +74,39 @@
 //! The solver's outcomes, dual values, and Farkas certificates follow the
 //! conventions of the crate-level docs (which the dense oracle shares).
 //!
-//! ## Threading contract
+//! ## Who holds the restart state
 //!
-//! The hot-path state splits into two halves:
+//! The hot-path state splits three ways:
 //!
-//! * **Immutable, shared** — [`Problem`] (with the `Arc`-shared structure
-//!   it caches: the CSC `SparseMatrix`, CSR pattern
-//!   and fingerprint, initialised at most once behind a `OnceLock`), a
-//!   [`Basis`], and the `Arc<Factorization>` persisted inside it are all
-//!   `Send + Sync` plain data. Any number of threads may solve the *same*
-//!   problem (or per-thread clones perturbed with bound/RHS edits)
-//!   concurrently, each resuming from clones of the same parent `Basis`;
-//!   the LU factors behind the `Arc` are shared, never copied, and never
-//!   written after construction.
-//! * **Per-worker scratch** — every temporary the engine needs
-//!   (FTRAN/BTRAN images and triangular-solve scratch, pricing vectors,
-//!   primal and dual devex weights, the pricing candidate list, the dual
-//!   candidate bitset and pivot-row accumulator, dual ratio-test
-//!   breakpoints, the aggregated bound-flip column) lives in an explicit
-//!   [`Workspace`]. Lend one per solve via [`Problem::solve_warm_in`]
-//!   (reusing it across a worker's solves amortises allocations); a
-//!   workspace is reset on entry and carries **no state between solves**,
-//!   so its reuse pattern can never change a result.
+//! * **Problem data** — [`Problem`] (with the `Arc`-shared structure it
+//!   caches: the CSC `SparseMatrix`, CSR pattern and fingerprint, initialised
+//!   at most once behind a `OnceLock`) and [`SimplexOptions`]. A solve only
+//!   reads them.
+//! * **Restart state in a [`WarmChain`]** — statuses, basic set, the owned
+//!   factorization with its updatable `U`, and the engine's scratch (a
+//!   crate-internal `Workspace`). A chain is one caller's: [`Problem::resolve`]
+//!   is the only way into the engine, and it continues from what the chain
+//!   holds, in place, and leaves its own final state there. One chain per
+//!   caller: the KAC / Benders slave keeps one across its re-pricings, a
+//!   branch-and-bound search one across its nodes.
+//! * **Restart state as a [`Basis`] value** — the same state, moved out of a
+//!   chain ([`WarmChain::take_basis`]) and loaded into one
+//!   ([`WarmChain::load`]). Values are what siblings share: branch and bound
+//!   hands one parent basis to both children. A basis keeps its
+//!   factorization behind an `Arc`; a chain that loads it shares the factors
+//!   and copies their update state only when its next solve replays them
+//!   (copy-on-compress), so what that solve folds in never reaches the
+//!   basis's other holders.
 //!
-//! A third kind of value sits between the two: the **restart state** of a
-//! warm chain — statuses, basic set, the owned factorization with its
-//! updatable `U`. As a [`Basis`] it is an immutable, shareable value that
-//! each solve clones from and exports to; as a [`WarmChain`] it is one
-//! caller's mutable state, moved into the engine and back by
-//! [`Problem::resolve`] with nothing copied. Both enter the engine through
-//! the same function (`solve_state`) over the same struct (`Restart`), so
-//! which one holds the state never changes a result; a `WarmChain` owns
-//! its own `Workspace` and is `Send`, never shared.
-//!
-//! [`Problem::solve_warm`] remains the single-threaded convenience that
-//! allocates a throwaway workspace internally. The parallel
-//! branch-and-bound in `ovnes-milp` is the canonical consumer of the split:
-//! one shared problem + basis pool, one `Workspace` per worker thread — and
-//! no `WarmChain`, since a node resumes from its parent's basis on whichever
-//! worker claims it. The KAC / Benders slave, one sequential re-pricing
-//! loop, is the canonical consumer of the chain.
+//! [`Problem::solve`] and [`Problem::solve_warm`] are conveniences over a
+//! fresh chain. A `load` / `resolve` / `take_basis` round trip
+//! ([`WarmChain::solve_from`]) and a kept chain run the same solve, bit for
+//! bit (`chain_refines_the_basis_handoff`).
+//! No solve shares anything with another thread while it runs. Whoever
+//! holds a chain or a basis may still hand it to another thread (an
+//! `Orchestrator` keeps its carried chain, and `run_sweep` runs whole
+//! scenarios on worker threads), so compile-time assertions below keep the
+//! problem data and [`Basis`] `Send + Sync` and a chain `Send`.
 
 mod canon;
 mod engine;
@@ -131,15 +124,14 @@ use crate::model::Problem;
 use crate::simplex::{Farkas, Outcome, SimplexOptions, Solution, SolveError};
 use canon::Canon;
 pub(crate) use canon::Structure;
-pub use engine::Workspace;
-use engine::{DualEnd, Engine, PrimalEnd, Restart};
+use engine::{DualEnd, Engine, PrimalEnd, Restart, Workspace};
 #[cfg(not(any(test, feature = "testgen")))]
 use lu::Factorization;
 use std::sync::Arc;
 
-// The shared half of the threading contract, enforced at compile time: a
-// `Basis` (with its Arc-shared factorization) and the problem data it came
-// from must be shareable across `std::thread::scope` workers.
+// Everything a solve reads or returns may be handed to another thread by
+// whoever holds it: the problem data and a `Basis`, with its Arc-shared
+// factorization, are `Send + Sync`.
 const _: () = {
     const fn assert_send_sync<T: Send + Sync>() {}
     assert_send_sync::<Problem>();
@@ -149,7 +141,7 @@ const _: () = {
     assert_send_sync::<Factorization>();
     assert_send_sync::<Arc<Factorization>>();
     assert_send_sync::<WarmSolve>();
-    // Workspaces are per-worker (`Send`, handed to a thread, never shared).
+    // A chain, with its workspace, is one caller's: `Send`, never shared.
     const fn assert_send<T: Send>() {}
     assert_send::<Workspace>();
     assert_send::<WarmChain>();
@@ -168,11 +160,12 @@ pub(crate) enum VarStatus {
     Free,
 }
 
-/// A reusable simplex basis: the complete restart state of a solve.
+/// A reusable simplex basis: the complete restart state of a solve, as a
+/// value.
 ///
-/// Opaque by design — obtain one from [`Problem::solve_warm`] and hand it
-/// back to a later `solve_warm` call on the same (or a compatibly-perturbed,
-/// see the module docs) problem.
+/// Opaque by design — take one out of a [`WarmChain`] (or from
+/// [`Problem::solve_warm`]) and load it back into a chain for a later solve
+/// of the same (or a compatibly-perturbed, see the module docs) problem.
 #[derive(Debug, Clone)]
 pub struct Basis {
     /// Number of structural columns the basis was built for.
@@ -182,11 +175,11 @@ pub struct Basis {
     /// Basic column per row position.
     basic: Vec<usize>,
     /// The factorization of the basis matrix at the end of the solve that
-    /// produced this value, shared across clones (branch-and-bound hands
-    /// every child frame a copy). A later `solve_warm` whose basis matrix
-    /// is unchanged resumes from it without refactorizing, on a copy of its
-    /// update state — nine flat arrays, whatever the dimension — so that
-    /// what it folds in stays its own.
+    /// produced this value, shared across clones (branch and bound hands
+    /// both children a copy). A later solve whose basis matrix is unchanged
+    /// resumes from it without refactorizing, on a copy of its update state
+    /// — nine flat arrays, whatever the dimension — so that what it folds in
+    /// stays its own.
     fact: Option<Arc<Factorization>>,
     /// Fingerprint of the structural constraint matrix the factorization
     /// was built against. Reuse requires an exact match, so a basis handed
@@ -336,38 +329,7 @@ fn cold_state(c: &Canon<'_>, status: &mut Vec<VarStatus>, basic: &mut Vec<usize>
     basic.extend((0..c.m).map(|i| c.n + i));
 }
 
-/// How restart state is held between solves: [`solve_warm_in`] loads a
-/// [`Basis`] into a transient [`Restart`], a [`WarmChain`] keeps one alive;
-/// both then run [`solve_state`].
 impl Restart {
-    /// Installs `b` as the basis to resume from, with `fact` as its
-    /// factorization (the caller decides whether cloning `b`'s is worth it).
-    fn load(&mut self, b: &Basis, fact: Option<Factorization>) {
-        self.warm = true;
-        self.n_vars = b.n_vars;
-        self.status.clone_from(&b.status);
-        self.basic.clone_from(&b.basic);
-        self.fact = fact;
-        self.matrix_fp = b.matrix_fp;
-    }
-
-    /// A [`Basis`] of the held shape and fingerprint over the given parts
-    /// (the held ones, moved or cloned by the caller).
-    fn export(
-        &self,
-        status: Vec<VarStatus>,
-        basic: Vec<usize>,
-        fact: Option<Factorization>,
-    ) -> Basis {
-        Basis {
-            n_vars: self.n_vars,
-            status,
-            basic,
-            fact: fact.map(Arc::new),
-            matrix_fp: self.matrix_fp,
-        }
-    }
-
     /// Adapts the held basis, in place, to `c`'s shape and bounds: new
     /// rows' logicals join the basis, new structural columns enter nonbasic
     /// on a bound (exactly where a cold start would place them), and a
@@ -439,28 +401,35 @@ impl Restart {
     }
 }
 
-/// The persistent state of a **warm chain**: one caller re-solving one
-/// [`Problem`] over and over between small edits (the KAC / Benders slave
-/// re-pricing one admission after another).
+/// The restart state of a **warm chain**: one caller solving one
+/// [`Problem`] over and over between small edits — the KAC / Benders slave
+/// re-pricing one admission after another, or a branch-and-bound search
+/// moving from node to node.
 ///
-/// [`Problem::resolve`] continues from what the chain's previous solve left
-/// — final basis and its factorization — and leaves its own for the next,
-/// so a re-solve pays for its pivots, not for cloning a [`Basis`],
-/// deep-copying the updatable `U`, or re-allocating the engine's vectors;
-/// the values it reads are the problem's own arrays. It is the same
-/// solve as handing the previous [`WarmSolve::basis`] to
-/// [`Problem::solve_warm_in`], bit for bit, fault injection and problem
-/// growth (`add_cons` / `add_column`) included; the warm-start contract of
-/// the module docs applies unchanged.
+/// [`Problem::resolve`] continues from what the chain holds — the final
+/// basis and factorization of its previous solve, or a [loaded](Self::load)
+/// [`Basis`] — and leaves its own for the next, so a re-solve pays for its
+/// pivots, not for cloning a [`Basis`], deep-copying the updatable `U`, or
+/// re-allocating the engine's vectors; the values it reads are the
+/// problem's own arrays. Keeping the chain and moving its basis out and
+/// back in between solves ([`Self::take_basis`], [`Self::load`]) run the
+/// same solves, bit for bit, fault injection and problem growth
+/// (`add_cons` / `add_column`) included; the warm-start contract of the
+/// module docs applies unchanged.
 ///
-/// A chain owns its [`Workspace`], so it is per-worker state like one: `Send`,
-/// never shared. Unlike a workspace it *is* state — which is why the
-/// branch-and-bound, whose nodes resume from bases that cross workers, keeps
-/// exchanging [`Basis`] values and holds only a `Workspace` per worker.
+/// A chain owns the engine's scratch too, so it is one caller's: `Send`,
+/// never shared.
 #[derive(Debug, Default)]
 pub struct WarmChain {
     state: Restart,
     ws: Workspace,
+    /// The factorization of a [loaded](Self::load) [`Basis`], still shared
+    /// behind the basis's `Arc` (`state.fact` is then `None`). The next
+    /// solve copies it into `state.fact` only if it replays it: the copy is
+    /// what keeps the solve's updates from the basis's other holders
+    /// (copy-on-compress), and a basis whose factors cannot be reused costs
+    /// none.
+    loaded: Option<Arc<Factorization>>,
 }
 
 impl WarmChain {
@@ -473,6 +442,7 @@ impl WarmChain {
     pub fn clear(&mut self) {
         self.state.warm = false;
         self.state.fact = None;
+        self.loaded = None;
     }
 
     /// Whether the next solve resumes from a basis.
@@ -493,27 +463,64 @@ impl WarmChain {
             && st.matrix_fp == p.structure().fingerprint
     }
 
-    /// Makes `basis` what the next solve resumes from. The factors behind
-    /// its `Arc` stay shared; their update state is copied, so `basis`
+    /// Makes `basis` what the next solve resumes from, in place of what the
+    /// chain held. The chain shares the factors behind its `Arc`; the next
+    /// solve copies their update state if it replays them, so `basis`
     /// itself never sees what this chain folds in.
     pub fn load(&mut self, basis: &Basis) {
-        self.state.load(basis, basis.fact.as_deref().cloned());
+        let st = &mut self.state;
+        st.warm = true;
+        st.n_vars = basis.n_vars;
+        st.status.clone_from(&basis.status);
+        st.basic.clone_from(&basis.basic);
+        st.fact = None;
+        st.matrix_fp = basis.matrix_fp;
+        self.loaded = basis.fact.clone();
     }
 
-    /// The basis the next solve would resume from, as a value: `None` on a
-    /// cold chain. Clones the statuses, the basic set and the factorization.
-    pub fn basis(&self) -> Option<Basis> {
-        let st = &self.state;
-        st.warm
-            .then(|| st.export(st.status.clone(), st.basic.clone(), st.fact.clone()))
+    /// Moves the basis the next solve would resume from out of the chain,
+    /// as a value, and leaves the chain cold: `None` on a cold chain.
+    pub fn take_basis(&mut self) -> Option<Basis> {
+        self.state.warm.then(|| self.move_basis())
     }
 
-    pub(crate) fn resolve(
+    /// Solves `p` under `options` from `basis` (cold on `None`) and moves
+    /// the final basis out with the result: the `Basis` hand-off, as
+    /// [`Self::load`] (or [`Self::clear`]), [`Problem::resolve`] and
+    /// [`Self::take_basis`]. The chain lends its buffers and is left cold;
+    /// an `Err` is the resolve's.
+    pub fn solve_from(
         &mut self,
         p: &Problem,
+        basis: Option<&Basis>,
         options: &SimplexOptions,
-    ) -> Result<(Outcome, LpStats), SolveError> {
-        solve_state(p, &mut self.state, options, &mut self.ws)
+    ) -> Result<WarmSolve, SolveError> {
+        match basis {
+            Some(b) => self.load(b),
+            None => self.clear(),
+        }
+        let (outcome, stats) = p.resolve(self, options)?;
+        // A completed resolve always leaves its basis in the chain.
+        debug_assert!(self.state.warm);
+        Ok(WarmSolve {
+            outcome,
+            basis: self.move_basis(),
+            stats,
+        })
+    }
+
+    /// Moves the held basis out as a value and leaves the chain cold (the
+    /// caller has checked that it was warm).
+    fn move_basis(&mut self) -> Basis {
+        let st = &mut self.state;
+        st.warm = false;
+        Basis {
+            n_vars: st.n_vars,
+            status: std::mem::take(&mut st.status),
+            basic: std::mem::take(&mut st.basic),
+            fact: st.fact.take().map(Arc::new).or(self.loaded.take()),
+            matrix_fp: st.matrix_fp,
+        }
     }
 }
 
@@ -539,65 +546,25 @@ fn basis_summary(basic: &[usize]) -> u64 {
     h
 }
 
-/// Solves `p`, resuming from `warm` when supplied and shape-compatible —
-/// the [`Basis`]-valued way into the engine, behind
-/// [`Problem::solve_warm_in`] (and the [`Problem::solve`] /
-/// [`Problem::solve_warm`] conveniences over it): the basis is loaded into
-/// a transient [`Restart`], [`solve_state`] runs, and the final state
-/// leaves as a new [`Basis`].
+/// The one solve function, behind [`Problem::resolve`]: runs the engine on
+/// `p` from whatever basis `chain` holds (cold when it holds none, or an
+/// incompatible one), in the chain's workspace, and leaves the final basis,
+/// factorization and buffers in the chain. Nothing of `p` is copied on the
+/// way in: the engine indexes `p`'s own arrays.
 ///
 /// See the module docs for which problem edits keep a basis reusable. An
 /// incompatible basis is not an error — the solve silently falls back to a
 /// cold start (visible in [`LpStats::cold_starts`]).
-///
-/// The workspace is reset on entry and never influences the result; reusing
-/// one across a worker's solves only saves allocations. `p`, `warm`, and
-/// `options` are read-only, so concurrent solves need nothing beyond one
-/// workspace per thread.
-pub(crate) fn solve_warm_in(
+pub(crate) fn solve_state(
     p: &Problem,
-    warm: Option<&Basis>,
+    chain: &mut WarmChain,
     options: &SimplexOptions,
-    ws: &mut Workspace,
-) -> Result<WarmSolve, SolveError> {
-    let mut st = Restart::default();
-    if let Some(b) = warm {
-        // The factors behind the `Arc` stay shared; only the update state
-        // (the updatable `U`, its adjacency, the row etas) is copied — nine
-        // flat arrays, with room for the updates this solve folds in — so
-        // those stay private to it (copy-on-compress — a sibling worker
-        // holding the same basis never sees them). Skipped when the solve
-        // could not use the copy anyway.
-        let usable = b.matrix_fp == p.structure().fingerprint;
-        let fact = b
-            .fact
-            .as_deref()
-            .filter(|f| usable && f.dim() == p.num_cons());
-        st.load(b, fact.cloned());
-    }
-    let (outcome, stats) = solve_state(p, &mut st, options, ws)?;
-    let (status, basic, fact) = (
-        std::mem::take(&mut st.status),
-        std::mem::take(&mut st.basic),
-        st.fact.take(),
-    );
-    Ok(WarmSolve {
-        outcome,
-        basis: st.export(status, basic, fact),
-        stats,
-    })
-}
-
-/// The one solve function: runs the engine on `p` from whatever basis `st`
-/// holds (cold when it holds none, or an incompatible one) and leaves the
-/// final basis, factorization and buffers in `st`. Nothing of `p` is copied
-/// on the way in: the engine indexes `p`'s own arrays.
-fn solve_state(
-    p: &Problem,
-    st: &mut Restart,
-    options: &SimplexOptions,
-    ws: &mut Workspace,
 ) -> Result<(Outcome, LpStats), SolveError> {
+    let WarmChain {
+        state: st,
+        ws,
+        loaded,
+    } = chain;
     let canon = Canon::new(p);
     let matrix_fp = canon.s.fingerprint;
     // Until this solve completes, the chain holds no basis.
@@ -605,8 +572,8 @@ fn solve_state(
 
     // Seeded fault injection (chaos harness): each decision is a pure
     // function of (seed, matrix fingerprint, basis summary, salt) — no
-    // shared RNG, no thread identity — so faults land identically at any
-    // worker count, and on a chain as on the `Basis` it refines. Faults only
+    // shared RNG, no thread identity — so faults land identically on a kept
+    // chain as on one that loaded the same `Basis`. Faults only
     // discard or corrupt *warm* state; every recovery path re-derives the
     // same optimum, so results are unchanged while the cold-start /
     // refactorization / singular-fallback paths get exercised.
@@ -629,9 +596,15 @@ fn solve_state(
     // not extend the basic set), the same basic columns, and the same
     // structural coefficients (fingerprint match — guards against a basis
     // from a different problem that happens to share the shape). RHS /
-    // bound / objective edits all qualify.
+    // bound / objective edits all qualify. A loaded basis's factorization
+    // is copied only once it passes (the Benders master root after appended
+    // cuts copies none).
     let reusable = warm_used && !drop_fact && !corrupt && st.matrix_fp == matrix_fp;
-    st.fact = st.fact.take().filter(|f| reusable && f.dim() == canon.m);
+    let keep = |f: &Factorization| reusable && f.dim() == canon.m;
+    st.fact = match loaded.take() {
+        Some(shared) => keep(&shared).then(|| Arc::unwrap_or_clone(shared)),
+        None => st.fact.take().filter(keep),
+    };
 
     let mut stats = LpStats::default();
     if warm_used {

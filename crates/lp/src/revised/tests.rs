@@ -1,6 +1,6 @@
 //! Unit tests and dense-tableau cross-checks for the revised engine.
 
-use crate::revised::{Basis, LpStats, WarmChain, Workspace};
+use crate::revised::{Basis, LpStats, WarmChain};
 use crate::simplex::Farkas;
 use crate::simplex::{FaultConfig, SimplexOptions};
 use crate::{Cmp, ConsId, Outcome, Problem, SolveError, VarId};
@@ -147,8 +147,8 @@ fn degenerate_beale_does_not_cycle() {
         bland_after: 16,
         ..SimplexOptions::default()
     };
-    let s = p
-        .solve_warm_in(None, &opts, &mut Workspace::new())
+    let s = WarmChain::new()
+        .solve_from(&p, None, &opts)
         .unwrap()
         .outcome
         .unwrap_optimal();
@@ -890,12 +890,12 @@ fn all_degenerate_dual_steps_fall_back_to_bland() {
     };
     for case in 0..40 {
         let mut p = random_lp(&mut rng, &cfg);
-        let first = p
-            .solve_warm_in(None, &opts, &mut Workspace::new())
+        let first = WarmChain::new()
+            .solve_from(&p, None, &opts)
             .unwrap_or_else(|e| panic!("case {case}: cold solve failed: {e}"));
         random_bound_edit(&mut rng, &mut p);
-        let warm = p
-            .solve_warm_in(Some(&first.basis), &opts, &mut Workspace::new())
+        let warm = WarmChain::new()
+            .solve_from(&p, Some(&first.basis), &opts)
             .unwrap_or_else(|e| panic!("case {case}: warm solve failed: {e}"));
         let dense = solve_dense(&p).unwrap();
         match (&dense, &warm.outcome) {
@@ -1660,11 +1660,11 @@ fn refactor_interval_preserves_results_warm_and_cold() {
             let mut basis: Option<Basis> = None;
             let mut links = Vec::with_capacity(chain.len());
             for (step, p) in chain.iter().enumerate() {
-                let warm = p
-                    .solve_warm_in(basis.as_ref(), &opts, &mut Workspace::new())
+                let warm = WarmChain::new()
+                    .solve_from(p, basis.as_ref(), &opts)
                     .unwrap_or_else(|e| panic!("case {case} step {step} interval {interval}: {e}"));
-                let cold = p
-                    .solve_warm_in(None, &opts, &mut Workspace::new())
+                let cold = WarmChain::new()
+                    .solve_from(p, None, &opts)
                     .unwrap_or_else(|e| panic!("case {case} step {step} interval {interval}: {e}"));
                 assert_eq!(
                     kind(&warm.outcome),
@@ -2011,8 +2011,8 @@ mod structure_refinement_props {
                     }
                 }
                 let warm = basis.as_ref().filter(|_| rng.chance(0.75));
-                let kept = p.solve_warm_in(warm, &options, &mut Workspace::new());
-                let spec = rebuilt(&p).solve_warm_in(warm, &options, &mut Workspace::new());
+                let kept = WarmChain::new().solve_from(&p, warm, &options);
+                let spec = WarmChain::new().solve_from(&rebuilt(&p), warm, &options);
                 prop_assert_eq!(observed(&p, &kept), observed(&p, &spec), "step {}", step);
                 if let Ok(w) = kept {
                     prop_assert_eq!(
@@ -2025,9 +2025,10 @@ mod structure_refinement_props {
             }
         }
 
-        /// A [`WarmChain`] refines the `Basis` hand-off it replaces: a chain
-        /// of `resolve`s and a chain of `solve_warm_in(Some(&previous
-        /// basis))` calls agree bit for bit — outcome, final statuses and
+        /// A kept [`WarmChain`] refines the `Basis` hand-off: a chain of
+        /// `resolve`s and, at every step, a fresh chain that loads the
+        /// previous step's basis, resolves and gives its basis up again
+        /// (`solve_from`) agree bit for bit — outcome, final statuses and
         /// basic set, the persisted factorization, `matrix_fp`, every
         /// counter — across value edits (bounds changing finiteness
         /// included), problem growth, injected faults, any refactorization
@@ -2060,7 +2061,7 @@ mod structure_refinement_props {
                     ..options.clone()
                 };
                 let options = if rng.chance(0.1) { &capped } else { &options };
-                let spec = p.solve_warm_in(basis.as_ref(), options, &mut Workspace::new());
+                let spec = WarmChain::new().solve_from(&p, basis.as_ref(), options);
                 let kept = p.resolve(&mut chain, options);
                 match (spec, kept) {
                     (Ok(spec), Ok((outcome, stats))) => {
@@ -2070,14 +2071,15 @@ mod structure_refinement_props {
                             "step {}", step
                         );
                         prop_assert_eq!(stats, spec.stats, "step {}", step);
-                        let held = chain.basis().expect("a finished solve leaves a basis");
+                        let held = &chain.state;
+                        prop_assert!(held.warm, "step {}: a finished solve leaves a basis", step);
                         prop_assert_eq!(&held.status, &spec.basis.status, "step {}", step);
                         prop_assert_eq!(&held.basic, &spec.basis.basic, "step {}", step);
                         prop_assert_eq!(held.n_vars, spec.basis.n_vars, "step {}", step);
                         prop_assert_eq!(held.matrix_fp, spec.basis.matrix_fp, "step {}", step);
                         prop_assert_eq!(
                             format!("{:?}", held.fact),
-                            format!("{:?}", spec.basis.fact),
+                            format!("{:?}", spec.basis.fact.as_deref()),
                             "step {}: factorization", step
                         );
                         basis = Some(spec.basis);
@@ -2236,20 +2238,24 @@ mod chain_edges {
 mod dual_reuse {
     use super::*;
     use crate::model::ConsId;
-    use crate::revised::lu::SolveScratch;
+    use crate::revised::lu::{Factorization, SolveScratch};
 
     fn bits(v: &[f64]) -> Vec<u64> {
         v.iter().map(|x| x.to_bits()).collect()
     }
 
-    /// `duals` equal, bit for bit, one fresh BTRAN of `c_B` through the
-    /// factorization `basis` carries — the one the solve ended with.
-    fn assert_btran_of_basic_costs(p: &Problem, duals: &[f64], basis: &Basis, tag: &str) {
-        let fact = basis
-            .fact
-            .as_deref()
-            .unwrap_or_else(|| panic!("{tag}: an optimal solve leaves its factorization"));
-        let mut y: Vec<f64> = basis.basic.iter().map(|&j| p.cost[j]).collect();
+    /// `duals` equal, bit for bit, one fresh BTRAN of `c_B` for the basic
+    /// set `basic` through `fact` — the factorization the solve ended with.
+    fn assert_btran_of_basic_costs(
+        p: &Problem,
+        duals: &[f64],
+        basic: &[usize],
+        fact: Option<&Factorization>,
+        tag: &str,
+    ) {
+        let fact =
+            fact.unwrap_or_else(|| panic!("{tag}: an optimal solve leaves its factorization"));
+        let mut y: Vec<f64> = basic.iter().map(|&j| p.cost[j]).collect();
         fact.btran(&mut y, &mut SolveScratch::new());
         assert_eq!(bits(duals), bits(&y), "{tag}");
     }
@@ -2277,19 +2283,27 @@ mod dual_reuse {
                     refactor_interval: [1, 2, 8, 128][rng.index(4)],
                     ..SimplexOptions::default()
                 };
-                let w = p
-                    .solve_warm_in(basis.as_ref(), &options, &mut Workspace::new())
+                let w = WarmChain::new()
+                    .solve_from(&p, basis.as_ref(), &options)
                     .unwrap_or_else(|e| panic!("{tag}: {e}"));
                 let (outcome, _) = p
                     .resolve(&mut chain, &options)
                     .unwrap_or_else(|e| panic!("{tag}: {e}"));
                 if let Outcome::Optimal(s) = &w.outcome {
-                    assert_btran_of_basic_costs(&p, &s.duals, &w.basis, &tag);
+                    let (basic, fact) = (&w.basis.basic, w.basis.fact.as_deref());
+                    assert_btran_of_basic_costs(&p, &s.duals, basic, fact, &tag);
                     checked += 1;
                 }
                 if let Outcome::Optimal(s) = &outcome {
-                    let held = chain.basis().expect("a finished solve leaves a basis");
-                    assert_btran_of_basic_costs(&p, &s.duals, &held, &format!("{tag} chain"));
+                    let held = &chain.state;
+                    let tag = format!("{tag} chain");
+                    assert_btran_of_basic_costs(
+                        &p,
+                        &s.duals,
+                        &held.basic,
+                        held.fact.as_ref(),
+                        &tag,
+                    );
                 }
                 basis = Some(w.basis);
                 let v = VarId(rng.index(p.num_vars()));
@@ -2316,15 +2330,13 @@ mod dual_reuse {
         let u = p.add_var(0.0, f64::INFINITY, 0.0);
         let row = p.add_cons(&[(x, 1.0)], Cmp::Ge, 0.0);
         p.add_cons(&[(w, 1.0), (u, 1.0)], Cmp::Le, 5.0);
-        let first = p
-            .solve_warm_in(None, &options, &mut Workspace::new())
-            .unwrap();
+        let first = WarmChain::new().solve_from(&p, None, &options).unwrap();
         // `u` turns attractive below an infinite upper bound, which no flip
         // repairs; `x >= 1` is met by flipping `x` to its upper bound.
         p.set_objective(u, -2.0);
         p.set_rhs(row, 1.0);
-        let w = p
-            .solve_warm_in(Some(&first.basis), &options, &mut Workspace::new())
+        let w = WarmChain::new()
+            .solve_from(&p, Some(&first.basis), &options)
             .unwrap();
         let stats = &w.stats;
         assert_eq!(
@@ -2333,6 +2345,7 @@ mod dual_reuse {
         );
         let s = w.outcome.unwrap_optimal();
         assert_eq!((s.objective, s.value(x), s.value(u)), (-10.0, 1.0, 5.0));
-        assert_btran_of_basic_costs(&p, &s.duals, &w.basis, "flip-only phase 1");
+        let (basic, fact) = (&w.basis.basic, w.basis.fact.as_deref());
+        assert_btran_of_basic_costs(&p, &s.duals, basic, fact, "flip-only phase 1");
     }
 }

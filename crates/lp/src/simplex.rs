@@ -52,7 +52,7 @@ pub struct FaultConfig {
 
 impl FaultConfig {
     /// The chaos profile for a seed: all three fault classes armed at the
-    /// fixed moderate rates of `revised::solve_warm_in`.
+    /// fixed moderate rates of the `revised` module's `FAULT_*` constants.
     pub fn chaos(seed: u64) -> Self {
         Self { seed }
     }

@@ -15,8 +15,8 @@
 //! * **deterministic results**: the same problem and options always walk
 //!   the same tree (see below),
 //! * most-fractional branching, exploring the nearer integer side first,
-//! * parent→child warm-start basis threading per node (each child resumes
-//!   its parent's basis *and* Arc-shared factorization; the node's solve
+//! * parent→child warm-start basis threading per node (both children load
+//!   their parent's basis *and* Arc-shared factorization; the node's solve
 //!   copies only the factorization's update state, a fixed set of flat
 //!   arrays with room for the node's own updates — see `ovnes_lp`'s
 //!   *Copy-on-compress sharing*),
@@ -39,9 +39,9 @@
 //! is the incumbent, no other node is; the crate's tests count this
 //! against an independent enumeration of the tree. A node's relaxation is
 //! solved only when the loop applies it, on one clone of the [`Problem`]
-//! (it only toggles integer bounds) and one [`ovnes_lp::Workspace`], kept
-//! for the whole `solve` call, restarting from the node's *parent's*
-//! [`Basis`] value.
+//! (it only toggles integer bounds) and one [`WarmChain`], both kept for
+//! the whole `solve` call: the chain loads the node's *parent's* [`Basis`]
+//! value, resolves, and hands the node's final basis on to its children.
 //!
 //! ## Example
 //!
@@ -72,8 +72,8 @@
 )]
 
 use ovnes_lp::{
-    Basis, LpStats, Outcome as LpOutcome, Problem, SimplexOptions, SolveError, VarId, WarmSolve,
-    Workspace,
+    Basis, LpStats, Outcome as LpOutcome, Problem, SimplexOptions, SolveError, VarId, WarmChain,
+    WarmSolve,
 };
 use std::collections::BTreeMap;
 use std::time::Instant;
@@ -105,9 +105,10 @@ pub struct MilpOptions {
     /// phases. Because a bound change leaves the basis *matrix* untouched,
     /// the child also inherits the parent's persisted factorization and
     /// starts with **zero refactorizations** (`LpStats::factorization_reuses`
-    /// counts the hits; the factorization is Arc-shared, not copied).
-    /// Disable only for debugging / regression comparison — results are
-    /// identical either way, warm starts are purely a speed lever.
+    /// counts the hits; the factors are Arc-shared, and only their update
+    /// state is copied). Disable only for debugging / regression comparison
+    /// — results are identical either way, warm starts are purely a speed
+    /// lever.
     pub warm_start: bool,
     /// Optional wall-clock budget per `solve` call. When it expires the
     /// search stops at the next node it would apply and returns the best
@@ -217,16 +218,19 @@ struct Node {
 
 /// The problem the search re-solves node by node, kept for the whole
 /// [`Milp::solve`] call: a clone of the root problem whose integer bounds
-/// it narrows per node, and the simplex scratch. It holds no restart
-/// state: a node resumes from its parent's basis.
+/// it narrows per node, and the one warm chain every node solves through.
+/// Between nodes the chain holds nothing of value: each node loads its
+/// parent's basis, and its own final basis leaves with the result.
 struct NodeSolver {
     problem: Problem,
-    ws: Workspace,
+    chain: WarmChain,
 }
 
 impl NodeSolver {
     /// Solves one node's relaxation: apply the path's bound overrides,
-    /// solve warm from the parent basis, restore the bounds of `root`.
+    /// solve from the parent basis (cold without one), restore the bounds
+    /// of `root`. Returns the outcome, the solve's pivot counts and the
+    /// node's final basis.
     fn solve(
         &mut self,
         root: &Problem,
@@ -238,8 +242,8 @@ impl NodeSolver {
             self.problem.set_bounds(v, lb, ub);
         }
         let result = self
-            .problem
-            .solve_warm_in(node.basis.as_ref(), simplex, &mut self.ws);
+            .chain
+            .solve_from(&self.problem, node.basis.as_ref(), simplex);
         for &(v, _, _) in &node.path {
             let (lb, ub) = root.bounds(v);
             self.problem.set_bounds(v, lb, ub);
@@ -277,16 +281,22 @@ impl Search<'_> {
         bound >= self.cutoff - ABS_GAP
     }
 
-    /// Applies one node's LP result: incumbent update or branching.
+    /// Applies one node's LP result (outcome, pivot counts, final basis):
+    /// incumbent update or branching.
     fn apply(&mut self, node: Node, solved: WarmSolve) {
-        self.lp_stats.absorb(&solved.stats);
+        let WarmSolve {
+            outcome,
+            basis,
+            stats,
+        } = solved;
+        self.lp_stats.absorb(&stats);
         let warm = self.options.warm_start;
         if node.id == ROOT_ID && warm {
             // Keep the root basis for the next solve() of this Milp (valid
             // as long as only rows are appended in between).
-            self.root_basis = Some(solved.basis.clone());
+            self.root_basis = Some(basis.clone());
         }
-        let sol = match solved.outcome {
+        let sol = match outcome {
             LpOutcome::Optimal(s) => s,
             LpOutcome::Infeasible(_) => return,
             LpOutcome::Unbounded => {
@@ -342,7 +352,7 @@ impl Search<'_> {
                 // nearer integer side is explored first.
                 let near_down = val - val.floor() <= 0.5;
                 let ordered = if near_down { [down, up] } else { [up, down] };
-                let parent = warm.then_some(solved.basis);
+                let parent = warm.then_some(basis);
                 for (clb, cub) in ordered {
                     if clb > cub {
                         continue; // empty domain: prune without an LP solve
@@ -457,7 +467,7 @@ impl Milp {
         let deadline = options.wall_limit.map(|limit| Instant::now() + limit);
         let mut solver = NodeSolver {
             problem: problem.clone(),
-            ws: Workspace::new(),
+            chain: WarmChain::new(),
         };
 
         while let Some((_, node)) = search.queue.pop_first() {

@@ -549,10 +549,8 @@ fn reference_instance(model: &NetworkModel, classes: &[SliceClass]) -> AcrrInsta
 pub fn warm_start_ablation(model: &NetworkModel) -> Result<[Allocation; 2], AcrrError> {
     let inst = reference_instance(model, &[SliceClass::Embb; 8]);
     let solve = |warm_start| {
-        let options = benders::BendersOptions {
-            warm_start,
-            ..Default::default()
-        };
+        let mut options = benders::BendersOptions::default();
+        options.milp.warm_start = warm_start;
         benders::solve(&inst, &options)
     };
     Ok([solve(true)?, solve(false)?])

@@ -67,17 +67,18 @@ impl Link {
         store_and_forward + self.tech.us_per_km() * self.length_km + 5.0 + self.extra_delay_us
     }
 
-    /// The endpoint opposite to `n`.
-    ///
-    /// # Panics
-    /// Panics if `n` is not an endpoint of this link.
+    /// The endpoint opposite to `n`, which must be an endpoint of this link
+    /// (every caller reached the link from `n`'s adjacency or along a path
+    /// through `n`; debug builds check it).
     pub(crate) fn other(&self, n: NodeId) -> NodeId {
+        debug_assert!(
+            n == self.a || n == self.b,
+            "node {n:?} is not an endpoint of this link"
+        );
         if n == self.a {
             self.b
-        } else if n == self.b {
-            self.a
         } else {
-            panic!("node {n:?} is not an endpoint of this link");
+            self.a
         }
     }
 }

@@ -117,8 +117,10 @@ impl<'g> KShortest<'g> {
         // Candidate pool: (links, delay).
         let mut candidates: Vec<(Vec<LinkId>, f64)> = Vec::new();
 
-        for _ in 1..k {
-            let prev = paths.last().unwrap().clone();
+        while paths.len() < k {
+            let Some(prev) = paths.last().cloned() else {
+                break;
+            };
             let prev_nodes = prev.nodes(g, src);
 
             // Spur from every node of the previous path except the destination.
@@ -151,16 +153,15 @@ impl<'g> KShortest<'g> {
                 }
             }
 
-            if candidates.is_empty() {
-                break;
-            }
-            // Pop the best candidate.
-            let best_idx = candidates
+            // Pop the best candidate; stop when none is left.
+            let Some(best_idx) = candidates
                 .iter()
                 .enumerate()
                 .min_by(|a, b| a.1 .1.total_cmp(&b.1 .1))
                 .map(|(i, _)| i)
-                .unwrap();
+            else {
+                break;
+            };
             let (links, delay) = candidates.swap_remove(best_idx);
             paths.push(Path::from_links(g, links, delay));
         }

@@ -22,6 +22,10 @@
 //! * [`stats`] — empirical CDFs regenerating Fig. 4(d)-(e).
 
 #![deny(unreachable_pub)]
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
 
 mod dijkstra;
 pub mod graph;

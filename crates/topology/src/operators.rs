@@ -306,7 +306,7 @@ fn build(operator: Operator, p: &OperatorParams, config: &GeneratorConfig) -> Ne
             .filter(|&(j, _)| j != i)
             .map(|(_, &o)| (g.distance(s, o), o))
             .collect();
-        others.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap());
+        others.sort_by(|a, b| a.0.total_cmp(&b.0));
         for &(_, o) in others.iter().take(p.sw_degree) {
             connect(&mut g, &mut have_link, s, o, &mut rng, p.tech_mix);
         }
@@ -325,7 +325,7 @@ fn build(operator: Operator, p: &OperatorParams, config: &GeneratorConfig) -> Ne
         let node = g.add_node(x, y);
         let mut near: Vec<(f64, NodeId)> =
             switches.iter().map(|&s| (g.distance(node, s), s)).collect();
-        near.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap());
+        near.sort_by(|a, b| a.0.total_cmp(&b.0));
         for &(_, s) in near.iter().take(p.bs_uplinks) {
             let tech = pick_tech(p.tech_mix, &mut rng);
             let cap = capacity_for(tech, &mut rng);
@@ -373,15 +373,13 @@ fn build(operator: Operator, p: &OperatorParams, config: &GeneratorConfig) -> Ne
     }
 
     // Edge CU at the most central switch (minimum total distance, matching
-    // the paper's "placed at the most central position").
-    let edge_sw = *switches
+    // the paper's "placed at the most central position"; the first on a tie).
+    let centrality = |a: NodeId| -> f64 { switches.iter().map(|&o| g.distance(a, o)).sum() };
+    let edge_sw = switches
         .iter()
-        .min_by(|&&a, &&b| {
-            let da: f64 = switches.iter().map(|&o| g.distance(a, o)).sum();
-            let db: f64 = switches.iter().map(|&o| g.distance(b, o)).sum();
-            da.partial_cmp(&db).unwrap()
-        })
-        .unwrap();
+        .map(|&s| (s, centrality(s)))
+        .min_by(|a, b| a.1.total_cmp(&b.1))
+        .map_or(switches[0], |(s, _)| s);
     let edge_cores = 20.0 * n_bs as f64;
 
     // Core CU behind an "unlimited" 20 ms virtual link.

@@ -3,9 +3,13 @@
 use crate::operators::NetworkModel;
 
 /// Empirical CDF: sorted `(value, cumulative_probability)` points.
+///
+/// Sorted by `total_cmp`, which orders finite values as `partial_cmp` does
+/// except that it puts `-0.0` before `0.0`; the path capacities and delays
+/// it is built from are positive, so no `-0.0` reaches it.
 pub(crate) fn ecdf(mut values: Vec<f64>) -> Vec<(f64, f64)> {
     values.retain(|v| v.is_finite());
-    values.sort_by(|a, b| a.partial_cmp(b).unwrap());
+    values.sort_by(f64::total_cmp);
     let n = values.len();
     values
         .into_iter()
@@ -33,13 +37,8 @@ pub fn path_delay_cdf(model: &NetworkModel) -> Vec<(f64, f64)> {
 /// Summary quantile (q ∈ [0, 1]) of an ECDF.
 pub fn quantile(cdf: &[(f64, f64)], q: f64) -> f64 {
     assert!((0.0..=1.0).contains(&q));
-    if cdf.is_empty() {
-        return f64::NAN;
-    }
-    for &(v, p) in cdf {
-        if p >= q {
-            return v;
-        }
-    }
-    cdf.last().unwrap().0
+    cdf.iter()
+        .find(|&&(_, p)| p >= q)
+        .or(cdf.last())
+        .map_or(f64::NAN, |&(v, _)| v)
 }

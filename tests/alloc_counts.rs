@@ -26,7 +26,7 @@ use ovnes::solver::kac;
 use ovnes::solver::slave::SlaveContext;
 use ovnes_forecast::predict_next;
 use ovnes_lp::revised::{Factorization, SolveScratch, SparseLu};
-use ovnes_lp::{Cmp, Outcome, Problem, SimplexOptions, VarId, Workspace};
+use ovnes_lp::{Cmp, Outcome, Problem, SimplexOptions, VarId, WarmChain};
 use ovnes_topology::operators::{GeneratorConfig, NetworkModel, Operator};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -106,13 +106,15 @@ const MAX_RESOLVE_ALLOCATIONS: usize = 16;
 /// dimension, 42,172 at the 100x.)
 const REFACTORIZATION_ALLOCATIONS: usize = 20;
 
-/// One B&B node — a warm solve from its parent's basis after one bound
-/// edit — may allocate this often at most: the copy of the parent's
-/// factorization (nine arrays, with room for the node's updates) and
-/// restart state (two), `x_B`, the returned solution (two) and the `Arc` of
-/// the basis it hands its children. (138 before flat storage, the copy
-/// alone about 2m + 11 blocks and every update reallocating.)
-const MAX_NODE_ALLOCATIONS: usize = 15;
+/// One B&B node — the search's chain loads its parent's basis after one
+/// bound edit, resolves, and gives its own basis up — may allocate this
+/// often at most: the copy of the parent's factorization (nine arrays, with
+/// room for the node's updates) and restart state (two), the returned
+/// solution (two) and the `Arc` of the basis it hands its children. The
+/// chain keeps its `x_B` buffer from node to node. (15 while every node
+/// allocated its own `x_B`; 138 before flat storage, the copy alone about
+/// 2m + 11 blocks and every update reallocating.)
+const MAX_NODE_ALLOCATIONS: usize = 14;
 
 fn warm_slave_resolves() {
     for (label, scale, tenants) in [("10x", 0.12, 20), ("100x", 0.4, 60)] {
@@ -247,24 +249,25 @@ fn bb_node_solve() {
         "a fractional root"
     );
     p.set_bounds(v, 0.0, 0.0);
-    // The worker's workspace has solved nodes before this one.
-    let mut ws = Workspace::new();
-    p.solve_warm_in(Some(&root.basis), &opts, &mut ws)
-        .expect("node");
-    let (spent, node) = counted(|| p.solve_warm_in(Some(&root.basis), &opts, &mut ws));
-    let node = node.expect("node");
+    // The search's chain has solved nodes before this one.
+    let mut chain = WarmChain::new();
+    let mut node = || {
+        chain
+            .solve_from(&p, Some(&root.basis), &opts)
+            .expect("node")
+    };
+    node();
+    let (spent, solved) = counted(&mut node);
+    let stats = solved.stats;
     assert_eq!(
-        node.stats.factorization_reuses, 1,
+        stats.factorization_reuses, 1,
         "the node resumed the parent's factors"
     );
-    assert!(
-        node.stats.dual_pivots > 0,
-        "the bound edit took dual pivots"
-    );
+    assert!(stats.dual_pivots > 0, "the bound edit took dual pivots");
     assert!(
         spent <= MAX_NODE_ALLOCATIONS,
         "{spent} allocations for one node of {} pivots",
-        node.stats.total_pivots()
+        stats.total_pivots()
     );
 }
 

@@ -168,7 +168,6 @@ fn solve_under(
             &benders::BendersOptions {
                 milp,
                 max_iterations: max_rounds,
-                ..benders::BendersOptions::default()
             },
         ),
         SolverKind::Kac => kac::solve(instance, &SimplexOptions::default()),

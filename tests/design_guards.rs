@@ -296,6 +296,9 @@ const DELETED: &[(&str, u32, &str)] = &[
     ("TrafficGenerator::deterministic", 53, SRC_TESTS),
     ("fn shortest(", 53, SRC_TESTS),
     ("HistSummary", 53, SRC_TESTS),
+    ("solve_warm_in", 54, RS),
+    ("Workspace::new", 54, RS),
+    (".basis()", 54, RS),
 ];
 
 #[test]

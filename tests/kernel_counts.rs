@@ -181,8 +181,10 @@ fn benders_warm_start_pivots() {
         let inst = instance_at(scale, tenants);
         let run = |warm_start: bool| {
             let options = benders::BendersOptions {
-                warm_start,
-                milp: MilpOptions::default(),
+                milp: MilpOptions {
+                    warm_start,
+                    ..MilpOptions::default()
+                },
                 ..benders::BendersOptions::default()
             };
             benders::solve(&inst, &options).expect("benders")

@@ -8,7 +8,7 @@ use ovnes::problem::{AcrrInstance, PathPolicy, TenantInput};
 use ovnes::slice::{SliceClass, SliceTemplate};
 use ovnes::solver::{baseline, benders, kac, oneshot, solve, SolveControls, SolverKind};
 use ovnes_lp::revised::gen::{random_bound_edit, random_lp, GenRng, LpGenConfig};
-use ovnes_lp::{Basis, FaultConfig, LpStats, Outcome, SimplexOptions, Workspace};
+use ovnes_lp::{Basis, FaultConfig, LpStats, Outcome, SimplexOptions, WarmChain};
 use ovnes_milp::{Milp, MilpOptions, MilpOutcome};
 use ovnes_topology::operators::{GeneratorConfig, NetworkModel, Operator};
 
@@ -156,7 +156,9 @@ fn benders_slave_runs_at_the_requested_refactor_interval() {
 /// One pass of the LP torture under `options`: larger instances than the
 /// unit-level cross-checks (the generator is shared; only the knobs
 /// differ), tight boxes and heavy degeneracy, a chain of five bound edits
-/// per instance solved warm through `solve_warm_in`, every link checked
+/// per instance, each link's basis handed to the next as a value through
+/// one chain (`WarmChain::solve_from`, the branch-and-bound node step),
+/// every link checked
 /// against the dense tableau oracle. Without fault injection, warm pivots
 /// must never exceed the cold solve of the same link, and warm bound-edit
 /// restarts must never need phase 1; injection drops warm bases on
@@ -165,7 +167,7 @@ fn benders_slave_runs_at_the_requested_refactor_interval() {
 fn torture_warm_chains(options: &SimplexOptions) -> LpStats {
     let mut rng = GenRng::new(0x7012_7012_7012_7012);
     let cfg = LpGenConfig::torture();
-    let mut ws = Workspace::new();
+    let mut chain = WarmChain::new();
     let mut stats = LpStats::default();
     for case in 0..60 {
         let mut p = random_lp(&mut rng, &cfg);
@@ -173,8 +175,8 @@ fn torture_warm_chains(options: &SimplexOptions) -> LpStats {
         let mut prev_optimal = false;
         for link in 0..5 {
             let tag = format!("case {case} link {link}");
-            let warm = p
-                .solve_warm_in(basis.as_ref(), options, &mut ws)
+            let warm = chain
+                .solve_from(&p, basis.as_ref(), options)
                 .unwrap_or_else(|e| panic!("{tag}: warm solve failed: {e}"));
             stats.absorb(&warm.stats);
             let dense = ovnes_lp::dense::solve(&p, &SimplexOptions::default())
@@ -198,7 +200,7 @@ fn torture_warm_chains(options: &SimplexOptions) -> LpStats {
                 // +1 slack: a degenerate-lucky cold start can prove its
                 // outcome with zero pivots where the warm re-solve pays a
                 // single closing pivot (same slack as `kernel_counts.rs`).
-                let cold = p.solve_warm_in(None, options, &mut ws).unwrap();
+                let cold = chain.solve_from(&p, None, options).unwrap();
                 assert!(
                     warm.stats.total_pivots() <= cold.stats.total_pivots() + 1,
                     "{tag}: warm {} pivots vs cold {}",

@@ -1,0 +1,313 @@
+//! The equality check of a behaviour-preserving change: the four horizon
+//! workloads of the end-to-end benchmark (`benchmark/src/workloads.rs`),
+//! written out again here through the public `ScenarioSpec::builder`, run
+//! through `run_scenario` and held to constants recorded on the code they
+//! were first measured on.
+//!
+//! At seed 1 the benchmark's request-stream seed equals the spec seed, so
+//! `run_scenario(&spec)` is the benchmark's reference run, and its decision
+//! fingerprint, report fingerprint, revenue bits and solver counters are
+//! the ones the benchmark's traced line prints. `budgeted_benders`, the
+//! workload that runs the branch and bound, is also pinned at seeds 2 and
+//! 3, with its stream generated under seed 1 and handed over explicitly,
+//! as the benchmark harness does.
+//!
+//! The specs are the benchmark's, setter for setter, except that they leave
+//! out its calls of the ignored `incremental` setter (every KAC epoch
+//! carries).
+//!
+//! A change that means to move a decision or a count re-records the
+//! constants it moves and says why; any other change must leave all of them
+//! as they are. Release only: the six horizons take about 4 s there on two
+//! cores.
+
+use ovnes::slice::SliceClass;
+use ovnes::solver::{SolveBudget, SolverKind};
+use ovnes_scenario::driver::Workload;
+use ovnes_scenario::{
+    run_scenario, ArrivalProcess, BurstEvent, ClassMix, DiurnalProfile, DurationModel, FaultPlan,
+    ScenarioBuilder, ScenarioReport, ScenarioSpec, TenantPopulation, WorkloadSpec,
+};
+use ovnes_topology::operators::Operator;
+
+/// Seed of the benchmark's request streams, whatever its `--seed` is.
+const ARRIVAL_SEED: u64 = 1;
+
+/// Seed of `faulty_warm`'s fault schedule.
+const FAULT_SEED: u64 = 1 ^ 991;
+
+/// What a run is held to.
+#[derive(Debug, PartialEq, Eq)]
+struct Pinned {
+    decision_fingerprint: u64,
+    fingerprint: u64,
+    net_revenue_bits: u64,
+    lp_solves: usize,
+    lp_pivots: usize,
+    lp_refactorizations: usize,
+    carry_cold_restarts: usize,
+    carry_certified: usize,
+    carry_certified_perturbed: usize,
+}
+
+fn pinned(r: &ScenarioReport) -> Pinned {
+    Pinned {
+        decision_fingerprint: r.decision_fingerprint(),
+        fingerprint: r.fingerprint(),
+        net_revenue_bits: r.net_revenue.to_bits(),
+        lp_solves: r.lp_solves,
+        lp_pivots: r.lp_pivots,
+        lp_refactorizations: r.lp_refactorizations,
+        carry_cold_restarts: r.carry_cold_restarts,
+        carry_certified: r.carry_certified,
+        carry_certified_perturbed: r.carry_certified_perturbed,
+    }
+}
+
+fn run(spec: &ScenarioSpec) -> ScenarioReport {
+    run_scenario(spec).unwrap_or_else(|e| panic!("{}: {e}", spec.name))
+}
+
+/// `spec` with its request stream generated under [`ARRIVAL_SEED`] and
+/// passed as an explicit list, so only the traffic follows `spec.seed`.
+fn with_benchmark_stream(spec: ScenarioSpec) -> ScenarioSpec {
+    let mut requests = match &spec.workload {
+        Workload::Generated(w) => w.generate(ARRIVAL_SEED, spec.horizon_epochs),
+        Workload::Explicit(requests) => requests.clone(),
+    };
+    requests.sort_by_key(|r| r.arrival_epoch);
+    ScenarioSpec {
+        workload: Workload::Explicit(requests),
+        ..spec
+    }
+}
+
+fn base_workload() -> WorkloadSpec {
+    WorkloadSpec {
+        arrivals: ArrivalProcess::Poisson { rate: 2.0 },
+        diurnal: Some(DiurnalProfile {
+            amplitude: 0.5,
+            period_epochs: 24,
+            peak_epoch: 14.0,
+        }),
+        mix: ClassMix {
+            urllc: 1.0,
+            mmtc: 1.0,
+            embb: 1.0,
+        },
+        duration: DurationModel {
+            mean_epochs: 12.0,
+            max_epochs: 96,
+        },
+        population: TenantPopulation {
+            size: 16,
+            churn_per_epoch: 0.02,
+            alpha: (0.15, 0.45),
+            sigma_frac: (0.1, 0.5),
+            penalty_factor: 1.0,
+        },
+        bursts: Vec::new(),
+        traffic_diurnal: Some((0.3, 288)),
+    }
+}
+
+fn base(name: &str, scale: f64, horizon: usize, seed: u64) -> ScenarioBuilder {
+    ScenarioSpec::builder(name)
+        .operator(Operator::Romanian, scale)
+        .workload(base_workload())
+        .horizon(horizon)
+        .overbooking(true)
+        .adaptive_reservations(true)
+        .threads(1)
+        .round_width(8)
+        .budget(SolveBudget::default())
+        .seed(seed)
+}
+
+fn churn_kac_10x(seed: u64) -> ScenarioSpec {
+    base("churn_kac_10x", 0.25, 200, seed)
+        .tune_workload(|w| {
+            w.arrivals = ArrivalProcess::Poisson { rate: 3.0 };
+            w.duration.mean_epochs = 10.0;
+            w.population.alpha = (0.15, 0.3);
+            w.population.sigma_frac = (0.0, 0.5);
+        })
+        .reapply_epochs(6)
+        .solver(SolverKind::Kac)
+        .build()
+}
+
+const STEADY_EPOCHS: usize = 384;
+
+fn steady_forecast(seed: u64) -> ScenarioSpec {
+    base("steady_forecast", 0.025, STEADY_EPOCHS, seed)
+        .tune_workload(|w| {
+            w.arrivals = ArrivalProcess::Poisson { rate: 0.0 };
+            w.bursts = [
+                (SliceClass::Embb, 0.31),
+                (SliceClass::Mmtc, 0.17),
+                (SliceClass::Urllc, 0.26),
+                (SliceClass::Embb, 0.22),
+                (SliceClass::Mmtc, 0.29),
+                (SliceClass::Urllc, 0.19),
+            ]
+            .iter()
+            .enumerate()
+            .map(|(k, &(class, alpha))| BurstEvent {
+                start_epoch: k as u32,
+                duration_epochs: 1,
+                extra_rate: 1.0,
+                class,
+                alpha,
+                slice_epochs: STEADY_EPOCHS as u32,
+            })
+            .collect();
+        })
+        .reapply_epochs(2)
+        .solver(SolverKind::Kac)
+        .build()
+}
+
+fn budgeted_benders(seed: u64) -> ScenarioSpec {
+    base("budgeted_benders", 0.1, 300, seed)
+        .tune_workload(|w| {
+            w.arrivals = ArrivalProcess::Poisson { rate: 2.0 };
+            w.mix = ClassMix {
+                urllc: 0.4,
+                mmtc: 0.3,
+                embb: 0.3,
+            };
+            w.duration.mean_epochs = 8.0;
+        })
+        .reapply_epochs(6)
+        .solver(SolverKind::Benders)
+        .budget(SolveBudget {
+            max_pivots: Some(400_000),
+            max_nodes: Some(64),
+            max_rounds: Some(8),
+            wall_limit: None,
+        })
+        .build()
+}
+
+const WAVE_EPOCHS: usize = 320;
+const WAVE_PERIOD: u32 = 8;
+const WAVE_SLICE_EPOCHS: u32 = 40;
+
+fn faulty_warm(seed: u64) -> ScenarioSpec {
+    base("faulty_warm", 0.1, WAVE_EPOCHS, seed)
+        .tune_workload(|w| {
+            w.arrivals = ArrivalProcess::Poisson { rate: 0.0 };
+            w.population.alpha = (0.15, 0.3);
+            let classes = [SliceClass::Embb, SliceClass::Mmtc, SliceClass::Urllc];
+            let alphas = [0.17, 0.29, 0.22, 0.26, 0.19];
+            w.bursts = (0..WAVE_EPOCHS / WAVE_PERIOD as usize)
+                .map(|k| BurstEvent {
+                    start_epoch: k as u32 * WAVE_PERIOD,
+                    duration_epochs: 1,
+                    extra_rate: 2.0,
+                    class: classes[k % 3],
+                    alpha: alphas[k % 5],
+                    slice_epochs: WAVE_SLICE_EPOCHS,
+                })
+                .collect();
+        })
+        .reapply_epochs(2)
+        .solver(SolverKind::Kac)
+        .faults(FaultPlan {
+            seed: FAULT_SEED,
+            start_epoch: 2,
+            end_epoch: u32::MAX,
+            bs_outage_rate: 0.05,
+            outage_epochs: (2, 6),
+            link_degradation_rate: 0.05,
+            link_factor: (0.2, 0.6),
+            link_epochs: (2, 8),
+            cu_loss_rate: 0.02,
+            cu_factor: (0.3, 0.7),
+            cu_epochs: (2, 8),
+            scripted: Vec::new(),
+            lp_fault_seed: None,
+        })
+        .build()
+}
+
+#[test]
+#[cfg_attr(debug_assertions, ignore = "release only")]
+fn churn_kac_10x_at_seed_1() {
+    assert_eq!(pinned(&run(&churn_kac_10x(1))), CHURN_KAC_10X);
+}
+
+#[test]
+#[cfg_attr(debug_assertions, ignore = "release only")]
+fn steady_forecast_at_seed_1() {
+    assert_eq!(pinned(&run(&steady_forecast(1))), STEADY_FORECAST);
+}
+
+#[test]
+#[cfg_attr(debug_assertions, ignore = "release only")]
+fn budgeted_benders_at_seed_1() {
+    assert_eq!(pinned(&run(&budgeted_benders(1))), BUDGETED_BENDERS);
+}
+
+#[test]
+#[cfg_attr(debug_assertions, ignore = "release only")]
+fn faulty_warm_at_seed_1() {
+    assert_eq!(pinned(&run(&faulty_warm(1))), FAULTY_WARM);
+}
+
+#[test]
+#[cfg_attr(debug_assertions, ignore = "release only")]
+fn budgeted_benders_decides_the_same_at_seeds_2_and_3() {
+    let decided = [2, 3]
+        .map(|seed| run(&with_benchmark_stream(budgeted_benders(seed))).decision_fingerprint());
+    assert_eq!(decided, BUDGETED_BENDERS_SEEDS_2_3);
+}
+
+// Recorded on the parent of the change that made branch-and-bound nodes
+// resolve through a `WarmChain`, and held unedited since.
+const CHURN_KAC_10X: Pinned = Pinned {
+    decision_fingerprint: 0x1d95_00ab_5b05_0746,
+    fingerprint: 0x2747_727c_1576_8276,
+    net_revenue_bits: 0x40c1_35f1_d98e_b073,
+    lp_solves: 4_821,
+    lp_pivots: 43_720,
+    lp_refactorizations: 450,
+    carry_cold_restarts: 0,
+    carry_certified: 0,
+    carry_certified_perturbed: 0,
+};
+const STEADY_FORECAST: Pinned = Pinned {
+    decision_fingerprint: 0x1163_1f83_92bb_09cd,
+    fingerprint: 0x85b7_6c5a_8a6c_d198,
+    net_revenue_bits: 0x40ad_e718_9227_ea14,
+    lp_solves: 387,
+    lp_pivots: 20,
+    lp_refactorizations: 5,
+    carry_cold_restarts: 0,
+    carry_certified: 379,
+    carry_certified_perturbed: 379,
+};
+const BUDGETED_BENDERS: Pinned = Pinned {
+    decision_fingerprint: 0xeca2_80fc_c40f_fd9b,
+    fingerprint: 0x5ee8_f8ff_5251_77aa,
+    net_revenue_bits: 0x40bc_2e00_2722_10bc,
+    lp_solves: 1_315,
+    lp_pivots: 120_970,
+    lp_refactorizations: 3_282,
+    carry_cold_restarts: 0,
+    carry_certified: 0,
+    carry_certified_perturbed: 0,
+};
+const FAULTY_WARM: Pinned = Pinned {
+    decision_fingerprint: 0xde92_0f9c_0356_eb4c,
+    fingerprint: 0x7111_ecd1_b4f1_cb7d,
+    net_revenue_bits: 0x40ad_e1da_ef0f_8392,
+    lp_solves: 518,
+    lp_pivots: 15_030,
+    lp_refactorizations: 171,
+    carry_cold_restarts: 92,
+    carry_certified: 153,
+    carry_certified_perturbed: 71,
+};
+const BUDGETED_BENDERS_SEEDS_2_3: [u64; 2] = [0xba2b_d003_7e10_d5ad, 0x9835_046f_4ab2_56e0];
