@@ -6,6 +6,23 @@
 //! `g(u) ≤ 0`. Iterating closes the gap between the master lower bound and
 //! the best evaluated admission (Theorem 2: finitely many dual extreme
 //! points/rays ⇒ finite convergence).
+//!
+//! A solve ends in one of three ways:
+//! - the gap closes (within `1e-6`): the incumbent is proven optimal;
+//! - the round cap (`max_iterations`, [`SolveBudget::max_rounds`]) is
+//!   reached: the incumbent is returned flagged `truncated`;
+//! - a master that the node cap ([`SolveBudget::max_nodes`]) truncated
+//!   returns an admission the slave has already priced in this solve. Its
+//!   cut would copy one the master already holds, and Theorem 2's progress
+//!   rests on every round adding a new cut. The incumbent is returned
+//!   flagged `truncated`; that last round priced nothing, so `lp_solves`
+//!   is one below `iterations` (the round cap leaves them equal).
+//!
+//! An uncapped master that repeats an admission is bounded by that
+//! admission's own cut, so the gap check ends that round the first way.
+//!
+//! [`SolveBudget::max_rounds`]: super::SolveBudget::max_rounds
+//! [`SolveBudget::max_nodes`]: super::SolveBudget::max_nodes
 
 use super::slave::{CutExpr, SlaveContext, SlaveResult};
 use super::{AcrrError, Admission};
@@ -20,7 +37,8 @@ const EPSILON: f64 = 1e-6;
 /// Benders loop controls.
 #[derive(Debug, Clone)]
 pub struct BendersOptions {
-    /// Maximum outer iterations before returning the incumbent.
+    /// Maximum outer iterations before returning the incumbent (a capped
+    /// master that repeats an admission ends the loop sooner).
     pub max_iterations: usize,
     /// Node budget and simplex options per master MILP solve. Its
     /// `warm_start` is the whole run's: with it, the slave re-prices warm
@@ -43,6 +61,16 @@ impl Default for BendersOptions {
 
 /// Solves the AC-RR instance optimally via Benders decomposition.
 pub fn solve(instance: &AcrrInstance, options: &BendersOptions) -> Result<Allocation, AcrrError> {
+    solve_priced(instance, options, &mut Vec::new())
+}
+
+/// [`solve`], leaving in `priced` every admission the slave priced, in
+/// round order.
+pub(crate) fn solve_priced(
+    instance: &AcrrInstance,
+    options: &BendersOptions,
+    priced: &mut Vec<Vec<Option<usize>>>,
+) -> Result<Allocation, AcrrError> {
     if !instance.forced_feasible() {
         return Err(AcrrError::ForcedInfeasible);
     }
@@ -69,6 +97,8 @@ pub fn solve(instance: &AcrrInstance, options: &BendersOptions) -> Result<Alloca
     // admission vector and warm-starts from the previous basis. The master
     // `Milp` is equally persistent — cuts append rows, so its stored root
     // basis stays valid and every re-solve starts with dual-simplex pivots.
+    // The loop ends when the gap closes, at the round cap, or when a capped
+    // master repeats an admission already priced (see the module docs).
     let mut slave = SlaveContext::new(instance);
     // The slave solves under the caller's simplex options (fault plan,
     // refactorization interval) but *not* the master's pivot budget: solve
@@ -136,6 +166,13 @@ pub fn solve(instance: &AcrrInstance, options: &BendersOptions) -> Result<Alloca
         }
 
         let assigned = admission.decode(|v| master_sol.value(v));
+        // A capped master that returns an admission already priced would
+        // only get a copy of a cut it holds: end here with the incumbent
+        // (`converged` stays false, so the solve is flagged `truncated`).
+        if master_sol.truncated && priced.contains(&assigned) {
+            break;
+        }
+        priced.push(assigned.clone());
 
         stats.lp_solves += 1;
         let slave_result = match slave.solve_for(&assigned) {
@@ -190,8 +227,8 @@ pub fn solve(instance: &AcrrInstance, options: &BendersOptions) -> Result<Alloca
         }
     }
 
-    // Outer-round budget exhausted without closing the gap: the incumbent
-    // is best-effort, not proven (covers `SolveBudget::max_rounds`).
+    // Round cap reached, or a capped master repeated an admission, without
+    // closing the gap: the incumbent is best-effort, not proven.
     if !converged {
         stats.truncated = true;
     }

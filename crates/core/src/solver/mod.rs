@@ -121,10 +121,15 @@ pub struct SolveBudget {
     pub max_pivots: Option<usize>,
     /// Cap on branch-and-bound nodes per MILP solve; the tree returns its
     /// best incumbent flagged `truncated`, or, stopped before its first
-    /// incumbent, an engine error the degradation ladder absorbs.
+    /// incumbent, an engine error the degradation ladder absorbs. A
+    /// Benders master it truncates that returns an admission already
+    /// priced in the same solve ends the Benders loop there, with the
+    /// incumbent flagged `truncated` (see [`benders`]).
     pub max_nodes: Option<usize>,
     /// Cap on Benders outer iterations; the loop returns its incumbent
-    /// flagged `truncated`. Ignored by the other solvers.
+    /// flagged `truncated`. Ignored by the other solvers. The loop may end
+    /// sooner, when the gap closes or a node-capped master repeats an
+    /// admission (see [`benders`]).
     pub max_rounds: Option<usize>,
     /// Wall-clock deadline per MILP solve (**non-deterministic**; opt-in).
     pub wall_limit: Option<Duration>,

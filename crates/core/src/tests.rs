@@ -657,6 +657,46 @@ fn warm_benders_pipeline_equals_oracle_and_records_warm_hits() {
     );
 }
 
+/// A Benders master that the node cap truncates ends the loop the first
+/// time it returns an admission the slave has already priced: pricing it
+/// again would only append a copy of a cut the master holds. Uncapped, the
+/// gap check ends the solve, so that path is pinned as it was before the
+/// stop existed.
+#[test]
+fn capped_benders_master_stops_at_its_first_repeat() {
+    let inst = small_instance(4);
+    let capped = |max_iterations| benders::BendersOptions {
+        max_iterations,
+        milp: MilpOptions {
+            max_nodes: 7,
+            ..MilpOptions::default()
+        },
+    };
+    let mut priced = Vec::new();
+    let alloc = benders::solve_priced(&inst, &capped(60), &mut priced).unwrap();
+    let stats = &alloc.stats;
+    // The slave priced every admission once.
+    let mut distinct = priced.clone();
+    distinct.sort_unstable();
+    distinct.dedup();
+    assert_eq!(priced.len(), stats.lp_solves);
+    assert_eq!(stats.lp_solves, distinct.len(), "an admission priced twice");
+    // The solve stopped at the repeat, in a round that priced nothing, well
+    // before the round cap, and says it is unproven.
+    assert!(stats.truncated);
+    assert_eq!((stats.iterations, stats.lp_solves), (7, 6));
+    // It returns the incumbent it held at the repeat: the round cap one
+    // round earlier ends the same solve there.
+    let before = benders::solve(&inst, &capped(stats.iterations - 1)).unwrap();
+    assert_eq!(before.stats.lp_solves, stats.lp_solves);
+    assert_eq!(alloc.objective.to_bits(), before.objective.to_bits());
+    assert_eq!(alloc.assigned_cu, before.assigned_cu);
+    // Uncapped, the gap closes in the same rounds as without the stop.
+    let full = benders::solve(&inst, &benders::BendersOptions::default()).unwrap();
+    assert!(!full.stats.truncated);
+    assert_eq!((full.stats.iterations, full.stats.lp_solves), (6, 6));
+}
+
 /// KAC's vetting slave must warm-start across its greedy iterations.
 #[test]
 fn kac_slave_context_warm_starts() {

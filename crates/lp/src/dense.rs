@@ -193,18 +193,18 @@ pub fn solve(p: &Problem, options: &SimplexOptions) -> Result<Outcome, SolveErro
             Cmp::Ge => canon.row_sign[i] < 0.0,
             Cmp::Eq => false,
         };
-        if slack_is_identity {
-            basis[i] = slack_col_of_row[i].unwrap();
-        } else {
-            art_col_of_row[i] = Some(n_cols);
-            basis[i] = n_cols;
-            n_cols += 1;
+        match slack_col_of_row[i] {
+            Some(sc) if slack_is_identity => basis[i] = sc,
+            _ => {
+                art_col_of_row[i] = Some(n_cols);
+                basis[i] = n_cols;
+                n_cols += 1;
+            }
         }
     }
-    // Identity column per row (used for dual extraction).
-    let id_col_of_row: Vec<usize> = (0..m)
-        .map(|i| art_col_of_row[i].unwrap_or_else(|| slack_col_of_row[i].unwrap()))
-        .collect();
+    // Identity column per row (used for dual extraction): the row's
+    // artificial if it has one, else its slack, i.e. the initial basis.
+    let id_col_of_row: Vec<usize> = basis.clone();
 
     // Build the tableau: m rows × (n_cols + 1), last column = rhs.
     let stride = n_cols + 1;

@@ -169,8 +169,8 @@
 //! share is [`Basis`] values: a chain moves its basis out
 //! ([`WarmChain::take_basis`]) and another solve loads it back
 //! ([`WarmChain::load`]), the way branch and bound hands one parent basis
-//! to both children ([`WarmChain::solve_from`] is that hand-off around one
-//! resolve); the factors behind a basis's `Arc` are shared, and a
+//! to both children ([`WarmChain::solve_from`] wraps that hand-off around
+//! one resolve); the factors behind a basis's `Arc` are shared, and a
 //! chain that replays them copies only their update state. No solve
 //! shares anything with another thread while it runs; holders may still
 //! hand chains and bases to one, so compile-time assertions keep the
@@ -218,7 +218,7 @@
 //! Warm-started re-solve after a bound change (the branch-and-bound step):
 //!
 //! ```
-//! use ovnes_lp::{Cmp, Problem, SimplexOptions, WarmChain};
+//! use ovnes_lp::{Cmp, Outcome, Problem, SimplexOptions, WarmChain};
 //!
 //! let mut p = Problem::new();
 //! let x = p.add_var(0.0, 1.0, -1.0);
@@ -229,11 +229,16 @@
 //! let parent = chain.solve_from(&p, None, &opts).unwrap().basis;
 //! p.set_bounds(y, 0.0, 0.0); // "branch down" on y
 //! let child = chain.solve_from(&p, Some(&parent), &opts).unwrap();
-//! assert!((child.outcome.unwrap_optimal().value(x) - 1.0).abs() < 1e-9);
+//! let Outcome::Optimal(sol) = child.outcome else { unreachable!() };
+//! assert!((sol.value(x) - 1.0).abs() < 1e-9);
 //! assert_eq!(child.stats.warm_starts, 1);
 //! ```
 
 #![deny(unreachable_pub)]
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
 
 #[cfg(any(test, feature = "testgen"))]
 pub mod dense;

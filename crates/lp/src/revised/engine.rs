@@ -317,7 +317,9 @@ impl<'a> Engine<'a> {
     /// A supplied basis whose matrix turns out singular (heavy problem
     /// edits) is discarded in favour of a cold all-logical restart — the
     /// identity always factorizes — with the statistics reset to a single
-    /// cold start, exactly as if no basis had been supplied.
+    /// cold start, exactly as if no basis had been supplied. Should even
+    /// the identity fail to factorize, the solve ends in
+    /// [`SolveError::Numerical`].
     ///
     /// `x_B` is **not** computed here: the phase driver computes it once it
     /// has settled the nonbasic point (see `run` in the parent module).
@@ -327,7 +329,7 @@ impl<'a> Engine<'a> {
         restart: &mut Restart,
         mut stats: LpStats,
         ws: &'a mut Workspace,
-    ) -> Engine<'a> {
+    ) -> Result<Engine<'a>, SolveError> {
         let mut status = std::mem::take(&mut restart.status);
         let mut basic = std::mem::take(&mut restart.basic);
         let xb = std::mem::take(&mut restart.xb);
@@ -341,16 +343,21 @@ impl<'a> Engine<'a> {
                 stats.factorization_reuses += 1;
                 f
             }
-            None => factor_basis(canon, &basic, &mut stats, &mut ws.lu).unwrap_or_else(|| {
-                // Stored basis went singular: cold restart.
-                super::cold_state(canon, &mut status, &mut basic);
-                stats = LpStats::default();
-                stats.cold_starts += 1;
-                factor_basis(canon, &basic, &mut stats, &mut ws.lu)
-                    .expect("the all-logical basis is the identity and always factorizes")
-            }),
+            None => match factor_basis(canon, &basic, &mut stats, &mut ws.lu) {
+                Some(f) => f,
+                None => {
+                    // Stored basis went singular: cold restart. The
+                    // all-logical basis is the identity and always
+                    // factorizes.
+                    super::cold_state(canon, &mut status, &mut basic);
+                    stats = LpStats::default();
+                    stats.cold_starts += 1;
+                    factor_basis(canon, &basic, &mut stats, &mut ws.lu)
+                        .ok_or(SolveError::Numerical)?
+                }
+            },
         };
-        Engine {
+        Ok(Engine {
             c: canon,
             opts,
             status,
@@ -362,7 +369,7 @@ impl<'a> Engine<'a> {
             ws,
             y_fresh: false,
             plist_cursor: 0,
-        }
+        })
     }
 
     /// The value a nonbasic column currently sits at.

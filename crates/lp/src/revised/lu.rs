@@ -499,7 +499,8 @@ impl SparseLu {
                     best_len = len;
                 }
             }
-            let (r, p) = best.expect("colmax passed the threshold, so a row exists");
+            // colmax passed the threshold, so a row exists.
+            let (r, p) = best?;
 
             // ---- retire the pivot row and column; the row minus its
             // pivot entry is this stage's row of U. (Row r is inactive
@@ -1653,12 +1654,18 @@ impl Factorization {
             }
         }
 
-        // ---- stability acceptance (see FT_PIVOT_REL).
-        if !new_pivot.is_finite() || new_pivot.abs() <= sing_tol.max(FT_PIVOT_REL * spike_max) {
+        // ---- stability acceptance (see FT_PIVOT_REL), then the displaced
+        // slot's place in the elimination order: it is live, so listed.
+        let stable =
+            new_pivot.is_finite() && new_pivot.abs() > sing_tol.max(FT_PIVOT_REL * spike_max);
+        let place = stable
+            .then(|| ft.order.iter().position(|&s| s as usize == t_slot))
+            .flatten();
+        let Some(idx) = place else {
             ft.eta_terms.truncate(terms_beg);
             scratch.spike.clear();
             return false;
-        }
+        };
 
         // ---- commit. 1) prune the replaced column from surviving rows,
         // compacting each row in place, and empty its slot list.
@@ -1680,11 +1687,6 @@ impl Factorization {
         ft.ucols[r].len = 0;
         // 2) kill the displaced slot and drop it from the order.
         ft.slots[t_slot].alive = false;
-        let idx = ft
-            .order
-            .iter()
-            .position(|&s| s as usize == t_slot)
-            .expect("live slot is listed in order");
         ft.order.remove(idx);
         let target_row = ft.slots[t_slot].prow;
         // 3) append the replacement slot: same pivot row, now pivoting

@@ -626,7 +626,7 @@ pub(crate) fn solve_state(
     }
     // A singular stored basis falls back to a cold restart inside
     // `Engine::new` (statistics reset to a single cold start).
-    let mut eng = Engine::new(&canon, options, st, stats, ws);
+    let mut eng = Engine::new(&canon, options, st, stats, ws)?;
 
     let outcome = run(&mut eng, warm_used)?;
     let stats = eng.finish(st);

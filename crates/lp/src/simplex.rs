@@ -166,9 +166,10 @@ pub enum Outcome {
     Unbounded,
 }
 
+#[cfg(test)]
 impl Outcome {
-    /// Convenience accessor; panics unless the outcome is `Optimal`.
-    pub fn unwrap_optimal(self) -> Solution {
+    /// Test accessor; panics unless the outcome is `Optimal`.
+    pub(crate) fn unwrap_optimal(self) -> Solution {
         match self {
             Outcome::Optimal(s) => s,
             Outcome::Infeasible(_) => panic!("LP infeasible, expected optimal"),

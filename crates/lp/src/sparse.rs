@@ -72,11 +72,11 @@ impl SparseMatrix {
         let mut values = Vec::with_capacity(nnz_bound);
         col_ptr.push(0);
         for col in columns {
+            let start = row_idx.len();
             for &(i, v) in col {
                 debug_assert!((i as usize) < nrows, "row index out of range");
-                match row_idx.last() {
-                    Some(&last) if values.len() > *col_ptr.last().unwrap() && last == i => {
-                        let slot = values.last_mut().unwrap();
+                match (row_idx.last(), values.last_mut()) {
+                    (Some(&last), Some(slot)) if row_idx.len() > start && last == i => {
                         *slot += v;
                         if *slot == 0.0 {
                             row_idx.pop();
@@ -92,9 +92,7 @@ impl SparseMatrix {
                 }
             }
             debug_assert!(
-                row_idx[*col_ptr.last().unwrap()..]
-                    .windows(2)
-                    .all(|w| w[0] < w[1]),
+                row_idx[start..].windows(2).all(|w| w[0] < w[1]),
                 "column rows must be sorted"
             );
             col_ptr.push(row_idx.len());

@@ -41,7 +41,10 @@
 //! solved only when the loop applies it, on one clone of the [`Problem`]
 //! (it only toggles integer bounds) and one [`WarmChain`], both kept for
 //! the whole `solve` call: the chain loads the node's *parent's* [`Basis`]
-//! value, resolves, and hands the node's final basis on to its children.
+//! value and resolves in place. The node's final basis leaves the chain
+//! only to be kept: the root's for the next `solve` call, a branching
+//! node's for its children. A node that does not branch leaves its basis
+//! where it is, and the next load copies over it into the same buffers.
 //!
 //! ## Example
 //!
@@ -73,7 +76,6 @@
 
 use ovnes_lp::{
     Basis, LpStats, Outcome as LpOutcome, Problem, SimplexOptions, SolveError, VarId, WarmChain,
-    WarmSolve,
 };
 use std::collections::BTreeMap;
 use std::time::Instant;
@@ -219,8 +221,10 @@ struct Node {
 /// The problem the search re-solves node by node, kept for the whole
 /// [`Milp::solve`] call: a clone of the root problem whose integer bounds
 /// it narrows per node, and the one warm chain every node solves through.
-/// Between nodes the chain holds nothing of value: each node loads its
-/// parent's basis, and its own final basis leaves with the result.
+/// A node resolves in place: its final basis stays in the chain, and
+/// [`Search::apply`] moves it out only where it is kept (the root's, a
+/// branching node's). The next node loads its parent's basis over it,
+/// reusing the statuses and basic set the chain still holds.
 struct NodeSolver {
     problem: Problem,
     chain: WarmChain,
@@ -229,21 +233,23 @@ struct NodeSolver {
 impl NodeSolver {
     /// Solves one node's relaxation: apply the path's bound overrides,
     /// solve from the parent basis (cold without one), restore the bounds
-    /// of `root`. Returns the outcome, the solve's pivot counts and the
-    /// node's final basis.
+    /// of `root`. Returns the outcome and the solve's pivot counts; the
+    /// node's final basis stays in the chain.
     fn solve(
         &mut self,
         root: &Problem,
         simplex: &SimplexOptions,
         node: &Node,
-    ) -> Result<WarmSolve, SolveError> {
+    ) -> Result<(LpOutcome, LpStats), SolveError> {
         let _span = ovnes_obs::span!("milp_node", depth = node.path.len() as i64);
         for &(v, lb, ub) in &node.path {
             self.problem.set_bounds(v, lb, ub);
         }
-        let result = self
-            .chain
-            .solve_from(&self.problem, node.basis.as_ref(), simplex);
+        match &node.basis {
+            Some(b) => self.chain.load(b),
+            None => self.chain.clear(),
+        }
+        let result = self.problem.resolve(&mut self.chain, simplex);
         for &(v, _, _) in &node.path {
             let (lb, ub) = root.bounds(v);
             self.problem.set_bounds(v, lb, ub);
@@ -281,20 +287,18 @@ impl Search<'_> {
         bound >= self.cutoff - ABS_GAP
     }
 
-    /// Applies one node's LP result (outcome, pivot counts, final basis):
-    /// incumbent update or branching.
-    fn apply(&mut self, node: Node, solved: WarmSolve) {
-        let WarmSolve {
-            outcome,
-            basis,
-            stats,
-        } = solved;
-        self.lp_stats.absorb(&stats);
+    /// Applies one node's LP result (outcome, pivot counts): incumbent
+    /// update or branching. The node's final basis is still in `chain`,
+    /// which it leaves only to be kept.
+    fn apply(&mut self, node: Node, outcome: LpOutcome, stats: &LpStats, chain: &mut WarmChain) {
+        self.lp_stats.absorb(stats);
         let warm = self.options.warm_start;
+        let mut basis = None;
         if node.id == ROOT_ID && warm {
             // Keep the root basis for the next solve() of this Milp (valid
             // as long as only rows are appended in between).
-            self.root_basis = Some(basis.clone());
+            basis = chain.take_basis();
+            self.root_basis = basis.clone();
         }
         let sol = match outcome {
             LpOutcome::Optimal(s) => s,
@@ -352,7 +356,11 @@ impl Search<'_> {
                 // nearer integer side is explored first.
                 let near_down = val - val.floor() <= 0.5;
                 let ordered = if near_down { [down, up] } else { [up, down] };
-                let parent = warm.then_some(basis);
+                let parent = if warm {
+                    basis.or_else(|| chain.take_basis())
+                } else {
+                    None
+                };
                 for (clb, cub) in ordered {
                     if clb > cub {
                         continue; // empty domain: prune without an LP solve
@@ -494,7 +502,7 @@ impl Milp {
             let result = solver.solve(problem, &options.simplex, &node);
             search.applied += 1;
             match result {
-                Ok(solved) => search.apply(node, solved),
+                Ok((outcome, stats)) => search.apply(node, outcome, &stats, &mut solver.chain),
                 Err(e) => search.error = Some(e),
             }
             if search.error.is_some() || search.unbounded {

@@ -116,6 +116,12 @@ const REFACTORIZATION_ALLOCATIONS: usize = 20;
 /// 2m + 11 blocks and every update reallocating.)
 const MAX_NODE_ALLOCATIONS: usize = 14;
 
+/// One B&B node the search does not branch from (infeasible, pruned or
+/// integral) resolves in place: its basis stays in the chain, so the next
+/// load copies the restart state into the buffers it already holds, and no
+/// `Arc` is made. That is the node above less those three allocations.
+const MAX_LEAF_NODE_ALLOCATIONS: usize = 11;
+
 fn warm_slave_resolves() {
     for (label, scale, tenants) in [("10x", 0.12, 20), ("100x", 0.4, 60)] {
         let inst = instance_at(scale, tenants);
@@ -267,6 +273,19 @@ fn bb_node_solve() {
     assert!(
         spent <= MAX_NODE_ALLOCATIONS,
         "{spent} allocations for one node of {} pivots",
+        stats.total_pivots()
+    );
+    // The same node as a leaf, after a leaf: load, resolve, keep the basis.
+    let mut leaf = || {
+        chain.load(&root.basis);
+        p.resolve(&mut chain, &opts).expect("leaf")
+    };
+    leaf();
+    let (spent, (_, stats)) = counted(&mut leaf);
+    assert_eq!(stats.factorization_reuses, 1);
+    assert!(
+        spent <= MAX_LEAF_NODE_ALLOCATIONS,
+        "{spent} allocations for one leaf node of {} pivots",
         stats.total_pivots()
     );
 }
