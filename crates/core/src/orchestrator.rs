@@ -1,39 +1,36 @@
 //! The end-to-end orchestrator (paper §2.2, "OVNES"): the epoch loop tying
 //! together monitoring, forecasting, AC-RR solving and the data plane.
 //!
-//! Each decision epoch the orchestrator:
+//! [`Orchestrator::step`] is one decision epoch: six phases in order, each a
+//! function under its own `ovnes-obs` phase span, which is also its clock
+//! ([`EpochPhaseSeconds`]). `revalidate` applies the due infrastructure
+//! events, revalidates the active set and takes in the arrived requests;
+//! `forecast` forecasts each tenant's per-BS peak demand (Holt-Winters,
+//! §2.2.2; the operator prior without history) into the solve's input;
+//! `solve` builds the AC-RR instance (active slices forced onto their
+//! pinned CU, constraint (13), with the §3.4 deficit relaxation) and solves
+//! it through the degradation ladder; `admit` enforces the decision;
+//! `simulate` runs one epoch of traffic through the middlebox; `account`
+//! records each request's per-BS peaks on its own tenant record, so a
+//! history lives exactly as long as its request, and accounts revenue:
+//! rewards minus penalties `K·(worst SLA deficit)/Λ` for violations.
 //!
-//! 1. collects newly arrived slice requests (the slice manager's queue),
-//! 2. forecasts every tenant's peak demand per BS from the monitoring
-//!    history (Holt-Winters, §2.2.2) — tenants without history get the
-//!    operator prior,
-//! 3. builds and solves the AC-RR instance (active slices are forced to
-//!    remain admitted on their pinned CU, constraint (13), with the §3.4
-//!    deficit relaxation enabled),
-//! 4. pushes the reservations into the data plane and simulates one epoch of
-//!    traffic through the middlebox,
-//! 5. records each request's per-BS monitoring peaks on its own tenant
-//!    record, so a history lives exactly as long as its request, and
-//!    accounts revenue: rewards for admitted slices minus penalties
-//!    `K·(worst SLA deficit)/Λ` for violations.
-//!
-//! [`Orchestrator::step`] is one epoch and [`Orchestrator::run`] the one
-//! horizon loop every experiment drives. Pending requests are considered in
-//! stable arrival-epoch order, so a horizon depends on its requests and not
-//! on when they were submitted.
+//! [`Orchestrator::run`] is the one horizon loop every experiment drives.
+//! Pending requests are considered in stable arrival-epoch order, so a
+//! horizon depends on its requests and not on when they were submitted.
 
-use crate::problem::{AcrrInstance, PathPolicy, TenantInput, MBPS_PER_MHZ};
+use crate::problem::{AcrrInstance, Allocation, PathPolicy, TenantInput, MBPS_PER_MHZ};
 use crate::slice::{RequestFault, SliceRequest};
 use crate::solver::{self, AcrrError, Degradation, SolveBudget, SolveControls, SolverKind};
 use ovnes_forecast::predict_next;
 use ovnes_netsim::{run_epoch, Flow, FlowReport, TrafficGenerator};
+use ovnes_obs::trace::phase;
 use ovnes_topology::graph::LinkId;
 use ovnes_topology::operators::NetworkModel;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::HashMap;
 use std::ops::ControlFlow;
-use std::time::Instant;
 
 /// Orchestrator configuration.
 #[derive(Debug, Clone)]
@@ -230,25 +227,26 @@ struct ActiveSlice {
     reservations: Vec<f64>,
 }
 
-/// Wall-clock seconds spent in each orchestrator phase of one epoch
-/// (the `revalidate → forecast → solve → admit → simulate` pipeline of
-/// [`Orchestrator::step`]). Each is the inclusive time of the phase's
-/// `ovnes-obs` span (`epoch;<phase>`), so all-zero while observability is
-/// off, except [`EpochPhaseSeconds::solve`], which always mirrors
-/// [`EpochOutcome::decision_seconds`]. **Not deterministic** — scenario
-/// fingerprints must never include these.
+/// Wall-clock seconds spent in each phase of one epoch (the `revalidate →
+/// forecast → solve → admit → simulate → account` pipeline of
+/// [`Orchestrator::step`]). Each is read by the phase's `ovnes-obs` phase
+/// span (`epoch;<phase>`), whether or not observability is on; with it on,
+/// each equals the span's recorded inclusive time. **Not deterministic** —
+/// scenario fingerprints must never include these.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct EpochPhaseSeconds {
-    /// Infra event application + active-set revalidation (step 0).
+    /// Infra events, active-set revalidation, arrivals, refusals (phase 1).
     pub revalidate: f64,
-    /// Tenant-input assembly incl. per-tenant forecasts (step 2).
+    /// Tenant-input assembly incl. per-tenant forecasts (phase 2).
     pub forecast: f64,
-    /// The admission solve ladder (step 3) — `decision_seconds`.
+    /// Instance build + admission solve ladder (phase 3): `decision_seconds`.
     pub solve: f64,
-    /// Decision application: active set + rejects set aside (step 4).
+    /// Decision application: active set + rejects set aside (phase 4).
     pub admit: f64,
-    /// Middlebox data-plane simulation (step 5).
+    /// Middlebox data-plane simulation (phase 5).
     pub simulate: f64,
+    /// Monitoring, patience, revenue, utilisation, overcommit, ageing (phase 6).
+    pub account: f64,
 }
 
 impl EpochPhaseSeconds {
@@ -259,11 +257,12 @@ impl EpochPhaseSeconds {
         self.solve += other.solve;
         self.admit += other.admit;
         self.simulate += other.simulate;
+        self.account += other.account;
     }
 }
 
 /// Everything that happened in one epoch.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct EpochOutcome {
     /// Epoch index (0-based).
     pub epoch: u32,
@@ -330,12 +329,12 @@ pub struct EpochOutcome {
     /// The primary-solver error, when one occurred (recorded even when a
     /// fallback rung produced the decision).
     pub solver_error: Option<String>,
-    /// Wall-clock seconds spent in the admission solve (the ladder, end to
-    /// end). **Not deterministic** — scenario fingerprints exclude it.
+    /// Wall-clock seconds of the solve phase (the instance build and the
+    /// ladder, end to end). **Not deterministic** — fingerprints exclude it.
     pub decision_seconds: f64,
     /// Per-phase wall-clock breakdown of this epoch (see
-    /// [`EpochPhaseSeconds`]). Zeros (except `solve`) unless `ovnes-obs`
-    /// is enabled. **Not deterministic** — fingerprints exclude it.
+    /// [`EpochPhaseSeconds`]), read with observability on or off. **Not
+    /// deterministic** — fingerprints exclude it.
     pub phase_seconds: EpochPhaseSeconds,
     /// The solve from the carried chain errored, so the chain was dropped
     /// and the epoch re-solved from scratch
@@ -347,6 +346,18 @@ pub struct EpochOutcome {
     /// big-M relaxation reported (plus stale reservations on deferred
     /// epochs); the chaos suite asserts the bound.
     pub overcommit: (f64, f64, f64),
+}
+
+/// The input of an epoch's solve phase, as one value: everything the
+/// AC-RR instance is built from besides the live model, and the solve's
+/// controls.
+#[derive(Debug, Clone)]
+pub(crate) struct SolveInput {
+    /// One input per tenant: the active slices first, each forced and
+    /// pinned to its CU, then the pending requests in arrival order.
+    pub(crate) tenants: Vec<TenantInput>,
+    /// The algorithm, budget and LP fault plan of the solve.
+    pub(crate) controls: SolveControls,
 }
 
 /// The end-to-end orchestrator.
@@ -375,6 +386,9 @@ pub struct Orchestrator {
     /// KAC's vetting-slave warm chain, carried from one epoch's solve to
     /// the next ([`solver::solve_epoch`]).
     carry: ovnes_lp::WarmChain,
+    /// The last solve's input and decision.
+    #[cfg(test)]
+    solved: Option<(SolveInput, Option<Allocation>)>,
 }
 
 impl Orchestrator {
@@ -399,6 +413,8 @@ impl Orchestrator {
             base_link_mbps,
             bs_factor,
             carry: ovnes_lp::WarmChain::new(),
+            #[cfg(test)]
+            solved: None,
         }
     }
 
@@ -447,6 +463,12 @@ impl Orchestrator {
         self.queue.len()
     }
 
+    /// The last solve's input and decision.
+    #[cfg(test)]
+    pub(crate) fn solved(&self) -> Option<&(SolveInput, Option<Allocation>)> {
+        self.solved.as_ref()
+    }
+
     /// Every live record, active ones first, then the queue.
     #[cfg(test)]
     fn records(&self) -> impl Iterator<Item = &Tenant> {
@@ -469,15 +491,15 @@ impl Orchestrator {
             .collect()
     }
 
-    /// Forecast for a tenant: per-BS λ̂ plus σ̂ (max across BSs). Falls back
-    /// to the operator prior below `prior_history` epochs of monitoring.
-    fn forecast_for(&self, tenant: &Tenant) -> (Vec<f64>, f64) {
+    /// The solve input of a tenant, forced onto `pinned_cu` when it has one:
+    /// its per-BS forecast λ̂ plus σ̂ (max across BSs). Falls back to the
+    /// operator prior below `prior_history` epochs of monitoring.
+    fn tenant_input(&self, tenant: &Tenant, pinned_cu: Option<usize>) -> TenantInput {
         let request = &tenant.request;
         let n_bs = self.model.base_stations.len();
-        let lam = request.template.sla_mbps;
-        let mut lam_hat = vec![lam; n_bs];
-        let mut sigma = PRIOR_SIGMA;
-        let mut observed = false;
+        let mut lam_hat = vec![request.template.sla_mbps; n_bs];
+        // σ̂ of the observed BSs, the prior while none is.
+        let mut sigma: Option<f64> = None;
         // Risk-averse margin: the costlier a violation (penalty factor
         // m = K/R), the more peak headroom the reservation floor carries.
         let m_factor = (request.penalty / request.template.reward.max(1e-9)).max(1.0);
@@ -495,12 +517,7 @@ impl Orchestrator {
                     .cloned()
                     .fold(0.0f64, f64::max);
                 lam_hat[b] = pred.value.max(recent) * (1.0 + headroom * pred.sigma);
-                sigma = if observed {
-                    sigma.max(pred.sigma)
-                } else {
-                    pred.sigma
-                };
-                observed = true;
+                sigma = Some(sigma.map_or(pred.sigma, |s| s.max(pred.sigma)));
             }
         }
         // Availability clamp: a BS in outage serves nothing, so reserving
@@ -509,21 +526,25 @@ impl Orchestrator {
         for (b, f) in self.bs_factor.iter().enumerate() {
             lam_hat[b] *= f;
         }
-        (lam_hat, sigma.clamp(MIN_SIGMA, 1.0))
+        TenantInput {
+            tenant: request.tenant,
+            sla_mbps: request.template.sla_mbps,
+            reward: request.template.reward,
+            penalty: request.penalty,
+            delay_budget_us: request.template.delay_budget_us,
+            service: request.template.service,
+            forecast_mbps: lam_hat,
+            sigma: sigma.unwrap_or(PRIOR_SIGMA).clamp(MIN_SIGMA, 1.0),
+            duration_weight: DURATION_WEIGHT,
+            must_accept: pinned_cu.is_some(),
+            pinned_cu,
+        }
     }
 
     /// Applies every scheduled event due at `epoch` to the live model;
     /// returns how many were applied.
     fn apply_due_events(&mut self, epoch: u32) -> usize {
-        let mut due: Vec<InfraEvent> = Vec::new();
-        self.events.retain(|e| {
-            if e.epoch <= epoch {
-                due.push(*e);
-                false
-            } else {
-                true
-            }
-        });
+        let due: Vec<InfraEvent> = self.events.extract_if(.., |e| e.epoch <= epoch).collect();
         for event in &due {
             match event.kind {
                 InfraEventKind::BsOutage { bs } => {
@@ -585,11 +606,11 @@ impl Orchestrator {
     ///
     /// Transport links are not trimmed here: link fit is re-established by
     /// this epoch's admission solve against the degraded capacity rows.
-    fn revalidate_active(&mut self) -> (Vec<u32>, Vec<u32>, f64) {
+    ///
+    /// The re-homed and evicted slices and the eviction penalties go into
+    /// `out`.
+    fn revalidate_active(&mut self, out: &mut EpochOutcome) {
         let n_cu = self.model.compute_units.len();
-        let mut evicted = Vec::new();
-        let mut rehomed = Vec::new();
-        let mut eviction_penalty = 0.0;
 
         let cu_load = |active: &[ActiveSlice], c: usize| -> f64 {
             active
@@ -632,12 +653,12 @@ impl Orchestrator {
                 match new_home {
                     Some(c2) => {
                         self.active[vi].cu = c2;
-                        rehomed.push(self.active[vi].tenant.request.tenant);
+                        out.rehomed.push(self.active[vi].tenant.request.tenant);
                     }
                     None => {
                         let victim = self.active.remove(vi).tenant.request;
-                        eviction_penalty += victim.penalty;
-                        evicted.push(victim.tenant);
+                        out.eviction_penalty += victim.penalty;
+                        out.evicted.push(victim.tenant);
                     }
                 }
             }
@@ -658,11 +679,10 @@ impl Orchestrator {
                 }
             }
         }
-
-        (evicted, rehomed, eviction_penalty)
     }
 
-    /// Advances one decision epoch; returns what happened.
+    /// Advances one decision epoch, its six phases in order; returns what
+    /// happened.
     ///
     /// **Resilience contract:** solver failures never abort a horizon. The
     /// admission solve runs through the degradation ladder
@@ -681,76 +701,61 @@ impl Orchestrator {
         if !self.config.forecast_headroom.is_finite() {
             return Err(AcrrError::Config("forecast_headroom must be finite"));
         }
-        let epoch = self.epoch;
-        let n_bs = self.model.base_stations.len();
-        let _epoch_span = ovnes_obs::span!("epoch", epoch = epoch as i64);
+        let mut out = EpochOutcome {
+            epoch: self.epoch,
+            ..EpochOutcome::default()
+        };
+        let _epoch_span = ovnes_obs::span!("epoch", epoch = out.epoch as i64);
+        let pending = self.revalidate(&mut out);
+        let input = self.forecast(&pending, &mut out);
+        let (instance, allocation) = self.solve(input, &mut out);
+        let (rejects, instance_tenant) = self.admit(&instance, allocation, pending, &mut out);
+        let flows = self.simulate(&rejects, &mut out);
+        self.account(&instance, &instance_tenant, rejects, &flows, &mut out);
+        self.epoch += 1;
+        Ok(out)
+    }
 
-        // 0. Infrastructure: apply due events, then revalidate the active
-        // set against the shrunken model (re-home / evict / trim) so the
-        // admission solve below starts from an enforceable state.
-        let revalidate_span = ovnes_obs::span!("revalidate");
-        let infra_events = self.apply_due_events(epoch);
-        let (evicted, rehomed, eviction_penalty) = self.revalidate_active();
-        let revalidate_seconds = revalidate_span.close();
-
-        // 1. Arrivals: requests whose time has come move into consideration.
-        let (mut pending, waiting): (Vec<Tenant>, Vec<Tenant>) = std::mem::take(&mut self.queue)
-            .into_iter()
-            .partition(|t| t.request.arrival_epoch <= epoch);
-        self.queue = waiting;
+    /// Phase 1. Infrastructure: applies the events due this epoch, then
+    /// revalidates the active set against the shrunken model (re-home /
+    /// evict / trim) so the admission solve starts from an enforceable
+    /// state. Arrivals: returns the requests whose time has come, in
+    /// arrival order, less those refused.
+    fn revalidate(&mut self, out: &mut EpochOutcome) -> Vec<Tenant> {
+        let phase = phase("revalidate");
+        out.infra_events = self.apply_due_events(out.epoch);
+        self.revalidate_active(out);
+        let arrived = |t: &mut Tenant| t.request.arrival_epoch <= out.epoch;
+        let mut pending: Vec<Tenant> = self.queue.extract_if(.., arrived).collect();
         // Previously rejected requests keep re-applying (they were returned
         // to the queue with their original arrival epoch). Arrival order, not
         // submission order: the order of the rejected flows decides which
-        // random draws each gets (step 5).
+        // random draws each gets (phase 5).
         pending.sort_by_key(|t| t.request.arrival_epoch);
         // A request the model cannot take (a NaN, an infinity, a negative
         // rate, a degenerate diurnal period) is refused here, before it
         // reaches the forecast, the LP or the traffic generator.
-        let mut refused = Vec::new();
         pending.retain(|t| match t.request.fault() {
             Some(fault) => {
-                refused.push((t.request.tenant, fault));
+                out.refused.push((t.request.tenant, fault));
                 false
             }
             None => true,
         });
+        out.phase_seconds.revalidate = phase.close();
+        pending
+    }
 
-        // 2. Assemble tenant inputs: active slices first, each forced and
-        // pinned to its CU, then pending requests.
-        let forecast_span = ovnes_obs::span!("forecast");
-        let tenant_input = |tenant: &Tenant, pinned_cu: Option<usize>| {
-            let (forecast_mbps, sigma) = self.forecast_for(tenant);
-            let req = &tenant.request;
-            TenantInput {
-                tenant: req.tenant,
-                sla_mbps: req.template.sla_mbps,
-                reward: req.template.reward,
-                penalty: req.penalty,
-                delay_budget_us: req.template.delay_budget_us,
-                service: req.template.service,
-                forecast_mbps,
-                sigma,
-                duration_weight: DURATION_WEIGHT,
-                must_accept: pinned_cu.is_some(),
-                pinned_cu,
-            }
-        };
-        let tenants: Vec<TenantInput> = self
+    /// Phase 2. The solve's input: a forecast tenant input per active
+    /// slice, forced and pinned to its CU, then per pending request.
+    fn forecast(&self, pending: &[Tenant], out: &mut EpochOutcome) -> SolveInput {
+        let phase = phase("forecast");
+        let tenants = self
             .active
             .iter()
-            .map(|a| tenant_input(&a.tenant, Some(a.cu)))
-            .chain(pending.iter().map(|t| tenant_input(t, None)))
+            .map(|a| self.tenant_input(&a.tenant, Some(a.cu)))
+            .chain(pending.iter().map(|t| self.tenant_input(t, None)))
             .collect();
-        let forecast_seconds = forecast_span.close();
-
-        // 3. Solve AC-RR through the degradation ladder — never aborts.
-        let instance = AcrrInstance::build(
-            &self.model,
-            tenants,
-            PATH_POLICY,
-            self.config.overbooking,
-            Some(DEFICIT_COST),
-        );
         let kind = if self.config.overbooking {
             self.config.solver
         } else {
@@ -762,39 +767,78 @@ impl Orchestrator {
             lp_fault: self.config.lp_fault,
             ..SolveControls::default()
         };
-        let solve_span = ovnes_obs::span!("solve");
-        let solve_started = Instant::now();
-        let controlled = solver::solve_epoch(&instance, &controls, &mut self.carry);
-        let decision_seconds = solve_started.elapsed().as_secs_f64();
-        drop(solve_span);
-        let degradation = controlled.degradation;
-        let solver_error = controlled.error.as_ref().map(|e| e.to_string());
-        let carry_fallback = controlled.carry_fallback;
-        let allocation = controlled.allocation;
+        out.phase_seconds.forecast = phase.close();
+        SolveInput { tenants, controls }
+    }
 
-        // 4. Apply the decision: update the active set and set the rejects
-        // aside, in rejection order, for steps 5 and 6. Under adaptive
-        // reservations the enforced z is trimmed down to the head-roomed
-        // forecast floor (always capacity-feasible since the solver's z is
-        // an upper envelope of it). On a deferred epoch there is no
-        // decision: active slices keep their previous reservations and every
-        // pending request is rejected (re-applying under its patience).
-        let admit_span = ovnes_obs::span!("admit");
+    /// The AC-RR instance of `tenants` on the live model.
+    pub(crate) fn instance(&self, tenants: Vec<TenantInput>) -> AcrrInstance {
+        AcrrInstance::build(
+            &self.model,
+            tenants,
+            PATH_POLICY,
+            self.config.overbooking,
+            Some(DEFICIT_COST),
+        )
+    }
+
+    /// Phase 3. Builds the instance of `input` and solves it through the
+    /// degradation ladder from the carried chain — never aborts. Its
+    /// duration is the epoch's `decision_seconds`.
+    fn solve(
+        &mut self,
+        input: SolveInput,
+        out: &mut EpochOutcome,
+    ) -> (AcrrInstance, Option<Allocation>) {
+        let phase = phase("solve");
+        #[cfg(test)]
+        let recorded = input.clone();
+        let instance = self.instance(input.tenants);
+        let controlled = solver::solve_epoch(&instance, &input.controls, &mut self.carry);
+        out.degradation = controlled.degradation;
+        out.solver_error = controlled.error.as_ref().map(|e| e.to_string());
+        out.carry_fallback = controlled.carry_fallback;
+        if let Some(a) = &controlled.allocation {
+            out.deficit = a.deficit;
+            out.solver_stats = a.stats.clone();
+        }
+        #[cfg(test)]
+        {
+            self.solved = Some((recorded, controlled.allocation.clone()));
+        }
+        out.decision_seconds = phase.close();
+        out.phase_seconds.solve = out.decision_seconds;
+        (instance, controlled.allocation)
+    }
+
+    /// Phase 4. Applies the decision: updates the active set and returns
+    /// the rejects, in rejection order, with the `instance.tenants` index
+    /// of each active slice, in `active` order. Under adaptive reservations
+    /// the enforced z is trimmed down to the head-roomed forecast floor
+    /// (always capacity-feasible since the solver's z is an upper envelope
+    /// of it). On a deferred epoch there is no decision: active slices keep
+    /// their previous reservations and every pending request is rejected
+    /// (re-applying under its patience).
+    fn admit(
+        &mut self,
+        instance: &AcrrInstance,
+        allocation: Option<Allocation>,
+        pending: Vec<Tenant>,
+        out: &mut EpochOutcome,
+    ) -> (Vec<Tenant>, Vec<usize>) {
+        let phase = phase("admit");
         let n_active_before = self.active.len();
-        // `instance.tenants` index of each active slice, in `active` order.
         let mut instance_tenant: Vec<usize> = (0..n_active_before).collect();
-        let mut admitted = Vec::new();
-        let mut newly_admitted = Vec::new();
-        let mut rejected = Vec::new();
         let mut rejects: Vec<Tenant> = Vec::new();
         if let Some(allocation) = &allocation {
+            let trim = self.config.adaptive_reservations && self.config.overbooking;
             let effective_z = |ti: usize| -> Vec<f64> {
                 let z = &allocation.reservations[ti];
-                if !self.config.adaptive_reservations || !self.config.overbooking {
+                if !trim {
                     return z.clone();
                 }
                 let t = &instance.tenants[ti];
-                (0..n_bs)
+                (0..instance.n_bs)
                     .map(|b| {
                         let floor = t.forecast_mbps[b].clamp(0.0, 0.999 * t.sla_mbps);
                         z[b].min(floor)
@@ -806,7 +850,7 @@ impl Orchestrator {
                 // Forced slices must stay admitted.
                 debug_assert!(cu.is_some(), "active slice must remain admitted");
                 self.active[ti].reservations = effective_z(ti);
-                admitted.push(self.active[ti].tenant.request.tenant);
+                out.admitted.push(self.active[ti].tenant.request.tenant);
             }
             for (ti, (tenant, cu)) in (n_active_before..).zip(pending.into_iter().zip(fresh)) {
                 let id = tenant.request.tenant;
@@ -819,31 +863,37 @@ impl Orchestrator {
                             tenant,
                         });
                         instance_tenant.push(ti);
-                        admitted.push(id);
-                        newly_admitted.push(id);
+                        out.admitted.push(id);
+                        out.newly_admitted.push(id);
                     }
                     None => {
-                        rejected.push(id);
+                        out.rejected.push(id);
                         rejects.push(tenant);
                     }
                 }
             }
         } else {
-            admitted.extend(self.active.iter().map(|a| a.tenant.request.tenant));
-            rejected.extend(pending.iter().map(|t| t.request.tenant));
+            let active = self.active.iter().map(|a| a.tenant.request.tenant);
+            out.admitted.extend(active);
+            out.rejected
+                .extend(pending.iter().map(|t| t.request.tenant));
             rejects = pending;
         }
+        out.phase_seconds.admit = phase.close();
+        (rejects, instance_tenant)
+    }
 
-        let admit_seconds = admit_span.close();
-
-        // 5. Simulate the epoch through the middlebox: one flow per BS for
-        // each active slice, in `active` order, then for each reject, in
-        // rejection order. The demand of rejected tenants is sampled too
-        // (the paper's simulations learn every request's load pattern;
-        // abandoning ones included, their draws are part of the sequence) —
-        // with reservation = SLA so they never register as violations and
-        // never enter utilisation/revenue accounting.
-        let simulate_span = ovnes_obs::span!("simulate");
+    /// Phase 5. Simulates the epoch through the middlebox: one flow per BS
+    /// for each active slice, in `active` order, then for each reject, in
+    /// rejection order; returns their reports in that order. The demand of
+    /// rejected tenants is sampled too (the paper's simulations learn every
+    /// request's load pattern; abandoning ones included, their draws are
+    /// part of the sequence) — with reservation = SLA so they never
+    /// register as violations and never enter utilisation/revenue
+    /// accounting.
+    fn simulate(&mut self, rejects: &[Tenant], out: &mut EpochOutcome) -> Vec<FlowReport> {
+        let phase = phase("simulate");
+        let n_bs = self.model.base_stations.len();
         let mut flows = Vec::new();
         let mk_gen = |req: &SliceRequest| {
             let mut gen = TrafficGenerator::gaussian(req.true_mean_mbps, req.true_sigma_mbps);
@@ -874,164 +924,125 @@ impl Orchestrator {
             &mut self.rng,
         );
         self.sample_index = report.next_sample_index;
-        let simulate_seconds = simulate_span.close();
+        out.phase_seconds.simulate = phase.close();
+        report.flows
+    }
 
-        // 6. Monitoring feedback: `run_epoch` reports in flow order, so the
-        // `i`-th record of step 5 owns the `i`-th block of `n_bs` reports.
-        // Each reject is then re-queued or dropped with its history.
+    /// Phase 6. Monitoring feedback and patience, then revenue and
+    /// utilisation in one pass over the active slices, the overcommit audit
+    /// and ageing. `flows` are phase 5's reports: the `i`-th record it
+    /// simulated owns the `i`-th block of `n_bs`.
+    fn account(
+        &mut self,
+        instance: &AcrrInstance,
+        instance_tenant: &[usize],
+        mut rejects: Vec<Tenant>,
+        flows: &[FlowReport],
+        out: &mut EpochOutcome,
+    ) {
+        let phase = phase("account");
+        let n_bs = self.model.base_stations.len();
+        // Monitoring feedback; each reject is then re-queued or dropped
+        // with its history.
         let records = self.active.iter_mut().map(|a| &mut a.tenant);
         for (i, tenant) in records.chain(rejects.iter_mut()).enumerate() {
-            let block = &report.flows[i * n_bs..(i + 1) * n_bs];
+            let block = &flows[i * n_bs..(i + 1) * n_bs];
             debug_assert!(block
                 .iter()
                 .map(|f| f.key)
                 .eq((0..n_bs as u32).map(|b| (tenant.request.tenant, b))));
             tenant.record(block);
         }
-        let mut abandoned = Vec::new();
         for tenant in rejects {
             // Patience: a rejected request re-applies next epoch only while
             // it is still within `reapply_epochs` of its arrival; afterwards
             // the tenant walks away.
-            let waited = (epoch + 1).saturating_sub(tenant.request.arrival_epoch);
+            let waited = (out.epoch + 1).saturating_sub(tenant.request.arrival_epoch);
             if waited < self.config.reapply_epochs {
                 self.queue.push(tenant);
             } else {
-                abandoned.push(tenant.request.tenant);
+                out.abandoned.push(tenant.request.tenant);
             }
         }
 
-        // 7. Revenue accounting.
-        let mut reward = 0.0;
-        let mut penalty = 0.0;
-        let mut violated = 0usize;
-        let mut total_samples = 0usize;
-        let mut worst_drop = 0.0f64;
-        // Slice `ai` owns the `ai`-th block of `n_bs` reports (step 6).
+        // Revenue, and the utilisation series (for Fig. 8-style reporting).
+        out.bs_reserved_mhz = vec![0.0; n_bs];
+        out.bs_load_mhz = vec![0.0; n_bs];
+        out.cu_reserved_cores = vec![0.0; instance.n_cu];
+        out.cu_load_cores = vec![0.0; instance.n_cu];
         for (ai, a) in self.active.iter().enumerate() {
             let req = &a.tenant.request;
-            reward += req.template.reward;
+            let t = &req.template;
+            out.reward += t.reward;
             // Worst per-sample SLA deficit across this slice's BS legs.
             let mut worst_fraction_of_sla = 0.0f64;
-            for f in &report.flows[ai * n_bs..(ai + 1) * n_bs] {
-                violated += f.violated_samples;
-                total_samples += f.samples;
-                worst_drop = worst_drop.max(f.worst_deficit_fraction);
-                if f.samples > 0 {
-                    let deficit_vs_sla = f.worst_deficit_mbps / req.template.sla_mbps.max(1e-9);
-                    worst_fraction_of_sla = worst_fraction_of_sla.max(deficit_vs_sla);
-                }
-            }
-            penalty += req.penalty * worst_fraction_of_sla;
-        }
-        // One-time SLA-break charges for slices evicted by infrastructure
-        // shrinkage this epoch (balanced accounting: `penalty` always equals
-        // the violation penalties above plus `eviction_penalty`).
-        penalty += eviction_penalty;
-
-        // 8. Utilisation series (for Fig. 8-style reporting).
-        let mut bs_reserved = vec![0.0; n_bs];
-        let mut bs_load = vec![0.0; n_bs];
-        let mut cu_reserved = vec![0.0; instance.n_cu];
-        let mut cu_load = vec![0.0; instance.n_cu];
-        let mut link_reserved: HashMap<usize, f64> = HashMap::new();
-        let mut link_load: HashMap<usize, f64> = HashMap::new();
-        for (ai, a) in self.active.iter().enumerate() {
-            let t = &a.tenant.request.template;
             // The legs of the slice's (tenant, CU) pair, indexed by BS;
             // empty when the pinned CU lost a path this epoch.
             let legs = instance.legs_of(instance_tenant[ai], a.cu);
             let mut sum_res = 0.0;
             let mut sum_load = 0.0;
-            for b in 0..n_bs {
+            for (b, f) in flows[ai * n_bs..(ai + 1) * n_bs].iter().enumerate() {
+                out.violation_samples.0 += f.violated_samples;
+                out.violation_samples.1 += f.samples;
+                out.worst_drop_fraction = out.worst_drop_fraction.max(f.worst_deficit_fraction);
+                if f.samples > 0 {
+                    let deficit_vs_sla = f.worst_deficit_mbps / t.sla_mbps.max(1e-9);
+                    worst_fraction_of_sla = worst_fraction_of_sla.max(deficit_vs_sla);
+                }
                 let z = a.reservations[b];
-                let load = report.flows[ai * n_bs + b].mean_offered.min(t.sla_mbps);
-                bs_reserved[b] += z / crate::problem::MBPS_PER_MHZ;
-                bs_load[b] += load / crate::problem::MBPS_PER_MHZ;
+                let load = f.mean_offered.min(t.sla_mbps);
+                out.bs_reserved_mhz[b] += z / MBPS_PER_MHZ;
+                out.bs_load_mhz[b] += load / MBPS_PER_MHZ;
                 sum_res += z;
                 sum_load += load;
                 // Attribute transport to the selected leg's links.
                 if let Some(leg) = legs.get(b) {
                     for &e in &leg.links {
                         let gid = instance.link_graph_ids[e];
-                        *link_reserved.entry(gid).or_insert(0.0) += z;
-                        *link_load.entry(gid).or_insert(0.0) += load;
+                        *out.link_reserved_mbps.entry(gid).or_insert(0.0) += z;
+                        *out.link_load_mbps.entry(gid).or_insert(0.0) += load;
                     }
                 }
             }
-            cu_reserved[a.cu] += t.service.base_cores + t.service.cores_per_mbps * sum_res;
-            cu_load[a.cu] += t.service.base_cores + t.service.cores_per_mbps * sum_load;
+            out.penalty += req.penalty * worst_fraction_of_sla;
+            out.cu_reserved_cores[a.cu] +=
+                t.service.base_cores + t.service.cores_per_mbps * sum_res;
+            out.cu_load_cores[a.cu] += t.service.base_cores + t.service.cores_per_mbps * sum_load;
         }
+        // One-time SLA-break charges for slices evicted by infrastructure
+        // shrinkage this epoch (balanced accounting: `penalty` always equals
+        // the violation penalties above plus `eviction_penalty`).
+        out.penalty += out.eviction_penalty;
+        out.net_revenue = out.reward - out.penalty;
 
-        // 8b. Overcommit audit: enforced reservations in excess of the
+        // Overcommit audit: enforced reservations in excess of the
         // (possibly degraded) capacities, per resource class. On solved
         // epochs this is bounded by the big-M deficit; on deferred epochs
         // stale reservations may exceed link capacity until the next solve.
         let mut over_radio = 0.0;
-        for b in 0..n_bs {
-            over_radio += (bs_reserved[b] - self.model.base_stations[b].capacity_mhz).max(0.0);
+        for (b, reserved) in out.bs_reserved_mhz.iter().enumerate() {
+            over_radio += (reserved - self.model.base_stations[b].capacity_mhz).max(0.0);
         }
         let mut over_cu = 0.0;
-        for (c, reserved) in cu_reserved.iter().enumerate() {
+        for (c, reserved) in out.cu_reserved_cores.iter().enumerate() {
             over_cu += (reserved - self.model.compute_units[c].cores).max(0.0);
         }
-        let over_link = link_overcommit(&link_reserved, |gid| {
+        let over_link = link_overcommit(&out.link_reserved_mbps, |gid| {
             self.model.graph.link(LinkId(gid)).capacity_mbps
         });
+        out.overcommit = (over_radio, over_link, over_cu);
 
-        // 9. Ageing: expire slices whose duration elapsed. A zero lifetime
+        // Ageing: expire slices whose duration elapsed. A zero lifetime
         // saturates, so it expires with the epoch that admitted it, like a
-        // lifetime of one; `u32::MAX` lives forever.
+        // lifetime of one; `u32::MAX` lives forever. An expired slice's
+        // record, history included, goes with it.
         for a in self.active.iter_mut() {
             if a.remaining != u32::MAX {
                 a.remaining = a.remaining.saturating_sub(1);
             }
         }
-        // An expired slice's record, history included, goes with it.
         self.active.retain(|a| a.remaining > 0);
-
-        self.epoch += 1;
-        let (deficit, solver_stats) = match allocation {
-            Some(a) => (a.deficit, a.stats),
-            None => ((0.0, 0.0, 0.0), crate::problem::SolveStats::default()),
-        };
-        Ok(EpochOutcome {
-            epoch,
-            admitted,
-            newly_admitted,
-            rejected,
-            refused,
-            abandoned,
-            evicted,
-            rehomed,
-            eviction_penalty,
-            infra_events,
-            net_revenue: reward - penalty,
-            reward,
-            penalty,
-            violation_samples: (violated, total_samples),
-            worst_drop_fraction: worst_drop,
-            deficit,
-            bs_reserved_mhz: bs_reserved,
-            bs_load_mhz: bs_load,
-            cu_reserved_cores: cu_reserved,
-            cu_load_cores: cu_load,
-            link_reserved_mbps: link_reserved,
-            link_load_mbps: link_load,
-            solver_stats,
-            degradation,
-            solver_error,
-            decision_seconds,
-            phase_seconds: EpochPhaseSeconds {
-                revalidate: revalidate_seconds,
-                forecast: forecast_seconds,
-                solve: decision_seconds,
-                admit: admit_seconds,
-                simulate: simulate_seconds,
-            },
-            carry_fallback,
-            overcommit: (over_radio, over_link, over_cu),
-        })
+        out.phase_seconds.account = phase.close();
     }
 
     /// Runs a horizon of up to `epochs` [`Orchestrator::step`]s, handing

@@ -4,10 +4,10 @@
 use crate::orchestrator::{
     EpochOutcome, InfraEvent, InfraEventKind, Orchestrator, OrchestratorConfig,
 };
-use crate::problem::{AcrrInstance, PathPolicy, TenantInput, MBPS_PER_MHZ};
+use crate::problem::{AcrrInstance, Allocation, PathPolicy, TenantInput, MBPS_PER_MHZ};
 use crate::slice::{RequestFault, ServiceModel, SliceRequest, SliceTemplate};
 use crate::solver::slave::{SlaveContext, SlaveResult};
-use crate::solver::{benders, kac, AcrrError, SolveControls, SolverKind};
+use crate::solver::{benders, kac, solve_controlled, AcrrError, SolveControls, SolverKind};
 use ovnes_lp::SimplexOptions;
 use ovnes_topology::graph::{Graph, LinkTech};
 use ovnes_topology::ksp::k_shortest;
@@ -507,6 +507,64 @@ fn diurnal_requests_flow_through() {
         total_rev > 8.0,
         "diurnal slice must stay admitted, got {total_rev}"
     );
+}
+
+/// The solve phase is a function of its `SolveInput` and the live model:
+/// every epoch's recorded input of a Benders horizon, rebuilt into an
+/// instance and re-solved from scratch, gives the epoch's allocation bit
+/// for bit, on epochs with forced slices and arrivals alike.
+#[test]
+fn a_recorded_solve_input_re_solves_to_the_same_allocation() {
+    let generator = ovnes_topology::operators::GeneratorConfig {
+        scale: 0.025,
+        seed: 18,
+        k_paths: 4,
+    };
+    let model = NetworkModel::generate(Operator::Romanian, &generator);
+    let config = OrchestratorConfig {
+        solver: SolverKind::Benders,
+        adaptive_reservations: true,
+        reapply_epochs: 3,
+        seed: 21,
+        ..Default::default()
+    };
+    let mut orch = Orchestrator::new(model, config);
+    let templates = [
+        SliceTemplate::embb(),
+        SliceTemplate::mmtc(),
+        SliceTemplate::urllc(),
+    ];
+    for t in 0..12u32 {
+        let template = templates[t as usize % 3].clone();
+        let mut request = SliceRequest::from_template(t, template, 0.2, 5.0, 1.0);
+        request.arrival_epoch = t / 2;
+        request.duration_epochs = 4 + t % 3;
+        orch.submit(request);
+    }
+    let bits = |a: &Allocation| {
+        let z = a.reservations.iter().flatten().map(|z| z.to_bits());
+        (
+            a.objective.to_bits(),
+            a.assigned_cu.clone(),
+            z.collect::<Vec<_>>(),
+        )
+    };
+    let mut with_arrivals = 0;
+    for _ in 0..8 {
+        orch.step().expect("step");
+        let (input, decided) = orch.solved().expect("every epoch solves");
+        let forced = input.tenants.iter().filter(|t| t.must_accept).count();
+        if forced > 0 && input.tenants.len() > forced {
+            with_arrivals += 1;
+        }
+        let instance = orch.instance(input.tenants.clone());
+        let resolved = solve_controlled(&instance, &input.controls);
+        assert_eq!(
+            decided.as_ref().map(bits),
+            resolved.allocation.as_ref().map(bits)
+        );
+    }
+    assert!(with_arrivals >= 2, "{with_arrivals} epochs with arrivals");
 }
 
 /// The three model parameters the config keeps, at their hostile values: a

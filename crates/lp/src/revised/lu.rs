@@ -104,8 +104,9 @@
 //! That copy is nine `memcpy`s whatever the dimension and however many
 //! updates the source holds, and it reserves room for the updates its own
 //! solve will fold in (`UPDATE_ROOM_SLOTS` slots, `UPDATE_ROOM_ENTRIES`
-//! entries per arena), so those do not reallocate either. All solve
-//! intermediates live in the caller's [`SolveScratch`].
+//! entries per arena), so those do not reallocate either; `clone_from`
+//! makes the same copy in the arrays a factorization already holds. All
+//! solve intermediates live in the caller's [`SolveScratch`].
 //!
 //! The classic dense LU (`Lu`) is retained as the slow-path oracle for
 //! tests and cross-checks, next to the rescan factor in the `oracle`
@@ -1127,6 +1128,31 @@ impl Clone for FtState {
             next_seq: self.next_seq,
         }
     }
+
+    /// The copy [`FtState::clone`] makes, with the same room, in the arrays
+    /// `self` already holds: one `clear` + `extend_from_slice` per array,
+    /// which allocates only where an array is too short for it.
+    fn clone_from(&mut self, source: &FtState) {
+        refill(&mut self.slots, &source.slots, UPDATE_ROOM_SLOTS);
+        refill(&mut self.u_ent, &source.u_ent, UPDATE_ROOM_ENTRIES);
+        refill(&mut self.order, &source.order, 0);
+        refill(&mut self.slot_of_pos, &source.slot_of_pos, 0);
+        refill(&mut self.slot_of_row, &source.slot_of_row, 0);
+        refill(&mut self.ucols, &source.ucols, 0);
+        refill(&mut self.c_ent, &source.c_ent, UPDATE_ROOM_ENTRIES);
+        refill(&mut self.etas, &source.etas, UPDATE_ROOM_SLOTS);
+        refill(&mut self.eta_terms, &source.eta_terms, UPDATE_ROOM_ENTRIES);
+        self.updates = source.updates;
+        self.next_seq = source.next_seq;
+    }
+}
+
+/// `out` becomes a copy of `v` with capacity for `room` more, in its own
+/// buffer.
+fn refill<T: Copy>(out: &mut Vec<T>, v: &[T], room: usize) {
+    out.clear();
+    out.reserve(v.len() + room);
+    out.extend_from_slice(v);
 }
 
 impl FtState {
@@ -1448,10 +1474,26 @@ const FT_PIVOT_REL: f64 = 1e-10;
 /// (**copy-on-compress**: an update mutates only the owner's private `U`
 /// working copy and row etas, never the shared factors). The solves take
 /// `&self`; mutation is confined to [`Factorization::push_update`].
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct Factorization {
     lu: Arc<SparseLu>,
     ft: FtState,
+}
+
+impl Clone for Factorization {
+    fn clone(&self) -> Factorization {
+        Factorization {
+            lu: Arc::clone(&self.lu),
+            ft: self.ft.clone(),
+        }
+    }
+
+    /// Shares `source`'s factors and copies its update state into the
+    /// arrays `self` already holds.
+    fn clone_from(&mut self, source: &Factorization) {
+        self.lu = Arc::clone(&source.lu);
+        self.ft.clone_from(&source.ft);
+    }
 }
 
 impl Factorization {

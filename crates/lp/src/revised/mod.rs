@@ -96,7 +96,8 @@
 //!   factorization behind an `Arc`; a chain that loads it shares the factors
 //!   and copies their update state only when its next solve replays them
 //!   (copy-on-compress), so what that solve folds in never reaches the
-//!   basis's other holders.
+//!   basis's other holders. The copy goes into the arrays of the
+//!   factorization the load displaced, when the chain held one.
 //!
 //! [`Problem::solve`] and [`Problem::solve_warm`] are conveniences over a
 //! fresh chain. A `load` / `resolve` / `take_basis` round trip
@@ -430,6 +431,10 @@ pub struct WarmChain {
     /// (copy-on-compress), and a basis whose factors cannot be reused costs
     /// none.
     loaded: Option<Arc<Factorization>>,
+    /// The factorization a [load](Self::load) displaced, kept until the next
+    /// solve for its arrays: a solve that replays a loaded factorization
+    /// still shared by the basis copies it into them, not into fresh ones.
+    spare: Option<Factorization>,
 }
 
 impl WarmChain {
@@ -465,7 +470,8 @@ impl WarmChain {
 
     /// Makes `basis` what the next solve resumes from, in place of what the
     /// chain held. The chain shares the factors behind its `Arc`; the next
-    /// solve copies their update state if it replays them, so `basis`
+    /// solve copies their update state if it replays them (into the arrays
+    /// of the factorization the chain held, when it held one), so `basis`
     /// itself never sees what this chain folds in.
     pub fn load(&mut self, basis: &Basis) {
         let st = &mut self.state;
@@ -473,7 +479,7 @@ impl WarmChain {
         st.n_vars = basis.n_vars;
         st.status.clone_from(&basis.status);
         st.basic.clone_from(&basis.basic);
-        st.fact = None;
+        self.spare = st.fact.take().or(self.spare.take());
         st.matrix_fp = basis.matrix_fp;
         self.loaded = basis.fact.clone();
     }
@@ -564,6 +570,7 @@ pub(crate) fn solve_state(
         state: st,
         ws,
         loaded,
+        spare,
     } = chain;
     let canon = Canon::new(p);
     let matrix_fp = canon.s.fingerprint;
@@ -598,11 +605,19 @@ pub(crate) fn solve_state(
     // from a different problem that happens to share the shape). RHS /
     // bound / objective edits all qualify. A loaded basis's factorization
     // is copied only once it passes (the Benders master root after appended
-    // cuts copies none).
+    // cuts copies none), and into the spare's arrays when there is one.
     let reusable = warm_used && !drop_fact && !corrupt && st.matrix_fp == matrix_fp;
     let keep = |f: &Factorization| reusable && f.dim() == canon.m;
+    let spare = spare.take();
     st.fact = match loaded.take() {
-        Some(shared) => keep(&shared).then(|| Arc::unwrap_or_clone(shared)),
+        Some(shared) => keep(&shared).then(|| match (Arc::try_unwrap(shared), spare) {
+            (Ok(own), _) => own,
+            (Err(shared), Some(mut copy)) => {
+                copy.clone_from(&shared);
+                copy
+            }
+            (Err(shared), None) => Factorization::clone(&shared),
+        }),
         None => st.fact.take().filter(keep),
     };
 

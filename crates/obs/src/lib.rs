@@ -15,9 +15,12 @@
 //!
 //! # Zero-cost when off, and the fingerprint invariant
 //!
-//! All wall-clock capture sits behind the process-global [`enabled`]
+//! All span recording sits behind the process-global [`enabled`]
 //! flag (env `OVNES_OBS`, off by default): a disabled span site costs one
-//! relaxed atomic load and constructs an inert guard. Deterministic
+//! relaxed atomic load and constructs an inert guard. The one exception
+//! is [`trace::phase`], the orchestrator's phase span, which reads the
+//! clock either way (two reads per phase) so that every epoch knows its
+//! phase durations; off, it records nothing either. Deterministic
 //! counter-only metrics may feed fingerprints; **wall-clock timing never
 //! does** — `ScenarioReport::fingerprint()` / `decision_fingerprint()`
 //! and the bit-identical-at-any-worker-count guarantee are unaffected by
@@ -31,7 +34,8 @@
 //! (`lp_factor`, `lp_ftran`, `lp_btran`, `lp_pricing`), `milp_*` for the
 //! branch-and-bound tree (`milp_solve`, `milp_node`), `kac_*` for the
 //! heuristic vet chain, bare nouns for orchestrator phases (`generate`,
-//! `revalidate`, `forecast`, `solve`, `admit`, `simulate`). Dynamic data
+//! `revalidate`, `forecast`, `solve`, `admit`, `simulate`,
+//! `account`). Dynamic data
 //! (round numbers, node ids) goes in the span attribute, never the name,
 //! so folded paths stay low-cardinality.
 

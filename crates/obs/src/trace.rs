@@ -250,25 +250,54 @@ fn span_inner(name: &'static str, attr: Option<(&'static str, i64)>) -> SpanGuar
 }
 
 impl SpanGuard {
-    /// Closes the span now and returns the inclusive seconds it measured:
-    /// the nanoseconds its folded cell and journal line record. An inert
-    /// guard (observability off) returns 0.0 without reading the clock.
-    pub fn close(mut self) -> f64 {
+    /// Closes an armed span now and returns the inclusive nanoseconds it
+    /// recorded; `None` for an inert guard, which reads no clock.
+    fn close_ns(&mut self) -> Option<u64> {
         if !std::mem::take(&mut self.armed) {
-            return 0.0;
+            return None;
         }
-        TRACER
-            .try_with(|t| t.0.borrow_mut().close())
-            .ok()
-            .flatten()
-            .map_or(0.0, |ns| Duration::from_nanos(ns).as_secs_f64())
+        TRACER.try_with(|t| t.0.borrow_mut().close()).ok().flatten()
     }
 }
 
 impl Drop for SpanGuard {
     fn drop(&mut self) {
-        if self.armed {
-            let _ = TRACER.try_with(|t| t.0.borrow_mut().close());
+        let _ = self.close_ns();
+    }
+}
+
+/// A phase span: a span that is also the phase's clock, on or off.
+/// Close it with [`PhaseGuard::close`]; dropped unclosed, it closes its span
+/// like any guard.
+#[must_use = "a phase is timed until its guard is closed"]
+pub struct PhaseGuard {
+    span: SpanGuard,
+    /// When the phase started, read only while the span is inert: an armed
+    /// span reads its own clock.
+    started: Option<Instant>,
+}
+
+/// Open a phase span (`epoch;solve`). Unlike [`span`], it reads the clock
+/// whether or not observability is on, so a phase always knows its
+/// duration; with observability off it records nothing.
+#[inline]
+pub fn phase(name: &'static str) -> PhaseGuard {
+    let span = span(name);
+    let started = (!span.armed).then(Instant::now);
+    PhaseGuard { span, started }
+}
+
+impl PhaseGuard {
+    /// Closes the phase now and returns the inclusive seconds it took: with
+    /// observability on, exactly the nanoseconds its folded cell and journal
+    /// line record; off, its own clock's reading.
+    pub fn close(mut self) -> f64 {
+        match self.started {
+            Some(started) => started.elapsed().as_secs_f64(),
+            None => self
+                .span
+                .close_ns()
+                .map_or(0.0, |ns| Duration::from_nanos(ns).as_secs_f64()),
         }
     }
 }

@@ -266,13 +266,18 @@ fn self_time_plus_child_time_accounts_for_root_time() {
 fn a_closed_guard_returns_the_time_its_span_recorded() {
     let _guard = obs_lock();
     {
+        // Off, a phase still reads its own clock, and records nothing.
         let _force = ForceObs::off();
-        assert_eq!(span!("ghost_close").close(), 0.0);
+        let _ = trace::drain();
+        let ghost = trace::phase("ghost_close");
+        std::hint::black_box((0..1000).sum::<u64>());
+        assert!(ghost.close() > 0.0);
+        assert!(trace::drain().is_empty());
     }
     let _force = ForceObs::on();
     let _ = trace::drain();
-    let root = span!("close_root");
-    let child = span!("close_child");
+    let root = trace::phase("close_root");
+    let child = trace::phase("close_child");
     std::hint::black_box((0..1000).sum::<u64>());
     let seconds = child.close();
     let root_seconds = root.close();

@@ -9,6 +9,7 @@ use crate::workload::WorkloadSpec;
 use ovnes::orchestrator::{Orchestrator, OrchestratorConfig};
 use ovnes::slice::SliceRequest;
 use ovnes::solver::{AcrrError, Degradation, SolveBudget, SolverKind};
+use ovnes_obs::trace::phase;
 use ovnes_topology::operators::{testbed_model, GeneratorConfig, NetworkModel, Operator};
 use std::collections::HashMap;
 use std::ops::ControlFlow;
@@ -270,14 +271,44 @@ pub fn run_scenario(spec: &ScenarioSpec) -> Result<ScenarioReport, AcrrError> {
     run_scenario_on(spec, build_model(spec))
 }
 
-/// Runs one scenario on a pre-built model (reuse across ablation pairs).
-pub(crate) fn run_scenario_on(
-    spec: &ScenarioSpec,
-    model: NetworkModel,
-) -> Result<ScenarioReport, AcrrError> {
+/// The orchestrator of `spec` on `model`: the spec's solver, policy,
+/// patience, seed, budget and LP fault plan, with the infrastructure events
+/// of its fault plan scheduled (recoveries past the horizon never fire).
+pub fn build_orchestrator(spec: &ScenarioSpec, model: NetworkModel) -> Orchestrator {
+    let events = spec.faults.as_ref().map(|plan| {
+        plan.expand(
+            model.base_stations.len(),
+            model.graph.links().count(),
+            model.compute_units.len(),
+            spec.horizon_epochs as u32,
+        )
+    });
+    let config = OrchestratorConfig {
+        solver: spec.solver,
+        overbooking: spec.overbooking,
+        adaptive_reservations: spec.adaptive_reservations,
+        reapply_epochs: spec.reapply_epochs,
+        seed: spec.seed,
+        budget: spec.budget,
+        lp_fault: spec
+            .faults
+            .as_ref()
+            .and_then(|plan| plan.lp_fault_seed)
+            .map(ovnes_lp::FaultConfig::chaos),
+        ..Default::default()
+    };
+    let mut orch = Orchestrator::new(model, config);
+    for event in events.into_iter().flatten() {
+        orch.schedule_event(event);
+    }
+    orch
+}
+
+/// Runs one scenario on its built model.
+fn run_scenario_on(spec: &ScenarioSpec, model: NetworkModel) -> Result<ScenarioReport, AcrrError> {
     let _scenario_span = ovnes_obs::span!("scenario");
     let t0 = Instant::now();
-    let generate_span = ovnes_obs::span!("generate");
+    let generate = phase("generate");
     let requests: Vec<SliceRequest> = match &spec.workload {
         Workload::Generated(w) => w.generate(spec.seed, spec.horizon_epochs),
         Workload::Explicit(reqs) => reqs
@@ -287,38 +318,14 @@ pub(crate) fn run_scenario_on(
             .collect(),
     };
     let arrivals = requests.len();
-    let phase_generate_seconds = generate_span.close();
+    let phase_generate_seconds = generate.close();
 
     // Static capacities, captured before the model moves into the
     // orchestrator.
     let bs_capacity: Vec<f64> = model.base_stations.iter().map(|b| b.capacity_mhz).collect();
     let cu_capacity: Vec<f64> = model.compute_units.iter().map(|c| c.cores).collect();
     let link_capacity: Vec<f64> = model.graph.links().map(|(_, l)| l.capacity_mbps).collect();
-
-    let mut config = OrchestratorConfig {
-        solver: spec.solver,
-        overbooking: spec.overbooking,
-        adaptive_reservations: spec.adaptive_reservations,
-        reapply_epochs: spec.reapply_epochs,
-        seed: spec.seed,
-        budget: spec.budget,
-        ..Default::default()
-    };
-    if let Some(plan) = &spec.faults {
-        config.lp_fault = plan.lp_fault_seed.map(ovnes_lp::FaultConfig::chaos);
-    }
-    let mut orch = Orchestrator::new(model, config);
-    if let Some(plan) = &spec.faults {
-        // Recoveries scheduled past the horizon simply never fire.
-        for event in plan.expand(
-            bs_capacity.len(),
-            link_capacity.len(),
-            cu_capacity.len(),
-            spec.horizon_epochs as u32,
-        ) {
-            orch.schedule_event(event);
-        }
-    }
+    let mut orch = build_orchestrator(spec, model);
 
     // Streaming aggregation state.
     let mut accepted = 0usize;

@@ -19,7 +19,8 @@
 //!   flash-crowd bursts. A `(spec, seed, horizon)` triple always expands to
 //!   the identical [`ovnes::slice::SliceRequest`] stream.
 //! * [`driver`] — [`driver::ScenarioSpec`] (built through a small builder
-//!   API) plus [`driver::run_scenario`], which steps the
+//!   API), [`driver::build_orchestrator`], the one spec-to-orchestrator
+//!   mapping, and [`driver::run_scenario`], which steps the
 //!   [`ovnes::orchestrator::Orchestrator`] over the multi-day horizon and
 //!   aggregates the metrics pipeline epoch by epoch:
 //!   acceptance ratio, revenue trajectory, SLA-violation rate, per-BS /
@@ -33,6 +34,8 @@
 //!   reproductions per operator (N1/N2/N3), a stadium flash crowd, a 10×
 //!   overload, the overbooking on/off ablation pair, and the chaos suite
 //!   (outage storm, starved solve budget, LP fault injection).
+//! * [`workloads`] — the four horizon workloads of the end-to-end
+//!   benchmark, as specs.
 //! * [`sweep`] — the parallel sweep runner: independent seeded scenarios
 //!   fanned across `std::thread::scope` workers (reusing the PR-4
 //!   `Send + Sync` solver contract inside each epoch solve), with
@@ -80,6 +83,7 @@ mod metrics;
 pub mod presets;
 pub mod sweep;
 pub mod workload;
+pub mod workloads;
 
 pub use driver::{run_scenario, ScenarioBuilder, ScenarioSpec};
 pub use faults::FaultPlan;

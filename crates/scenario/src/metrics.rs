@@ -162,13 +162,13 @@ pub struct ScenarioReport {
     /// fingerprint.
     pub decision_latency_percentiles: [f64; 4],
     /// Wall-clock spent generating/expanding the workload before the
-    /// horizon ran: the `scenario;generate` span's time, so zero when
-    /// `ovnes-obs` is off. **Excluded** from the fingerprint.
+    /// horizon ran: the `scenario;generate` phase span's time, read with
+    /// `ovnes-obs` on or off. **Excluded** from the fingerprint.
     pub phase_generate_seconds: f64,
     /// Per-phase orchestrator wall-clock summed over the horizon
-    /// (revalidate / forecast / solve / admit / simulate — the epoch
-    /// breakdown the flamegraph folds to). Only `solve` is populated
-    /// when `ovnes-obs` is off. **Excluded** from the fingerprint.
+    /// (revalidate / forecast / solve / admit / simulate / account — the
+    /// epoch breakdown the flamegraph folds to), read with `ovnes-obs` on
+    /// or off. **Excluded** from the fingerprint.
     pub phase_seconds: ovnes::orchestrator::EpochPhaseSeconds,
     /// Wall-clock of the run in seconds — machine-dependent, **excluded**
     /// from the fingerprint.

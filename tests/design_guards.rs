@@ -99,6 +99,7 @@ fn word(line: &str, w: &str) -> bool {
 const SRC: &str = "crates/*/src";
 const CODE: &str = "crates/*/src *.rs !tests";
 const CORE: &str = "crates/core/src *.rs !tests";
+const ORCH: &str = "crates/core/src/orchestrator.rs";
 const LP: &str = "crates/lp/src *.rs !/tests";
 const HW: &str = "crates/forecast/src/holt_winters.rs";
 const LIBS: &str = "crates/*/src/lib.rs";
@@ -244,6 +245,24 @@ const GUARDS: &[(&str, Check)] = &[
         "One horizon loop: every experiment runs through `Orchestrator::run`, the one non-test \
          `.step()` caller in crates/*/src; a second is a hand-written epoch loop.",
         |t| count(1..=1, grep(t, CODE, &[".step()"])),
+    ),
+    (
+        "One clock per phase: an epoch phase is timed by its phase span (`ovnes_obs::trace::phase`), \
+         so orchestrator.rs reads no `Instant` of its own.",
+        |t| grep(t, ORCH, &["Instant"]),
+    ),
+    (
+        "The epoch reads as its phases: the body of `Orchestrator::step` is at most 60 lines, \
+         calls of the phase functions that each open their own span.",
+        |t| {
+            let mut open = false;
+            let body = grep_by(t, ORCH, |l| {
+                let kept = open;
+                open = (open || l.starts_with("    pub fn step(")) && l != "    }";
+                kept && open
+            });
+            count(1..=60, body)
+        },
     ),
     (
         "One B&B loop: `Milp::solve`'s loop makes every search decision on the calling thread, \

@@ -8,11 +8,12 @@
 //! an observability change), update them in the PR that means to — never
 //! from inside an observability PR.
 
+use std::ops::ControlFlow;
 use std::sync::{Mutex, MutexGuard};
 
 use ovnes_lp::{Cmp, Problem};
 use ovnes_milp::{Milp, MilpOptions, MilpOutcome};
-use ovnes_scenario::driver::run_scenario;
+use ovnes_scenario::driver::{build_model, build_orchestrator, run_scenario, Workload};
 use ovnes_scenario::presets;
 
 /// Pre-`ovnes-obs` fingerprints (full telemetry + decision-only) for the
@@ -111,10 +112,17 @@ fn obs_on_leaves_fingerprints_bitwise_identical() {
     assert!(root > 0, "obs-on run recorded no scenario spans");
     let phase = |name: &str| trace.total_ns(&format!("scenario;epoch;{name}"));
     assert!(phase("solve") > 0, "the epoch solve span went missing");
-    let phases: u64 = ["revalidate", "forecast", "solve", "admit", "simulate"]
-        .into_iter()
-        .map(phase)
-        .sum();
+    let phases: u64 = [
+        "revalidate",
+        "forecast",
+        "solve",
+        "admit",
+        "simulate",
+        "account",
+    ]
+    .into_iter()
+    .map(phase)
+    .sum();
     assert!(phases <= root, "phases overlap or the root span shrank");
 
     // The shape a `--trace-out` consumer parses, checked on this real
@@ -156,11 +164,11 @@ fn obs_on_leaves_fingerprints_bitwise_identical() {
     );
 }
 
-/// Each phase is timed once, by its span: on a traced run, every summed
-/// `phase_seconds` field is its `scenario;epoch;<phase>` span total, and
+/// Each phase is timed once, by its phase span: on a traced run, every
+/// summed `phase_seconds` field is its `scenario;epoch;<phase>` span total,
+/// the summed `decision_seconds` is the solve span's, and
 /// `phase_generate_seconds` is `scenario;generate`'s, up to the ns → s
-/// conversion. `solve` is the always-on decision clock, read inside its
-/// span.
+/// conversion.
 #[test]
 fn phase_seconds_are_their_span_totals() {
     let _guard = obs_lock();
@@ -175,18 +183,61 @@ fn phase_seconds_are_their_span_totals() {
     for (path, seconds) in [
         ("scenario;epoch;revalidate", p.revalidate),
         ("scenario;epoch;forecast", p.forecast),
+        ("scenario;epoch;solve", p.solve),
         ("scenario;epoch;admit", p.admit),
         ("scenario;epoch;simulate", p.simulate),
+        ("scenario;epoch;account", p.account),
         ("scenario;generate", report.phase_generate_seconds),
     ] {
         assert!(
-            (seconds - spanned(path)).abs() <= 1e-12,
+            seconds > 0.0 && (seconds - spanned(path)).abs() <= 1e-12,
             "{path}: {seconds} s summed, {} s spanned",
             spanned(path)
         );
     }
-    assert!(p.forecast > 0.0 && p.simulate > 0.0, "{p:?}");
-    assert!(p.solve > 0.0 && p.solve <= spanned("scenario;epoch;solve") + 1e-12);
+
+    // The same horizon stepped directly: `decision_seconds` summed is the
+    // solve span's total.
+    let Workload::Generated(workload) = &spec.workload else {
+        panic!("fig5-n1 generates its requests");
+    };
+    let requests = workload.generate(spec.seed, spec.horizon_epochs);
+    let mut orch = build_orchestrator(&spec, build_model(&spec));
+    let mut decided = 0.0;
+    orch.run(requests, spec.horizon_epochs, |out| {
+        decided += out.decision_seconds;
+        ControlFlow::Continue(())
+    })
+    .expect("run");
+    let solved = ovnes_obs::trace::drain().total_ns("epoch;solve") as f64 / 1e9;
+    assert!(
+        decided > 0.0 && (decided - solved).abs() <= 1e-12,
+        "decision_seconds: {decided} s summed, {solved} s spanned"
+    );
+}
+
+/// With observability off the phase spans still time every phase, and
+/// record nothing.
+#[test]
+fn phase_seconds_are_read_with_observability_off() {
+    let _guard = obs_lock();
+    ovnes_obs::set_enabled(false);
+    let _ = ovnes_obs::trace::drain();
+    let spec = presets::preset("fig5-n1").expect("preset");
+    let report = run_scenario(&spec).expect("run");
+    let p = report.phase_seconds;
+    let fields = [
+        p.revalidate,
+        p.forecast,
+        p.solve,
+        p.admit,
+        p.simulate,
+        p.account,
+    ];
+    assert!(fields.iter().all(|&s| s > 0.0), "{p:?}");
+    assert!(report.phase_generate_seconds > 0.0);
+    let trace = ovnes_obs::trace::drain();
+    assert!(trace.is_empty() && trace.events.is_empty());
 }
 
 /// Decision-latency percentiles ride along in every report (the

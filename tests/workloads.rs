@@ -1,8 +1,8 @@
 //! The equality check of a behaviour-preserving change: the four horizon
-//! workloads of the end-to-end benchmark (`benchmark/src/workloads.rs`),
-//! written out again here through the public `ScenarioSpec::builder`, run
-//! through `run_scenario` and held to constants recorded on the code they
-//! were first measured on.
+//! workloads of the end-to-end benchmark (`ovnes_scenario::workloads`, the
+//! library copy of `benchmark/src/workloads.rs`), run through
+//! `run_scenario` and held to constants recorded on the code they were
+//! first measured on.
 //!
 //! At seed 1 the benchmark's request-stream seed equals the spec seed, so
 //! `run_scenario(&spec)` is the benchmark's reference run, and its decision
@@ -12,29 +12,16 @@
 //! 3, with its stream generated under seed 1 and handed over explicitly,
 //! as the benchmark harness does.
 //!
-//! The specs are the benchmark's, setter for setter, except that they leave
-//! out its calls of the ignored `incremental` setter (every KAC epoch
-//! carries).
-//!
 //! A change that means to move a decision or a count re-records the
 //! constants it moves and says why; any other change must leave all of them
 //! as they are. Release only: the six horizons take about 4 s there on two
 //! cores.
 
-use ovnes::slice::SliceClass;
-use ovnes::solver::{SolveBudget, SolverKind};
 use ovnes_scenario::driver::Workload;
-use ovnes_scenario::{
-    run_scenario, ArrivalProcess, BurstEvent, ClassMix, DiurnalProfile, DurationModel, FaultPlan,
-    ScenarioBuilder, ScenarioReport, ScenarioSpec, TenantPopulation, WorkloadSpec,
+use ovnes_scenario::workloads::{
+    self, budgeted_benders, churn_kac_10x, faulty_warm, steady_forecast, ARRIVAL_SEED,
 };
-use ovnes_topology::operators::Operator;
-
-/// Seed of the benchmark's request streams, whatever its `--seed` is.
-const ARRIVAL_SEED: u64 = 1;
-
-/// Seed of `faulty_warm`'s fault schedule.
-const FAULT_SEED: u64 = 1 ^ 991;
+use ovnes_scenario::{run_scenario, ScenarioReport, ScenarioSpec};
 
 /// What a run is held to.
 #[derive(Debug, PartialEq, Eq)]
@@ -82,156 +69,6 @@ fn with_benchmark_stream(spec: ScenarioSpec) -> ScenarioSpec {
     }
 }
 
-fn base_workload() -> WorkloadSpec {
-    WorkloadSpec {
-        arrivals: ArrivalProcess::Poisson { rate: 2.0 },
-        diurnal: Some(DiurnalProfile {
-            amplitude: 0.5,
-            period_epochs: 24,
-            peak_epoch: 14.0,
-        }),
-        mix: ClassMix {
-            urllc: 1.0,
-            mmtc: 1.0,
-            embb: 1.0,
-        },
-        duration: DurationModel {
-            mean_epochs: 12.0,
-            max_epochs: 96,
-        },
-        population: TenantPopulation {
-            size: 16,
-            churn_per_epoch: 0.02,
-            alpha: (0.15, 0.45),
-            sigma_frac: (0.1, 0.5),
-            penalty_factor: 1.0,
-        },
-        bursts: Vec::new(),
-        traffic_diurnal: Some((0.3, 288)),
-    }
-}
-
-fn base(name: &str, scale: f64, horizon: usize, seed: u64) -> ScenarioBuilder {
-    ScenarioSpec::builder(name)
-        .operator(Operator::Romanian, scale)
-        .workload(base_workload())
-        .horizon(horizon)
-        .overbooking(true)
-        .adaptive_reservations(true)
-        .threads(1)
-        .round_width(8)
-        .budget(SolveBudget::default())
-        .seed(seed)
-}
-
-fn churn_kac_10x(seed: u64) -> ScenarioSpec {
-    base("churn_kac_10x", 0.25, 200, seed)
-        .tune_workload(|w| {
-            w.arrivals = ArrivalProcess::Poisson { rate: 3.0 };
-            w.duration.mean_epochs = 10.0;
-            w.population.alpha = (0.15, 0.3);
-            w.population.sigma_frac = (0.0, 0.5);
-        })
-        .reapply_epochs(6)
-        .solver(SolverKind::Kac)
-        .build()
-}
-
-const STEADY_EPOCHS: usize = 384;
-
-fn steady_forecast(seed: u64) -> ScenarioSpec {
-    base("steady_forecast", 0.025, STEADY_EPOCHS, seed)
-        .tune_workload(|w| {
-            w.arrivals = ArrivalProcess::Poisson { rate: 0.0 };
-            w.bursts = [
-                (SliceClass::Embb, 0.31),
-                (SliceClass::Mmtc, 0.17),
-                (SliceClass::Urllc, 0.26),
-                (SliceClass::Embb, 0.22),
-                (SliceClass::Mmtc, 0.29),
-                (SliceClass::Urllc, 0.19),
-            ]
-            .iter()
-            .enumerate()
-            .map(|(k, &(class, alpha))| BurstEvent {
-                start_epoch: k as u32,
-                duration_epochs: 1,
-                extra_rate: 1.0,
-                class,
-                alpha,
-                slice_epochs: STEADY_EPOCHS as u32,
-            })
-            .collect();
-        })
-        .reapply_epochs(2)
-        .solver(SolverKind::Kac)
-        .build()
-}
-
-fn budgeted_benders(seed: u64) -> ScenarioSpec {
-    base("budgeted_benders", 0.1, 300, seed)
-        .tune_workload(|w| {
-            w.arrivals = ArrivalProcess::Poisson { rate: 2.0 };
-            w.mix = ClassMix {
-                urllc: 0.4,
-                mmtc: 0.3,
-                embb: 0.3,
-            };
-            w.duration.mean_epochs = 8.0;
-        })
-        .reapply_epochs(6)
-        .solver(SolverKind::Benders)
-        .budget(SolveBudget {
-            max_pivots: Some(400_000),
-            max_nodes: Some(64),
-            max_rounds: Some(8),
-            wall_limit: None,
-        })
-        .build()
-}
-
-const WAVE_EPOCHS: usize = 320;
-const WAVE_PERIOD: u32 = 8;
-const WAVE_SLICE_EPOCHS: u32 = 40;
-
-fn faulty_warm(seed: u64) -> ScenarioSpec {
-    base("faulty_warm", 0.1, WAVE_EPOCHS, seed)
-        .tune_workload(|w| {
-            w.arrivals = ArrivalProcess::Poisson { rate: 0.0 };
-            w.population.alpha = (0.15, 0.3);
-            let classes = [SliceClass::Embb, SliceClass::Mmtc, SliceClass::Urllc];
-            let alphas = [0.17, 0.29, 0.22, 0.26, 0.19];
-            w.bursts = (0..WAVE_EPOCHS / WAVE_PERIOD as usize)
-                .map(|k| BurstEvent {
-                    start_epoch: k as u32 * WAVE_PERIOD,
-                    duration_epochs: 1,
-                    extra_rate: 2.0,
-                    class: classes[k % 3],
-                    alpha: alphas[k % 5],
-                    slice_epochs: WAVE_SLICE_EPOCHS,
-                })
-                .collect();
-        })
-        .reapply_epochs(2)
-        .solver(SolverKind::Kac)
-        .faults(FaultPlan {
-            seed: FAULT_SEED,
-            start_epoch: 2,
-            end_epoch: u32::MAX,
-            bs_outage_rate: 0.05,
-            outage_epochs: (2, 6),
-            link_degradation_rate: 0.05,
-            link_factor: (0.2, 0.6),
-            link_epochs: (2, 8),
-            cu_loss_rate: 0.02,
-            cu_factor: (0.3, 0.7),
-            cu_epochs: (2, 8),
-            scripted: Vec::new(),
-            lp_fault_seed: None,
-        })
-        .build()
-}
-
 #[test]
 #[cfg_attr(debug_assertions, ignore = "release only")]
 fn churn_kac_10x_at_seed_1() {
@@ -262,6 +99,36 @@ fn budgeted_benders_decides_the_same_at_seeds_2_and_3() {
     let decided = [2, 3]
         .map(|seed| run(&with_benchmark_stream(budgeted_benders(seed))).decision_fingerprint());
     assert_eq!(decided, BUDGETED_BENDERS_SEEDS_2_3);
+}
+
+/// Every step of an epoch runs under one of its phase spans: in each
+/// workload's folded trace at seed 1, the self time of `scenario;epoch`
+/// (what no phase covers) is under 3 % of its inclusive time.
+#[test]
+#[cfg_attr(debug_assertions, ignore = "release only")]
+fn the_phase_spans_cover_the_epoch() {
+    /// Turns tracing off and empties the trace, however the test ends.
+    struct Untraced;
+    impl Drop for Untraced {
+        fn drop(&mut self) {
+            ovnes_obs::set_enabled(false);
+            let _ = ovnes_obs::trace::drain();
+        }
+    }
+    let _untraced = Untraced;
+    ovnes_obs::set_enabled(true);
+    for spec in workloads::ALL.map(|workload| workload(1)) {
+        let _ = ovnes_obs::trace::drain();
+        run(&spec);
+        let epoch = ovnes_obs::trace::drain().folded["scenario;epoch"];
+        assert!(
+            epoch.self_ns * 100 < 3 * epoch.total_ns,
+            "{}: epoch self time {} ns of {} ns",
+            spec.name,
+            epoch.self_ns,
+            epoch.total_ns
+        );
+    }
 }
 
 // Recorded on the parent of the change that made branch-and-bound nodes
